@@ -1,7 +1,10 @@
 """Uniform dispatch over the two abelian settings: modules and diagrams.
 
 Homological code (complexes, resolutions, derived functors) is written
-once against these functions and runs unchanged in C and in C^I.
+once against these functions and runs unchanged in C and in C^I.  Each
+function picks the module or the diagram version; the choice between the
+base rings (Z or an F_p-algebra) is made below, in `modules.ring_ops`.
+Objects answer `is_zero()` and `describe()` themselves.
 """
 
 from __future__ import annotations
@@ -10,10 +13,6 @@ from . import diagrams, modules
 from .diagrams import DiagMor
 from .errors import ShapeError
 from .modules import ModMor, ModuleObj
-
-
-def is_module_side(x) -> bool:
-    return isinstance(x, (ModuleObj, ModMor))
 
 
 def kernel(f):
@@ -68,10 +67,6 @@ def zero_object_like(A):
     return diagrams.zero_diagram(A.index, A.ring)
 
 
-def is_zero_obj(A) -> bool:
-    return A.is_zero()
-
-
 def is_mono(f) -> bool:
     if isinstance(f, ModMor):
         return modules.is_mono(f)
@@ -119,6 +114,3 @@ def lift_through_epi(g, e):
         return modules.lift_through_epi(g, e)
     return diagrams.d_lift_through_epi(g, e)
 
-
-def describe(A) -> str:
-    return A.describe()

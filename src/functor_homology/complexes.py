@@ -119,11 +119,6 @@ def induced_on_homology(phi_n, sub_src: Subquotient, sub_tgt: Subquotient):
     return abelian.cofactor_through_epi(sub_src.epi, u.then(sub_tgt.epi))
 
 
-def chain_map_homology(f: ChainMap, n) -> object:
-    return induced_on_homology(f.at(n), homology_at(f.source, n),
-                               homology_at(f.target, n))
-
-
 class SES:
     """Short exact sequence 0 -> L -> M -> N -> 0, validated on
     construction."""
@@ -148,8 +143,7 @@ class SES:
                 raise ExactnessError("sequence is not exact in the middle")
 
     def __repr__(self):
-        return (f"SES({abelian.describe(self.L)} -> {abelian.describe(self.M)}"
-                f" -> {abelian.describe(self.N)})")
+        return f"SES({self.L.describe()} -> {self.M.describe()} -> {self.N.describe()})"
 
 
 class MorphismOfSES:

@@ -20,8 +20,6 @@ from .complexes import (ChainMap, Complex, SES, SESOfComplexes, Subquotient,
                         homology_at, induced_on_homology, project_complex)
 from .diagrams import DiagMor, Diagram
 from .errors import ExactnessError, ShapeError
-from .fplinalg import fp_from_columns
-from .intlinalg import from_columns
 from .modules import Element, ModMor, ModuleObj, preimage
 
 
@@ -50,14 +48,15 @@ class Resolution:
         return len(self.terms) - 1
 
     def extend_to(self, n):
-        # the only mutation in the package; locked so concurrent derived
-        # computations sharing a cached resolution stay consistent
+        # grows this resolution's term lists in place; the lock keeps
+        # concurrent derived computations sharing it consistent (it guards
+        # only this resolution, not the package's other caches)
         with self._lock:
             while self.built < n and not self.exhausted:
                 if not self.extendable:
                     raise ShapeError("this resolution cannot be extended")
                 K, mono = abelian.kernel(self.covers[-1])
-                if abelian.is_zero_obj(K):
+                if K.is_zero():
                     self.exhausted = True
                     self.kernels.append(K)
                     self.monos.append(mono)
@@ -324,9 +323,7 @@ def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
 
 
 def _mor_from_columns(source, target, cols):
-    if source.ring.is_integers:
-        return ModMor(source, target, from_columns(cols, target.gens))
-    return ModMor(source, target, fp_from_columns(source.ring.p, cols, target.gens))
+    return ModMor(source, target, source.ops.from_columns(cols, target.gens))
 
 
 def connecting_module(sesc: SESOfComplexes, n) -> ModMor:

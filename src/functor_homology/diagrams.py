@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import modules
 from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
 from .fincat import FinCat
-from .modules import ModMor, ModuleObj, nary_biproduct, zero_module
+from .modules import HomSystem, ModMor, ModuleObj, nary_biproduct, zero_module
 
 
 class Diagram:
@@ -526,133 +526,42 @@ def free_diagram_map(F: Diagram, M: Diagram, adjuncts) -> DiagMor:
     return DiagMor(F, M, comps)
 
 
+def d_hom_unknowns(system: HomSystem, A: Diagram, B: Diagram) -> dict:
+    """Unknown components A^o -> B^o, one per index object."""
+    return {o: system.unknown(A.components[o], B.components[o])
+            for o in A.index.objects}
+
+
+def d_mor_from_matrices(A: Diagram, B: Diagram, mats) -> DiagMor:
+    """The diagram morphism with these component matrices, in object order."""
+    return DiagMor(A, B, {o: ModMor(A.components[o], B.components[o], m)
+                          for o, m in zip(A.index.objects, mats)})
+
+
+def d_naturality(system: HomSystem, var: dict, A: Diagram, B: Diagram):
+    """Naturality squares of the unknown components `var`: A -> B."""
+    idx = A.index
+    for m in idx.nonidentity_morphisms():
+        i, j = idx.src(m), idx.tgt(m)
+        system.commute(var[j], A.maps[m].matrix, B.maps[m].matrix, var[i])
+
+
 def d_hom_basis(A: Diagram, B: Diagram):
     """Generators of the group of diagram morphisms A -> B.
 
     Joint solve of per-component well-definedness and all naturality
     squares; returns a list of DiagMor.
     """
-    from . import fplinalg, intlinalg
-    from .fplinalg import FpMatrix
-    from .intlinalg import IntMatrix
-
-    idx = A.index
-    objs = list(idx.objects)
-    ring = A.ring
-    if ring != B.ring:
+    if A.ring != B.ring:
         raise RingMismatchError("hom needs a common ring")
-    sizes = [(B.components[o].gens, A.components[o].gens) for o in objs]
-    offs = {}
-    total = 0
-    for o, (b, a) in zip(objs, sizes):
-        offs[o] = total
-        total += b * a
-
-    def t_index(o, i, j):
-        b, a = sizes[objs.index(o)]
-        return offs[o] + i * a + j
-
-    rows = []
-
-    def new_row():
-        rows.append([0] * total)
-        return rows[-1]
-
-    aux_cols = []  # each aux var: list of (row_idx, coeff)
-
-    def add_aux(col_entries):
-        aux_cols.append(col_entries)
-
-    if ring.is_integers:
-        # well-definedness of each component
-        for o in objs:
-            Ao, Bo = A.components[o], B.components[o]
-            for rel in Ao.rels:
-                base = len(rows)
-                for i in range(Bo.gens):
-                    row = new_row()
-                    for j in range(Ao.gens):
-                        row[t_index(o, i, j)] = rel[j]
-                for k, brel in enumerate(Bo.rels):
-                    add_aux([(base + i, -brel[i]) for i in range(Bo.gens)])
-        # naturality for every non-identity index morphism
-        for m in idx.nonidentity_morphisms():
-            i, j = idx.src(m), idx.tgt(m)
-            alpha = A.maps[m].matrix
-            beta = B.maps[m].matrix
-            Ai, Aj = A.components[i], A.components[j]
-            Bi, Bj = B.components[i], B.components[j]
-            for g in range(Ai.gens):
-                base = len(rows)
-                for r in range(Bj.gens):
-                    row = new_row()
-                    # (T^j . alpha)[r][g]
-                    for k in range(Aj.gens):
-                        row[t_index(j, r, k)] += alpha.data[k][g]
-                    # -(beta . T^i)[r][g]
-                    for k in range(Bi.gens):
-                        row[t_index(i, k, g)] -= beta.data[r][k]
-                for brel in Bj.rels:
-                    add_aux([(base + r, -brel[r]) for r in range(Bj.gens)])
-        width = total + len(aux_cols)
-        data = [row + [0] * len(aux_cols) for row in rows]
-        for a_idx, entries in enumerate(aux_cols):
-            for r_idx, coeff in entries:
-                data[r_idx][total + a_idx] = coeff
-        if not data:
-            data = [[0] * width] if width else [[]]
-        big = IntMatrix(len(data), width, data)
-        basis = [v[:total] for v in intlinalg.kernel_basis(big)]
-        out = []
-        for v in basis:
-            comps = {}
-            for o, (b, a) in zip(objs, sizes):
-                mat = IntMatrix(b, a, [[v[t_index(o, i, j)] for j in range(a)]
-                                       for i in range(b)])
-                comps[o] = ModMor(A.components[o], B.components[o], mat)
-            mor = DiagMor(A, B, comps)
-            if not mor.is_zero():
-                out.append(mor)
-        return out
-    # F_p case: strict linear equations, no auxiliary lattice variables
-    p = ring.p
-    for o in objs:
-        Ao, Bo = A.components[o], B.components[o]
-        for act in range(ring.dim):
-            ra, rb = Ao.actions[act], Bo.actions[act]
-            for i in range(Bo.dim):
-                for j in range(Ao.dim):
-                    row = new_row()
-                    for k in range(Ao.dim):
-                        row[t_index(o, i, k)] = (row[t_index(o, i, k)]
-                                                 + ra.data[k][j]) % p
-                    for k in range(Bo.dim):
-                        row[t_index(o, k, j)] = (row[t_index(o, k, j)]
-                                                 - rb.data[i][k]) % p
-    for m in idx.nonidentity_morphisms():
-        i, j = idx.src(m), idx.tgt(m)
-        alpha = A.maps[m].matrix
-        beta = B.maps[m].matrix
-        for g in range(A.components[i].dim):
-            for r in range(B.components[j].dim):
-                row = new_row()
-                for k in range(A.components[j].dim):
-                    row[t_index(j, r, k)] = (row[t_index(j, r, k)]
-                                             + alpha.data[k][g]) % p
-                for k in range(B.components[i].dim):
-                    row[t_index(i, k, g)] = (row[t_index(i, k, g)]
-                                             - beta.data[r][k]) % p
-    if not rows:
-        rows = [[0] * total]
-    big = FpMatrix(p, len(rows), total, rows)
+    system = HomSystem(A.ring)
+    var = d_hom_unknowns(system, A, B)
+    for k in var.values():
+        system.well_defined(k)
+    d_naturality(system, var, A, B)
     out = []
-    for v in fplinalg.kernel_basis(big):
-        comps = {}
-        for o, (b, a) in zip(objs, sizes):
-            mat = FpMatrix(p, b, a, [[v[t_index(o, i, j)] for j in range(a)]
-                                     for i in range(b)])
-            comps[o] = ModMor(A.components[o], B.components[o], mat)
-        mor = DiagMor(A, B, comps)
+    for mats in system.solve():
+        mor = d_mor_from_matrices(A, B, mats)
         if not mor.is_zero():
             out.append(mor)
     return out

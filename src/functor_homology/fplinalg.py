@@ -31,12 +31,6 @@ class FpMatrix:
         self.data = [[x % p for x in r] for r in data]
 
     @classmethod
-    def from_rows(cls, p, data):
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return cls(p, rows, cols, data)
-
-    @classmethod
     def identity(cls, p, n):
         return cls(p, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -98,17 +92,6 @@ class FpMatrix:
 
     def is_zero(self):
         return all(x == 0 for r in self.data for x in r)
-
-
-def fp_hstack(mats):
-    mats = list(mats)
-    p, rows = mats[0].p, mats[0].rows
-    assert all(m.rows == rows and m.p == p for m in mats)
-    data = [[] for _ in range(rows)]
-    for m in mats:
-        for i in range(rows):
-            data[i].extend(m.data[i])
-    return FpMatrix(p, rows, sum(m.cols for m in mats), data)
 
 
 def fp_from_columns(p, cols, rows):
@@ -192,10 +175,6 @@ def column_space_basis(A: FpMatrix) -> list[list[int]]:
     """Deterministic basis of the column span (subset of A's columns)."""
     _, pivots = rref(A)
     return [A.col(j) for j in pivots]
-
-
-def in_span(basis: FpMatrix, v: list[int]) -> bool:
-    return solve(basis, v) is not None
 
 
 def inverse(A: FpMatrix):

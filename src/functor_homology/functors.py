@@ -13,7 +13,7 @@ from .complexes import Complex, complex_apply
 from .diagrams import DiagMor, Diagram
 from .errors import RingMismatchError, ShapeError
 from .fincat import FinCat
-from .modules import ModMor, ModuleObj
+from .modules import ModMor, ModuleObj, identity_mor
 from .rings import RingMap
 
 TENSOR = "tensor"
@@ -117,22 +117,13 @@ def apply_to_morphism(F: FunctorSpec, f):
     if f.ring != F.source_ring:
         raise RingMismatchError(f"{F.label} is not applicable over {f.ring.label}")
     if F.kind == TENSOR:
-        ident = ModMor(F.module, F.module, _identity_matrix(F.module), check=False)
+        ident = identity_mor(F.module)
         if F.side == "right":
             return tensorops.tensor_mor(f, ident)
         return tensorops.tensor_mor(ident, f)
     if F.kind == BASE_CHANGE:
         return tensorops.base_change_mor(F.ring_map, f)
     return apply_to_morphism(F.outer, apply_to_morphism(F.inner, f))
-
-
-def _identity_matrix(M: ModuleObj):
-    from .fplinalg import FpMatrix
-    from .intlinalg import IntMatrix
-
-    if M.ring.is_integers:
-        return IntMatrix.identity(M.gens)
-    return FpMatrix.identity(M.ring.p, M.dim)
 
 
 def apply_any(F: FunctorSpec, x):
@@ -176,7 +167,7 @@ class NatSpec:
 
     def at(self, A: ModuleObj) -> ModMor:
         """Component of the transformation at the object A."""
-        ident = ModMor(A, A, _identity_matrix(A), check=False)
+        ident = identity_mor(A)
         return tensorops.tensor_mor(ident, self.g)
 
     def __repr__(self):

@@ -1,13 +1,21 @@
 """Finitely presented modules and their morphisms, over the two base rings.
 
-Integer case: a module is Z^gens modulo the row span of a relation matrix.
-F_p-algebra case: a module is a finite-dimensional vector space with one
-action matrix per algebra basis element (no relations needed).
+Integer case: a module is Z^gens modulo the row span of a relation matrix
+(`rels`), with no action matrices.  F_p-algebra case: a module is a
+finite-dimensional vector space (`gens` = `dim`) with one action matrix per
+algebra basis element, and no relations.
 
 Morphisms are matrices on generators, validated at construction: they must
-map relations into relations (integers) or commute with every action
-matrix (algebras).  All values are immutable after construction and every
-operation is pure.
+map relations into relations and commute with every action matrix.
+
+Every operation has one body.  What differs between the rings sits behind
+one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
+constructors, solving `f.matrix x = b` modulo the relations of `f.target`,
+the kernel of a linear system, and the images of a free generator.  Kernel,
+cokernel and simplification keep two algorithms (Smith normal form versus
+row reduction).  `HomSystem` builds the linear system for unknown module
+matrices behind every hom-space solver.  Values are immutable after
+construction and every operation is pure.
 """
 
 from __future__ import annotations
@@ -21,12 +29,126 @@ from .intlinalg import IntMatrix, from_columns, hstack
 from .rings import Ring, ZZ
 
 
+# -- the base-ring seam -----------------------------------------------------
+
+
+class _RingOps:
+    """The base-ring seam: everything that differs between Z and an
+    F_p-algebra.  A subclass supplies `matrix_type` and `matrix` (the
+    constructor), `kernel_basis`, `solver`/`solve`, `free_images` and
+    `unit` (coordinates of a free generator on its free basis); the
+    constructors below are shared.
+    """
+
+    __slots__ = ()
+
+    def from_rows(self, data):
+        return self.matrix(len(data), len(data[0]) if data else 0, data)
+
+    def from_columns(self, cols, rows):
+        return self.matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+
+    def identity(self, n):
+        return self.matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    def zeros(self, rows, cols):
+        return self.matrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+    def add(self, f, g):
+        return self.matrix(f.rows, f.cols, [[x + y for x, y in zip(r, s)]
+                                            for r, s in zip(f.data, g.data)])
+
+    def scale(self, f, c):
+        return self.matrix(f.rows, f.cols, [[c * x for x in r] for r in f.data])
+
+    def kron(self, f, g):
+        data = [[0] * (f.cols * g.cols) for _ in range(f.rows * g.rows)]
+        for i in range(f.rows):
+            for k in range(f.cols):
+                a = f.data[i][k]
+                if a:
+                    for j in range(g.rows):
+                        for l in range(g.cols):
+                            data[i * g.rows + j][k * g.cols + l] = a * g.data[j][l]
+        return self.matrix(f.rows * g.rows, f.cols * g.cols, data)
+
+
+class _IntegerOps(_RingOps):
+    """Z: matrices are IntMatrix and equations hold modulo relations."""
+
+    __slots__ = ()
+    matrix_type = IntMatrix
+    unit = (1,)
+
+    def matrix(self, rows, cols, data):
+        return IntMatrix(rows, cols, data)
+
+    def kernel_basis(self, A):
+        return intlinalg.kernel_basis(A)
+
+    def solver(self, f):
+        """b -> some x with f.matrix x = b modulo f.target's relations, or
+        None; one Smith normal form serves every right-hand side."""
+        res = intlinalg.snf(hstack([f.matrix, f.target._rel_cols()]))
+        n = f.source.gens
+
+        def solve(b):
+            x = intlinalg.solve_snf(res, b)
+            return None if x is None else x[:n]
+        return solve
+
+    def solve(self, f, b):
+        """The solver's answer for a single right-hand side."""
+        x = intlinalg.solve(hstack([f.matrix, f.target._rel_cols()]), b)
+        return None if x is None else x[: f.source.gens]
+
+    def free_images(self, M, v):
+        """Images of the free basis elements of one generator sent to v."""
+        return [v]
+
+
+class _AlgebraOps(_RingOps):
+    """An F_p-algebra: matrices are FpMatrix and equations are strict."""
+
+    __slots__ = ("p", "unit")
+    matrix_type = FpMatrix
+
+    def __init__(self, ring):
+        self.p = ring.p
+        self.unit = ring.unit
+
+    def matrix(self, rows, cols, data):
+        return FpMatrix(self.p, rows, cols, data)
+
+    def kernel_basis(self, A):
+        return fplinalg.kernel_basis(A)
+
+    def solver(self, f):
+        return lambda b: fplinalg.solve(f.matrix, b)
+
+    def solve(self, f, b):
+        return fplinalg.solve(f.matrix, b)
+
+    def free_images(self, M, v):
+        # the free basis of one generator is (generator, algebra basis element)
+        return [act.mul_vec(v) for act in M.actions]
+
+
+_INTEGER_OPS = _IntegerOps()
+
+
+def ring_ops(ring: Ring):
+    """The ops object holding everything that differs between the rings."""
+    return _INTEGER_OPS if ring.is_integers else _AlgebraOps(ring)
+
+
 class ModuleObj:
     """A finitely presented module over a `Ring`."""
 
     def __init__(self, ring: Ring, gens=None, rels=None, dim=None, actions=None,
                  free_rank=None, check=True):
         self.ring = ring
+        self.ops = ring_ops(ring)
         if ring.is_integers:
             self.gens = gens
             self.rels = tuple(tuple(r) for r in (rels or ()))
@@ -34,11 +156,11 @@ class ModuleObj:
                 if len(r) != gens:
                     raise ShapeError("relation length must equal generator count")
             self.dim = None
-            self.actions = None
+            self.actions = ()
         else:
             self.dim = dim
             self.gens = dim
-            self.rels = None
+            self.rels = ()
             self.actions = tuple(actions)
             if len(self.actions) != ring.dim:
                 raise ShapeError("need one action matrix per algebra basis element")
@@ -155,16 +277,11 @@ class ModuleObj:
     def __eq__(self, other):
         if not isinstance(other, ModuleObj) or self.ring != other.ring:
             return False
-        if self.ring.is_integers:
-            return self.gens == other.gens and self.rels == other.rels
-        return self.dim == other.dim and self.actions == other.actions
+        return (self.gens == other.gens and self.rels == other.rels
+                and self.actions == other.actions)
 
     def __repr__(self):
         return f"ModuleObj({self.describe()})"
-
-
-def z_module(rels, gens) -> ModuleObj:
-    return ModuleObj(ZZ, gens=gens, rels=rels)
 
 
 def cyclic(n) -> ModuleObj:
@@ -190,15 +307,13 @@ def free_module(ring: Ring, rank: int) -> ModuleObj:
 
 def free_generator_columns(P: ModuleObj):
     """Coordinate columns of the module generators of a free module."""
-    assert P.free_rank is not None, "module is not marked free"
-    if P.ring.is_integers:
-        return [[1 if i == j else 0 for i in range(P.gens)] for j in range(P.free_rank)]
-    ring = P.ring
+    if P.free_rank is None:
+        raise ShapeError("module is not marked free")
+    unit = P.ops.unit
     cols = []
     for j in range(P.free_rank):
-        v = [0] * P.dim
-        for a, coeff in enumerate(ring.unit):
-            v[j * ring.dim + a] = coeff
+        v = [0] * P.gens
+        v[j * len(unit):(j + 1) * len(unit)] = unit
         cols.append(v)
     return cols
 
@@ -262,36 +377,28 @@ class ModMor:
         self.source = source
         self.target = target
         self.ring = source.ring
-        if self.ring.is_integers:
-            if not isinstance(matrix, IntMatrix):
-                matrix = IntMatrix.from_rows(matrix) if matrix else IntMatrix.zeros(0, 0)
-            if matrix.rows != target.gens or matrix.cols != source.gens:
-                raise ShapeError(
-                    f"matrix must be {target.gens}x{source.gens}, got "
-                    f"{matrix.rows}x{matrix.cols}")
-        else:
-            if not isinstance(matrix, FpMatrix):
-                matrix = FpMatrix.from_rows(self.ring.p, matrix)
-            if matrix.rows != target.dim or matrix.cols != source.dim:
-                raise ShapeError("matrix has wrong shape")
+        self.ops = source.ops
+        if not isinstance(matrix, self.ops.matrix_type):
+            matrix = self.ops.from_rows(matrix)
+        if matrix.rows != target.gens or matrix.cols != source.gens:
+            raise ShapeError(
+                f"matrix must be {target.gens}x{source.gens}, got "
+                f"{matrix.rows}x{matrix.cols}")
         self.matrix = matrix
         self._cache = {}
         if check:
             self._check()
 
     def _check(self):
-        if self.ring.is_integers:
-            for rel in self.source.rels:
-                img = self.matrix.mul_vec(list(rel))
-                if not self.target.in_relations(img):
-                    raise MorphismError(
-                        f"relation {list(rel)} is not sent into target relations")
-        else:
-            for a in range(self.ring.dim):
-                lhs = self.matrix.mul(self.source.actions[a])
-                rhs = self.target.actions[a].mul(self.matrix)
-                if lhs != rhs:
-                    raise MorphismError(f"map does not commute with action {a}")
+        for rel in self.source.rels:
+            img = self.matrix.mul_vec(list(rel))
+            if not self.target.in_relations(img):
+                raise MorphismError(
+                    f"relation {list(rel)} is not sent into target relations")
+        for a, (src_act, tgt_act) in enumerate(zip(self.source.actions,
+                                                   self.target.actions)):
+            if self.matrix.mul(src_act) != tgt_act.mul(self.matrix):
+                raise MorphismError(f"map does not commute with action {a}")
 
     def then(self, other: "ModMor") -> "ModMor":
         """self followed by other (i.e. other compose self)."""
@@ -303,21 +410,12 @@ class ModMor:
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise ShapeError("morphism sum needs equal endpoints")
-        if self.ring.is_integers:
-            data = [[x + y for x, y in zip(r, s)]
-                    for r, s in zip(self.matrix.data, other.matrix.data)]
-            m = IntMatrix(self.matrix.rows, self.matrix.cols, data)
-        else:
-            m = self.matrix.add(other.matrix)
-        return ModMor(self.source, self.target, m, check=False)
+        return ModMor(self.source, self.target,
+                      self.ops.add(self.matrix, other.matrix), check=False)
 
     def __neg__(self):
-        if self.ring.is_integers:
-            m = IntMatrix(self.matrix.rows, self.matrix.cols,
-                          [[-x for x in r] for r in self.matrix.data])
-        else:
-            m = self.matrix.scale(self.ring.p - 1)
-        return ModMor(self.source, self.target, m, check=False)
+        return ModMor(self.source, self.target, self.ops.scale(self.matrix, -1),
+                      check=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -342,15 +440,11 @@ class ModMor:
 
 
 def identity_mor(A: ModuleObj) -> ModMor:
-    if A.ring.is_integers:
-        return ModMor(A, A, IntMatrix.identity(A.gens), check=False)
-    return ModMor(A, A, FpMatrix.identity(A.ring.p, A.dim), check=False)
+    return ModMor(A, A, A.ops.identity(A.gens), check=False)
 
 
 def zero_mor(A: ModuleObj, B: ModuleObj) -> ModMor:
-    if A.ring.is_integers:
-        return ModMor(A, B, IntMatrix.zeros(B.gens, A.gens), check=False)
-    return ModMor(A, B, FpMatrix.zeros(A.ring.p, B.dim, A.dim), check=False)
+    return ModMor(A, B, A.ops.zeros(B.gens, A.gens), check=False)
 
 
 # -- simplification (integer presentations) ------------------------------
@@ -442,29 +536,29 @@ def cokernel(f: ModMor):
     return coker, ModMor(tgt, coker, q_mat)
 
 
+def _unit_vectors(n):
+    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+
+
+def _preimages(f: ModMor, vectors, error):
+    """One x with f.matrix x = b (modulo f.target's relations) per b."""
+    solve = f.ops.solver(f)
+    out = []
+    for b in vectors:
+        x = solve(b)
+        if x is None:
+            raise MorphismError(error)
+        out.append(x)
+    return out
+
+
 def factor_through_mono(mono: ModMor, h: ModMor) -> ModMor:
     """The unique u with mono . u = h; error if h misses the subobject."""
     if h.target != mono.target:
         raise ShapeError("factor_through_mono endpoints do not match")
-    src = h.source
-    cols = []
-    if mono.ring.is_integers:
-        comb = hstack([mono.matrix, mono.target._rel_cols()])
-        res = intlinalg.snf(comb)
-        for j in range(src.gens):
-            sol = intlinalg.solve_snf(res, h.matrix.col(j))
-            if sol is None:
-                raise MorphismError("map does not factor through the mono")
-            cols.append(sol[: mono.source.gens])
-        mat = from_columns(cols, mono.source.gens)
-    else:
-        for j in range(src.dim):
-            sol = fplinalg.solve(mono.matrix, h.matrix.col(j))
-            if sol is None:
-                raise MorphismError("map does not factor through the mono")
-            cols.append(sol)
-        mat = fp_from_columns(mono.ring.p, cols, mono.source.dim)
-    u = ModMor(src, mono.source, mat)
+    cols = _preimages(mono, [h.matrix.col(j) for j in range(h.source.gens)],
+                      "map does not factor through the mono")
+    u = ModMor(h.source, mono.source, mono.ops.from_columns(cols, mono.source.gens))
     assert u.then(mono) == h
     return u
 
@@ -473,26 +567,10 @@ def cofactor_through_epi(epi: ModMor, w: ModMor) -> ModMor:
     """The unique v with v . epi = w; requires w to kill ker(epi)."""
     if w.source != epi.source:
         raise ShapeError("cofactor_through_epi endpoints do not match")
-    cols = []
-    if epi.ring.is_integers:
-        comb = hstack([epi.matrix, epi.target._rel_cols()])
-        res = intlinalg.snf(comb)
-        for j in range(epi.target.gens):
-            e = [1 if i == j else 0 for i in range(epi.target.gens)]
-            sec = intlinalg.solve_snf(res, e)
-            if sec is None:
-                raise MorphismError("map is not an epimorphism")
-            cols.append(w.matrix.mul_vec(sec[: epi.source.gens]))
-        mat = from_columns(cols, w.target.gens)
-    else:
-        for j in range(epi.target.dim):
-            e = [1 if i == j else 0 for i in range(epi.target.dim)]
-            sec = fplinalg.solve(epi.matrix, e)
-            if sec is None:
-                raise MorphismError("map is not an epimorphism")
-            cols.append(w.matrix.mul_vec(sec))
-        mat = fp_from_columns(epi.ring.p, cols, w.target.dim)
-    v = ModMor(epi.target, w.target, mat)
+    sections = _preimages(epi, _unit_vectors(epi.target.gens),
+                          "map is not an epimorphism")
+    cols = [w.matrix.mul_vec(x) for x in sections]
+    v = ModMor(epi.target, w.target, w.ops.from_columns(cols, w.target.gens))
     if not epi.then(v) == w:
         raise MorphismError("map does not descend along the epi")
     return v
@@ -529,26 +607,8 @@ def is_iso(f: ModMor) -> bool:
 
 def iso_inverse(f: ModMor) -> ModMor:
     """Inverse of an isomorphism (preimage per generator)."""
-    cols = []
-    if f.ring.is_integers:
-        comb = hstack([f.matrix, f.target._rel_cols()])
-        res = intlinalg.snf(comb)
-        for j in range(f.target.gens):
-            e = [1 if i == j else 0 for i in range(f.target.gens)]
-            sol = intlinalg.solve_snf(res, e)
-            if sol is None:
-                raise MorphismError("morphism is not invertible")
-            cols.append(sol[: f.source.gens])
-        mat = from_columns(cols, f.source.gens)
-    else:
-        for j in range(f.target.dim):
-            e = [1 if i == j else 0 for i in range(f.target.dim)]
-            sol = fplinalg.solve(f.matrix, e)
-            if sol is None:
-                raise MorphismError("morphism is not invertible")
-            cols.append(sol)
-        mat = fp_from_columns(f.ring.p, cols, f.source.dim)
-    inv = ModMor(f.target, f.source, mat)
+    cols = _preimages(f, _unit_vectors(f.target.gens), "morphism is not invertible")
+    inv = ModMor(f.target, f.source, f.ops.from_columns(cols, f.source.gens))
     if not (f.then(inv) == identity_mor(f.source)
             and inv.then(f) == identity_mor(f.target)):
         raise MorphismError("morphism is not an isomorphism")
@@ -580,53 +640,8 @@ class BiproductData:
 
 
 def biproduct(A: ModuleObj, B: ModuleObj) -> BiproductData:
-    if A.ring != B.ring:
-        raise RingMismatchError("biproduct needs a common ring")
-    if A.ring.is_integers:
-        gens = A.gens + B.gens
-        rels = [tuple(r) + (0,) * B.gens for r in A.rels]
-        rels += [(0,) * A.gens + tuple(r) for r in B.rels]
-        obj = ModuleObj(ZZ, gens=gens, rels=rels,
-                        free_rank=(A.free_rank + B.free_rank
-                                   if A.free_rank is not None and B.free_rank is not None
-                                   else None))
-        i1 = [[1 if i == j else 0 for j in range(A.gens)] for i in range(gens)]
-        i2 = [[1 if i - A.gens == j else 0 for j in range(B.gens)] for i in range(gens)]
-        p1 = [[1 if i == j else 0 for j in range(gens)] for i in range(A.gens)]
-        p2 = [[1 if j - A.gens == i else 0 for j in range(gens)] for i in range(B.gens)]
-        return BiproductData(
-            obj,
-            ModMor(A, obj, IntMatrix(gens, A.gens, i1), check=False),
-            ModMor(B, obj, IntMatrix(gens, B.gens, i2), check=False),
-            ModMor(obj, A, IntMatrix(A.gens, gens, p1), check=False),
-            ModMor(obj, B, IntMatrix(B.gens, gens, p2), check=False),
-        )
-    p = A.ring.p
-    n = A.dim + B.dim
-    actions = []
-    for a in range(A.ring.dim):
-        data = [[0] * n for _ in range(n)]
-        for i in range(A.dim):
-            for j in range(A.dim):
-                data[i][j] = A.actions[a].data[i][j]
-        for i in range(B.dim):
-            for j in range(B.dim):
-                data[A.dim + i][A.dim + j] = B.actions[a].data[i][j]
-        actions.append(FpMatrix(p, n, n, data))
-    fr = (A.free_rank + B.free_rank
-          if A.free_rank is not None and B.free_rank is not None else None)
-    obj = ModuleObj(A.ring, dim=n, actions=actions, free_rank=fr, check=False)
-    i1 = [[1 if i == j else 0 for j in range(A.dim)] for i in range(n)]
-    i2 = [[1 if i - A.dim == j else 0 for j in range(B.dim)] for i in range(n)]
-    p1 = [[1 if i == j else 0 for j in range(n)] for i in range(A.dim)]
-    p2 = [[1 if j - A.dim == i else 0 for j in range(n)] for i in range(B.dim)]
-    return BiproductData(
-        obj,
-        ModMor(A, obj, FpMatrix(p, n, A.dim, i1), check=False),
-        ModMor(B, obj, FpMatrix(p, n, B.dim, i2), check=False),
-        ModMor(obj, A, FpMatrix(p, A.dim, n, p1), check=False),
-        ModMor(obj, B, FpMatrix(p, B.dim, n, p2), check=False),
-    )
+    nb = nary_biproduct([A, B])
+    return BiproductData(nb.obj, *nb.injs, *nb.projs)
 
 
 @dataclass
@@ -646,67 +661,44 @@ def zero_module(ring: Ring) -> ModuleObj:
 def nary_biproduct(mods, ring=None) -> NaryBiproduct:
     """Biproduct of a list of modules with all injections/projections.
 
-    An empty list gives the zero module (ring then required).
+    An empty list gives the zero module (ring then required).  Relations
+    and action matrices are placed block-diagonally.
     """
     mods = list(mods)
     if not mods:
-        assert ring is not None
+        if ring is None:
+            raise ShapeError("the empty biproduct needs a ring")
         return NaryBiproduct(zero_module(ring), [], [])
     ring = mods[0].ring
     if any(m.ring != ring for m in mods):
         raise RingMismatchError("biproduct needs a common ring")
+    ops = mods[0].ops
     sizes = [m.gens for m in mods]
     offsets = [sum(sizes[:k]) for k in range(len(mods))]
     total = sum(sizes)
-    if ring.is_integers:
-        rels = []
-        for k, m in enumerate(mods):
-            for r in m.rels:
-                row = [0] * total
-                row[offsets[k]: offsets[k] + sizes[k]] = list(r)
-                rels.append(row)
-        fr = 0
-        for m in mods:
-            if m.free_rank is None:
-                fr = None
-                break
-            fr += m.free_rank
-        obj = ModuleObj(ZZ, gens=total, rels=rels, free_rank=fr)
-        injs, projs = [], []
-        for k, m in enumerate(mods):
-            mi = [[1 if i == offsets[k] + j else 0 for j in range(sizes[k])]
-                  for i in range(total)]
-            mp = [[1 if j == offsets[k] + i else 0 for j in range(total)]
-                  for i in range(sizes[k])]
-            injs.append(ModMor(m, obj, IntMatrix(total, sizes[k], mi), check=False))
-            projs.append(ModMor(obj, m, IntMatrix(sizes[k], total, mp), check=False))
-        return NaryBiproduct(obj, injs, projs)
-    p = ring.p
+    rels = []
+    for off, m in zip(offsets, mods):
+        for r in m.rels:
+            row = [0] * total
+            row[off: off + m.gens] = r
+            rels.append(row)
     actions = []
-    for a in range(ring.dim):
+    for blocks in zip(*(m.actions for m in mods)):
         data = [[0] * total for _ in range(total)]
-        for k, m in enumerate(mods):
-            off = offsets[k]
-            act = m.actions[a].data
-            for i in range(sizes[k]):
-                for j in range(sizes[k]):
-                    data[off + i][off + j] = act[i][j]
-        actions.append(FpMatrix(p, total, total, data))
-    fr = 0
-    for m in mods:
-        if m.free_rank is None:
-            fr = None
-            break
-        fr += m.free_rank
-    obj = ModuleObj(ring, dim=total, actions=actions, free_rank=fr, check=False)
+        for off, block in zip(offsets, blocks):
+            for i, row in enumerate(block.data):
+                data[off + i][off: off + len(row)] = row
+        actions.append(ops.matrix(total, total, data))
+    free_ranks = [m.free_rank for m in mods]
+    fr = None if None in free_ranks else sum(free_ranks)
+    obj = ModuleObj(ring, gens=total, rels=rels, dim=total, actions=actions,
+                    free_rank=fr, check=False)
     injs, projs = [], []
-    for k, m in enumerate(mods):
-        mi = [[1 if i == offsets[k] + j else 0 for j in range(sizes[k])]
-              for i in range(total)]
-        mp = [[1 if j == offsets[k] + i else 0 for j in range(total)]
-              for i in range(sizes[k])]
-        injs.append(ModMor(m, obj, FpMatrix(p, total, sizes[k], mi), check=False))
-        projs.append(ModMor(obj, m, FpMatrix(p, sizes[k], total, mp), check=False))
+    for off, m in zip(offsets, mods):
+        mi = [[1 if i == off + j else 0 for j in range(m.gens)] for i in range(total)]
+        mp = [[1 if j == off + i else 0 for j in range(total)] for i in range(m.gens)]
+        injs.append(ModMor(m, obj, ops.matrix(total, m.gens, mi), check=False))
+        projs.append(ModMor(obj, m, ops.matrix(m.gens, total, mp), check=False))
     return NaryBiproduct(obj, injs, projs)
 
 
@@ -741,49 +733,25 @@ def free_cover(M: ModuleObj):
         P = free_module(M.ring, M.gens)
         epi = ModMor(P, M, IntMatrix.identity(M.gens), check=False)
         return P, epi
-    ring = M.ring
     gens_cols = minimal_generators(M)
-    P = free_module(ring, len(gens_cols))
-    cols = []
-    for v in gens_cols:
-        for a in range(ring.dim):
-            cols.append(M.actions[a].mul_vec(v))
-    mat = fp_from_columns(ring.p, cols, M.dim)
-    epi = ModMor(P, M, mat)
-    return P, epi
+    P = free_module(M.ring, len(gens_cols))
+    cols = [c for v in gens_cols for c in M.ops.free_images(M, v)]
+    return P, ModMor(P, M, M.ops.from_columns(cols, M.gens))
 
 
 def lift_through_epi(g: ModMor, e: ModMor) -> ModMor:
     """h with e . h = g, for g out of a free module and e an epi."""
     P = g.source
-    assert P.free_rank is not None, "lifting needs a free source"
+    if P.free_rank is None:
+        raise ShapeError("lifting needs a free source")
     if g.target != e.target:
         raise ShapeError("lift endpoints do not match")
-    gen_cols = free_generator_columns(P)
-    if P.ring.is_integers:
-        comb = hstack([e.matrix, e.target._rel_cols()])
-        res = intlinalg.snf(comb)
-        cols = []
-        for gc in gen_cols:
-            y = g.matrix.mul_vec(gc)
-            sol = intlinalg.solve_snf(res, y)
-            if sol is None:
-                raise MorphismError("cannot lift through the (non-)epi")
-            cols.append(sol[: e.source.gens])
-        mat = from_columns(cols, e.source.gens)
-    else:
-        ring = P.ring
-        cols = []
-        for gc in gen_cols:
-            y = g.matrix.mul_vec(gc)
-            sol = fplinalg.solve(e.matrix, y)
-            if sol is None:
-                raise MorphismError("cannot lift through the (non-)epi")
-            for a in range(ring.dim):
-                cols.append(e.source.actions[a].mul_vec(sol))
-        # column order must follow the free basis (copy, algebra element)
-        mat = fp_from_columns(ring.p, cols, e.source.dim)
-    h = ModMor(P, e.source, mat)
+    targets = [g.matrix.mul_vec(gc) for gc in free_generator_columns(P)]
+    cols = []
+    for x in _preimages(e, targets, "cannot lift through the (non-)epi"):
+        # column order must follow the free basis (generator, algebra element)
+        cols.extend(e.ops.free_images(e.source, x))
+    h = ModMor(P, e.source, e.ops.from_columns(cols, e.source.gens))
     assert h.then(e) == g
     return h
 
@@ -791,78 +759,103 @@ def lift_through_epi(g: ModMor, e: ModMor) -> ModMor:
 def preimage(f: ModMor, y: Element):
     """Some x with f(x) = y, or None when y is not in the image."""
     assert y.parent == f.target
-    if f.ring.is_integers:
-        comb = hstack([f.matrix, f.target._rel_cols()])
-        sol = intlinalg.solve(comb, list(y.coords))
-        if sol is None:
-            return None
-        return Element(f.source, sol[: f.source.gens])
-    sol = fplinalg.solve(f.matrix, list(y.coords))
-    if sol is None:
-        return None
-    return Element(f.source, sol)
+    sol = f.ops.solve(f, list(y.coords))
+    return None if sol is None else Element(f.source, sol)
 
 
 # -- hom spaces and element enumeration (test/fixture support) ------------
+
+
+class HomSystem:
+    """Homogeneous linear system whose unknowns are module matrices.
+
+    `unknown(S, T)` adds the entries of a matrix S -> T, row by row, as
+    unknowns.  `well_defined(k)` asks unknown k to be a morphism: each
+    relation of S goes into T's relations and each action commutes.
+    `commute(x, A, B, y)` asks x.A = B.y as maps into x's target.  Every
+    equation holds modulo its target's relations, through one auxiliary
+    column per relation (integers); over an F_p-algebra it is strict.
+    Rows and columns come in the order they were asked for, so equal
+    requests give byte-identical systems.
+    """
+
+    def __init__(self, ring: Ring):
+        self.ops = ring_ops(ring)
+        self.blocks = []  # (source, target, first column)
+        self.rows = []  # {column: coefficient}
+        self.aux = []  # per auxiliary column: [(row, coefficient)]
+        self.width = 0
+
+    def unknown(self, S: ModuleObj, T: ModuleObj) -> int:
+        self.blocks.append((S, T, self.width))
+        self.width += T.gens * S.gens
+        return len(self.blocks) - 1
+
+    def _var(self, k, i, j):
+        S, _, off = self.blocks[k]
+        return off + i * S.gens + j
+
+    def _new_rows(self, T):
+        """One row per generator of T, plus T's relations as aux columns."""
+        base = len(self.rows)
+        self.rows.extend({} for _ in range(T.gens))
+        for rel in T.rels:
+            self.aux.append([(base + i, -rel[i]) for i in range(T.gens)])
+        return self.rows[base:]
+
+    def well_defined(self, k):
+        S, T, _ = self.blocks[k]
+        for rel in S.rels:
+            for i, row in enumerate(self._new_rows(T)):
+                for j, c in enumerate(rel):
+                    if c:
+                        row[self._var(k, i, j)] = c
+        for src_act, tgt_act in zip(S.actions, T.actions):
+            self.commute(k, src_act, tgt_act, k)
+
+    def commute(self, x, A, B, y):
+        """x.A - B.y = 0 for unknowns x, y and known matrices A, B."""
+        Sx, Tx, _ = self.blocks[x]
+        Sy, Ty, _ = self.blocks[y]
+        for g in range(Sy.gens):
+            for r, row in enumerate(self._new_rows(Tx)):
+                for k in range(Sx.gens):
+                    if A.data[k][g]:
+                        key = self._var(x, r, k)
+                        row[key] = row.get(key, 0) + A.data[k][g]
+                for k in range(Ty.gens):
+                    if B.data[r][k]:
+                        key = self._var(y, k, g)
+                        row[key] = row.get(key, 0) - B.data[r][k]
+
+    def solve(self):
+        """One list of unknown matrices per kernel basis vector."""
+        width = self.width + len(self.aux)
+        data = [[0] * width for _ in self.rows]
+        for dense, row in zip(data, self.rows):
+            for c, v in row.items():
+                dense[c] = v
+        for a, entries in enumerate(self.aux):
+            for r, coeff in entries:
+                data[r][self.width + a] = coeff
+        if not data:
+            data = [[0] * width]
+        out = []
+        for v in self.ops.kernel_basis(self.ops.matrix(len(data), width, data)):
+            out.append([self.ops.matrix(T.gens, S.gens,
+                                        [v[off + i * S.gens: off + (i + 1) * S.gens]
+                                         for i in range(T.gens)])
+                        for S, T, off in self.blocks])
+        return out
 
 
 def hom_basis(A: ModuleObj, B: ModuleObj):
     """Matrices generating all well-defined morphisms A -> B."""
     if A.ring != B.ring:
         raise RingMismatchError("hom needs a common ring")
-    if A.ring.is_integers:
-        a, b = A.gens, B.gens
-        nrel_a = len(A.rels)
-        nrel_b = len(B.rels)
-        nt = a * b
-        ny = nrel_b * nrel_a
-        rows = []
-        for ri, rel in enumerate(A.rels):
-            for i in range(b):
-                row = [0] * (nt + ny)
-                for j in range(a):
-                    row[i * a + j] = rel[j]
-                for k in range(nrel_b):
-                    row[nt + ri * nrel_b + k] = -B.rels[k][i]
-                rows.append(row)
-        if not rows:
-            basis = []
-            for idx in range(nt):
-                v = [0] * nt
-                v[idx] = 1
-                basis.append(v)
-        else:
-            big = IntMatrix(len(rows), nt + ny, rows)
-            basis = [v[:nt] for v in intlinalg.kernel_basis(big)]
-        out = []
-        for v in basis:
-            mat = IntMatrix(b, a, [[v[i * a + j] for j in range(a)] for i in range(b)])
-            if not all(x == 0 for r in mat.data for x in r):
-                out.append(ModMor(A, B, mat))
-        return out
-    p = A.ring.p
-    na, nb = A.dim, B.dim
-    nt = na * nb
-    rows = []
-    for act in range(A.ring.dim):
-        ra, rb = A.actions[act], B.actions[act]
-        for i in range(nb):
-            for j in range(na):
-                row = [0] * nt
-                for k in range(na):
-                    row[i * na + k] = (row[i * na + k] + ra.data[k][j]) % p
-                for k in range(nb):
-                    row[k * na + j] = (row[k * na + j] - rb.data[i][k]) % p
-                rows.append(row)
-    if not rows:
-        rows = [[0] * nt]
-    big = FpMatrix(p, len(rows), nt, rows)
-    out = []
-    for v in fplinalg.kernel_basis(big):
-        mat = FpMatrix(p, nb, na, [[v[i * na + j] for j in range(na)] for i in range(nb)])
-        if not mat.is_zero():
-            out.append(ModMor(A, B, mat))
-    return out
+    system = HomSystem(A.ring)
+    system.well_defined(system.unknown(A, B))
+    return [ModMor(A, B, m) for m, in system.solve() if not m.is_zero()]
 
 
 def enumerate_elements(A: ModuleObj, limit=4096):

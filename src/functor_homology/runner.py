@@ -222,10 +222,6 @@ def _arg_name(args, key):
     return v
 
 
-def _describe(obj):
-    return abelian.describe(obj)
-
-
 def run(doc: WorkbenchDoc, task=None, max_degree=None, seed=None) -> Report:
     """Execute the document's tasks (or the named one); deterministic for
     fixed (document, seed, flags)."""
@@ -268,14 +264,14 @@ def _run_task(env: Environment, decl: Decl, max_degree, seed) -> TaskResult:
                          check=False)
             h = homology_at(cx, 2).obj
             return TaskResult(decl.name, kind, "pass",
-                              [("homology", _describe(h))])
+                              [("homology", h.describe())])
         if kind == "derive":
             F = env.functor_from_expr(args["F"])
             A = env.any_object(_arg_name(args, "A"))
             n = _degree(args, max_degree)
             rows = []
             for k in range(0, n + 1):
-                rows.append((f"n={k}", _describe(derived_data(F, A, k).obj)))
+                rows.append((f"n={k}", derived_data(F, A, k).obj.describe()))
             return TaskResult(decl.name, kind, "pass", rows)
         if kind == "les":
             F = env.functor_from_expr(args["F"])
@@ -285,7 +281,7 @@ def _run_task(env: Environment, decl: Decl, max_degree, seed) -> TaskResult:
             rows = []
             for k in range(n, -1, -1):
                 rows.append((f"F_{k}", " -> ".join(
-                    _describe(les.objs[(c, k)]) for c in ("L", "M", "N"))))
+                    les.objs[(c, k)].describe() for c in ("L", "M", "N"))))
             rows.append(("exact", "yes" if les.all_exact() else
                          f"no: {les.failing_positions()}"))
             status = "pass" if les.all_exact() else "fail"
@@ -369,7 +365,7 @@ def _task_validate(env, decl, args):
             rows.append(("violation", bad))
             status = "fail"
     elif name in env.modules:
-        rows.append(("module", _describe(env.modules[name])))
+        rows.append(("module", env.modules[name].describe()))
     elif name in env.morphisms:
         rows.append(("morphism", "ok"))
     elif name in env.sess:

@@ -21,48 +21,14 @@ from .modules import ModMor, ModuleObj, free_module, nary_biproduct, simplify
 from .rings import RingMap
 
 
-def _kron_int(f: IntMatrix, g: IntMatrix) -> IntMatrix:
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(f.rows):
-        for k in range(f.cols):
-            a = f.data[i][k]
-            if a:
-                for j in range(g.rows):
-                    for l in range(g.cols):
-                        data[i * g.rows + j][k * g.cols + l] = a * g.data[j][l]
-    return IntMatrix(rows, cols, data)
-
-
-def _kron_fp(f: FpMatrix, g: FpMatrix) -> FpMatrix:
-    p = f.p
-    rows = f.rows * g.rows
-    cols = f.cols * g.cols
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(f.rows):
-        for k in range(f.cols):
-            a = f.data[i][k]
-            if a:
-                for j in range(g.rows):
-                    for l in range(g.cols):
-                        data[i * g.rows + j][k * g.cols + l] = (a * g.data[j][l]) % p
-    return FpMatrix(p, rows, cols, data)
-
-
 @dataclass
-class ZTensorData:
-    obj: ModuleObj
-    to_simple: ModMor  # raw -> obj (matrix usable on raw coordinates)
-    from_simple: ModMor
+class TensorData:
+    """The tensor product as a quotient of the raw product of coordinates
+    (Z^(ga gb), or A (x)_{F_p} B with the first-factor action)."""
 
-
-@dataclass
-class FpTensorData:
     obj: ModuleObj
-    vec: ModuleObj  # A (x)_{F_p} B with the first-factor action
-    epi: ModMor  # vec -> obj
-    section: FpMatrix  # right inverse of epi's matrix
+    epi: ModMor  # raw -> obj (matrix usable on raw coordinates)
+    section: object  # matrix of a right inverse of epi's matrix
 
 
 _tensor_cache = {}
@@ -93,19 +59,18 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
                 rels.append(row)
         raw = ModuleObj(A.ring, gens=ga * gb, rels=rels)
         simple, to_simple, from_simple = simplify(raw)
-        data = ZTensorData(simple, to_simple, from_simple)
+        data = TensorData(simple, to_simple, from_simple.matrix)
     else:
-        ring = A.ring
+        ring, ops = A.ring, A.ops
         p = ring.p
         na, nb = A.dim, B.dim
         n = na * nb
-        actions = [_kron_fp(A.actions[a], FpMatrix.identity(p, nb))
-                   for a in range(ring.dim)]
+        actions = [ops.kron(A.actions[a], ops.identity(nb)) for a in range(ring.dim)]
         vec = ModuleObj(ring, dim=n, actions=actions, check=False)
         blocks = []
         for a in range(ring.dim):
-            m = _kron_fp(A.actions[a], FpMatrix.identity(p, nb)).add(
-                _kron_fp(FpMatrix.identity(p, na), B.actions[a]).scale(p - 1))
+            m = ops.kron(A.actions[a], ops.identity(nb)).add(
+                ops.kron(ops.identity(na), B.actions[a]).scale(p - 1))
             blocks.append(m)
         src = nary_biproduct([vec] * ring.dim, ring=ring)
         cols = []
@@ -120,7 +85,7 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
             from . import fplinalg
             sec_cols.append(fplinalg.solve(epi.matrix, e))
         section = fp_from_columns(p, sec_cols, n) if obj.dim else FpMatrix.zeros(p, n, 0)
-        data = FpTensorData(obj, vec, epi, section)
+        data = TensorData(obj, epi, section)
     _tensor_cache[key] = (A, B, data)
     return data
 
@@ -132,32 +97,21 @@ def tensor_obj(A: ModuleObj, B: ModuleObj) -> ModuleObj:
 def tensor_mor(f: ModMor, g: ModMor) -> ModMor:
     dsrc = tensor_data(f.source, g.source)
     dtgt = tensor_data(f.target, g.target)
-    if f.ring.is_integers:
-        raw = _kron_int(f.matrix, g.matrix)
-        mat = dtgt.to_simple.matrix.mul(raw).mul(dsrc.from_simple.matrix)
-        return ModMor(dsrc.obj, dtgt.obj, mat)
-    raw = _kron_fp(f.matrix, g.matrix)
+    raw = f.ops.kron(f.matrix, g.matrix)
     mat = dtgt.epi.matrix.mul(raw).mul(dsrc.section)
     return ModMor(dsrc.obj, dtgt.obj, mat)
 
 
 def tensor_unit_map(A: ModuleObj) -> ModMor:
     """Canonical map A (x) R -> A; an isomorphism."""
-    ring = A.ring
-    unit = modules.ring_as_module(ring)
-    data = tensor_data(A, unit)
-    if ring.is_integers:
-        raw = IntMatrix.identity(A.gens)  # (i, 0) -> generator i
-        mat = raw.mul(data.from_simple.matrix)
-        return ModMor(data.obj, A, mat)
+    data = tensor_data(A, modules.ring_as_module(A.ring))
     cols = []
-    for i in range(A.dim):
-        e_i = [1 if k == i else 0 for k in range(A.dim)]
-        for b in range(ring.dim):
-            cols.append(A.actions[b].mul_vec(e_i))
-    raw = fp_from_columns(ring.p, cols, A.dim)
-    mat = raw.mul(data.section)
-    return ModMor(data.obj, A, mat)
+    for i in range(A.gens):
+        # (generator i) (x) (ring basis element b) -> b . generator i
+        e_i = [1 if k == i else 0 for k in range(A.gens)]
+        cols.extend(A.ops.free_images(A, e_i))
+    raw = A.ops.from_columns(cols, A.gens)
+    return ModMor(data.obj, A, raw.mul(data.section))
 
 
 # -- base change -------------------------------------------------------------
@@ -207,17 +161,17 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
         obj, epi = modules.cokernel(psi)
         data = BaseChangeData(obj, Fg, epi)
     else:
-        R = rm.source
+        R, ops = rm.source, M.ops
         p, dS, nM = S.p, S.dim, M.dim
         n = dS * nM
-        actions = [_kron_fp(S.left_mult_matrix(S._e(c)), FpMatrix.identity(p, nM))
+        actions = [ops.kron(S.left_mult_matrix(S._e(c)), ops.identity(nM))
                    for c in range(dS)]
         vec = ModuleObj(S, dim=n, actions=actions, check=False)
         blocks = []
         for a in range(R.dim):
             right = S.right_mult_matrix(rm.images[a])
-            m = _kron_fp(right, FpMatrix.identity(p, nM)).add(
-                _kron_fp(FpMatrix.identity(p, dS), M.actions[a]).scale(p - 1))
+            m = ops.kron(right, ops.identity(nM)).add(
+                ops.kron(ops.identity(dS), M.actions[a]).scale(p - 1))
             blocks.append(m)
         src = nary_biproduct([vec] * R.dim, ring=S)
         cols = []
@@ -245,8 +199,7 @@ def base_change_mor(rm: RingMap, f: ModMor) -> ModMor:
                         _scalar_block_matrix(rm, f.matrix, f.target.gens,
                                              f.source.gens), check=False)
     else:
-        S = rm.target
         lifted = ModMor(dsrc.cover, dtgt.cover,
-                        _kron_fp(FpMatrix.identity(S.p, S.dim), f.matrix),
+                        f.ops.kron(f.ops.identity(rm.target.dim), f.matrix),
                         check=False)
     return modules.cofactor_through_epi(dsrc.epi, lifted.then(dtgt.epi))

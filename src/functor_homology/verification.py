@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import abelian, diagrams, fplinalg, intlinalg, modules
+from . import abelian, diagrams, fplinalg, modules
 from .bifunctor import (balance_comparison, diagram_ladder,
                         diagram_ladder_switched, ladder, ladder_switched,
                         tensor_by)
@@ -18,13 +18,14 @@ from .complexes import MorphismOfSES, SES
 from .derived import (comparison_iso, delta_axiom_suite, derived_map,
                       exponent_spec_for)
 from .diagrams import (DiagMor, Diagram, d_cokernel, d_exactness_report,
-                       d_factor_through_mono, d_hom_basis, d_image, d_kernel,
+                       d_factor_through_mono, d_hom_basis, d_hom_unknowns,
+                       d_image, d_kernel, d_mor_from_matrices, d_naturality,
                        free_diagram_map, free_diagram_multi)
 from .fincat import FinCat, standard
 from .fplinalg import FpMatrix
 from .functors import base_change
-from .intlinalg import IntMatrix
-from .modules import ModMor, ModuleObj, cyclic, free_module, hom_basis
+from .modules import (HomSystem, ModMor, ModuleObj, cyclic, free_module,
+                      hom_basis, ring_ops)
 from .rings import RingMap, ZZ, fp_field
 from .spectral import DoubleComplex, ss_pages
 
@@ -71,11 +72,7 @@ def random_combination_int(rng, basis, bound=2):
 
 
 def _scale_mor(f, c):
-    if f.ring.is_integers:
-        data = [[c * x for x in r] for r in f.matrix.data]
-        return ModMor(f.source, f.target, IntMatrix(f.matrix.rows, f.matrix.cols, data),
-                      check=False)
-    return ModMor(f.source, f.target, f.matrix.scale(c % f.ring.p), check=False)
+    return ModMor(f.source, f.target, f.ops.scale(f.matrix, c), check=False)
 
 
 def random_morphism(rng, A, B, bound=2):
@@ -99,23 +96,12 @@ def random_free_diagram_mor(rng, F: Diagram, M: Diagram, bound=2) -> DiagMor:
     for s_idx, s in enumerate(F.free_data.summands):
         P = s.module
         tgt = M.components[s.at]
-        if P.ring.is_integers:
-            cols = [[rng.randint(-bound, bound) for _ in range(tgt.gens)]
-                    for _ in range(P.free_rank)]
-            mat = intlinalg.from_columns([list(c) for c in cols], tgt.gens) \
-                if cols else IntMatrix.zeros(tgt.gens, 0)
-            adjuncts[s_idx] = ModMor(P, tgt, mat, check=False)
-        else:
-            ring = P.ring
-            cols = []
-            gen_targets = [[rng.randint(0, ring.p - 1) for _ in range(tgt.dim)]
-                           for _ in range(P.free_rank)]
-            for v in gen_targets:
-                for a in range(ring.dim):
-                    cols.append(tgt.actions[a].mul_vec(v))
-            mat = fplinalg.fp_from_columns(ring.p, cols, tgt.dim) if cols \
-                else FpMatrix.zeros(ring.p, tgt.dim, 0)
-            adjuncts[s_idx] = ModMor(P, tgt, mat)
+        lo, hi = (-bound, bound) if P.ring.is_integers else (0, P.ring.p - 1)
+        cols = []
+        for _ in range(P.free_rank):
+            v = [rng.randint(lo, hi) for _ in range(tgt.gens)]
+            cols.extend(tgt.ops.free_images(tgt, v))
+        adjuncts[s_idx] = ModMor(P, tgt, tgt.ops.from_columns(cols, tgt.gens))
     return free_diagram_map(F, M, adjuncts)
 
 
@@ -183,110 +169,13 @@ def _ses_morphism_space_modules(ses1: SES, ses2: SES):
     """Basis of pairs (uL, uM) with uM . f1 = f2 . uL (integer or F_p)."""
     X1, Y1 = ses1.L, ses1.M
     X2, Y2 = ses2.L, ses2.M
-    ring = X1.ring
-    if ring.is_integers:
-        a1, a2, b1, b2 = X1.gens, X2.gens, Y1.gens, Y2.gens
-        nu, nw = a2 * a1, b2 * b1
-        rows = []
-        aux = []
-
-        def new_rows(k):
-            base = len(rows)
-            for _ in range(k):
-                rows.append({})
-            return base
-
-        def emit_welldef(off, src, tgt, nsrc_gens, ntgt_gens):
-            for rel in src.rels:
-                base = new_rows(ntgt_gens)
-                for i in range(ntgt_gens):
-                    for j in range(nsrc_gens):
-                        if rel[j]:
-                            rows[base + i][off + i * nsrc_gens + j] = rel[j]
-                for brel in tgt.rels:
-                    aux.append([(base + i, -brel[i]) for i in range(ntgt_gens)])
-
-        emit_welldef(0, X1, X2, a1, a2)
-        emit_welldef(nu, Y1, Y2, b1, b2)
-        f1m, f2m = ses1.f.matrix, ses2.f.matrix
-        for g in range(a1):
-            base = new_rows(b2)
-            for i in range(b2):
-                row = rows[base + i]
-                for k in range(b1):
-                    if f1m.data[k][g]:
-                        row[nu + i * b1 + k] = row.get(nu + i * b1 + k, 0) \
-                            + f1m.data[k][g]
-                for k in range(a2):
-                    if f2m.data[i][k]:
-                        row[k * a1 + g] = row.get(k * a1 + g, 0) - f2m.data[i][k]
-            for brel in Y2.rels:
-                aux.append([(base + i, -brel[i]) for i in range(b2)])
-        total = nu + nw
-        width = total + len(aux)
-        data = [[0] * width for _ in rows]
-        for r_idx, row in enumerate(rows):
-            for c, v in row.items():
-                data[r_idx][c] = v
-        for a_idx, entries in enumerate(aux):
-            for r_idx, coeff in entries:
-                data[r_idx][total + a_idx] = coeff
-        if not data:
-            data = [[0] * width]
-        big = IntMatrix(len(data), width, data)
-        basis = [v[:total] for v in intlinalg.kernel_basis(big)]
-        out = []
-        for v in basis:
-            um = IntMatrix(a2, a1, [[v[i * a1 + j] for j in range(a1)]
-                                    for i in range(a2)])
-            wm = IntMatrix(b2, b1, [[v[nu + i * b1 + j] for j in range(b1)]
-                                    for i in range(b2)])
-            uL = ModMor(X1, X2, um)
-            uM = ModMor(Y1, Y2, wm)
-            if not (uL.is_zero() and uM.is_zero()):
-                out.append((uL, uM))
-        return out
-    p = ring.p
-    a1, a2, b1, b2 = X1.dim, X2.dim, Y1.dim, Y2.dim
-    nu, nw = a2 * a1, b2 * b1
-    rows = []
-
-    def new_row():
-        rows.append([0] * (nu + nw))
-        return rows[-1]
-
-    def emit_equiv(off, src, tgt, na, nb):
-        for act in range(ring.dim):
-            ra, rb = src.actions[act], tgt.actions[act]
-            for i in range(nb):
-                for j in range(na):
-                    row = new_row()
-                    for k in range(na):
-                        row[off + i * na + k] = (row[off + i * na + k]
-                                                 + ra.data[k][j]) % p
-                    for k in range(nb):
-                        row[off + k * na + j] = (row[off + k * na + j]
-                                                 - rb.data[i][k]) % p
-
-    emit_equiv(0, X1, X2, a1, a2)
-    emit_equiv(nu, Y1, Y2, b1, b2)
-    f1m, f2m = ses1.f.matrix, ses2.f.matrix
-    for g in range(a1):
-        for i in range(b2):
-            row = new_row()
-            for k in range(b1):
-                row[nu + i * b1 + k] = (row[nu + i * b1 + k] + f1m.data[k][g]) % p
-            for k in range(a2):
-                row[k * a1 + g] = (row[k * a1 + g] - f2m.data[i][k]) % p
-    if not rows:
-        rows = [[0] * (nu + nw)]
-    big = FpMatrix(p, len(rows), nu + nw, rows)
+    system = HomSystem(X1.ring)
+    u, w = system.unknown(X1, X2), system.unknown(Y1, Y2)
+    system.well_defined(u)
+    system.well_defined(w)
+    system.commute(w, ses1.f.matrix, ses2.f.matrix, u)
     out = []
-    for v in fplinalg.kernel_basis(big):
-        um = FpMatrix(p, a2, a1, [[v[i * a1 + j] for j in range(a1)]
-                                  for i in range(a2)])
-        wm = FpMatrix(p, b2, b1, [[v[nu + i * b1 + j] for j in range(b1)]
-                                  for i in range(b2)])
+    for um, wm in system.solve():
         uL = ModMor(X1, X2, um)
         uM = ModMor(Y1, Y2, wm)
         if not (uL.is_zero() and uM.is_zero()):
@@ -334,183 +223,19 @@ def random_ses_morphism(rng, ses1: SES, ses2: SES):
 def _ses_morphism_space_diagrams(ses1: SES, ses2: SES):
     """Diagram-level analogue: solve all components of (uL, uM) jointly
     with naturality and the commuting square."""
-    idx = ses1.L.index
-    ring = ses1.L.ring
-    objs = list(idx.objects)
-    blocks = []  # (tag, object, rows, cols)
-    offs = {}
-    total = 0
-    for tag, (S, T) in (("u", (ses1.L, ses2.L)), ("w", (ses1.M, ses2.M))):
-        for o in objs:
-            b, a = T.components[o].gens, S.components[o].gens
-            offs[(tag, o)] = total
-            blocks.append((tag, o, b, a))
-            total += b * a
-
-    def t_index(tag, o, i, j, na):
-        return offs[(tag, o)] + i * na + j
-
-    if ring.is_integers:
-        rows = []
-        aux = []
-
-        def new_rows(k):
-            base = len(rows)
-            for _ in range(k):
-                rows.append({})
-            return base
-
-        def emit_welldef(tag, S, T):
-            for o in objs:
-                So, To = S.components[o], T.components[o]
-                for rel in So.rels:
-                    base = new_rows(To.gens)
-                    for i in range(To.gens):
-                        for j in range(So.gens):
-                            if rel[j]:
-                                rows[base + i][t_index(tag, o, i, j, So.gens)] = rel[j]
-                    for brel in To.rels:
-                        aux.append([(base + i, -brel[i]) for i in range(To.gens)])
-
-        def emit_naturality(tag, S, T):
-            for m in idx.nonidentity_morphisms():
-                i, j = idx.src(m), idx.tgt(m)
-                alpha = S.maps[m].matrix
-                beta = T.maps[m].matrix
-                Si, Sj = S.components[i], S.components[j]
-                Ti, Tj = T.components[i], T.components[j]
-                for g in range(Si.gens):
-                    base = new_rows(Tj.gens)
-                    for r in range(Tj.gens):
-                        row = rows[base + r]
-                        for k in range(Sj.gens):
-                            if alpha.data[k][g]:
-                                key = t_index(tag, j, r, k, Sj.gens)
-                                row[key] = row.get(key, 0) + alpha.data[k][g]
-                        for k in range(Ti.gens):
-                            if beta.data[r][k]:
-                                key = t_index(tag, i, k, g, Si.gens)
-                                row[key] = row.get(key, 0) - beta.data[r][k]
-                    for brel in Tj.rels:
-                        aux.append([(base + r, -brel[r]) for r in range(Tj.gens)])
-
-        emit_welldef("u", ses1.L, ses2.L)
-        emit_welldef("w", ses1.M, ses2.M)
-        emit_naturality("u", ses1.L, ses2.L)
-        emit_naturality("w", ses1.M, ses2.M)
-        # commuting square per object
-        for o in objs:
-            f1m = ses1.f.comps[o].matrix
-            f2m = ses2.f.comps[o].matrix
-            a1 = ses1.L.components[o].gens
-            a2 = ses2.L.components[o].gens
-            b1 = ses1.M.components[o].gens
-            b2 = ses2.M.components[o].gens
-            for g in range(a1):
-                base = new_rows(b2)
-                for i in range(b2):
-                    row = rows[base + i]
-                    for k in range(b1):
-                        if f1m.data[k][g]:
-                            key = t_index("w", o, i, k, b1)
-                            row[key] = row.get(key, 0) + f1m.data[k][g]
-                    for k in range(a2):
-                        if f2m.data[i][k]:
-                            key = t_index("u", o, k, g, a1)
-                            row[key] = row.get(key, 0) - f2m.data[i][k]
-                for brel in ses2.M.components[o].rels:
-                    aux.append([(base + i, -brel[i]) for i in range(b2)])
-        width = total + len(aux)
-        data = [[0] * width for _ in rows]
-        for r_idx, row in enumerate(rows):
-            for c, v in row.items():
-                data[r_idx][c] = v
-        for a_idx, entries in enumerate(aux):
-            for r_idx, coeff in entries:
-                data[r_idx][total + a_idx] = coeff
-        if not data:
-            data = [[0] * width]
-        big = IntMatrix(len(data), width, data)
-        kb = [v[:total] for v in intlinalg.kernel_basis(big)]
-    else:
-        p = ring.p
-        rows = []
-
-        def new_row():
-            rows.append([0] * total)
-            return rows[-1]
-
-        def emit_equiv(tag, S, T):
-            for o in objs:
-                So, To = S.components[o], T.components[o]
-                for act in range(ring.dim):
-                    ra, rb = So.actions[act], To.actions[act]
-                    for i in range(To.dim):
-                        for j in range(So.dim):
-                            row = new_row()
-                            for k in range(So.dim):
-                                key = t_index(tag, o, i, k, So.dim)
-                                row[key] = (row[key] + ra.data[k][j]) % p
-                            for k in range(To.dim):
-                                key = t_index(tag, o, k, j, So.dim)
-                                row[key] = (row[key] - rb.data[i][k]) % p
-
-        def emit_naturality(tag, S, T):
-            for m in idx.nonidentity_morphisms():
-                i, j = idx.src(m), idx.tgt(m)
-                alpha = S.maps[m].matrix
-                beta = T.maps[m].matrix
-                for g in range(S.components[i].dim):
-                    for r in range(T.components[j].dim):
-                        row = new_row()
-                        for k in range(S.components[j].dim):
-                            key = t_index(tag, j, r, k, S.components[j].dim)
-                            row[key] = (row[key] + alpha.data[k][g]) % p
-                        for k in range(T.components[i].dim):
-                            key = t_index(tag, i, k, g, S.components[i].dim)
-                            row[key] = (row[key] - beta.data[r][k]) % p
-
-        emit_equiv("u", ses1.L, ses2.L)
-        emit_equiv("w", ses1.M, ses2.M)
-        emit_naturality("u", ses1.L, ses2.L)
-        emit_naturality("w", ses1.M, ses2.M)
-        for o in objs:
-            f1m = ses1.f.comps[o].matrix
-            f2m = ses2.f.comps[o].matrix
-            a1, a2 = ses1.L.components[o].dim, ses2.L.components[o].dim
-            b1, b2 = ses1.M.components[o].dim, ses2.M.components[o].dim
-            for g in range(a1):
-                for i in range(b2):
-                    row = new_row()
-                    for k in range(b1):
-                        key = t_index("w", o, i, k, b1)
-                        row[key] = (row[key] + f1m.data[k][g]) % p
-                    for k in range(a2):
-                        key = t_index("u", o, k, g, a1)
-                        row[key] = (row[key] - f2m.data[i][k]) % p
-        if not rows:
-            rows = [[0] * total]
-        big = FpMatrix(p, len(rows), total, rows)
-        kb = fplinalg.kernel_basis(big)
+    system = HomSystem(ses1.L.ring)
+    u = d_hom_unknowns(system, ses1.L, ses2.L)
+    w = d_hom_unknowns(system, ses1.M, ses2.M)
+    for k in [*u.values(), *w.values()]:
+        system.well_defined(k)
+    d_naturality(system, u, ses1.L, ses2.L)
+    d_naturality(system, w, ses1.M, ses2.M)
+    for o in u:
+        system.commute(w[o], ses1.f.comps[o].matrix, ses2.f.comps[o].matrix, u[o])
     out = []
-    for v in kb:
-        ucomps = {}
-        wcomps = {}
-        valid = True
-        for tag, o, bdim, adim in blocks:
-            mat_rows = [[v[t_index(tag, o, i, j, adim)] for j in range(adim)]
-                        for i in range(bdim)]
-            S = ses1.L if tag == "u" else ses1.M
-            T = ses2.L if tag == "u" else ses2.M
-            if ring.is_integers:
-                mor = ModMor(S.components[o], T.components[o],
-                             IntMatrix(bdim, adim, mat_rows))
-            else:
-                mor = ModMor(S.components[o], T.components[o],
-                             FpMatrix(ring.p, bdim, adim, mat_rows))
-            (ucomps if tag == "u" else wcomps)[o] = mor
-        uL = DiagMor(ses1.L, ses2.L, ucomps)
-        uM = DiagMor(ses1.M, ses2.M, wcomps)
+    for mats in system.solve():
+        uL = d_mor_from_matrices(ses1.L, ses2.L, mats[:len(u)])
+        uM = d_mor_from_matrices(ses1.M, ses2.M, mats[len(u):])
         if not (uL.is_zero() and uM.is_zero()):
             out.append((uL, uM))
     return out
@@ -842,16 +567,15 @@ def suite_ss(seed, cases, r_hi=4) -> SuiteReport:
             for s in range(4):
                 for t in range(4):
                     dims[(s, t)] = dims_c[s] * dims_d[t]
-            from .tensorops import _kron_fp
+            ops = ring_ops(fp_field(p))
             for s in range(4):
                 for t in range(4):
                     if dims[(s, t)] == 0:
                         continue
                     if s >= 1 and dims[(s - 1, t)]:
-                        d_h[(s, t)] = _kron_fp(mats_c[s],
-                                               FpMatrix.identity(p, dims_d[t]))
+                        d_h[(s, t)] = ops.kron(mats_c[s], ops.identity(dims_d[t]))
                     if t >= 1 and dims[(s, t - 1)]:
-                        m = _kron_fp(FpMatrix.identity(p, dims_c[s]), mats_d[t])
+                        m = ops.kron(ops.identity(dims_c[s]), mats_d[t])
                         if s % 2 == 1:
                             m = m.scale(p - 1)
                         d_v[(s, t)] = m

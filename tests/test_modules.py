@@ -1,13 +1,18 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from functor_homology.errors import ExactnessError, MorphismError
+from functor_homology.errors import ExactnessError, MorphismError, ShapeError
 from functor_homology.modules import (Element, ModMor, biproduct,
                                       cokernel, cyclic, enumerate_elements,
                                       factor_through_mono, free_cover,
-                                      free_module, hom_basis, identity_mor,
-                                      image, is_exact_at, is_iso, kernel,
+                                      free_generator_columns, free_module,
+                                      hom_basis, identity_mor, image,
+                                      is_exact_at, is_iso, kernel,
+                                      lift_through_epi, nary_biproduct,
                                       preimage, trivial_module, zero_mor)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.verification import random_morphism, random_z_module
@@ -192,3 +197,40 @@ def test_hom_basis_spans():
     # Hom(Z/4, Z/6) is cyclic of order 2, generated by x3
     assert len(hb) >= 1
     assert any(h == ModMor(Z4, Z6, [[3]]) for h in hb)
+
+
+PRECONDITIONS = """
+from functor_homology.errors import ShapeError
+from functor_homology.modules import (cyclic, free_generator_columns,
+                                      identity_mor, lift_through_epi,
+                                      nary_biproduct)
+Z2 = cyclic(2)
+for call in (lambda: nary_biproduct([]),
+             lambda: free_generator_columns(Z2),
+             lambda: lift_through_epi(identity_mor(Z2), identity_mor(Z2))):
+    try:
+        call()
+    except ShapeError:
+        continue
+    raise SystemExit("precondition not enforced")
+"""
+
+
+def test_preconditions_raise_shape_error():
+    with pytest.raises(ShapeError):
+        nary_biproduct([])
+    Z2 = cyclic(2)
+    assert free_generator_columns(free_module(ZZ, 2)) == [[1, 0], [0, 1]]
+    with pytest.raises(ShapeError):
+        free_generator_columns(Z2)
+    with pytest.raises(ShapeError):
+        lift_through_epi(identity_mor(Z2), identity_mor(Z2))
+
+
+def test_preconditions_hold_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", PRECONDITIONS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -28,15 +28,9 @@ from .fincat import product as cat_product
 from .functors import apply_to_complex, tensor_with
 from .modules import ModMor, ModuleObj, identity_mor, nary_biproduct
 
-_spec_cache = {}
-
-
 def tensor_by(M: ModuleObj, side="right"):
-    """Shared tensor functor specs so derived caches line up."""
-    key = (id(M), side)
-    if key not in _spec_cache:
-        _spec_cache[key] = (M, tensor_with(M, side=side))
-    return _spec_cache[key][1]
+    """The functor (-) (x) M (side='right') or M (x) (-) (side='left')."""
+    return tensor_with(M, side=side)
 
 
 def tensor(A: ModuleObj, B: ModuleObj) -> ModuleObj:
@@ -192,8 +186,8 @@ class SwitchedRowData:
 def switched_row(A: ModuleObj, ses: SES, n_max) -> SwitchedRowData:
     """Long exact row of Tor(A, -) obtained by resolving A and using the
     degreewise exactness of (free) (x) (-)."""
-    key = ("switched_row", id(A), n_max)
-    if key not in ses._cache:
+    key = ("switched_row", ses, n_max)
+    if key not in A._cache:
         res = resolve(A, n_max + 1)
         base = res.complex(n_max + 1)
         subc = apply_to_complex(tensor_by(ses.L, "right"), base)
@@ -207,9 +201,8 @@ def switched_row(A: ModuleObj, ses: SES, n_max) -> SwitchedRowData:
                          for k in range(n_max + 2)})
         sesc = SESOfComplexes(subc, midc, quoc, incl, proj)
         les = _les_from_sesc(sesc, n_max)
-        ses._cache[key] = SwitchedRowData(les, sesc, res)
-        ses._cache.setdefault("switched_keepalive", []).append(A)
-    return ses._cache[key]
+        A._cache[key] = SwitchedRowData(les, sesc, res)
+    return A._cache[key]
 
 
 def ladder_switched(mors, f: ModMor, n_max) -> LadderResult:

@@ -5,6 +5,13 @@ dispatch layer.  Resolutions are built by iterated free covers of kernels
 and cached on the resolved object, so repeated derived-functor
 computations share canonical presentations.
 
+Memo rule, for this module and the whole package: every memo lives in the
+`_cache` dict of the object it describes (a module, diagram, morphism,
+complex or short exact sequence), so it dies with that object.  A key
+holds hashable objects themselves (functor specs, sequences, resolutions,
+ints, strings); an id() key is used only where the cached value holds the
+keyed object, so the id cannot be reused while the entry lives.
+
 The connecting homomorphism is the snake-lemma zig-zag, computed with
 explicit element lifts at the module level and assembled componentwise
 (then validated as a natural transformation) at the diagram level.
@@ -40,7 +47,6 @@ class Resolution:
         self.monos = [None]
         self.exhausted = False
         self.extendable = extendable
-        self._lifts = {}
         self._lock = threading.RLock()
 
     @property
@@ -121,16 +127,14 @@ def d_resolve(d, n_max) -> Resolution:
 def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
     """Chain map between resolutions lifting f: src.A -> tgt.A.
 
-    Returns {n: P_n(src) -> P_n(tgt)} for 0 <= n <= n_max; cached and
-    extended on demand.
+    Returns {n: P_n(src) -> P_n(tgt)} for 0 <= n <= n_max; cached on f
+    and extended on demand.
     """
-    key = (id(f), id(res_tgt))
-    entry = res_src._lifts.get(key)
-    if entry is None:
-        u0 = abelian.lift_through_epi(res_src.aug().then(f), res_tgt.aug())
-        entry = {"f": f, "tgt": res_tgt, "maps": {0: u0}}
-        res_src._lifts[key] = entry
-    maps = entry["maps"]
+    key = ("lift", res_src, res_tgt)
+    maps = f._cache.get(key)
+    if maps is None:
+        maps = {0: abelian.lift_through_epi(res_src.aug().then(f), res_tgt.aug())}
+        f._cache[key] = maps
     n_built = max(maps)
     for n in range(n_built + 1, n_max + 1):
         res_src.extend_to(n)
@@ -161,7 +165,6 @@ def project_resolution(res: Resolution, i) -> Resolution:
     out.monos = [None] + [m.component(i) for m in res.monos[1:]]
     out.exhausted = res.exhausted
     out.extendable = False
-    out._lifts = {}
     return out
 
 
@@ -184,7 +187,7 @@ class DerivedData:
 
 def derived_data(F, A, n) -> DerivedData:
     """L_n F (A) with its canonical presentation, cached per (F, n)."""
-    key = ("derived", id(F), n)
+    key = ("derived", F, n)
     if key in A._cache:
         return A._cache[key]
     res = resolve(A, n + 1)
@@ -192,8 +195,6 @@ def derived_data(F, A, n) -> DerivedData:
     sub = homology_at(fc, n)
     data = DerivedData(F, A, n, res, fc, sub)
     A._cache[key] = data
-    # keep F alive while its id keys this cache
-    A._cache.setdefault("derived_functors", []).append(F)
     return data
 
 
@@ -204,7 +205,7 @@ def derived(F, A, n):
 
 def derived_map(F, f, n):
     """L_n F (f), computed through cached resolutions and chain lifts."""
-    key = ("derived_map", id(F), n)
+    key = ("derived_map", F, n)
     if key in f._cache:
         return f._cache[key]
     src = derived_data(F, f.source, n)
@@ -213,7 +214,6 @@ def derived_map(F, f, n):
     phi = functors.apply_to_morphism(F, lift[n])
     out = induced_on_homology(phi, src.sub, tgt.sub)
     f._cache[key] = out
-    f._cache.setdefault("derived_keepalive", []).append((F, src, tgt))
     return out
 
 
@@ -255,7 +255,6 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     out.monos = [None]
     out.exhausted = False
     out.extendable = False
-    out._lifts = {}
     incl = {}
     proj = {}
     retr = {}
@@ -416,12 +415,11 @@ class LesData:
 
 def les_data(F, ses: SES, n_max) -> LesData:
     """les_of_ses plus the complexes it was built from; cached per (F, n_max)."""
-    key = ("les", id(F), n_max)
+    key = ("les", F, n_max)
     if key not in ses._cache:
         sesc, hs = horseshoe_ses_of_complexes(ses, n_max + 1, F=F)
         les = _les_from_sesc(sesc, n_max)
         ses._cache[key] = LesData(les, sesc, hs)
-        ses._cache.setdefault("les_keepalive", []).append(F)
     return ses._cache[key]
 
 
@@ -480,21 +478,14 @@ def delta_axiom_suite(F, sess, morphisms, n_max) -> DeltaReport:
     delta squares.
     """
     report = DeltaReport()
-    les_cache = {}
-
-    def les_for(ses):
-        if id(ses) not in les_cache:
-            les_cache[id(ses)] = les_of_ses(F, ses, n_max)
-        return les_cache[id(ses)]
-
     for ses in sess:
-        les = les_for(ses)
+        les = les_of_ses(F, ses, n_max)
         report.checked_sequences += 1
         for pos in les.failing_positions():
             report.exactness_failures.append((ses, pos))
     for mor in morphisms:
-        les_src = les_for(mor.src)
-        les_dst = les_for(mor.dst)
+        les_src = les_of_ses(F, mor.src, n_max)
+        les_dst = les_of_ses(F, mor.dst, n_max)
         for n in range(1, n_max + 1):
             fn_un = derived_map(F, mor.uN, n)
             fn_ul = derived_map(F, mor.uL, n - 1)
@@ -509,16 +500,6 @@ def delta_axiom_suite(F, sess, morphisms, n_max) -> DeltaReport:
 # -- comparison isomorphism (L_n F)^I = L_n (F^I) -----------------------------
 
 
-_exponent_cache = {}
-
-
-def exponent_spec_for(F, index):
-    key = (id(F), id(index))
-    if key not in _exponent_cache:
-        _exponent_cache[key] = (F, index, functors.exponent(F, index))
-    return _exponent_cache[key][2]
-
-
 @dataclass
 class ComparisonResult:
     componentwise: Diagram  # (L_n F)^I (A), from independent component data
@@ -531,7 +512,7 @@ def comparison_iso(F, A: Diagram, n) -> ComparisonResult:
     """Build the canonical map (L_n F)^I (A) -> L_n (F^I)(A) by chain-map
     lifting and report whether it is an isomorphism."""
     index = A.index
-    expF = exponent_spec_for(F, index)
+    expF = functors.exponent(F, index)
     route1 = derived_data(expF, A, n)
     comp_data = {i: derived_data(F, A.components[i], n) for i in index.objects}
     maps = {}

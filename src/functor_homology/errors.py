@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the matrix shape check that raises one."""
 
 
 class AlgebraError(Exception):
@@ -19,3 +19,13 @@ class MorphismError(AlgebraError):
 
 class ExactnessError(AlgebraError):
     """A precondition about composites or exactness is violated."""
+
+
+def check_shape(rows, cols, data):
+    """Raise ShapeError unless data is a rows x cols list of rows."""
+    if len(data) != rows:
+        raise ShapeError(f"matrix must have {rows} rows, got {len(data)}")
+    for i, r in enumerate(data):
+        if len(r) != cols:
+            raise ShapeError(f"matrix row {i} must have {cols} entries, "
+                             f"got {len(r)}")

@@ -7,6 +7,8 @@ are deterministic.
 
 from __future__ import annotations
 
+from .errors import ShapeError, check_shape
+
 
 def is_prime(p):
     if p < 2:
@@ -23,8 +25,9 @@ class FpMatrix:
     __slots__ = ("p", "rows", "cols", "data")
 
     def __init__(self, p, rows, cols, data):
-        assert is_prime(p), f"{p} is not prime"
-        assert len(data) == rows and all(len(r) == cols for r in data)
+        if not is_prime(p):
+            raise ShapeError(f"{p} is not prime")
+        check_shape(rows, cols, data)
         self.p = p
         self.rows = rows
         self.cols = cols

@@ -28,6 +28,10 @@ class FunctorSpec:
     Tensor and base change are right-exact by construction; composites of
     right-exact functors are right-exact; the exponent lifts a functor to
     C^I -> D^I componentwise.
+
+    Two specs are equal when they are built from the same arguments: the
+    module, ring map and index by identity, nested specs by value.  A spec
+    built twice therefore hits the same derived-functor memos.
     """
 
     def __init__(self, kind, module=None, ring_map=None, outer=None, inner=None,
@@ -67,6 +71,18 @@ class FunctorSpec:
             self.label = label or f"({inner.label})^I"
         else:
             raise ShapeError(f"unknown functor kind {kind!r}")
+
+    def _key(self):
+        return (self.kind, self.outer, self.inner, self.label, self.side)
+
+    def __eq__(self, other):
+        return (isinstance(other, FunctorSpec) and self._key() == other._key()
+                and self.module is other.module
+                and self.ring_map is other.ring_map
+                and self.index is other.index)
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __repr__(self):
         return f"FunctorSpec({self.label})"

@@ -9,14 +9,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import check_shape
+
 
 class IntMatrix:
-    """Immutable-by-convention dense integer matrix."""
+    """Immutable-by-convention dense integer matrix; the constructor raises
+    ShapeError when data is not rows x cols."""
 
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows, cols, data):
-        assert len(data) == rows and all(len(r) == cols for r in data)
+        check_shape(rows, cols, data)
         self.rows = rows
         self.cols = cols
         self.data = [list(r) for r in data]

@@ -530,16 +530,6 @@ def check_acyclic_hypothesis(F, G, witnesses, n_max) -> AcyclicityReport:
     return AcyclicityReport(entries)
 
 
-_compose_cache = {}
-
-
-def composed_spec(G, F):
-    key = (id(G), id(F))
-    if key not in _compose_cache:
-        _compose_cache[key] = (G, F, functors.compose(G, F))
-    return _compose_cache[key][2]
-
-
 @dataclass
 class GrothendieckData:
     F: object
@@ -610,7 +600,7 @@ def grothendieck_ss(F, G, A: ModuleObj, n_max, r_stop=None,
     ss.e2_matches = all(
         ss.pages[2].get((pp, q), 0) == ss.e2_expected[(pp, q)]
         for pp in range(0, n_max + 1) for q in range(0, n_max + 1))
-    spec_gf = composed_spec(G, F)
+    spec_gf = functors.compose(G, F)
     gfc = functors.apply_to_complex(spec_gf, res.complex(T))
     for n in range(0, n_max + 1):
         ss.abutment_expected[n] = homology_at(gfc, n).obj.fp_dimension()
@@ -974,7 +964,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
         for n in range(0, n_max + 1):
             sub_i = homology_at(gi.gf_complex, n)
             sub_j = homology_at(gj.gf_complex, n)
-            spec_gf = composed_spec(G, F)
+            spec_gf = functors.compose(G, F)
             phi = functors.apply_to_morphism(spec_gf, lift[n])
             amap = induced_on_homology(phi, sub_i, sub_j).matrix
             abutment_maps[(m, n)] = amap

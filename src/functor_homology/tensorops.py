@@ -4,9 +4,12 @@ Tensor is over the base ring itself and requires it to be commutative
 (integers, or a commutative F_p-algebra).  Base change goes along a ring
 map: the unique map out of Z, or an algebra map between F_p-algebras.
 
-Object constructions cache their presentation data (keyed by object
-identity) so that repeated applications, e.g. while building functor
-images of whole complexes, agree on the nose.
+Object constructions cache their presentation data on the module they
+start from (the first tensor factor, or the module being base-changed),
+keyed by the identity of the other argument.  The entry holds that
+argument, so its id cannot be reused while the entry lives.  Repeated
+applications, e.g. while building functor images of whole complexes,
+therefore agree on the nose.
 """
 
 from __future__ import annotations
@@ -31,17 +34,14 @@ class TensorData:
     section: object  # matrix of a right inverse of epi's matrix
 
 
-_tensor_cache = {}
-
-
 def tensor_data(A: ModuleObj, B: ModuleObj):
     if A.ring != B.ring:
         raise RingMismatchError("tensor needs a common base ring")
     if not A.ring.is_commutative():
         raise RingMismatchError("tensor is only defined over a commutative base")
-    key = (id(A), id(B))
-    if key in _tensor_cache:
-        return _tensor_cache[key][2]
+    key = ("tensor", id(B))
+    if key in A._cache:
+        return A._cache[key][1]
     if A.ring.is_integers:
         ga, gb = A.gens, B.gens
         rels = []
@@ -86,7 +86,7 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
             sec_cols.append(fplinalg.solve(epi.matrix, e))
         section = fp_from_columns(p, sec_cols, n) if obj.dim else FpMatrix.zeros(p, n, 0)
         data = TensorData(obj, epi, section)
-    _tensor_cache[key] = (A, B, data)
+    A._cache[key] = (B, data)
     return data
 
 
@@ -124,9 +124,6 @@ class BaseChangeData:
     epi: ModMor  # cover -> obj
 
 
-_base_change_cache = {}
-
-
 def _scalar_block_matrix(rm: RingMap, mat: IntMatrix, rank_rows, rank_cols):
     """Integer matrix acting between free modules over the target algebra."""
     S = rm.target
@@ -145,9 +142,9 @@ def _scalar_block_matrix(rm: RingMap, mat: IntMatrix, rank_rows, rank_cols):
 def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
     if M.ring != rm.source:
         raise RingMismatchError("module is not over the ring map's source")
-    key = (id(rm), id(M))
-    if key in _base_change_cache:
-        return _base_change_cache[key][2]
+    key = ("base_change", id(rm))
+    if key in M._cache:
+        return M._cache[key][1]
     S = rm.target
     if rm.source.is_integers and S.is_integers:
         data = BaseChangeData(M, M, modules.identity_mor(M))
@@ -181,7 +178,7 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
         rel_map = ModMor(src.obj, vec, fp_from_columns(p, cols, n), check=False)
         obj, epi = modules.cokernel(rel_map)
         data = BaseChangeData(obj, vec, epi)
-    _base_change_cache[key] = (rm, M, data)
+    M._cache[key] = (rm, data)
     return data
 
 

@@ -5,13 +5,12 @@ import pytest
 from functor_homology.complexes import (Complex, MorphismOfSES, SES,
                                         homology_at)
 from functor_homology.derived import (comparison_iso, connecting,
-                                      delta_axiom_suite, derived,
-                                      derived_map, exponent_spec_for,
+                                      delta_axiom_suite, derived, derived_map,
                                       horseshoe_ses_of_complexes, l0_comparison,
                                       les_of_ses, lift_resolution_map, resolve)
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.fincat import standard
-from functor_homology.functors import base_change, tensor_with
+from functor_homology.functors import base_change, exponent, tensor_with
 from functor_homology.modules import (Element, ModMor, biproduct, cyclic,
                                       free_module, identity_mor, is_iso,
                                       preimage, trivial_module, zero_mor)
@@ -252,7 +251,7 @@ def test_comparison_iso_examples():
 
 def test_diagram_les_via_exponent():
     Zm, Z2 = cyclic(0), cyclic(2)
-    F = exponent_spec_for(tensor_with(Z2), ARROW)
+    F = exponent(tensor_with(Z2), ARROW)
     L = constant_diagram(ARROW, Zm)
     M = constant_diagram(ARROW, Zm)
     N = constant_diagram(ARROW, Z2)

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -207,3 +208,37 @@ def test_cli_reports_failure_exit_code(tmp_path):
         capture_output=True)
     assert out.returncode == 1
     assert b"Zoo" in out.stdout
+
+
+BAD_ROW_DOCS = {
+    "module 'A': ": """\
+ring R = group_algebra p=2 table [[0,1],[1,0]]
+module A over R = fp dim 2 actions [[[1,0],[0,1]],[[0,1],[1]]]
+""",
+    "morphism 'f': ": """\
+ring Z
+module Z4 over Z = coker [[4]]
+module Z2 over Z = coker [[2]]
+morphism f : Z4 -> Z2 = [[1],[1,2]]
+""",
+}
+
+
+def test_ragged_matrix_diagnostic_survives_optimize(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for k, (prefix, text) in enumerate(BAD_ROW_DOCS.items()):
+        f = tmp_path / f"bad{k}.wb"
+        f.write_text(text)
+        outs = []
+        for flags in ([], ["-O"]):
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "functor_homology.cli", "run",
+                 str(f)], env=env, capture_output=True, text=True, timeout=120)
+            assert out.returncode == 1
+            assert "Traceback" not in out.stdout + out.stderr
+            message = out.stdout.split(prefix, 1)[1].splitlines()[0]
+            assert message.strip()
+            outs.append(out.stdout)
+        assert outs[0] == outs[1]

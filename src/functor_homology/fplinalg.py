@@ -1,8 +1,13 @@
 """Dense linear algebra over a prime field F_p.
 
-Entries are ints reduced into [0, p).  Row reduction scans columns left to
-right and rows top to bottom, so pivots (and hence every derived basis)
-are deterministic.
+Entries are ints reduced into [0, p).  Two eliminators: `rref` reduces a
+whole matrix and serves `kernel_basis` and `rank`; `Span` grows an echelon
+basis one vector at a time and answers every membership, coordinate and
+basis-extension question, `solve`/`solve_matrix` included (span of A's
+columns, then coordinates).  Both scan in a fixed order (rref: columns left
+to right; Span: insertion order), so every derived basis is deterministic,
+and Span keeps exactly rref's pivot columns.  Shape mismatches raise
+`ShapeError`, also under `python -O`.
 """
 
 from __future__ import annotations
@@ -53,14 +58,9 @@ class FpMatrix:
     def __repr__(self):
         return f"FpMatrix(p={self.p}, {self.rows}x{self.cols}, {self.data})"
 
-    def transpose(self):
-        return FpMatrix(
-            self.p, self.cols, self.rows,
-            [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
-
     def mul(self, other):
-        assert self.cols == other.rows and self.p == other.p
+        if self.cols != other.rows or self.p != other.p:
+            raise ShapeError("matrix product: shapes or primes do not match")
         p = self.p
         a, b = self.data, other.data
         out = [[0] * other.cols for _ in range(self.rows)]
@@ -75,12 +75,14 @@ class FpMatrix:
         return FpMatrix(self.p, self.rows, other.cols, out)
 
     def mul_vec(self, v):
-        assert len(v) == self.cols
+        if len(v) != self.cols:
+            raise ShapeError(f"{self.cols}-column matrix times a {len(v)}-vector")
         p = self.p
         return [sum(r[j] * v[j] for j in range(self.cols)) % p for r in self.data]
 
     def add(self, other):
-        assert self.rows == other.rows and self.cols == other.cols and self.p == other.p
+        if (self.rows, self.cols, self.p) != (other.rows, other.cols, other.p):
+            raise ShapeError("matrix sum: shapes or primes do not match")
         p = self.p
         return FpMatrix(p, self.rows, self.cols,
                         [[(x + y) % p for x, y in zip(r, s)]
@@ -98,7 +100,13 @@ class FpMatrix:
 
 
 def fp_from_columns(p, cols, rows):
+    """The rows x len(cols) matrix with the given columns (rows x 0 if none)."""
     return FpMatrix(p, rows, len(cols), [[c[i] % p for c in cols] for i in range(rows)])
+
+
+def unit_vectors(n):
+    """The standard basis of F_p^n, as lists."""
+    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
 
 def rref(A: FpMatrix):
@@ -148,40 +156,115 @@ def kernel_basis(A: FpMatrix) -> list[list[int]]:
     return basis
 
 
+class Span:
+    """The subspace of F_p^dim (p prime) spanned by the inserted vectors.
+
+    `basis` lists the inserted vectors independent of those before them, in
+    order.  Echelon row k is basis[k] reduced by rows 0..k-1 and scaled to a
+    leading 1 at its pivot, where no later row is nonzero; so one pass over
+    the rows reduces a vector, and the reduction factors give coordinates.
+    """
+
+    __slots__ = ("p", "dim", "basis", "_rows", "_factors", "_scales")
+
+    def __init__(self, p, dim, vectors=()):
+        self.p = p
+        self.dim = dim
+        self.basis = []
+        self._rows = []  # (pivot, row entries from the pivot on)
+        self._factors = []  # row k's reduction factors over rows 0..k-1
+        self._scales = []  # row k = scale * (basis[k] - sum factor * row)
+        for v in vectors:
+            self.insert(v)
+
+    def __len__(self):
+        return len(self.basis)
+
+    def _reduce(self, v):
+        """(residual, factors): v = residual + sum factors[k] * row k."""
+        if len(v) != self.dim:
+            raise ShapeError(f"{len(v)}-vector in a span inside F_p^{self.dim}")
+        p = self.p
+        w = [x % p for x in v]
+        factors = []
+        for c, row in self._rows:
+            f = w[c]
+            factors.append(f)
+            if f:
+                w[c:] = [(x - f * y) % p for x, y in zip(w[c:], row)]
+        return w, factors
+
+    def insert(self, v) -> bool:
+        """Add v; True when it was not already in the span."""
+        w, factors = self._reduce(v)
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            return False
+        p = self.p
+        scale = pow(w[c], p - 2, p)
+        self._rows.append((c, [(x * scale) % p for x in w[c:]]))
+        self._factors.append(factors)
+        self._scales.append(scale)
+        self.basis.append(v)
+        return True
+
+    def contains(self, v) -> bool:
+        return not any(self._reduce(v)[0])
+
+    def coords(self, v):
+        """The unique coefficients of v over `basis`, or None if v is
+        outside the span."""
+        w, factors = self._reduce(v)
+        if any(w):
+            return None
+        p = self.p
+        out = [0] * len(factors)
+        # unfold the rows into basis vectors, last row first
+        for k in range(len(factors) - 1, -1, -1):
+            a = factors[k] * self._scales[k] % p
+            if a:
+                out[k] = a
+                for j, f in enumerate(self._factors[k]):
+                    if f:
+                        factors[j] = (factors[j] - a * f) % p
+        return out
+
+
+def _column_solver(A: FpMatrix):
+    """b -> the solution of A*x = b supported on A's pivot columns, or None."""
+    span = Span(A.p, A.rows)
+    pivots = [j for j in range(A.cols) if span.insert(A.col(j))]
+
+    def solve_one(b):
+        c = span.coords(b)
+        if c is None:
+            return None
+        x = [0] * A.cols
+        for j, cj in zip(pivots, c):
+            x[j] = cj
+        return x
+
+    return solve_one
+
+
 def solve(A: FpMatrix, b: list[int]):
-    """One solution of A*x = b, or None."""
-    assert len(b) == A.rows
-    aug = FpMatrix(A.p, A.rows, A.cols + 1,
-                   [row + [bi] for row, bi in zip(A.data, b)])
-    R, pivots = rref(aug)
-    if A.cols in pivots:
-        return None
-    x = [0] * A.cols
-    for r, c in enumerate(pivots):
-        x[c] = R.data[r][A.cols]
-    return x
+    """One solution of A*x = b (free variables zero), or None."""
+    return _column_solver(A)(b)
 
 
 def solve_matrix(A: FpMatrix, B: FpMatrix):
     """X with A*X = B (columnwise), or None if some column is unsolvable."""
-    assert A.rows == B.rows and A.p == B.p
-    cols = []
-    for j in range(B.cols):
-        x = solve(A, B.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return fp_from_columns(A.p, cols, A.cols)
-
-
-def column_space_basis(A: FpMatrix) -> list[list[int]]:
-    """Deterministic basis of the column span (subset of A's columns)."""
-    _, pivots = rref(A)
-    return [A.col(j) for j in pivots]
+    if A.rows != B.rows or A.p != B.p:
+        raise ShapeError("solve_matrix: rows or primes do not match")
+    solve_one = _column_solver(A)
+    cols = [solve_one(B.col(j)) for j in range(B.cols)]
+    return None if None in cols else fp_from_columns(A.p, cols, A.cols)
 
 
 def inverse(A: FpMatrix):
-    assert A.rows == A.cols
+    if A.rows != A.cols:
+        raise ShapeError(f"a {A.rows}x{A.cols} matrix has no inverse")
     X = solve_matrix(A, FpMatrix.identity(A.p, A.rows))
-    assert X is not None, "matrix not invertible"
+    if X is None:
+        raise ShapeError("matrix not invertible")
     return X

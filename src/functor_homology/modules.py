@@ -519,25 +519,18 @@ def cokernel(f: ModMor):
         return simple, epi
     p = f.ring.p
     n = tgt.dim
-    pivot_cols = fplinalg.column_space_basis(f.matrix)
-    cols = list(pivot_cols)
-    basis_mat = fp_from_columns(p, cols, n) if cols else FpMatrix.zeros(p, n, 0)
-    for i in range(n):
-        e = [1 if k == i else 0 for k in range(n)]
-        if fplinalg.solve(basis_mat, e) is None:
-            cols.append(e)
-            basis_mat = fp_from_columns(p, cols, n)
-    r = len(pivot_cols)
-    binv = fplinalg.inverse(basis_mat) if n else FpMatrix.zeros(p, 0, 0)
-    q_mat = FpMatrix(p, n - r, n, binv.data[r:]) if n else FpMatrix.zeros(p, 0, 0)
-    sec = fp_from_columns(p, cols[r:], n) if n else FpMatrix.zeros(p, 0, 0)
+    # extend a basis of the image by unit vectors; the quotient map takes
+    # the coordinates along the added ones
+    span = fplinalg.Span(p, n, [f.matrix.col(j) for j in range(f.matrix.cols)])
+    r = len(span)
+    units = fplinalg.unit_vectors(n)
+    for e in units:
+        span.insert(e)
+    q_mat = fp_from_columns(p, [span.coords(e)[r:] for e in units], n - r)
+    sec = fp_from_columns(p, span.basis[r:], n)
     actions = [q_mat.mul(tgt.actions[a]).mul(sec) for a in range(f.ring.dim)]
     coker = ModuleObj(f.ring, dim=n - r, actions=actions)
     return coker, ModMor(tgt, coker, q_mat)
-
-
-def _unit_vectors(n):
-    return [[1 if i == j else 0 for i in range(n)] for j in range(n)]
 
 
 def _preimages(f: ModMor, vectors, error):
@@ -567,7 +560,7 @@ def cofactor_through_epi(epi: ModMor, w: ModMor) -> ModMor:
     """The unique v with v . epi = w; requires w to kill ker(epi)."""
     if w.source != epi.source:
         raise ShapeError("cofactor_through_epi endpoints do not match")
-    sections = _preimages(epi, _unit_vectors(epi.target.gens),
+    sections = _preimages(epi, fplinalg.unit_vectors(epi.target.gens),
                           "map is not an epimorphism")
     cols = [w.matrix.mul_vec(x) for x in sections]
     v = ModMor(epi.target, w.target, w.ops.from_columns(cols, w.target.gens))
@@ -607,7 +600,8 @@ def is_iso(f: ModMor) -> bool:
 
 def iso_inverse(f: ModMor) -> ModMor:
     """Inverse of an isomorphism (preimage per generator)."""
-    cols = _preimages(f, _unit_vectors(f.target.gens), "morphism is not invertible")
+    cols = _preimages(f, fplinalg.unit_vectors(f.target.gens),
+                      "morphism is not invertible")
     inv = ModMor(f.target, f.source, f.ops.from_columns(cols, f.source.gens))
     if not (f.then(inv) == identity_mor(f.source)
             and inv.then(f) == identity_mor(f.target)):
@@ -711,18 +705,13 @@ def minimal_generators(M: ModuleObj):
     assert not M.ring.is_integers
     ring = M.ring
     chosen = []
-    span_cols = []
-    span_mat = FpMatrix.zeros(ring.p, M.dim, 0)
-    for i in range(M.dim):
-        v = [1 if k == i else 0 for k in range(M.dim)]
-        if span_cols and fplinalg.solve(span_mat, v) is not None:
-            continue
-        if not span_cols and M.dim == 0:
+    span = fplinalg.Span(ring.p, M.dim)
+    for v in fplinalg.unit_vectors(M.dim):
+        if span.contains(v):
             continue
         chosen.append(v)
         for a in range(ring.dim):
-            span_cols.append(M.actions[a].mul_vec(v))
-        span_mat = fp_from_columns(ring.p, span_cols, M.dim)
+            span.insert(M.actions[a].mul_vec(v))
     return chosen
 
 

@@ -21,47 +21,9 @@ from .complexes import Complex, homology_at, induced_on_homology
 from .derived import (derived_data, horseshoe, lift_resolution_map, resolve)
 from .diagrams import Diagram
 from .errors import ExactnessError, RingMismatchError, ShapeError
-from .fplinalg import FpMatrix, fp_from_columns
+from .fplinalg import FpMatrix, Span, fp_from_columns, unit_vectors
 from .complexes import SES
 from .modules import ModuleObj
-
-# -- small subspace helpers (vectors are plain lists over F_p) ---------------
-
-
-def _mat(p, vectors, dim) -> FpMatrix:
-    return fp_from_columns(p, vectors, dim) if vectors else FpMatrix.zeros(p, dim, 0)
-
-
-def _rank(p, vectors, dim) -> int:
-    return fplinalg.rank(_mat(p, vectors, dim))
-
-
-def _in_span(p, vectors, dim, v) -> bool:
-    return fplinalg.solve(_mat(p, vectors, dim), v) is not None
-
-
-def _quotient_reps(p, z_vectors, b_vectors, dim):
-    """Subset of z_vectors forming a basis of span(z)/span(b)."""
-    reps = []
-    current = list(b_vectors)
-    mat = _mat(p, current, dim)
-    for v in z_vectors:
-        if fplinalg.solve(mat, v) is None:
-            reps.append(v)
-            current.append(v)
-            mat = _mat(p, current, dim)
-    return reps
-
-
-def _express(p, reps, b_vectors, dim, v):
-    """Coordinates of v over reps, modulo span(b_vectors); None if v is
-    outside span(reps) + span(b)."""
-    mat = _mat(p, list(reps) + list(b_vectors), dim)
-    sol = fplinalg.solve(mat, v)
-    if sol is None:
-        return None
-    return sol[: len(reps)]
-
 
 # -- double complexes and the page recursion ----------------------------------
 
@@ -247,14 +209,8 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
         if key in amemo:
             return amemo[key]
         if r == 0:
-            pre = fdim(n, s)
-            basis = []
-            for k in range(pre):
-                v = [0] * tot.dims[n]
-                v[k] = 1
-                basis.append(v)
-            amemo[key] = basis
-            return basis
+            amemo[key] = unit_vectors(tot.dims[n])[:fdim(n, s)]
+            return amemo[key]
         prev = aspace(n, s, r - 1)
         if not prev:
             amemo[key] = []
@@ -271,7 +227,7 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
             return amemo[key]
         cond = FpMatrix(p, len(rows), len(prev), rows)
         combos = fplinalg.kernel_basis(cond)
-        pm = _mat(p, prev, tot.dims[n])
+        pm = fp_from_columns(p, prev, tot.dims[n])
         out = [pm.mul_vec(c) for c in combos]
         amemo[key] = out
         return out
@@ -287,6 +243,7 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     for r in range(2, r_stop + 1):
         b[r] = {}
         reps[r] = {}
+        spans = {}  # (s,t) -> Span of b[r] then reps[r] (its last basis vectors)
         pages[r] = {}
         for n in range(n_hi + 1):
             for (s, t) in tot.cells[n]:
@@ -296,8 +253,10 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                 for v in src:
                     bound.append(dn1.mul_vec(v))
                 b[r][(s, t)] = bound
-                rp = _quotient_reps(p, z[r][(s, t)], bound, tot.dims[n])
+                span = Span(p, tot.dims[n], bound)
+                rp = [v for v in z[r][(s, t)] if span.insert(v)]
                 reps[r][(s, t)] = rp
+                spans[(s, t)] = span
                 if rp:
                     pages[r][(s, t)] = len(rp)
         diffs[r] = {}
@@ -308,20 +267,20 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                     continue
                 ts, tt = s - r, t + r - 1
                 tgt_reps = reps[r].get((ts, tt), [])
-                tgt_b = b[r].get((ts, tt), [])
+                tgt_span = spans.get((ts, tt))
                 cols = []
                 dn = dmat(n)
                 for v in rp:
                     w = dn.mul_vec(v)
-                    if not tgt_reps:
-                        assert all(x == 0 for x in w) or _in_span(
-                            p, tgt_b, tot.dims.get(n - 1, 0), w), \
-                            "page differential misses its target cell"
-                        cols.append([])
-                        continue
-                    c = _express(p, tgt_reps, tgt_b, tot.dims[n - 1], w)
-                    assert c is not None, "page differential misses its target cell"
-                    cols.append(c)
+                    if tgt_span is None:
+                        c = None if any(w) else []
+                    else:
+                        c = tgt_span.coords(w)
+                    if c is None:
+                        raise ExactnessError(
+                            "page differential misses its target cell")
+                    # coordinates over the target reps, modulo its boundaries
+                    cols.append(c[len(c) - len(tgt_reps):])
                 if tgt_reps:
                     diffs[r][(s, t)] = fp_from_columns(p, cols, len(tgt_reps))
 
@@ -332,8 +291,9 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
             in_rk = (fplinalg.rank(diffs[r][(s + r, t - r + 1)])
                      if (s + r, t - r + 1) in diffs[r] else 0)
             nxt = pages[r + 1].get((s, t), 0)
-            assert nxt == d - out_rk - in_rk, (
-                f"page recursion failed at r={r}, cell {(s, t)}")
+            if nxt != d - out_rk - in_rk:
+                raise ExactnessError(
+                    f"page recursion failed at r={r}, cell {(s, t)}")
 
     einf = dict(pages[r_stop])
     degen = all(
@@ -348,22 +308,27 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     abut_bound = {}
     filt_spans = {}
     for n in range(n_hi + 1):
+        dim = tot.dims.get(n, 0)
         dn = dmat(n)
         dn1 = dmat(n + 1)
-        cyc = fplinalg.kernel_basis(dn) if tot.dims.get(n, 0) else []
-        bnd = [dn1.mul_vec(v) for v in _std_basis(tot.dims.get(n + 1, 0))]
-        abutment[n] = (_rank(p, cyc, tot.dims.get(n, 0))
-                       - _rank(p, bnd, tot.dims.get(n, 0)))
-        abut_reps[n] = _quotient_reps(p, cyc, bnd, tot.dims.get(n, 0))
+        cyc = fplinalg.kernel_basis(dn) if dim else []
+        bnd = [dn1.col(j) for j in range(dn1.cols)]
+        homology = Span(p, dim, bnd)
+        rk_bnd = len(homology)
+        # kernel_basis is independent, so len(cyc) is its rank
+        abutment[n] = len(cyc) - rk_bnd
+        abut_reps[n] = [v for v in cyc if homology.insert(v)]
         abut_bound[n] = bnd
         grs = []
         prev = 0
+        # F_s cycles grow with s, so one span collects F_s cycles + boundaries
+        filtered = Span(p, dim, bnd)
         for s in range(0, n + 1):
-            pre = fdim(n, s)
-            sub_cyc = [v for v in _cycles_in_prefix(p, dn, pre, tot.dims.get(n, 0))]
+            sub_cyc = _cycles_in_prefix(p, dn, fdim(n, s), dim)
             filt_spans[(n, s)] = sub_cyc
-            d_s = (_rank(p, sub_cyc + bnd, tot.dims.get(n, 0))
-                   - _rank(p, bnd, tot.dims.get(n, 0)))
+            for v in sub_cyc:
+                filtered.insert(v)
+            d_s = len(filtered) - rk_bnd
             grs.append(d_s - prev)
             prev = d_s
         filtration[n] = grs
@@ -373,27 +338,13 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                     abutment, filtration, degen, internal, n_valid)
 
 
-def _std_basis(n):
-    out = []
-    for k in range(n):
-        v = [0] * n
-        v[k] = 1
-        out.append(v)
-    return out
-
-
 def _cycles_in_prefix(p, dn, prefix, dim):
     """Basis of ker(dn) intersected with the coordinate prefix."""
-    if prefix == 0 or dim == 0:
-        return []
-    if dn.cols == 0:
+    if prefix == 0:
         return []
     restricted = FpMatrix(p, dn.rows, prefix,
                           [row[:prefix] for row in dn.data])
-    out = []
-    for v in fplinalg.kernel_basis(restricted):
-        out.append(v + [0] * (dim - prefix))
-    return out
+    return [v + [0] * (dim - prefix) for v in fplinalg.kernel_basis(restricted)]
 
 
 # -- Cartan-Eilenberg grids ----------------------------------------------------
@@ -499,12 +450,16 @@ def ce_grid(C: Complex, depth) -> CEData:
         for q in range(0, depth):
             lhs = ce.d_h(pdeg, q + 1).then(ce.d_v(pdeg - 1, q + 1))
             rhs = ce.d_v(pdeg, q + 1).then(ce.d_h(pdeg, q))
-            assert lhs == rhs, "CE horizontal differential is not a chain map"
+            if lhs != rhs:
+                raise ExactnessError("CE horizontal differential is not a chain map")
         if pdeg >= 2:
             for q in range(0, depth + 1):
-                assert ce.d_h(pdeg, q).then(ce.d_h(pdeg - 1, q)).is_zero()
-        assert ce.d_h(pdeg, 0).then(ce.aug(pdeg - 1)) == \
-            ce.aug(pdeg).then(C.diffs[pdeg]), "CE augmentation is not compatible"
+                if not ce.d_h(pdeg, q).then(ce.d_h(pdeg - 1, q)).is_zero():
+                    raise ExactnessError("CE horizontal differential does not "
+                                         "square to zero")
+        if (ce.d_h(pdeg, 0).then(ce.aug(pdeg - 1))
+                != ce.aug(pdeg).then(C.diffs[pdeg])):
+            raise ExactnessError("CE augmentation is not compatible")
     return ce
 
 
@@ -632,7 +587,7 @@ class CanonPages:
     psi: dict  # r -> {(s,t): FpMatrix}, page reps -> canonical coords
     d: dict  # r -> {(s,t): FpMatrix} in canonical coordinates
     reps: dict  # r -> {(s,t): [vectors in page-(r-1) canonical coords]}
-    bsp: dict  # r -> {(s,t): [vectors ...]}
+    spans: dict  # r >= 3 -> {(s,t): Span of the incoming image, then reps}
     ident_ok: bool
 
 
@@ -649,11 +604,7 @@ def _canon_sub(gd: GrothendieckData, s, t):
 
 
 def _window_cells(gd: GrothendieckData):
-    out = []
-    for n in range(gd.n_max + 1):
-        for s in range(0, n + 1):
-            out.append((s, n - s))
-    return out
+    return [(s, n - s) for n in range(gd.n_max + 1) for s in range(n + 1)]
 
 
 def build_canon_pages(gd: GrothendieckData) -> CanonPages:
@@ -666,7 +617,7 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
     psi = {2: {}}
     dmats = {2: {}}
     reps = {2: {}}
-    bsp = {2: {}}
+    spans = {}
     cells = _window_cells(gd)
     for (s, t) in cells:
         n = s + t
@@ -703,29 +654,27 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
         if not good:
             ok = False
             continue
-        m = fp_from_columns(p, cols, k_canon) if cols else FpMatrix.zeros(p, k_canon, 0)
+        m = fp_from_columns(p, cols, k_canon)
         if k_canon and fplinalg.rank(m) != k_canon:
             ok = False
             continue
         psi[2][(s, t)] = m
-        reps[2][(s, t)] = _std_basis(k_canon)
-        bsp[2][(s, t)] = []
+        reps[2][(s, t)] = unit_vectors(k_canon)
     for (s, t) in cells:
         if (s, t) not in psi[2]:
             continue
         tgt = (s - 2, t + 1)
         d_tot = ss.diffs[2].get((s, t))
-        k_src = dims[2][(s, t)]
         if tgt not in psi[2] or d_tot is None:
             continue
-        inv = fplinalg.inverse(psi[2][(s, t)]) if k_src else FpMatrix.zeros(p, 0, 0)
+        inv = fplinalg.inverse(psi[2][(s, t)])
         dmats[2][(s, t)] = psi[2][tgt].mul(d_tot).mul(inv)
     for r in range(3, ss.r_stop + 1):
         dims[r] = {}
         psi[r] = {}
         dmats[r] = {}
         reps[r] = {}
-        bsp[r] = {}
+        spans[r] = {}
         prev = r - 1
         for (s, t) in cells:
             if (s, t) not in psi[prev]:
@@ -740,14 +689,15 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
             if dout_tot is not None:
                 ker_rep = fplinalg.kernel_basis(dout_tot)
             else:
-                ker_rep = _std_basis(len(ss.internal.reps[prev].get((s, t), [])))
+                ker_rep = unit_vectors(len(ss.internal.reps[prev].get((s, t), [])))
             kerv = [prev_psi.mul_vec(v) for v in ker_rep]
             din_tot = ss.diffs[prev].get((s + prev, t - prev + 1))
             imv = []
             if din_tot is not None:
                 for col in range(din_tot.cols):
                     imv.append(prev_psi.mul_vec(din_tot.col(col)))
-            cell_reps = _quotient_reps(p, kerv, imv, k_prev)
+            span = Span(p, k_prev, imv)
+            cell_reps = [v for v in kerv if span.insert(v)]
             # compose the previous identification with the subquotient step
             page_reps = ss.internal.reps[r].get((s, t), [])
             if len(page_reps) != len(cell_reps):
@@ -755,33 +705,32 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
                 continue
             cols = []
             good = True
-            prev_psi = psi[prev][(s, t)]
             prev_reps = ss.internal.reps[prev].get((s, t), [])
-            prev_b = ss.internal.b[prev].get((s, t), [])
+            prev_span = Span(p, ss.internal.tot.dims[n],
+                             ss.internal.b[prev].get((s, t), []) + prev_reps)
             for v in page_reps:
-                c_prev = _express(p, prev_reps, prev_b,
-                                  len(v), v)
+                c_prev = prev_span.coords(v)
                 if c_prev is None:
                     good = False
                     break
-                w = prev_psi.mul_vec(c_prev)
-                c = _express(p, cell_reps, imv, k_prev, w)
+                w = prev_psi.mul_vec(c_prev[len(c_prev) - len(prev_reps):])
+                c = span.coords(w)
                 if c is None:
                     good = False
                     break
-                cols.append(c)
+                cols.append(c[len(c) - len(cell_reps):])
             if not good:
                 ok = False
                 continue
             k_r = len(cell_reps)
-            m = fp_from_columns(p, cols, k_r) if cols else FpMatrix.zeros(p, k_r, 0)
+            m = fp_from_columns(p, cols, k_r)
             if k_r and fplinalg.rank(m) != k_r:
                 ok = False
                 continue
             dims[r][(s, t)] = k_r
             psi[r][(s, t)] = m
             reps[r][(s, t)] = cell_reps
-            bsp[r][(s, t)] = imv
+            spans[r][(s, t)] = span
         for (s, t) in cells:
             if (s, t) not in psi[r]:
                 continue
@@ -789,10 +738,9 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
             d_tot = ss.diffs[r].get((s, t))
             if tgt not in psi[r] or d_tot is None:
                 continue
-            k_src = dims[r][(s, t)]
-            inv = fplinalg.inverse(psi[r][(s, t)]) if k_src else FpMatrix.zeros(p, 0, 0)
+            inv = fplinalg.inverse(psi[r][(s, t)])
             dmats[r][(s, t)] = psi[r][tgt].mul(d_tot).mul(inv)
-    return CanonPages(dims, psi, dmats, reps, bsp, ok)
+    return CanonPages(dims, psi, dmats, reps, spans, ok)
 
 
 @dataclass
@@ -813,6 +761,15 @@ class ComponentwiseResult:
                 and all(self.abutment_filtration_ok.values())
                 and all(self.gr_matches_einf.values())
                 and all(self.ident_ok.values()))
+
+
+def _canon_d(cp: CanonPages, p, r, s, t):
+    """d_r out of (s, t) in canonical coordinates; zero where none is stored."""
+    d = cp.d[r].get((s, t))
+    if d is None:
+        d = FpMatrix.zeros(p, cp.dims[r].get((s - r, t + r - 1), 0),
+                           cp.dims[r].get((s, t), 0))
+    return d
 
 
 def _theta_matrices(gd: GrothendieckData):
@@ -840,7 +797,8 @@ def _theta_matrices(gd: GrothendieckData):
     for n in range(1, gd.n_max + 1):
         lhs = out[n - 1].mul(ss.internal.tot.D[n])
         rhs = gd.gf_complex.diffs[n].matrix.mul(out[n])
-        assert lhs == rhs, "edge map to GF(P_*) is not a chain map"
+        if lhs != rhs:
+            raise ExactnessError("edge map to GF(P_*) is not a chain map")
     gd.ss.extra[key] = out
     return out
 
@@ -848,7 +806,8 @@ def _theta_matrices(gd: GrothendieckData):
 def _abutment_class(gd: GrothendieckData, theta_n, sub, v):
     y = theta_n.mul_vec(v)
     kl = fplinalg.solve(sub.mono.matrix, y)
-    assert kl is not None, "edge image of a cycle must be a cycle"
+    if kl is None:
+        raise ExactnessError("edge image of a cycle must be a cycle")
     return sub.epi.matrix.mul_vec(kl)
 
 
@@ -879,6 +838,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
     T = n_max + 1
     for m in index.nonidentity_morphisms():
         i, j = index.src(m), index.tgt(m)
+        p = per_object[i].p
         gi, gj = data[i], data[j]
         ci, cj = canon[i], canon[j]
         lift = lift_resolution_map(A.maps[m], gi.res, gj.res, T)
@@ -904,16 +864,8 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
             tgt = (s - 2, t + 1)
             if tgt[0] < 0 or (s + t) > n_max:
                 continue
-            di = ci.d[2].get((s, t))
-            dj = cj.d[2].get((s, t))
-            zi = FpMatrix.zeros(per_object[i].p, ci.dims[2].get(tgt, 0),
-                                ci.dims[2].get((s, t), 0))
-            zj = FpMatrix.zeros(per_object[j].p, cj.dims[2].get(tgt, 0),
-                                cj.dims[2].get((s, t), 0))
-            di = di if di is not None else zi
-            dj = dj if dj is not None else zj
-            lhs = cell_maps[2][tgt].mul(di)
-            rhs = dj.mul(cell_maps[2][(s, t)])
+            lhs = cell_maps[2][tgt].mul(_canon_d(ci, p, 2, s, t))
+            rhs = _canon_d(cj, p, 2, s, t).mul(cell_maps[2][(s, t)])
             e2_squares[(m, (s, t))] = lhs == rhs
         # propagate the maps through later pages (recorded)
         for r in range(3, per_object[i].r_stop + 1):
@@ -926,38 +878,28 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
                     continue
                 cols = []
                 okcell = True
+                k = len(cj.reps[r][(s, t)])
+                span = cj.spans[r][(s, t)]
                 for v in ci.reps[r][(s, t)]:
-                    w = prev.mul_vec(v)
-                    c = _express(per_object[i].p, cj.reps[r][(s, t)],
-                                 cj.bsp[r][(s, t)], len(w), w)
+                    c = span.coords(prev.mul_vec(v))
                     if c is None:
                         okcell = False
                         break
-                    cols.append(c)
+                    cols.append(c[len(c) - k:])
                 if not okcell:
                     page_squares[(m, r, (s, t))] = False
                     continue
-                k = len(cj.reps[r][(s, t)])
-                cell_maps[r][(s, t)] = (fp_from_columns(per_object[i].p, cols, k)
-                                        if cols else FpMatrix.zeros(
-                                            per_object[i].p, k, 0))
+                cell_maps[r][(s, t)] = fp_from_columns(p, cols, k)
             for (s, t), mat in cell_maps[r].items():
                 tgt = (s - r, t + r - 1)
                 if tgt not in cell_maps[r]:
                     continue
-                di = ci.d[r].get((s, t))
-                dj = cj.d[r].get((s, t))
-                if di is None and dj is None:
+                if (s, t) not in ci.d[r] and (s, t) not in cj.d[r]:
                     page_squares[(m, r, (s, t))] = True
                     continue
-                zi = FpMatrix.zeros(per_object[i].p, ci.dims[r].get(tgt, 0),
-                                    ci.dims[r].get((s, t), 0))
-                zj = FpMatrix.zeros(per_object[j].p, cj.dims[r].get(tgt, 0),
-                                    cj.dims[r].get((s, t), 0))
-                di = di if di is not None else zi
-                dj = dj if dj is not None else zj
                 page_squares[(m, r, (s, t))] = (
-                    cell_maps[r][tgt].mul(di) == dj.mul(mat))
+                    cell_maps[r][tgt].mul(_canon_d(ci, p, r, s, t))
+                    == _canon_d(cj, p, r, s, t).mul(mat))
         # abutment maps and filtration compatibility
         theta_i = _theta_matrices(gi)
         theta_j = _theta_matrices(gj)
@@ -968,7 +910,6 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
             phi = functors.apply_to_morphism(spec_gf, lift[n])
             amap = induced_on_homology(phi, sub_i, sub_j).matrix
             abutment_maps[(m, n)] = amap
-            p = per_object[i].p
             hdim_i = sub_i.obj.fp_dimension()
             hdim_j = sub_j.obj.fp_dimension()
             spans_i = {}
@@ -980,9 +921,9 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
                               for v in gj.ss.internal.filt_cycle_spans[(n, s)]]
             ok_filt = True
             for s in range(0, n + 1):
+                filt_j = Span(p, hdim_j, spans_j[s])
                 for v in spans_i[s]:
-                    img = amap.mul_vec(v)
-                    if not _in_span(p, spans_j[s], hdim_j, img):
+                    if not filt_j.contains(amap.mul_vec(v)):
                         ok_filt = False
             abutment_filtration_ok[(m, n)] = ok_filt
             # graded pieces against the E_inf maps
@@ -990,53 +931,46 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
             for s in range(0, n + 1):
                 t = n - s
                 einf_map = cell_maps.get(r_top, {}).get((s, t))
-                low_i = spans_i[s - 1] if s >= 1 else []
-                low_j = spans_j[s - 1] if s >= 1 else []
-                gr_reps_i = _quotient_reps(p, spans_i[s], low_i, hdim_i)
-                gr_reps_j = _quotient_reps(p, spans_j[s], low_j, hdim_j)
-                k_i = len(gr_reps_i)
+                # gr_s = F_s / F_{s-1}: reps of F_s modulo F_{s-1}
+                gr_i = Span(p, hdim_i, spans_i[s - 1] if s >= 1 else [])
+                gr_j = Span(p, hdim_j, spans_j[s - 1] if s >= 1 else [])
+                gr_reps_i = [v for v in spans_i[s] if gr_i.insert(v)]
+                gr_reps_j = [v for v in spans_j[s] if gr_j.insert(v)]
                 k_j = len(gr_reps_j)
                 if einf_map is None:
-                    gr_matches[(m, n, s)] = (k_i == 0)
+                    gr_matches[(m, n, s)] = not gr_reps_i
                     continue
                 # identify gr_s with the canonical E_inf cell on each side
                 tau_i = _gr_identification(gi, ci, s, t, sub_i, theta_i[n],
-                                           gr_reps_i, low_i, hdim_i)
+                                           gr_reps_i, gr_i)
                 tau_j = _gr_identification(gj, cj, s, t, sub_j, theta_j[n],
-                                           gr_reps_j, low_j, hdim_j)
+                                           gr_reps_j, gr_j)
                 if tau_i is None or tau_j is None:
                     gr_matches[(m, n, s)] = False
                     continue
                 cols = []
                 okg = True
                 for v in gr_reps_i:
-                    img = amap.mul_vec(v)
-                    c = _express(p, gr_reps_j, low_j, hdim_j, img)
+                    c = gr_j.coords(amap.mul_vec(v))
                     if c is None:
                         okg = False
                         break
-                    cols.append(c)
+                    cols.append(c[len(c) - k_j:])
                 if not okg:
                     gr_matches[(m, n, s)] = False
                     continue
-                gr_map = (fp_from_columns(p, cols, k_j)
-                          if cols else FpMatrix.zeros(p, k_j, 0))
+                gr_map = fp_from_columns(p, cols, k_j)
                 gr_matches[(m, n, s)] = gr_map.mul(tau_i) == tau_j.mul(einf_map)
     return ComponentwiseResult(per_object, data, canon, e2_cell_maps,
                                e2_squares, page_squares, abutment_maps,
                                abutment_filtration_ok, gr_matches, ident_ok)
 
 
-def _maybe_inv(mat: FpMatrix):
-    if mat.rows == 0 and mat.cols == 0:
-        return mat
-    return fplinalg.inverse(mat)
-
-
 def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, sub,
-                       theta_n, gr_reps, low_span, hdim):
+                       theta_n, gr_reps, gr_span):
     """Matrix from the canonical E_inf cell to gr_s of the abutment:
-    canonical coords -> page reps -> cycles -> edge classes -> gr coords."""
+    canonical coords -> page reps -> cycles -> edge classes -> gr coords.
+    gr_span spans F_{s-1} and then gr_reps."""
     ss = gd.ss
     p = ss.p
     r_top = ss.r_stop
@@ -1047,20 +981,13 @@ def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, sub,
     if len(page_reps) != len(gr_reps):
         return None
     cols = []
-    inv_psi = _maybe_inv(psi)
     k = len(page_reps)
+    # column j: the cycle whose canonical coordinates are the j-th unit vector
+    cycles = fp_from_columns(p, page_reps, ss.internal.tot.dims[s + t]).mul(
+        fplinalg.inverse(psi))
     for col in range(k):
-        e = [1 if x == col else 0 for x in range(k)]
-        coeffs = inv_psi.mul_vec(e) if k else []
-        vec = [0] * len(page_reps[0]) if page_reps else []
-        for cidx, cval in enumerate(coeffs):
-            if cval:
-                for x in range(len(vec)):
-                    vec[x] = (vec[x] + cval * page_reps[cidx][x]) % p
-        cls = _abutment_class(gd, theta_n, sub, vec)
-        c = _express(p, gr_reps, low_span, hdim, cls)
+        c = gr_span.coords(_abutment_class(gd, theta_n, sub, cycles.col(col)))
         if c is None:
             return None
-        cols.append(c)
-    return (fp_from_columns(p, cols, len(gr_reps))
-            if cols else FpMatrix.zeros(p, len(gr_reps), 0))
+        cols.append(c[len(c) - k:])
+    return fp_from_columns(p, cols, len(gr_reps))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import modules
+from . import fplinalg, modules
 from .errors import RingMismatchError
 from .fplinalg import FpMatrix, fp_from_columns
 from .intlinalg import IntMatrix
@@ -79,12 +79,7 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
                 cols.append(m.col(j))
         rel_map = ModMor(src.obj, vec, fp_from_columns(p, cols, n), check=False)
         obj, epi = modules.cokernel(rel_map)
-        sec_cols = []
-        for j in range(obj.dim):
-            e = [1 if i == j else 0 for i in range(obj.dim)]
-            from . import fplinalg
-            sec_cols.append(fplinalg.solve(epi.matrix, e))
-        section = fp_from_columns(p, sec_cols, n) if obj.dim else FpMatrix.zeros(p, n, 0)
+        section = fplinalg.solve_matrix(epi.matrix, FpMatrix.identity(p, obj.dim))
         data = TensorData(obj, epi, section)
     A._cache[key] = (B, data)
     return data

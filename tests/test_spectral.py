@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from functor_homology.errors import ExactnessError, RingMismatchError
@@ -154,3 +158,32 @@ def test_componentwise_zero_structure_map():
     assert res.acceptance_ok()
     for (m, cell), mat in res.e2_cell_maps.items():
         assert mat.is_zero()
+
+
+PLANTED_RANK_FAULT = """
+from functor_homology import spectral
+from functor_homology.errors import ExactnessError
+from functor_homology.spectral import DoubleComplex, ss_pages
+
+true_rank = spectral.fplinalg.rank
+spectral.fplinalg.rank = lambda A: true_rank(A) + 1
+# E2 cells at (2, 0) and (0, 1), so d2 between them is recorded (as zero)
+dc = DoubleComplex(2, 2, 1, {(2, 0): 1, (0, 1): 1}, {}, {})
+try:
+    ss_pages(dc)
+except ExactnessError as e:
+    assert "page recursion failed" in str(e), e
+else:
+    raise SystemExit("planted rank fault not detected")
+"""
+
+
+def test_page_invariants_hold_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", PLANTED_RANK_FAULT],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr

@@ -55,6 +55,8 @@ class Diagram:
         return "{" + ", ".join(parts) + "}"
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, Diagram) and self.index == other.index
                 and all(self.components[o] == other.components[o]
                         for o in self.index.objects)
@@ -155,6 +157,8 @@ class DiagMor:
         return all(self.comps[o].is_zero() for o in self.index.objects)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, DiagMor):
             return False
         if self.source != other.source or self.target != other.target:
@@ -266,7 +270,8 @@ def d_factor_through_mono(mono: DiagMor, h: DiagMor) -> DiagMor:
     comps = {o: modules.factor_through_mono(mono.comps[o], h.comps[o])
              for o in mono.index.objects}
     u = DiagMor(h.source, mono.source, comps)
-    assert u.then(mono) == h
+    if not u.then(mono) == h:
+        raise ExactnessError("factorisation through the mono does not recover the map")
     return u
 
 
@@ -276,7 +281,8 @@ def d_cofactor_through_epi(epi: DiagMor, w: DiagMor) -> DiagMor:
     comps = {o: modules.cofactor_through_epi(epi.comps[o], w.comps[o])
              for o in epi.index.objects}
     v = DiagMor(epi.target, w.target, comps)
-    assert epi.then(v) == w
+    if not epi.then(v) == w:
+        raise ExactnessError("cofactorisation through the epi does not recover the map")
     return v
 
 
@@ -318,7 +324,7 @@ def d_exactness_report(f: DiagMor, g: DiagMor):
 
     The verdict is computed intrinsically in C^I (the canonical map
     im(f) -> ker(g) is an isomorphism) and again componentwise; the two
-    must agree, which is asserted.
+    must agree, which is checked.
     """
     if f.target != g.source:
         raise ShapeError("maps are not composable")
@@ -334,8 +340,8 @@ def d_exactness_report(f: DiagMor, g: DiagMor):
             failing = o
             break
     componentwise = failing is None
-    assert intrinsic == componentwise, (
-        "intrinsic and componentwise exactness verdicts disagree")
+    if intrinsic != componentwise:
+        raise ExactnessError("intrinsic and componentwise exactness verdicts disagree")
     return intrinsic, failing
 
 
@@ -457,7 +463,8 @@ def free_diagram_multi(index: FinCat, summands, ring) -> Diagram:
 
 def free_diagram(index: FinCat, i, P: ModuleObj) -> Diagram:
     """The representable free diagram based at i on a free module P."""
-    assert P.free_rank is not None, "free diagrams need a free module"
+    if P.free_rank is None:
+        raise ShapeError("free diagrams need a free module")
     return free_diagram_multi(index, [(i, P)], P.ring)
 
 
@@ -486,7 +493,8 @@ def d_free_cover(d: Diagram):
 def d_lift_through_epi(g: DiagMor, e: DiagMor) -> DiagMor:
     """Lift g through the epi e when g's source carries free-diagram data."""
     F = g.source
-    assert F.free_data is not None, "lifting needs a free diagram source"
+    if F.free_data is None:
+        raise ShapeError("lifting needs a free diagram source")
     if g.target != e.target:
         raise ShapeError("lift endpoints do not match")
     idx = F.index
@@ -498,7 +506,8 @@ def d_lift_through_epi(g: DiagMor, e: DiagMor) -> DiagMor:
             if t_idx == s_idx and f == idx.identity[i]:
                 inj_id = inj
                 break
-        assert inj_id is not None
+        if inj_id is None:
+            raise ShapeError(f"free diagram data has no identity summand at {i}")
         adjunct = inj_id.then(g.comps[i])  # P -> (g target)^i
         lifted[s_idx] = modules.lift_through_epi(adjunct, e.comps[i])
     comps = {}
@@ -509,14 +518,16 @@ def d_lift_through_epi(g: DiagMor, e: DiagMor) -> DiagMor:
             acc = acc + proj.then(lifted[s_idx]).then(M.maps[f])
         comps[j] = acc
     h = DiagMor(F, M, comps)
-    assert h.then(e) == g
+    if not h.then(e) == g:
+        raise ExactnessError("lift through the epi does not recover the map")
     return h
 
 
 def free_diagram_map(F: Diagram, M: Diagram, adjuncts) -> DiagMor:
     """Morphism out of a free diagram from its adjunct data: one module
     map P_s -> M^{i_s} per summand, extended along the structure maps."""
-    assert F.free_data is not None
+    if F.free_data is None:
+        raise ShapeError("a map out of a diagram needs free diagram data")
     comps = {}
     for j in F.index.objects:
         acc = modules.zero_mor(F.components[j], M.components[j])

@@ -6,7 +6,13 @@ finite-dimensional vector space (`gens` = `dim`) with one action matrix per
 algebra basis element, and no relations.
 
 Morphisms are matrices on generators, validated at construction: they must
-map relations into relations and commute with every action matrix.
+map relations into relations and commute with every action matrix.  Two
+morphisms with the same endpoints are equal when every column of their
+difference lies in the target's relations.  `ModMor.__eq__` decides this
+without building any morphism: the same object is equal, identical
+matrices are equal, and otherwise each column of the entrywise difference
+is reduced modulo the target's relations.  F_p entries are stored reduced
+and F_p modules have no relations, so there the matrices decide.
 
 Every operation has one body.  What differs between the rings sits behind
 one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
@@ -241,7 +247,8 @@ class ModuleObj:
 
     def invariant_factors(self):
         """(torsion factors > 1, free rank) for integer modules."""
-        assert self.ring.is_integers
+        if not self.ring.is_integers:
+            raise ShapeError("invariant factors need an integer module")
         res = self._pres_snf()
         diag = res.diagonal()
         torsion = [d for d in diag if d > 1]
@@ -271,10 +278,13 @@ class ModuleObj:
 
     def fp_dimension(self) -> int:
         """Underlying F_p dimension (algebra case only)."""
-        assert not self.ring.is_integers
+        if self.ring.is_integers:
+            raise ShapeError("an F_p dimension needs a module over an F_p-algebra")
         return self.dim
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ModuleObj) or self.ring != other.ring:
             return False
         return (self.gens == other.gens and self.rels == other.rels
@@ -353,12 +363,16 @@ class Element:
         return (isinstance(other, Element) and self.parent == other.parent
                 and self.normal_form() == other.normal_form())
 
+    def _check_parent(self, other):
+        if self.parent != other.parent:
+            raise ShapeError("elements of different modules do not combine")
+
     def __add__(self, other):
-        assert self.parent == other.parent
+        self._check_parent(other)
         return Element(self.parent, [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        assert self.parent == other.parent
+        self._check_parent(other)
         return Element(self.parent, [a - b for a, b in zip(self.coords, other.coords)])
 
     def scale(self, c):
@@ -421,7 +435,8 @@ class ModMor:
         return self + (-other)
 
     def apply(self, elt: Element) -> Element:
-        assert elt.parent == self.source
+        if elt.parent != self.source:
+            raise ShapeError("element is not in the source of the morphism")
         return Element(self.target, self.matrix.mul_vec(list(elt.coords)))
 
     def is_zero(self) -> bool:
@@ -429,11 +444,18 @@ class ModMor:
         return all(self.target.in_relations(self.matrix.col(j)) for j in range(cols))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, ModMor):
             return False
         if self.source != other.source or self.target != other.target:
             return False
-        return (self - other).is_zero()
+        a, b = self.matrix.data, other.matrix.data
+        if a == b:
+            return True
+        # the columns of self - other, each reduced modulo the relations
+        return all(self.target.in_relations([x[j] - y[j] for x, y in zip(a, b)])
+                   for j in range(self.matrix.cols))
 
     def __repr__(self):
         return f"ModMor({self.source.describe()} -> {self.target.describe()})"
@@ -456,7 +478,8 @@ def simplify(M: ModuleObj):
     Returns (M', to_simple: M -> M', from_simple: M' -> M) with
     to_simple . from_simple the identity matrix on M'.
     """
-    assert M.ring.is_integers
+    if not M.ring.is_integers:
+        raise ShapeError("simplify needs an integer module")
     res = M._pres_snf()
     diag = res.diagonal()
     r = res.rank
@@ -502,7 +525,8 @@ def kernel(f: ModMor):
     for a in range(f.ring.dim):
         rhs = src.actions[a].mul(w)
         x = fplinalg.solve_matrix(w, rhs)
-        assert x is not None, "kernel subspace must be action-invariant"
+        if x is None:
+            raise ExactnessError("kernel subspace must be action-invariant")
         actions.append(x)
     ker = ModuleObj(f.ring, dim=len(basis), actions=actions)
     return ker, ModMor(ker, src, w)
@@ -552,7 +576,8 @@ def factor_through_mono(mono: ModMor, h: ModMor) -> ModMor:
     cols = _preimages(mono, [h.matrix.col(j) for j in range(h.source.gens)],
                       "map does not factor through the mono")
     u = ModMor(h.source, mono.source, mono.ops.from_columns(cols, mono.source.gens))
-    assert u.then(mono) == h
+    if not u.then(mono) == h:
+        raise ExactnessError("factorisation through the mono does not recover the map")
     return u
 
 
@@ -702,7 +727,8 @@ def nary_biproduct(mods, ring=None) -> NaryBiproduct:
 def minimal_generators(M: ModuleObj):
     """Greedy module generating set (algebra case), scanning the basis in
     order.  Deterministic; not guaranteed minimal, but small."""
-    assert not M.ring.is_integers
+    if M.ring.is_integers:
+        raise ShapeError("minimal generators need a module over an F_p-algebra")
     ring = M.ring
     chosen = []
     span = fplinalg.Span(ring.p, M.dim)
@@ -741,13 +767,15 @@ def lift_through_epi(g: ModMor, e: ModMor) -> ModMor:
         # column order must follow the free basis (generator, algebra element)
         cols.extend(e.ops.free_images(e.source, x))
     h = ModMor(P, e.source, e.ops.from_columns(cols, e.source.gens))
-    assert h.then(e) == g
+    if not h.then(e) == g:
+        raise ExactnessError("lift through the epi does not recover the map")
     return h
 
 
 def preimage(f: ModMor, y: Element):
     """Some x with f(x) = y, or None when y is not in the image."""
-    assert y.parent == f.target
+    if y.parent != f.target:
+        raise ShapeError("element is not in the target of the morphism")
     sol = f.ops.solve(f, list(y.coords))
     return None if sol is None else Element(f.source, sol)
 

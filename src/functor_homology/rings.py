@@ -78,6 +78,8 @@ class Ring:
         return v
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Ring) or self.kind != other.kind:
             return False
         if self.kind == INT:

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 from functor_homology.diagrams import (DiagMor, Diagram, add_morphisms,
                                        check_diagram, constant_diagram,
@@ -178,3 +181,110 @@ def test_d_free_cover_is_epi_and_resolves():
 def test_zero_diagram_is_free():
     z = zero_diagram(ARROW, ZZ)
     assert z.is_zero() and z.free_data is not None
+
+
+CHECKS_UNDER_OPTIMIZE = """
+from functor_homology import modules
+from functor_homology.diagrams import (DiagMor, Diagram, d_cofactor_through_epi,
+                                       d_exactness_report, d_factor_through_mono,
+                                       d_identity, d_lift_through_epi,
+                                       free_diagram, free_diagram_map)
+from functor_homology.errors import ExactnessError, ShapeError
+from functor_homology.fincat import standard
+from functor_homology.modules import (Element, ModMor, cyclic,
+                                      factor_through_mono, free_module,
+                                      identity_mor, lift_through_epi,
+                                      minimal_generators, preimage, simplify,
+                                      trivial_module, zero_mor)
+from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
+
+ARROW = standard("arrow")
+R2 = group_algebra(2, cyclic_group_table(2))
+
+
+def expect(error, call, text=""):
+    try:
+        call()
+    except error as e:
+        if text not in str(e):
+            raise SystemExit(f"wrong message: {e}")
+        return
+    raise SystemExit(f"{error.__name__} not raised ({text})")
+
+
+def planted(name, fake, error, call, text):
+    true = getattr(modules, name)
+    setattr(modules, name, fake)
+    try:
+        expect(error, call, text)
+    finally:
+        setattr(modules, name, true)
+
+
+def arrow(A, B, f):
+    return Diagram(ARROW, {"0": A, "1": B},
+                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": f})
+
+
+Zf, Zm, Z2, Z3, Z4 = free_module(ZZ, 1), cyclic(0), cyclic(2), cyclic(3), cyclic(4)
+T = trivial_module(R2)
+
+# preconditions
+expect(ShapeError, lambda: Element(Z2, [1]) + Element(Z3, [1]))
+expect(ShapeError, lambda: Element(Z2, [1]) - Element(Z3, [1]))
+expect(ShapeError, lambda: identity_mor(Z2).apply(Element(Z3, [1])))
+expect(ShapeError, lambda: preimage(identity_mor(Z2), Element(Z3, [1])))
+expect(ShapeError, T.invariant_factors)
+expect(ShapeError, lambda: simplify(T))
+expect(ShapeError, Z2.fp_dimension)
+expect(ShapeError, lambda: minimal_generators(Z2))
+expect(ShapeError, lambda: free_diagram(ARROW, "0", Z2),
+       "free diagrams need a free module")
+D = arrow(Z4, Z2, ModMor(Z4, Z2, [[1]]))
+expect(ShapeError, lambda: d_lift_through_epi(d_identity(D), d_identity(D)),
+       "lifting needs a free diagram source")
+expect(ShapeError, lambda: free_diagram_map(D, D, []))
+
+# postconditions, each with a planted fault
+planted("_preimages", lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
+        ExactnessError, lambda: factor_through_mono(identity_mor(Z4), identity_mor(Z4)),
+        "factorisation through the mono")
+planted("_preimages", lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
+        ExactnessError,
+        lambda: lift_through_epi(ModMor(Zf, Z2, [[1]]), identity_mor(Z2)),
+        "lift through the epi")
+planted("factor_through_mono", lambda mono, h: zero_mor(h.source, mono.source),
+        ExactnessError, lambda: d_factor_through_mono(d_identity(D), d_identity(D)),
+        "factorisation through the mono")
+planted("cofactor_through_epi", lambda epi, w: zero_mor(epi.target, w.target),
+        ExactnessError, lambda: d_cofactor_through_epi(d_identity(D), d_identity(D)),
+        "cofactorisation through the epi")
+F = free_diagram(ARROW, "0", Zf)
+g = free_diagram_map(F, D, [ModMor(Zf, Z4, [[1]])])
+planted("lift_through_epi", lambda g, e: zero_mor(g.source, e.source),
+        ExactnessError, lambda: d_lift_through_epi(g, d_identity(D)),
+        "lift through the epi")
+
+# an exact pair: Z -2-> Z -> Z/2 at both objects; the inverted
+# componentwise verdict contradicts the intrinsic one
+L = arrow(Zm, Zm, zero_mor(Zm, Zm))
+N = arrow(Z2, Z2, zero_mor(Z2, Z2))
+f = DiagMor(L, L, {"0": ModMor(Zm, Zm, [[2]]), "1": ModMor(Zm, Zm, [[2]])})
+g = DiagMor(L, N, {"0": ModMor(Zm, Z2, [[1]]), "1": ModMor(Zm, Z2, [[1]])})
+assert d_exactness_report(f, g) == (True, None)
+true_exact = modules.is_exact_at
+planted("is_exact_at", lambda f, g: not true_exact(f, g), ExactnessError,
+        lambda: d_exactness_report(f, g),
+        "intrinsic and componentwise exactness verdicts disagree")
+"""
+
+
+def test_checks_hold_under_optimize():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", CHECKS_UNDER_OPTIMIZE],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr

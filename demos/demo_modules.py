@@ -6,10 +6,10 @@ Kernels, cokernels and images come with their universal morphisms, and
 the image really is computed as the kernel of the cokernel.
 """
 
+from functor_homology.abelian import image
 from functor_homology.derived import resolve
 from functor_homology.modules import (ModMor, biproduct, cokernel, cyclic,
-                                      image, is_exact_at, kernel,
-                                      trivial_module)
+                                      is_exact_at, kernel, trivial_module)
 from functor_homology.rings import cyclic_group_table, group_algebra
 
 print("== kernels and cokernels over Z ==")

@@ -23,7 +23,8 @@ from .complexes import (ChainMap, Complex, SES, SESOfComplexes, homology_at,
 from .derived import (LES, LesData, _les_from_sesc, derived_data,
                       horseshoe_data_for, les_data, lift_resolution_map,
                       resolve)
-from .diagrams import DiagMor, Diagram
+from .diagrams import DiagMor, Diagram, d_exactness_report
+from .errors import ExactnessError
 from .fincat import product as cat_product
 from .functors import apply_to_complex, tensor_with
 from .modules import ModMor, ModuleObj, identity_mor, nary_biproduct
@@ -72,7 +73,7 @@ def balance_comparison(A: ModuleObj, B: ModuleObj, n) -> BalanceResult:
     objects = {k: grids[k].obj for k in range(hi + 1)}
     diffs = {}
     for k in range(1, hi + 1):
-        acc = abelian.zero_mor(objects[k], objects[k - 1])
+        acc = objects[k].zero_to(objects[k - 1])
         tgt_pos = {pq: t for t, pq in enumerate(cells[k - 1])}
         for s, (p, q) in enumerate(cells[k]):
             proj = grids[k].projs[s]
@@ -89,8 +90,8 @@ def balance_comparison(A: ModuleObj, B: ModuleObj, n) -> BalanceResult:
     phi_comps = {}
     psi_comps = {}
     for k in range(hi + 1):
-        acc1 = abelian.zero_mor(objects[k], dd1.fcomplex.objects[k])
-        acc2 = abelian.zero_mor(objects[k], dd2.fcomplex.objects[k])
+        acc1 = objects[k].zero_to(dd1.fcomplex.objects[k])
+        acc2 = objects[k].zero_to(dd2.fcomplex.objects[k])
         for s, (p, q) in enumerate(cells[k]):
             if q == 0:
                 acc1 = acc1 + grids[k].projs[s].then(
@@ -105,9 +106,11 @@ def balance_comparison(A: ModuleObj, B: ModuleObj, n) -> BalanceResult:
     sub_tot = homology_at(tot, n)
     h_phi = induced_on_homology(phi.at(n), sub_tot, dd1.sub)
     h_psi = induced_on_homology(psi.at(n), sub_tot, dd2.sub)
-    assert abelian.is_iso(h_phi), "first leg of the balance zig-zag is not iso"
-    assert abelian.is_iso(h_psi), "second leg of the balance zig-zag is not iso"
-    bal = abelian.iso_inverse(h_phi).then(h_psi)
+    if not abelian.is_iso(h_phi):
+        raise ExactnessError("first leg of the balance zig-zag is not iso")
+    if not abelian.is_iso(h_psi):
+        raise ExactnessError("second leg of the balance zig-zag is not iso")
+    bal = h_phi.inverse().then(h_psi)
     return BalanceResult(dd1.obj, dd2.obj, bal, abelian.is_iso(bal))
 
 
@@ -286,7 +289,7 @@ def _assemble_rows(K, I, J, cols, n_max, cell_sub, cell_map, cell_les_maps):
                 for v in J.mor_names:
                     w = _pair_label(u, v)
                     if K.is_identity(w):
-                        maps[w] = abelian.identity(comps[K.src(w)])
+                        maps[w] = comps[K.src(w)].identity()
                     else:
                         maps[w] = cell_map(u, v, col, n)
             per_col[col] = Diagram(K, comps, maps)
@@ -309,15 +312,13 @@ def _assemble_rows(K, I, J, cols, n_max, cell_sub, cell_map, cell_les_maps):
 
 
 def _row_exactness(exact, tag, lm, mn, delta, n_max):
-    from .diagrams import d_exactness_report, d_is_epi
-
     for n in range(0, n_max + 1):
         exact[(tag, "M", n)] = d_exactness_report(lm[n], mn[n])[0]
         if n >= 1:
             exact[(tag, "N", n)] = d_exactness_report(mn[n], delta[n])[0]
             exact[(tag, "L", n - 1)] = d_exactness_report(delta[n], lm[n - 1])[0]
         else:
-            exact[(tag, "N", 0)] = d_is_epi(mn[0])
+            exact[(tag, "N", 0)] = abelian.is_epi(mn[0])
 
 
 def _route_identities(K, I, J, rows, route_checks, tag):
@@ -331,7 +332,9 @@ def _route_identities(K, I, J, rows, route_checks, tag):
                     first_then_second = K.comp[(
                         _pair_label(I.identity[I.tgt(u)], v),
                         _pair_label(u, J.identity[J.src(v)]))]
-                    assert first_then_second == w
+                    if first_then_second != w:
+                        raise ExactnessError(
+                            f"product index composes {u}, {v} wrongly")
                     via_i = diag.maps[_pair_label(u, J.identity[J.src(v)])].then(
                         diag.maps[_pair_label(I.identity[I.tgt(u)], v)])
                     via_j = diag.maps[_pair_label(I.identity[I.src(u)], v)].then(

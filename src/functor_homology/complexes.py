@@ -3,7 +3,8 @@
 A Complex stores objects C_n for lo <= n <= hi and differentials
 d_n: C_n -> C_{n-1} for lo < n <= hi; everything outside the range is
 treated as zero.  Objects may be modules or diagrams; all computations go
-through the dispatch layer, so homology in C and C^I is one code path.
+through the abelian interface (see `abelian`), so homology in C and C^I is
+one code path.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from .errors import ExactnessError, ShapeError
 
 class Complex:
     def __init__(self, lo, hi, objects, diffs, check=True):
-        assert lo <= hi
+        if lo > hi:
+            raise ShapeError(f"complex range [{lo}, {hi}] is empty")
         self.lo = lo
         self.hi = hi
         self.objects = dict(objects)
@@ -44,17 +46,17 @@ class Complex:
         if self.lo < n <= self.hi:
             return self.diffs[n]
         if n == self.lo:
-            return abelian.zero_mor(self.objects[n], abelian.zero_object_like(self.objects[n]))
+            return self.objects[n].zero_to(self.objects[n].zero_object())
         if n == self.hi + 1:
-            zero = abelian.zero_object_like(self.objects[self.hi])
-            return abelian.zero_mor(zero, self.objects[self.hi])
+            top = self.objects[self.hi]
+            return top.zero_object().zero_to(top)
         raise ShapeError(f"degree {n} outside complex range")
 
     def degrees(self):
         return range(self.lo, self.hi + 1)
 
     def is_exact_everywhere_interior(self):
-        return all(abelian.is_exact_at(self.diffs[n + 1], self.diffs[n])
+        return all(self.diffs[n + 1].is_exact_at(self.diffs[n])
                    for n in range(self.lo + 1, self.hi))
 
 
@@ -92,6 +94,11 @@ class Subquotient:
     mono: object  # cycles -> C_n
     epi: object  # cycles -> H
 
+    def component(self, i) -> "Subquotient":
+        """The presentation at index object i of a diagram homology."""
+        return Subquotient(self.obj.component(i), self.cycles.component(i),
+                           self.mono.component(i), self.epi.component(i))
+
 
 def homology_at(c: Complex, n) -> Subquotient:
     """H_n = ker(d_n)/im(d_{n+1}) with canonical maps; cached per degree."""
@@ -101,13 +108,12 @@ def homology_at(c: Complex, n) -> Subquotient:
     if key in c._cache:
         return c._cache[key]
     d_out = c.diff(n)
-    K, mono = abelian.kernel(d_out)
+    K, mono = d_out.kernel()
     if n + 1 <= c.hi:
-        j = abelian.factor_through_mono(mono, c.diffs[n + 1])
+        j = mono.factor(c.diffs[n + 1])
     else:
-        zero = abelian.zero_object_like(c.objects[n])
-        j = abelian.zero_mor(zero, K)
-    H, epi = abelian.cokernel(j)
+        j = c.objects[n].zero_object().zero_to(K)
+    H, epi = j.cokernel()
     sub = Subquotient(H, K, mono, epi)
     c._cache[key] = sub
     return sub
@@ -115,8 +121,8 @@ def homology_at(c: Complex, n) -> Subquotient:
 
 def induced_on_homology(phi_n, sub_src: Subquotient, sub_tgt: Subquotient):
     """Map H(src) -> H(tgt) induced by a degree-n component of a chain map."""
-    u = abelian.factor_through_mono(sub_tgt.mono, sub_src.mono.then(phi_n))
-    return abelian.cofactor_through_epi(sub_src.epi, u.then(sub_tgt.epi))
+    u = sub_tgt.mono.factor(sub_src.mono.then(phi_n))
+    return sub_src.epi.cofactor(u.then(sub_tgt.epi))
 
 
 class SES:
@@ -139,7 +145,7 @@ class SES:
                 raise ExactnessError("first map is not mono")
             if not abelian.is_epi(g):
                 raise ExactnessError("second map is not epi")
-            if not abelian.is_exact_at(f, g):
+            if not f.is_exact_at(g):
                 raise ExactnessError("sequence is not exact in the middle")
 
     def __repr__(self):
@@ -199,8 +205,5 @@ def project_complex(c: Complex, i) -> Complex:
     for n in c.degrees():
         key = ("H", n)
         if key in c._cache:
-            sub = c._cache[key]
-            out._cache[key] = Subquotient(
-                sub.obj.component(i), sub.cycles.component(i),
-                sub.mono.component(i), sub.epi.component(i))
+            out._cache[key] = c._cache[key].component(i)
     return out

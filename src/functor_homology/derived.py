@@ -1,9 +1,9 @@
 """Resolutions, derived functors, connecting maps and long exact sequences.
 
 Everything here runs uniformly over modules and over diagrams through the
-dispatch layer.  Resolutions are built by iterated free covers of kernels
-and cached on the resolved object, so repeated derived-functor
-computations share canonical presentations.
+abelian interface (see `abelian`).  Resolutions are built by iterated free
+covers of kernels and cached on the resolved object, so repeated
+derived-functor computations share canonical presentations.
 
 Memo rule, for this module and the whole package: every memo lives in the
 `_cache` dict of the object it describes (a module, diagram, morphism,
@@ -35,18 +35,18 @@ class Resolution:
 
     kernels[0] is the resolved object; covers[n]: P_n -> kernels[n] are
     epis from free objects; monos[n]: kernels[n] -> P_{n-1} (n >= 1).  The
-    differential d_n is covers[n] followed by monos[n].
+    differential d_n is covers[n] followed by monos[n].  Given `steps`, the
+    tuple (terms, covers, kernels, monos, exhausted), the resolution is
+    fixed and cannot be extended.
     """
 
-    def __init__(self, A, extendable=True):
+    def __init__(self, A, steps=None):
         self.A = A
-        P, c = abelian.free_cover(A)
-        self.terms = [P]
-        self.covers = [c]
-        self.kernels = [A]
-        self.monos = [None]
-        self.exhausted = False
-        self.extendable = extendable
+        self.extendable = steps is None
+        if steps is None:
+            P, c = A.free_cover()
+            steps = ([P], [c], [A], [None], False)
+        self.terms, self.covers, self.kernels, self.monos, self.exhausted = steps
         self._lock = threading.RLock()
 
     @property
@@ -61,13 +61,13 @@ class Resolution:
             while self.built < n and not self.exhausted:
                 if not self.extendable:
                     raise ShapeError("this resolution cannot be extended")
-                K, mono = abelian.kernel(self.covers[-1])
+                K, mono = self.covers[-1].kernel()
                 if K.is_zero():
                     self.exhausted = True
                     self.kernels.append(K)
                     self.monos.append(mono)
                     break
-                P, c = abelian.free_cover(K)
+                P, c = K.free_cover()
                 self.kernels.append(K)
                 self.monos.append(mono)
                 self.terms.append(P)
@@ -77,26 +77,28 @@ class Resolution:
     def term(self, n):
         if n <= self.built:
             return self.terms[n]
-        return abelian.zero_object_like(self.A)
+        return self.A.zero_object()
 
     def kernel_obj(self, n):
         if n < len(self.kernels):
             return self.kernels[n]
-        return abelian.zero_object_like(self.A)
+        return self.A.zero_object()
 
     def mono(self, n):
-        assert n >= 1
+        if n < 1:
+            raise ShapeError(f"resolution kernels start in degree 1, not {n}")
         if n < len(self.monos):
             return self.monos[n]
-        return abelian.zero_mor(self.kernel_obj(n), self.term(n - 1))
+        return self.kernel_obj(n).zero_to(self.term(n - 1))
 
     def cover(self, n):
         if n <= self.built:
             return self.covers[n]
-        return abelian.zero_mor(self.term(n), self.kernel_obj(n))
+        return self.term(n).zero_to(self.kernel_obj(n))
 
     def diff(self, n):
-        assert n >= 1
+        if n < 1:
+            raise ShapeError(f"resolution differentials start in degree 1, not {n}")
         return self.cover(n).then(self.mono(n))
 
     def aug(self):
@@ -109,19 +111,14 @@ class Resolution:
 
 
 def resolve(A, n_max) -> Resolution:
-    """Cached free resolution of a module or a diagram."""
+    """Cached free resolution of a module or a diagram (by free diagrams,
+    so every component resolves the corresponding component)."""
     res = A._cache.get("res")
     if res is None:
         res = Resolution(A)
         A._cache["res"] = res
     res.extend_to(n_max)
     return res
-
-
-def d_resolve(d, n_max) -> Resolution:
-    """Resolution in the diagram category by free diagrams; every
-    component is then a resolution of the corresponding component."""
-    return resolve(d, n_max)
 
 
 def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
@@ -133,7 +130,7 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
     key = ("lift", res_src, res_tgt)
     maps = f._cache.get(key)
     if maps is None:
-        maps = {0: abelian.lift_through_epi(res_src.aug().then(f), res_tgt.aug())}
+        maps = {0: res_src.aug().then(f).lift(res_tgt.aug())}
         f._cache[key] = maps
     n_built = max(maps)
     for n in range(n_built + 1, n_max + 1):
@@ -141,11 +138,12 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
         res_tgt.extend_to(n)
         w = res_src.diff(n).then(maps[n - 1])
         if n > res_tgt.built:
-            assert w.is_zero(), "lift hits a truncated exact resolution"
-            maps[n] = abelian.zero_mor(res_src.term(n), res_tgt.term(n))
+            if not w.is_zero():
+                raise ExactnessError("lift hits a truncated exact resolution")
+            maps[n] = res_src.term(n).zero_to(res_tgt.term(n))
             continue
-        w_k = abelian.factor_through_mono(res_tgt.mono(n), w)
-        maps[n] = abelian.lift_through_epi(w_k, res_tgt.cover(n))
+        w_k = res_tgt.mono(n).factor(w)
+        maps[n] = w_k.lift(res_tgt.cover(n))
     return {n: maps[n] for n in range(0, n_max + 1)}
 
 
@@ -155,17 +153,10 @@ def project_resolution(res: Resolution, i) -> Resolution:
     Rebuilt on every call (the parent may have grown since); projections
     are cheap and are only used transiently for chain lifting.
     """
-    out = Resolution.__new__(Resolution)
-    out._lock = threading.RLock()
-    out.A = res.A.component(i)
-    out.terms = [t.component(i) for t in res.terms]
-    out.covers = [c.component(i) for c in res.covers]
-    out.kernels = [res.kernels[0].component(i)] + [
-        k.component(i) for k in res.kernels[1:]]
-    out.monos = [None] + [m.component(i) for m in res.monos[1:]]
-    out.exhausted = res.exhausted
-    out.extendable = False
-    return out
+    return Resolution(res.A.component(i), (
+        [t.component(i) for t in res.terms], [c.component(i) for c in res.covers],
+        [k.component(i) for k in res.kernels],
+        [None] + [m.component(i) for m in res.monos[1:]], res.exhausted))
 
 
 # -- derived functors --------------------------------------------------------
@@ -222,7 +213,7 @@ def l0_comparison(F, A) -> object:
     data = derived_data(F, A, 0)
     faug = functors.apply_to_morphism(F, data.res.aug())
     u = data.sub.mono.then(faug)
-    return abelian.cofactor_through_epi(data.sub.epi, u)
+    return data.sub.epi.cofactor(u)
 
 
 # -- horseshoe lemma ---------------------------------------------------------
@@ -244,17 +235,8 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     inclusions/projections."""
     res_sub.extend_to(n_max)
     res_quo.extend_to(n_max)
-    cur_l, cur_m, cur_n = ses.L, ses.M, ses.N
     ci, cp = ses.f, ses.g
-    out = Resolution.__new__(Resolution)
-    out._lock = threading.RLock()
-    out.A = ses.M
-    out.terms = []
-    out.covers = []
-    out.kernels = [ses.M]
-    out.monos = [None]
-    out.exhausted = False
-    out.extendable = False
+    out = Resolution(ses.M, ([], [], [ses.M], [None], False))
     incl = {}
     proj = {}
     retr = {}
@@ -262,8 +244,8 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     for n in range(0, n_max + 1):
         PL = res_sub.term(n)
         PN = res_quo.term(n)
-        bp = abelian.biproduct(PL, PN)
-        lam = abelian.lift_through_epi(res_quo.cover(n), cp)
+        bp = PL.biproduct(PN)
+        lam = res_quo.cover(n).lift(cp)
         eps = (bp.proj1.then(res_sub.cover(n)).then(ci)
                + bp.proj2.then(lam))
         out.terms.append(bp.obj)
@@ -276,13 +258,12 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
             break
         KL, monoL = res_sub.kernel_obj(n + 1), res_sub.mono(n + 1)
         KN, monoN = res_quo.kernel_obj(n + 1), res_quo.mono(n + 1)
-        KM, monoM = abelian.kernel(eps)
+        KM, monoM = eps.kernel()
         out.kernels.append(KM)
         out.monos.append(monoM)
-        ii = abelian.factor_through_mono(monoM, monoL.then(bp.inj1))
-        pp = abelian.factor_through_mono(monoN, monoM.then(bp.proj2))
+        ii = monoM.factor(monoL.then(bp.inj1))
+        pp = monoN.factor(monoM.then(bp.proj2))
         SES(ii, pp)  # the kernels form a short exact sequence again
-        cur_l, cur_m, cur_n = KL, KM, KN
         ci, cp = ii, pp
     return HorseshoeData(out, incl, proj, retr, sec)
 
@@ -335,15 +316,19 @@ def connecting_module(sesc: SESOfComplexes, n) -> ModMor:
         k = preimage(sub_n.epi, e)
         z = sub_n.mono.apply(k)
         m = preimage(sesc.proj.at(n), z)
-        assert m is not None, "projection of complexes must be degreewise epi"
-        dm = sesc.mid.diffs[n].apply(m) if n > sesc.mid.lo else None
-        assert dm is not None, "connecting map needs the differential at n"
+        if m is None:
+            raise ExactnessError("projection of complexes must be degreewise epi")
+        if n <= sesc.mid.lo:
+            raise ExactnessError("connecting map needs the differential at n")
+        dm = sesc.mid.diffs[n].apply(m)
         l = preimage(sesc.incl.at(n - 1), dm)
-        assert l is not None, "boundary must come from the subcomplex"
-        if n - 1 > sesc.sub.lo:
-            assert sesc.sub.diffs[n - 1].apply(l).is_zero()
+        if l is None:
+            raise ExactnessError("boundary must come from the subcomplex")
+        if n - 1 > sesc.sub.lo and not sesc.sub.diffs[n - 1].apply(l).is_zero():
+            raise ExactnessError("boundary must be a cycle of the subcomplex")
         kl = preimage(sub_l.mono, l)
-        assert kl is not None, "representative must be a cycle"
+        if kl is None:
+            raise ExactnessError("representative must be a cycle")
         cols.append(list(sub_l.epi.apply(kl).coords))
     delta = _mor_from_columns(sub_n.obj, sub_l.obj, cols)
     return delta
@@ -378,7 +363,7 @@ def connecting(sesc: SESOfComplexes, n):
 
 def _safe_exact(f, g) -> bool:
     try:
-        return abelian.is_exact_at(f, g)
+        return f.is_exact_at(g)
     except ExactnessError:
         return False
 
@@ -518,7 +503,7 @@ def comparison_iso(F, A: Diagram, n) -> ComparisonResult:
     maps = {}
     for m in index.mor_names:
         if index.is_identity(m):
-            maps[m] = abelian.identity(comp_data[index.src(m)].obj)
+            maps[m] = comp_data[index.src(m)].obj.identity()
         else:
             maps[m] = derived_map(F, A.maps[m], n)
     lnf_diag = Diagram(index, {i: comp_data[i].obj for i in index.objects}, maps)
@@ -526,15 +511,10 @@ def comparison_iso(F, A: Diagram, n) -> ComparisonResult:
     for i in index.objects:
         res_i = comp_data[i].res
         proj_res = project_resolution(route1.res, i)
-        ident = abelian.identity(A.components[i])
+        ident = A.components[i].identity()
         lift = lift_resolution_map(ident, res_i, proj_res, n + 1)
         phi = functors.apply_to_morphism(F, lift[n])
-        tgt_sub = Subquotient(route1.sub.obj.component(i),
-                              route1.sub.cycles.component(i),
-                              route1.sub.mono.component(i),
-                              route1.sub.epi.component(i))
-        comps[i] = induced_on_homology(phi, comp_data[i].sub, tgt_sub)
+        comps[i] = induced_on_homology(phi, comp_data[i].sub,
+                                       route1.sub.component(i))
     cmp_map = DiagMor(lnf_diag, route1.obj, comps)
-    from . import diagrams
-    return ComparisonResult(lnf_diag, route1.obj, cmp_map,
-                            diagrams.d_is_iso(cmp_map))
+    return ComparisonResult(lnf_diag, route1.obj, cmp_map, abelian.is_iso(cmp_map))

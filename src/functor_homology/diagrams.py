@@ -9,13 +9,18 @@ Kernels, cokernels and biproducts are componentwise, with the induced
 structure maps obtained from the universal properties; exactness can be
 tested both intrinsically and per component, and the two verdicts are
 required to agree.
+
+`Diagram` and `DiagMor` answer the method interface listed in `abelian`.
+Each method calls the `d_*` function of this module by its global name
+(never a class attribute bound to it), so patching the module attribute
+reaches method callers too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import modules
+from . import abelian, modules
 from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
 from .fincat import FinCat
 from .modules import HomSystem, ModMor, ModuleObj, nary_biproduct, zero_module
@@ -49,6 +54,23 @@ class Diagram:
 
     def is_zero(self):
         return all(self.components[o].is_zero() for o in self.index.objects)
+
+    # -- the abelian interface (see `abelian`) -----------------------------
+
+    def identity(self) -> "DiagMor":
+        return d_identity(self)
+
+    def zero_to(self, B: "Diagram") -> "DiagMor":
+        return d_zero_mor(self, B)
+
+    def zero_object(self) -> "Diagram":
+        return zero_diagram(self.index, self.ring)
+
+    def biproduct(self, B: "Diagram") -> abelian.BiproductData:
+        return d_biproduct(self, B)
+
+    def free_cover(self):
+        return d_free_cover(self)
 
     def describe(self):
         parts = [f"{o}: {self.components[o].describe()}" for o in self.index.objects]
@@ -156,6 +178,29 @@ class DiagMor:
     def is_zero(self):
         return all(self.comps[o].is_zero() for o in self.index.objects)
 
+    # -- the abelian interface (see `abelian`) -----------------------------
+
+    def kernel(self):
+        return d_kernel(self)
+
+    def cokernel(self):
+        return d_cokernel(self)
+
+    def factor(self, h: "DiagMor") -> "DiagMor":
+        return d_factor_through_mono(self, h)
+
+    def cofactor(self, w: "DiagMor") -> "DiagMor":
+        return d_cofactor_through_epi(self, w)
+
+    def inverse(self) -> "DiagMor":
+        return d_iso_inverse(self)
+
+    def lift(self, e: "DiagMor") -> "DiagMor":
+        return d_lift_through_epi(self, e)
+
+    def is_exact_at(self, g: "DiagMor") -> bool:
+        return d_is_exact_at(self, g)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -217,7 +262,7 @@ def add_morphisms(f: DiagMor, g: DiagMor) -> DiagMor:
     return f + g
 
 
-# -- kernels, cokernels, images ---------------------------------------------
+# -- kernels, cokernels, factorisations -------------------------------------
 
 
 def d_kernel(f: DiagMor):
@@ -286,34 +331,6 @@ def d_cofactor_through_epi(epi: DiagMor, w: DiagMor) -> DiagMor:
     return v
 
 
-@dataclass
-class DImageData:
-    obj: Diagram
-    mono: DiagMor
-    epi: DiagMor
-
-
-def d_image(f: DiagMor) -> DImageData:
-    _, coker_epi = d_cokernel(f)
-    img, mono = d_kernel(coker_epi)
-    epi = d_factor_through_mono(mono, f)
-    return DImageData(img, mono, epi)
-
-
-def d_is_mono(f: DiagMor) -> bool:
-    k, _ = d_kernel(f)
-    return k.is_zero()
-
-
-def d_is_epi(f: DiagMor) -> bool:
-    c, _ = d_cokernel(f)
-    return c.is_zero()
-
-
-def d_is_iso(f: DiagMor) -> bool:
-    return d_is_mono(f) and d_is_epi(f)
-
-
 def d_iso_inverse(f: DiagMor) -> DiagMor:
     comps = {o: modules.iso_inverse(f.comps[o]) for o in f.index.objects}
     return DiagMor(f.target, f.source, comps)
@@ -322,18 +339,12 @@ def d_iso_inverse(f: DiagMor) -> DiagMor:
 def d_exactness_report(f: DiagMor, g: DiagMor):
     """(verdict, first failing component or None).
 
-    The verdict is computed intrinsically in C^I (the canonical map
-    im(f) -> ker(g) is an isomorphism) and again componentwise; the two
-    must agree, which is checked.
+    The verdict is computed intrinsically in C^I (`abelian.exact_at`: the
+    canonical map im(f) -> ker(g) is an isomorphism) and again
+    componentwise through `modules.is_exact_at`; the two must agree, which
+    is checked.
     """
-    if f.target != g.source:
-        raise ShapeError("maps are not composable")
-    if not f.then(g).is_zero():
-        raise ExactnessError("composite is nonzero")
-    img = d_image(f)
-    _, kappa = d_kernel(g)
-    u = d_factor_through_mono(kappa, img.mono)
-    intrinsic = d_is_iso(u)
+    intrinsic = abelian.exact_at(f, g)
     failing = None
     for o in f.index.objects:
         if not modules.is_exact_at(f.comps[o], g.comps[o]):
@@ -346,23 +357,13 @@ def d_exactness_report(f: DiagMor, g: DiagMor):
 
 
 def d_is_exact_at(f: DiagMor, g: DiagMor) -> bool:
-    verdict, _ = d_exactness_report(f, g)
-    return verdict
+    return d_exactness_report(f, g)[0]
 
 
 # -- biproducts --------------------------------------------------------------
 
 
-@dataclass
-class DBiproductData:
-    obj: Diagram
-    inj1: DiagMor
-    inj2: DiagMor
-    proj1: DiagMor
-    proj2: DiagMor
-
-
-def d_biproduct(A: Diagram, B: Diagram) -> DBiproductData:
+def d_biproduct(A: Diagram, B: Diagram) -> abelian.BiproductData:
     if A.index != B.index:
         raise ShapeError("biproduct needs a common index")
     idx = A.index
@@ -394,7 +395,7 @@ def d_biproduct(A: Diagram, B: Diagram) -> DBiproductData:
             layout[o] = slots
         free_data = FreeDiagramData(summands, layout)
     obj = Diagram(idx, comps, maps, check=False, free_data=free_data)
-    return DBiproductData(
+    return abelian.BiproductData(
         obj,
         DiagMor(A, obj, {o: per[o].inj1 for o in idx.objects}, check=False),
         DiagMor(B, obj, {o: per[o].inj2 for o in idx.objects}, check=False),
@@ -479,14 +480,7 @@ def d_free_cover(d: Diagram):
         covers[i] = c
         summands.append((i, P))
     F = free_diagram_multi(idx, summands, d.ring)
-    eps = {}
-    for j in idx.objects:
-        acc = modules.zero_mor(F.components[j], d.components[j])
-        for s_idx, f, inj, proj in F.free_data.layout[j]:
-            base = F.free_data.summands[s_idx].at
-            acc = acc + proj.then(covers[base]).then(d.maps[f])
-        eps[j] = acc
-    epi = DiagMor(F, d, eps)
+    epi = free_diagram_map(F, d, [covers[s.at] for s in F.free_data.summands])
     return F, epi
 
 
@@ -510,14 +504,7 @@ def d_lift_through_epi(g: DiagMor, e: DiagMor) -> DiagMor:
             raise ShapeError(f"free diagram data has no identity summand at {i}")
         adjunct = inj_id.then(g.comps[i])  # P -> (g target)^i
         lifted[s_idx] = modules.lift_through_epi(adjunct, e.comps[i])
-    comps = {}
-    M = e.source
-    for j in idx.objects:
-        acc = modules.zero_mor(F.components[j], M.components[j])
-        for s_idx, f, inj, proj in F.free_data.layout[j]:
-            acc = acc + proj.then(lifted[s_idx]).then(M.maps[f])
-        comps[j] = acc
-    h = DiagMor(F, M, comps)
+    h = free_diagram_map(F, e.source, lifted)
     if not h.then(e) == g:
         raise ExactnessError("lift through the epi does not recover the map")
     return h

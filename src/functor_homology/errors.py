@@ -21,6 +21,10 @@ class ExactnessError(AlgebraError):
     """A precondition about composites or exactness is violated."""
 
 
+class VerificationFailure(AlgebraError):
+    """A verdict of a verification suite does not hold."""
+
+
 def check_shape(rows, cols, data):
     """Raise ShapeError unless data is a rows x cols list of rows."""
     if len(data) != rows:

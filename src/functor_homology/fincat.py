@@ -116,6 +116,14 @@ def validate(cat: FinCat):
     return None
 
 
+def _validated(cat: FinCat, what) -> FinCat:
+    """cat itself, or ShapeError naming the first violated law."""
+    bad = validate(cat)
+    if bad is not None:
+        raise ShapeError(f"invalid {what}: {bad.message}")
+    return cat
+
+
 def build_fincat(objects, arrows, compositions):
     """Assemble a FinCat from its non-identity data.
 
@@ -139,11 +147,7 @@ def build_fincat(objects, arrows, compositions):
     for m, (s, t) in morphisms.items():
         comp[(identity[t], m)] = m
         comp[(m, identity[s])] = m
-    cat = FinCat(objects, morphisms, identity, comp)
-    bad = validate(cat)
-    if bad is not None:
-        raise ShapeError(f"invalid category: {bad.message}")
-    return cat
+    return _validated(FinCat(objects, morphisms, identity, comp), "category")
 
 
 def standard(name: str) -> FinCat:
@@ -183,11 +187,7 @@ def monoid_category(table, labels=None) -> FinCat:
     identity = {"*": labels[ident]}
     comp = {(labels[i], labels[j]): labels[table[i][j]]
             for i in range(n) for j in range(n)}
-    cat = FinCat(objects, morphisms, identity, comp)
-    bad = validate(cat)
-    if bad is not None:
-        raise ShapeError(f"invalid monoid: {bad.message}")
-    return cat
+    return _validated(FinCat(objects, morphisms, identity, comp), "monoid")
 
 
 def _pair(a, b):
@@ -210,14 +210,11 @@ def product(I: FinCat, J: FinCat) -> FinCat:
     for (gu, fu), hu in I.comp.items():
         for (gv, fv), hv in J.comp.items():
             comp[(_pair(gu, gv), _pair(fu, fv))] = _pair(hu, hv)
-    cat = FinCat(objects, morphisms, identity, comp)
-    assert validate(cat) is None
-    return cat
+    return _validated(FinCat(objects, morphisms, identity, comp), "product category")
 
 
 def opposite(I: FinCat) -> FinCat:
     morphisms = {m: (t, s) for m, (s, t) in I.morphisms.items()}
     comp = {(f, g): h for (g, f), h in I.comp.items()}
-    cat = FinCat(I.objects, morphisms, I.identity, comp)
-    assert validate(cat) is None
-    return cat
+    return _validated(FinCat(I.objects, morphisms, I.identity, comp),
+                      "opposite category")

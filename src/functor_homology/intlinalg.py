@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_shape
+from .errors import ExactnessError, ShapeError, check_shape
 
 
 class IntMatrix:
@@ -56,7 +56,9 @@ class IntMatrix:
         )
 
     def mul(self, other):
-        assert self.cols == other.rows, "shape mismatch"
+        if self.cols != other.rows:
+            raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
+                             f"{other.rows}x{other.cols}")
         a, b = self.data, other.data
         out = [[0] * other.cols for _ in range(self.rows)]
         for i in range(self.rows):
@@ -70,7 +72,8 @@ class IntMatrix:
         return IntMatrix(self.rows, other.cols, out)
 
     def mul_vec(self, v):
-        assert len(v) == self.cols, "shape mismatch"
+        if len(v) != self.cols:
+            raise ShapeError(f"vector of length {len(v)} for {self.cols} columns")
         return [sum(r[j] * v[j] for j in range(self.cols)) for r in self.data]
 
     def col(self, j):
@@ -84,7 +87,8 @@ def hstack(mats):
     """Concatenate matrices left to right (equal row counts)."""
     mats = [m for m in mats]
     rows = mats[0].rows
-    assert all(m.rows == rows for m in mats)
+    if any(m.rows != rows for m in mats):
+        raise ShapeError("hstack needs equal row counts")
     data = [[] for _ in range(rows)]
     for m in mats:
         for i in range(rows):
@@ -274,13 +278,15 @@ def solve(A: IntMatrix, b: list[int]):
 def inverse_unimodular(M: IntMatrix) -> IntMatrix:
     """Exact inverse of a unimodular integer matrix."""
     n = M.rows
-    assert n == M.cols
+    if n != M.cols:
+        raise ShapeError("only a square matrix can be unimodular")
     res = snf(M)
     cols = []
     for j in range(n):
         e = [1 if i == j else 0 for i in range(n)]
         x = solve_snf(res, e)
-        assert x is not None, "matrix is not invertible over the integers"
+        if x is None:
+            raise ExactnessError("matrix is not invertible over the integers")
         cols.append(x)
     return from_columns(cols, n)
 
@@ -292,7 +298,8 @@ def det_sign_of_unimodular(M: IntMatrix) -> int:
     incrementally tracked signs.
     """
     n = M.rows
-    assert n == M.cols
+    if n != M.cols:
+        raise ShapeError("only a square matrix can be unimodular")
     a = [list(r) for r in M.data]
     sign = 1
     prev = 1
@@ -311,5 +318,6 @@ def det_sign_of_unimodular(M: IntMatrix) -> int:
             a[i][k] = 0
         prev = a[k][k]
     d = sign * prev
-    assert d in (1, -1), "matrix was not unimodular"
+    if d not in (1, -1):
+        raise ExactnessError("matrix was not unimodular")
     return d

@@ -22,13 +22,18 @@ cokernel and simplification keep two algorithms (Smith normal form versus
 row reduction).  `HomSystem` builds the linear system for unknown module
 matrices behind every hom-space solver.  Values are immutable after
 construction and every operation is pure.
+
+`ModuleObj` and `ModMor` answer the method interface listed in `abelian`.
+Each method calls the function of this module by its global name (never a
+class attribute bound to it), so patching the module attribute reaches
+method callers too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fplinalg, intlinalg
+from . import abelian, fplinalg, intlinalg
 from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
 from .fplinalg import FpMatrix, fp_from_columns
 from .intlinalg import IntMatrix, from_columns, hstack
@@ -276,6 +281,23 @@ class ModuleObj:
             return "0"
         return f"dim {self.dim} over {self.ring.label}"
 
+    # -- the abelian interface (see `abelian`) -----------------------------
+
+    def identity(self) -> "ModMor":
+        return identity_mor(self)
+
+    def zero_to(self, B: "ModuleObj") -> "ModMor":
+        return zero_mor(self, B)
+
+    def zero_object(self) -> "ModuleObj":
+        return zero_module(self.ring)
+
+    def biproduct(self, B: "ModuleObj") -> abelian.BiproductData:
+        return biproduct(self, B)
+
+    def free_cover(self):
+        return free_cover(self)
+
     def fp_dimension(self) -> int:
         """Underlying F_p dimension (algebra case only)."""
         if self.ring.is_integers:
@@ -439,6 +461,29 @@ class ModMor:
             raise ShapeError("element is not in the source of the morphism")
         return Element(self.target, self.matrix.mul_vec(list(elt.coords)))
 
+    # -- the abelian interface (see `abelian`) -----------------------------
+
+    def kernel(self):
+        return kernel(self)
+
+    def cokernel(self):
+        return cokernel(self)
+
+    def factor(self, h: "ModMor") -> "ModMor":
+        return factor_through_mono(self, h)
+
+    def cofactor(self, w: "ModMor") -> "ModMor":
+        return cofactor_through_epi(self, w)
+
+    def inverse(self) -> "ModMor":
+        return iso_inverse(self)
+
+    def lift(self, e: "ModMor") -> "ModMor":
+        return lift_through_epi(self, e)
+
+    def is_exact_at(self, g: "ModMor") -> bool:
+        return is_exact_at(self, g)
+
     def is_zero(self) -> bool:
         cols = self.matrix.cols
         return all(self.target.in_relations(self.matrix.col(j)) for j in range(cols))
@@ -501,7 +546,7 @@ def simplify(M: ModuleObj):
     return simple, to_simple, from_simple
 
 
-# -- kernels, cokernels, images ------------------------------------------
+# -- kernels, cokernels, factorisations ----------------------------------
 
 
 def kernel(f: ModMor):
@@ -594,35 +639,6 @@ def cofactor_through_epi(epi: ModMor, w: ModMor) -> ModMor:
     return v
 
 
-@dataclass
-class ImageData:
-    obj: ModuleObj
-    mono: ModMor
-    epi: ModMor
-
-
-def image(f: ModMor) -> ImageData:
-    """Image computed literally as the kernel of the cokernel."""
-    _, coker_epi = cokernel(f)
-    img, mono = kernel(coker_epi)
-    epi = factor_through_mono(mono, f)
-    return ImageData(img, mono, epi)
-
-
-def is_mono(f: ModMor) -> bool:
-    k, _ = kernel(f)
-    return k.is_zero()
-
-
-def is_epi(f: ModMor) -> bool:
-    c, _ = cokernel(f)
-    return c.is_zero()
-
-
-def is_iso(f: ModMor) -> bool:
-    return is_mono(f) and is_epi(f)
-
-
 def iso_inverse(f: ModMor) -> ModMor:
     """Inverse of an isomorphism (preimage per generator)."""
     cols = _preimages(f, fplinalg.unit_vectors(f.target.gens),
@@ -635,32 +651,18 @@ def iso_inverse(f: ModMor) -> ModMor:
 
 
 def is_exact_at(f: ModMor, g: ModMor) -> bool:
-    """Exactness at the middle of f, g: image(f) -> kernel(g) is iso."""
-    if f.target != g.source:
-        raise ShapeError("maps are not composable")
-    if not f.then(g).is_zero():
-        raise ExactnessError("composite is nonzero")
-    img = image(f)
-    _, kappa = kernel(g)
-    u = factor_through_mono(kappa, img.mono)
-    return is_iso(u)
+    """Exactness at the middle of f, g (the intrinsic test in C);
+    `diagrams.d_exactness_report` takes its componentwise verdict through
+    this name."""
+    return abelian.exact_at(f, g)
 
 
 # -- biproducts ------------------------------------------------------------
 
 
-@dataclass
-class BiproductData:
-    obj: ModuleObj
-    inj1: ModMor
-    inj2: ModMor
-    proj1: ModMor
-    proj2: ModMor
-
-
-def biproduct(A: ModuleObj, B: ModuleObj) -> BiproductData:
+def biproduct(A: ModuleObj, B: ModuleObj) -> abelian.BiproductData:
     nb = nary_biproduct([A, B])
-    return BiproductData(nb.obj, *nb.injs, *nb.projs)
+    return abelian.BiproductData(nb.obj, *nb.injs, *nb.projs)
 
 
 @dataclass

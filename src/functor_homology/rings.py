@@ -7,6 +7,7 @@ construction so downstream code can rely on them.
 
 from __future__ import annotations
 
+from .errors import ShapeError
 from .fplinalg import fp_from_columns, is_prime
 
 INT = "integers"
@@ -37,13 +38,15 @@ class Ring:
             self.unit = None
             self.label = label or "Z"
             return
-        assert kind == FP_ALGEBRA
+        if kind != FP_ALGEBRA:
+            raise ShapeError(f"unknown ring kind {kind!r}")
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
         self.p = p
         self.dim = dim
         self.basis = tuple(basis)
-        assert len(self.basis) == dim
+        if len(self.basis) != dim:
+            raise ShapeError(f"{len(self.basis)} basis labels for dimension {dim}")
         self.mult = tuple(tuple(tuple(x % p for x in mult[a][b]) for b in range(dim))
                           for a in range(dim))
         self.unit = tuple(x % p for x in unit)

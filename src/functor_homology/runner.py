@@ -6,7 +6,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from . import abelian, fincat, functors, modules, verification
+from . import fincat, functors, modules, verification
 from .complexes import Complex, SES, MorphismOfSES, homology_at
 from .bifunctor import ladder, ladder_switched
 from .derived import derived_data, les_of_ses
@@ -257,10 +257,9 @@ def _run_task(env: Environment, decl: Decl, max_degree, seed) -> TaskResult:
             if not f.then(g).is_zero():
                 return TaskResult(decl.name, kind, "error",
                                   [("error", "composite is nonzero")])
-            zero_s = abelian.zero_object_like(f.source)
-            zero_t = abelian.zero_object_like(g.target)
+            zero_t = g.target.zero_object()
             cx = Complex(0, 3, {0: zero_t, 1: g.target, 2: f.target, 3: f.source},
-                         {1: abelian.zero_mor(g.target, zero_t), 2: g, 3: f},
+                         {1: g.target.zero_to(zero_t), 2: g, 3: f},
                          check=False)
             h = homology_at(cx, 2).obj
             return TaskResult(decl.name, kind, "pass",

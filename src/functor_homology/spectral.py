@@ -377,17 +377,14 @@ class CEData:
 
     def d_h(self, pdeg, q):
         if pdeg == 0:
-            return abelian.zero_mor(self.q_term(0, q),
-                                    abelian.zero_object_like(self.q_term(0, q)))
+            term = self.q_term(0, q)
+            return term.zero_to(term.zero_object())
         return (self.hsC[pdeg].proj[q]
                 .then(self.hsZ[pdeg - 1].incl[q])
                 .then(self.hsC[pdeg - 1].incl[q]))
 
     def proj_to_h(self, pdeg, q):
         return self.hsC[pdeg].retr[q].then(self.hsZ[pdeg].proj[q])
-
-    def incl_from_h(self, pdeg, q):
-        return self.hsZ[pdeg].sec[q].then(self.hsC[pdeg].incl[q])
 
 
 def ce_grid(C: Complex, depth) -> CEData:
@@ -411,17 +408,17 @@ def ce_grid(C: Complex, depth) -> CEData:
         B[pdeg - 1] = img.obj
         monoB[pdeg - 1] = img.mono
         epiB[pdeg - 1] = img.epi
-    B[width] = abelian.zero_object_like(C.objects[0])
+    B[width] = C.objects[0].zero_object()
     for pdeg in range(0, width + 1):
-        K, mono = abelian.kernel(C.diff(pdeg))
+        K, mono = C.diff(pdeg).kernel()
         Z[pdeg] = K
         monoZ[pdeg] = mono
         if pdeg == width:
-            u = abelian.zero_mor(B[pdeg], Z[pdeg])
+            u = B[pdeg].zero_to(Z[pdeg])
         else:
-            u = abelian.factor_through_mono(mono, monoB[pdeg])
+            u = mono.factor(monoB[pdeg])
         u_bz[pdeg] = u
-        Hp, eh = abelian.cokernel(u)
+        Hp, eh = u.cokernel()
         H[pdeg] = Hp
         epiH[pdeg] = eh
     res_B = {}
@@ -435,8 +432,8 @@ def ce_grid(C: Complex, depth) -> CEData:
         ses_z = SES(u_bz[pdeg], epiH[pdeg])
         hsZ[pdeg] = horseshoe(ses_z, res_B[pdeg], res_H[pdeg], depth)
         if pdeg == 0:
-            quo = abelian.zero_object_like(C.objects[0])
-            ses_c = SES(monoZ[0], abelian.zero_mor(C.objects[0], quo))
+            quo = C.objects[0].zero_object()
+            ses_c = SES(monoZ[0], C.objects[0].zero_to(quo))
             res_quo = resolve(quo, depth)
         else:
             ses_c = SES(monoZ[pdeg], epiB[pdeg - 1])
@@ -845,10 +842,8 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
         cfmap = {t: functors.apply_to_morphism(F, lift[t]) for t in range(T + 1)}
         hmaps = {}
         for t in range(0, n_max + 1):
-            zmap = abelian.factor_through_mono(
-                gj.ce.monoZ[t], gi.ce.monoZ[t].then(cfmap[t]))
-            hmaps[t] = abelian.cofactor_through_epi(
-                gi.ce.epiH[t], zmap.then(gj.ce.epiH[t]))
+            zmap = gj.ce.monoZ[t].factor(gi.ce.monoZ[t].then(cfmap[t]))
+            hmaps[t] = gi.ce.epiH[t].cofactor(zmap.then(gj.ce.epiH[t]))
         # canonical E2 cell maps: (L_s G)(L_t F)(structure map)
         cell_maps = {2: {}}
         for (s, t) in _window_cells(gi):

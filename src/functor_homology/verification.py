@@ -2,7 +2,10 @@
 
 Each suite draws its fixtures from a random.Random(seed), so a (seed,
 cases) pair pins the exact battery; the suites double as the `verify`
-tasks of the workbench language and as the acceptance checks.
+tasks of the workbench language and as the acceptance checks.  Every
+verdict goes through `require`, which raises `VerificationFailure` also
+under `python -O`; a suite records each failing case, with its index,
+when a verdict fails or the library reports an `ExactnessError`.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from . import abelian, diagrams, fplinalg, modules
+from . import abelian, fplinalg, modules
 from .bifunctor import (balance_comparison, diagram_ladder,
                         diagram_ladder_switched, ladder, ladder_switched,
                         tensor_by)
@@ -18,8 +21,9 @@ from .complexes import MorphismOfSES, SES
 from .derived import comparison_iso, delta_axiom_suite, derived_map
 from .diagrams import (DiagMor, Diagram, d_cokernel, d_exactness_report,
                        d_factor_through_mono, d_hom_basis, d_hom_unknowns,
-                       d_image, d_kernel, d_mor_from_matrices, d_naturality,
+                       d_kernel, d_mor_from_matrices, d_naturality,
                        free_diagram_map, free_diagram_multi)
+from .errors import ExactnessError, VerificationFailure
 from .fincat import FinCat, standard
 from .fplinalg import FpMatrix
 from .functors import base_change, exponent
@@ -27,6 +31,12 @@ from .modules import (HomSystem, ModMor, ModuleObj, cyclic, free_module,
                       hom_basis, ring_ops)
 from .rings import RingMap, ZZ, fp_field
 from .spectral import DoubleComplex, ss_pages
+
+
+def require(cond, msg):
+    """Raise VerificationFailure(msg) unless cond holds."""
+    if not cond:
+        raise VerificationFailure(msg)
 
 
 @dataclass
@@ -74,10 +84,15 @@ def _scale_mor(f, c):
     return ModMor(f.source, f.target, f.ops.scale(f.matrix, c), check=False)
 
 
+def _scale_diag_mor(f, c):
+    return DiagMor(f.source, f.target,
+                   {o: _scale_mor(f.comps[o], c) for o in f.index.objects}, check=False)
+
+
 def random_morphism(rng, A, B, bound=2):
     basis = hom_basis(A, B)
     out = random_combination_int(rng, basis, bound)
-    return out if out is not None else modules.zero_mor(A, B)
+    return out if out is not None else A.zero_to(B)
 
 
 def random_free_diagram(rng, index: FinCat, ring, max_summands=2, max_rank=1):
@@ -108,13 +123,17 @@ def random_diagram(rng, index: FinCat, ring) -> Diagram:
     """Kernel, cokernel or image of a random map between free diagrams."""
     F1 = random_free_diagram(rng, index, ring)
     F2 = random_free_diagram(rng, index, ring)
-    t = random_free_diagram_mor(rng, F1, F2)
+    return _random_subquotient(rng, random_free_diagram_mor(rng, F1, F2))
+
+
+def _random_subquotient(rng, t):
+    """The cokernel, kernel or image of t, chosen at random."""
     kind = rng.randint(0, 2)
     if kind == 0:
-        return d_cokernel(t)[0]
+        return t.cokernel()[0]
     if kind == 1:
-        return d_kernel(t)[0]
-    return d_image(t).obj
+        return t.kernel()[0]
+    return abelian.image(t).obj
 
 
 def random_diag_mor(rng, D: Diagram, E: Diagram, bound=2) -> DiagMor:
@@ -124,41 +143,34 @@ def random_diag_mor(rng, D: Diagram, E: Diagram, bound=2) -> DiagMor:
         c = rng.randint(-bound, bound)
         if c == 0:
             continue
-        scaled = DiagMor(b.source, b.target,
-                         {o: _scale_mor(b.comps[o], c) for o in b.index.objects},
-                         check=False)
+        scaled = _scale_diag_mor(b, c)
         out = scaled if out is None else out + scaled
-    return out if out is not None else diagrams.d_zero_mor(D, E)
+    return out if out is not None else D.zero_to(E)
+
+
+def _random_image_ses(rng, make_obj, make_mor):
+    """SES from the image factorisation of a random morphism."""
+    for _ in range(8):
+        A = make_obj(rng)
+        B = make_obj(rng)
+        t = make_mor(rng, A, B)
+        img = abelian.image(t)
+        if img.obj.is_zero() and B.is_zero():
+            continue
+        _, epi = img.mono.cokernel()
+        return SES(img.mono, epi)
+    # fall back to a split sequence on whatever came last
+    bp = A.biproduct(B)
+    return SES(bp.inj1, bp.proj2)
 
 
 def random_diagram_ses(rng, index, ring):
-    """SES from the image factorization of a random diagram morphism."""
-    for _ in range(8):
-        D = random_diagram(rng, index, ring)
-        E = random_diagram(rng, index, ring)
-        t = random_diag_mor(rng, D, E)
-        img = d_image(t)
-        if img.obj.is_zero() and E.is_zero():
-            continue
-        coker, epi = d_cokernel(img.mono)
-        return SES(img.mono, epi)
-    # fall back to a split sequence on whatever came last
-    bp = diagrams.d_biproduct(D, E)
-    return SES(bp.inj1, bp.proj2)
+    return _random_image_ses(rng, lambda r: random_diagram(r, index, ring),
+                             random_diag_mor)
 
 
 def random_module_ses(rng, ring, maker):
-    for _ in range(8):
-        A = maker(rng)
-        B = maker(rng)
-        t = random_morphism(rng, A, B)
-        img = modules.image(t)
-        if img.obj.is_zero() and B.is_zero():
-            continue
-        coker, epi = modules.cokernel(img.mono)
-        return SES(img.mono, epi)
-    bp = modules.biproduct(A, B)
-    return SES(bp.inj1, bp.proj2)
+    return _random_image_ses(rng, maker, random_morphism)
 
 
 # -- joint solver for morphisms of short exact sequences ---------------------
@@ -183,21 +195,14 @@ def _ses_morphism_space_modules(ses1: SES, ses2: SES):
 
 
 def _combine_pair(rng, pairs, diagram_level, bound=2):
+    scale = _scale_diag_mor if diagram_level else _scale_mor
     uL = None
     uM = None
     for (l, m) in pairs:
         c = rng.randint(-bound, bound)
         if c == 0:
             continue
-        if diagram_level:
-            ls = DiagMor(l.source, l.target,
-                         {o: _scale_mor(l.comps[o], c) for o in l.index.objects},
-                         check=False)
-            ms = DiagMor(m.source, m.target,
-                         {o: _scale_mor(m.comps[o], c) for o in m.index.objects},
-                         check=False)
-        else:
-            ls, ms = _scale_mor(l, c), _scale_mor(m, c)
+        ls, ms = scale(l, c), scale(m, c)
         uL = ls if uL is None else uL + ls
         uM = ms if uM is None else uM + ms
     return uL, uM
@@ -215,7 +220,7 @@ def random_ses_morphism(rng, ses1: SES, ses2: SES):
     uL, uM = _combine_pair(rng, pairs, diagram_level)
     if uL is None:
         uL, uM = pairs[0]
-    uN = abelian.cofactor_through_epi(ses1.g, uM.then(ses2.g))
+    uN = ses1.g.cofactor(uM.then(ses2.g))
     return MorphismOfSES(ses1, ses2, uL, uM, uN)
 
 
@@ -266,7 +271,7 @@ def suite_les(seed, cases) -> SuiteReport:
             verdict, failing = d_exactness_report(f, g)
             rep.passed += 1
             rep.notes.append((case, verdict, failing))
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -282,22 +287,22 @@ def suite_kernel(seed, cases) -> SuiteReport:
             E = random_diagram(rng, index, ZZ)
             f = random_diag_mor(rng, D, E)
             K, mono = d_kernel(f)
-            assert mono.then(f).is_zero(), "f . mono != 0"
+            require(mono.then(f).is_zero(), "f . mono != 0")
             for m in index.nonidentity_morphisms():
                 i, j = index.src(m), index.tgt(m)
                 lhs = K.maps[m].then(mono.comps[j])
                 rhs = mono.comps[i].then(D.maps[m])
-                assert lhs == rhs, "induced kernel square fails"
+                require(lhs == rhs, "induced kernel square fails")
             X = random_free_diagram(rng, index, ZZ)
             into_k = random_free_diagram_mor(rng, X, K)
             h = into_k.then(mono)
-            assert h.then(f).is_zero()
+            require(h.then(f).is_zero(), "f . h != 0")
             u = d_factor_through_mono(mono, h)
-            assert u.then(mono) == h, "factorization fails"
-            assert diagrams.d_is_mono(mono), "kernel arrow must be monic"
-            assert u == into_k, "factorization is not unique"
+            require(u.then(mono) == h, "factorization fails")
+            require(abelian.is_mono(mono), "kernel arrow must be monic")
+            require(u == into_k, "factorization is not unique")
             rep.passed += 1
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -321,11 +326,11 @@ def suite_delta(seed, cases, n_max=2) -> SuiteReport:
             mor = random_ses_morphism(rng, ses1, ses2)
             mors = [mor] if mor is not None else []
             report = delta_axiom_suite(F, [ses1, ses2], mors, n_max)
-            assert report.ok(), (report.exactness_failures,
-                                 report.square_failures)
+            require(report.ok(), (report.exactness_failures,
+                                  report.square_failures))
             rep.passed += 1
             rep.notes.append((case, report.checked_squares))
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -344,7 +349,7 @@ def suite_iso(seed, cases, n_hi=3) -> SuiteReport:
         try:
             A = random_diagram(rng, index, ZZ)
             res = comparison_iso(F, A, n)
-            assert res.iso, "comparison map is not an isomorphism"
+            require(res.iso, "comparison map is not an isomorphism")
             B = random_diagram(rng, index, ZZ)
             t = random_diag_mor(rng, A, B)
             res_b = comparison_iso(F, B, n)
@@ -352,10 +357,10 @@ def suite_iso(seed, cases, n_hi=3) -> SuiteReport:
             lhs_comps = {i: derived_map(F, t.comps[i], n) for i in index.objects}
             lnf_t = DiagMor(res.componentwise, res_b.componentwise, lhs_comps)
             ln_fi_t = derived_map(expF, t, n)
-            assert lnf_t.then(res_b.map) == res.map.then(ln_fi_t), \
-                "comparison naturality square fails"
+            require(lnf_t.then(res_b.map) == res.map.then(ln_fi_t),
+                    "comparison naturality square fails")
             rep.passed += 1
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -363,13 +368,7 @@ def suite_iso(seed, cases, n_hi=3) -> SuiteReport:
 def _random_fp_module(rng, ring, max_rank=2):
     F1 = free_module(ring, rng.randint(1, max_rank))
     F2 = free_module(ring, rng.randint(1, max_rank))
-    t = random_morphism(rng, F1, F2)
-    kind = rng.randint(0, 2)
-    if kind == 0:
-        return modules.cokernel(t)[0]
-    if kind == 1:
-        return modules.kernel(t)[0]
-    return modules.image(t).obj
+    return _random_subquotient(rng, random_morphism(rng, F1, F2))
 
 
 def suite_balance(seed, cases, n_hi=2) -> SuiteReport:
@@ -389,9 +388,9 @@ def suite_balance(seed, cases, n_hi=2) -> SuiteReport:
                 A = _random_fp_module(rng, r2)
                 B = _random_fp_module(rng, r2)
             res = balance_comparison(A, B, n)
-            assert res.iso, "balance comparison is not an isomorphism"
+            require(res.iso, "balance comparison is not an isomorphism")
             rep.passed += 1
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -411,9 +410,8 @@ def suite_ladder(seed, cases, n_max=2) -> SuiteReport:
                 mor = random_ses_morphism(rng, ses1, ses2)
                 if mor is None:
                     mor = MorphismOfSES(ses1, ses1,
-                                        abelian.identity(ses1.L),
-                                        abelian.identity(ses1.M),
-                                        abelian.identity(ses1.N))
+                                        ses1.L.identity(), ses1.M.identity(),
+                                        ses1.N.identity())
                 A = random_z_module(rng)
                 B = random_z_module(rng)
                 g = random_morphism(rng, A, B)
@@ -421,18 +419,17 @@ def suite_ladder(seed, cases, n_max=2) -> SuiteReport:
                     result = ladder(mor, g, n_max)
                 else:
                     result = ladder_switched(mor, g, n_max)
-                assert result.passed(), (result.squares,
-                                         result.row_src.failing_positions(),
-                                         result.row_dst.failing_positions())
+                require(result.passed(), (result.squares,
+                                          result.row_src.failing_positions(),
+                                          result.row_dst.failing_positions()))
             else:
                 index = arrow if case % 8 < 6 else standard("parallel_pair")
                 ses1 = random_diagram_ses(rng, index, ZZ)
                 mor = random_ses_morphism(rng, ses1, ses1)
                 if mor is None:
                     mor = MorphismOfSES(ses1, ses1,
-                                        abelian.identity(ses1.L),
-                                        abelian.identity(ses1.M),
-                                        abelian.identity(ses1.N))
+                                        ses1.L.identity(), ses1.M.identity(),
+                                        ses1.N.identity())
                 J = point if case % 8 < 4 else arrow
                 A = random_diagram(rng, J, ZZ)
                 B = random_diagram(rng, J, ZZ)
@@ -442,11 +439,11 @@ def suite_ladder(seed, cases, n_max=2) -> SuiteReport:
                 else:
                     # switched: the SES sits in the second variable
                     result = diagram_ladder_switched(mor, g, 1)
-                assert result.passed(), (
+                require(result.passed(), (
                     [k for k, v in result.squares.items() if not v],
-                    [k for k, v in result.exact.items() if not v])
+                    [k for k, v in result.exact.items() if not v]))
             rep.passed += 1
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 
@@ -531,7 +528,7 @@ def _closed_form_cell(dc, tot, r, s, t):
     dim_z = _rank_list(p, zr, tot.dims.get(n, 0))
     dim_zb = _rank_list(p, zr + bound, tot.dims.get(n, 0))
     dim_b = _rank_list(p, bound, tot.dims.get(n, 0))
-    assert dim_zb == dim_z, "boundary space must sit inside the cycle space"
+    require(dim_zb == dim_z, "boundary space must sit inside the cycle space")
     return dim_z - dim_b
 
 
@@ -577,7 +574,7 @@ def suite_ss(seed, cases, r_hi=4) -> SuiteReport:
                     for (s, t) in ss.internal.tot.cells.get(n, []):
                         want = _closed_form_cell(dc, ss.internal.tot, r, s, t)
                         got = ss.pages[r].get((s, t), 0)
-                        assert got == want, (r, (s, t), got, want)
+                        require(got == want, (r, (s, t), got, want))
             # Euler characteristic conservation (global alternating sum)
             euler = None
             for r in range(2, r_hi + 1):
@@ -585,13 +582,13 @@ def suite_ss(seed, cases, r_hi=4) -> SuiteReport:
                           for (s, t), d in ss.pages[r].items())
                 if euler is None:
                     euler = val
-                assert val == euler, "Euler characteristic drifts across pages"
+                require(val == euler, "Euler characteristic drifts across pages")
             abut_euler = sum((-1) ** n * d for n, d in ss.abutment.items())
-            assert abut_euler == euler, "Euler characteristic drifts to abutment"
+            require(abut_euler == euler, "Euler characteristic drifts to abutment")
             # abutment vs E_inf
-            assert ss.converged(), "filtration does not converge"
+            require(ss.converged(), "filtration does not converge")
             rep.passed += 1
-        except AssertionError as exc:
+        except (VerificationFailure, ExactnessError) as exc:
             rep.failures.append((case, str(exc)))
     return rep
 

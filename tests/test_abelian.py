@@ -1,0 +1,103 @@
+"""One abelian interface for C and C^I.
+
+Modules and diagrams answer the same methods, `abelian` builds image,
+mono, epi, iso and exactness from them without asking which category it
+is in, and a module morphism seen as a morphism of diagrams over the
+one-object index gets the same answers.
+"""
+
+import ast
+import os
+import random
+
+from functor_homology import abelian, diagrams, modules
+from functor_homology.abelian import exact_at, image, is_epi, is_iso, is_mono
+from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
+from functor_homology.fincat import standard
+from functor_homology.modules import ModMor, ModuleObj
+from functor_homology.rings import cyclic_group_table, group_algebra
+from functor_homology.verification import (_random_fp_module, random_morphism,
+                                           random_z_module)
+
+OBJECT_METHODS = ("identity", "zero_to", "zero_object", "biproduct", "free_cover")
+MORPHISM_METHODS = ("kernel", "cokernel", "factor", "cofactor", "inverse", "lift",
+                    "is_exact_at")
+POINT = standard("point")
+
+
+def _interface(cls, names):
+    return {n for n in names if callable(vars(cls).get(n))}
+
+
+def test_both_categories_expose_the_same_methods():
+    assert _interface(ModuleObj, OBJECT_METHODS) == set(OBJECT_METHODS)
+    assert _interface(Diagram, OBJECT_METHODS) == set(OBJECT_METHODS)
+    assert _interface(ModMor, MORPHISM_METHODS) == set(MORPHISM_METHODS)
+    assert _interface(DiagMor, MORPHISM_METHODS) == set(MORPHISM_METHODS)
+
+
+def test_methods_call_module_functions_by_global_name():
+    # a method bound to the module function itself would escape a patched
+    # module attribute; each one must look its function up at call time
+    for cls, mod, names in ((ModuleObj, modules, OBJECT_METHODS),
+                            (ModMor, modules, MORPHISM_METHODS),
+                            (Diagram, diagrams, OBJECT_METHODS),
+                            (DiagMor, diagrams, MORPHISM_METHODS)):
+        for name in names:
+            method = vars(cls)[name]
+            assert method.__module__ == mod.__name__, (cls, name)
+            called = [n for n in method.__code__.co_names
+                      if callable(getattr(mod, n, None))]
+            assert len(called) == 1, (cls, name, called)
+            assert method is not getattr(mod, called[0])
+
+
+def test_abelian_module_has_no_isinstance():
+    path = os.path.join(os.path.dirname(abelian.__file__), "abelian.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "isinstance" not in names and "type" not in names
+
+
+def _at_point(f: ModMor) -> DiagMor:
+    o = POINT.objects[0]
+    return DiagMor(constant_diagram(POINT, f.source),
+                   constant_diagram(POINT, f.target), {o: f})
+
+
+def _agree(f: ModMor, g: ModMor):
+    F, G = _at_point(f), _at_point(g)
+    o = POINT.objects[0]
+    assert image(F).obj.component(o).describe() == image(f).obj.describe()
+    assert is_mono(F) == is_mono(f)
+    assert is_epi(F) == is_epi(f)
+    assert is_iso(F) == is_iso(f)
+    verdict = f.is_exact_at(g)
+    assert F.is_exact_at(G) == verdict == exact_at(f, g) == exact_at(F, G)
+    return verdict
+
+
+def _composable_after(rng, f: ModMor) -> ModMor:
+    """The cokernel of f followed by a random endomorphism of it."""
+    Q, q = f.cokernel()
+    return q.then(random_morphism(rng, Q, Q))
+
+
+def test_point_diagrams_agree_with_modules_over_z():
+    rng = random.Random(20)
+    verdicts = []
+    for _ in range(20):
+        A, B = random_z_module(rng), random_z_module(rng)
+        f = random_morphism(rng, A, B)
+        verdicts.append(_agree(f, _composable_after(rng, f)))
+    assert True in verdicts and False in verdicts
+
+
+def test_point_diagrams_agree_with_modules_over_f2c2():
+    rng = random.Random(5)
+    ring = group_algebra(2, cyclic_group_table(2))
+    for _ in range(5):
+        A, B = _random_fp_module(rng, ring), _random_fp_module(rng, ring)
+        f = random_morphism(rng, A, B)
+        _agree(f, _composable_after(rng, f))

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from functor_homology.abelian import is_epi, is_iso
 from functor_homology.bifunctor import (balance_comparison, diagram_ladder,
                                         diagram_ladder_switched, ladder,
                                         ladder_switched, tensor, tor_first,
@@ -12,8 +13,8 @@ from functor_homology.diagrams import DiagMor, constant_diagram, d_identity
 from functor_homology.errors import RingMismatchError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply_to_morphism, tensor_with
-from functor_homology.modules import (ModMor, cyclic, identity_mor, is_epi,
-                                      is_iso, ring_as_module, trivial_module)
+from functor_homology.modules import (ModMor, cyclic, identity_mor,
+                                      ring_as_module, trivial_module)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.tensorops import tensor_unit_map
 from functor_homology.verification import (random_module_ses, random_morphism,

@@ -1,7 +1,7 @@
 import pytest
 
 from functor_homology.complexes import ChainMap, Complex, SES, homology_at
-from functor_homology.derived import d_resolve
+from functor_homology.derived import resolve
 from functor_homology.diagrams import constant_diagram, projection
 from functor_homology.errors import ExactnessError, ShapeError
 from functor_homology.fincat import standard
@@ -44,7 +44,7 @@ def test_d_resolve_componentwise():
     arrow = standard("arrow")
     Z2 = cyclic(2)
     d = constant_diagram(arrow, Z2)
-    res = d_resolve(d, 2)
+    res = resolve(d, 2)
     cx = res.complex(2)
     assert cx.is_exact_everywhere_interior()
     # each component of the resolution is itself a resolution of the
@@ -58,5 +58,5 @@ def test_d_resolve_componentwise():
         assert sub.obj.invariant_factors() == ([2], 0)
     # the zero diagram resolves to zero
     from functor_homology.diagrams import zero_diagram
-    zres = d_resolve(zero_diagram(arrow, ZZ), 2)
+    zres = resolve(zero_diagram(arrow, ZZ), 2)
     assert all(zres.term(n).is_zero() for n in range(3))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from functor_homology.abelian import is_iso
 from functor_homology.complexes import (Complex, MorphismOfSES, SES,
                                         homology_at)
 from functor_homology.derived import (comparison_iso, connecting,
@@ -12,8 +13,8 @@ from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, exponent, tensor_with
 from functor_homology.modules import (Element, ModMor, biproduct, cyclic,
-                                      free_module, identity_mor, is_iso,
-                                      preimage, trivial_module, zero_mor)
+                                      free_module, identity_mor, preimage,
+                                      trivial_module, zero_mor)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra)
@@ -47,7 +48,7 @@ def test_resolve_examples():
     cx = res.complex(3)
     assert cx.is_exact_everywhere_interior()
     # H_0 of the resolution is the resolved module, via the augmentation
-    from functor_homology.abelian import cofactor_through_epi, is_iso as d_iso
+    from functor_homology.modules import cofactor_through_epi
     sub0 = homology_at(cx, 0)
     aug_bar = cofactor_through_epi(sub0.epi, sub0.mono.then(res.aug()))
     assert is_iso(aug_bar)

@@ -3,12 +3,13 @@ import random
 import subprocess
 import sys
 
+from functor_homology.abelian import is_epi, is_mono
 from functor_homology.diagrams import (DiagMor, Diagram, add_morphisms,
                                        check_diagram, constant_diagram,
                                        d_biproduct, d_cokernel,
                                        d_exactness_report,
-                                       d_factor_through_mono, d_is_epi,
-                                       d_is_exact_at, d_is_mono, d_kernel,
+                                       d_factor_through_mono, d_is_exact_at,
+                                       d_kernel,
                                        d_lift_through_epi, d_free_cover,
                                        free_diagram, gamma, projection,
                                        zero_diagram)
@@ -136,7 +137,7 @@ def test_split_ses_exact():
     E = random_diagram(rng, ARROW, ZZ)
     bp = d_biproduct(D, E)
     assert d_is_exact_at(bp.inj1, bp.proj2)
-    assert d_is_mono(bp.inj1) and d_is_epi(bp.proj2)
+    assert is_mono(bp.inj1) and is_epi(bp.proj2)
 
 
 def test_free_diagram_hom_count_oracle():
@@ -173,7 +174,7 @@ def test_d_free_cover_is_epi_and_resolves():
     rng = random.Random(27)
     D = random_diagram(rng, SQUARE, ZZ)
     F, eps = d_free_cover(D)
-    assert d_is_epi(eps)
+    assert is_epi(eps)
     for o in SQUARE.objects:
         assert F.components[o].free_rank is not None
 
@@ -276,6 +277,61 @@ true_exact = modules.is_exact_at
 planted("is_exact_at", lambda f, g: not true_exact(f, g), ExactnessError,
         lambda: d_exactness_report(f, g),
         "intrinsic and componentwise exactness verdicts disagree")
+
+# shape preconditions and invariants of the lower layers
+from functor_homology import abelian, bifunctor, fincat
+from functor_homology.complexes import ChainMap, Complex, SESOfComplexes
+from functor_homology.derived import (Resolution, connecting_module,
+                                      lift_resolution_map, resolve)
+from functor_homology.intlinalg import (IntMatrix, det_sign_of_unimodular,
+                                        hstack, inverse_unimodular)
+from functor_homology.rings import FP_ALGEBRA, Ring
+
+M22 = IntMatrix(2, 2, [[1, 2], [3, 4]])
+expect(ShapeError, lambda: M22.mul(IntMatrix(3, 1, [[1], [1], [1]])))
+expect(ShapeError, lambda: M22.mul_vec([1, 1, 1]))
+expect(ShapeError, lambda: hstack([M22, IntMatrix(1, 1, [[1]])]))
+expect(ShapeError, lambda: inverse_unimodular(IntMatrix(1, 2, [[1, 0]])))
+expect(ExactnessError, lambda: inverse_unimodular(IntMatrix(1, 1, [[2]])))
+expect(ShapeError, lambda: det_sign_of_unimodular(IntMatrix(1, 2, [[1, 0]])))
+expect(ExactnessError, lambda: det_sign_of_unimodular(IntMatrix(1, 1, [[2]])))
+expect(ShapeError, lambda: Complex(2, 1, {}, {}))
+expect(ShapeError, lambda: resolve(Z2, 1).mono(0))
+expect(ShapeError, lambda: resolve(Z2, 1).diff(0))
+BAD = fincat.FinCat(["0"], {"id_0": ("0", "0")}, {"0": "id_0"}, {})
+expect(ShapeError, lambda: fincat.product(BAD, standard("point")), "invalid product")
+expect(ShapeError, lambda: fincat.opposite(BAD), "invalid opposite")
+expect(ShapeError, lambda: Ring("bogus"))
+expect(ShapeError, lambda: Ring(FP_ALGEBRA, p=2, dim=2, basis=["e"],
+                                mult=[[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+                                unit=[1, 0]))
+
+# a resolution of Z/2 cut off at degree 0 cannot receive the lift of id
+full = resolve(Z2, 1)
+cut = Resolution(Z2, (full.terms[:1], full.covers[:1], [Z2], [None], True))
+expect(ExactnessError, lambda: lift_resolution_map(identity_mor(Z2), full, cut, 1),
+       "truncated exact resolution")
+
+# a zero "projection" of complexes leaves nothing to zig-zag through
+Z0 = Zm.zero_object()
+quo = Complex(0, 1, {0: Z0, 1: Zm}, {1: zero_mor(Zm, Z0)})
+sub = Complex(0, 1, {0: Z0, 1: Z0}, {1: zero_mor(Z0, Z0)})
+zeros = lambda a, b: ChainMap(a, b, {n: zero_mor(a.obj(n), b.obj(n)) for n in (0, 1)})
+sesc = SESOfComplexes(sub, quo, quo, zeros(sub, quo), zeros(quo, quo), check=False)
+expect(ExactnessError, lambda: connecting_module(sesc, 1), "degreewise epi")
+
+# balance legs that are not isomorphisms, and a corrupted product index
+true_iso = abelian.is_iso
+abelian.is_iso = lambda f: False
+try:
+    expect(ExactnessError, lambda: bifunctor.balance_comparison(Z2, Z2, 0),
+           "first leg of the balance zig-zag")
+finally:
+    abelian.is_iso = true_iso
+K = fincat.product(ARROW, ARROW)
+K.comp[("(id_1,a)", "(a,id_0)")] = "(id_0,id_0)"
+expect(ExactnessError, lambda: bifunctor._route_identities(
+    K, ARROW, ARROW, {0: {"L": None}}, {}, "row"), "product index composes")
 """
 
 

@@ -17,7 +17,7 @@ from functor_homology.rings import (RingMap, ZZ, augmentation_map,
 from functor_homology.tensorops import tensor_obj, tensor_unit_map
 from functor_homology.verification import (random_diag_mor, random_diagram,
                                            random_morphism, random_z_module)
-from functor_homology.modules import is_iso
+from functor_homology.abelian import is_iso
 
 ARROW = standard("arrow")
 

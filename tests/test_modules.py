@@ -5,13 +5,14 @@ import sys
 
 import pytest
 
+from functor_homology.abelian import image, is_iso
 from functor_homology.errors import ExactnessError, MorphismError, ShapeError
 from functor_homology.modules import (Element, ModMor, biproduct,
                                       cokernel, cyclic, enumerate_elements,
                                       factor_through_mono, free_cover,
                                       free_generator_columns, free_module,
-                                      hom_basis, identity_mor, image,
-                                      is_exact_at, is_iso, kernel,
+                                      hom_basis, identity_mor, is_exact_at,
+                                      kernel,
                                       lift_through_epi, nary_biproduct,
                                       preimage, trivial_module, zero_mor)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from functor_homology.verification import SUITES, run_suite
@@ -19,3 +23,41 @@ def test_suites_are_seed_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense", 1, 1)
+
+
+PLANTED_VERDICTS = """
+import dataclasses
+
+from functor_homology import modules, verification
+
+# a balance comparison that is never an isomorphism
+true_balance = verification.balance_comparison
+verification.balance_comparison = lambda A, B, n: dataclasses.replace(
+    true_balance(A, B, n), iso=False)
+rep = verification.suite_balance(1, 3)
+verification.balance_comparison = true_balance
+if rep.ok() or rep.passed or [c for c, _ in rep.failures] != [0, 1, 2]:
+    raise SystemExit(f"balance: {rep.passed} passed, failures {rep.failures}")
+
+# a componentwise exactness verdict that contradicts the intrinsic one
+true_exact = modules.is_exact_at
+modules.is_exact_at = lambda f, g: not true_exact(f, g)
+rep = verification.suite_les(3, 6)
+modules.is_exact_at = true_exact
+cases = [c for c, _ in rep.failures]
+if rep.ok() or rep.passed + len(cases) != 6 or cases != sorted(set(cases)):
+    raise SystemExit(f"les: {rep.passed} passed, failures {rep.failures}")
+if not all("verdicts disagree" in msg for _, msg in rep.failures):
+    raise SystemExit(f"les: unexpected failures {rep.failures}")
+"""
+
+
+def test_planted_wrong_verdicts_are_recorded_per_case():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-c", PLANTED_VERDICTS],
+                             env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, (flags, out.stdout + out.stderr)

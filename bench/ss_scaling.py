@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Scaling of the composite-functor spectral sequence with total degree.
+
+Run from any directory, with no arguments:
+
+    python3 bench/ss_scaling.py
+
+It imports the package from this checkout's src/ and times `ss_pages` and
+`grothendieck_ss` on the F_2 group-homology fixtures of the test suite:
+F = base change along C4 -> C2 (or C2xC2 -> C2), G = C2-coinvariants, on
+the trivial module, for n_max = 3..6.  Every figure is the median of 3
+runs, each on freshly built rings and modules so that no memo is shared
+between runs.  `ss_pages` is timed on the double complex of a first,
+untimed `grothendieck_ss` call.  It also counts the lines of src/.  The
+result is one JSON object on stdout.
+"""
+
+import json
+import os
+import platform
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
+
+from functor_homology.functors import base_change  # noqa: E402
+from functor_homology.modules import trivial_module  # noqa: E402
+from functor_homology.rings import (augmentation_map, cyclic_group_table,  # noqa: E402
+                                    group_algebra, group_ring_map,
+                                    product_group_table)
+from functor_homology.spectral import grothendieck_ss, ss_pages  # noqa: E402
+
+RUNS = 3
+DEGREES = (3, 4, 5, 6)
+
+
+def fixture(name):
+    """(F, G, A) built from scratch."""
+    r2 = group_algebra(2, cyclic_group_table(2), label="F2[C2]")
+    if name == "C4":
+        big = group_algebra(2, cyclic_group_table(4), label="F2[C4]")
+    else:
+        big = group_algebra(2, product_group_table(cyclic_group_table(2),
+                                                   cyclic_group_table(2)),
+                            label="F2[C2xC2]")
+    F = base_change(group_ring_map(big, r2, [0, 1, 0, 1]))
+    G = base_change(augmentation_map(r2))
+    return F, G, trivial_module(big)
+
+
+def timed(fn):
+    t0 = perf_counter()
+    out = fn()
+    return perf_counter() - t0, out
+
+
+def measure(name, n_max):
+    ss_s = []
+    gss_s = []
+    for _ in range(RUNS):
+        F, G, A = fixture(name)
+        dt, gd = timed(lambda: grothendieck_ss(F, G, A, n_max, with_data=True))
+        gss_s.append(dt)
+        dt, _ = timed(lambda: ss_pages(gd.dc, n_valid=n_max))
+        ss_s.append(dt)
+    ss = gd.ss
+    return {
+        "fixture": name,
+        "n_max": n_max,
+        "tot_dims": [ss.internal.tot.dims[n] for n in sorted(ss.internal.tot.dims)],
+        "abutment": [ss.abutment[n] for n in range(n_max + 1)],
+        "ss_pages_s": round(statistics.median(ss_s), 4),
+        "grothendieck_ss_s": round(statistics.median(gss_s), 4),
+        "ss_pages_runs_s": [round(x, 4) for x in ss_s],
+        "grothendieck_ss_runs_s": [round(x, 4) for x in gss_s],
+    }
+
+
+def src_lines():
+    return sum(len(p.read_text(encoding="utf-8").splitlines())
+               for p in sorted((SRC / "functor_homology").glob("*.py")))
+
+
+def main():
+    results = [measure(name, n) for name in ("C4", "C2xC2") for n in DEGREES]
+    print(json.dumps({
+        "benchmark": "bench/ss_scaling.py",
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "runs": RUNS,
+        "src_lines": src_lines(),
+        "results": results,
+    }, indent=1))
+
+
+if __name__ == "__main__":
+    main()

@@ -256,8 +256,8 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
         sec[n] = bp.inj2
         if n == n_max:
             break
-        KL, monoL = res_sub.kernel_obj(n + 1), res_sub.mono(n + 1)
-        KN, monoN = res_quo.kernel_obj(n + 1), res_quo.mono(n + 1)
+        monoL = res_sub.mono(n + 1)
+        monoN = res_quo.mono(n + 1)
         KM, monoM = eps.kernel()
         out.kernels.append(KM)
         out.monos.append(monoM)

@@ -242,6 +242,8 @@ def _degree(args, max_degree, default=1):
     n = args.get("n", default)
     if max_degree is not None:
         n = min(n, max_degree) if isinstance(n, int) else max_degree
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"degree n must be a nonnegative integer, not {n!r}")
     return n
 
 

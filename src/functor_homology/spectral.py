@@ -4,25 +4,28 @@ Restricted to F_p-algebra base rings so every page cell is a finite
 dimensional F_p vector space and convergence is a dimension equality;
 integer inputs are rejected.
 
-Page machinery: the double complex is totalised and filtered by its first
-index; Z-spaces are refined page by page (Z^{r+1} inside Z^r), so the
-computation really is the subquotient recursion and not a closed-form
-shortcut.  Sign convention: the filtration-lowering differential carries
-a (-1)^t twist when the grid is assembled from a commuting double
-complex, making the total differential square to zero.
+Page machinery: the double complex is totalised with its coordinates in
+filtration order, and each total differential gets one persistence column
+reduction.  Its pivot pairs split the filtered complex into intervals, so
+every page dimension, representative and page differential is read off
+them; the page recursion dim E_{r+1} = dim H(E_r, d_r) is still checked
+with independent ranks, and the abutment and its filtration are computed
+separately from kernels.  Sign convention: the filtration-lowering
+differential carries a (-1)^t twist when the grid is assembled from a
+commuting double complex, making the total differential square to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from . import abelian, fplinalg, functors
-from .complexes import Complex, homology_at, induced_on_homology
+from .complexes import SES, Complex, homology_at, induced_on_homology
 from .derived import (derived_data, horseshoe, lift_resolution_map, resolve)
 from .diagrams import Diagram
 from .errors import ExactnessError, RingMismatchError, ShapeError
 from .fplinalg import FpMatrix, Span, fp_from_columns, unit_vectors
-from .complexes import SES
 from .modules import ModuleObj
 
 # -- double complexes and the page recursion ----------------------------------
@@ -83,7 +86,7 @@ class TotalData:
     cells: dict  # n -> ordered list of (s, t)
     offsets: dict  # (n, s, t) -> coordinate offset
     dims: dict  # n -> total dimension
-    D: dict  # n -> FpMatrix Tot_n -> Tot_{n-1}
+    D: dict  # n -> FpMatrix Tot_n -> Tot_{n-1}, zero at n = 0 and n_max + 1
 
 
 def _totalize(dc: DoubleComplex) -> TotalData:
@@ -102,9 +105,9 @@ def _totalize(dc: DoubleComplex) -> TotalData:
             off += dc.dim(s, t)
         dims[n] = off
     D = {}
-    for n in range(1, n_max + 1):
-        rows = dims[n - 1]
-        colsn = dims[n]
+    for n in range(0, n_max + 2):
+        rows = dims.get(n - 1, 0)
+        colsn = dims.get(n, 0)
         data = [[0] * colsn for _ in range(rows)]
 
         def put(block: FpMatrix, roff, coff):
@@ -114,11 +117,11 @@ def _totalize(dc: DoubleComplex) -> TotalData:
                     if block.data[i][j]:
                         ri[coff + j] = block.data[i][j]
 
-        for (s, t) in cells[n]:
+        for (s, t) in cells.get(n, []):
             coff = offsets[(n, s, t)]
-            if (s - 1, t) in cells[n - 1]:
+            if (n - 1, s - 1, t) in offsets:
                 put(dc.dh(s, t), offsets[(n - 1, s - 1, t)], coff)
-            if (s, t - 1) in cells[n - 1]:
+            if (n - 1, s, t - 1) in offsets:
                 put(dc.dv(s, t), offsets[(n - 1, s, t - 1)], coff)
         D[n] = FpMatrix(p, rows, colsn, data)
     return TotalData(cells, offsets, dims, D)
@@ -126,13 +129,49 @@ def _totalize(dc: DoubleComplex) -> TotalData:
 
 @dataclass
 class PagesInternal:
+    """One persistence reduction per total differential, and the filtered
+    basis read off it.
+
+    basis[n][k] is a Tot_n vector whose last nonzero coordinate is k, so it
+    lies in filtration filt[n][k].  D sends the basis vector of a death k
+    to the basis vector of its birth partner low[k] and every other basis
+    vector to zero; gap[n][k] is the filtration drop of k's pair (inf if
+    k is unpaired), and k stands in E_r exactly when that gap is >= r.
+    """
+
     tot: TotalData
-    z: dict  # r -> {(s,t): [vectors]}
-    b: dict  # r -> {(s,t): [vectors]}
-    reps: dict  # r -> {(s,t): [vectors]}
-    abut_reps: dict  # n -> [cycle vectors] (basis of H_n via classes)
-    abut_bound: dict  # n -> [boundary vectors]
+    filt: dict  # n -> filtration index s of each Tot_n coordinate
+    red: dict  # n -> (V, R, low) of D[n] for n <= n_max + 1, from _reduce
+    gap: dict  # n -> filtration gap of each Tot_n coordinate's pair
+    basis: dict  # n -> [basis vector of each Tot_n coordinate]
     filt_cycle_spans: dict  # (n, s) -> [cycle vectors in F_s]
+
+    def page_indices(self, r, s, t):
+        """The Tot_n coordinates whose basis vectors represent E_r^{s,t}."""
+        n = s + t
+        return [k for k, (f, g) in enumerate(zip(self.filt.get(n, []),
+                                                 self.gap.get(n, [])))
+                if f == s and g >= r]
+
+    def reps(self, r, s, t):
+        """Representatives of a basis of E_r^{s,t}; those of E_{r+1} are
+        among them."""
+        return [self.basis[s + t][k] for k in self.page_indices(r, s, t)]
+
+    def boundaries(self, r, s, t):
+        """A spanning list of B^r at (s, t): Z^{r-1}_{s-1} + D Z^{r-1}_{s+r-1}
+        (empty for an empty cell)."""
+        n = s + t
+        if (n, s, t) not in self.tot.offsets:
+            return []
+        f = self.filt[n]
+        V, _, low = self.red[n]
+        out = [V[k] for k in range(len(f)) if f[k] <= s - 1 and (
+            low[k] is None or self.filt[n - 1][low[k]] <= s - r)]
+        _, R1, low1 = self.red[n + 1]
+        return out + [R1[j] for j, k in enumerate(low1)
+                      if k is not None and self.filt[n + 1][j] <= s + r - 1
+                      and f[k] <= s]
 
 
 @dataclass
@@ -165,9 +204,42 @@ class SSResult:
         return True
 
 
+def _reduce(p, D: FpMatrix):
+    """Persistence column reduction of D, left to right: (V, R, low) with
+    R[j] = D V[j], V unitriangular, and low[j] the last nonzero row of R[j]
+    (None when R[j] = 0); the lows of the nonzero columns are distinct."""
+    V = unit_vectors(D.cols)
+    R = [D.col(j) for j in range(D.cols)]
+    low = []
+    owner = {}  # low -> the earlier column that has it
+    for j in range(D.cols):
+        r, v = R[j], V[j]
+        k = _low(r)
+        while k in owner:
+            i = owner[k]
+            c = r[k] * pow(R[i][k], p - 2, p) % p
+            r = [(x - c * y) % p for x, y in zip(r, R[i])]
+            v = [(x - c * y) % p for x, y in zip(v, V[i])]
+            k = _low(r)
+        R[j], V[j] = r, v
+        low.append(k)
+        if k is not None:
+            owner[k] = j
+    return V, R, low
+
+
+def _low(v):
+    return next((i for i in range(len(v) - 1, -1, -1) if v[i]), None)
+
+
 def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     """Spectral sequence of the totalised double complex, filtered by the
-    first index; pages are computed by refining Z-spaces page by page.
+    first index.
+
+    Each total differential D[n] is reduced once (_reduce); Tot_n is laid
+    out by ascending filtration, so the pivot pairs of the reductions give
+    every page: a pair whose filtration drops by g lives on pages 2..g and
+    is a nonzero d_g, an unpaired coordinate lives on every page.
 
     n_valid marks the largest total degree free of truncation effects;
     the degeneration flag and convergence checks stay inside it.
@@ -180,109 +252,57 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     if n_valid is None:
         n_valid = n_hi
 
-    def fdim(n, s):
-        # dimension of F_s Tot_n (prefix of the cell order)
-        if n < 0 or n > n_hi or s < 0:
-            return 0
-        out = 0
-        for (s2, t2) in tot.cells[n]:
-            if s2 <= s:
-                out += dc.dim(s2, t2)
-        return out
+    filt = {n: [s for (s, t) in tot.cells[n] for _ in range(dc.dim(s, t))]
+            for n in range(n_hi + 1)}
+    red = {}
+    for n in range(n_hi + 2):
+        dn = tot.D[n]
+        V, R, low = _reduce(p, dn)
+        if dn.mul(fp_from_columns(p, V, dn.cols)) != fp_from_columns(p, R, dn.rows):
+            raise ExactnessError(f"reduction of D[{n}] breaks D*V = R")
+        red[n] = (V, R, low)
 
-    def dmat(n):
-        if 1 <= n <= n_hi:
-            return tot.D[n]
-        return FpMatrix.zeros(p, tot.dims.get(n - 1, 0), tot.dims.get(n, 0))
+    # gap and basis vector of every coordinate: a death k keeps V[k], a
+    # birth (the low of a column j of D[n+1]) takes R[j], the rest keep V[k]
+    gap = {}
+    basis = {}
+    for n in range(n_hi + 1):
+        f = filt[n]
+        V, _, low = red[n]
+        gap[n] = [inf if k is None else f[j] - filt[n - 1][k]
+                  for j, k in enumerate(low)]
+        basis[n] = list(V)
+        _, R1, low1 = red[n + 1]
+        for j, k in enumerate(low1):
+            if k is None:
+                continue
+            if low[k] is not None:
+                raise ExactnessError(
+                    f"total differential does not square to zero at {n + 1}")
+            gap[n][k] = filt[n + 1][j] - f[k]
+            basis[n][k] = R1[j]
+    internal = PagesInternal(tot, filt, red, gap, basis, {})
 
-    amemo = {}
-
-    def aspace(n, s, r):
-        """{x in F_s Tot_n : D x in F_{s-r}}; s may exceed the top cell
-        filtration (F saturates) and the refinement is genuinely page by
-        page (depth r refines depth r-1)."""
-        if n < 0 or n > n_hi or s < 0 or tot.dims.get(n, 0) == 0:
-            return []
-        s_eff = min(s, n)  # cells at degree n have filtration <= n
-        cut_eff = max(s - r, -1)
-        key = (n, s_eff, cut_eff)
-        if key in amemo:
-            return amemo[key]
-        if r == 0:
-            amemo[key] = unit_vectors(tot.dims[n])[:fdim(n, s)]
-            return amemo[key]
-        prev = aspace(n, s, r - 1)
-        if not prev:
-            amemo[key] = []
-            return []
-        dn = dmat(n)
-        images = [dn.mul_vec(v) for v in prev]
-        cutoff = fdim(n - 1, s - r)
-        width = tot.dims.get(n - 1, 0)
-        rows = []
-        for coord in range(cutoff, width):
-            rows.append([images[k][coord] for k in range(len(prev))])
-        if not rows:
-            amemo[key] = list(prev)
-            return amemo[key]
-        cond = FpMatrix(p, len(rows), len(prev), rows)
-        combos = fplinalg.kernel_basis(cond)
-        pm = fp_from_columns(p, prev, tot.dims[n])
-        out = [pm.mul_vec(c) for c in combos]
-        amemo[key] = out
-        return out
-
-    z = {r: {(s, t): aspace(s + t, s, r)
-             for n in range(n_hi + 1) for (s, t) in tot.cells[n]}
-         for r in range(0, r_stop + 1)}
-
-    b = {}
-    reps = {}
     pages = {}
     diffs = {}
     for r in range(2, r_stop + 1):
-        b[r] = {}
-        reps[r] = {}
-        spans = {}  # (s,t) -> Span of b[r] then reps[r] (its last basis vectors)
         pages[r] = {}
-        for n in range(n_hi + 1):
-            for (s, t) in tot.cells[n]:
-                bound = list(aspace(n, s - 1, r - 1))
-                src = aspace(n + 1, s + r - 1, r - 1)
-                dn1 = dmat(n + 1)
-                for v in src:
-                    bound.append(dn1.mul_vec(v))
-                b[r][(s, t)] = bound
-                span = Span(p, tot.dims[n], bound)
-                rp = [v for v in z[r][(s, t)] if span.insert(v)]
-                reps[r][(s, t)] = rp
-                spans[(s, t)] = span
-                if rp:
-                    pages[r][(s, t)] = len(rp)
         diffs[r] = {}
         for n in range(n_hi + 1):
+            low = red[n][2]
             for (s, t) in tot.cells[n]:
-                rp = reps[r][(s, t)]
-                if not rp:
+                idx = internal.page_indices(r, s, t)
+                if idx:
+                    pages[r][(s, t)] = len(idx)
+                tgt = internal.page_indices(r, s - r, t + r - 1)
+                if not idx or not tgt:
                     continue
-                ts, tt = s - r, t + r - 1
-                tgt_reps = reps[r].get((ts, tt), [])
-                tgt_span = spans.get((ts, tt))
-                cols = []
-                dn = dmat(n)
-                for v in rp:
-                    w = dn.mul_vec(v)
-                    if tgt_span is None:
-                        c = None if any(w) else []
-                    else:
-                        c = tgt_span.coords(w)
-                    if c is None:
-                        raise ExactnessError(
-                            "page differential misses its target cell")
-                    # coordinates over the target reps, modulo its boundaries
-                    cols.append(c[len(c) - len(tgt_reps):])
-                if tgt_reps:
-                    diffs[r][(s, t)] = fp_from_columns(p, cols, len(tgt_reps))
+                # d_r sends a death of gap r to its birth partner, the rest to 0
+                d = FpMatrix.zeros(p, len(tgt), len(idx))
+                for a, k in enumerate(idx):
+                    if low[k] is not None and gap[n][k] == r:
+                        d.data[tgt.index(low[k])][a] = 1
+                diffs[r][(s, t)] = d
 
     # page recursion invariant: dim E^{r+1} = dim H(E^r, d^r)
     for r in range(2, r_stop):
@@ -304,28 +324,21 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
 
     abutment = {}
     filtration = {}
-    abut_reps = {}
-    abut_bound = {}
-    filt_spans = {}
     for n in range(n_hi + 1):
-        dim = tot.dims.get(n, 0)
-        dn = dmat(n)
-        dn1 = dmat(n + 1)
+        dim = tot.dims[n]
+        dn = tot.D[n]
+        dn1 = tot.D[n + 1]
         cyc = fplinalg.kernel_basis(dn) if dim else []
-        bnd = [dn1.col(j) for j in range(dn1.cols)]
-        homology = Span(p, dim, bnd)
-        rk_bnd = len(homology)
+        # F_s cycles grow with s, so one span collects boundaries + F_s cycles
+        filtered = Span(p, dim, [dn1.col(j) for j in range(dn1.cols)])
+        rk_bnd = len(filtered)
         # kernel_basis is independent, so len(cyc) is its rank
         abutment[n] = len(cyc) - rk_bnd
-        abut_reps[n] = [v for v in cyc if homology.insert(v)]
-        abut_bound[n] = bnd
         grs = []
         prev = 0
-        # F_s cycles grow with s, so one span collects F_s cycles + boundaries
-        filtered = Span(p, dim, bnd)
         for s in range(0, n + 1):
-            sub_cyc = _cycles_in_prefix(p, dn, fdim(n, s), dim)
-            filt_spans[(n, s)] = sub_cyc
+            sub_cyc = _cycles_in_prefix(p, dn, sum(f <= s for f in filt[n]), dim)
+            internal.filt_cycle_spans[(n, s)] = sub_cyc
             for v in sub_cyc:
                 filtered.insert(v)
             d_s = len(filtered) - rk_bnd
@@ -333,7 +346,6 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
             prev = d_s
         filtration[n] = grs
 
-    internal = PagesInternal(tot, z, b, reps, abut_reps, abut_bound, filt_spans)
     return SSResult(p, dc.max_s, dc.max_t, r_stop, pages, diffs, einf,
                     abutment, filtration, degen, internal, n_valid)
 
@@ -612,7 +624,6 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
     ok = True
     dims = {2: {}}
     psi = {2: {}}
-    dmats = {2: {}}
     reps = {2: {}}
     spans = {}
     cells = _window_cells(gd)
@@ -620,35 +631,20 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
         n = s + t
         sub = _canon_sub(gd, s, t)
         k_canon = sub.obj.fp_dimension()
-        page_reps = ss.internal.reps[2].get((s, t), [])
+        page_reps = ss.internal.reps(2, s, t)
         dims[2][(s, t)] = k_canon
         if k_canon != len(page_reps):
             ok = False
             continue
         proj_h = functors.apply_to_morphism(gd.G, gd.ce.proj_to_h(t, s)).matrix
+        to_class = _class_map(sub)
 
         def classify(v):
-            w = proj_h.mul_vec(_slice_cell(ss, dc, v, n, s, t))
-            kl = fplinalg.solve(sub.mono.matrix, w)
-            if kl is None:
-                return None
-            return sub.epi.matrix.mul_vec(kl)
+            return to_class(proj_h.mul_vec(_slice_cell(ss, dc, v, n, s, t)))
 
-        cols = []
-        good = True
-        for v in page_reps:
-            c = classify(v)
-            if c is None:
-                good = False
-                break
-            cols.append(c)
-        if good:
-            for v in ss.internal.b[2].get((s, t), []):
-                c = classify(v)
-                if c is None or any(x for x in c):
-                    good = False
-                    break
-        if not good:
+        cols = [classify(v) for v in page_reps]
+        bounds = [classify(v) for v in ss.internal.boundaries(2, s, t)]
+        if None in cols or any(c is None or any(c) for c in bounds):
             ok = False
             continue
         m = fp_from_columns(p, cols, k_canon)
@@ -657,26 +653,15 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
             continue
         psi[2][(s, t)] = m
         reps[2][(s, t)] = unit_vectors(k_canon)
-    for (s, t) in cells:
-        if (s, t) not in psi[2]:
-            continue
-        tgt = (s - 2, t + 1)
-        d_tot = ss.diffs[2].get((s, t))
-        if tgt not in psi[2] or d_tot is None:
-            continue
-        inv = fplinalg.inverse(psi[2][(s, t)])
-        dmats[2][(s, t)] = psi[2][tgt].mul(d_tot).mul(inv)
     for r in range(3, ss.r_stop + 1):
         dims[r] = {}
         psi[r] = {}
-        dmats[r] = {}
         reps[r] = {}
         spans[r] = {}
         prev = r - 1
         for (s, t) in cells:
             if (s, t) not in psi[prev]:
                 continue
-            n = s + t
             k_prev = dims[prev][(s, t)]
             prev_psi = psi[prev][(s, t)]
             # kernel of the outgoing differential and image of the incoming
@@ -686,58 +671,48 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
             if dout_tot is not None:
                 ker_rep = fplinalg.kernel_basis(dout_tot)
             else:
-                ker_rep = unit_vectors(len(ss.internal.reps[prev].get((s, t), [])))
-            kerv = [prev_psi.mul_vec(v) for v in ker_rep]
+                ker_rep = unit_vectors(k_prev)
             din_tot = ss.diffs[prev].get((s + prev, t - prev + 1))
             imv = []
             if din_tot is not None:
-                for col in range(din_tot.cols):
-                    imv.append(prev_psi.mul_vec(din_tot.col(col)))
+                imv = [prev_psi.mul_vec(din_tot.col(j)) for j in range(din_tot.cols)]
             span = Span(p, k_prev, imv)
-            cell_reps = [v for v in kerv if span.insert(v)]
-            # compose the previous identification with the subquotient step
-            page_reps = ss.internal.reps[r].get((s, t), [])
-            if len(page_reps) != len(cell_reps):
-                ok = False
-                continue
-            cols = []
-            good = True
-            prev_reps = ss.internal.reps[prev].get((s, t), [])
-            prev_span = Span(p, ss.internal.tot.dims[n],
-                             ss.internal.b[prev].get((s, t), []) + prev_reps)
-            for v in page_reps:
-                c_prev = prev_span.coords(v)
-                if c_prev is None:
-                    good = False
-                    break
-                w = prev_psi.mul_vec(c_prev[len(c_prev) - len(prev_reps):])
-                c = span.coords(w)
-                if c is None:
-                    good = False
-                    break
-                cols.append(c[len(c) - len(cell_reps):])
-            if not good:
-                ok = False
-                continue
+            cell_reps = [v for v in map(prev_psi.mul_vec, ker_rep) if span.insert(v)]
+            # compose the previous identification with the subquotient step;
+            # a page-r rep is a page-(r-1) rep, so its previous coordinates
+            # are a unit vector and pick a column of prev_psi
+            prev_idx = ss.internal.page_indices(prev, s, t)
+            page_idx = ss.internal.page_indices(r, s, t)
             k_r = len(cell_reps)
-            m = fp_from_columns(p, cols, k_r)
-            if k_r and fplinalg.rank(m) != k_r:
+            m = _tail_coords(p, span, [prev_psi.col(prev_idx.index(k))
+                                       for k in page_idx], k_r)
+            if m is None or len(page_idx) != k_r or (
+                    k_r and fplinalg.rank(m) != k_r):
                 ok = False
                 continue
             dims[r][(s, t)] = k_r
             psi[r][(s, t)] = m
             reps[r][(s, t)] = cell_reps
             spans[r][(s, t)] = span
-        for (s, t) in cells:
-            if (s, t) not in psi[r]:
-                continue
+    # every page differential between identified cells, in canonical coords
+    dmats = {}
+    for r in psi:
+        dmats[r] = {}
+        for (s, t), m in psi[r].items():
             tgt = (s - r, t + r - 1)
             d_tot = ss.diffs[r].get((s, t))
-            if tgt not in psi[r] or d_tot is None:
-                continue
-            inv = fplinalg.inverse(psi[r][(s, t)])
-            dmats[r][(s, t)] = psi[r][tgt].mul(d_tot).mul(inv)
+            if tgt in psi[r] and d_tot is not None:
+                dmats[r][(s, t)] = psi[r][tgt].mul(d_tot).mul(fplinalg.inverse(m))
     return CanonPages(dims, psi, dmats, reps, spans, ok)
+
+
+def _tail_coords(p, span, vectors, k):
+    """The matrix whose columns are the last k coordinates of each vector
+    over span.basis, or None if some vector lies outside the span."""
+    cols = [span.coords(v) for v in vectors]
+    if None in cols:
+        return None
+    return fp_from_columns(p, [c[len(c) - k:] for c in cols], k)
 
 
 @dataclass
@@ -800,12 +775,27 @@ def _theta_matrices(gd: GrothendieckData):
     return out
 
 
-def _abutment_class(gd: GrothendieckData, theta_n, sub, v):
-    y = theta_n.mul_vec(v)
-    kl = fplinalg.solve(sub.mono.matrix, y)
-    if kl is None:
+def _class_map(sub):
+    """w -> the class in sub.obj of a vector w in the image of sub.mono, or
+    None when w lies outside it; one span of the mono's columns serves
+    every w."""
+    m = sub.mono.matrix
+    span = Span(m.p, m.rows, [m.col(j) for j in range(m.cols)])
+    if len(span) != m.cols:
+        raise ExactnessError("homology cycles must include injectively")
+
+    def to_class(w):
+        kl = span.coords(w)
+        return None if kl is None else sub.epi.matrix.mul_vec(kl)
+
+    return to_class
+
+
+def _abutment_class(theta_n, to_class, v):
+    c = to_class(theta_n.mul_vec(v))
+    if c is None:
         raise ExactnessError("edge image of a cycle must be a cycle")
-    return sub.epi.matrix.mul_vec(kl)
+    return c
 
 
 def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResult:
@@ -871,20 +861,13 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
                 prev = cell_maps[r - 1].get((s, t))
                 if prev is None:
                     continue
-                cols = []
-                okcell = True
-                k = len(cj.reps[r][(s, t)])
-                span = cj.spans[r][(s, t)]
-                for v in ci.reps[r][(s, t)]:
-                    c = span.coords(prev.mul_vec(v))
-                    if c is None:
-                        okcell = False
-                        break
-                    cols.append(c[len(c) - k:])
-                if not okcell:
+                mat = _tail_coords(p, cj.spans[r][(s, t)],
+                                   map(prev.mul_vec, ci.reps[r][(s, t)]),
+                                   len(cj.reps[r][(s, t)]))
+                if mat is None:
                     page_squares[(m, r, (s, t))] = False
-                    continue
-                cell_maps[r][(s, t)] = fp_from_columns(p, cols, k)
+                else:
+                    cell_maps[r][(s, t)] = mat
             for (s, t), mat in cell_maps[r].items():
                 tgt = (s - r, t + r - 1)
                 if tgt not in cell_maps[r]:
@@ -907,20 +890,19 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
             abutment_maps[(m, n)] = amap
             hdim_i = sub_i.obj.fp_dimension()
             hdim_j = sub_j.obj.fp_dimension()
+            cls_i = _class_map(sub_i)
+            cls_j = _class_map(sub_j)
             spans_i = {}
             spans_j = {}
             for s in range(0, n + 1):
-                spans_i[s] = [_abutment_class(gi, theta_i[n], sub_i, v)
+                spans_i[s] = [_abutment_class(theta_i[n], cls_i, v)
                               for v in gi.ss.internal.filt_cycle_spans[(n, s)]]
-                spans_j[s] = [_abutment_class(gj, theta_j[n], sub_j, v)
+                spans_j[s] = [_abutment_class(theta_j[n], cls_j, v)
                               for v in gj.ss.internal.filt_cycle_spans[(n, s)]]
-            ok_filt = True
-            for s in range(0, n + 1):
-                filt_j = Span(p, hdim_j, spans_j[s])
-                for v in spans_i[s]:
-                    if not filt_j.contains(amap.mul_vec(v)):
-                        ok_filt = False
-            abutment_filtration_ok[(m, n)] = ok_filt
+            filt_j = [Span(p, hdim_j, spans_j[s]) for s in range(0, n + 1)]
+            abutment_filtration_ok[(m, n)] = all(
+                filt_j[s].contains(amap.mul_vec(v))
+                for s in range(0, n + 1) for v in spans_i[s])
             # graded pieces against the E_inf maps
             r_top = per_object[i].r_stop
             for s in range(0, n + 1):
@@ -931,37 +913,27 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
                 gr_j = Span(p, hdim_j, spans_j[s - 1] if s >= 1 else [])
                 gr_reps_i = [v for v in spans_i[s] if gr_i.insert(v)]
                 gr_reps_j = [v for v in spans_j[s] if gr_j.insert(v)]
-                k_j = len(gr_reps_j)
                 if einf_map is None:
                     gr_matches[(m, n, s)] = not gr_reps_i
                     continue
                 # identify gr_s with the canonical E_inf cell on each side
-                tau_i = _gr_identification(gi, ci, s, t, sub_i, theta_i[n],
+                tau_i = _gr_identification(gi, ci, s, t, cls_i, theta_i[n],
                                            gr_reps_i, gr_i)
-                tau_j = _gr_identification(gj, cj, s, t, sub_j, theta_j[n],
+                tau_j = _gr_identification(gj, cj, s, t, cls_j, theta_j[n],
                                            gr_reps_j, gr_j)
                 if tau_i is None or tau_j is None:
                     gr_matches[(m, n, s)] = False
                     continue
-                cols = []
-                okg = True
-                for v in gr_reps_i:
-                    c = gr_j.coords(amap.mul_vec(v))
-                    if c is None:
-                        okg = False
-                        break
-                    cols.append(c[len(c) - k_j:])
-                if not okg:
-                    gr_matches[(m, n, s)] = False
-                    continue
-                gr_map = fp_from_columns(p, cols, k_j)
-                gr_matches[(m, n, s)] = gr_map.mul(tau_i) == tau_j.mul(einf_map)
+                gr_map = _tail_coords(p, gr_j, map(amap.mul_vec, gr_reps_i),
+                                      len(gr_reps_j))
+                gr_matches[(m, n, s)] = (gr_map is not None and
+                                         gr_map.mul(tau_i) == tau_j.mul(einf_map))
     return ComponentwiseResult(per_object, data, canon, e2_cell_maps,
                                e2_squares, page_squares, abutment_maps,
                                abutment_filtration_ok, gr_matches, ident_ok)
 
 
-def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, sub,
+def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, to_class,
                        theta_n, gr_reps, gr_span):
     """Matrix from the canonical E_inf cell to gr_s of the abutment:
     canonical coords -> page reps -> cycles -> edge classes -> gr coords.
@@ -969,20 +941,15 @@ def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, sub,
     ss = gd.ss
     p = ss.p
     r_top = ss.r_stop
-    page_reps = ss.internal.reps[r_top].get((s, t), [])
+    page_reps = ss.internal.reps(r_top, s, t)
     psi = cp.psi.get(r_top, {}).get((s, t))
     if psi is None:
         return None if gr_reps else FpMatrix.zeros(p, len(gr_reps), 0)
     if len(page_reps) != len(gr_reps):
         return None
-    cols = []
     k = len(page_reps)
     # column j: the cycle whose canonical coordinates are the j-th unit vector
     cycles = fp_from_columns(p, page_reps, ss.internal.tot.dims[s + t]).mul(
         fplinalg.inverse(psi))
-    for col in range(k):
-        c = gr_span.coords(_abutment_class(gd, theta_n, sub, cycles.col(col)))
-        if c is None:
-            return None
-        cols.append(c[len(c) - k:])
-    return fp_from_columns(p, cols, len(gr_reps))
+    return _tail_coords(p, gr_span, [_abutment_class(theta_n, to_class, cycles.col(j))
+                                     for j in range(k)], k)

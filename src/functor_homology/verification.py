@@ -490,39 +490,25 @@ def _closed_form_cell(dc, tot, r, s, t):
                 out += dc.dim(s2, t2)
         return out
 
-    def dmat(nn):
-        if 1 <= nn <= n_hi:
-            return tot.D[nn]
-        return FpMatrix.zeros(p, tot.dims.get(nn - 1, 0), tot.dims.get(nn, 0))
-
     def a_space(nn, ss, rr):
         if nn < 0 or nn > n_hi or ss < 0 or tot.dims.get(nn, 0) == 0:
             return []
         pre = fdim(nn, ss)
         if pre == 0:
             return []
-        dn = dmat(nn)
+        dn = tot.D[nn]
         cutoff = fdim(nn - 1, ss - rr)
         width = tot.dims.get(nn - 1, 0)
-        rows = []
-        for coord in range(cutoff, width):
-            rows.append([dn.data[coord][c] for c in range(pre)])
+        rows = [dn.data[coord][:pre] for coord in range(cutoff, width)]
         if not rows:
-            basis = []
-            for k in range(pre):
-                v = [0] * tot.dims[nn]
-                v[k] = 1
-                basis.append(v)
-            return basis
+            return fplinalg.unit_vectors(tot.dims[nn])[:pre]
         cond = FpMatrix(p, len(rows), pre, rows)
-        out = []
-        for c in fplinalg.kernel_basis(cond):
-            out.append(c + [0] * (tot.dims[nn] - pre))
-        return out
+        return [c + [0] * (tot.dims[nn] - pre)
+                for c in fplinalg.kernel_basis(cond)]
 
     zr = a_space(n, s, r)
     bound = list(a_space(n, s - 1, r - 1))
-    dn1 = dmat(n + 1)
+    dn1 = tot.D[n + 1]
     for v in a_space(n + 1, s + r - 1, r - 1):
         bound.append(dn1.mul_vec(v))
     dim_z = _rank_list(p, zr, tot.dims.get(n, 0))

@@ -242,3 +242,17 @@ def test_ragged_matrix_diagnostic_survives_optimize(tmp_path):
             assert message.strip()
             outs.append(out.stdout)
         assert outs[0] == outs[1]
+
+
+def test_negative_degree_is_an_error_row():
+    cases = [(FIXTURE_GROUP.replace("n=2", "n=-1"), None),
+             (FIXTURE_TOR.replace("n=1", "n=-1"), None),
+             (FIXTURE_GROUP, -1), (FIXTURE_LES, -1)]
+    for text, max_degree in cases:
+        doc, diags = parse(text)
+        assert not diags, diags
+        report = runner.run(doc, max_degree=max_degree)
+        result = report.results[-1]
+        assert result.status == "error", (text, result.rows)
+        assert "nonnegative" in dict(result.rows)["error"]
+        assert not report.ok()

@@ -17,6 +17,7 @@ from functor_homology.spectral import (DoubleComplex, check_acyclic_hypothesis,
                                        grothendieck_ss, ss_componentwise,
                                        ss_pages)
 from functor_homology.diagrams import Diagram, constant_diagram
+from functor_homology.verification import _closed_form_cell
 from oracle import cyclic_group_homology_dims, product_c2_homology_dims
 
 R2 = group_algebra(2, cyclic_group_table(2), label="F2[C2]")
@@ -131,6 +132,22 @@ def test_c2xc2_fixture_small():
     assert ss.converged() and ss.e2_matches and ss.abutment_matches
 
 
+@pytest.mark.parametrize("quot, ring", [(QUOT4, R4), (QUOTV, RV)],
+                         ids=["C4", "C2xC2"])
+def test_pages_match_closed_form_oracle(quot, ring):
+    # every page cell against Z^r / B^r solved from scratch
+    for n_max in (3, 4, 5):
+        gd = grothendieck_ss(base_change(quot), base_change(AUG2),
+                             trivial_module(ring), n_max, with_data=True)
+        ss, tot = gd.ss, gd.ss.internal.tot
+        for r in range(2, ss.r_stop + 1):
+            for cells in tot.cells.values():
+                for (s, t) in cells:
+                    want = _closed_form_cell(gd.dc, tot, r, s, t)
+                    assert ss.pages[r].get((s, t), 0) == want, (n_max, r, s, t)
+        assert ss.converged() and ss.e2_matches and ss.abutment_matches
+
+
 def test_componentwise_constant_diagram():
     arrow = standard("arrow")
     F = base_change(QUOT4)
@@ -178,12 +195,43 @@ else:
 """
 
 
+PLANTED_REDUCTION_FAULT = """
+from functor_homology import spectral
+from functor_homology.errors import ExactnessError
+from functor_homology.fplinalg import FpMatrix
+from functor_homology.spectral import DoubleComplex, ss_pages
+
+true_reduce = spectral._reduce
+
+
+def bad_reduce(p, D):
+    V, R, low = true_reduce(p, D)
+    if V:
+        V[-1][-1] = 0  # V no longer carries D onto R
+    return V, R, low
+
+
+spectral._reduce = bad_reduce
+# one isomorphism (1, 0) -> (0, 0), so D[1] * V = R is nonzero
+dc = DoubleComplex(2, 1, 0, {(0, 0): 1, (1, 0): 1},
+                   {(1, 0): FpMatrix(2, 1, 1, [[1]])}, {})
+try:
+    ss_pages(dc)
+except ExactnessError as e:
+    if "D*V = R" not in str(e):
+        raise SystemExit(f"unexpected ExactnessError: {e}")
+else:
+    raise SystemExit("planted reduction fault not detected")
+"""
+
+
 def test_page_invariants_hold_under_optimize():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    for flags in ([], ["-O"]):
-        out = subprocess.run([sys.executable, *flags, "-c", PLANTED_RANK_FAULT],
-                             env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert out.returncode == 0, out.stdout + out.stderr
+    for script in (PLANTED_RANK_FAULT, PLANTED_REDUCTION_FAULT):
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable, *flags, "-c", script],
+                                 env=env, capture_output=True, text=True,
+                                 timeout=120)
+            assert out.returncode == 0, out.stdout + out.stderr

@@ -14,6 +14,12 @@ def test_all_suites_pass_smoke():
         assert rep.passed == 4
 
 
+def test_ss_suite_fifty_cases():
+    rep = run_suite("ss", 20260810, 50)
+    assert rep.ok(), rep.failures
+    assert rep.passed == 50
+
+
 def test_suites_are_seed_deterministic():
     a = run_suite("les", 77, 6)
     b = run_suite("les", 77, 6)

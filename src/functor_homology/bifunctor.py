@@ -7,10 +7,13 @@ instance.
 
 Ladders: a morphism of short exact sequences in one variable plus a
 morphism in the other yields two long exact rows and vertical maps; every
-square, including the connecting squares, is checked to commute.  The
-same construction runs over diagram categories, where the rows live over
-the product index and the identification of (F^I)^J with F^{I x J} is
-part of the functoriality checks.
+square, including the connecting squares, is checked to commute.  Every
+map of a ladder is built one way: lift a map in the resolved variable,
+tensor it with a map in the other variable, pass to homology.  A diagram
+ladder over the product index I x J is the base ladder at every cell
+(i, j), plus the structure maps along (u, v) built the same way; the
+identification of (F^I)^J with F^{I x J} is part of the functoriality
+checks.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from dataclasses import dataclass, field
 from . import abelian, tensorops
 from .complexes import (ChainMap, Complex, SES, SESOfComplexes, homology_at,
                         induced_on_homology)
-from .derived import (LES, LesData, _les_from_sesc, derived_data,
-                      horseshoe_data_for, les_data, lift_resolution_map,
-                      resolve)
+from .derived import (LES, _les_from_sesc, derived_data, les_data,
+                      lift_resolution_map, resolve)
 from .diagrams import DiagMor, Diagram, d_exactness_report
 from .errors import ExactnessError
 from .fincat import product as cat_product
 from .functors import apply_to_complex, tensor_with
 from .modules import ModMor, ModuleObj, identity_mor, nary_biproduct
+
 
 def tensor_by(M: ModuleObj, side="right"):
     """The functor (-) (x) M (side='right') or M (x) (-) (side='left')."""
@@ -117,6 +120,19 @@ def balance_comparison(A: ModuleObj, B: ModuleObj, n) -> BalanceResult:
 # -- base-level ladders -------------------------------------------------------
 
 
+_COLS = ("L", "M", "N")
+
+
+def _constant(h):
+    """The same map in every column."""
+    return dict.fromkeys(_COLS, h)
+
+
+def _ses_maps(mors):
+    """The three verticals of a morphism of short exact sequences."""
+    return {"L": mors.uL, "M": mors.uM, "N": mors.uN}
+
+
 @dataclass
 class LadderResult:
     row_src: LES
@@ -134,8 +150,55 @@ class LadderResult:
         return self.rows_exact() and self.all_squares()
 
 
-def _ladder_squares(result: LadderResult, n_max):
-    r1, r2, v = result.row_src, result.row_dst, result.vmaps
+@dataclass
+class _Cell:
+    """One long exact row of a ladder, with the resolution of the resolved
+    (first) variable behind each of its columns L, M, N."""
+    les: LES
+    sesc: SESOfComplexes
+    res: dict
+
+    def column(self, col) -> Complex:
+        return {"L": self.sesc.sub, "M": self.sesc.mid, "N": self.sesc.quo}[col]
+
+
+def _les_cell(A: ModuleObj, ses: SES, n_max) -> _Cell:
+    """Row of Tor(-, A) along ses, resolving ses by the horseshoe."""
+    ld = les_data(tensor_by(A, "right"), ses, n_max)
+    return _Cell(ld.les, ld.sesc, {"L": resolve(ses.L, n_max + 1),
+                                   "M": ld.hs.res_mid,
+                                   "N": resolve(ses.N, n_max + 1)})
+
+
+def _switched_cell(A: ModuleObj, ses: SES, n_max) -> _Cell:
+    """Row of Tor(A, -) along ses, resolving A (see `switched_row`)."""
+    row = switched_row(A, ses, n_max)
+    return _Cell(row.les, row.sesc, _constant(row.res))
+
+
+def _induced_maps(c1: _Cell, c2: _Cell, first: dict, second: dict,
+                  n_max) -> dict:
+    """{(col, n): H_n(c1) -> H_n(c2)}: lift first[col] between the column
+    resolutions, tensor with second[col] and pass to homology.  Every map
+    of every ladder is built here: the verticals, and over I x J also the
+    structure maps along (u, v)."""
+    maps = {}
+    for col in _COLS:
+        lift = lift_resolution_map(first[col], c1.res[col], c2.res[col],
+                                   n_max + 1)
+        for n in range(0, n_max + 1):
+            maps[(col, n)] = induced_on_homology(
+                tensorops.tensor_mor(lift[n], second[col]),
+                homology_at(c1.column(col), n), homology_at(c2.column(col), n))
+    return maps
+
+
+def _ladder(c1: _Cell, c2: _Cell, first: dict, second: dict,
+            n_max) -> LadderResult:
+    """The ladder between two cells, with every square checked."""
+    r1, r2 = c1.les, c2.les
+    v = _induced_maps(c1, c2, first, second, n_max)
+    result = LadderResult(r1, r2, v)
     for n in range(0, n_max + 1):
         result.squares[("lm", n)] = (
             r1.lm[n].then(v[("M", n)]) == v[("L", n)].then(r2.lm[n]))
@@ -144,39 +207,16 @@ def _ladder_squares(result: LadderResult, n_max):
     for n in range(1, n_max + 1):
         result.squares[("delta", n)] = (
             r1.delta[n].then(v[("L", n - 1)]) == v[("N", n)].then(r2.delta[n]))
+    return result
 
 
 def ladder(mors, g: ModMor, n_max) -> LadderResult:
     """Rows: long exact sequences of Tor(-, A) and Tor(-, B) for a
     morphism of short exact sequences in the first variable; verticals
     combine it with g: A -> B in the second variable."""
-    A, B = g.source, g.target
-    ld1 = les_data(tensor_by(A, "right"), mors.src, n_max)
-    ld2 = les_data(tensor_by(B, "right"), mors.dst, n_max)
-
-    def col_res(ld: LesData, ses: SES, col):
-        if col == "L":
-            return resolve(ses.L, n_max + 1)
-        if col == "N":
-            return resolve(ses.N, n_max + 1)
-        return ld.hs.res_mid
-
-    def col_complex(ld: LesData, col):
-        return {"L": ld.sesc.sub, "M": ld.sesc.mid, "N": ld.sesc.quo}[col]
-
-    vmaps = {}
-    for col, u in (("L", mors.uL), ("M", mors.uM), ("N", mors.uN)):
-        res1 = col_res(ld1, mors.src, col)
-        res2 = col_res(ld2, mors.dst, col)
-        lift = lift_resolution_map(u, res1, res2, n_max + 1)
-        for n in range(0, n_max + 1):
-            phi = tensorops.tensor_mor(lift[n], g)
-            vmaps[(col, n)] = induced_on_homology(
-                phi, homology_at(col_complex(ld1, col), n),
-                homology_at(col_complex(ld2, col), n))
-    result = LadderResult(ld1.les, ld2.les, vmaps)
-    _ladder_squares(result, n_max)
-    return result
+    return _ladder(_les_cell(g.source, mors.src, n_max),
+                   _les_cell(g.target, mors.dst, n_max),
+                   _ses_maps(mors), _constant(g), n_max)
 
 
 @dataclass
@@ -211,23 +251,9 @@ def switched_row(A: ModuleObj, ses: SES, n_max) -> SwitchedRowData:
 def ladder_switched(mors, f: ModMor, n_max) -> LadderResult:
     """Rows in the second variable (resolving the first), verticals from
     f: A -> B in the first variable and the SES morphism in the second."""
-    row1 = switched_row(f.source, mors.src, n_max)
-    row2 = switched_row(f.target, mors.dst, n_max)
-    lift = lift_resolution_map(f, row1.res, row2.res, n_max + 1)
-
-    def col_complex(row, col):
-        return {"L": row.sesc.sub, "M": row.sesc.mid, "N": row.sesc.quo}[col]
-
-    vmaps = {}
-    for col, u in (("L", mors.uL), ("M", mors.uM), ("N", mors.uN)):
-        for n in range(0, n_max + 1):
-            phi = tensorops.tensor_mor(lift[n], u)
-            vmaps[(col, n)] = induced_on_homology(
-                phi, homology_at(col_complex(row1, col), n),
-                homology_at(col_complex(row2, col), n))
-    result = LadderResult(row1.les, row2.les, vmaps)
-    _ladder_squares(result, n_max)
-    return result
+    return _ladder(_switched_cell(f.source, mors.src, n_max),
+                   _switched_cell(f.target, mors.dst, n_max),
+                   _constant(f), _ses_maps(mors), n_max)
 
 
 # -- diagram-level ladders ----------------------------------------------------
@@ -274,40 +300,39 @@ class DiagLadderResult:
         return self.rows_exact() and self.all_squares() and self.routes_agree()
 
 
-def _assemble_rows(K, I, J, cols, n_max, cell_sub, cell_map, cell_les_maps):
-    """Shared assembly: build row diagrams over the product index, the
-    internal LES maps, and the connecting maps, checking naturality and
-    functoriality throughout."""
+def _diagram_row(K, I, J, cells, first, second, n_max):
+    """One row over K = I x J: the base row at every cell (i, j), glued
+    along (u, v) by the maps induced by first[col].maps[u] (over I) and
+    second[col].maps[v] (over J).  Every Diagram and DiagMor is checked."""
+    along = {}
+    for u in I.mor_names:
+        for v in J.mor_names:
+            w = _pair_label(u, v)
+            along[w] = None if K.is_identity(w) else _induced_maps(
+                cells[(I.src(u), J.src(v))], cells[(I.tgt(u), J.tgt(v))],
+                {col: first[col].maps[u] for col in _COLS},
+                {col: second[col].maps[v] for col in _COLS}, n_max)
     rows = {}
     for n in range(0, n_max + 1):
-        per_col = {}
-        for col in cols:
-            comps = {_pair_label(i, j): cell_sub(i, j, col, n).obj
-                     for i in I.objects for j in J.objects}
-            maps = {}
-            for u in I.mor_names:
-                for v in J.mor_names:
-                    w = _pair_label(u, v)
-                    if K.is_identity(w):
-                        maps[w] = comps[K.src(w)].identity()
-                    else:
-                        maps[w] = cell_map(u, v, col, n)
-            per_col[col] = Diagram(K, comps, maps)
-        rows[n] = per_col
-    lm = {}
-    mn = {}
-    delta = {}
-    for n in range(0, n_max + 1):
-        lm[n] = DiagMor(rows[n]["L"], rows[n]["M"],
-                        {_pair_label(i, j): cell_les_maps(i, j, "lm", n)
-                         for i in I.objects for j in J.objects})
-        mn[n] = DiagMor(rows[n]["M"], rows[n]["N"],
-                        {_pair_label(i, j): cell_les_maps(i, j, "mn", n)
-                         for i in I.objects for j in J.objects})
-    for n in range(1, n_max + 1):
-        delta[n] = DiagMor(rows[n]["N"], rows[n - 1]["L"],
-                           {_pair_label(i, j): cell_les_maps(i, j, "delta", n)
-                            for i in I.objects for j in J.objects})
+        rows[n] = {}
+        for col in _COLS:
+            comps = {_pair_label(*ij): homology_at(c.column(col), n).obj
+                     for ij, c in cells.items()}
+            maps = {w: comps[K.src(w)].identity() if m is None else m[(col, n)]
+                    for w, m in along.items()}
+            rows[n][col] = Diagram(K, comps, maps)
+
+    def les_map(source, target, kind, n):
+        return DiagMor(source, target,
+                       {_pair_label(*ij): getattr(c.les, kind)[n]
+                        for ij, c in cells.items()})
+
+    lm = {n: les_map(rows[n]["L"], rows[n]["M"], "lm", n)
+          for n in range(0, n_max + 1)}
+    mn = {n: les_map(rows[n]["M"], rows[n]["N"], "mn", n)
+          for n in range(0, n_max + 1)}
+    delta = {n: les_map(rows[n]["N"], rows[n - 1]["L"], "delta", n)
+             for n in range(1, n_max + 1)}
     return rows, lm, mn, delta
 
 
@@ -344,192 +369,67 @@ def _route_identities(K, I, J, rows, route_checks, tag):
                         direct == via_i and direct == via_j)
 
 
-def diagram_ladder(mors, g: DiagMor, n_max) -> DiagLadderResult:
-    """Two-variable ladder for a morphism of short exact sequences of
-    diagrams (first variable, over I) against a diagram morphism (second
-    variable, over J); everything lives over the product index."""
-    dses_src, dses_dst = mors.src, mors.dst
-    I = dses_src.L.index
-    J = g.index
+def _diagram_ladder(cells, first, second, n_max) -> DiagLadderResult:
+    """The ladder over K = I x J, I indexing the resolved variable.
+
+    cells: (source side, target side), each {(i, j): _Cell};
+    first, second: per column, the diagram morphisms over I and over J
+    whose components give the verticals.  The verticals and squares at
+    (i, j) are those of the base ladder at that cell."""
+    I, J = first["L"].index, second["L"].index
     K = cat_product(I, J)
-    As, Bs = g.source, g.target
-
-    def cell(i, j, side):
-        dses, second = (dses_src, As) if side == 0 else (dses_dst, Bs)
-        return les_data(tensor_by(second.components[j], "right"),
-                        _component_ses(dses, i), n_max)
-
-    def col_res(i, side, col):
-        dses = dses_src if side == 0 else dses_dst
-        ses_i = _component_ses(dses, i)
-        if col == "L":
-            return resolve(ses_i.L, n_max + 1)
-        if col == "N":
-            return resolve(ses_i.N, n_max + 1)
-        return horseshoe_data_for(ses_i, n_max + 1).res_mid
-
-    def cell_sub(i, j, col, n, side=0):
-        ld = cell(i, j, side)
-        cx = {"L": ld.sesc.sub, "M": ld.sesc.mid, "N": ld.sesc.quo}[col]
-        return homology_at(cx, n)
-
-    def diag_of(side):
-        return {"L": (dses_src if side == 0 else dses_dst).L,
-                "M": (dses_src if side == 0 else dses_dst).M,
-                "N": (dses_src if side == 0 else dses_dst).N}
-
-    def cell_map_side(u, v, col, n, side):
-        i, i2 = I.src(u), I.tgt(u)
-        j, j2 = J.src(v), J.tgt(v)
-        X = diag_of(side)[col]
-        second = As if side == 0 else Bs
-        lift = lift_resolution_map(X.maps[u], col_res(i, side, col),
-                                   col_res(i2, side, col), n_max + 1)
-        phi = tensorops.tensor_mor(lift[n], second.maps[v])
-        return induced_on_homology(phi, cell_sub(i, j, col, n, side),
-                                   cell_sub(i2, j2, col, n, side))
-
-    def les_maps(side):
-        def inner(i, j, kind, n):
-            ld = cell(i, j, side)
-            if kind == "lm":
-                return ld.les.lm[n]
-            if kind == "mn":
-                return ld.les.mn[n]
-            return ld.les.delta[n]
-        return inner
-
-    rows_src, lm_s, mn_s, d_s = _assemble_rows(
-        K, I, J, ("L", "M", "N"), n_max,
-        lambda i, j, col, n: cell_sub(i, j, col, n, 0),
-        lambda u, v, col, n: cell_map_side(u, v, col, n, 0), les_maps(0))
-    rows_dst, lm_d, mn_d, d_d = _assemble_rows(
-        K, I, J, ("L", "M", "N"), n_max,
-        lambda i, j, col, n: cell_sub(i, j, col, n, 1),
-        lambda u, v, col, n: cell_map_side(u, v, col, n, 1), les_maps(1))
-
-    umaps = {"L": mors.uL, "M": mors.uM, "N": mors.uN}
+    rows_src, lm_s, mn_s, d_s = _diagram_row(
+        K, I, J, cells[0], {c: m.source for c, m in first.items()},
+        {c: m.source for c, m in second.items()}, n_max)
+    rows_dst, lm_d, mn_d, d_d = _diagram_row(
+        K, I, J, cells[1], {c: m.target for c, m in first.items()},
+        {c: m.target for c, m in second.items()}, n_max)
+    base = {(i, j): _ladder(c, cells[1][(i, j)],
+                            {col: first[col].comps[i] for col in _COLS},
+                            {col: second[col].comps[j] for col in _COLS}, n_max)
+            for (i, j), c in cells[0].items()}
     vmaps = {}
-    for col in ("L", "M", "N"):
+    for col in _COLS:
         for n in range(0, n_max + 1):
-            comps = {}
-            for i in I.objects:
-                lift = lift_resolution_map(umaps[col].component(i),
-                                           col_res(i, 0, col),
-                                           col_res(i, 1, col), n_max + 1)
-                for j in J.objects:
-                    phi = tensorops.tensor_mor(lift[n], g.comps[j])
-                    comps[_pair_label(i, j)] = induced_on_homology(
-                        phi, cell_sub(i, j, col, n, 0),
-                        cell_sub(i, j, col, n, 1))
-            vmaps[(col, n)] = DiagMor(rows_src[n][col], rows_dst[n][col], comps)
-
+            vmaps[(col, n)] = DiagMor(
+                rows_src[n][col], rows_dst[n][col],
+                {_pair_label(*ij): b.vmaps[(col, n)] for ij, b in base.items()})
+    squares = {}
+    for b in base.values():
+        for key, ok in b.squares.items():
+            squares[key] = squares.get(key, True) and ok
     exact = {}
     _row_exactness(exact, "src", lm_s, mn_s, d_s, n_max)
     _row_exactness(exact, "dst", lm_d, mn_d, d_d, n_max)
-    squares = {}
-    for n in range(0, n_max + 1):
-        squares[("lm", n)] = (lm_s[n].then(vmaps[("M", n)])
-                              == vmaps[("L", n)].then(lm_d[n]))
-        squares[("mn", n)] = (mn_s[n].then(vmaps[("N", n)])
-                              == vmaps[("M", n)].then(mn_d[n]))
-    for n in range(1, n_max + 1):
-        squares[("delta", n)] = (d_s[n].then(vmaps[("L", n - 1)])
-                                 == vmaps[("N", n)].then(d_d[n]))
     route_checks = {}
     _route_identities(K, I, J, rows_src, route_checks, "src")
     _route_identities(K, I, J, rows_dst, route_checks, "dst")
     return DiagLadderResult(K, rows_src, rows_dst, lm_s, mn_s, d_s,
                             lm_d, mn_d, d_d, vmaps, squares, exact,
                             route_checks)
+
+
+def diagram_ladder(mors, g: DiagMor, n_max) -> DiagLadderResult:
+    """Two-variable ladder for a morphism of short exact sequences of
+    diagrams (first variable, over I) against a diagram morphism (second
+    variable, over J); everything lives over the product index."""
+    def cells(dses, A):
+        return {(i, j): _les_cell(A.components[j], _component_ses(dses, i),
+                                  n_max)
+                for i in dses.L.index.objects for j in A.index.objects}
+    return _diagram_ladder((cells(mors.src, g.source),
+                            cells(mors.dst, g.target)),
+                           _ses_maps(mors), _constant(g), n_max)
 
 
 def diagram_ladder_switched(mors, f: DiagMor, n_max) -> DiagLadderResult:
     """Switched variables: SES morphism of diagrams over J in the second
     slot, diagram morphism over I in the first; rows resolve the first
     variable componentwise."""
-    dses_src, dses_dst = mors.src, mors.dst
-    J = dses_src.L.index
-    I = f.index
-    K = cat_product(I, J)
-    As, Bs = f.source, f.target
-
-    def cell(i, j, side):
-        dses, first = (dses_src, As) if side == 0 else (dses_dst, Bs)
-        return switched_row(first.components[i], _component_ses(dses, j), n_max)
-
-    def cell_sub(i, j, col, n, side):
-        row = cell(i, j, side)
-        cx = {"L": row.sesc.sub, "M": row.sesc.mid, "N": row.sesc.quo}[col]
-        return homology_at(cx, n)
-
-    def diag_of(side):
-        return {"L": (dses_src if side == 0 else dses_dst).L,
-                "M": (dses_src if side == 0 else dses_dst).M,
-                "N": (dses_src if side == 0 else dses_dst).N}
-
-    def cell_map_side(u, v, col, n, side):
-        i, i2 = I.src(u), I.tgt(u)
-        j, j2 = J.src(v), J.tgt(v)
-        first = As if side == 0 else Bs
-        X = diag_of(side)[col]
-        res1 = resolve(first.components[i], n_max + 1)
-        res2 = resolve(first.components[i2], n_max + 1)
-        lift = lift_resolution_map(first.maps[u], res1, res2, n_max + 1)
-        phi = tensorops.tensor_mor(lift[n], X.maps[v])
-        return induced_on_homology(phi, cell_sub(i, j, col, n, side),
-                                   cell_sub(i2, j2, col, n, side))
-
-    def les_maps(side):
-        def inner(i, j, kind, n):
-            row = cell(i, j, side)
-            if kind == "lm":
-                return row.les.lm[n]
-            if kind == "mn":
-                return row.les.mn[n]
-            return row.les.delta[n]
-        return inner
-
-    rows_src, lm_s, mn_s, d_s = _assemble_rows(
-        K, I, J, ("L", "M", "N"), n_max,
-        lambda i, j, col, n: cell_sub(i, j, col, n, 0),
-        lambda u, v, col, n: cell_map_side(u, v, col, n, 0), les_maps(0))
-    rows_dst, lm_d, mn_d, d_d = _assemble_rows(
-        K, I, J, ("L", "M", "N"), n_max,
-        lambda i, j, col, n: cell_sub(i, j, col, n, 1),
-        lambda u, v, col, n: cell_map_side(u, v, col, n, 1), les_maps(1))
-
-    umaps = {"L": mors.uL, "M": mors.uM, "N": mors.uN}
-    vmaps = {}
-    for col in ("L", "M", "N"):
-        for n in range(0, n_max + 1):
-            comps = {}
-            for i in I.objects:
-                lift = lift_resolution_map(
-                    f.comps[i], resolve(As.components[i], n_max + 1),
-                    resolve(Bs.components[i], n_max + 1), n_max + 1)
-                for j in J.objects:
-                    phi = tensorops.tensor_mor(lift[n], umaps[col].component(j))
-                    comps[_pair_label(i, j)] = induced_on_homology(
-                        phi, cell_sub(i, j, col, n, 0),
-                        cell_sub(i, j, col, n, 1))
-            vmaps[(col, n)] = DiagMor(rows_src[n][col], rows_dst[n][col], comps)
-
-    exact = {}
-    _row_exactness(exact, "src", lm_s, mn_s, d_s, n_max)
-    _row_exactness(exact, "dst", lm_d, mn_d, d_d, n_max)
-    squares = {}
-    for n in range(0, n_max + 1):
-        squares[("lm", n)] = (lm_s[n].then(vmaps[("M", n)])
-                              == vmaps[("L", n)].then(lm_d[n]))
-        squares[("mn", n)] = (mn_s[n].then(vmaps[("N", n)])
-                              == vmaps[("M", n)].then(mn_d[n]))
-    for n in range(1, n_max + 1):
-        squares[("delta", n)] = (d_s[n].then(vmaps[("L", n - 1)])
-                                 == vmaps[("N", n)].then(d_d[n]))
-    route_checks = {}
-    _route_identities(K, I, J, rows_src, route_checks, "src")
-    _route_identities(K, I, J, rows_dst, route_checks, "dst")
-    return DiagLadderResult(K, rows_src, rows_dst, lm_s, mn_s, d_s,
-                            lm_d, mn_d, d_d, vmaps, squares, exact,
-                            route_checks)
+    def cells(A, dses):
+        return {(i, j): _switched_cell(A.components[i],
+                                       _component_ses(dses, j), n_max)
+                for i in A.index.objects for j in dses.L.index.objects}
+    return _diagram_ladder((cells(f.source, mors.src),
+                            cells(f.target, mors.dst)),
+                           _constant(f), _ses_maps(mors), n_max)

@@ -364,16 +364,10 @@ def _cycles_in_prefix(p, dn, prefix, dim):
 
 @dataclass
 class CEData:
-    base: Complex
     depth: int
     width: int
-    Z: dict
-    B: dict
-    H: dict
     monoZ: dict
-    u_bz: dict
     epiH: dict
-    res_B: dict
     res_H: dict
     hsZ: dict
     hsC: dict
@@ -451,8 +445,7 @@ def ce_grid(C: Complex, depth) -> CEData:
             ses_c = SES(monoZ[pdeg], epiB[pdeg - 1])
             res_quo = res_B[pdeg - 1]
         hsC[pdeg] = horseshoe(ses_c, hsZ[pdeg].res_mid, res_quo, depth)
-    ce = CEData(C, depth, width, Z, B, H, monoZ, u_bz, epiH, res_B, res_H,
-                hsZ, hsC)
+    ce = CEData(depth, width, monoZ, epiH, res_H, hsZ, hsC)
     # structural checks: horizontal differential is a chain map squaring
     # to zero and compatible with the augmentations
     for pdeg in range(1, width + 1):

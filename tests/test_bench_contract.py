@@ -1,4 +1,5 @@
-"""The traced benchmark run can still see every function it counts.
+"""The traced benchmark run can still see every function it counts, and
+the z_ladder cases still produce their recorded output digests.
 
 `perfbench/tracer.py` wraps its targets by replacing module attributes,
 `from .x import f` aliases and class attributes.  A renamed target, or a
@@ -52,11 +53,40 @@ if problems:
 """
 
 
-def test_tracer_sees_every_target():
+# Every z_ladder case through `run.py`'s own `run_case`, against the
+# sha256 digests in `perfbench/digests.json`.
+DIGEST_REPLAY = """
+import run
+from workloads import WORKLOADS
+
+w = WORKLOADS["z_ladder"]
+ctx = w.setup()
+digests = run.load_digests(w)
+if len(digests) != w.universe:
+    raise SystemExit(f"{len(digests)} digests for {w.universe} cases")
+failed = []
+for key in range(w.universe):
+    _, reason, _ = run.run_case(w, ctx, key, digests)
+    if reason is not None:
+        failed.append(f"case key {key}: {reason}")
+if failed:
+    raise SystemExit("\\n".join(failed))
+"""
+
+
+def _run_in_perfbench(script):
     src = os.path.join(ROOT, "src")
     bench = os.path.join(ROOT, "perfbench")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, bench] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", CONTRACT], env=env, cwd=bench,
+    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=bench,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_tracer_sees_every_target():
+    _run_in_perfbench(CONTRACT)
+
+
+def test_z_ladder_digests_unchanged():
+    _run_in_perfbench(DIGEST_REPLAY)

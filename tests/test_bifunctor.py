@@ -9,12 +9,13 @@ from functor_homology.bifunctor import (balance_comparison, diagram_ladder,
                                         ladder_switched, tensor, tor_first,
                                         tor_second)
 from functor_homology.complexes import MorphismOfSES, SES
-from functor_homology.diagrams import DiagMor, constant_diagram, d_identity
+from functor_homology.diagrams import (DiagMor, Diagram, constant_diagram,
+                                       d_identity, d_zero_mor)
 from functor_homology.errors import RingMismatchError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply_to_morphism, tensor_with
 from functor_homology.modules import (ModMor, cyclic, identity_mor,
-                                      ring_as_module, trivial_module)
+                                      ring_as_module, trivial_module, zero_mor)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.tensorops import tensor_unit_map
 from functor_homology.verification import (random_module_ses, random_morphism,
@@ -132,7 +133,6 @@ def test_ladder_zero_first_map():
     ses = SES(ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]]))
     mor = MorphismOfSES(ses, ses, identity_mor(Z2), identity_mor(Z4),
                         identity_mor(Z2))
-    from functor_homology.modules import zero_mor
     res = ladder_switched(mor, zero_mor(Z2, Z2), 1)
     assert res.all_squares()
     for v in res.vmaps.values():
@@ -153,31 +153,120 @@ def test_random_ladders():
         assert ladder_switched(mor, g, 1).passed()
 
 
-def test_diagram_ladder_point_reduction():
-    # arrow-index SES, point-index second variable reduces to the base case
-    arrow = standard("arrow")
-    point = standard("point")
-    Zm, Z2 = cyclic(0), cyclic(2)
-    L = constant_diagram(arrow, Zm)
-    M = constant_diagram(arrow, Zm)
-    N = constant_diagram(arrow, Z2)
-    x2 = ModMor(Zm, Zm, [[2]])
-    q = ModMor(Zm, Z2, [[1]])
-    dses = SES(DiagMor(L, M, {"0": x2, "1": x2}),
-               DiagMor(M, N, {"0": q, "1": q}))
-    mor = MorphismOfSES(dses, dses, d_identity(L), d_identity(M), d_identity(N))
-    A2 = constant_diagram(point, Z2)
-    res = diagram_ladder(mor, d_identity(A2), 1)
+def _arrow_or_point_mor(J):
+    """A diagram morphism over J: Z/4 -> Z/2 on a point; over the arrow,
+    (Z/4 -proj-> Z/2) -> (Z/2 -id-> Z/2), so its cells differ."""
+    Z2, Z4 = cyclic(2), cyclic(4)
+    proj = ModMor(Z4, Z2, [[1]])
+    if not J.nonidentity_morphisms():
+        return DiagMor(constant_diagram(J, Z4), constant_diagram(J, Z2),
+                       {"0": proj})
+    A = Diagram(J, {"0": Z4, "1": Z2}, {"id_0": identity_mor(Z4),
+                                        "id_1": identity_mor(Z2), "a": proj})
+    B = constant_diagram(J, Z2)
+    return DiagMor(A, B, {"0": proj, "1": identity_mor(Z2)})
+
+
+def _constant_ses_mor(index):
+    """Constant SESs Z -2-> Z -> Z/2 and Z -4-> Z -> Z/4 with the
+    morphism (1, 2, 2) between them."""
+    Zm, Z2, Z4 = cyclic(0), cyclic(2), cyclic(4)
+
+    def const_ses(f, g):
+        L, M, N = (constant_diagram(index, X)
+                   for X in (f.source, f.target, g.target))
+        return SES(DiagMor(L, M, {o: f for o in index.objects}),
+                   DiagMor(M, N, {o: g for o in index.objects}))
+
+    src = const_ses(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
+    dst = const_ses(ModMor(Zm, Zm, [[4]]), ModMor(Zm, Z4, [[1]]))
+    u = [DiagMor(a, b, {o: h for o in index.objects})
+         for a, b, h in ((src.L, dst.L, identity_mor(Zm)),
+                         (src.M, dst.M, ModMor(Zm, Zm, [[2]])),
+                         (src.N, dst.N, ModMor(Z2, Z4, [[2]])))]
+    return MorphismOfSES(src, dst, *u)
+
+
+def _component_ses_mor(mors, o):
+    return MorphismOfSES(
+        SES(mors.src.f.comps[o], mors.src.g.comps[o]),
+        SES(mors.dst.f.comps[o], mors.dst.g.comps[o]),
+        mors.uL.comps[o], mors.uM.comps[o], mors.uN.comps[o])
+
+
+@pytest.mark.parametrize("switched", [False, True], ids=["ladder", "switched"])
+@pytest.mark.parametrize("j_name", ["point", "arrow"])
+def test_diagram_ladder_point_reduction(switched, j_name):
+    # every cell (i, j) of a diagram ladder over I x J is the base ladder
+    # built at that cell: rows, their maps and the verticals
+    I, J = standard("arrow"), standard(j_name)
+    n_max = 1
+    if switched:
+        res = diagram_ladder_switched(_constant_ses_mor(J),
+                                      _arrow_or_point_mor(I), n_max)
+    else:
+        res = diagram_ladder(_constant_ses_mor(I), _arrow_or_point_mor(J),
+                             n_max)
     assert res.passed()
-    # cells agree with the base-level ladder
-    base_ses = SES(x2, q)
-    base = ladder(MorphismOfSES(base_ses, base_ses, identity_mor(Zm),
-                                identity_mor(Zm), identity_mor(Z2)),
-                  identity_mor(Z2), 1)
-    for n in range(2):
-        for col in ("L", "M", "N"):
-            cell = res.row_src[n][col].components["(0,0)"]
-            assert cell == base.row_src.objs[(col, n)]
+    for i in I.objects:
+        for j in J.objects:
+            if switched:
+                base = ladder_switched(
+                    _component_ses_mor(_constant_ses_mor(J), j),
+                    _arrow_or_point_mor(I).comps[i], n_max)
+            else:
+                base = ladder(_component_ses_mor(_constant_ses_mor(I), i),
+                              _arrow_or_point_mor(J).comps[j], n_max)
+            assert base.passed()
+            cell = f"({i},{j})"
+            for rows, lm, mn, delta, row in (
+                    (res.row_src, res.lm_src, res.mn_src, res.delta_src,
+                     base.row_src),
+                    (res.row_dst, res.lm_dst, res.mn_dst, res.delta_dst,
+                     base.row_dst)):
+                for n in range(n_max + 1):
+                    for col in ("L", "M", "N"):
+                        assert rows[n][col].components[cell] == row.objs[(col, n)]
+                    assert lm[n].comps[cell] == row.lm[n]
+                    assert mn[n].comps[cell] == row.mn[n]
+                for n in range(1, n_max + 1):
+                    assert delta[n].comps[cell] == row.delta[n]
+            for key, v in base.vmaps.items():
+                assert res.vmaps[key].comps[cell] == v
+
+
+def _bockstein_with_zero_middle(index=None):
+    """Z/2 -2-> Z/4 -> Z/2 (constant over index, if given) mapped to itself
+    by (id, 0, id): not a morphism of SESs, so squares must fail."""
+    Z2, Z4 = cyclic(2), cyclic(4)
+    f, g = ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]])
+    if index is None:
+        ses = SES(f, g)
+        return MorphismOfSES(ses, ses, identity_mor(Z2), zero_mor(Z4, Z4),
+                             identity_mor(Z2), check=False)
+    L, M, N = (constant_diagram(index, X) for X in (Z2, Z4, Z2))
+    dses = SES(DiagMor(L, M, {o: f for o in index.objects}),
+               DiagMor(M, N, {o: g for o in index.objects}))
+    return MorphismOfSES(dses, dses, d_identity(L), d_zero_mor(M, M),
+                         d_identity(N), check=False)
+
+
+def test_ladders_report_failing_squares():
+    failing = [("lm", 1), ("mn", 0)]
+    mors = _bockstein_with_zero_middle()
+    for run in (ladder, ladder_switched):
+        res = run(mors, identity_mor(cyclic(2)), 1)
+        assert res.rows_exact()
+        assert not res.passed()
+        assert sorted(k for k, ok in res.squares.items() if not ok) == failing
+    arrow, point = standard("arrow"), standard("point")
+    dmors = _bockstein_with_zero_middle(arrow)
+    other = d_identity(constant_diagram(point, cyclic(2)))
+    for run in (diagram_ladder, diagram_ladder_switched):
+        res = run(dmors, other, 1)
+        assert res.rows_exact() and res.routes_agree()
+        assert not res.passed()
+        assert sorted(k for k, ok in res.squares.items() if not ok) == failing
 
 
 def test_diagram_ladder_switched():

@@ -10,7 +10,12 @@ Memo rule, for this module and the whole package: every memo lives in the
 complex or short exact sequence), so it dies with that object.  A key
 holds hashable objects themselves (functor specs, sequences, resolutions,
 ints, strings); an id() key is used only where the cached value holds the
-keyed object, so the id cannot be reused while the entry lives.
+keyed object, so the id cannot be reused while the entry lives.  A
+resolution builds its zero object once, on first use, and returns that
+same object for every term and kernel past its end, so the memos on it
+(base change, tensor data, its own resolution) hit; it dies with the
+resolution.  The ring holds no modules: a zero object interned there would
+pin every memo made on it for the life of the process.
 
 The connecting homomorphism is the snake-lemma zig-zag, computed with
 explicit element lifts at the module level and assembled componentwise
@@ -47,6 +52,7 @@ class Resolution:
             P, c = A.free_cover()
             steps = ([P], [c], [A], [None], False)
         self.terms, self.covers, self.kernels, self.monos, self.exhausted = steps
+        self._zero = None
         self._lock = threading.RLock()
 
     @property
@@ -74,15 +80,22 @@ class Resolution:
                 self.covers.append(c)
         return self
 
+    def zero(self):
+        """The one zero object past the end (see the memo rule above)."""
+        with self._lock:
+            if self._zero is None:
+                self._zero = self.A.zero_object()
+            return self._zero
+
     def term(self, n):
         if n <= self.built:
             return self.terms[n]
-        return self.A.zero_object()
+        return self.zero()
 
     def kernel_obj(self, n):
         if n < len(self.kernels):
             return self.kernels[n]
-        return self.A.zero_object()
+        return self.zero()
 
     def mono(self, n):
         if n < 1:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from . import abelian, modules
 from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
 from .fincat import FinCat
-from .modules import HomSystem, ModMor, ModuleObj, nary_biproduct, zero_module
+from .modules import (HomSystem, ModMor, ModuleObj, nary_biproduct, same_map_into,
+                      zero_module)
 
 
 class Diagram:
@@ -89,7 +90,11 @@ class Diagram:
 
 
 def check_diagram(d: Diagram):
-    """None if functorial, else a string naming the first failure."""
+    """None if functorial, else a string naming the first failure.
+
+    Identities and composites are compared on the matrices in place (see
+    `modules.same_map_into`); the index category is assumed valid, as every
+    builder in `fincat` makes it."""
     idx = d.index
     for o in idx.objects:
         if o not in d.components:
@@ -103,11 +108,12 @@ def check_diagram(d: Diagram):
         if d.ring is not None and f.ring != d.ring:
             return f"structure map {m} lives over the wrong ring"
     for o in idx.objects:
-        e = idx.identity[o]
-        if d.maps[e] != modules.identity_mor(d.components[o]):
+        A = d.components[o]
+        if not same_map_into(A, d.maps[idx.identity[o]].matrix, A.ops.identity(A.gens)):
             return f"identity of {o} does not act as the identity"
     for (g, f), h in idx.comp.items():
-        if d.maps[f].then(d.maps[g]) != d.maps[h]:
+        gf = d.maps[g].matrix.mul(d.maps[f].matrix)
+        if not same_map_into(d.maps[h].target, gf, d.maps[h].matrix):
             return f"functoriality fails on composite {g} after {f}"
     return None
 
@@ -143,9 +149,9 @@ class DiagMor:
             if idx.is_identity(m):
                 continue
             i, j = idx.src(m), idx.tgt(m)
-            left = self.comps[i].then(self.target.maps[m])
-            right = self.source.maps[m].then(self.comps[j])
-            if left != right:
+            left = self.target.maps[m].matrix.mul(self.comps[i].matrix)
+            right = self.comps[j].matrix.mul(self.source.maps[m].matrix)
+            if not same_map_into(self.target.components[j], left, right):
                 return f"naturality square fails at index morphism {m}"
         return None
 

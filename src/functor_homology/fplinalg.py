@@ -8,6 +8,18 @@ columns, then coordinates).  Both scan in a fixed order (rref: columns left
 to right; Span: insertion order), so every derived basis is deterministic,
 and Span keeps exactly rref's pivot columns.  Shape mismatches raise
 `ShapeError`, also under `python -O`.
+
+Two constructors.  `FpMatrix(p, rows, cols, data)` is the checked one: it
+tests that p is prime, raises ShapeError unless data is rows x cols, and
+copies every row reducing each entry mod p, so it serves all outside input
+(and products such as `kron` whose entries arrive unreduced).
+`FpMatrix._owned(p, rows, cols, data)` is the trusted one, for producers
+in this package whose output holds its invariant by construction: p is a
+prime already checked, and `data` is a fresh list of fresh rows that no one
+else holds (the matrix takes ownership and never copies it), with exactly
+`rows` rows of `cols` entries, each already reduced into [0, p).  Here its
+producers are `mul`, `add`, `scale`, `identity`, `zeros`, `rref` and
+`fp_from_columns` (after its column-length check).
 """
 
 from __future__ import annotations
@@ -39,12 +51,23 @@ class FpMatrix:
         self.data = [[x % p for x in r] for r in data]
 
     @classmethod
+    def _owned(cls, p, rows, cols, data):
+        """The trusted constructor (see the module docstring): no check, no
+        copy, no reduction."""
+        m = object.__new__(cls)
+        m.p = p
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def identity(cls, p, n):
-        return cls(p, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._owned(p, n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, p, rows, cols):
-        return cls(p, rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._owned(p, rows, cols, [[0] * cols for _ in range(rows)])
 
     def __eq__(self, other):
         return (
@@ -72,7 +95,7 @@ class FpMatrix:
                     bk = b[k]
                     for j in range(other.cols):
                         oi[j] = (oi[j] + x * bk[j]) % p
-        return FpMatrix(self.p, self.rows, other.cols, out)
+        return FpMatrix._owned(p, self.rows, other.cols, out)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -84,13 +107,14 @@ class FpMatrix:
         if (self.rows, self.cols, self.p) != (other.rows, other.cols, other.p):
             raise ShapeError("matrix sum: shapes or primes do not match")
         p = self.p
-        return FpMatrix(p, self.rows, self.cols,
-                        [[(x + y) % p for x, y in zip(r, s)]
-                         for r, s in zip(self.data, other.data)])
+        return FpMatrix._owned(p, self.rows, self.cols,
+                               [[(x + y) % p for x, y in zip(r, s)]
+                                for r, s in zip(self.data, other.data)])
 
     def scale(self, c):
         p = self.p
-        return FpMatrix(p, self.rows, self.cols, [[(c * x) % p for x in r] for r in self.data])
+        return FpMatrix._owned(p, self.rows, self.cols,
+                               [[(c * x) % p for x in r] for r in self.data])
 
     def col(self, j):
         return [r[j] for r in self.data]
@@ -100,8 +124,13 @@ class FpMatrix:
 
 
 def fp_from_columns(p, cols, rows):
-    """The rows x len(cols) matrix with the given columns (rows x 0 if none)."""
-    return FpMatrix(p, rows, len(cols), [[c[i] % p for c in cols] for i in range(rows)])
+    """The rows x len(cols) matrix with the given columns (rows x 0 if none),
+    entries reduced mod p; a column of another length raises ShapeError."""
+    for j, c in enumerate(cols):
+        if len(c) != rows:
+            raise ShapeError(f"column {j} must have {rows} entries, got {len(c)}")
+    return FpMatrix._owned(p, rows, len(cols),
+                           [[c[i] % p for c in cols] for i in range(rows)])
 
 
 def unit_vectors(n):
@@ -134,7 +163,7 @@ def rref(A: FpMatrix):
                 R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
-    return FpMatrix(p, A.rows, A.cols, R), pivots
+    return FpMatrix._owned(p, A.rows, A.cols, R), pivots
 
 
 def rank(A: FpMatrix) -> int:

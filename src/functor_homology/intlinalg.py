@@ -3,6 +3,16 @@
 All entries are Python ints (arbitrary precision).  Matrices are dense,
 row-major lists of lists.  Everything here is pure and total; callers own
 shape checking unless a function documents otherwise.
+
+Two constructors.  `IntMatrix(rows, cols, data)` is the checked one: it
+raises ShapeError unless data is rows x cols and copies every row, so it
+serves all outside input.  `IntMatrix._owned(rows, cols, data)` is the
+trusted one, for producers in this package whose output holds its
+invariant by construction: `data` is a fresh list of fresh rows that no
+one else holds (the matrix takes ownership and never copies it), with
+exactly `rows` rows of `cols` entries each.  Here its producers are
+`mul`, `add`, `scale`, `identity`, `zeros`, `transpose`, `hstack`,
+`from_columns` (after its column-length check) and the Smith normal form.
 """
 
 from __future__ import annotations
@@ -25,6 +35,16 @@ class IntMatrix:
         self.data = [list(r) for r in data]
 
     @classmethod
+    def _owned(cls, rows, cols, data):
+        """The trusted constructor (see the module docstring): no check, no
+        copy."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.data = data
+        return m
+
+    @classmethod
     def from_rows(cls, data):
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -32,11 +52,11 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._owned(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
+        return cls._owned(rows, cols, [[0] * cols for _ in range(rows)])
 
     def __eq__(self, other):
         return (
@@ -50,7 +70,7 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.data})"
 
     def transpose(self):
-        return IntMatrix(
+        return IntMatrix._owned(
             self.cols, self.rows,
             [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)],
         )
@@ -69,7 +89,18 @@ class IntMatrix:
                     bk = b[k]
                     for j in range(other.cols):
                         oi[j] += x * bk[j]
-        return IntMatrix(self.rows, other.cols, out)
+        return IntMatrix._owned(self.rows, other.cols, out)
+
+    def add(self, other):
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError("matrix sum: shapes do not match")
+        return IntMatrix._owned(self.rows, self.cols,
+                                [[x + y for x, y in zip(r, s)]
+                                 for r, s in zip(self.data, other.data)])
+
+    def scale(self, c):
+        return IntMatrix._owned(self.rows, self.cols,
+                                [[c * x for x in r] for r in self.data])
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -93,12 +124,16 @@ def hstack(mats):
     for m in mats:
         for i in range(rows):
             data[i].extend(m.data[i])
-    return IntMatrix(rows, sum(m.cols for m in mats), data)
+    return IntMatrix._owned(rows, sum(m.cols for m in mats), data)
 
 
 def from_columns(cols, rows):
-    """Matrix with the given columns (each a length-`rows` vector)."""
-    return IntMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+    """Matrix with the given columns (each a length-`rows` vector); a column
+    of another length raises ShapeError."""
+    for j, c in enumerate(cols):
+        if len(c) != rows:
+            raise ShapeError(f"column {j} must have {rows} entries, got {len(c)}")
+    return IntMatrix._owned(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
 
 
 @dataclass
@@ -235,8 +270,8 @@ def snf(A: IntMatrix) -> SnfResult:
             negate_row(k)
         k += 1
 
-    return SnfResult(IntMatrix(m, m, U), IntMatrix(m, n, D), IntMatrix(n, n, V),
-                     det_u, det_v)
+    return SnfResult(IntMatrix._owned(m, m, U), IntMatrix._owned(m, n, D),
+                     IntMatrix._owned(n, n, V), det_u, det_v)
 
 
 def kernel_basis(A: IntMatrix) -> list[list[int]]:

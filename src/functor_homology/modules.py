@@ -8,11 +8,12 @@ algebra basis element, and no relations.
 Morphisms are matrices on generators, validated at construction: they must
 map relations into relations and commute with every action matrix.  Two
 morphisms with the same endpoints are equal when every column of their
-difference lies in the target's relations.  `ModMor.__eq__` decides this
-without building any morphism: the same object is equal, identical
-matrices are equal, and otherwise each column of the entrywise difference
-is reduced modulo the target's relations.  F_p entries are stored reduced
-and F_p modules have no relations, so there the matrices decide.
+difference lies in the target's relations.  `same_map_into` decides this
+on the matrices, without building any morphism: identical matrices are
+equal, and otherwise each column of the entrywise difference is reduced
+modulo the target's relations.  `ModMor.__eq__` and the functoriality and
+naturality checks of `diagrams` all use it.  F_p entries are stored
+reduced and F_p modules have no relations, so there the matrices decide.
 
 Every operation has one body.  What differs between the rings sits behind
 one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
@@ -45,32 +46,17 @@ from .rings import Ring, ZZ
 
 class _RingOps:
     """The base-ring seam: everything that differs between Z and an
-    F_p-algebra.  A subclass supplies `matrix_type` and `matrix` (the
-    constructor), `kernel_basis`, `solver`/`solve`, `free_images` and
-    `unit` (coordinates of a free generator on its free basis); the
-    constructors below are shared.
+    F_p-algebra.  A subclass supplies `matrix_type`, `matrix` (the checked
+    constructor), `from_columns`, `identity` and `zeros` (the trusted
+    producers of its matrix module), `kernel_basis`, `solver`/`solve`,
+    `free_images` and `unit` (coordinates of a free generator on its free
+    basis); the constructors below are shared and checked.
     """
 
     __slots__ = ()
 
     def from_rows(self, data):
         return self.matrix(len(data), len(data[0]) if data else 0, data)
-
-    def from_columns(self, cols, rows):
-        return self.matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
-
-    def identity(self, n):
-        return self.matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def zeros(self, rows, cols):
-        return self.matrix(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def add(self, f, g):
-        return self.matrix(f.rows, f.cols, [[x + y for x, y in zip(r, s)]
-                                            for r, s in zip(f.data, g.data)])
-
-    def scale(self, f, c):
-        return self.matrix(f.rows, f.cols, [[c * x for x in r] for r in f.data])
 
     def kron(self, f, g):
         data = [[0] * (f.cols * g.cols) for _ in range(f.rows * g.rows)]
@@ -93,6 +79,15 @@ class _IntegerOps(_RingOps):
 
     def matrix(self, rows, cols, data):
         return IntMatrix(rows, cols, data)
+
+    def from_columns(self, cols, rows):
+        return from_columns(cols, rows)
+
+    def identity(self, n):
+        return IntMatrix.identity(n)
+
+    def zeros(self, rows, cols):
+        return IntMatrix.zeros(rows, cols)
 
     def kernel_basis(self, A):
         return intlinalg.kernel_basis(A)
@@ -130,6 +125,15 @@ class _AlgebraOps(_RingOps):
 
     def matrix(self, rows, cols, data):
         return FpMatrix(self.p, rows, cols, data)
+
+    def from_columns(self, cols, rows):
+        return fp_from_columns(self.p, cols, rows)
+
+    def identity(self, n):
+        return FpMatrix.identity(self.p, n)
+
+    def zeros(self, rows, cols):
+        return FpMatrix.zeros(self.p, rows, cols)
 
     def kernel_basis(self, A):
         return fplinalg.kernel_basis(A)
@@ -446,12 +450,11 @@ class ModMor:
     def __add__(self, other):
         if self.source != other.source or self.target != other.target:
             raise ShapeError("morphism sum needs equal endpoints")
-        return ModMor(self.source, self.target,
-                      self.ops.add(self.matrix, other.matrix), check=False)
+        return ModMor(self.source, self.target, self.matrix.add(other.matrix),
+                      check=False)
 
     def __neg__(self):
-        return ModMor(self.source, self.target, self.ops.scale(self.matrix, -1),
-                      check=False)
+        return ModMor(self.source, self.target, self.matrix.scale(-1), check=False)
 
     def __sub__(self, other):
         return self + (-other)
@@ -495,15 +498,22 @@ class ModMor:
             return False
         if self.source != other.source or self.target != other.target:
             return False
-        a, b = self.matrix.data, other.matrix.data
-        if a == b:
-            return True
-        # the columns of self - other, each reduced modulo the relations
-        return all(self.target.in_relations([x[j] - y[j] for x, y in zip(a, b)])
-                   for j in range(self.matrix.cols))
+        return same_map_into(self.target, self.matrix, other.matrix)
 
     def __repr__(self):
         return f"ModMor({self.source.describe()} -> {self.target.describe()})"
+
+
+def same_map_into(T: ModuleObj, a, b) -> bool:
+    """Do the equal-shaped matrices a and b give the same map into T?  The
+    equality rule for morphisms, written once: identical matrices agree,
+    and otherwise every column of a - b must lie in T's relations.  Builds
+    no morphism."""
+    a, b = a.data, b.data
+    if a == b:
+        return True
+    return all(T.in_relations([x[j] - y[j] for x, y in zip(a, b)])
+               for j in range(len(a[0])))
 
 
 def identity_mor(A: ModuleObj) -> ModMor:

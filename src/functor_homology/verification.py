@@ -81,7 +81,7 @@ def random_combination_int(rng, basis, bound=2):
 
 
 def _scale_mor(f, c):
-    return ModMor(f.source, f.target, f.ops.scale(f.matrix, c), check=False)
+    return ModMor(f.source, f.target, f.matrix.scale(c), check=False)
 
 
 def _scale_diag_mor(f, c):

@@ -82,16 +82,32 @@ def test_balance_examples():
     assert balance_comparison(T, ring_as_module(R), 1).iso
 
 
-def test_ladder_identity_case():
+def _identity_ses_mor(index=None):
+    """The identity morphism of Z -2-> Z -> Z/2 (constant over index, if
+    given)."""
     Zm, Z2 = cyclic(0), cyclic(2)
-    ses = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
-    mor = MorphismOfSES(ses, ses, identity_mor(Zm), identity_mor(Zm),
-                        identity_mor(Z2))
-    res = ladder(mor, identity_mor(Z2), 2)
-    assert res.passed()
-    # identity verticals: rows coincide
-    for key, v in res.vmaps.items():
-        assert is_iso(v) or v.source.is_zero()
+    f, g = ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]])
+    if index is None:
+        ses = SES(f, g)
+        return MorphismOfSES(ses, ses, identity_mor(Zm), identity_mor(Zm),
+                             identity_mor(Z2))
+    L, M, N = (constant_diagram(index, X) for X in (Zm, Zm, Z2))
+    dses = SES(DiagMor(L, M, {o: f for o in index.objects}),
+               DiagMor(M, N, {o: g for o in index.objects}))
+    return MorphismOfSES(dses, dses, d_identity(L), d_identity(M), d_identity(N))
+
+
+def test_ladder_identity_case():
+    arrow, n_max = standard("arrow"), 2
+    other = d_identity(constant_diagram(arrow, cyclic(2)))
+    for res in (ladder(_identity_ses_mor(), identity_mor(cyclic(2)), n_max),
+                diagram_ladder(_identity_ses_mor(arrow), other, n_max),
+                diagram_ladder_switched(_identity_ses_mor(arrow), other, n_max)):
+        assert res.passed()
+        # identity verticals: rows coincide, and some row object is nonzero
+        assert not all(v.source.is_zero() for v in res.vmaps.values())
+        for v in res.vmaps.values():
+            assert is_iso(v) or v.source.is_zero()
 
 
 def test_ladder_base_case_mod8():

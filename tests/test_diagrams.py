@@ -283,14 +283,20 @@ from functor_homology import abelian, bifunctor, fincat
 from functor_homology.complexes import ChainMap, Complex, SESOfComplexes
 from functor_homology.derived import (Resolution, connecting_module,
                                       lift_resolution_map, resolve)
+from functor_homology.fplinalg import fp_from_columns
 from functor_homology.intlinalg import (IntMatrix, det_sign_of_unimodular,
-                                        hstack, inverse_unimodular)
+                                        from_columns, hstack, inverse_unimodular)
 from functor_homology.rings import FP_ALGEBRA, Ring
 
 M22 = IntMatrix(2, 2, [[1, 2], [3, 4]])
 expect(ShapeError, lambda: M22.mul(IntMatrix(3, 1, [[1], [1], [1]])))
 expect(ShapeError, lambda: M22.mul_vec([1, 1, 1]))
 expect(ShapeError, lambda: hstack([M22, IntMatrix(1, 1, [[1]])]))
+# a column longer or shorter than the stated row count
+expect(ShapeError, lambda: fp_from_columns(2, [[1, 0, 1], [1, 1]], 2), "column 0")
+expect(ShapeError, lambda: fp_from_columns(2, [[1, 1], [1]], 2), "column 1")
+expect(ShapeError, lambda: from_columns([[1, 0, 1], [1, 1]], 2), "column 0")
+expect(ShapeError, lambda: from_columns([[1, 1], [1]], 2), "column 1")
 expect(ShapeError, lambda: inverse_unimodular(IntMatrix(1, 2, [[1, 0]])))
 expect(ExactnessError, lambda: inverse_unimodular(IntMatrix(1, 1, [[2]])))
 expect(ShapeError, lambda: det_sign_of_unimodular(IntMatrix(1, 2, [[1, 0]])))

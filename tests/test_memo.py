@@ -13,11 +13,11 @@ from pathlib import Path
 from functor_homology.bifunctor import switched_row
 from functor_homology.complexes import SES
 from functor_homology.derived import (derived, derived_data, derived_map,
-                                      les_of_ses)
+                                      les_of_ses, resolve)
 from functor_homology.diagrams import constant_diagram
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, compose, exponent, tensor_with
-from functor_homology.modules import ModMor, cyclic
+from functor_homology.modules import ModMor, ModuleObj, cyclic
 from functor_homology.rings import RingMap, ZZ, fp_field
 from functor_homology.tensorops import base_change_obj, tensor_obj
 
@@ -45,6 +45,25 @@ def test_memos_die_with_their_objects():
     refs = _compute_and_watch()
     gc.collect()
     assert [name for name, ref in refs.items() if ref() is not None] == []
+
+
+def test_resolution_has_one_zero_object():
+    # Z/4 has the finite resolution 0 -> Z -4-> Z, so degrees past 1 are zero
+    A = cyclic(4)
+    res = resolve(A, 4)
+    zero = res.term(3)
+    assert zero.is_zero()
+    assert all(res.term(n) is zero for n in range(res.built + 1, 6))
+    assert all(res.kernel_obj(n) is zero for n in range(len(res.kernels), 6))
+    assert resolve(A, 5).term(5) is zero
+    ref = weakref.ref(zero)
+    del A, res, zero
+    gc.collect()
+    assert ref() is None
+    # the zero object is not interned on the ring, which holds no modules
+    assert not hasattr(ZZ, "__dict__") and not hasattr(fp_field(2), "__dict__")
+    assert all(not isinstance(getattr(ZZ, name, None), (dict, ModuleObj))
+               for name in type(ZZ).__slots__)
 
 
 def test_specs_built_twice_are_equal():

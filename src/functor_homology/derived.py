@@ -31,7 +31,7 @@ from . import abelian, functors
 from .complexes import (ChainMap, Complex, SES, SESOfComplexes, Subquotient,
                         homology_at, induced_on_homology, project_complex)
 from .diagrams import DiagMor, Diagram
-from .errors import ExactnessError, ShapeError
+from .errors import ExactnessError, NonzeroCompositeError, ShapeError
 from .modules import Element, ModMor, ModuleObj, preimage
 
 
@@ -357,13 +357,14 @@ def connecting(sesc: SESOfComplexes, n):
     index = sub_n.obj.index
     comps = {}
     for i in index.objects:
+        sub, mid, quo = (project_complex(c, i)
+                         for c in (sesc.sub, sesc.mid, sesc.quo))
         proj_sesc = SESOfComplexes(
-            project_complex(sesc.sub, i), project_complex(sesc.mid, i),
-            project_complex(sesc.quo, i),
-            ChainMap(project_complex(sesc.sub, i), project_complex(sesc.mid, i),
+            sub, mid, quo,
+            ChainMap(sub, mid,
                      {k: sesc.incl.at(k).component(i) for k in sesc.incl.comps},
                      check=False),
-            ChainMap(project_complex(sesc.mid, i), project_complex(sesc.quo, i),
+            ChainMap(mid, quo,
                      {k: sesc.proj.at(k).component(i) for k in sesc.proj.comps},
                      check=False),
             check=False)
@@ -375,9 +376,11 @@ def connecting(sesc: SESOfComplexes, n):
 
 
 def _safe_exact(f, g) -> bool:
+    """The exactness verdict at the middle of f, g, with a nonzero
+    composite read as "not exact"; every other error propagates."""
     try:
         return f.is_exact_at(g)
-    except ExactnessError:
+    except NonzeroCompositeError:
         return False
 
 

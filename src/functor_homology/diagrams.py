@@ -345,10 +345,12 @@ def d_iso_inverse(f: DiagMor) -> DiagMor:
 def d_exactness_report(f: DiagMor, g: DiagMor):
     """(verdict, first failing component or None).
 
-    The verdict is computed intrinsically in C^I (`abelian.exact_at`: the
-    canonical map im(f) -> ker(g) is an isomorphism) and again
-    componentwise through `modules.is_exact_at`; the two must agree, which
-    is checked.
+    The verdict is computed twice, by two criteria.  Intrinsically in C^I
+    (`abelian.exact_at`): the composite ker g -> M -> coker f of diagrams
+    is zero, since given g . f = 0 that says ker g <= im f.  Componentwise
+    (`modules.is_exact_at` at every object): the homology ker g_i / im f_i
+    is zero, since kernels and cokernels in C^I are taken objectwise.  The
+    two must agree, which is checked; `ExactnessError` if they do not.
     """
     intrinsic = abelian.exact_at(f, g)
     failing = None

@@ -21,6 +21,10 @@ class ExactnessError(AlgebraError):
     """A precondition about composites or exactness is violated."""
 
 
+class NonzeroCompositeError(ExactnessError):
+    """An exactness test was asked about f, g with g . f nonzero."""
+
+
 class VerificationFailure(AlgebraError):
     """A verdict of a verification suite does not hold."""
 

@@ -661,10 +661,15 @@ def iso_inverse(f: ModMor) -> ModMor:
 
 
 def is_exact_at(f: ModMor, g: ModMor) -> bool:
-    """Exactness at the middle of f, g (the intrinsic test in C);
-    `diagrams.d_exactness_report` takes its componentwise verdict through
-    this name."""
-    return abelian.exact_at(f, g)
+    """Exactness at the middle of f, g by the homology definition: with
+    kappa = ker g, the homology H = coker(kappa.factor(f)) = ker g / im f
+    is zero.  This is a different construction from `abelian.exact_at`
+    (ker g -> coker f is zero), so `diagrams.d_exactness_report`, which
+    takes its componentwise verdict through this name, compares two
+    criteria."""
+    abelian.require_complex(f, g)
+    _, kappa = g.kernel()
+    return kappa.factor(f).cokernel()[0].is_zero()
 
 
 # -- biproducts ------------------------------------------------------------

@@ -10,13 +10,16 @@ import ast
 import os
 import random
 
+import pytest
+
 from functor_homology import abelian, diagrams, modules
 from functor_homology.abelian import exact_at, image, is_epi, is_iso, is_mono
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.fincat import standard
 from functor_homology.modules import ModMor, ModuleObj
-from functor_homology.rings import cyclic_group_table, group_algebra
-from functor_homology.verification import (_random_fp_module, random_morphism,
+from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
+from functor_homology.verification import (_random_fp_module, random_diag_mor,
+                                           random_diagram, random_morphism,
                                            random_z_module)
 
 OBJECT_METHODS = ("identity", "zero_to", "zero_object", "biproduct", "free_cover")
@@ -101,3 +104,70 @@ def test_point_diagrams_agree_with_modules_over_f2c2():
         A, B = _random_fp_module(rng, ring), _random_fp_module(rng, ring)
         f = random_morphism(rng, A, B)
         _agree(f, _composable_after(rng, f))
+
+
+# -- exactness: two criteria against the Freyd oracle --------------------------
+
+
+def _freyd_exact(f, g) -> bool:
+    """The Freyd test, kept as the oracle: with image(f) = ker(coker f),
+    the canonical map im f -> ker g is an isomorphism."""
+    _, kappa = g.kernel()
+    return is_iso(kappa.factor(image(f).mono))
+
+
+def _componentwise_exact(f, g) -> bool:
+    """modules.is_exact_at (ker g / im f = 0) on a module pair, or at every
+    object of a diagram pair."""
+    if isinstance(f, ModMor):
+        return modules.is_exact_at(f, g)
+    return all(modules.is_exact_at(f.comps[o], g.comps[o])
+               for o in f.index.objects)
+
+
+def _random_complex_pair(rng, make_obj, make_mor):
+    """Random f: A -> M, g: M -> B with g . f = 0, exact or not: either
+    g = (coker f) then a random map, or f = a random map then (ker g)."""
+    A, M = make_obj(rng), make_obj(rng)
+    if rng.random() < 0.5:
+        f = make_mor(rng, A, M)
+        Q, q = f.cokernel()
+        return f, q.then(make_mor(rng, Q, Q if rng.random() < 0.5 else make_obj(rng)))
+    g = make_mor(rng, M, make_obj(rng))
+    K, k = g.kernel()
+    return make_mor(rng, A, K).then(k), g
+
+
+def _fp_family(p):
+    ring = group_algebra(p, cyclic_group_table(p))
+    return lambda rng: _random_fp_module(rng, ring), random_morphism
+
+
+def _diagram_family(name):
+    index = standard(name)
+    return lambda rng: random_diagram(rng, index, ZZ), random_diag_mor
+
+
+EXACTNESS_FAMILIES = {
+    "Z": (random_z_module, random_morphism),
+    "F2[C2]": _fp_family(2),
+    "F3[C3]": _fp_family(3),
+    "Z^arrow": _diagram_family("arrow"),
+    "Z^parallel_pair": _diagram_family("parallel_pair"),
+    "Z^square": _diagram_family("square"),
+}
+
+
+@pytest.mark.parametrize("family", list(EXACTNESS_FAMILIES))
+def test_exactness_criteria_agree_with_freyd_oracle(family):
+    make_obj, make_mor = EXACTNESS_FAMILIES[family]
+    rng = random.Random(20261018)
+    verdicts = []
+    for case in range(120):
+        f, g = _random_complex_pair(rng, make_obj, make_mor)
+        want = _freyd_exact(f, g)
+        assert exact_at(f, g) == want, (family, case)
+        assert _componentwise_exact(f, g) == want, (family, case)
+        assert f.is_exact_at(g) == want, (family, case)
+        verdicts.append(want)
+    assert verdicts.count(False) >= 20 and verdicts.count(True) >= 20

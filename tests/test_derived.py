@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from functor_homology import derived as derived_mod, modules
 from functor_homology.abelian import is_iso
 from functor_homology.complexes import (Complex, MorphismOfSES, SES,
                                         homology_at)
@@ -10,6 +11,7 @@ from functor_homology.derived import (comparison_iso, connecting,
                                       horseshoe_ses_of_complexes, l0_comparison,
                                       les_of_ses, lift_resolution_map, resolve)
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
+from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, exponent, tensor_with
 from functor_homology.modules import (Element, ModMor, biproduct, cyclic,
@@ -117,8 +119,7 @@ def test_connecting_split_is_zero_and_bockstein_nonzero():
     les = les_of_ses(F, SES(bp.inj1, bp.proj2), 2)
     assert all(les.delta[n].is_zero() for n in les.delta)
     # Bockstein: 0 -> Z/2 -> Z/4 -> Z/2 -> 0 pushed through (x) Z/2
-    ses = SES(ModMor(Z2, cyclic(4), [[2]]), ModMor(cyclic(4), Z2, [[1]]))
-    les2 = les_of_ses(F, ses, 2)
+    les2 = les_of_ses(F, _bockstein_ses(), 2)
     assert les2.all_exact()
     assert not les2.delta[1].is_zero()
 
@@ -251,18 +252,57 @@ def test_comparison_iso_examples():
 
 
 def test_diagram_les_via_exponent():
+    F = exponent(tensor_with(cyclic(2)), ARROW)
+    les = les_of_ses(F, _arrow_ses(), 1)
+    assert les.all_exact()
+    assert not les.delta[1].is_zero()
+
+
+def _bockstein_ses():
+    Z2, Z4 = cyclic(2), cyclic(4)
+    return SES(ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]]))
+
+
+def _arrow_ses():
     Zm, Z2 = cyclic(0), cyclic(2)
-    F = exponent(tensor_with(Z2), ARROW)
     L = constant_diagram(ARROW, Zm)
-    M = constant_diagram(ARROW, Zm)
     N = constant_diagram(ARROW, Z2)
     x2 = ModMor(Zm, Zm, [[2]])
     q = ModMor(Zm, Z2, [[1]])
-    ses = SES(DiagMor(L, M, {"0": x2, "1": x2}),
-              DiagMor(M, N, {"0": q, "1": q}))
-    les = les_of_ses(F, ses, 1)
-    assert les.all_exact()
-    assert not les.delta[1].is_zero()
+    return SES(DiagMor(L, L, {"0": x2, "1": x2}), DiagMor(L, N, {"0": q, "1": q}))
+
+
+@pytest.mark.parametrize("make_ses, F", [
+    (_bockstein_ses, tensor_with(cyclic(2))),
+    (_arrow_ses, exponent(tensor_with(cyclic(2)), ARROW)),
+], ids=["modules", "arrow-diagrams"])
+def test_les_exactness_errors_propagate(monkeypatch, make_ses, F):
+    # only a nonzero composite reads as "not exact"; any other
+    # ExactnessError raised inside an LES exactness test must surface.
+    # The verdict is planted only while the LES is read off its complexes,
+    # so the SES checks that build those complexes run unpatched.
+    ses = make_ses()
+
+    def planted(f, g):
+        raise ExactnessError("planted")
+
+    true_les = derived_mod._les_from_sesc
+
+    def les_under_planted_verdict(sesc, n_max):
+        monkeypatch.setattr(modules, "is_exact_at", planted)
+        return true_les(sesc, n_max)
+
+    monkeypatch.setattr(derived_mod, "_les_from_sesc", les_under_planted_verdict)
+    with pytest.raises(ExactnessError, match="planted"):
+        les_of_ses(F, ses, 1)
+
+
+def test_les_reads_a_nonzero_composite_as_not_exact():
+    Zm = cyclic(0)
+    one = identity_mor(Zm)
+    assert derived_mod._safe_exact(one, one) is False
+    with pytest.raises(NonzeroCompositeError, match="composite is nonzero"):
+        one.is_exact_at(one)
 
 
 def test_group_homology_of_c2():

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 from functor_homology.errors import ExactnessError, RingMismatchError
 from functor_homology.fincat import standard
-from functor_homology.fplinalg import FpMatrix
+from functor_homology.fplinalg import FpMatrix, inverse, rank
 from functor_homology.functors import base_change
 from functor_homology.modules import (cyclic, free_module, identity_mor,
                                       trivial_module)
@@ -148,6 +149,98 @@ def test_pages_match_closed_form_oracle(quot, ring):
         assert ss.converged() and ss.e2_matches and ss.abutment_matches
 
 
+# -- twisted double complexes ---------------------------------------------------
+
+
+def _indecomposables(rng, side):
+    """Random squares and zigzags in the grid [0, side]^2, as basis
+    elements (cells) and the d_h/d_v edges between them.  Over a field
+    every double complex is a direct sum of these (Stelzig, "On the
+    structure of double complexes", J. London Math. Soc. 2021); a zigzag
+    whose ends both lie in the lower total degree is a staircase, and a
+    long staircase carries a nonzero d_r for some r >= 2."""
+    cells, edges = [], []
+
+    def add(cell):
+        cells.append(cell)
+        return len(cells) - 1
+
+    inside = range(side + 1)
+    for _ in range(rng.randint(2, 5)):
+        if rng.random() < 0.25:
+            s, t = rng.randint(1, side), rng.randint(1, side)
+            x, y1, y2, z = (add(c) for c in ((s, t), (s - 1, t), (s, t - 1),
+                                              (s - 1, t - 1)))
+            edges += [("h", x, y1), ("v", x, y2), ("v", y1, z), ("h", y2, z)]
+            continue
+        # tops x_a at (a, n + 1 - a), bottoms y_b at (b, n - b)
+        n = rng.randint(0, 2 * side - 1)
+        tops = [a for a in range(n + 2) if a in inside and n + 1 - a in inside]
+        if not tops:
+            continue
+        i = rng.randrange(len(tops))
+        tops = tops[i:i + rng.randint(1, 3)]
+        lo, hi = tops[0] - rng.randint(0, 1), tops[-1] - rng.randint(0, 1)
+        ys = {b: add((b, n - b)) for b in range(lo, hi + 1)
+              if b in inside and n - b in inside}
+        for a in tops:
+            x = add((a, n + 1 - a))
+            if a - 1 in ys:
+                edges.append(("h", x, ys[a - 1]))
+            if a in ys:
+                edges.append(("v", x, ys[a]))
+    return cells, edges
+
+
+def _random_invertible(rng, n):
+    while True:
+        m = FpMatrix(2, n, n, [[rng.randint(0, 1) for _ in range(n)]
+                               for _ in range(n)])
+        if rank(m) == n:
+            return m
+
+
+def _twisted_double_complex(rng, side=3):
+    """A random F_2 double complex that is not a tensor product: a direct
+    sum of indecomposables, with a random change of basis in every cell."""
+    cells, edges = _indecomposables(rng, side)
+    slot = {}
+    dims = {}
+    for k, c in enumerate(cells):
+        slot[k] = dims.get(c, 0)
+        dims[c] = slot[k] + 1
+    d = {"h": {}, "v": {}}
+    for kind, src, tgt in edges:
+        (s, t), tc = cells[src], cells[tgt]
+        m = d[kind].setdefault((s, t), FpMatrix.zeros(2, dims[tc], dims[(s, t)]))
+        m.data[slot[tgt]][slot[src]] = 1
+    base = {c: _random_invertible(rng, n) for c, n in dims.items()}
+    for kind, (ds, dt) in (("h", (1, 0)), ("v", (0, 1))):
+        for (s, t), m in d[kind].items():
+            d[kind][(s, t)] = base[(s - ds, t - dt)].mul(m).mul(inverse(base[(s, t)]))
+    return DoubleComplex(2, side, side, dims, d["h"], d["v"])
+
+
+def test_twisted_pages_match_closed_form_oracle():
+    # every (r, s, t) cell of non-product double complexes, where pages
+    # past E_2 differ, against Z^r / B^r solved from scratch
+    rng = random.Random(20261018)
+    higher = 0
+    for case in range(40):
+        dc = _twisted_double_complex(rng)
+        ss = ss_pages(dc)
+        tot = ss.internal.tot
+        for r in range(2, ss.r_stop + 1):
+            for cells in tot.cells.values():
+                for (s, t) in cells:
+                    want = _closed_form_cell(dc, tot, r, s, t)
+                    assert ss.pages[r].get((s, t), 0) == want, (case, r, s, t)
+        assert ss.converged(), case
+        higher += any(not m.is_zero() for r in range(2, ss.r_stop + 1)
+                      for m in ss.diffs[r].values())
+    assert higher >= 5
+
+
 def test_componentwise_constant_diagram():
     arrow = standard("arrow")
     F = base_change(QUOT4)
@@ -198,7 +291,7 @@ else:
 PLANTED_REDUCTION_FAULT = """
 from functor_homology import spectral
 from functor_homology.errors import ExactnessError
-from functor_homology.fplinalg import FpMatrix
+from functor_homology.fplinalg import FpMatrix, inverse, rank
 from functor_homology.spectral import DoubleComplex, ss_pages
 
 true_reduce = spectral._reduce

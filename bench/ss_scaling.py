@@ -11,8 +11,10 @@ F = base change along C4 -> C2 (or C2xC2 -> C2), G = C2-coinvariants, on
 the trivial module, for n_max = 3..6.  Every figure is the median of 3
 runs, each on freshly built rings and modules so that no memo is shared
 between runs.  `ss_pages` is timed on the double complex of a first,
-untimed `grothendieck_ss` call.  It also counts the lines of src/.  The
-result is one JSON object on stdout.
+untimed `grothendieck_ss` call.  It also counts the lines of src/, and
+the lines of src/ that contain `is_integers` or `isinstance` (the
+base-ring and type dispatch points).  The result is one JSON object on
+stdout.
 """
 
 import json
@@ -80,9 +82,11 @@ def measure(name, n_max):
     }
 
 
-def src_lines():
-    return sum(len(p.read_text(encoding="utf-8").splitlines())
-               for p in sorted((SRC / "functor_homology").glob("*.py")))
+def src_lines(token=""):
+    """Lines of src/ (containing `token`, when given)."""
+    return sum(token in line
+               for p in sorted((SRC / "functor_homology").glob("*.py"))
+               for line in p.read_text(encoding="utf-8").splitlines())
 
 
 def main():
@@ -94,6 +98,8 @@ def main():
         "cpus": os.cpu_count(),
         "runs": RUNS,
         "src_lines": src_lines(),
+        "src_is_integers_lines": src_lines("is_integers"),
+        "src_isinstance_lines": src_lines("isinstance"),
         "results": results,
     }, indent=1))
 

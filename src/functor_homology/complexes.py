@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abelian
-from .errors import ExactnessError, ShapeError
+from .errors import ExactnessError, NonzeroCompositeError, ShapeError
 
 
 class Complex:
@@ -139,13 +139,15 @@ class SES:
         self.N = g.target
         self._cache = {}
         if check:
-            if not f.then(g).is_zero():
-                raise ExactnessError("composite L -> N is nonzero")
+            try:
+                exact = f.is_exact_at(g)
+            except NonzeroCompositeError:
+                raise ExactnessError("composite L -> N is nonzero") from None
             if not abelian.is_mono(f):
                 raise ExactnessError("first map is not mono")
             if not abelian.is_epi(g):
                 raise ExactnessError("second map is not epi")
-            if not f.is_exact_at(g):
+            if not exact:
                 raise ExactnessError("sequence is not exact in the middle")
 
     def __repr__(self):
@@ -173,14 +175,12 @@ class SESOfComplexes:
     """Degreewise short exact sequence of complexes over a common range."""
 
     def __init__(self, sub: Complex, mid: Complex, quo: Complex,
-                 incl: ChainMap, proj: ChainMap, check=True,
-                 degreewise_split=False):
+                 incl: ChainMap, proj: ChainMap, check=True):
         self.sub = sub
         self.mid = mid
         self.quo = quo
         self.incl = incl
         self.proj = proj
-        self.degreewise_split = degreewise_split
         if check:
             for n in sub.degrees():
                 SES(incl.at(n), proj.at(n))

@@ -309,7 +309,7 @@ def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
                                  for n in hs.incl})
         proj = ChainMap(cm, cn, {n: functors.apply_to_morphism(F, hs.proj[n])
                                  for n in hs.proj})
-    return SESOfComplexes(cl, cm, cn, incl, proj, degreewise_split=True), hs
+    return SESOfComplexes(cl, cm, cn, incl, proj), hs
 
 
 # -- connecting homomorphism -------------------------------------------------

@@ -1,9 +1,10 @@
 """Finitely presented modules and their morphisms, over the two base rings.
 
-Integer case: a module is Z^gens modulo the row span of a relation matrix
-(`rels`), with no action matrices.  F_p-algebra case: a module is a
-finite-dimensional vector space (`gens` = `dim`) with one action matrix per
-algebra basis element, and no relations.
+Every module is one presentation: `gens` generators, relation rows
+`rels` and one action matrix per algebra basis element.  Integer case: Z^gens
+modulo the row span of `rels`, with no action matrices.  F_p-algebra case:
+the vector space F_p^gens (`dim` reads the same number) with its action
+matrices, and no relations.
 
 Morphisms are matrices on generators, validated at construction: they must
 map relations into relations and commute with every action matrix.  Two
@@ -18,9 +19,15 @@ reduced and F_p modules have no relations, so there the matrices decide.
 Every operation has one body.  What differs between the rings sits behind
 one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
 constructors, solving `f.matrix x = b` modulo the relations of `f.target`,
-the kernel of a linear system, and the images of a free generator.  Kernel,
-cokernel and simplification keep two algorithms (Smith normal form versus
-row reduction).  `HomSystem` builds the linear system for unknown module
+the kernel of a linear system, the images of a free generator, membership
+in the relations, and two presentation steps.  `quotient(M, cols)` is M
+modulo extra relation columns, with its epi and a section: the
+invariant-factor form from one Smith normal form (Z), or the complement of
+an echelon basis of the span (F_p).  Cokernel, `simplify` and the tensor
+and base-change objects of `tensorops` are all built on it.
+`submodule(M, cols)` presents the span of cols: lattice syzygies then
+`simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
+built on it.  `HomSystem` builds the linear system for unknown module
 matrices behind every hom-space solver.  Values are immutable after
 construction and every operation is pure.
 
@@ -32,6 +39,8 @@ method callers too.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from . import abelian, fplinalg, intlinalg
@@ -50,7 +59,12 @@ class _RingOps:
     constructor), `from_columns`, `identity` and `zeros` (the trusted
     producers of its matrix module), `kernel_basis`, `solver`/`solve`,
     `free_images` and `unit` (coordinates of a free generator on its free
-    basis); the constructors below are shared and checked.
+    basis), `regular_actions` (the actions on the ring as a module over
+    itself), `n_actions` and `has_relations` (the shape of a
+    presentation), `residue`/`reduce` (coordinates that vanish exactly
+    on the relations, and normal forms), `quotient`, `submodule`,
+    `generators` (of a free cover), `element_grid` and `describe`; the
+    constructors below are shared and checked.
     """
 
     __slots__ = ()
@@ -71,11 +85,14 @@ class _RingOps:
 
 
 class _IntegerOps(_RingOps):
-    """Z: matrices are IntMatrix and equations hold modulo relations."""
+    """Z: matrices are IntMatrix, equations hold modulo relations, and a
+    module is a presentation with no actions."""
 
     __slots__ = ()
     matrix_type = IntMatrix
     unit = (1,)
+    n_actions = 0
+    has_relations = True
 
     def matrix(self, rows, cols, data):
         return IntMatrix(rows, cols, data)
@@ -112,16 +129,79 @@ class _IntegerOps(_RingOps):
         """Images of the free basis elements of one generator sent to v."""
         return [v]
 
+    def regular_actions(self):
+        return []
+
+    def residue(self, M, vec):
+        """vec in the Smith basis of M's relations, each torsion coordinate
+        reduced modulo its invariant factor: zero exactly on relations."""
+        res = M._pres_snf()
+        u = res.U.mul_vec(list(vec))
+        diag = res.diagonal()
+        for i in range(res.rank):
+            u[i] %= diag[i]
+        return u
+
+    def reduce(self, M, vec):
+        return tuple(M._uinv().mul_vec(self.residue(M, vec)))
+
+    def quotient(self, M, cols):
+        """M modulo the extra relation columns, in invariant-factor form
+        (Smith normal form of all relations, dropping unit factors)."""
+        raw = ModuleObj(ZZ, M.gens, M.rels + tuple(map(tuple, cols))) if cols else M
+        res = raw._pres_snf()
+        diag = res.diagonal()
+        r = res.rank
+        keep = [i for i in range(r) if diag[i] > 1] + list(range(r, M.gens))
+        rels = [[diag[i] if k == idx else 0 for k in range(len(keep))]
+                for idx, i in enumerate(keep) if i < r]
+        Q = ModuleObj(ZZ, len(keep), rels)
+        uinv = raw._uinv()
+        epi = ModMor(M, Q, IntMatrix(len(keep), M.gens, [res.U.data[i] for i in keep]),
+                     check=False)
+        return Q, epi, from_columns([uinv.col(i) for i in keep], M.gens)
+
+    def submodule(self, M, cols):
+        """The submodule spanned by cols: the lattice syzygies of the
+        columns modulo M's relations, then `simplify`."""
+        k_mat = from_columns(cols, M.gens)
+        syz = intlinalg.kernel_basis(hstack([k_mat, M._rel_cols()]))
+        raw = ModuleObj(ZZ, len(cols), [v[: len(cols)] for v in syz])
+        simple, _, from_simple = simplify(raw)
+        return simple, ModMor(simple, M, k_mat.mul(from_simple.matrix), check=False)
+
+    def generators(self, M):
+        return fplinalg.unit_vectors(M.gens)
+
+    def element_grid(self, M):
+        if M.invariant_factors()[1]:
+            raise ValueError("module is infinite")
+        return [max(d, 1) for d in M._pres_snf().diagonal()], M._uinv()
+
+    def describe(self, M):
+        torsion, free = M.invariant_factors()
+        parts = [f"Z/{d}" for d in torsion]
+        if free == 1:
+            parts.append("Z")
+        elif free > 1:
+            parts.append(f"Z^{free}")
+        return " ⊕ ".join(parts) if parts else "0"
+
 
 class _AlgebraOps(_RingOps):
-    """An F_p-algebra: matrices are FpMatrix and equations are strict."""
+    """An F_p-algebra: matrices are FpMatrix, equations are strict, and a
+    module is a vector space with one action matrix per algebra basis
+    element and no relations."""
 
-    __slots__ = ("p", "unit")
+    __slots__ = ("ring", "p", "unit", "n_actions")
     matrix_type = FpMatrix
+    has_relations = False
 
     def __init__(self, ring):
+        self.ring = ring
         self.p = ring.p
         self.unit = ring.unit
+        self.n_actions = ring.dim
 
     def matrix(self, rows, cols, data):
         return FpMatrix(self.p, rows, cols, data)
@@ -148,6 +228,52 @@ class _AlgebraOps(_RingOps):
         # the free basis of one generator is (generator, algebra basis element)
         return [act.mul_vec(v) for act in M.actions]
 
+    def regular_actions(self):
+        ring = self.ring
+        return [ring.left_mult_matrix(ring._e(a)) for a in range(ring.dim)]
+
+    def residue(self, M, vec):
+        return [x % self.p for x in vec]
+
+    def reduce(self, M, vec):
+        return tuple(self.residue(M, vec))
+
+    def quotient(self, M, cols):
+        """M modulo the span of cols: extend a basis of the span by unit
+        vectors; the quotient map takes the coordinates along the added
+        ones, which also give the section."""
+        p, n = self.p, M.gens
+        span = fplinalg.Span(p, n, cols)
+        r = len(span)
+        units = fplinalg.unit_vectors(n)
+        for e in units:
+            span.insert(e)
+        q_mat = fp_from_columns(p, [span.coords(e)[r:] for e in units], n - r)
+        sec = fp_from_columns(p, span.basis[r:], n)
+        Q = ModuleObj(M.ring, n - r, actions=[q_mat.mul(a).mul(sec) for a in M.actions])
+        return Q, ModMor(M, Q, q_mat), sec
+
+    def submodule(self, M, cols):
+        """The subspace spanned by cols, with the actions solved on it."""
+        w = fp_from_columns(self.p, cols, M.gens)
+        actions = []
+        for act in M.actions:
+            x = fplinalg.solve_matrix(w, act.mul(w))
+            if x is None:
+                raise ExactnessError("kernel subspace must be action-invariant")
+            actions.append(x)
+        K = ModuleObj(M.ring, len(cols), actions=actions)
+        return K, ModMor(K, M, w)
+
+    def generators(self, M):
+        return minimal_generators(M)
+
+    def element_grid(self, M):
+        return [self.p] * M.gens, self.identity(M.gens)
+
+    def describe(self, M):
+        return f"dim {M.gens} over {M.ring.label}" if M.gens else "0"
+
 
 _INTEGER_OPS = _IntegerOps()
 
@@ -158,49 +284,50 @@ def ring_ops(ring: Ring):
 
 
 class ModuleObj:
-    """A finitely presented module over a `Ring`."""
+    """A finitely presented module over a `Ring`: `gens` generators, the
+    relation rows `rels` (integers only) and one action matrix per algebra
+    basis element (F_p-algebras only)."""
 
-    def __init__(self, ring: Ring, gens=None, rels=None, dim=None, actions=None,
-                 free_rank=None, check=True):
+    def __init__(self, ring: Ring, gens, rels=(), actions=(), free_rank=None,
+                 check=True):
         self.ring = ring
         self.ops = ring_ops(ring)
-        if ring.is_integers:
-            self.gens = gens
-            self.rels = tuple(tuple(r) for r in (rels or ()))
-            for r in self.rels:
-                if len(r) != gens:
-                    raise ShapeError("relation length must equal generator count")
-            self.dim = None
-            self.actions = ()
-        else:
-            self.dim = dim
-            self.gens = dim
-            self.rels = ()
-            self.actions = tuple(actions)
-            if len(self.actions) != ring.dim:
-                raise ShapeError("need one action matrix per algebra basis element")
-            for m in self.actions:
-                if m.rows != dim or m.cols != dim or m.p != ring.p:
-                    raise ShapeError("action matrix has wrong shape")
-            if check:
-                self._check_actions()
+        self.gens = gens
+        self.rels = tuple(tuple(r) for r in rels)
+        self.actions = tuple(actions)
         self.free_rank = free_rank
         self._cache = {}
+        if self.rels and not self.ops.has_relations:
+            raise ShapeError("a module over an F_p-algebra has no relations")
+        for r in self.rels:
+            if len(r) != gens:
+                raise ShapeError("relation length must equal generator count")
+        if len(self.actions) != self.ops.n_actions:
+            raise ShapeError(f"need {self.ops.n_actions} action matrices (one per "
+                             f"algebra basis element), got {len(self.actions)}")
+        for m in self.actions:
+            if m.rows != gens or m.cols != gens or m.p != ring.p:
+                raise ShapeError("action matrix has wrong shape")
+        if check and gens and self.actions:
+            self._check_actions()
+
+    @property
+    def dim(self):
+        """The number of generators: the F_p dimension over an algebra."""
+        return self.gens
 
     def _check_actions(self):
-        ring = self.ring
-        if self.dim == 0:
-            return
-        unit_action = FpMatrix.zeros(ring.p, self.dim, self.dim)
+        ring, n = self.ring, self.gens
+        unit_action = FpMatrix.zeros(ring.p, n, n)
         for a, coeff in enumerate(ring.unit):
             if coeff:
                 unit_action = unit_action.add(self.actions[a].scale(coeff))
-        if unit_action != FpMatrix.identity(ring.p, self.dim):
+        if unit_action != FpMatrix.identity(ring.p, n):
             raise MorphismError("unit of the algebra must act as the identity")
         for a in range(ring.dim):
             for b in range(ring.dim):
                 lhs = self.actions[a].mul(self.actions[b])
-                rhs = FpMatrix.zeros(ring.p, self.dim, self.dim)
+                rhs = FpMatrix.zeros(ring.p, n, n)
                 for e, coeff in enumerate(ring.mult[a][b]):
                     if coeff:
                         rhs = rhs.add(self.actions[e].scale(coeff))
@@ -227,32 +354,11 @@ class ModuleObj:
 
     def in_relations(self, vec) -> bool:
         """Is this generator-coordinate vector zero in the module?"""
-        if self.ring.is_integers:
-            res = self._pres_snf()
-            u = res.U.mul_vec(list(vec))
-            diag = res.diagonal()
-            r = res.rank
-            for i in range(self.gens):
-                d = diag[i] if i < len(diag) else 0
-                if i < r:
-                    if u[i] % d:
-                        return False
-                elif u[i]:
-                    return False
-            return True
-        return all(x % self.ring.p == 0 for x in vec)
+        return not any(self.ops.residue(self, vec))
 
     def reduce(self, vec):
         """Canonical representative of a coordinate vector."""
-        if self.ring.is_integers:
-            res = self._pres_snf()
-            u = res.U.mul_vec(list(vec))
-            diag = res.diagonal()
-            r = res.rank
-            for i in range(r):
-                u[i] %= diag[i]
-            return tuple(self._uinv().mul_vec(u))
-        return tuple(x % self.ring.p for x in vec)
+        return self.ops.reduce(self, vec)
 
     def invariant_factors(self):
         """(torsion factors > 1, free rank) for integer modules."""
@@ -265,25 +371,11 @@ class ModuleObj:
         return torsion, free
 
     def is_zero(self) -> bool:
-        if self.ring.is_integers:
-            if self.gens == 0:
-                return True
-            torsion, free = self.invariant_factors()
-            return not torsion and free == 0
-        return self.dim == 0
+        """Does every generator lie in the relations?"""
+        return all(self.in_relations(e) for e in fplinalg.unit_vectors(self.gens))
 
     def describe(self) -> str:
-        if self.ring.is_integers:
-            torsion, free = self.invariant_factors()
-            parts = [f"Z/{d}" for d in torsion]
-            if free == 1:
-                parts.append("Z")
-            elif free > 1:
-                parts.append(f"Z^{free}")
-            return " ⊕ ".join(parts) if parts else "0"
-        if self.dim == 0:
-            return "0"
-        return f"dim {self.dim} over {self.ring.label}"
+        return self.ops.describe(self)
 
     # -- the abelian interface (see `abelian`) -----------------------------
 
@@ -306,7 +398,7 @@ class ModuleObj:
         """Underlying F_p dimension (algebra case only)."""
         if self.ring.is_integers:
             raise ShapeError("an F_p dimension needs a module over an F_p-algebra")
-        return self.dim
+        return self.gens
 
     def __eq__(self, other):
         if self is other:
@@ -326,19 +418,12 @@ def cyclic(n) -> ModuleObj:
 
 
 def free_module(ring: Ring, rank: int) -> ModuleObj:
-    if ring.is_integers:
-        return ModuleObj(ring, gens=rank, rels=(), free_rank=rank)
-    n = rank * ring.dim
-    actions = []
-    for a in range(ring.dim):
-        lam = ring.left_mult_matrix(ring._e(a))
-        data = [[0] * n for _ in range(n)]
-        for blk in range(rank):
-            for i in range(ring.dim):
-                for j in range(ring.dim):
-                    data[blk * ring.dim + i][blk * ring.dim + j] = lam.data[i][j]
-        actions.append(FpMatrix(ring.p, n, n, data))
-    return ModuleObj(ring, dim=n, actions=actions, free_rank=rank, check=False)
+    """rank copies of the ring, each acting on itself by left
+    multiplication (block-diagonal actions; none over Z)."""
+    ops = ring_ops(ring)
+    actions = [ops.kron(ops.identity(rank), lam) for lam in ops.regular_actions()]
+    return ModuleObj(ring, rank * len(ops.unit), actions=actions, free_rank=rank,
+                     check=False)
 
 
 def free_generator_columns(P: ModuleObj):
@@ -361,7 +446,7 @@ def trivial_module(ring: Ring) -> ModuleObj:
     an augmentation); construction-time checks reject anything else.
     """
     one = FpMatrix(ring.p, 1, 1, [[1]])
-    return ModuleObj(ring, dim=1, actions=[one] * ring.dim)
+    return ModuleObj(ring, 1, actions=[one] * ring.dim)
 
 
 def ring_as_module(ring: Ring) -> ModuleObj:
@@ -524,7 +609,7 @@ def zero_mor(A: ModuleObj, B: ModuleObj) -> ModMor:
     return ModMor(A, B, A.ops.zeros(B.gens, A.gens), check=False)
 
 
-# -- simplification (integer presentations) ------------------------------
+# -- simplification, kernels, cokernels, factorisations ---------------------
 
 
 def simplify(M: ModuleObj):
@@ -535,81 +620,23 @@ def simplify(M: ModuleObj):
     """
     if not M.ring.is_integers:
         raise ShapeError("simplify needs an integer module")
-    res = M._pres_snf()
-    diag = res.diagonal()
-    r = res.rank
-    keep = [i for i in range(r) if diag[i] > 1] + list(range(r, M.gens))
-    rels = []
-    for idx, i in enumerate(keep):
-        if i < r:
-            row = [0] * len(keep)
-            row[idx] = diag[i]
-            rels.append(row)
-    simple = ModuleObj(ZZ, gens=len(keep), rels=rels)
-    uinv = M._uinv()
-    from_cols = [uinv.col(i) for i in keep]
-    from_mat = from_columns(from_cols, M.gens)
-    to_rows = [res.U.data[i] for i in keep]
-    to_mat = IntMatrix(len(keep), M.gens, to_rows)
-    to_simple = ModMor(M, simple, to_mat, check=False)
-    from_simple = ModMor(simple, M, from_mat, check=False)
-    return simple, to_simple, from_simple
-
-
-# -- kernels, cokernels, factorisations ----------------------------------
+    simple, to_simple, section = M.ops.quotient(M, [])
+    return simple, to_simple, ModMor(simple, M, section, check=False)
 
 
 def kernel(f: ModMor):
-    """(K, mono) with f . mono = 0, universal among such."""
-    src, tgt = f.source, f.target
-    if f.ring.is_integers:
-        comb = hstack([f.matrix, tgt._rel_cols()])
-        basis = intlinalg.kernel_basis(comb)
-        k_cols = [v[: src.gens] for v in basis]
-        k_mat = from_columns(k_cols, src.gens)
-        comb2 = hstack([k_mat, src._rel_cols()])
-        syz = intlinalg.kernel_basis(comb2)
-        rel_rows = [v[: len(k_cols)] for v in syz]
-        raw = ModuleObj(ZZ, gens=len(k_cols), rels=rel_rows)
-        simple, _, from_simple = simplify(raw)
-        mono = ModMor(simple, src, k_mat.mul(from_simple.matrix), check=False)
-        return simple, mono
-    basis = fplinalg.kernel_basis(f.matrix)
-    w = fp_from_columns(f.ring.p, basis, src.dim)
-    actions = []
-    for a in range(f.ring.dim):
-        rhs = src.actions[a].mul(w)
-        x = fplinalg.solve_matrix(w, rhs)
-        if x is None:
-            raise ExactnessError("kernel subspace must be action-invariant")
-        actions.append(x)
-    ker = ModuleObj(f.ring, dim=len(basis), actions=actions)
-    return ker, ModMor(ker, src, w)
+    """(K, mono) with f . mono = 0, universal among such: the columns x
+    with f.matrix x in f.target's relations, presented as a submodule."""
+    n = f.source.gens
+    comb = f.matrix if not f.target.rels else hstack([f.matrix, f.target._rel_cols()])
+    return f.ops.submodule(f.source, [v[:n] for v in f.ops.kernel_basis(comb)])
 
 
 def cokernel(f: ModMor):
     """(Q, epi) with epi . f = 0, couniversal among such."""
-    tgt = f.target
-    if f.ring.is_integers:
-        rels = list(tgt.rels) + [tuple(f.matrix.col(j)) for j in range(f.matrix.cols)]
-        raw = ModuleObj(ZZ, gens=tgt.gens, rels=rels)
-        simple, to_simple, _ = simplify(raw)
-        epi = ModMor(tgt, simple, to_simple.matrix, check=False)
-        return simple, epi
-    p = f.ring.p
-    n = tgt.dim
-    # extend a basis of the image by unit vectors; the quotient map takes
-    # the coordinates along the added ones
-    span = fplinalg.Span(p, n, [f.matrix.col(j) for j in range(f.matrix.cols)])
-    r = len(span)
-    units = fplinalg.unit_vectors(n)
-    for e in units:
-        span.insert(e)
-    q_mat = fp_from_columns(p, [span.coords(e)[r:] for e in units], n - r)
-    sec = fp_from_columns(p, span.basis[r:], n)
-    actions = [q_mat.mul(tgt.actions[a]).mul(sec) for a in range(f.ring.dim)]
-    coker = ModuleObj(f.ring, dim=n - r, actions=actions)
-    return coker, ModMor(tgt, coker, q_mat)
+    cols = [f.matrix.col(j) for j in range(f.matrix.cols)]
+    Q, epi, _ = f.ops.quotient(f.target, cols)
+    return Q, epi
 
 
 def _preimages(f: ModMor, vectors, error):
@@ -688,10 +715,7 @@ class NaryBiproduct:
 
 
 def zero_module(ring: Ring) -> ModuleObj:
-    if ring.is_integers:
-        return ModuleObj(ring, gens=0, rels=(), free_rank=0)
-    return ModuleObj(ring, dim=0, actions=[FpMatrix.zeros(ring.p, 0, 0)] * ring.dim,
-                     free_rank=0, check=False)
+    return free_module(ring, 0)
 
 
 def nary_biproduct(mods, ring=None) -> NaryBiproduct:
@@ -727,8 +751,7 @@ def nary_biproduct(mods, ring=None) -> NaryBiproduct:
         actions.append(ops.matrix(total, total, data))
     free_ranks = [m.free_rank for m in mods]
     fr = None if None in free_ranks else sum(free_ranks)
-    obj = ModuleObj(ring, gens=total, rels=rels, dim=total, actions=actions,
-                    free_rank=fr, check=False)
+    obj = ModuleObj(ring, total, rels, actions, free_rank=fr, check=False)
     injs, projs = [], []
     for off, m in zip(offsets, mods):
         mi = [[1 if i == off + j else 0 for j in range(m.gens)] for i in range(total)]
@@ -748,8 +771,8 @@ def minimal_generators(M: ModuleObj):
         raise ShapeError("minimal generators need a module over an F_p-algebra")
     ring = M.ring
     chosen = []
-    span = fplinalg.Span(ring.p, M.dim)
-    for v in fplinalg.unit_vectors(M.dim):
+    span = fplinalg.Span(ring.p, M.gens)
+    for v in fplinalg.unit_vectors(M.gens):
         if span.contains(v):
             continue
         chosen.append(v)
@@ -759,13 +782,9 @@ def minimal_generators(M: ModuleObj):
 
 
 def free_cover(M: ModuleObj):
-    """(P, epi) with P free; generators are read off the presentation
-    (integers) or a greedy generating set (algebras)."""
-    if M.ring.is_integers:
-        P = free_module(M.ring, M.gens)
-        epi = ModMor(P, M, IntMatrix.identity(M.gens), check=False)
-        return P, epi
-    gens_cols = minimal_generators(M)
+    """(P, epi) with P free on `ops.generators(M)`: the presentation's
+    generators (integers) or a greedy generating set (algebras)."""
+    gens_cols = M.ops.generators(M)
     P = free_module(M.ring, len(gens_cols))
     cols = [c for v in gens_cols for c in M.ops.free_images(M, v)]
     return P, ModMor(P, M, M.ops.from_columns(cols, M.gens))
@@ -893,47 +912,10 @@ def hom_basis(A: ModuleObj, B: ModuleObj):
 
 
 def enumerate_elements(A: ModuleObj, limit=4096):
-    """All elements of a finite module (oracle-sized only)."""
-    if A.ring.is_integers:
-        torsion, free = A.invariant_factors()
-        if free:
-            raise ValueError("module is infinite")
-        res = A._pres_snf()
-        diag = res.diagonal()
-        total = 1
-        for d in diag:
-            total *= max(d, 1)
-        if total > limit:
-            raise ValueError("module too large to enumerate")
-        uinv = A._uinv()
-        out = []
-        idxs = [0] * A.gens
-        while True:
-            out.append(Element(A, uinv.mul_vec(list(idxs))))
-            k = A.gens - 1
-            while k >= 0:
-                idxs[k] += 1
-                if idxs[k] < max(diag[k], 1):
-                    break
-                idxs[k] = 0
-                k -= 1
-            if k < 0:
-                break
-        return out
-    p = A.ring.p
-    if p ** A.dim > limit:
+    """All elements of a finite module (oracle-sized only): the grid of
+    `ops.element_grid` mapped to generator coordinates."""
+    sizes, basis = A.ops.element_grid(A)
+    if math.prod(sizes) > limit:
         raise ValueError("module too large to enumerate")
-    out = []
-    coords = [0] * A.dim
-    while True:
-        out.append(Element(A, list(coords)))
-        k = A.dim - 1
-        while k >= 0:
-            coords[k] += 1
-            if coords[k] < p:
-                break
-            coords[k] = 0
-            k -= 1
-        if k < 0:
-            break
-    return out
+    return [Element(A, basis.mul_vec(list(idx)))
+            for idx in itertools.product(*map(range, sizes))]

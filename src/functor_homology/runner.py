@@ -163,7 +163,7 @@ def _build_decl(env: Environment, d: Decl):
             from .fplinalg import FpMatrix
             acts = [FpMatrix(ring.p, p["dim"], p["dim"], m)
                     for m in p["actions"]]
-            env.modules[d.name] = ModuleObj(ring, dim=p["dim"], actions=acts)
+            env.modules[d.name] = ModuleObj(ring, p["dim"], actions=acts)
     elif d.kind == "morphism":
         src = env.modules[p["source"]]
         tgt = env.modules[p["target"]]

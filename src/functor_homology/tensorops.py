@@ -4,6 +4,11 @@ Tensor is over the base ring itself and requires it to be commutative
 (integers, or a commutative F_p-algebra).  Base change goes along a ring
 map: the unique map out of Z, or an algebra map between F_p-algebras.
 
+Each object is the base ring's `quotient` (see `modules`) of a raw
+module by relation columns, so one body serves both rings: a Z module
+contributes relations and an F_p-algebra module contributes actions.  Only
+base change picks its raw module by the kind of ring map.
+
 Object constructions cache their presentation data on the module they
 start from (the first tensor factor, or the module being base-changed),
 keyed by the identity of the other argument.  The entry holds that
@@ -16,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fplinalg, modules
+from . import modules
 from .errors import RingMismatchError
-from .fplinalg import FpMatrix, fp_from_columns
 from .intlinalg import IntMatrix
-from .modules import ModMor, ModuleObj, free_module, nary_biproduct, simplify
+from .modules import ModMor, ModuleObj, free_module
 from .rings import RingMap
 
 
@@ -35,6 +39,9 @@ class TensorData:
 
 
 def tensor_data(A: ModuleObj, B: ModuleObj):
+    """A (x) B as `quotient` of the raw product: relations r (x) e_j of A
+    and e_i (x) s of B (Z), and a.x (x) y - x (x) a.y for every algebra
+    basis element a (F_p)."""
     if A.ring != B.ring:
         raise RingMismatchError("tensor needs a common base ring")
     if not A.ring.is_commutative():
@@ -42,45 +49,28 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
     key = ("tensor", id(B))
     if key in A._cache:
         return A._cache[key][1]
-    if A.ring.is_integers:
-        ga, gb = A.gens, B.gens
-        rels = []
-        for r in A.rels:
-            for j in range(gb):
-                row = [0] * (ga * gb)
-                for i in range(ga):
-                    row[i * gb + j] = r[i]
-                rels.append(row)
-        for s in B.rels:
+    ops = A.ops
+    ga, gb = A.gens, B.gens
+    n = ga * gb
+    ia, ib = ops.identity(ga), ops.identity(gb)
+    cols = []
+    for r in A.rels:
+        for j in range(gb):
+            col = [0] * n
             for i in range(ga):
-                row = [0] * (ga * gb)
-                for j in range(gb):
-                    row[i * gb + j] = s[j]
-                rels.append(row)
-        raw = ModuleObj(A.ring, gens=ga * gb, rels=rels)
-        simple, to_simple, from_simple = simplify(raw)
-        data = TensorData(simple, to_simple, from_simple.matrix)
-    else:
-        ring, ops = A.ring, A.ops
-        p = ring.p
-        na, nb = A.dim, B.dim
-        n = na * nb
-        actions = [ops.kron(A.actions[a], ops.identity(nb)) for a in range(ring.dim)]
-        vec = ModuleObj(ring, dim=n, actions=actions, check=False)
-        blocks = []
-        for a in range(ring.dim):
-            m = ops.kron(A.actions[a], ops.identity(nb)).add(
-                ops.kron(ops.identity(na), B.actions[a]).scale(p - 1))
-            blocks.append(m)
-        src = nary_biproduct([vec] * ring.dim, ring=ring)
-        cols = []
-        for m in blocks:
-            for j in range(n):
-                cols.append(m.col(j))
-        rel_map = ModMor(src.obj, vec, fp_from_columns(p, cols, n), check=False)
-        obj, epi = modules.cokernel(rel_map)
-        section = fplinalg.solve_matrix(epi.matrix, FpMatrix.identity(p, obj.dim))
-        data = TensorData(obj, epi, section)
+                col[i * gb + j] = r[i]
+            cols.append(col)
+    for s in B.rels:
+        for i in range(ga):
+            col = [0] * n
+            col[i * gb: (i + 1) * gb] = s
+            cols.append(col)
+    actions = [ops.kron(act, ib) for act in A.actions]
+    for act, b_act in zip(actions, B.actions):
+        m = act.add(ops.kron(ia, b_act).scale(-1))
+        cols.extend(m.col(j) for j in range(n))
+    raw = ModuleObj(A.ring, n, actions=actions, check=False)
+    data = TensorData(*ops.quotient(raw, cols))
     A._cache[key] = (B, data)
     return data
 
@@ -119,22 +109,18 @@ class BaseChangeData:
     epi: ModMor  # cover -> obj
 
 
-def _scalar_block_matrix(rm: RingMap, mat: IntMatrix, rank_rows, rank_cols):
-    """Integer matrix acting between free modules over the target algebra."""
-    S = rm.target
-    p, d = S.p, S.dim
-    rows, cols = rank_rows * d, rank_cols * d
-    data = [[0] * cols for _ in range(rows)]
-    for i in range(rank_rows):
-        for k in range(rank_cols):
-            a = mat.data[i][k] % p
-            if a:
-                for s in range(d):
-                    data[i * d + s][k * d + s] = a
-    return FpMatrix(p, rows, cols, data)
+def _scalar_block_matrix(rm: RingMap, mat: IntMatrix):
+    """Integer matrix acting between free modules over the target algebra:
+    each entry, reduced mod p, times the identity of the algebra."""
+    ops = modules.ring_ops(rm.target)
+    scalars = ops.matrix(mat.rows, mat.cols, mat.data)
+    return ops.kron(scalars, ops.identity(rm.target.dim))
 
 
 def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
+    """S (x)_R M as `quotient` of a cover over S: the free S-module on M's
+    generators modulo M's relations (R = Z), or S (x)_{F_p} M modulo
+    s.rm(a) (x) x - s (x) a.x (R an F_p-algebra)."""
     if M.ring != rm.source:
         raise RingMismatchError("module is not over the ring map's source")
     key = ("base_change", id(rm))
@@ -143,36 +129,23 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
     S = rm.target
     if rm.source.is_integers and S.is_integers:
         data = BaseChangeData(M, M, modules.identity_mor(M))
-    elif rm.source.is_integers:
-        g = M.gens
-        r = len(M.rels)
-        Fg = free_module(S, g)
-        Fr = free_module(S, r)
-        rel_mat = IntMatrix(r, g, [list(row) for row in M.rels]).transpose()
-        psi = ModMor(Fr, Fg, _scalar_block_matrix(rm, rel_mat, g, r), check=False)
-        obj, epi = modules.cokernel(psi)
-        data = BaseChangeData(obj, Fg, epi)
     else:
-        R, ops = rm.source, M.ops
-        p, dS, nM = S.p, S.dim, M.dim
-        n = dS * nM
-        actions = [ops.kron(S.left_mult_matrix(S._e(c)), ops.identity(nM))
-                   for c in range(dS)]
-        vec = ModuleObj(S, dim=n, actions=actions, check=False)
-        blocks = []
-        for a in range(R.dim):
-            right = S.right_mult_matrix(rm.images[a])
-            m = ops.kron(right, ops.identity(nM)).add(
-                ops.kron(ops.identity(dS), M.actions[a]).scale(p - 1))
-            blocks.append(m)
-        src = nary_biproduct([vec] * R.dim, ring=S)
-        cols = []
-        for m in blocks:
-            for j in range(n):
-                cols.append(m.col(j))
-        rel_map = ModMor(src.obj, vec, fp_from_columns(p, cols, n), check=False)
-        obj, epi = modules.cokernel(rel_map)
-        data = BaseChangeData(obj, vec, epi)
+        if rm.source.is_integers:
+            cover = free_module(S, M.gens)
+            psi = _scalar_block_matrix(rm, M._rel_cols())
+            cols = [psi.col(j) for j in range(psi.cols)]
+        else:
+            ops, ident = M.ops, M.ops.identity(M.gens)
+            actions = [ops.kron(lam, ident)
+                       for lam in modules.ring_ops(S).regular_actions()]
+            cover = ModuleObj(S, S.dim * M.gens, actions=actions, check=False)
+            cols = []
+            for image, act in zip(rm.images, M.actions):
+                m = ops.kron(S.right_mult_matrix(image), ident).add(
+                    ops.kron(ops.identity(S.dim), act).scale(-1))
+                cols.extend(m.col(j) for j in range(m.cols))
+        obj, epi, _ = cover.ops.quotient(cover, cols)
+        data = BaseChangeData(obj, cover, epi)
     M._cache[key] = (rm, data)
     return data
 
@@ -188,8 +161,7 @@ def base_change_mor(rm: RingMap, f: ModMor) -> ModMor:
         return f
     if rm.source.is_integers:
         lifted = ModMor(dsrc.cover, dtgt.cover,
-                        _scalar_block_matrix(rm, f.matrix, f.target.gens,
-                                             f.source.gens), check=False)
+                        _scalar_block_matrix(rm, f.matrix), check=False)
     else:
         lifted = ModMor(dsrc.cover, dtgt.cover,
                         f.ops.kron(f.ops.identity(rm.target.dim), f.matrix),

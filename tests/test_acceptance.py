@@ -194,7 +194,7 @@ def test_criterion_10_componentwise_naturality():
     arrow = __import__("functor_homology.fincat", fromlist=["standard"]).standard("arrow")
     swap = FpMatrix(2, 2, 2, [[0, 1], [1, 0]])
     ident = FpMatrix.identity(2, 2)
-    quot_mod = ModuleObj(r4, dim=2, actions=[ident, swap, ident, swap])
+    quot_mod = ModuleObj(r4, gens=2, actions=[ident, swap, ident, swap])
     T = trivial_module(r4)
     aug01 = ModMor(quot_mod, T, FpMatrix(2, 1, 2, [[1, 1]]))
     A = Diagram(arrow, {"0": quot_mod, "1": T},

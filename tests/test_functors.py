@@ -9,12 +9,13 @@ from functor_homology.functors import (NatSpec, apply_to_morphism,
                                        apply_to_object, base_change, compose,
                                        exponent_apply, exponent_nat,
                                        tensor_with)
-from functor_homology.modules import (ModMor, cyclic, identity_mor,
-                                      ring_as_module, trivial_module)
+from functor_homology.modules import (ModMor, cyclic, free_module,
+                                      identity_mor, ring_as_module,
+                                      trivial_module, zero_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra)
-from functor_homology.tensorops import tensor_obj, tensor_unit_map
+from functor_homology.tensorops import tensor_data, tensor_obj, tensor_unit_map
 from functor_homology.verification import (random_diag_mor, random_diagram,
                                            random_morphism, random_z_module)
 from functor_homology.abelian import is_iso
@@ -27,6 +28,22 @@ def test_tensor_examples():
     assert tensor_obj(cyclic(4), cyclic(6)).invariant_factors() == ([2], 0)
     for A in (cyclic(0), cyclic(4), cyclic(12)):
         assert is_iso(tensor_unit_map(A))
+
+
+def test_tensor_section_is_a_right_inverse():
+    # tensor_mor and tensor_unit_map read maps off the tensor product
+    # through the section, so it must split the quotient map
+    r2 = group_algebra(2, cyclic_group_table(2))
+    pairs = [(cyclic(4), cyclic(6)), (cyclic(0), cyclic(3)),
+             (cyclic(2), cyclic(3)), (free_module(ZZ, 0), cyclic(5)),
+             (ring_as_module(r2), trivial_module(r2)),
+             (free_module(r2, 2), ring_as_module(r2)),
+             (trivial_module(r2), zero_module(r2))]
+    for A, B in pairs:
+        data = tensor_data(A, B)
+        assert data.epi.matrix.mul(data.section) == A.ops.identity(data.obj.gens)
+    assert tensor_data(cyclic(2), cyclic(3)).obj.gens == 0
+    assert tensor_data(ring_as_module(r2), trivial_module(r2)).obj.gens == 1
 
 
 def test_tensor_functoriality_and_additivity():

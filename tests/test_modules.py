@@ -202,13 +202,21 @@ def test_hom_basis_spans():
 
 PRECONDITIONS = """
 from functor_homology.errors import ShapeError
-from functor_homology.modules import (cyclic, free_generator_columns,
+from functor_homology.fplinalg import FpMatrix
+from functor_homology.intlinalg import IntMatrix
+from functor_homology.modules import (ModuleObj, cyclic, free_generator_columns,
                                       identity_mor, lift_through_epi,
                                       nary_biproduct)
+from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 Z2 = cyclic(2)
+R2 = group_algebra(2, cyclic_group_table(2))
+ONE = FpMatrix(2, 1, 1, [[1]])
 for call in (lambda: nary_biproduct([]),
              lambda: free_generator_columns(Z2),
-             lambda: lift_through_epi(identity_mor(Z2), identity_mor(Z2))):
+             lambda: lift_through_epi(identity_mor(Z2), identity_mor(Z2)),
+             lambda: ModuleObj(R2, 1, rels=[[1]], actions=[ONE, ONE]),
+             lambda: ModuleObj(ZZ, 1, actions=[IntMatrix.identity(1)]),
+             lambda: ModuleObj(R2, 1, actions=[ONE])):
     try:
         call()
     except ShapeError:

@@ -189,13 +189,6 @@ class SESOfComplexes:
         return self.sub.degrees()
 
 
-def complex_apply(c: Complex, fn, check=True) -> Complex:
-    """New complex with fn applied to every object and differential."""
-    objects = {n: fn(c.objects[n]) for n in c.degrees()}
-    diffs = {n: fn(c.diffs[n]) for n in range(c.lo + 1, c.hi + 1)}
-    return Complex(c.lo, c.hi, objects, diffs, check=check)
-
-
 def project_complex(c: Complex, i) -> Complex:
     """Componentwise projection of a complex of diagrams at index object i."""
     objects = {n: c.objects[n].component(i) for n in c.degrees()}

@@ -10,11 +10,13 @@ Memo rule, for this module and the whole package: every memo lives in the
 complex or short exact sequence), so it dies with that object.  A key
 holds hashable objects themselves (functor specs, sequences, resolutions,
 ints, strings); an id() key is used only where the cached value holds the
-keyed object, so the id cannot be reused while the entry lives.  A
-resolution builds its zero object once, on first use, and returns that
+keyed object, so the id cannot be reused while the entry lives.  The
+exponent image F^I(X) of a diagram is memoised on X under ("exponent", F);
+it does not hold X, and the images of maps share their endpoints with it.
+A resolution builds its zero object once, on first use, and returns that
 same object for every term and kernel past its end, so the memos on it
-(base change, tensor data, its own resolution) hit; it dies with the
-resolution.  The ring holds no modules: a zero object interned there would
+(base change, tensor data, exponent images, its own resolution) hit; it
+dies with the resolution.  The ring holds no modules: a zero object interned there would
 pin every memo made on it for the life of the process.
 
 The connecting homomorphism is the snake-lemma zig-zag, computed with
@@ -215,7 +217,7 @@ def derived_map(F, f, n):
     src = derived_data(F, f.source, n)
     tgt = derived_data(F, f.target, n)
     lift = lift_resolution_map(f, src.res, tgt.res, n + 1)
-    phi = functors.apply_to_morphism(F, lift[n])
+    phi = functors.apply(F, lift[n])
     out = induced_on_homology(phi, src.sub, tgt.sub)
     f._cache[key] = out
     return out
@@ -224,7 +226,7 @@ def derived_map(F, f, n):
 def l0_comparison(F, A) -> object:
     """Canonical map L_0 F (A) -> F(A); an iso when F is right-exact."""
     data = derived_data(F, A, 0)
-    faug = functors.apply_to_morphism(F, data.res.aug())
+    faug = functors.apply(F, data.res.aug())
     u = data.sub.mono.then(faug)
     return data.sub.epi.cofactor(u)
 
@@ -305,9 +307,9 @@ def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
         cl = functors.apply_to_complex(F, cl)
         cm = functors.apply_to_complex(F, cm)
         cn = functors.apply_to_complex(F, cn)
-        incl = ChainMap(cl, cm, {n: functors.apply_to_morphism(F, hs.incl[n])
+        incl = ChainMap(cl, cm, {n: functors.apply(F, hs.incl[n])
                                  for n in hs.incl})
-        proj = ChainMap(cm, cn, {n: functors.apply_to_morphism(F, hs.proj[n])
+        proj = ChainMap(cm, cn, {n: functors.apply(F, hs.proj[n])
                                  for n in hs.proj})
     return SESOfComplexes(cl, cm, cn, incl, proj), hs
 
@@ -529,7 +531,7 @@ def comparison_iso(F, A: Diagram, n) -> ComparisonResult:
         proj_res = project_resolution(route1.res, i)
         ident = A.components[i].identity()
         lift = lift_resolution_map(ident, res_i, proj_res, n + 1)
-        phi = functors.apply_to_morphism(F, lift[n])
+        phi = functors.apply(F, lift[n])
         comps[i] = induced_on_homology(phi, comp_data[i].sub,
                                        route1.sub.component(i))
     cmp_map = DiagMor(lnf_diag, route1.obj, comps)

@@ -250,11 +250,9 @@ def d_zero_mor(d: Diagram, e: Diagram) -> DiagMor:
 
 def projection(x, i):
     """The i-th projection functor, on diagrams and their morphisms."""
-    if isinstance(x, Diagram):
-        return x.component(i)
-    if isinstance(x, DiagMor):
-        return x.component(i)
-    raise ShapeError("projection applies to diagrams and diagram morphisms")
+    if not isinstance(x, (Diagram, DiagMor)):
+        raise ShapeError("projection applies to diagrams and diagram morphisms")
+    return x.component(i)
 
 
 def gamma(d: Diagram, m) -> ModMor:

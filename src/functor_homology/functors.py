@@ -4,12 +4,17 @@ Four right-exact shapes are available: tensoring with a fixed module,
 base change along a ring map (coinvariants arise from the augmentation
 map of a group algebra), composites, and the componentwise lift of a
 functor to diagram categories.
+
+`apply(F, x)` is the one way to apply a functor, to a module, a module
+map, a diagram or a diagram map: a composite applies its factors in turn,
+the exponent applies F componentwise, F^I(X)_i = F(X_i), and tensor and
+base change call `tensorops`.
 """
 
 from __future__ import annotations
 
 from . import tensorops
-from .complexes import Complex, complex_apply
+from .complexes import Complex
 from .diagrams import DiagMor, Diagram
 from .errors import RingMismatchError, ShapeError
 from .fincat import FinCat
@@ -105,67 +110,52 @@ def exponent(inner: FunctorSpec, index: FinCat, label=None) -> FunctorSpec:
     return FunctorSpec(EXPONENT, inner=inner, index=index, label=label)
 
 
-def apply_to_object(F: FunctorSpec, X):
+def apply(F: FunctorSpec, x):
+    """F at a module, a module map, a diagram or a diagram map."""
+    if F.kind == COMPOSE:
+        return apply(F.outer, apply(F.inner, x))
     if F.kind == EXPONENT:
-        if not isinstance(X, Diagram):
-            raise ShapeError("exponent functor applies to diagrams")
-        return exponent_apply(F.inner, X)
-    if not isinstance(X, ModuleObj):
-        raise ShapeError(f"{F.label} applies to modules")
-    if X.ring != F.source_ring:
-        raise RingMismatchError(f"{F.label} is not applicable over {X.ring.label}")
-    if F.kind == TENSOR:
-        if F.side == "right":
-            return tensorops.tensor_obj(X, F.module)
-        return tensorops.tensor_obj(F.module, X)
+        return exponent_apply(F.inner, x)
+    is_object = isinstance(x, ModuleObj)
+    if not (is_object or isinstance(x, ModMor)):
+        raise ShapeError(f"{F.label} applies to modules and module maps")
+    if x.ring != F.source_ring:
+        raise RingMismatchError(f"{F.label} is not applicable over {x.ring.label}")
     if F.kind == BASE_CHANGE:
-        return tensorops.base_change_obj(F.ring_map, X)
-    return apply_to_object(F.outer, apply_to_object(F.inner, X))
-
-
-def apply_to_morphism(F: FunctorSpec, f):
-    if F.kind == EXPONENT:
-        if not isinstance(f, DiagMor):
-            raise ShapeError("exponent functor applies to diagram morphisms")
-        return exponent_apply(F.inner, f)
-    if not isinstance(f, ModMor):
-        raise ShapeError(f"{F.label} applies to module morphisms")
-    if f.ring != F.source_ring:
-        raise RingMismatchError(f"{F.label} is not applicable over {f.ring.label}")
-    if F.kind == TENSOR:
-        ident = identity_mor(F.module)
-        if F.side == "right":
-            return tensorops.tensor_mor(f, ident)
-        return tensorops.tensor_mor(ident, f)
-    if F.kind == BASE_CHANGE:
-        return tensorops.base_change_mor(F.ring_map, f)
-    return apply_to_morphism(F.outer, apply_to_morphism(F.inner, f))
-
-
-def apply_any(F: FunctorSpec, x):
-    if isinstance(x, (ModuleObj, Diagram)):
-        return apply_to_object(F, x)
-    return apply_to_morphism(F, x)
+        if is_object:
+            return tensorops.base_change_obj(F.ring_map, x)
+        return tensorops.base_change_mor(F.ring_map, x)
+    if is_object:
+        make, fixed = tensorops.tensor_obj, F.module
+    else:
+        make, fixed = tensorops.tensor_mor, identity_mor(F.module)
+    return make(x, fixed) if F.side == "right" else make(fixed, x)
 
 
 def apply_to_complex(F: FunctorSpec, c: Complex, check=True) -> Complex:
-    """Objectwise and mapwise application; d.d = 0 survives by additivity."""
-    return complex_apply(c, lambda x: apply_any(F, x), check=check)
+    """F at every object and differential; d.d = 0 survives by additivity."""
+    objects = {n: apply(F, c.objects[n]) for n in c.degrees()}
+    diffs = {n: apply(F, c.diffs[n]) for n in range(c.lo + 1, c.hi + 1)}
+    return Complex(c.lo, c.hi, objects, diffs, check=check)
 
 
 def exponent_apply(F: FunctorSpec, x):
-    """The exponent functor F^I on diagrams and diagram morphisms."""
-    if isinstance(x, Diagram):
-        idx = x.index
-        comps = {o: apply_to_object(F, x.components[o]) for o in idx.objects}
-        maps = {m: apply_to_morphism(F, x.maps[m]) for m in idx.mor_names}
-        return Diagram(idx, comps, maps)
+    """F^I on diagrams and their maps.  A diagram's image is built once and
+    kept on its cache, so a map's image has its endpoints' images, the same
+    objects, as endpoints."""
     if isinstance(x, DiagMor):
-        src = exponent_apply(F, x.source)
-        tgt = exponent_apply(F, x.target)
-        comps = {o: apply_to_morphism(F, x.comps[o]) for o in x.index.objects}
-        return DiagMor(src, tgt, comps)
-    raise ShapeError("exponent_apply expects a diagram or diagram morphism")
+        comps = {o: apply(F, x.comps[o]) for o in x.index.objects}
+        return DiagMor(exponent_apply(F, x.source), exponent_apply(F, x.target),
+                       comps)
+    if not isinstance(x, Diagram):
+        raise ShapeError(f"({F.label})^I applies to diagrams and diagram maps")
+    key = ("exponent", F)
+    if key not in x._cache:
+        idx = x.index
+        comps = {o: apply(F, x.components[o]) for o in idx.objects}
+        maps = {m: apply(F, x.maps[m]) for m in idx.mor_names}
+        x._cache[key] = Diagram(idx, comps, maps)
+    return x._cache[key]
 
 
 class NatSpec:

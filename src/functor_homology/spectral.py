@@ -481,7 +481,7 @@ def check_acyclic_hypothesis(F, G, witnesses, n_max) -> AcyclicityReport:
     (the free covers actually used downstream)."""
     entries = []
     for w_idx, P in enumerate(witnesses):
-        FP = functors.apply_to_object(F, P)
+        FP = functors.apply(F, P)
         for k in range(1, n_max + 1):
             entries.append((w_idx, k, derived_data(G, FP, k).obj.is_zero()))
     return AcyclicityReport(entries)
@@ -511,16 +511,16 @@ def _dc_from_ce(G, ce: CEData, p_field) -> DoubleComplex:
     gq = {}
     for t in range(ce.width + 1):
         for s in range(ce.depth + 1):
-            obj = functors.apply_to_object(G, ce.q_term(t, s))
+            obj = functors.apply(G, ce.q_term(t, s))
             gq[(s, t)] = obj
             dims[(s, t)] = obj.fp_dimension()
     for t in range(ce.width + 1):
         for s in range(ce.depth + 1):
             if t >= 1:
-                m = functors.apply_to_morphism(G, ce.d_h(t, s)).matrix
+                m = functors.apply(G, ce.d_h(t, s)).matrix
                 d_v[(s, t)] = m
             if s >= 1:
-                m = functors.apply_to_morphism(G, ce.d_v(t, s)).matrix
+                m = functors.apply(G, ce.d_v(t, s)).matrix
                 if t % 2 == 1:
                     m = m.scale(p_field - 1)
                 d_h[(s, t)] = m
@@ -629,7 +629,7 @@ def build_canon_pages(gd: GrothendieckData) -> CanonPages:
         if k_canon != len(page_reps):
             ok = False
             continue
-        proj_h = functors.apply_to_morphism(gd.G, gd.ce.proj_to_h(t, s)).matrix
+        proj_h = functors.apply(gd.G, gd.ce.proj_to_h(t, s)).matrix
         to_class = _class_map(sub)
 
         def classify(v):
@@ -752,7 +752,7 @@ def _theta_matrices(gd: GrothendieckData):
         data = [[0] * cols for _ in range(rows)]
         if n <= gd.gf_complex.hi:
             if (n, 0, n) in ss.internal.tot.offsets:
-                aug = functors.apply_to_morphism(gd.G, gd.ce.aug(n)).matrix
+                aug = functors.apply(gd.G, gd.ce.aug(n)).matrix
                 off = ss.internal.tot.offsets[(n, 0, n)]
                 for i in range(aug.rows):
                     for j in range(aug.cols):
@@ -822,7 +822,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
         gi, gj = data[i], data[j]
         ci, cj = canon[i], canon[j]
         lift = lift_resolution_map(A.maps[m], gi.res, gj.res, T)
-        cfmap = {t: functors.apply_to_morphism(F, lift[t]) for t in range(T + 1)}
+        cfmap = {t: functors.apply(F, lift[t]) for t in range(T + 1)}
         hmaps = {}
         for t in range(0, n_max + 1):
             zmap = gj.ce.monoZ[t].factor(gi.ce.monoZ[t].then(cfmap[t]))
@@ -832,7 +832,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
         for (s, t) in _window_cells(gi):
             hl = lift_resolution_map(hmaps[t], gi.ce.res_H[t], gj.ce.res_H[t],
                                      s + 1)
-            phi = functors.apply_to_morphism(G, hl[s])
+            phi = functors.apply(G, hl[s])
             mor = induced_on_homology(phi, _canon_sub(gi, s, t),
                                       _canon_sub(gj, s, t))
             cell_maps[2][(s, t)] = mor.matrix
@@ -878,7 +878,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
             sub_i = homology_at(gi.gf_complex, n)
             sub_j = homology_at(gj.gf_complex, n)
             spec_gf = functors.compose(G, F)
-            phi = functors.apply_to_morphism(spec_gf, lift[n])
+            phi = functors.apply(spec_gf, lift[n])
             amap = induced_on_homology(phi, sub_i, sub_j).matrix
             abutment_maps[(m, n)] = amap
             hdim_i = sub_i.obj.fp_dimension()

@@ -7,7 +7,9 @@ map: the unique map out of Z, or an algebra map between F_p-algebras.
 Each object is the base ring's `quotient` (see `modules`) of a raw
 module by relation columns, so one body serves both rings: a Z module
 contributes relations and an F_p-algebra module contributes actions.  Only
-base change picks its raw module by the kind of ring map.
+base change picks its raw module by the kind of ring map.  A map is read
+off through the section that `quotient` returns: the source's section,
+then the raw map, then the target's quotient map.  Nothing is solved.
 
 Object constructions cache their presentation data on the module they
 start from (the first tensor factor, or the module being base-changed),
@@ -29,16 +31,17 @@ from .rings import RingMap
 
 
 @dataclass
-class TensorData:
-    """The tensor product as a quotient of the raw product of coordinates
-    (Z^(ga gb), or A (x)_{F_p} B with the first-factor action)."""
+class QuotientData:
+    """A tensor product or base change as a quotient of a raw module: the
+    product of coordinates (tensor) or a cover over the target ring (base
+    change)."""
 
     obj: ModuleObj
     epi: ModMor  # raw -> obj (matrix usable on raw coordinates)
     section: object  # matrix of a right inverse of epi's matrix
 
 
-def tensor_data(A: ModuleObj, B: ModuleObj):
+def tensor_data(A: ModuleObj, B: ModuleObj) -> QuotientData:
     """A (x) B as `quotient` of the raw product: relations r (x) e_j of A
     and e_i (x) s of B (Z), and a.x (x) y - x (x) a.y for every algebra
     basis element a (F_p)."""
@@ -70,7 +73,7 @@ def tensor_data(A: ModuleObj, B: ModuleObj):
         m = act.add(ops.kron(ia, b_act).scale(-1))
         cols.extend(m.col(j) for j in range(n))
     raw = ModuleObj(A.ring, n, actions=actions, check=False)
-    data = TensorData(*ops.quotient(raw, cols))
+    data = QuotientData(*ops.quotient(raw, cols))
     A._cache[key] = (B, data)
     return data
 
@@ -102,13 +105,6 @@ def tensor_unit_map(A: ModuleObj) -> ModMor:
 # -- base change -------------------------------------------------------------
 
 
-@dataclass
-class BaseChangeData:
-    obj: ModuleObj
-    cover: ModuleObj  # the free/vector-level carrier
-    epi: ModMor  # cover -> obj
-
-
 def _scalar_block_matrix(rm: RingMap, mat: IntMatrix):
     """Integer matrix acting between free modules over the target algebra:
     each entry, reduced mod p, times the identity of the algebra."""
@@ -117,7 +113,7 @@ def _scalar_block_matrix(rm: RingMap, mat: IntMatrix):
     return ops.kron(scalars, ops.identity(rm.target.dim))
 
 
-def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
+def base_change_data(rm: RingMap, M: ModuleObj) -> QuotientData:
     """S (x)_R M as `quotient` of a cover over S: the free S-module on M's
     generators modulo M's relations (R = Z), or S (x)_{F_p} M modulo
     s.rm(a) (x) x - s (x) a.x (R an F_p-algebra)."""
@@ -128,7 +124,7 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
         return M._cache[key][1]
     S = rm.target
     if rm.source.is_integers and S.is_integers:
-        data = BaseChangeData(M, M, modules.identity_mor(M))
+        data = QuotientData(M, modules.identity_mor(M), M.ops.identity(M.gens))
     else:
         if rm.source.is_integers:
             cover = free_module(S, M.gens)
@@ -144,8 +140,7 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> BaseChangeData:
                 m = ops.kron(S.right_mult_matrix(image), ident).add(
                     ops.kron(ops.identity(S.dim), act).scale(-1))
                 cols.extend(m.col(j) for j in range(m.cols))
-        obj, epi, _ = cover.ops.quotient(cover, cols)
-        data = BaseChangeData(obj, cover, epi)
+        data = QuotientData(*cover.ops.quotient(cover, cols))
     M._cache[key] = (rm, data)
     return data
 
@@ -160,10 +155,7 @@ def base_change_mor(rm: RingMap, f: ModMor) -> ModMor:
     if rm.source.is_integers and rm.target.is_integers:
         return f
     if rm.source.is_integers:
-        lifted = ModMor(dsrc.cover, dtgt.cover,
-                        _scalar_block_matrix(rm, f.matrix), check=False)
+        lifted = _scalar_block_matrix(rm, f.matrix)
     else:
-        lifted = ModMor(dsrc.cover, dtgt.cover,
-                        f.ops.kron(f.ops.identity(rm.target.dim), f.matrix),
-                        check=False)
-    return modules.cofactor_through_epi(dsrc.epi, lifted.then(dtgt.epi))
+        lifted = f.ops.kron(f.ops.identity(rm.target.dim), f.matrix)
+    return ModMor(dsrc.obj, dtgt.obj, dtgt.epi.matrix.mul(lifted).mul(dsrc.section))

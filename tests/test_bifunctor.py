@@ -13,7 +13,7 @@ from functor_homology.diagrams import (DiagMor, Diagram, constant_diagram,
                                        d_identity, d_zero_mor)
 from functor_homology.errors import RingMismatchError
 from functor_homology.fincat import standard
-from functor_homology.functors import apply_to_morphism, tensor_with
+from functor_homology.functors import apply, tensor_with
 from functor_homology.modules import (ModMor, cyclic, identity_mor,
                                       ring_as_module, trivial_module, zero_mor)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
@@ -36,11 +36,11 @@ def test_right_exactness_in_each_slot():
         W = random_z_module(rng)
         for side in ("first", "second"):
             if side == "first":
-                f2 = apply_to_morphism(tensor_with(W), ses.f)
-                g2 = apply_to_morphism(tensor_with(W), ses.g)
+                f2 = apply(tensor_with(W), ses.f)
+                g2 = apply(tensor_with(W), ses.g)
             else:
-                f2 = apply_to_morphism(tensor_with(W, side="left"), ses.f)
-                g2 = apply_to_morphism(tensor_with(W, side="left"), ses.g)
+                f2 = apply(tensor_with(W, side="left"), ses.f)
+                g2 = apply(tensor_with(W, side="left"), ses.g)
             # right-exact: exact at middle and right end after tensoring
             assert is_epi(g2)
             from functor_homology.modules import is_exact_at

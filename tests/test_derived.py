@@ -197,12 +197,12 @@ def test_resolution_independence_via_lifting():
     res2 = Resolution(A).extend_to(2)  # a second, fresh resolution
     lift = lift_resolution_map(identity_mor(A), res1, res2, 2)
     F = tensor_with(cyclic(2))
-    from functor_homology.functors import apply_to_complex, apply_to_morphism
+    from functor_homology.functors import apply, apply_to_complex
     c1 = apply_to_complex(F, res1.complex(2))
     c2 = apply_to_complex(F, res2.complex(2))
     from functor_homology.complexes import induced_on_homology
     for n in (0, 1):
-        ind = induced_on_homology(apply_to_morphism(F, lift[n]),
+        ind = induced_on_homology(apply(F, lift[n]),
                                   homology_at(c1, n), homology_at(c2, n))
         assert is_iso(ind)
 

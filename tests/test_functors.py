@@ -1,23 +1,31 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from functor_homology.derived import derived, resolve
 from functor_homology.diagrams import Diagram
 from functor_homology.errors import RingMismatchError
 from functor_homology.fincat import standard
-from functor_homology.functors import (NatSpec, apply_to_morphism,
-                                       apply_to_object, base_change, compose,
+from functor_homology.functors import (NatSpec, apply, apply_to_complex,
+                                       base_change, compose, exponent,
                                        exponent_apply, exponent_nat,
                                        tensor_with)
-from functor_homology.modules import (ModMor, cyclic, free_module,
-                                      identity_mor, ring_as_module,
-                                      trivial_module, zero_module)
+from functor_homology.modules import (ModMor, cofactor_through_epi, cyclic,
+                                      free_module, identity_mor,
+                                      ring_as_module, trivial_module,
+                                      zero_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
-                                    group_algebra)
-from functor_homology.tensorops import tensor_data, tensor_obj, tensor_unit_map
-from functor_homology.verification import (random_diag_mor, random_diagram,
-                                           random_morphism, random_z_module)
+                                    group_algebra, group_ring_map)
+from functor_homology.tensorops import (base_change_data, base_change_mor,
+                                        tensor_data, tensor_obj,
+                                        tensor_unit_map)
+from functor_homology.verification import (_random_fp_module, random_diag_mor,
+                                           random_diagram, random_morphism,
+                                           random_z_module)
 from functor_homology.abelian import is_iso
 
 ARROW = standard("arrow")
@@ -30,20 +38,66 @@ def test_tensor_examples():
         assert is_iso(tensor_unit_map(A))
 
 
+def _base_change_pairs():
+    """(ring map, module) pairs: Z -> F_2, Z -> F_3, the augmentation of
+    F_2[C2] and F_2[C4] -> F_2[C2], with zero modules and zero results."""
+    r2 = group_algebra(2, cyclic_group_table(2))
+    r4 = group_algebra(2, cyclic_group_table(4))
+    to_f2, to_f3 = RingMap(ZZ, fp_field(2)), RingMap(ZZ, fp_field(3))
+    aug, c4_c2 = augmentation_map(r2), group_ring_map(r4, r2, [0, 1, 0, 1])
+    return [(to_f2, cyclic(4)), (to_f2, cyclic(3)), (to_f3, cyclic(0)),
+            (to_f3, free_module(ZZ, 0)), (aug, ring_as_module(r2)),
+            (aug, free_module(r2, 2)), (aug, zero_module(r2)),
+            (c4_c2, trivial_module(r4)), (c4_c2, ring_as_module(r4)),
+            (c4_c2, zero_module(r4))]
+
+
 def test_tensor_section_is_a_right_inverse():
-    # tensor_mor and tensor_unit_map read maps off the tensor product
-    # through the section, so it must split the quotient map
+    # tensor_mor, tensor_unit_map and base_change_mor read maps off the
+    # quotient through the section, so it must split the quotient map
     r2 = group_algebra(2, cyclic_group_table(2))
     pairs = [(cyclic(4), cyclic(6)), (cyclic(0), cyclic(3)),
              (cyclic(2), cyclic(3)), (free_module(ZZ, 0), cyclic(5)),
              (ring_as_module(r2), trivial_module(r2)),
              (free_module(r2, 2), ring_as_module(r2)),
              (trivial_module(r2), zero_module(r2))]
-    for A, B in pairs:
-        data = tensor_data(A, B)
-        assert data.epi.matrix.mul(data.section) == A.ops.identity(data.obj.gens)
+    datas = [tensor_data(A, B) for A, B in pairs]
+    datas += [base_change_data(rm, M) for rm, M in _base_change_pairs()]
+    for data in datas:
+        assert data.epi.matrix.mul(data.section) == \
+            data.obj.ops.identity(data.obj.gens)
     assert tensor_data(cyclic(2), cyclic(3)).obj.gens == 0
     assert tensor_data(ring_as_module(r2), trivial_module(r2)).obj.gens == 1
+    assert base_change_data(RingMap(ZZ, fp_field(2)), cyclic(3)).obj.gens == 0
+
+
+def test_base_change_mor_matches_solving_oracle():
+    # the section route gives the map that solving through the epi gives
+    # (over an F_p target that map's matrix is unique)
+    rng = random.Random(23)
+    nonzero = 0
+    for rm, _ in _base_change_pairs():
+        S = rm.target
+        for _ in range(12):
+            if rm.source.is_integers:
+                A, B = random_z_module(rng), random_z_module(rng)
+            else:
+                A = _random_fp_module(rng, rm.source)
+                B = _random_fp_module(rng, rm.source)
+            f = random_morphism(rng, A, B)
+            dsrc, dtgt = base_change_data(rm, A), base_change_data(rm, B)
+            ops = dtgt.obj.ops
+            if rm.source.is_integers:
+                scalars = ops.matrix(f.matrix.rows, f.matrix.cols, f.matrix.data)
+                raw = ops.kron(scalars, ops.identity(S.dim))
+            else:
+                raw = ops.kron(ops.identity(S.dim), f.matrix)
+            lifted = ModMor(dsrc.epi.source, dtgt.epi.source, raw)
+            oracle = cofactor_through_epi(dsrc.epi, lifted.then(dtgt.epi))
+            image = base_change_mor(rm, f)
+            assert image.matrix == oracle.matrix
+            nonzero += not image.is_zero()
+    assert nonzero >= 30
 
 
 def test_tensor_functoriality_and_additivity():
@@ -53,13 +107,13 @@ def test_tensor_functoriality_and_additivity():
         A, B, C = (random_z_module(rng) for _ in range(3))
         f = random_morphism(rng, A, B)
         g = random_morphism(rng, B, C)
-        assert apply_to_morphism(F, f.then(g)) == \
-            apply_to_morphism(F, f).then(apply_to_morphism(F, g))
+        assert apply(F, f.then(g)) == \
+            apply(F, f).then(apply(F, g))
         f2 = random_morphism(rng, A, B)
-        assert apply_to_morphism(F, f + f2) == \
-            apply_to_morphism(F, f) + apply_to_morphism(F, f2)
-    assert apply_to_morphism(F, identity_mor(A)) == \
-        identity_mor(apply_to_object(F, A))
+        assert apply(F, f + f2) == \
+            apply(F, f) + apply(F, f2)
+    assert apply(F, identity_mor(A)) == \
+        identity_mor(apply(F, A))
 
 
 def test_tensor_needs_commutative_base():
@@ -144,28 +198,28 @@ def test_base_change_identity_like():
     rm = RingMap(ZZ, ZZ)
     F = base_change(rm)
     A = cyclic(12)
-    assert apply_to_object(F, A) == A
+    assert apply(F, A) == A
     rng = random.Random(17)
     B = random_z_module(rng)
     f = random_morphism(rng, A, B)
-    assert apply_to_morphism(F, f) == f
+    assert apply(F, f) == f
 
 
 def test_base_change_to_prime_field():
     F = base_change(RingMap(ZZ, fp_field(2)))
-    assert apply_to_object(F, cyclic(4)).dim == 1
-    assert apply_to_object(F, cyclic(3)).dim == 0
-    assert apply_to_object(F, cyclic(0)).dim == 1
+    assert apply(F, cyclic(4)).dim == 1
+    assert apply(F, cyclic(3)).dim == 0
+    assert apply(F, cyclic(0)).dim == 1
     Zm = cyclic(0)
-    assert apply_to_morphism(F, ModMor(Zm, Zm, [[2]])).is_zero()
-    assert not apply_to_morphism(F, ModMor(Zm, Zm, [[3]])).is_zero()
+    assert apply(F, ModMor(Zm, Zm, [[2]])).is_zero()
+    assert not apply(F, ModMor(Zm, Zm, [[3]])).is_zero()
 
 
 def test_coinvariants_of_group_algebra():
     R = group_algebra(2, cyclic_group_table(2))
     G = base_change(augmentation_map(R))
-    assert apply_to_object(G, ring_as_module(R)).dim == 1
-    assert apply_to_object(G, trivial_module(R)).dim == 1
+    assert apply(G, ring_as_module(R)).dim == 1
+    assert apply(G, trivial_module(R)).dim == 1
 
 
 def test_compose_spec():
@@ -175,6 +229,87 @@ def test_compose_spec():
     F = base_change(group_ring_map(R4, R2, [0, 1, 0, 1]))
     G = base_change(augmentation_map(R2))
     GF = compose(G, F)
-    assert apply_to_object(GF, trivial_module(R4)).dim == 1
+    assert apply(GF, trivial_module(R4)).dim == 1
     with pytest.raises(RingMismatchError):
         compose(F, G)  # wrong way around
+
+
+@pytest.mark.parametrize("shape", ["arrow", "square"])
+def test_composite_of_exponents(shape):
+    # G^I . F^I, G^I(F^I(-)) and (G . F)^I agree on diagrams, their maps
+    # and their derived functors
+    index = standard(shape)
+    rng = random.Random(29)
+    F = tensor_with(cyclic(4))
+    G = base_change(RingMap(ZZ, fp_field(2)))
+    composite = compose(exponent(G, index), exponent(F, index))
+    lifted = exponent(compose(G, F), index)
+    D = random_diagram(rng, index, ZZ)
+    E = random_diagram(rng, index, ZZ)
+    f = random_diag_mor(rng, D, E)
+    for x in (D, f):
+        image = apply(composite, x)
+        assert image == apply(exponent(G, index), apply(exponent(F, index), x))
+        assert image == apply(lifted, x)
+    for n in range(3):
+        assert derived(composite, D, n) == derived(lifted, D, n)
+
+
+def test_exponent_images_share_endpoints():
+    rng = random.Random(31)
+    F = tensor_with(cyclic(2))
+    for _ in range(6):
+        D = random_diagram(rng, ARROW, ZZ)
+        E = random_diagram(rng, ARROW, ZZ)
+        f = random_diag_mor(rng, D, E)
+        image = exponent_apply(F, f)
+        assert image.source is exponent_apply(F, f.source)
+        assert image.target is exponent_apply(F, f.target)
+    c = resolve(D, 3).complex(3)
+    fc = apply_to_complex(exponent(F, ARROW), c)
+    for n in range(fc.lo + 1, fc.hi + 1):
+        assert fc.diffs[n].source is fc.objects[n]
+        assert fc.diffs[n].target is fc.objects[n - 1]
+
+
+APPLY_ERRORS = """
+from functor_homology.errors import RingMismatchError, ShapeError
+from functor_homology.fincat import standard
+from functor_homology.functors import (apply, base_change, compose, exponent,
+                                       exponent_apply, tensor_with)
+from functor_homology.diagrams import constant_diagram
+from functor_homology.modules import cyclic, identity_mor, trivial_module
+from functor_homology.rings import (RingMap, ZZ, augmentation_map,
+                                    cyclic_group_table, fp_field, group_algebra)
+arrow = standard("arrow")
+T = tensor_with(cyclic(2))
+B = base_change(RingMap(ZZ, fp_field(2)))
+D = constant_diagram(arrow, cyclic(4))
+R2 = group_algebra(2, cyclic_group_table(2))
+for call in (lambda: apply(T, D),
+             lambda: apply(B, D.identity()),
+             lambda: apply(exponent(T, arrow), cyclic(4)),
+             lambda: apply(exponent(T, arrow), identity_mor(cyclic(4))),
+             lambda: exponent_apply(T, cyclic(4)),
+             lambda: apply(T, trivial_module(R2)),
+             lambda: apply(base_change(augmentation_map(R2)), cyclic(4)),
+             lambda: apply(compose(B, T), trivial_module(R2)),
+             lambda: apply(compose(B, T), D),
+             lambda: apply(compose(exponent(B, arrow), exponent(T, arrow)),
+                           cyclic(4))):
+    try:
+        call()
+    except (ShapeError, RingMismatchError):
+        continue
+    raise SystemExit("functor applied at the wrong level or ring")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_apply_rejects_wrong_level_and_ring(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, *flags, "-c", APPLY_ERRORS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -16,7 +16,8 @@ from functor_homology.derived import (derived, derived_data, derived_map,
                                       les_of_ses, resolve)
 from functor_homology.diagrams import constant_diagram
 from functor_homology.fincat import standard
-from functor_homology.functors import base_change, compose, exponent, tensor_with
+from functor_homology.functors import (base_change, compose, exponent,
+                                       exponent_apply, tensor_with)
 from functor_homology.modules import ModMor, ModuleObj, cyclic
 from functor_homology.rings import RingMap, ZZ, fp_field
 from functor_homology.tensorops import base_change_obj, tensor_obj
@@ -31,6 +32,8 @@ def _compute_and_watch():
     f = ModMor(A, cyclic(2), [[1]])
     Zm = cyclic(0)
     ses = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, cyclic(2), [[1]]))
+    D = constant_diagram(standard("arrow"), cyclic(5))
+    FD = exponent_apply(F, D)
     tensor_obj(A, B)
     base_change_obj(RingMap(ZZ, fp_field(3)), M)
     derived(F, A, 1)
@@ -38,7 +41,8 @@ def _compute_and_watch():
     les_of_ses(F, ses, 1)
     switched_row(A, ses, 1)
     return {name: weakref.ref(obj) for name, obj in
-            (("A", A), ("B", B), ("M", M), ("F", F), ("f", f), ("ses", ses))}
+            (("A", A), ("B", B), ("M", M), ("F", F), ("f", f), ("ses", ses),
+             ("D", D), ("FD", FD))}
 
 
 def test_memos_die_with_their_objects():

@@ -115,6 +115,8 @@ def apply(F: FunctorSpec, x):
     if F.kind == COMPOSE:
         return apply(F.outer, apply(F.inner, x))
     if F.kind == EXPONENT:
+        if getattr(x, "index", F.index) != F.index:
+            raise ShapeError(f"{F.label} is over another index category")
         return exponent_apply(F.inner, x)
     is_object = isinstance(x, ModuleObj)
     if not (is_object or isinstance(x, ModMor)):

@@ -21,10 +21,14 @@ one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
 constructors, solving `f.matrix x = b` modulo the relations of `f.target`,
 the kernel of a linear system, the images of a free generator, membership
 in the relations, and two presentation steps.  `quotient(M, cols)` is M
-modulo extra relation columns, with its epi and a section: the
-invariant-factor form from one Smith normal form (Z), or the complement of
-an echelon basis of the span (F_p).  Cokernel, `simplify` and the tensor
-and base-change objects of `tensorops` are all built on it.
+modulo extra relation columns, returned as its epi M -> Q alone (Q is
+`epi.target`).  The epi carries a section of its matrix, built with it:
+the invariant-factor form from one Smith normal form (Z), or the
+complement of an echelon basis of the span (F_p).  `section(epi)` reads it
+back, and solves one preimage per generator for an epi built any other
+way.  Cokernel, `simplify`, `cofactor_through_epi`, `iso_inverse` and the
+tensor and base-change objects and maps of `tensorops` are all built on
+these two.
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
 built on it.  `HomSystem` builds the linear system for unknown module
@@ -146,8 +150,9 @@ class _IntegerOps(_RingOps):
         return tuple(M._uinv().mul_vec(self.residue(M, vec)))
 
     def quotient(self, M, cols):
-        """M modulo the extra relation columns, in invariant-factor form
-        (Smith normal form of all relations, dropping unit factors)."""
+        """The epi from M onto M modulo the extra relation columns, in
+        invariant-factor form (Smith normal form of all relations, dropping
+        unit factors); its section takes the matching columns of U^-1."""
         raw = ModuleObj(ZZ, M.gens, M.rels + tuple(map(tuple, cols))) if cols else M
         res = raw._pres_snf()
         diag = res.diagonal()
@@ -159,7 +164,8 @@ class _IntegerOps(_RingOps):
         uinv = raw._uinv()
         epi = ModMor(M, Q, IntMatrix(len(keep), M.gens, [res.U.data[i] for i in keep]),
                      check=False)
-        return Q, epi, from_columns([uinv.col(i) for i in keep], M.gens)
+        epi._cache["section"] = from_columns([uinv.col(i) for i in keep], M.gens)
+        return epi
 
     def submodule(self, M, cols):
         """The submodule spanned by cols: the lattice syzygies of the
@@ -239,9 +245,9 @@ class _AlgebraOps(_RingOps):
         return tuple(self.residue(M, vec))
 
     def quotient(self, M, cols):
-        """M modulo the span of cols: extend a basis of the span by unit
-        vectors; the quotient map takes the coordinates along the added
-        ones, which also give the section."""
+        """The epi from M onto M modulo the span of cols: extend a basis of
+        the span by unit vectors; the quotient map takes the coordinates
+        along the added ones, which also give its section."""
         p, n = self.p, M.gens
         span = fplinalg.Span(p, n, cols)
         r = len(span)
@@ -251,7 +257,9 @@ class _AlgebraOps(_RingOps):
         q_mat = fp_from_columns(p, [span.coords(e)[r:] for e in units], n - r)
         sec = fp_from_columns(p, span.basis[r:], n)
         Q = ModuleObj(M.ring, n - r, actions=[q_mat.mul(a).mul(sec) for a in M.actions])
-        return Q, ModMor(M, Q, q_mat), sec
+        epi = ModMor(M, Q, q_mat)
+        epi._cache["section"] = sec
+        return epi
 
     def submodule(self, M, cols):
         """The subspace spanned by cols, with the actions solved on it."""
@@ -620,8 +628,9 @@ def simplify(M: ModuleObj):
     """
     if not M.ring.is_integers:
         raise ShapeError("simplify needs an integer module")
-    simple, to_simple, section = M.ops.quotient(M, [])
-    return simple, to_simple, ModMor(simple, M, section, check=False)
+    to_simple = M.ops.quotient(M, [])
+    simple = to_simple.target
+    return simple, to_simple, ModMor(simple, M, section(to_simple), check=False)
 
 
 def kernel(f: ModMor):
@@ -634,9 +643,8 @@ def kernel(f: ModMor):
 
 def cokernel(f: ModMor):
     """(Q, epi) with epi . f = 0, couniversal among such."""
-    cols = [f.matrix.col(j) for j in range(f.matrix.cols)]
-    Q, epi, _ = f.ops.quotient(f.target, cols)
-    return Q, epi
+    epi = f.ops.quotient(f.target, [f.matrix.col(j) for j in range(f.matrix.cols)])
+    return epi.target, epi
 
 
 def _preimages(f: ModMor, vectors, error):
@@ -649,6 +657,17 @@ def _preimages(f: ModMor, vectors, error):
             raise MorphismError(error)
         out.append(x)
     return out
+
+
+def section(epi: ModMor):
+    """A matrix s with epi.matrix . s the identity map of epi.target: the
+    one `quotient` built with the epi, or else one preimage per generator
+    (not kept)."""
+    if "section" in epi._cache:
+        return epi._cache["section"]
+    cols = _preimages(epi, fplinalg.unit_vectors(epi.target.gens),
+                      "map is not an epimorphism")
+    return epi.ops.from_columns(cols, epi.source.gens)
 
 
 def factor_through_mono(mono: ModMor, h: ModMor) -> ModMor:
@@ -667,20 +686,15 @@ def cofactor_through_epi(epi: ModMor, w: ModMor) -> ModMor:
     """The unique v with v . epi = w; requires w to kill ker(epi)."""
     if w.source != epi.source:
         raise ShapeError("cofactor_through_epi endpoints do not match")
-    sections = _preimages(epi, fplinalg.unit_vectors(epi.target.gens),
-                          "map is not an epimorphism")
-    cols = [w.matrix.mul_vec(x) for x in sections]
-    v = ModMor(epi.target, w.target, w.ops.from_columns(cols, w.target.gens))
+    v = ModMor(epi.target, w.target, w.matrix.mul(section(epi)))
     if not epi.then(v) == w:
         raise MorphismError("map does not descend along the epi")
     return v
 
 
 def iso_inverse(f: ModMor) -> ModMor:
-    """Inverse of an isomorphism (preimage per generator)."""
-    cols = _preimages(f, fplinalg.unit_vectors(f.target.gens),
-                      "morphism is not invertible")
-    inv = ModMor(f.target, f.source, f.ops.from_columns(cols, f.source.gens))
+    """Inverse of an isomorphism: its section, checked to be two-sided."""
+    inv = ModMor(f.target, f.source, section(f))
     if not (f.then(inv) == identity_mor(f.source)
             and inv.then(f) == identity_mor(f.target)):
         raise MorphismError("morphism is not an isomorphism")

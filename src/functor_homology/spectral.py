@@ -39,15 +39,14 @@ class DoubleComplex:
     D = d_h + d_v is a differential on the total complex.
     """
 
-    def __init__(self, p, max_s, max_t, dims, d_h, d_v, check=True):
+    def __init__(self, p, max_s, max_t, dims, d_h, d_v):
         self.p = p
         self.max_s = max_s
         self.max_t = max_t
         self.dims = {k: v for k, v in dims.items() if v}
         self.d_h = dict(d_h)
         self.d_v = dict(d_v)
-        if check:
-            self._check()
+        self._check()
 
     def dim(self, s, t):
         return self.dims.get((s, t), 0)
@@ -527,8 +526,7 @@ def _dc_from_ce(G, ce: CEData, p_field) -> DoubleComplex:
     return DoubleComplex(p_field, ce.depth, ce.width, dims, d_h, d_v)
 
 
-def grothendieck_ss(F, G, A: ModuleObj, n_max, r_stop=None,
-                    with_data=False):
+def grothendieck_ss(F, G, A: ModuleObj, n_max, with_data=False):
     """E2_{pq} = (L_p G)(L_q F)(A) converging to L_{p+q}(G F)(A).
 
     The E2 grid is reported for p, q <= n_max; pages, E_inf, and the
@@ -547,7 +545,7 @@ def grothendieck_ss(F, G, A: ModuleObj, n_max, r_stop=None,
     ce = ce_grid(cf, T)
     p_field = G.target_ring.p
     dc = _dc_from_ce(G, ce, p_field)
-    ss = ss_pages(dc, r_stop=r_stop, n_valid=n_max)
+    ss = ss_pages(dc, n_valid=n_max)
     ss.hypothesis_ok = report.ok()
     ss.hypothesis_report = report.entries
     for q in range(0, n_max + 1):
@@ -791,7 +789,7 @@ def _abutment_class(theta_n, to_class, v):
     return c
 
 
-def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResult:
+def ss_componentwise(F, G, A: Diagram, n_max) -> ComponentwiseResult:
     """One spectral sequence per component plus, for every index morphism,
     the induced maps at E2 (checked to commute with d2 through the
     canonical identification), their propagation through later pages
@@ -803,8 +801,7 @@ def ss_componentwise(F, G, A: Diagram, n_max, r_stop=None) -> ComponentwiseResul
     canon = {}
     ident_ok = {}
     for i in index.objects:
-        gd = grothendieck_ss(F, G, A.components[i], n_max, r_stop=r_stop,
-                             with_data=True)
+        gd = grothendieck_ss(F, G, A.components[i], n_max, with_data=True)
         data[i] = gd
         per_object[i] = gd.ss
         canon[i] = build_canon_pages(gd)

@@ -4,16 +4,17 @@ Tensor is over the base ring itself and requires it to be commutative
 (integers, or a commutative F_p-algebra).  Base change goes along a ring
 map: the unique map out of Z, or an algebra map between F_p-algebras.
 
-Each object is the base ring's `quotient` (see `modules`) of a raw
-module by relation columns, so one body serves both rings: a Z module
-contributes relations and an F_p-algebra module contributes actions.  Only
-base change picks its raw module by the kind of ring map.  A map is read
-off through the section that `quotient` returns: the source's section,
-then the raw map, then the target's quotient map.  Nothing is solved.
+Each object is the target of the base ring's `quotient` epi (see
+`modules`) from a raw module by relation columns, so one body serves both
+rings: a Z module contributes relations and an F_p-algebra module
+contributes actions.  Only base change picks its raw module by the kind of
+ring map.  A map is read off through the section the epi carries: the
+source's `section`, then the raw map, then the target's epi.  Nothing is
+solved.
 
-Object constructions cache their presentation data on the module they
-start from (the first tensor factor, or the module being base-changed),
-keyed by the identity of the other argument.  The entry holds that
+Object constructions cache their epi on the module they start from (the
+first tensor factor, or the module being base-changed), keyed by the
+identity of the other argument.  The entry holds that
 argument, so its id cannot be reused while the entry lives.  Repeated
 applications, e.g. while building functor images of whole complexes,
 therefore agree on the nose.
@@ -21,30 +22,17 @@ therefore agree on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import modules
 from .errors import RingMismatchError
 from .intlinalg import IntMatrix
-from .modules import ModMor, ModuleObj, free_module
+from .modules import ModMor, ModuleObj, free_module, section
 from .rings import RingMap
 
 
-@dataclass
-class QuotientData:
-    """A tensor product or base change as a quotient of a raw module: the
-    product of coordinates (tensor) or a cover over the target ring (base
-    change)."""
-
-    obj: ModuleObj
-    epi: ModMor  # raw -> obj (matrix usable on raw coordinates)
-    section: object  # matrix of a right inverse of epi's matrix
-
-
-def tensor_data(A: ModuleObj, B: ModuleObj) -> QuotientData:
-    """A (x) B as `quotient` of the raw product: relations r (x) e_j of A
-    and e_i (x) s of B (Z), and a.x (x) y - x (x) a.y for every algebra
-    basis element a (F_p)."""
+def tensor_data(A: ModuleObj, B: ModuleObj) -> ModMor:
+    """The epi onto A (x) B from the raw product of coordinates, by
+    `quotient` modulo relations r (x) e_j of A and e_i (x) s of B (Z), and
+    a.x (x) y - x (x) a.y for every algebra basis element a (F_p)."""
     if A.ring != B.ring:
         raise RingMismatchError("tensor needs a common base ring")
     if not A.ring.is_commutative():
@@ -73,33 +61,32 @@ def tensor_data(A: ModuleObj, B: ModuleObj) -> QuotientData:
         m = act.add(ops.kron(ia, b_act).scale(-1))
         cols.extend(m.col(j) for j in range(n))
     raw = ModuleObj(A.ring, n, actions=actions, check=False)
-    data = QuotientData(*ops.quotient(raw, cols))
-    A._cache[key] = (B, data)
-    return data
+    epi = ops.quotient(raw, cols)
+    A._cache[key] = (B, epi)
+    return epi
 
 
 def tensor_obj(A: ModuleObj, B: ModuleObj) -> ModuleObj:
-    return tensor_data(A, B).obj
+    return tensor_data(A, B).target
 
 
 def tensor_mor(f: ModMor, g: ModMor) -> ModMor:
-    dsrc = tensor_data(f.source, g.source)
-    dtgt = tensor_data(f.target, g.target)
+    esrc = tensor_data(f.source, g.source)
+    etgt = tensor_data(f.target, g.target)
     raw = f.ops.kron(f.matrix, g.matrix)
-    mat = dtgt.epi.matrix.mul(raw).mul(dsrc.section)
-    return ModMor(dsrc.obj, dtgt.obj, mat)
+    return ModMor(esrc.target, etgt.target, etgt.matrix.mul(raw).mul(section(esrc)))
 
 
 def tensor_unit_map(A: ModuleObj) -> ModMor:
     """Canonical map A (x) R -> A; an isomorphism."""
-    data = tensor_data(A, modules.ring_as_module(A.ring))
+    epi = tensor_data(A, modules.ring_as_module(A.ring))
     cols = []
     for i in range(A.gens):
         # (generator i) (x) (ring basis element b) -> b . generator i
         e_i = [1 if k == i else 0 for k in range(A.gens)]
         cols.extend(A.ops.free_images(A, e_i))
     raw = A.ops.from_columns(cols, A.gens)
-    return ModMor(data.obj, A, raw.mul(data.section))
+    return ModMor(epi.target, A, raw.mul(section(epi)))
 
 
 # -- base change -------------------------------------------------------------
@@ -113,10 +100,10 @@ def _scalar_block_matrix(rm: RingMap, mat: IntMatrix):
     return ops.kron(scalars, ops.identity(rm.target.dim))
 
 
-def base_change_data(rm: RingMap, M: ModuleObj) -> QuotientData:
-    """S (x)_R M as `quotient` of a cover over S: the free S-module on M's
-    generators modulo M's relations (R = Z), or S (x)_{F_p} M modulo
-    s.rm(a) (x) x - s (x) a.x (R an F_p-algebra)."""
+def base_change_data(rm: RingMap, M: ModuleObj) -> ModMor:
+    """The epi onto S (x)_R M from a cover over S, by `quotient`: the free
+    S-module on M's generators modulo M's relations (R = Z), or
+    S (x)_{F_p} M modulo s.rm(a) (x) x - s (x) a.x (R an F_p-algebra)."""
     if M.ring != rm.source:
         raise RingMismatchError("module is not over the ring map's source")
     key = ("base_change", id(rm))
@@ -124,7 +111,7 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> QuotientData:
         return M._cache[key][1]
     S = rm.target
     if rm.source.is_integers and S.is_integers:
-        data = QuotientData(M, modules.identity_mor(M), M.ops.identity(M.gens))
+        epi = modules.identity_mor(M)
     else:
         if rm.source.is_integers:
             cover = free_module(S, M.gens)
@@ -140,22 +127,22 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> QuotientData:
                 m = ops.kron(S.right_mult_matrix(image), ident).add(
                     ops.kron(ops.identity(S.dim), act).scale(-1))
                 cols.extend(m.col(j) for j in range(m.cols))
-        data = QuotientData(*cover.ops.quotient(cover, cols))
-    M._cache[key] = (rm, data)
-    return data
+        epi = cover.ops.quotient(cover, cols)
+    M._cache[key] = (rm, epi)
+    return epi
 
 
 def base_change_obj(rm: RingMap, M: ModuleObj) -> ModuleObj:
-    return base_change_data(rm, M).obj
+    return base_change_data(rm, M).target
 
 
 def base_change_mor(rm: RingMap, f: ModMor) -> ModMor:
-    dsrc = base_change_data(rm, f.source)
-    dtgt = base_change_data(rm, f.target)
+    esrc = base_change_data(rm, f.source)
+    etgt = base_change_data(rm, f.target)
     if rm.source.is_integers and rm.target.is_integers:
         return f
     if rm.source.is_integers:
         lifted = _scalar_block_matrix(rm, f.matrix)
     else:
         lifted = f.ops.kron(f.ops.identity(rm.target.dim), f.matrix)
-    return ModMor(dsrc.obj, dtgt.obj, dtgt.epi.matrix.mul(lifted).mul(dsrc.section))
+    return ModMor(esrc.target, etgt.target, etgt.matrix.mul(lifted).mul(section(esrc)))

@@ -1,5 +1,5 @@
 """The traced benchmark run can still see every function it counts, and
-the z_ladder cases still produce their recorded output digests.
+every workload's cases still produce their recorded output digests.
 
 `perfbench/tracer.py` wraps its targets by replacing module attributes,
 `from .x import f` aliases and class attributes.  A renamed target, or a
@@ -11,6 +11,8 @@ way `perfbench/run.py --trace 1` does, and checks for both.
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 
@@ -53,13 +55,15 @@ if problems:
 """
 
 
-# Every z_ladder case through `run.py`'s own `run_case`, against the
-# sha256 digests in `perfbench/digests.json`.
+# Every case of the workload named by the first argument through `run.py`'s
+# own `run_case`, against the sha256 digests in `perfbench/digests.json`.
 DIGEST_REPLAY = """
+import sys
+
 import run
 from workloads import WORKLOADS
 
-w = WORKLOADS["z_ladder"]
+w = WORKLOADS[sys.argv[1]]
 ctx = w.setup()
 digests = run.load_digests(w)
 if len(digests) != w.universe:
@@ -74,12 +78,12 @@ if failed:
 """
 
 
-def _run_in_perfbench(script):
+def _run_in_perfbench(script, *args):
     src = os.path.join(ROOT, "src")
     bench = os.path.join(ROOT, "perfbench")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, bench] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", script], env=env, cwd=bench,
+    out = subprocess.run([sys.executable, "-c", script, *args], env=env, cwd=bench,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stdout + out.stderr
 
@@ -88,5 +92,6 @@ def test_tracer_sees_every_target():
     _run_in_perfbench(CONTRACT)
 
 
-def test_z_ladder_digests_unchanged():
-    _run_in_perfbench(DIGEST_REPLAY)
+@pytest.mark.parametrize("workload", ["z_delta", "z_ladder", "fp_group_ss"])
+def test_workload_digests_unchanged(workload):
+    _run_in_perfbench(DIGEST_REPLAY, workload)

@@ -13,9 +13,10 @@ from functor_homology.functors import (NatSpec, apply, apply_to_complex,
                                        base_change, compose, exponent,
                                        exponent_apply, exponent_nat,
                                        tensor_with)
-from functor_homology.modules import (ModMor, cofactor_through_epi, cyclic,
-                                      free_module, identity_mor,
-                                      ring_as_module, trivial_module,
+from functor_homology.fplinalg import fp_from_columns, solve, unit_vectors
+from functor_homology.modules import (ModMor, cokernel, cyclic, free_module,
+                                      identity_mor, ring_as_module, section,
+                                      simplify, trivial_module, zero_mor,
                                       zero_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
@@ -52,28 +53,50 @@ def _base_change_pairs():
             (c4_c2, zero_module(r4))]
 
 
+def _quotient_epis(rng, r2):
+    """Epis of `cokernel` over Z and F_2[C2] (random maps, identities and
+    zero maps, so zero quotients too) and of `simplify` over Z."""
+    epis = []
+    for _ in range(8):
+        A, B = random_z_module(rng), random_z_module(rng)
+        epis.append(cokernel(random_morphism(rng, A, B))[1])
+        C = _random_fp_module(rng, r2)
+        D = _random_fp_module(rng, r2)
+        epis.append(cokernel(random_morphism(rng, C, D))[1])
+        for M in (A, C):
+            epis += [cokernel(identity_mor(M))[1], cokernel(zero_mor(M, M))[1]]
+        epis.append(simplify(B)[1])
+    epis += [simplify(cyclic(1))[1], simplify(free_module(ZZ, 0))[1],
+             cokernel(identity_mor(zero_module(r2)))[1]]
+    return epis
+
+
 def test_tensor_section_is_a_right_inverse():
-    # tensor_mor, tensor_unit_map and base_change_mor read maps off the
-    # quotient through the section, so it must split the quotient map
+    # tensor_mor, tensor_unit_map, base_change_mor and cofactor_through_epi
+    # read maps off a quotient through the section its epi carries, so it
+    # must split the epi's matrix
     r2 = group_algebra(2, cyclic_group_table(2))
     pairs = [(cyclic(4), cyclic(6)), (cyclic(0), cyclic(3)),
              (cyclic(2), cyclic(3)), (free_module(ZZ, 0), cyclic(5)),
              (ring_as_module(r2), trivial_module(r2)),
              (free_module(r2, 2), ring_as_module(r2)),
              (trivial_module(r2), zero_module(r2))]
-    datas = [tensor_data(A, B) for A, B in pairs]
-    datas += [base_change_data(rm, M) for rm, M in _base_change_pairs()]
-    for data in datas:
-        assert data.epi.matrix.mul(data.section) == \
-            data.obj.ops.identity(data.obj.gens)
-    assert tensor_data(cyclic(2), cyclic(3)).obj.gens == 0
-    assert tensor_data(ring_as_module(r2), trivial_module(r2)).obj.gens == 1
-    assert base_change_data(RingMap(ZZ, fp_field(2)), cyclic(3)).obj.gens == 0
+    quotients = _quotient_epis(random.Random(29), r2)
+    assert any(epi.target.gens == 0 for epi in quotients)
+    epis = [tensor_data(A, B) for A, B in pairs]
+    epis += [base_change_data(rm, M) for rm, M in _base_change_pairs()]
+    for epi in epis + quotients:
+        assert epi.matrix.mul(section(epi)) == \
+            epi.target.ops.identity(epi.target.gens)
+    assert tensor_data(cyclic(2), cyclic(3)).target.gens == 0
+    assert tensor_data(ring_as_module(r2), trivial_module(r2)).target.gens == 1
+    assert base_change_data(RingMap(ZZ, fp_field(2)), cyclic(3)).target.gens == 0
 
 
 def test_base_change_mor_matches_solving_oracle():
     # the section route gives the map that solving through the epi gives
-    # (over an F_p target that map's matrix is unique)
+    # (over an F_p target that map's matrix is unique); the oracle solves
+    # one preimage per generator itself
     rng = random.Random(23)
     nonzero = 0
     for rm, _ in _base_change_pairs():
@@ -85,17 +108,19 @@ def test_base_change_mor_matches_solving_oracle():
                 A = _random_fp_module(rng, rm.source)
                 B = _random_fp_module(rng, rm.source)
             f = random_morphism(rng, A, B)
-            dsrc, dtgt = base_change_data(rm, A), base_change_data(rm, B)
-            ops = dtgt.obj.ops
+            esrc, etgt = base_change_data(rm, A), base_change_data(rm, B)
+            ops = etgt.target.ops
             if rm.source.is_integers:
                 scalars = ops.matrix(f.matrix.rows, f.matrix.cols, f.matrix.data)
                 raw = ops.kron(scalars, ops.identity(S.dim))
             else:
                 raw = ops.kron(ops.identity(S.dim), f.matrix)
-            lifted = ModMor(dsrc.epi.source, dtgt.epi.source, raw)
-            oracle = cofactor_through_epi(dsrc.epi, lifted.then(dtgt.epi))
+            preimages = [solve(esrc.matrix, e)
+                         for e in unit_vectors(esrc.target.gens)]
+            oracle = etgt.matrix.mul(raw).mul(
+                fp_from_columns(S.p, preimages, esrc.source.gens))
             image = base_change_mor(rm, f)
-            assert image.matrix == oracle.matrix
+            assert image.matrix == oracle
             nonzero += not image.is_zero()
     assert nonzero >= 30
 
@@ -285,6 +310,7 @@ arrow = standard("arrow")
 T = tensor_with(cyclic(2))
 B = base_change(RingMap(ZZ, fp_field(2)))
 D = constant_diagram(arrow, cyclic(4))
+Q = constant_diagram(standard("square"), cyclic(4))
 R2 = group_algebra(2, cyclic_group_table(2))
 for call in (lambda: apply(T, D),
              lambda: apply(B, D.identity()),
@@ -296,7 +322,9 @@ for call in (lambda: apply(T, D),
              lambda: apply(compose(B, T), trivial_module(R2)),
              lambda: apply(compose(B, T), D),
              lambda: apply(compose(exponent(B, arrow), exponent(T, arrow)),
-                           cyclic(4))):
+                           cyclic(4)),
+             lambda: apply(exponent(T, arrow), Q),
+             lambda: apply(exponent(T, arrow), Q.identity())):
     try:
         call()
     except (ShapeError, RingMismatchError):

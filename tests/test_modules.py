@@ -7,7 +7,10 @@ import pytest
 
 from functor_homology.abelian import image, is_iso
 from functor_homology.errors import ExactnessError, MorphismError, ShapeError
+from functor_homology import fplinalg, intlinalg
+from functor_homology.intlinalg import from_columns, hstack
 from functor_homology.modules import (Element, ModMor, biproduct,
+                                      cofactor_through_epi,
                                       cokernel, cyclic, enumerate_elements,
                                       factor_through_mono, free_cover,
                                       free_generator_columns, free_module,
@@ -16,7 +19,8 @@ from functor_homology.modules import (Element, ModMor, biproduct,
                                       lift_through_epi, nary_biproduct,
                                       preimage, trivial_module, zero_mor)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
-from functor_homology.verification import random_morphism, random_z_module
+from functor_homology.verification import (_random_fp_module, random_morphism,
+                                           random_z_module)
 
 
 def borel_sets(f):
@@ -241,5 +245,83 @@ def test_preconditions_hold_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-O", "-c", PRECONDITIONS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
+def _solving_oracle(epi, w):
+    """The map v with v . epi = w, by solving epi.matrix x = e_k modulo
+    the target's relations for every generator e_k of epi.target."""
+    Q = epi.target
+    if Q.ring.is_integers:
+        system = hstack([epi.matrix, from_columns([list(r) for r in Q.rels], Q.gens)])
+        cols = [intlinalg.solve(system, e)[: epi.source.gens]
+                for e in fplinalg.unit_vectors(Q.gens)]
+        sec = from_columns(cols, epi.source.gens)
+    else:
+        cols = [fplinalg.solve(epi.matrix, e) for e in fplinalg.unit_vectors(Q.gens)]
+        sec = fplinalg.fp_from_columns(Q.ring.p, cols, epi.source.gens)
+    return ModMor(Q, w.target, w.matrix.mul(sec))
+
+
+def test_cofactor_through_cokernel_matches_solving_oracle():
+    # cofactor_through_epi reads the section the cokernel epi carries; the
+    # map it gives must be the one solving through the epi gives
+    rng = random.Random(31)
+    r2 = group_algebra(2, cyclic_group_table(2))
+    makers = [random_z_module, lambda r: _random_fp_module(r, r2)]
+    for make in makers:
+        nonzero = 0
+        for _ in range(200):
+            A, B, C = make(rng), make(rng), make(rng)
+            Q, epi = cokernel(random_morphism(rng, A, B))
+            g = random_morphism(rng, Q, C)
+            v = cofactor_through_epi(epi, epi.then(g))
+            assert v == _solving_oracle(epi, epi.then(g))
+            assert v == g
+            nonzero += not v.is_zero()
+        assert nonzero >= 30
+
+
+SECTION_FAULTS = """
+from functor_homology.errors import MorphismError
+from functor_homology.modules import (ModMor, cofactor_through_epi, cokernel,
+                                      cyclic, identity_mor, iso_inverse,
+                                      ring_as_module, trivial_module, zero_mor)
+from functor_homology.rings import cyclic_group_table, group_algebra
+
+
+def expect(call, text):
+    try:
+        call()
+    except MorphismError as e:
+        if text not in str(e):
+            raise SystemExit(f"wrong message: {e}")
+        return
+    raise SystemExit(f"MorphismError not raised ({text})")
+
+
+R2 = group_algebra(2, cyclic_group_table(2))
+Z4, R, T = cyclic(4), ring_as_module(R2), trivial_module(R2)
+for f in (ModMor(Z4, Z4, [[2]]), zero_mor(Z4, Z4), zero_mor(T, R)):
+    Q, epi = cokernel(f)
+    # a planted corrupted section: the zero matrix of its shape
+    epi._cache["section"] = epi.ops.zeros(epi.source.gens, Q.gens)
+    expect(lambda: cofactor_through_epi(epi, epi), "does not descend along the epi")
+    if f.is_zero():
+        # the cokernel of a zero map is an isomorphism
+        expect(lambda: iso_inverse(epi), "not an isomorphism")
+for non_epi, w in ((ModMor(cyclic(0), cyclic(0), [[2]]), identity_mor(cyclic(0))),
+                   (zero_mor(T, T), identity_mor(T))):
+    expect(lambda: cofactor_through_epi(non_epi, w), "not an epimorphism")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_section_faults_raise(flags):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, *flags, "-c", SECTION_FAULTS],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr

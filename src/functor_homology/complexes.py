@@ -4,7 +4,10 @@ A Complex stores objects C_n for lo <= n <= hi and differentials
 d_n: C_n -> C_{n-1} for lo < n <= hi; everything outside the range is
 treated as zero.  Objects may be modules or diagrams; all computations go
 through the abelian interface (see `abelian`), so homology in C and C^I is
-one code path.
+one code path.  Chain maps (endpoints and every square) and short exact
+sequences of complexes (every degree) are always validated on
+construction; only a Complex's d.d = 0 test can be skipped, by builders
+whose differentials compose to zero by construction.
 """
 
 from __future__ import annotations
@@ -64,21 +67,20 @@ class ChainMap:
     """Degreewise map of complexes commuting with the differentials on the
     overlap of their ranges."""
 
-    def __init__(self, source: Complex, target: Complex, comps, check=True):
+    def __init__(self, source: Complex, target: Complex, comps):
         self.source = source
         self.target = target
         self.comps = dict(comps)
-        if check:
-            for n in self.comps:
-                f = self.comps[n]
-                if f.source != source.obj(n) or f.target != target.obj(n):
-                    raise ShapeError(f"chain map component {n} has wrong endpoints")
-            for n in self.comps:
-                if n - 1 in self.comps and n > source.lo and n > target.lo:
-                    lhs = self.comps[n].then(target.diffs[n])
-                    rhs = source.diffs[n].then(self.comps[n - 1])
-                    if not lhs == rhs:
-                        raise ShapeError(f"chain map square fails in degree {n}")
+        for n in self.comps:
+            f = self.comps[n]
+            if f.source != source.obj(n) or f.target != target.obj(n):
+                raise ShapeError(f"chain map component {n} has wrong endpoints")
+        for n in self.comps:
+            if n - 1 in self.comps and n > source.lo and n > target.lo:
+                lhs = self.comps[n].then(target.diffs[n])
+                rhs = source.diffs[n].then(self.comps[n - 1])
+                if not lhs == rhs:
+                    raise ShapeError(f"chain map square fails in degree {n}")
 
     def at(self, n):
         return self.comps[n]
@@ -172,18 +174,18 @@ class MorphismOfSES:
 
 
 class SESOfComplexes:
-    """Degreewise short exact sequence of complexes over a common range."""
+    """Degreewise short exact sequence of complexes over a common range,
+    validated degree by degree on construction."""
 
     def __init__(self, sub: Complex, mid: Complex, quo: Complex,
-                 incl: ChainMap, proj: ChainMap, check=True):
+                 incl: ChainMap, proj: ChainMap):
         self.sub = sub
         self.mid = mid
         self.quo = quo
         self.incl = incl
         self.proj = proj
-        if check:
-            for n in sub.degrees():
-                SES(incl.at(n), proj.at(n))
+        for n in sub.degrees():
+            SES(incl.at(n), proj.at(n))
 
     def degrees(self):
         return self.sub.degrees()

@@ -19,9 +19,9 @@ same object for every term and kernel past its end, so the memos on it
 dies with the resolution.  The ring holds no modules: a zero object interned there would
 pin every memo made on it for the life of the process.
 
-The connecting homomorphism is the snake-lemma zig-zag, computed with
-explicit element lifts at the module level and assembled componentwise
-(then validated as a natural transformation) at the diagram level.
+The connecting homomorphism is the snake lemma written against the same
+interface: a free cover of the cycles of N stands in for elements, so one
+body serves modules and diagrams.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 from . import abelian, functors
 from .complexes import (ChainMap, Complex, SES, SESOfComplexes, Subquotient,
-                        homology_at, induced_on_homology, project_complex)
+                        homology_at, induced_on_homology)
 from .diagrams import DiagMor, Diagram
 from .errors import ExactnessError, NonzeroCompositeError, ShapeError
-from .modules import Element, ModMor, ModuleObj, preimage
 
 
 class Resolution:
@@ -317,61 +316,24 @@ def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
 # -- connecting homomorphism -------------------------------------------------
 
 
-def _mor_from_columns(source, target, cols):
-    return ModMor(source, target, source.ops.from_columns(cols, target.gens))
-
-
-def connecting_module(sesc: SESOfComplexes, n) -> ModMor:
-    """Snake-lemma zig-zag H_n(N) -> H_{n-1}(L) via explicit preimages."""
-    sub_n = homology_at(sesc.quo, n)
-    sub_l = homology_at(sesc.sub, n - 1)
-    cols = []
-    for t in range(sub_n.obj.gens):
-        e = Element(sub_n.obj, [1 if k == t else 0 for k in range(sub_n.obj.gens)])
-        k = preimage(sub_n.epi, e)
-        z = sub_n.mono.apply(k)
-        m = preimage(sesc.proj.at(n), z)
-        if m is None:
-            raise ExactnessError("projection of complexes must be degreewise epi")
-        if n <= sesc.mid.lo:
-            raise ExactnessError("connecting map needs the differential at n")
-        dm = sesc.mid.diffs[n].apply(m)
-        l = preimage(sesc.incl.at(n - 1), dm)
-        if l is None:
-            raise ExactnessError("boundary must come from the subcomplex")
-        if n - 1 > sesc.sub.lo and not sesc.sub.diffs[n - 1].apply(l).is_zero():
-            raise ExactnessError("boundary must be a cycle of the subcomplex")
-        kl = preimage(sub_l.mono, l)
-        if kl is None:
-            raise ExactnessError("representative must be a cycle")
-        cols.append(list(sub_l.epi.apply(kl).coords))
-    delta = _mor_from_columns(sub_n.obj, sub_l.obj, cols)
-    return delta
-
-
 def connecting(sesc: SESOfComplexes, n):
-    """The connecting morphism delta_n; componentwise (then checked to be
-    natural) when the complexes live in a diagram category."""
-    if isinstance(sesc.quo.objects[sesc.quo.lo], ModuleObj):
-        return connecting_module(sesc, n)
+    """The connecting morphism delta_n: H_n(N) -> H_{n-1}(L), by the snake
+    lemma on a free cover of the cycles of N_n (the same body in C and in
+    C^I, whose free diagrams are projective): lift the covered cycles to
+    M_n, push them along d^M_n, factor through L_{n-1} and its cycles, and
+    descend along the cover followed by the class epi.  That descent checks
+    that the result kills every boundary of N, so delta is well defined
+    (Weibel, An Introduction to Homological Algebra, Lemma 1.3.2)."""
+    if n <= sesc.mid.lo:
+        raise ExactnessError("connecting map needs the differential at n")
     sub_n = homology_at(sesc.quo, n)
     sub_l = homology_at(sesc.sub, n - 1)
-    index = sub_n.obj.index
-    comps = {}
-    for i in index.objects:
-        sub, mid, quo = (project_complex(c, i)
-                         for c in (sesc.sub, sesc.mid, sesc.quo))
-        proj_sesc = SESOfComplexes(
-            sub, mid, quo,
-            ChainMap(sub, mid,
-                     {k: sesc.incl.at(k).component(i) for k in sesc.incl.comps},
-                     check=False),
-            ChainMap(mid, quo,
-                     {k: sesc.proj.at(k).component(i) for k in sesc.proj.comps},
-                     check=False),
-            check=False)
-        comps[i] = connecting_module(proj_sesc, n)
-    return DiagMor(sub_n.obj, sub_l.obj, comps)
+    _, cover = sub_n.cycles.free_cover()
+    lifted = cover.then(sub_n.mono).lift(sesc.proj.at(n))
+    boundary = sesc.incl.at(n - 1).factor(lifted.then(sesc.mid.diffs[n]))
+    classes = sub_l.mono.factor(boundary).then(sub_l.epi)
+    onto = cover.then(sub_n.epi)
+    return onto.cofactor(classes)
 
 
 # -- long exact sequences ----------------------------------------------------
@@ -428,7 +390,7 @@ def les_data(F, ses: SES, n_max) -> LesData:
 
 def les_of_ses(F, ses: SES, n_max) -> LES:
     """The long exact sequence of L_*F applied to a short exact sequence,
-    built with a horseshoe resolution and the zig-zag connecting map."""
+    built with a horseshoe resolution and the snake-lemma connecting map."""
     return les_data(F, ses, n_max).les
 
 

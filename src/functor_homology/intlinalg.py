@@ -12,7 +12,8 @@ invariant by construction: `data` is a fresh list of fresh rows that no
 one else holds (the matrix takes ownership and never copies it), with
 exactly `rows` rows of `cols` entries each.  Here its producers are
 `mul`, `add`, `scale`, `identity`, `zeros`, `transpose`, `hstack`,
-`from_columns` (after its column-length check) and the Smith normal form.
+`from_columns` (after its column-length check) and the Smith normal form
+(U, D, V, and U^-1 from `SnfResult.u_inverse`).
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ class SnfResult:
 
     Nonzero diagonal entries of D are positive, come first, and divide
     each other in order.  det(U) and det(V) are +-1 (also recorded as
-    det_u/det_v, tracked during the reduction).
+    det_u/det_v, tracked during the reduction).  U is the product of the
+    elementary row operations in `row_ops`, in order: ("swap", i, j),
+    ("add", src, dst, q) for row[dst] += q * row[src], and ("neg", i);
+    `u_inverse` undoes them to give U^-1 without a second reduction.
     """
 
     U: IntMatrix
@@ -150,6 +154,26 @@ class SnfResult:
     V: IntMatrix
     det_u: int
     det_v: int
+    row_ops: list
+
+    def u_inverse(self) -> IntMatrix:
+        """U^-1 = E_1^-1 ... E_k^-1 for U = E_k ... E_1: the inverse row
+        operations replayed, in order, as column operations on I.  They run
+        here as row operations on the transpose, which is flipped at the
+        end."""
+        m = self.U.rows
+        t = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+        for op in self.row_ops:
+            if op[0] == "swap":
+                _, i, j = op
+                t[i], t[j] = t[j], t[i]
+            elif op[0] == "add":
+                # column src of U^-1 loses q times column dst
+                _, src, dst, q = op
+                t[src] = [x - q * y for x, y in zip(t[src], t[dst])]
+            else:
+                t[op[1]] = [-x for x in t[op[1]]]
+        return IntMatrix._owned(m, m, [list(r) for r in zip(*t)])
 
     @property
     def rank(self):
@@ -173,6 +197,7 @@ def snf(A: IntMatrix) -> SnfResult:
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     det_u = 1
     det_v = 1
+    row_ops = []
 
     def swap_rows(i, j):
         nonlocal det_u
@@ -180,6 +205,7 @@ def snf(A: IntMatrix) -> SnfResult:
             D[i], D[j] = D[j], D[i]
             U[i], U[j] = U[j], U[i]
             det_u = -det_u
+            row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
         nonlocal det_v
@@ -198,6 +224,7 @@ def snf(A: IntMatrix) -> SnfResult:
         Us, Ud = U[src], U[dst]
         for j in range(m):
             Ud[j] += q * Us[j]
+        row_ops.append(("add", src, dst, q))
 
     def add_col(src, dst, q):
         for r in D:
@@ -210,6 +237,7 @@ def snf(A: IntMatrix) -> SnfResult:
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
         det_u = -det_u
+        row_ops.append(("neg", i))
 
     k = 0
     while k < m and k < n:
@@ -271,7 +299,7 @@ def snf(A: IntMatrix) -> SnfResult:
         k += 1
 
     return SnfResult(IntMatrix._owned(m, m, U), IntMatrix._owned(m, n, D),
-                     IntMatrix._owned(n, n, V), det_u, det_v)
+                     IntMatrix._owned(n, n, V), det_u, det_v, row_ops)
 
 
 def kernel_basis(A: IntMatrix) -> list[list[int]]:
@@ -308,22 +336,6 @@ def solve(A: IntMatrix, b: list[int]):
     if len(b) != A.rows:
         raise ValueError("dimension mismatch: len(b) != rows(A)")
     return solve_snf(snf(A), b)
-
-
-def inverse_unimodular(M: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix."""
-    n = M.rows
-    if n != M.cols:
-        raise ShapeError("only a square matrix can be unimodular")
-    res = snf(M)
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        x = solve_snf(res, e)
-        if x is None:
-            raise ExactnessError("matrix is not invertible over the integers")
-        cols.append(x)
-    return from_columns(cols, n)
 
 
 def det_sign_of_unimodular(M: IntMatrix) -> int:

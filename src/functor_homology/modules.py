@@ -63,8 +63,7 @@ class _RingOps:
     constructor), `from_columns`, `identity` and `zeros` (the trusted
     producers of its matrix module), `kernel_basis`, `solver`/`solve`,
     `free_images` and `unit` (coordinates of a free generator on its free
-    basis), `regular_actions` (the actions on the ring as a module over
-    itself), `n_actions` and `has_relations` (the shape of a
+    basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue`/`reduce` (coordinates that vanish exactly
     on the relations, and normal forms), `quotient`, `submodule`,
     `generators` (of a free cover), `element_grid` and `describe`; the
@@ -132,9 +131,6 @@ class _IntegerOps(_RingOps):
     def free_images(self, M, v):
         """Images of the free basis elements of one generator sent to v."""
         return [v]
-
-    def regular_actions(self):
-        return []
 
     def residue(self, M, vec):
         """vec in the Smith basis of M's relations, each torsion coordinate
@@ -233,10 +229,6 @@ class _AlgebraOps(_RingOps):
     def free_images(self, M, v):
         # the free basis of one generator is (generator, algebra basis element)
         return [act.mul_vec(v) for act in M.actions]
-
-    def regular_actions(self):
-        ring = self.ring
-        return [ring.left_mult_matrix(ring._e(a)) for a in range(ring.dim)]
 
     def residue(self, M, vec):
         return [x % self.p for x in vec]
@@ -357,7 +349,7 @@ class ModuleObj:
 
     def _uinv(self) -> IntMatrix:
         if "uinv" not in self._cache:
-            self._cache["uinv"] = intlinalg.inverse_unimodular(self._pres_snf().U)
+            self._cache["uinv"] = self._pres_snf().u_inverse()
         return self._cache["uinv"]
 
     def in_relations(self, vec) -> bool:
@@ -427,9 +419,10 @@ def cyclic(n) -> ModuleObj:
 
 def free_module(ring: Ring, rank: int) -> ModuleObj:
     """rank copies of the ring, each acting on itself by left
-    multiplication (block-diagonal actions; none over Z)."""
+    multiplication (block-diagonal copies of `ring.regular`; none over
+    Z)."""
     ops = ring_ops(ring)
-    actions = [ops.kron(ops.identity(rank), lam) for lam in ops.regular_actions()]
+    actions = [ops.kron(ops.identity(rank), lam) for lam in ring.regular]
     return ModuleObj(ring, rank * len(ops.unit), actions=actions, free_rank=rank,
                      check=False)
 

@@ -21,11 +21,13 @@ class RingError(ValueError):
 class Ring:
     """Either the ring of integers or an F_p-algebra with chosen basis.
 
-    For FpAlgebra: `mult[a][b]` is the coordinate vector of e_a * e_b and
-    `unit` the coordinates of 1.
+    For FpAlgebra: `mult[a][b]` is the coordinate vector of e_a * e_b,
+    `unit` the coordinates of 1, and `regular` the regular representation:
+    the matrix of left multiplication by each e_a, built once here (these
+    are matrices, so the ring still holds no modules; over Z it is empty).
     """
 
-    __slots__ = ("kind", "p", "dim", "basis", "mult", "unit", "label")
+    __slots__ = ("kind", "p", "dim", "basis", "mult", "unit", "label", "regular")
 
     def __init__(self, kind, p=None, dim=None, basis=None, mult=None, unit=None,
                  label=None):
@@ -37,6 +39,7 @@ class Ring:
             self.mult = None
             self.unit = None
             self.label = label or "Z"
+            self.regular = ()
             return
         if kind != FP_ALGEBRA:
             raise ShapeError(f"unknown ring kind {kind!r}")
@@ -52,6 +55,7 @@ class Ring:
         self.unit = tuple(x % p for x in unit)
         self.label = label or f"F{p}-algebra(dim {dim})"
         self._validate()
+        self.regular = tuple(self.left_mult_matrix(self._e(a)) for a in range(dim))
 
     def _validate(self):
         d, p = self.dim, self.p

@@ -713,7 +713,7 @@ class ComponentwiseResult:
     canon: dict
     e2_cell_maps: dict  # (morphism, (s,t)) -> FpMatrix in canonical coords
     e2_squares: dict  # (morphism, (s,t)) -> bool
-    page_squares: dict  # (morphism, r, (s,t)) -> bool (recorded; r >= 3)
+    page_squares: dict  # (morphism, r, (s,t)) -> bool (d_r naturality, r >= 3)
     abutment_maps: dict  # (morphism, n) -> FpMatrix on homology coords
     abutment_filtration_ok: dict  # (morphism, n) -> bool
     gr_matches_einf: dict  # (morphism, n, s) -> bool
@@ -721,6 +721,7 @@ class ComponentwiseResult:
 
     def acceptance_ok(self) -> bool:
         return (all(self.e2_squares.values())
+                and all(self.page_squares.values())
                 and all(self.abutment_filtration_ok.values())
                 and all(self.gr_matches_einf.values())
                 and all(self.ident_ok.values()))

@@ -119,8 +119,7 @@ def base_change_data(rm: RingMap, M: ModuleObj) -> ModMor:
             cols = [psi.col(j) for j in range(psi.cols)]
         else:
             ops, ident = M.ops, M.ops.identity(M.gens)
-            actions = [ops.kron(lam, ident)
-                       for lam in modules.ring_ops(S).regular_actions()]
+            actions = [ops.kron(lam, ident) for lam in S.regular]
             cover = ModuleObj(S, S.dim * M.gens, actions=actions, check=False)
             cols = []
             for image, act in zip(rm.images, M.actions):

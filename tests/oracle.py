@@ -2,13 +2,17 @@
 
 These deliberately avoid the library's computation paths: invariant
 factors from gcds of minors, kernels by exhaustive search, homology of
-hand-built periodic resolutions by rank counting.
+hand-built periodic resolutions by rank counting, and the connecting map
+by an element-by-element zig-zag.
 """
 
 from itertools import combinations, product
 from math import gcd
 
+from functor_homology.complexes import homology_at
+from functor_homology.errors import ExactnessError
 from functor_homology.fplinalg import FpMatrix, rank
+from functor_homology.modules import Element, ModMor, preimage
 
 
 def minors_gcd(data, k):
@@ -120,3 +124,29 @@ def product_c2_homology_dims(p, n_max):
     # (aug(g-1) = 0, aug(norm) = 2 = 0 over F_2), so the total complex has
     # zero differentials and H_n has dimension (number of bidegrees) = n+1
     return {n: n + 1 for n in range(n_max + 1)}
+
+
+def connecting_by_elements(sub, mid, quo, incl, proj, n):
+    """delta_n: H_n(quo) -> H_{n-1}(sub) of a degreewise short exact
+    sequence of module complexes (incl, proj: degree -> map), by the
+    snake-lemma zig-zag on elements: for each generator of H_n(quo) pick a
+    cycle, lift it to mid, apply d, pull back to sub, and take its class;
+    every pick is a fresh single-vector `modules.preimage`."""
+    sub_n = homology_at(quo, n)
+    sub_l = homology_at(sub, n - 1)
+    cols = []
+    for t in range(sub_n.obj.gens):
+        e = Element(sub_n.obj, [1 if k == t else 0 for k in range(sub_n.obj.gens)])
+        z = sub_n.mono.apply(preimage(sub_n.epi, e))
+        m = preimage(proj[n], z)
+        if m is None:
+            raise ExactnessError("projection of complexes must be degreewise epi")
+        l = preimage(incl[n - 1], mid.diffs[n].apply(m))
+        if l is None:
+            raise ExactnessError("boundary must come from the subcomplex")
+        kl = preimage(sub_l.mono, l)
+        if kl is None:
+            raise ExactnessError("representative must be a cycle")
+        cols.append(list(sub_l.epi.apply(kl).coords))
+    return ModMor(sub_n.obj, sub_l.obj,
+                  sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))

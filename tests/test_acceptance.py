@@ -202,6 +202,7 @@ def test_criterion_10_componentwise_naturality():
                  "a": aug01})
     res = ss_componentwise(F4, G, A, 3)
     ok = (res.acceptance_ok()
+          and len(res.page_squares) >= 1
           and all(res.ident_ok.values())
           and all(res.e2_squares.values())
           and all(res.abutment_filtration_ok.values())
@@ -209,6 +210,7 @@ def test_criterion_10_componentwise_naturality():
     elapsed = time.time() - t0
     _report("10. componentwise SS naturality (E2 squares + filtered abutment)",
             ok, f"{len(res.e2_squares)} E2 squares, "
+                f"{len(res.page_squares)} d_r squares (r >= 3), "
                 f"{len(res.gr_matches_einf)} graded checks, {elapsed:.1f}s")
 
 

@@ -5,22 +5,27 @@ import pytest
 from functor_homology import derived as derived_mod, modules
 from functor_homology.abelian import is_iso
 from functor_homology.complexes import (Complex, MorphismOfSES, SES,
-                                        homology_at)
+                                        homology_at, project_complex)
 from functor_homology.derived import (comparison_iso, connecting,
                                       delta_axiom_suite, derived, derived_map,
                                       horseshoe_ses_of_complexes, l0_comparison,
-                                      les_of_ses, lift_resolution_map, resolve)
+                                      les_data, les_of_ses, lift_resolution_map,
+                                      resolve)
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, exponent, tensor_with
-from functor_homology.modules import (Element, ModMor, biproduct, cyclic,
-                                      free_module, identity_mor, preimage,
-                                      trivial_module, zero_mor)
+from functor_homology.modules import (Element, ModMor, ModuleObj, biproduct,
+                                      cyclic, free_module, identity_mor,
+                                      preimage, trivial_module, zero_mor)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra)
-from functor_homology.verification import random_morphism, random_z_module
+from functor_homology.verification import (_random_fp_module,
+                                           random_diagram_ses,
+                                           random_module_ses, random_morphism,
+                                           random_z_module)
+from oracle import connecting_by_elements
 ARROW = standard("arrow")
 
 
@@ -151,9 +156,56 @@ def test_connecting_representative_independence():
         l = preimage(sesc.incl.at(0), dm)
         kl = preimage(sub_l.mono, l)
         cols.append(list(sub_l.epi.apply(kl).coords))
-    from functor_homology.derived import _mor_from_columns
-    delta2 = _mor_from_columns(sub_n.obj, sub_l.obj, cols)
+    delta2 = ModMor(sub_n.obj, sub_l.obj,
+                    sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))
     assert delta == delta2
+
+
+def _oracle_deltas(sesc, les):
+    """(delta_n, the element zig-zag's delta_n) for every n of the LES; over
+    diagrams, one pair per index object, on the projected complexes."""
+    top = sesc.quo.obj(0)
+    for i in [None] if isinstance(top, ModuleObj) else top.index.objects:
+        part = (lambda x: x) if i is None else (lambda x: x.component(i))
+        cx = (lambda c: c) if i is None else (lambda c: project_complex(c, i))
+        incl = {k: part(m) for k, m in sesc.incl.comps.items()}
+        proj = {k: part(m) for k, m in sesc.proj.comps.items()}
+        for n, delta in les.delta.items():
+            yield part(delta), connecting_by_elements(
+                cx(sesc.sub), cx(sesc.mid), cx(sesc.quo), incl, proj, n)
+
+
+def test_connecting_matches_element_oracle():
+    # delta from the snake lemma against the element zig-zag, on random
+    # SESs over Z, over F_2[C2] and of Z-diagrams, through several functors
+    rng = random.Random(20261018)
+    R2 = group_algebra(2, cyclic_group_table(2))
+    tensor4 = tensor_with(cyclic(4))
+    z_specs = [tensor_with(cyclic(2)), tensor4, base_change(RingMap(ZZ, fp_field(2)))]
+    fp_specs = [base_change(augmentation_map(R2)), tensor_with(trivial_module(R2))]
+    # over Z (and so over Z-diagrams) only delta_1 can be nonzero; one
+    # relation keeps free summands, so fewer of the sequences split.  A
+    # sign shows only where delta has an image element of order > 2, so
+    # (x) Z/4 gets half of the Z cases
+    cases = []
+    for k in range(160):
+        cases.append(((z_specs + [tensor4])[k % 4], 1, random_module_ses(
+            rng, ZZ, lambda r: random_z_module(r, max_rels=1))))
+    for k in range(20):
+        cases.append((fp_specs[k % 2], 2, random_module_ses(
+            rng, R2, lambda r: _random_fp_module(r, R2))))
+    for k in range(30):
+        index = standard(("arrow", "parallel_pair", "square")[k % 3])
+        cases.append((exponent(z_specs[k % 3], index), 1,
+                      random_diagram_ses(rng, index, ZZ)))
+    nonzero = signed = 0
+    for F, n_max, ses in cases:
+        data = les_data(F, ses, n_max)
+        for delta, expected in _oracle_deltas(data.sesc, data.les):
+            assert delta == expected
+        nonzero += sum(not d.is_zero() for d in data.les.delta.values())
+        signed += sum(not d == -d for d in data.les.delta.values())
+    assert nonzero >= 30 and signed >= 3
 
 
 def test_les_dimension_bookkeeping_over_f2():

@@ -3,8 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from functor_homology.intlinalg import (IntMatrix, det_sign_of_unimodular,
-                                        inverse_unimodular, kernel_basis, snf,
-                                        solve)
+                                        kernel_basis, snf, solve)
 from oracle import brute_solve_int, invariant_factors_by_minors
 
 matrices = st.integers(1, 5).flatmap(
@@ -101,8 +100,15 @@ def test_kernel_basis_generates_whole_kernel():
                     assert all(v == 0 for v in x)
 
 
-def test_inverse_unimodular():
-    U = IntMatrix.from_rows([[1, 2], [0, -1]])
-    V = inverse_unimodular(U)
-    assert U.mul(V) == IntMatrix.identity(2)
-    assert V.mul(U) == IntMatrix.identity(2)
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_snf_u_inverse(m, n, data):
+    # U^-1 replayed from the recorded row operations, on any m x n input
+    # (0 x n and m x 0 included): a two-sided inverse of U
+    rows = data.draw(st.lists(st.lists(st.integers(-10, 10), min_size=n,
+                                       max_size=n), min_size=m, max_size=m))
+    res = snf(IntMatrix(m, n, rows))
+    inv = res.u_inverse()
+    assert (inv.rows, inv.cols) == (m, m)
+    assert res.U.mul(inv) == IntMatrix.identity(m)
+    assert inv.mul(res.U) == IntMatrix.identity(m)

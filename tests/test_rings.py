@@ -77,3 +77,24 @@ def test_product_group_table():
     b = [0, 1, 0, 0]  # (1, h)
     assert R.multiply(a, a) == [1, 0, 0, 0]
     assert R.multiply(a, b) == R.multiply(b, a)
+
+
+C2 = cyclic_group_table(2)
+
+
+@pytest.mark.parametrize("table", [C2, cyclic_group_table(4),
+                                   product_group_table(C2, C2)],
+                         ids=["C2", "C4", "C2xC2"])
+def test_regular_representation_built_once(monkeypatch, table):
+    from functor_homology.modules import free_module, zero_module
+    R = group_algebra(2, table)
+    assert len(R.regular) == R.dim
+    for a, lam in enumerate(R.regular):
+        e = [1 if b == a else 0 for b in range(R.dim)]
+        assert lam == R.left_mult_matrix(e)
+    # free modules read the stored matrices and multiply nothing again
+    monkeypatch.setattr(Ring, "left_mult_matrix", None)
+    assert free_module(R, 1).actions == R.regular
+    assert free_module(R, 2).gens == 2 * R.dim
+    assert zero_module(R).gens == 0
+    assert ZZ.regular == ()

@@ -255,6 +255,15 @@ def test_componentwise_constant_diagram():
             assert mat == FpMatrix.identity(2, mat.rows)
 
 
+def test_componentwise_acceptance_reads_page_squares():
+    # a failed d_r naturality square (r >= 3) fails acceptance
+    A = constant_diagram(standard("arrow"), trivial_module(R4))
+    res = ss_componentwise(base_change(QUOT4), base_change(AUG2), A, 2)
+    assert res.acceptance_ok() and not res.page_squares
+    res.page_squares[("a", 3, (0, 2))] = False
+    assert not res.acceptance_ok()
+
+
 def test_componentwise_zero_structure_map():
     arrow = standard("arrow")
     F = base_change(QUOT4)

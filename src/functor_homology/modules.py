@@ -279,8 +279,11 @@ _INTEGER_OPS = _IntegerOps()
 
 
 def ring_ops(ring: Ring):
-    """The ops object holding everything that differs between the rings."""
-    return _INTEGER_OPS if ring.is_integers else _AlgebraOps(ring)
+    """The ops object holding everything that differs between the rings:
+    one per ring, built on first use and kept on the ring."""
+    if ring._ops is None:
+        ring._ops = _INTEGER_OPS if ring.is_integers else _AlgebraOps(ring)
+    return ring._ops
 
 
 class ModuleObj:

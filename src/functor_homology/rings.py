@@ -25,13 +25,17 @@ class Ring:
     `unit` the coordinates of 1, and `regular` the regular representation:
     the matrix of left multiplication by each e_a, built once here (these
     are matrices, so the ring still holds no modules; over Z it is empty).
+    `_ops` is the ring's one ops object, set by `modules.ring_ops` on first
+    use; it too holds matrices and no modules.
     """
 
-    __slots__ = ("kind", "p", "dim", "basis", "mult", "unit", "label", "regular")
+    __slots__ = ("kind", "p", "dim", "basis", "mult", "unit", "label", "regular",
+                 "_ops")
 
     def __init__(self, kind, p=None, dim=None, basis=None, mult=None, unit=None,
                  label=None):
         self.kind = kind
+        self._ops = None
         if kind == INT:
             self.p = None
             self.dim = None

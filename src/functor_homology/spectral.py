@@ -13,6 +13,15 @@ with independent ranks, and the abutment and its filtration are computed
 separately from kernels.  Sign convention: the filtration-lowering
 differential carries a (-1)^t twist when the grid is assembled from a
 commuting double complex, making the total differential square to zero.
+
+The composite-functor spectral sequence is one body for a module and for
+a diagram: resolve, apply F, build one Cartan-Eilenberg grid and apply G
+to it (`_resolved_grid`, `_g_grid`).  Over C^I the grid is a grid of
+diagrams.  Its component at an index object is that component's double
+complex, and its structure maps along an index morphism form a filtered
+chain map of totals.  The page bases are triangular, so that map written
+in them gives the maps of every page, and each naturality verdict is a
+matrix identity (see `ss_componentwise`).
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ from dataclasses import dataclass, field
 from math import inf
 
 from . import abelian, fplinalg, functors
-from .complexes import SES, Complex, homology_at, induced_on_homology
-from .derived import (derived_data, horseshoe, lift_resolution_map, resolve)
+from .complexes import SES, Complex, homology_at, project_complex
+from .derived import derived_data, horseshoe, resolve
 from .diagrams import Diagram
 from .errors import ExactnessError, RingMismatchError, ShapeError
 from .fplinalg import FpMatrix, Span, fp_from_columns, unit_vectors
@@ -108,22 +117,23 @@ def _totalize(dc: DoubleComplex) -> TotalData:
         rows = dims.get(n - 1, 0)
         colsn = dims.get(n, 0)
         data = [[0] * colsn for _ in range(rows)]
-
-        def put(block: FpMatrix, roff, coff):
-            for i in range(block.rows):
-                ri = data[roff + i]
-                for j in range(block.cols):
-                    if block.data[i][j]:
-                        ri[coff + j] = block.data[i][j]
-
         for (s, t) in cells.get(n, []):
             coff = offsets[(n, s, t)]
             if (n - 1, s - 1, t) in offsets:
-                put(dc.dh(s, t), offsets[(n - 1, s - 1, t)], coff)
+                _put(data, dc.dh(s, t), offsets[(n - 1, s - 1, t)], coff)
             if (n - 1, s, t - 1) in offsets:
-                put(dc.dv(s, t), offsets[(n - 1, s, t - 1)], coff)
+                _put(data, dc.dv(s, t), offsets[(n - 1, s, t - 1)], coff)
         D[n] = FpMatrix(p, rows, colsn, data)
     return TotalData(cells, offsets, dims, D)
+
+
+def _put(data, block: FpMatrix, roff, coff):
+    """Write the nonzero entries of block into the rows data at (roff, coff)."""
+    for i in range(block.rows):
+        ri = data[roff + i]
+        for j in range(block.cols):
+            if block.data[i][j]:
+                ri[coff + j] = block.data[i][j]
 
 
 @dataclass
@@ -143,7 +153,6 @@ class PagesInternal:
     red: dict  # n -> (V, R, low) of D[n] for n <= n_max + 1, from _reduce
     gap: dict  # n -> filtration gap of each Tot_n coordinate's pair
     basis: dict  # n -> [basis vector of each Tot_n coordinate]
-    filt_cycle_spans: dict  # (n, s) -> [cycle vectors in F_s]
 
     def page_indices(self, r, s, t):
         """The Tot_n coordinates whose basis vectors represent E_r^{s,t}."""
@@ -280,7 +289,7 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                     f"total differential does not square to zero at {n + 1}")
             gap[n][k] = filt[n + 1][j] - f[k]
             basis[n][k] = R1[j]
-    internal = PagesInternal(tot, filt, red, gap, basis, {})
+    internal = PagesInternal(tot, filt, red, gap, basis)
 
     pages = {}
     diffs = {}
@@ -336,9 +345,7 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
         grs = []
         prev = 0
         for s in range(0, n + 1):
-            sub_cyc = _cycles_in_prefix(p, dn, sum(f <= s for f in filt[n]), dim)
-            internal.filt_cycle_spans[(n, s)] = sub_cyc
-            for v in sub_cyc:
+            for v in _cycles_in_prefix(p, dn, sum(f <= s for f in filt[n]), dim):
                 filtered.insert(v)
             d_s = len(filtered) - rk_bnd
             grs.append(d_s - prev)
@@ -500,30 +507,70 @@ class GrothendieckData:
     ss: SSResult
 
 
-def _dc_from_ce(G, ce: CEData, p_field) -> DoubleComplex:
-    """Apply G to the CE grid and transpose: filtration index s is the
-    resolution direction, t walks along the base complex.  The CE grid
-    commutes, so the s-lowering differential gets the (-1)^t sign."""
-    dims = {}
-    d_h = {}
-    d_v = {}
-    gq = {}
-    for t in range(ce.width + 1):
-        for s in range(ce.depth + 1):
-            obj = functors.apply(G, ce.q_term(t, s))
-            gq[(s, t)] = obj
-            dims[(s, t)] = obj.fp_dimension()
+def _resolved_grid(F, G, A, n_max):
+    """(res, F(res), its CE grid, GF(res)) for a module, or for a diagram
+    with F and G exponents: the same body in C and in C^I."""
+    if A.ring.is_integers:
+        raise RingMismatchError(
+            "spectral machinery needs a prime-field-based ring; integers are "
+            "rejected to avoid extension-problem bookkeeping")
+    T = n_max + 1
+    res = resolve(A, T)
+    cf = functors.apply_to_complex(F, res.complex(T))
+    ce = ce_grid(cf, T)
+    gfc = functors.apply_to_complex(functors.compose(G, F), res.complex(T))
+    return res, cf, ce, gfc
+
+
+def _g_grid(G, ce: CEData):
+    """G at every cell and map of the CE grid, transposed: cells[(s, t)] is
+    G(ce.q_term(t, s)), so s is the resolution direction and t walks along
+    the base complex; h[(s, t)] lowers s (G of ce.d_v) and v[(s, t)] lowers
+    t (G of ce.d_h)."""
+    cells = {(s, t): functors.apply(G, ce.q_term(t, s))
+             for t in range(ce.width + 1) for s in range(ce.depth + 1)}
+    h = {}
+    v = {}
     for t in range(ce.width + 1):
         for s in range(ce.depth + 1):
             if t >= 1:
-                m = functors.apply(G, ce.d_h(t, s)).matrix
-                d_v[(s, t)] = m
+                v[(s, t)] = functors.apply(G, ce.d_h(t, s))
             if s >= 1:
-                m = functors.apply(G, ce.d_v(t, s)).matrix
-                if t % 2 == 1:
-                    m = m.scale(p_field - 1)
-                d_h[(s, t)] = m
-    return DoubleComplex(p_field, ce.depth, ce.width, dims, d_h, d_v)
+                h[(s, t)] = functors.apply(G, ce.d_v(t, s))
+    return cells, h, v
+
+
+def _double_complex(p, ce: CEData, cells, h, v) -> DoubleComplex:
+    """The double complex of a G-grid of modules (see `_g_grid`).  The CE
+    grid commutes, so the s-lowering differential gets the (-1)^t sign."""
+    return DoubleComplex(
+        p, ce.depth, ce.width, {k: c.fp_dimension() for k, c in cells.items()},
+        {(s, t): m.matrix.scale(p - 1) if t % 2 else m.matrix
+         for (s, t), m in h.items()},
+        {k: m.matrix for k, m in v.items()})
+
+
+def _checked_ss(F, G, dc, n_max, witnesses, lq, gf) -> SSResult:
+    """The pages of dc with independent checks: the acyclicity hypothesis on
+    the witnesses, dim E2_{pq} = dim (L_p G)(lq[q]) and dim of the
+    abutment in degree n = dim gf[n]."""
+    report = check_acyclic_hypothesis(F, G, witnesses, n_max)
+    ss = ss_pages(dc, n_valid=n_max)
+    ss.hypothesis_ok = report.ok()
+    ss.hypothesis_report = report.entries
+    for q in range(0, n_max + 1):
+        for pp in range(0, n_max + 1):
+            ss.e2_expected[(pp, q)] = derived_data(G, lq[q], pp).obj.fp_dimension()
+    ss.e2_matches = all(
+        ss.pages[2].get((pp, q), 0) == ss.e2_expected[(pp, q)]
+        for pp in range(0, n_max + 1) for q in range(0, n_max + 1))
+    for n in range(0, n_max + 1):
+        ss.abutment_expected[n] = gf[n].fp_dimension()
+    ss.abutment_matches = all(ss.abutment.get(n, 0) == ss.abutment_expected[n]
+                              for n in range(0, n_max + 1))
+    if not ss.hypothesis_ok:
+        ss.extra["convergence_claim"] = "hypothesis unverified"
+    return ss
 
 
 def grothendieck_ss(F, G, A: ModuleObj, n_max, with_data=False):
@@ -533,238 +580,44 @@ def grothendieck_ss(F, G, A: ModuleObj, n_max, with_data=False):
     abutment are valid for total degree <= n_max.  Independent E2 and
     abutment dimension checks are recorded on the result.
     """
-    if A.ring.is_integers:
-        raise RingMismatchError(
-            "spectral machinery needs a prime-field-based ring; integers are "
-            "rejected to avoid extension-problem bookkeeping")
-    T = n_max + 1
-    res = resolve(A, T)
-    cf = functors.apply_to_complex(F, res.complex(T))
-    witnesses = [res.term(k) for k in range(T + 1)]
-    report = check_acyclic_hypothesis(F, G, witnesses, n_max)
-    ce = ce_grid(cf, T)
-    p_field = G.target_ring.p
-    dc = _dc_from_ce(G, ce, p_field)
-    ss = ss_pages(dc, n_valid=n_max)
-    ss.hypothesis_ok = report.ok()
-    ss.hypothesis_report = report.entries
-    for q in range(0, n_max + 1):
-        lq = homology_at(cf, q).obj
-        for pp in range(0, n_max + 1):
-            ss.e2_expected[(pp, q)] = derived_data(G, lq, pp).obj.fp_dimension()
-    ss.e2_matches = all(
-        ss.pages[2].get((pp, q), 0) == ss.e2_expected[(pp, q)]
-        for pp in range(0, n_max + 1) for q in range(0, n_max + 1))
-    spec_gf = functors.compose(G, F)
-    gfc = functors.apply_to_complex(spec_gf, res.complex(T))
-    for n in range(0, n_max + 1):
-        ss.abutment_expected[n] = homology_at(gfc, n).obj.fp_dimension()
-    ss.abutment_matches = all(ss.abutment.get(n, 0) == ss.abutment_expected[n]
-                              for n in range(0, n_max + 1))
-    if not ss.hypothesis_ok:
-        ss.extra["convergence_claim"] = "hypothesis unverified"
-    data = GrothendieckData(F, G, A, n_max, res, cf, ce, dc, gfc, ss)
+    res, cf, ce, gfc = _resolved_grid(F, G, A, n_max)
+    dc = _double_complex(G.target_ring.p, ce, *_g_grid(G, ce))
+    ss = _checked_ss(F, G, dc, n_max, [res.term(k) for k in range(n_max + 2)],
+                     [homology_at(cf, q).obj for q in range(n_max + 1)],
+                     [homology_at(gfc, n).obj for n in range(n_max + 1)])
     if with_data:
-        return data
+        return GrothendieckData(F, G, A, n_max, res, cf, ce, dc, gfc, ss)
     return ss
 
 
-# -- componentwise spectral sequences with naturality --------------------------
-
-
-def _slice_cell(ss: SSResult, dc: DoubleComplex, v, n, s, t):
-    off = ss.internal.tot.offsets[(n, s, t)]
-    return v[off: off + dc.dim(s, t)]
-
-
-@dataclass
-class CanonPages:
-    """Spectral-sequence pages rewritten in the canonical presentation
-    (L_s G applied to the Cartan-Eilenberg homology resolutions), with the
-    identification maps from the filtration pages."""
-
-    dims: dict  # r -> {(s,t): dim}
-    psi: dict  # r -> {(s,t): FpMatrix}, page reps -> canonical coords
-    d: dict  # r -> {(s,t): FpMatrix} in canonical coordinates
-    reps: dict  # r -> {(s,t): [vectors in page-(r-1) canonical coords]}
-    spans: dict  # r >= 3 -> {(s,t): Span of the incoming image, then reps}
-    ident_ok: bool
-
-
-def _canon_complex(gd: GrothendieckData, t):
-    key = ("canon_cx", t)
-    if key not in gd.ss.extra:
-        gd.ss.extra[key] = functors.apply_to_complex(
-            gd.G, gd.ce.res_H[t].complex(gd.ce.depth), check=False)
-    return gd.ss.extra[key]
-
-
-def _canon_sub(gd: GrothendieckData, s, t):
-    return homology_at(_canon_complex(gd, t), s)
-
-
-def _window_cells(gd: GrothendieckData):
-    return [(s, n - s) for n in range(gd.n_max + 1) for s in range(n + 1)]
-
-
-def build_canon_pages(gd: GrothendieckData) -> CanonPages:
-    """Identify every window page cell with its canonical presentation and
-    rewrite the page differentials there, page by page."""
-    ss, dc = gd.ss, gd.dc
-    p = ss.p
-    ok = True
-    dims = {2: {}}
-    psi = {2: {}}
-    reps = {2: {}}
-    spans = {}
-    cells = _window_cells(gd)
-    for (s, t) in cells:
-        n = s + t
-        sub = _canon_sub(gd, s, t)
-        k_canon = sub.obj.fp_dimension()
-        page_reps = ss.internal.reps(2, s, t)
-        dims[2][(s, t)] = k_canon
-        if k_canon != len(page_reps):
-            ok = False
-            continue
-        proj_h = functors.apply(gd.G, gd.ce.proj_to_h(t, s)).matrix
-        to_class = _class_map(sub)
-
-        def classify(v):
-            return to_class(proj_h.mul_vec(_slice_cell(ss, dc, v, n, s, t)))
-
-        cols = [classify(v) for v in page_reps]
-        bounds = [classify(v) for v in ss.internal.boundaries(2, s, t)]
-        if None in cols or any(c is None or any(c) for c in bounds):
-            ok = False
-            continue
-        m = fp_from_columns(p, cols, k_canon)
-        if k_canon and fplinalg.rank(m) != k_canon:
-            ok = False
-            continue
-        psi[2][(s, t)] = m
-        reps[2][(s, t)] = unit_vectors(k_canon)
-    for r in range(3, ss.r_stop + 1):
-        dims[r] = {}
-        psi[r] = {}
-        reps[r] = {}
-        spans[r] = {}
-        prev = r - 1
-        for (s, t) in cells:
-            if (s, t) not in psi[prev]:
-                continue
-            k_prev = dims[prev][(s, t)]
-            prev_psi = psi[prev][(s, t)]
-            # kernel of the outgoing differential and image of the incoming
-            # one, straight from the filtration pages and transported into
-            # canonical coordinates; the sources may lie outside the window
-            dout_tot = ss.diffs[prev].get((s, t))
-            if dout_tot is not None:
-                ker_rep = fplinalg.kernel_basis(dout_tot)
-            else:
-                ker_rep = unit_vectors(k_prev)
-            din_tot = ss.diffs[prev].get((s + prev, t - prev + 1))
-            imv = []
-            if din_tot is not None:
-                imv = [prev_psi.mul_vec(din_tot.col(j)) for j in range(din_tot.cols)]
-            span = Span(p, k_prev, imv)
-            cell_reps = [v for v in map(prev_psi.mul_vec, ker_rep) if span.insert(v)]
-            # compose the previous identification with the subquotient step;
-            # a page-r rep is a page-(r-1) rep, so its previous coordinates
-            # are a unit vector and pick a column of prev_psi
-            prev_idx = ss.internal.page_indices(prev, s, t)
-            page_idx = ss.internal.page_indices(r, s, t)
-            k_r = len(cell_reps)
-            m = _tail_coords(p, span, [prev_psi.col(prev_idx.index(k))
-                                       for k in page_idx], k_r)
-            if m is None or len(page_idx) != k_r or (
-                    k_r and fplinalg.rank(m) != k_r):
-                ok = False
-                continue
-            dims[r][(s, t)] = k_r
-            psi[r][(s, t)] = m
-            reps[r][(s, t)] = cell_reps
-            spans[r][(s, t)] = span
-    # every page differential between identified cells, in canonical coords
-    dmats = {}
-    for r in psi:
-        dmats[r] = {}
-        for (s, t), m in psi[r].items():
-            tgt = (s - r, t + r - 1)
-            d_tot = ss.diffs[r].get((s, t))
-            if tgt in psi[r] and d_tot is not None:
-                dmats[r][(s, t)] = psi[r][tgt].mul(d_tot).mul(fplinalg.inverse(m))
-    return CanonPages(dims, psi, dmats, reps, spans, ok)
-
-
-def _tail_coords(p, span, vectors, k):
-    """The matrix whose columns are the last k coordinates of each vector
-    over span.basis, or None if some vector lies outside the span."""
-    cols = [span.coords(v) for v in vectors]
-    if None in cols:
-        return None
-    return fp_from_columns(p, [c[len(c) - k:] for c in cols], k)
+# -- the spectral sequence of a diagram and its maps of pages -----------------
 
 
 @dataclass
 class ComponentwiseResult:
-    per_object: dict
-    data: dict
-    canon: dict
-    e2_cell_maps: dict  # (morphism, (s,t)) -> FpMatrix in canonical coords
-    e2_squares: dict  # (morphism, (s,t)) -> bool
-    page_squares: dict  # (morphism, r, (s,t)) -> bool (d_r naturality, r >= 3)
-    abutment_maps: dict  # (morphism, n) -> FpMatrix on homology coords
-    abutment_filtration_ok: dict  # (morphism, n) -> bool
-    gr_matches_einf: dict  # (morphism, n, s) -> bool
-    ident_ok: dict  # object -> bool
+    """The spectral sequence of a diagram, one component at a time, and the
+    maps of pages of every index morphism u: i -> j."""
+
+    per_object: dict  # i -> SSResult of component i, grothendieck_ss's checks
+    e2_cell_maps: dict  # (u, (s,t)) -> (L_s G)(L_t F)(u), canonical coords
+    page_maps: dict  # (u, r, (s,t)) -> E_r map of u in the page bases
+    abutment_maps: dict  # (u, n) -> L_n(GF)(u) on homology coords
+    ident_ok: dict  # i -> every E2 cell of i is its canonical cell
+    e2_ident: dict  # (u, (s,t)) -> the E2 map of u is (L_s G)(L_t F)(u)
+    e2_squares: dict  # (u, (s,t)) -> E2 maps commute with d2
+    page_squares: dict  # (u, r, (s,t)) -> E_r maps commute with d_r, r >= 3
+    abutment_filtration_ok: dict  # (u, n) -> L_n(GF)(u) preserves filtrations
+    gr_matches_einf: dict  # (u, n, s) -> its gr_s is the E_inf map
 
     def acceptance_ok(self) -> bool:
-        return (all(self.e2_squares.values())
+        return (all(ss.e2_matches and ss.abutment_matches
+                    for ss in self.per_object.values())
+                and all(self.ident_ok.values())
+                and all(self.e2_ident.values())
+                and all(self.e2_squares.values())
                 and all(self.page_squares.values())
                 and all(self.abutment_filtration_ok.values())
-                and all(self.gr_matches_einf.values())
-                and all(self.ident_ok.values()))
-
-
-def _canon_d(cp: CanonPages, p, r, s, t):
-    """d_r out of (s, t) in canonical coordinates; zero where none is stored."""
-    d = cp.d[r].get((s, t))
-    if d is None:
-        d = FpMatrix.zeros(p, cp.dims[r].get((s - r, t + r - 1), 0),
-                           cp.dims[r].get((s, t), 0))
-    return d
-
-
-def _theta_matrices(gd: GrothendieckData):
-    """Chain map from the total complex to GF(P_*): project to the q = 0
-    cells and apply G of the augmentations."""
-    key = "theta"
-    if key in gd.ss.extra:
-        return gd.ss.extra[key]
-    ss, dc = gd.ss, gd.dc
-    p = ss.p
-    out = {}
-    for n in range(0, gd.n_max + 2):
-        rows = gd.gf_complex.objects[n].fp_dimension() if n <= gd.gf_complex.hi else 0
-        cols = ss.internal.tot.dims.get(n, 0)
-        data = [[0] * cols for _ in range(rows)]
-        if n <= gd.gf_complex.hi:
-            if (n, 0, n) in ss.internal.tot.offsets:
-                aug = functors.apply(gd.G, gd.ce.aug(n)).matrix
-                off = ss.internal.tot.offsets[(n, 0, n)]
-                for i in range(aug.rows):
-                    for j in range(aug.cols):
-                        data[i][off + j] = aug.data[i][j]
-        out[n] = FpMatrix(p, rows, cols, data)
-    # chain-map check on the window
-    for n in range(1, gd.n_max + 1):
-        lhs = out[n - 1].mul(ss.internal.tot.D[n])
-        rhs = gd.gf_complex.diffs[n].matrix.mul(out[n])
-        if lhs != rhs:
-            raise ExactnessError("edge map to GF(P_*) is not a chain map")
-    gd.ss.extra[key] = out
-    return out
+                and all(self.gr_matches_einf.values()))
 
 
 def _class_map(sub):
@@ -783,164 +636,188 @@ def _class_map(sub):
     return to_class
 
 
-def _abutment_class(theta_n, to_class, v):
-    c = to_class(theta_n.mul_vec(v))
-    if c is None:
-        raise ExactnessError("edge image of a cycle must be a cycle")
-    return c
+def _iso_from_columns(p, cols, k):
+    """The k x k matrix with these columns, or None unless it is invertible
+    (a None column, for a vector outside its span, counts as failure)."""
+    if len(cols) != k or None in cols:
+        return None
+    m = fp_from_columns(p, cols, k)
+    return m if fplinalg.rank(m) == k else None
+
+
+def _e2_identification(ss: SSResult, proj_h, sub, s, t):
+    """E2^{s,t} in the page basis -> the canonical cell sub = H_s(G res_H[t]):
+    the cell (s, t) part of a representative, then G(proj_to_h), then its
+    class; None unless that is an isomorphism that kills B^2."""
+    off = ss.internal.tot.offsets.get((s + t, s, t), 0)
+    to_class = _class_map(sub)
+
+    def classify(v):
+        return to_class(proj_h.mul_vec(v[off: off + proj_h.cols]))
+
+    if any(c is None or any(c) for c in map(classify, ss.internal.boundaries(2, s, t))):
+        return None
+    return _iso_from_columns(ss.p, [classify(v) for v in ss.internal.reps(2, s, t)],
+                             sub.obj.fp_dimension())
+
+
+def _filtered_coords(u, ss_i: SSResult, ss_j: SSResult, blocks, n_max):
+    """{n: Phi_u in the page bases} for n <= n_max, where Phi_u: Tot(i) ->
+    Tot(j) is one block per cell (s, t); raises unless Phi_u is a chain map
+    (checked up to degree n_max + 1).  basis[n] is triangular, so it is
+    invertible, and column k of the result holds the coordinates of
+    Phi_u(basis_i[n][k]) over basis_j[n]."""
+    ti, tj = ss_i.internal.tot, ss_j.internal.tot
+    phi = {}
+    for n in range(n_max + 2):
+        data = [[0] * ti.dims[n] for _ in range(tj.dims[n])]
+        for (s, t) in ti.cells[n]:
+            if (n, s, t) in tj.offsets:
+                _put(data, blocks[(s, t)], tj.offsets[(n, s, t)], ti.offsets[(n, s, t)])
+        phi[n] = FpMatrix(ss_i.p, tj.dims[n], ti.dims[n], data)
+        if n and phi[n - 1].mul(ti.D[n]) != tj.D[n].mul(phi[n]):
+            raise ExactnessError(f"the cell maps of {u} are not a chain map "
+                                 f"of totals in degree {n}")
+
+    def basis(ss, n):
+        return fp_from_columns(ss.p, ss.internal.basis[n], ss.internal.tot.dims[n])
+
+    return {n: fplinalg.inverse(basis(ss_j, n)).mul(phi[n]).mul(basis(ss_i, n))
+            for n in range(n_max + 1)}
+
+
+def _submatrix(m: FpMatrix, rows, cols):
+    return FpMatrix(m.p, len(rows), len(cols), [[m.data[a][b] for b in cols] for a in rows])
+
+
+def _page_d(ss: SSResult, r, s, t):
+    """d_r out of (s, t) in the page bases, zero where none is recorded."""
+    d = ss.diffs[r].get((s, t))
+    if d is None:
+        d = FpMatrix.zeros(ss.p, len(ss.internal.page_indices(r, s - r, t + r - 1)),
+                           len(ss.internal.page_indices(r, s, t)))
+    return d
+
+
+def _edge_isos(ss: SSResult, g_aug, gfc: Complex, n_max):
+    """{n: (iso, unpaired)} for n <= n_max: H_n(Tot) -> H_n(gfc) on the
+    classes of the unpaired basis vectors of Tot_n (ascending filtration),
+    through the edge chain map Tot -> gfc (the (0, n) cell, then g_aug[n]);
+    iso is None unless that is an isomorphism."""
+    tot = ss.internal.tot
+    theta = {}
+    for n in range(n_max + 1):
+        data = [[0] * tot.dims[n] for _ in range(gfc.objects[n].fp_dimension())]
+        if (n, 0, n) in tot.offsets:
+            _put(data, g_aug[n].matrix, 0, tot.offsets[(n, 0, n)])
+        theta[n] = FpMatrix(ss.p, len(data), tot.dims[n], data)
+    for n in range(1, n_max + 1):
+        if theta[n - 1].mul(tot.D[n]) != gfc.diffs[n].matrix.mul(theta[n]):
+            raise ExactnessError("edge map to GF(P_*) is not a chain map")
+    out = {}
+    for n in range(n_max + 1):
+        sub = homology_at(gfc, n)
+        to_class = _class_map(sub)
+        basis = ss.internal.basis[n]
+        unpaired = [k for k, g in enumerate(ss.internal.gap[n]) if g == inf]
+        out[n] = (_iso_from_columns(ss.p, [to_class(theta[n].mul_vec(basis[k]))
+                                           for k in unpaired],
+                                    sub.obj.fp_dimension()), unpaired)
+    return out
 
 
 def ss_componentwise(F, G, A: Diagram, n_max) -> ComponentwiseResult:
-    """One spectral sequence per component plus, for every index morphism,
-    the induced maps at E2 (checked to commute with d2 through the
-    canonical identification), their propagation through later pages
-    (recorded), and the abutment maps (checked to respect the transported
-    filtration with graded pieces matching the E_inf maps)."""
+    """The composite-functor spectral sequence of a diagram A, built once
+    over C^I, with the maps of pages of every index morphism.
+
+    A is resolved by free diagrams, F^I applied, and one Cartan-Eilenberg
+    grid of diagrams built; G^I of the grid gives, at each index object i,
+    the double complex of component i (a CE double complex for A_i, since
+    components of free diagrams are free) and its pages, with
+    grothendieck_ss's independent checks.  For u: i -> j the cell maps
+    G^I(grid)(u) form a filtered chain map Phi_u: Tot(i) -> Tot(j).  The
+    page bases are triangular, so the E_r map of u is Phi_u written in them,
+    restricted to the page indices.  Every verdict is a matrix identity:
+    E2 maps against (L_s G)(L_t F)(u) computed from G^I of the homology
+    resolutions, d_r squares, and the abutment map L_n(GF)(u), computed from
+    (GF)^I of the resolution and carried to the filtered bases by the edge
+    isomorphisms, block upper triangular with the E_inf maps on its
+    diagonal."""
     index = A.index
-    per_object = {}
-    data = {}
-    canon = {}
-    ident_ok = {}
-    for i in index.objects:
-        gd = grothendieck_ss(F, G, A.components[i], n_max, with_data=True)
-        data[i] = gd
-        per_object[i] = gd.ss
-        canon[i] = build_canon_pages(gd)
-        ident_ok[i] = canon[i].ident_ok
-    e2_cell_maps = {}
-    e2_squares = {}
-    page_squares = {}
-    abutment_maps = {}
-    abutment_filtration_ok = {}
-    gr_matches = {}
+    FI, GI = functors.exponent(F, index), functors.exponent(G, index)
+    res, cf, ce, gfc = _resolved_grid(FI, GI, A, n_max)
+    grid = _g_grid(GI, ce)
+    p = G.target_ring.p
     T = n_max + 1
-    for m in index.nonidentity_morphisms():
-        i, j = index.src(m), index.tgt(m)
-        p = per_object[i].p
-        gi, gj = data[i], data[j]
-        ci, cj = canon[i], canon[j]
-        lift = lift_resolution_map(A.maps[m], gi.res, gj.res, T)
-        cfmap = {t: functors.apply(F, lift[t]) for t in range(T + 1)}
-        hmaps = {}
-        for t in range(0, n_max + 1):
-            zmap = gj.ce.monoZ[t].factor(gi.ce.monoZ[t].then(cfmap[t]))
-            hmaps[t] = gi.ce.epiH[t].cofactor(zmap.then(gj.ce.epiH[t]))
-        # canonical E2 cell maps: (L_s G)(L_t F)(structure map)
-        cell_maps = {2: {}}
-        for (s, t) in _window_cells(gi):
-            hl = lift_resolution_map(hmaps[t], gi.ce.res_H[t], gj.ce.res_H[t],
-                                     s + 1)
-            phi = functors.apply(G, hl[s])
-            mor = induced_on_homology(phi, _canon_sub(gi, s, t),
-                                      _canon_sub(gj, s, t))
-            cell_maps[2][(s, t)] = mor.matrix
-            e2_cell_maps[(m, (s, t))] = mor.matrix
-        # d2 squares in canonical coordinates
-        for (s, t) in _window_cells(gi):
-            tgt = (s - 2, t + 1)
-            if tgt[0] < 0 or (s + t) > n_max:
-                continue
-            lhs = cell_maps[2][tgt].mul(_canon_d(ci, p, 2, s, t))
-            rhs = _canon_d(cj, p, 2, s, t).mul(cell_maps[2][(s, t)])
-            e2_squares[(m, (s, t))] = lhs == rhs
-        # propagate the maps through later pages (recorded)
-        for r in range(3, per_object[i].r_stop + 1):
-            cell_maps[r] = {}
-            for (s, t) in _window_cells(gi):
-                if (s, t) not in ci.reps.get(r, {}) or (s, t) not in cj.reps.get(r, {}):
+    window = [(s, n - s) for n in range(T) for s in range(n + 1)]
+    canon = {t: functors.apply_to_complex(GI, ce.res_H[t].complex(ce.depth), check=False)
+             for t in range(T)}
+    e2_canon = {(s, t): homology_at(canon[t], s) for (s, t) in window}
+    proj_h = {(s, t): functors.apply(GI, ce.proj_to_h(t, s)) for (s, t) in window}
+    gf = [homology_at(gfc, n) for n in range(T)]
+    aug = {n: functors.apply(GI, ce.aug(n)) for n in range(T)}
+    lq = [homology_at(cf, q).obj for q in range(T)]
+
+    per_object, psi, edge = {}, {}, {}
+    for i in index.objects:
+        dc = _double_complex(p, ce, *({c: x.component(i) for c, x in part.items()}
+                                      for part in grid))
+        ss = _checked_ss(F, G, dc, n_max, [res.term(k).component(i) for k in range(T + 1)],
+                         [x.component(i) for x in lq], [sub.obj.component(i) for sub in gf])
+        per_object[i] = ss
+        psi[i] = {c: _e2_identification(ss, proj_h[c].comps[i].matrix,
+                                        e2_canon[c].component(i), *c) for c in window}
+        edge[i] = _edge_isos(ss, {n: aug[n].comps[i] for n in range(T)},
+                             project_complex(gfc, i), n_max)
+    ident_ok = {i: all(m is not None for m in psi[i].values()) for i in index.objects}
+
+    e2_cell_maps, page_maps, abutment_maps = {}, {}, {}
+    e2_ident, e2_squares, page_squares = {}, {}, {}
+    abutment_filtration_ok, gr_matches = {}, {}
+    for u in index.nonidentity_morphisms():
+        i, j = index.src(u), index.tgt(u)
+        ss_i, ss_j = per_object[i], per_object[j]
+        coords = _filtered_coords(u, ss_i, ss_j,
+                                  {c: d.maps[u].matrix for c, d in grid[0].items()}, n_max)
+        for r in range(2, ss_i.r_stop + 1):
+            for (s, t) in window:
+                page_maps[(u, r, (s, t))] = _submatrix(
+                    coords[s + t], ss_j.internal.page_indices(r, s, t),
+                    ss_i.internal.page_indices(r, s, t))
+            for (s, t) in window:
+                if s < r:
                     continue
-                prev = cell_maps[r - 1].get((s, t))
-                if prev is None:
-                    continue
-                mat = _tail_coords(p, cj.spans[r][(s, t)],
-                                   map(prev.mul_vec, ci.reps[r][(s, t)]),
-                                   len(cj.reps[r][(s, t)]))
-                if mat is None:
-                    page_squares[(m, r, (s, t))] = False
+                square = (page_maps[(u, r, (s - r, t + r - 1))].mul(_page_d(ss_i, r, s, t))
+                          == _page_d(ss_j, r, s, t).mul(page_maps[(u, r, (s, t))]))
+                if r == 2:
+                    e2_squares[(u, (s, t))] = square
                 else:
-                    cell_maps[r][(s, t)] = mat
-            for (s, t), mat in cell_maps[r].items():
-                tgt = (s - r, t + r - 1)
-                if tgt not in cell_maps[r]:
-                    continue
-                if (s, t) not in ci.d[r] and (s, t) not in cj.d[r]:
-                    page_squares[(m, r, (s, t))] = True
-                    continue
-                page_squares[(m, r, (s, t))] = (
-                    cell_maps[r][tgt].mul(_canon_d(ci, p, r, s, t))
-                    == _canon_d(cj, p, r, s, t).mul(mat))
-        # abutment maps and filtration compatibility
-        theta_i = _theta_matrices(gi)
-        theta_j = _theta_matrices(gj)
-        for n in range(0, n_max + 1):
-            sub_i = homology_at(gi.gf_complex, n)
-            sub_j = homology_at(gj.gf_complex, n)
-            spec_gf = functors.compose(G, F)
-            phi = functors.apply(spec_gf, lift[n])
-            amap = induced_on_homology(phi, sub_i, sub_j).matrix
-            abutment_maps[(m, n)] = amap
-            hdim_i = sub_i.obj.fp_dimension()
-            hdim_j = sub_j.obj.fp_dimension()
-            cls_i = _class_map(sub_i)
-            cls_j = _class_map(sub_j)
-            spans_i = {}
-            spans_j = {}
-            for s in range(0, n + 1):
-                spans_i[s] = [_abutment_class(theta_i[n], cls_i, v)
-                              for v in gi.ss.internal.filt_cycle_spans[(n, s)]]
-                spans_j[s] = [_abutment_class(theta_j[n], cls_j, v)
-                              for v in gj.ss.internal.filt_cycle_spans[(n, s)]]
-            filt_j = [Span(p, hdim_j, spans_j[s]) for s in range(0, n + 1)]
-            abutment_filtration_ok[(m, n)] = all(
-                filt_j[s].contains(amap.mul_vec(v))
-                for s in range(0, n + 1) for v in spans_i[s])
-            # graded pieces against the E_inf maps
-            r_top = per_object[i].r_stop
-            for s in range(0, n + 1):
-                t = n - s
-                einf_map = cell_maps.get(r_top, {}).get((s, t))
-                # gr_s = F_s / F_{s-1}: reps of F_s modulo F_{s-1}
-                gr_i = Span(p, hdim_i, spans_i[s - 1] if s >= 1 else [])
-                gr_j = Span(p, hdim_j, spans_j[s - 1] if s >= 1 else [])
-                gr_reps_i = [v for v in spans_i[s] if gr_i.insert(v)]
-                gr_reps_j = [v for v in spans_j[s] if gr_j.insert(v)]
-                if einf_map is None:
-                    gr_matches[(m, n, s)] = not gr_reps_i
-                    continue
-                # identify gr_s with the canonical E_inf cell on each side
-                tau_i = _gr_identification(gi, ci, s, t, cls_i, theta_i[n],
-                                           gr_reps_i, gr_i)
-                tau_j = _gr_identification(gj, cj, s, t, cls_j, theta_j[n],
-                                           gr_reps_j, gr_j)
-                if tau_i is None or tau_j is None:
-                    gr_matches[(m, n, s)] = False
-                    continue
-                gr_map = _tail_coords(p, gr_j, map(amap.mul_vec, gr_reps_i),
-                                      len(gr_reps_j))
-                gr_matches[(m, n, s)] = (gr_map is not None and
-                                         gr_map.mul(tau_i) == tau_j.mul(einf_map))
-    return ComponentwiseResult(per_object, data, canon, e2_cell_maps,
-                               e2_squares, page_squares, abutment_maps,
-                               abutment_filtration_ok, gr_matches, ident_ok)
-
-
-def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, to_class,
-                       theta_n, gr_reps, gr_span):
-    """Matrix from the canonical E_inf cell to gr_s of the abutment:
-    canonical coords -> page reps -> cycles -> edge classes -> gr coords.
-    gr_span spans F_{s-1} and then gr_reps."""
-    ss = gd.ss
-    p = ss.p
-    r_top = ss.r_stop
-    page_reps = ss.internal.reps(r_top, s, t)
-    psi = cp.psi.get(r_top, {}).get((s, t))
-    if psi is None:
-        return None if gr_reps else FpMatrix.zeros(p, len(gr_reps), 0)
-    if len(page_reps) != len(gr_reps):
-        return None
-    k = len(page_reps)
-    # column j: the cycle whose canonical coordinates are the j-th unit vector
-    cycles = fp_from_columns(p, page_reps, ss.internal.tot.dims[s + t]).mul(
-        fplinalg.inverse(psi))
-    return _tail_coords(p, gr_span, [_abutment_class(theta_n, to_class, cycles.col(j))
-                                     for j in range(k)], k)
+                    page_squares[(u, r, (s, t))] = square
+        for c in window:
+            canon_u = e2_canon[c].obj.maps[u].matrix
+            e2_cell_maps[(u, c)] = canon_u
+            pi, pj = psi[i][c], psi[j][c]
+            e2_ident[(u, c)] = (pi is not None and pj is not None
+                                and pj.mul(page_maps[(u, 2, c)]) == canon_u.mul(pi))
+        for n in range(T):
+            amap = gf[n].obj.maps[u].matrix
+            abutment_maps[(u, n)] = amap
+            (ei, ki), (ej, kj) = edge[i][n], edge[j][n]
+            if ei is None or ej is None:
+                abutment_filtration_ok[(u, n)] = False
+                gr_matches.update({(u, n, s): False for s in range(n + 1)})
+                continue
+            # L_n(GF)(u) between the filtered bases of H_n(Tot(i)), H_n(Tot(j))
+            a = fplinalg.inverse(ej).mul(amap).mul(ei)
+            fi = [ss_i.internal.filt[n][k] for k in ki]
+            fj = [ss_j.internal.filt[n][k] for k in kj]
+            abutment_filtration_ok[(u, n)] = not any(
+                a.data[x][y] for x in range(len(fj)) for y in range(len(fi))
+                if fj[x] > fi[y])
+            for s in range(n + 1):
+                gr = _submatrix(a, [x for x, f in enumerate(fj) if f == s],
+                                [y for y, f in enumerate(fi) if f == s])
+                gr_matches[(u, n, s)] = gr == page_maps[(u, ss_i.r_stop, (s, n - s))]
+    return ComponentwiseResult(per_object, e2_cell_maps, page_maps, abutment_maps,
+                               ident_ok, e2_ident, e2_squares, page_squares,
+                               abutment_filtration_ok, gr_matches)

@@ -2,17 +2,26 @@
 
 These deliberately avoid the library's computation paths: invariant
 factors from gcds of minors, kernels by exhaustive search, homology of
-hand-built periodic resolutions by rank counting, and the connecting map
-by an element-by-element zig-zag.
+hand-built periodic resolutions by rank counting, the connecting map
+by an element-by-element zig-zag, and the maps of spectral sequences of a
+diagram carried page by page in canonical coordinates, one module
+spectral sequence per index object.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
 
-from functor_homology.complexes import homology_at
+from functor_homology import fplinalg, functors
+from functor_homology.complexes import homology_at, induced_on_homology
+from functor_homology.derived import lift_resolution_map
 from functor_homology.errors import ExactnessError
-from functor_homology.fplinalg import FpMatrix, rank
+from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
+                                       unit_vectors)
 from functor_homology.modules import Element, ModMor, preimage
+from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
+                                       _class_map, _cycles_in_prefix,
+                                       grothendieck_ss)
 
 
 def minors_gcd(data, k):
@@ -150,3 +159,377 @@ def connecting_by_elements(sub, mid, quo, incl, proj, n):
         cols.append(list(sub_l.epi.apply(kl).coords))
     return ModMor(sub_n.obj, sub_l.obj,
                   sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))
+
+
+# -- maps of spectral sequences in canonical coordinates ---------------------
+
+
+def _slice_cell(ss: SSResult, dc: DoubleComplex, v, n, s, t):
+    off = ss.internal.tot.offsets[(n, s, t)]
+    return v[off: off + dc.dim(s, t)]
+
+
+@dataclass
+class CanonPages:
+    """Spectral-sequence pages rewritten in the canonical presentation
+    (L_s G applied to the Cartan-Eilenberg homology resolutions), with the
+    identification maps from the filtration pages."""
+
+    dims: dict  # r -> {(s,t): dim}
+    psi: dict  # r -> {(s,t): FpMatrix}, page reps -> canonical coords
+    d: dict  # r -> {(s,t): FpMatrix} in canonical coordinates
+    reps: dict  # r -> {(s,t): [vectors in page-(r-1) canonical coords]}
+    spans: dict  # r >= 3 -> {(s,t): Span of the incoming image, then reps}
+    ident_ok: bool
+
+
+def _canon_complex(gd: GrothendieckData, t):
+    key = ("canon_cx", t)
+    if key not in gd.ss.extra:
+        gd.ss.extra[key] = functors.apply_to_complex(
+            gd.G, gd.ce.res_H[t].complex(gd.ce.depth), check=False)
+    return gd.ss.extra[key]
+
+
+def _canon_sub(gd: GrothendieckData, s, t):
+    return homology_at(_canon_complex(gd, t), s)
+
+
+def _window_cells(gd: GrothendieckData):
+    return [(s, n - s) for n in range(gd.n_max + 1) for s in range(n + 1)]
+
+
+def build_canon_pages(gd: GrothendieckData) -> CanonPages:
+    """Identify every window page cell with its canonical presentation and
+    rewrite the page differentials there, page by page."""
+    ss, dc = gd.ss, gd.dc
+    p = ss.p
+    ok = True
+    dims = {2: {}}
+    psi = {2: {}}
+    reps = {2: {}}
+    spans = {}
+    cells = _window_cells(gd)
+    for (s, t) in cells:
+        n = s + t
+        sub = _canon_sub(gd, s, t)
+        k_canon = sub.obj.fp_dimension()
+        page_reps = ss.internal.reps(2, s, t)
+        dims[2][(s, t)] = k_canon
+        if k_canon != len(page_reps):
+            ok = False
+            continue
+        proj_h = functors.apply(gd.G, gd.ce.proj_to_h(t, s)).matrix
+        to_class = _class_map(sub)
+
+        def classify(v):
+            return to_class(proj_h.mul_vec(_slice_cell(ss, dc, v, n, s, t)))
+
+        cols = [classify(v) for v in page_reps]
+        bounds = [classify(v) for v in ss.internal.boundaries(2, s, t)]
+        if None in cols or any(c is None or any(c) for c in bounds):
+            ok = False
+            continue
+        m = fp_from_columns(p, cols, k_canon)
+        if k_canon and fplinalg.rank(m) != k_canon:
+            ok = False
+            continue
+        psi[2][(s, t)] = m
+        reps[2][(s, t)] = unit_vectors(k_canon)
+    for r in range(3, ss.r_stop + 1):
+        dims[r] = {}
+        psi[r] = {}
+        reps[r] = {}
+        spans[r] = {}
+        prev = r - 1
+        for (s, t) in cells:
+            if (s, t) not in psi[prev]:
+                continue
+            k_prev = dims[prev][(s, t)]
+            prev_psi = psi[prev][(s, t)]
+            # kernel of the outgoing differential and image of the incoming
+            # one, straight from the filtration pages and transported into
+            # canonical coordinates; the sources may lie outside the window
+            dout_tot = ss.diffs[prev].get((s, t))
+            if dout_tot is not None:
+                ker_rep = fplinalg.kernel_basis(dout_tot)
+            else:
+                ker_rep = unit_vectors(k_prev)
+            din_tot = ss.diffs[prev].get((s + prev, t - prev + 1))
+            imv = []
+            if din_tot is not None:
+                imv = [prev_psi.mul_vec(din_tot.col(j)) for j in range(din_tot.cols)]
+            span = Span(p, k_prev, imv)
+            cell_reps = [v for v in map(prev_psi.mul_vec, ker_rep) if span.insert(v)]
+            # compose the previous identification with the subquotient step;
+            # a page-r rep is a page-(r-1) rep, so its previous coordinates
+            # are a unit vector and pick a column of prev_psi
+            prev_idx = ss.internal.page_indices(prev, s, t)
+            page_idx = ss.internal.page_indices(r, s, t)
+            k_r = len(cell_reps)
+            m = _tail_coords(p, span, [prev_psi.col(prev_idx.index(k))
+                                       for k in page_idx], k_r)
+            if m is None or len(page_idx) != k_r or (
+                    k_r and fplinalg.rank(m) != k_r):
+                ok = False
+                continue
+            dims[r][(s, t)] = k_r
+            psi[r][(s, t)] = m
+            reps[r][(s, t)] = cell_reps
+            spans[r][(s, t)] = span
+    # every page differential between identified cells, in canonical coords
+    dmats = {}
+    for r in psi:
+        dmats[r] = {}
+        for (s, t), m in psi[r].items():
+            tgt = (s - r, t + r - 1)
+            d_tot = ss.diffs[r].get((s, t))
+            if tgt in psi[r] and d_tot is not None:
+                dmats[r][(s, t)] = psi[r][tgt].mul(d_tot).mul(fplinalg.inverse(m))
+    return CanonPages(dims, psi, dmats, reps, spans, ok)
+
+
+def _tail_coords(p, span, vectors, k):
+    """The matrix whose columns are the last k coordinates of each vector
+    over span.basis, or None if some vector lies outside the span."""
+    cols = [span.coords(v) for v in vectors]
+    if None in cols:
+        return None
+    return fp_from_columns(p, [c[len(c) - k:] for c in cols], k)
+
+
+@dataclass
+class CanonComponentwise:
+    per_object: dict
+    data: dict
+    canon: dict
+    e2_cell_maps: dict  # (morphism, (s,t)) -> FpMatrix in canonical coords
+    page_maps: dict  # (morphism, r, (s,t)) -> E_r map, propagated coords
+    e2_squares: dict  # (morphism, (s,t)) -> bool
+    page_squares: dict  # (morphism, r, (s,t)) -> bool (d_r naturality, r >= 3)
+    abutment_maps: dict  # (morphism, n) -> FpMatrix on homology coords
+    abutment_filtration_ok: dict  # (morphism, n) -> bool
+    gr_matches_einf: dict  # (morphism, n, s) -> bool
+    ident_ok: dict  # object -> bool
+
+    def acceptance_ok(self) -> bool:
+        return (all(self.e2_squares.values())
+                and all(self.page_squares.values())
+                and all(self.abutment_filtration_ok.values())
+                and all(self.gr_matches_einf.values())
+                and all(self.ident_ok.values()))
+
+
+def _canon_d(cp: CanonPages, p, r, s, t):
+    """d_r out of (s, t) in canonical coordinates; zero where none is stored."""
+    d = cp.d[r].get((s, t))
+    if d is None:
+        d = FpMatrix.zeros(p, cp.dims[r].get((s - r, t + r - 1), 0),
+                           cp.dims[r].get((s, t), 0))
+    return d
+
+
+def _theta_matrices(gd: GrothendieckData):
+    """Chain map from the total complex to GF(P_*): project to the q = 0
+    cells and apply G of the augmentations."""
+    key = "theta"
+    if key in gd.ss.extra:
+        return gd.ss.extra[key]
+    ss, dc = gd.ss, gd.dc
+    p = ss.p
+    out = {}
+    for n in range(0, gd.n_max + 2):
+        rows = gd.gf_complex.objects[n].fp_dimension() if n <= gd.gf_complex.hi else 0
+        cols = ss.internal.tot.dims.get(n, 0)
+        data = [[0] * cols for _ in range(rows)]
+        if n <= gd.gf_complex.hi:
+            if (n, 0, n) in ss.internal.tot.offsets:
+                aug = functors.apply(gd.G, gd.ce.aug(n)).matrix
+                off = ss.internal.tot.offsets[(n, 0, n)]
+                for i in range(aug.rows):
+                    for j in range(aug.cols):
+                        data[i][off + j] = aug.data[i][j]
+        out[n] = FpMatrix(p, rows, cols, data)
+    # chain-map check on the window
+    for n in range(1, gd.n_max + 1):
+        lhs = out[n - 1].mul(ss.internal.tot.D[n])
+        rhs = gd.gf_complex.diffs[n].matrix.mul(out[n])
+        if lhs != rhs:
+            raise ExactnessError("edge map to GF(P_*) is not a chain map")
+    gd.ss.extra[key] = out
+    return out
+
+
+def _abutment_class(theta_n, to_class, v):
+    c = to_class(theta_n.mul_vec(v))
+    if c is None:
+        raise ExactnessError("edge image of a cycle must be a cycle")
+    return c
+
+
+def _filt_cycles(ss: SSResult, n, s):
+    """A basis of the cycles of Tot_n in filtration s (the coordinate prefix
+    of filtration <= s)."""
+    tot = ss.internal.tot
+    return _cycles_in_prefix(ss.p, tot.D[n], sum(f <= s for f in ss.internal.filt[n]),
+                             tot.dims[n])
+
+
+def componentwise_by_canonical_coords(F, G, A, n_max) -> CanonComponentwise:
+    """The reference for `spectral.ss_componentwise`: one module spectral
+    sequence per component, with its own resolution, plus, for every index
+    morphism, the induced maps at E2 (checked to commute with d2 through
+    the canonical identification), their propagation through later pages,
+    and the abutment maps (checked to respect the transported filtration
+    with graded pieces matching the E_inf maps)."""
+    index = A.index
+    per_object = {}
+    data = {}
+    canon = {}
+    ident_ok = {}
+    for i in index.objects:
+        gd = grothendieck_ss(F, G, A.components[i], n_max, with_data=True)
+        data[i] = gd
+        per_object[i] = gd.ss
+        canon[i] = build_canon_pages(gd)
+        ident_ok[i] = canon[i].ident_ok
+    e2_cell_maps = {}
+    e2_squares = {}
+    page_squares = {}
+    abutment_maps = {}
+    abutment_filtration_ok = {}
+    gr_matches = {}
+    page_maps = {}
+    T = n_max + 1
+    for m in index.nonidentity_morphisms():
+        i, j = index.src(m), index.tgt(m)
+        p = per_object[i].p
+        gi, gj = data[i], data[j]
+        ci, cj = canon[i], canon[j]
+        lift = lift_resolution_map(A.maps[m], gi.res, gj.res, T)
+        cfmap = {t: functors.apply(F, lift[t]) for t in range(T + 1)}
+        hmaps = {}
+        for t in range(0, n_max + 1):
+            zmap = gj.ce.monoZ[t].factor(gi.ce.monoZ[t].then(cfmap[t]))
+            hmaps[t] = gi.ce.epiH[t].cofactor(zmap.then(gj.ce.epiH[t]))
+        # canonical E2 cell maps: (L_s G)(L_t F)(structure map)
+        cell_maps = {2: {}}
+        for (s, t) in _window_cells(gi):
+            hl = lift_resolution_map(hmaps[t], gi.ce.res_H[t], gj.ce.res_H[t],
+                                     s + 1)
+            phi = functors.apply(G, hl[s])
+            mor = induced_on_homology(phi, _canon_sub(gi, s, t),
+                                      _canon_sub(gj, s, t))
+            cell_maps[2][(s, t)] = mor.matrix
+            e2_cell_maps[(m, (s, t))] = mor.matrix
+        # d2 squares in canonical coordinates
+        for (s, t) in _window_cells(gi):
+            tgt = (s - 2, t + 1)
+            if tgt[0] < 0 or (s + t) > n_max:
+                continue
+            lhs = cell_maps[2][tgt].mul(_canon_d(ci, p, 2, s, t))
+            rhs = _canon_d(cj, p, 2, s, t).mul(cell_maps[2][(s, t)])
+            e2_squares[(m, (s, t))] = lhs == rhs
+        # propagate the maps through later pages (recorded)
+        for r in range(3, per_object[i].r_stop + 1):
+            cell_maps[r] = {}
+            for (s, t) in _window_cells(gi):
+                if (s, t) not in ci.reps.get(r, {}) or (s, t) not in cj.reps.get(r, {}):
+                    continue
+                prev = cell_maps[r - 1].get((s, t))
+                if prev is None:
+                    continue
+                mat = _tail_coords(p, cj.spans[r][(s, t)],
+                                   map(prev.mul_vec, ci.reps[r][(s, t)]),
+                                   len(cj.reps[r][(s, t)]))
+                if mat is None:
+                    page_squares[(m, r, (s, t))] = False
+                else:
+                    cell_maps[r][(s, t)] = mat
+            for (s, t), mat in cell_maps[r].items():
+                tgt = (s - r, t + r - 1)
+                if tgt not in cell_maps[r]:
+                    continue
+                if (s, t) not in ci.d[r] and (s, t) not in cj.d[r]:
+                    page_squares[(m, r, (s, t))] = True
+                    continue
+                page_squares[(m, r, (s, t))] = (
+                    cell_maps[r][tgt].mul(_canon_d(ci, p, r, s, t))
+                    == _canon_d(cj, p, r, s, t).mul(mat))
+        page_maps.update({(m, r, c): mat for r, cm in cell_maps.items()
+                          for c, mat in cm.items()})
+        # abutment maps and filtration compatibility
+        theta_i = _theta_matrices(gi)
+        theta_j = _theta_matrices(gj)
+        for n in range(0, n_max + 1):
+            sub_i = homology_at(gi.gf_complex, n)
+            sub_j = homology_at(gj.gf_complex, n)
+            spec_gf = functors.compose(G, F)
+            phi = functors.apply(spec_gf, lift[n])
+            amap = induced_on_homology(phi, sub_i, sub_j).matrix
+            abutment_maps[(m, n)] = amap
+            hdim_i = sub_i.obj.fp_dimension()
+            hdim_j = sub_j.obj.fp_dimension()
+            cls_i = _class_map(sub_i)
+            cls_j = _class_map(sub_j)
+            spans_i = {}
+            spans_j = {}
+            for s in range(0, n + 1):
+                spans_i[s] = [_abutment_class(theta_i[n], cls_i, v)
+                              for v in _filt_cycles(gi.ss, n, s)]
+                spans_j[s] = [_abutment_class(theta_j[n], cls_j, v)
+                              for v in _filt_cycles(gj.ss, n, s)]
+            filt_j = [Span(p, hdim_j, spans_j[s]) for s in range(0, n + 1)]
+            abutment_filtration_ok[(m, n)] = all(
+                filt_j[s].contains(amap.mul_vec(v))
+                for s in range(0, n + 1) for v in spans_i[s])
+            # graded pieces against the E_inf maps
+            r_top = per_object[i].r_stop
+            for s in range(0, n + 1):
+                t = n - s
+                einf_map = cell_maps.get(r_top, {}).get((s, t))
+                # gr_s = F_s / F_{s-1}: reps of F_s modulo F_{s-1}
+                gr_i = Span(p, hdim_i, spans_i[s - 1] if s >= 1 else [])
+                gr_j = Span(p, hdim_j, spans_j[s - 1] if s >= 1 else [])
+                gr_reps_i = [v for v in spans_i[s] if gr_i.insert(v)]
+                gr_reps_j = [v for v in spans_j[s] if gr_j.insert(v)]
+                if einf_map is None:
+                    gr_matches[(m, n, s)] = not gr_reps_i
+                    continue
+                # identify gr_s with the canonical E_inf cell on each side
+                tau_i = _gr_identification(gi, ci, s, t, cls_i, theta_i[n],
+                                           gr_reps_i, gr_i)
+                tau_j = _gr_identification(gj, cj, s, t, cls_j, theta_j[n],
+                                           gr_reps_j, gr_j)
+                if tau_i is None or tau_j is None:
+                    gr_matches[(m, n, s)] = False
+                    continue
+                gr_map = _tail_coords(p, gr_j, map(amap.mul_vec, gr_reps_i),
+                                      len(gr_reps_j))
+                gr_matches[(m, n, s)] = (gr_map is not None and
+                                         gr_map.mul(tau_i) == tau_j.mul(einf_map))
+    return CanonComponentwise(per_object, data, canon, e2_cell_maps, page_maps,
+                               e2_squares, page_squares, abutment_maps,
+                               abutment_filtration_ok, gr_matches, ident_ok)
+
+
+def _gr_identification(gd: GrothendieckData, cp: CanonPages, s, t, to_class,
+                       theta_n, gr_reps, gr_span):
+    """Matrix from the canonical E_inf cell to gr_s of the abutment:
+    canonical coords -> page reps -> cycles -> edge classes -> gr coords.
+    gr_span spans F_{s-1} and then gr_reps."""
+    ss = gd.ss
+    p = ss.p
+    r_top = ss.r_stop
+    page_reps = ss.internal.reps(r_top, s, t)
+    psi = cp.psi.get(r_top, {}).get((s, t))
+    if psi is None:
+        return None if gr_reps else FpMatrix.zeros(p, len(gr_reps), 0)
+    if len(page_reps) != len(gr_reps):
+        return None
+    k = len(page_reps)
+    # column j: the cycle whose canonical coordinates are the j-th unit vector
+    cycles = fp_from_columns(p, page_reps, ss.internal.tot.dims[s + t]).mul(
+        fplinalg.inverse(psi))
+    return _tail_coords(p, gr_span, [_abutment_class(theta_n, to_class, cycles.col(j))
+                                     for j in range(k)], k)

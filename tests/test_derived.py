@@ -208,6 +208,32 @@ def test_connecting_matches_element_oracle():
     assert nonzero >= 30 and signed >= 3
 
 
+def test_connecting_sign_on_z4_in_z16():
+    # 0 -> Z/4 --x4--> Z/16 -> Z/4 -> 0 through (-) (x) Z/4: L (x) Z/4 ->
+    # M (x) Z/4 is x4 = 0, so delta_1: Tor_1(Z/4, Z/4) -> Z/4 (x) Z/4 is an
+    # isomorphism of Z/4's and delta differs from -delta
+    L, M, N = cyclic(4), cyclic(16), cyclic(4)
+    data = les_data(tensor_with(cyclic(4)), SES(ModMor(L, M, [[4]]),
+                                                ModMor(M, N, [[1]])), 1)
+    sesc = data.sesc
+    # the resolution the hand computation runs on: P_1 = Z --(-4)--> Z = P_0
+    # for L and N; the horseshoe's d_1 on P_1(L) + P_1(N) is [[-4, 1], [0, -4]]
+    # (the 1 corrects the lift of -4 through the cover (4, 1) of Z/16);
+    # after (x) Z/4 only the 1 survives
+    assert sesc.quo.diffs[1].matrix.data == [[-4]]
+    assert sesc.mid.diffs[1].matrix.data == [[-4, 1], [0, -4]]
+    for c, n in ((sesc.quo, 1), (sesc.sub, 0)):
+        h = homology_at(c, n)
+        assert (h.mono.matrix.data, h.epi.matrix.data) == ([[-1]], [[1]])
+    # by hand: H_1(N) is generated by the cycle -e_N; it lifts to (0, -1),
+    # whose image under d_1 is -e_L in L_0 = Z/4, i.e. +1 times the cycle
+    # -e_L that generates H_0(L); so delta = [[1]], and -delta = [[3]]
+    delta = data.les.delta[1]
+    assert delta == ModMor(delta.source, delta.target, [[1]])
+    assert delta != ModMor(delta.source, delta.target, [[-1]])
+    assert is_iso(delta) and data.les.all_exact()
+
+
 def test_les_dimension_bookkeeping_over_f2():
     # 0 -> Z -> Z -> Z/2 -> 0 with (x) Z/2:
     # ... -> Tor1(Z/2) -> Z/2 -> Z/2 -> Z/2 -> 0

@@ -177,6 +177,18 @@ def test_free_cover():
     assert rank(eps.matrix) == T.dim  # surjective
 
 
+def test_modules_over_one_ring_share_its_ops():
+    # the ops object is built once per ring and kept on it; a ring built
+    # alike is equal but gets its own
+    R2 = group_algebra(2, cyclic_group_table(2))
+    M, N = free_module(R2, 2), trivial_module(R2)
+    f = zero_mor(M, N)
+    assert M.ops is N.ops is f.ops is R2._ops
+    other = group_algebra(2, cyclic_group_table(2))
+    assert other == R2 and free_module(other, 1).ops is not M.ops
+    assert cyclic(4).ops is free_cover(cyclic(6))[0].ops is ZZ._ops
+
+
 def test_preimage():
     Z2 = cyclic(2)
     Zm = cyclic(0)

@@ -9,8 +9,8 @@ from functor_homology.errors import ExactnessError, RingMismatchError
 from functor_homology.fincat import standard
 from functor_homology.fplinalg import FpMatrix, inverse, rank
 from functor_homology.functors import base_change
-from functor_homology.modules import (cyclic, free_module, identity_mor,
-                                      trivial_module)
+from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
+                                      identity_mor, trivial_module)
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
                                     group_algebra, group_ring_map,
                                     product_group_table)
@@ -18,8 +18,9 @@ from functor_homology.spectral import (DoubleComplex, check_acyclic_hypothesis,
                                        grothendieck_ss, ss_componentwise,
                                        ss_pages)
 from functor_homology.diagrams import Diagram, constant_diagram
-from functor_homology.verification import _closed_form_cell
-from oracle import cyclic_group_homology_dims, product_c2_homology_dims
+from functor_homology.verification import _closed_form_cell, random_diagram
+from oracle import (componentwise_by_canonical_coords,
+                    cyclic_group_homology_dims, product_c2_homology_dims)
 
 R2 = group_algebra(2, cyclic_group_table(2), label="F2[C2]")
 R4 = group_algebra(2, cyclic_group_table(4), label="F2[C4]")
@@ -279,6 +280,109 @@ def test_componentwise_zero_structure_map():
         assert mat.is_zero()
 
 
+def _criterion_10_diagram():
+    swap = FpMatrix(2, 2, 2, [[0, 1], [1, 0]])
+    ident = FpMatrix.identity(2, 2)
+    quot_mod = ModuleObj(R4, gens=2, actions=[ident, swap, ident, swap])
+    T = trivial_module(R4)
+    return Diagram(standard("arrow"), {"0": quot_mod, "1": T},
+                   {"id_0": identity_mor(quot_mod), "id_1": identity_mor(T),
+                    "a": ModMor(quot_mod, T, FpMatrix(2, 1, 2, [[1, 1]]))})
+
+
+def _first_nonzero_draw(seed, shape, ring):
+    """The first random diagram at this seed with a nonzero structure map."""
+    rng = random.Random(seed)
+    while True:
+        D = random_diagram(rng, standard(shape), ring)
+        if any(not D.maps[m].is_zero() for m in D.index.nonidentity_morphisms()):
+            return D
+
+
+def test_componentwise_matches_canonical_oracle():
+    # the diagram grid against one module spectral sequence per object with
+    # maps carried in canonical coordinates: the presentations differ, so
+    # compare verdicts and the shapes and ranks of every map
+    def invariants(m):
+        return m.rows, m.cols, rank(m)
+
+    cases = [(base_change(QUOT4), _criterion_10_diagram(), 3)]
+    for F, ring in ((base_change(QUOT4), R4), (base_change(QUOTV), RV)):
+        for shape in ("arrow", "square"):
+            cases += [(F, _first_nonzero_draw(seed, shape, ring), 2) for seed in (2, 3)]
+    G = base_change(AUG2)
+    total_rank = 0
+    for k, (F, A, n_max) in enumerate(cases):
+        new = ss_componentwise(F, G, A, n_max)
+        old = componentwise_by_canonical_coords(F, G, A, n_max)
+        assert new.acceptance_ok() and old.acceptance_ok(), k
+        for verdict in ("ident_ok", "e2_squares", "page_squares",
+                        "abutment_filtration_ok", "gr_matches_einf"):
+            assert getattr(new, verdict) == getattr(old, verdict), (k, verdict)
+        for (u, cell), m in old.e2_cell_maps.items():
+            assert invariants(new.e2_cell_maps[(u, cell)]) == invariants(m), (k, u, cell)
+            assert invariants(new.page_maps[(u, 2, cell)]) == invariants(m), (k, u, cell)
+        assert new.page_maps.keys() == old.page_maps.keys()
+        for key, m in old.page_maps.items():
+            assert invariants(new.page_maps[key]) == invariants(m), (k, key)
+            total_rank += rank(m)
+        assert new.abutment_maps.keys() == old.abutment_maps.keys()
+        for key, m in old.abutment_maps.items():
+            assert invariants(new.abutment_maps[key]) == invariants(m), (k, key)
+    assert total_rank >= 50  # the maps compared are far from zero
+
+
+PLANTED_STRUCTURE_FAULT = """
+from functor_homology import spectral
+from functor_homology.diagrams import Diagram, constant_diagram
+from functor_homology.errors import ExactnessError
+from functor_homology.fincat import standard
+from functor_homology.functors import base_change
+from functor_homology.modules import trivial_module, zero_mor
+from functor_homology.rings import (augmentation_map, cyclic_group_table,
+                                    group_algebra, group_ring_map)
+
+R4 = group_algebra(2, cyclic_group_table(4))
+R2 = group_algebra(2, cyclic_group_table(2))
+F = base_change(group_ring_map(R4, R2, [0, 1, 0, 1]))
+G = base_change(augmentation_map(R2))
+A = constant_diagram(standard("arrow"), trivial_module(R4))
+true_grid = spectral._g_grid
+
+
+def zero_at_a(d):
+    return Diagram(d.index, d.components,
+                   {**d.maps, "a": zero_mor(d.components["0"], d.components["1"])})
+
+
+def planted(which):
+    def grid(G, ce):
+        cells, h, v = true_grid(G, ce)
+        if isinstance(cells[(0, 0)], Diagram):
+            hit = [c for c, d in cells.items() if not d.maps["a"].is_zero()]
+            for c in hit[:1] if which == "one" else hit:
+                cells[c] = zero_at_a(cells[c])
+        return cells, h, v
+    return grid
+
+
+# one corrupted cell map: the cell maps are no chain map of the totals
+spectral._g_grid = planted("one")
+try:
+    spectral.ss_componentwise(F, G, A, 2)
+except ExactnessError as e:
+    if "not a chain map" not in str(e):
+        raise SystemExit(f"unexpected ExactnessError: {e}")
+else:
+    raise SystemExit("planted cell map fault not detected")
+# every cell map zero: a chain map, but not (L_s G)(L_t F) of the identity
+spectral._g_grid = planted("all")
+res = spectral.ss_componentwise(F, G, A, 2)
+if res.acceptance_ok() or all(res.e2_ident.values()):
+    raise SystemExit("planted zero structure map not detected")
+"""
+
+
 PLANTED_RANK_FAULT = """
 from functor_homology import spectral
 from functor_homology.errors import ExactnessError
@@ -331,7 +435,8 @@ def test_page_invariants_hold_under_optimize():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    for script in (PLANTED_RANK_FAULT, PLANTED_REDUCTION_FAULT):
+    for script in (PLANTED_RANK_FAULT, PLANTED_REDUCTION_FAULT,
+                   PLANTED_STRUCTURE_FAULT):
         for flags in ([], ["-O"]):
             out = subprocess.run([sys.executable, *flags, "-c", script],
                                  env=env, capture_output=True, text=True,

@@ -3,8 +3,9 @@
 Entries are ints reduced into [0, p).  Two eliminators: `rref` reduces a
 whole matrix and serves `kernel_basis` and `rank`; `Span` grows an echelon
 basis one vector at a time and answers every membership, coordinate and
-basis-extension question, `solve`/`solve_matrix` included (span of A's
-columns, then coordinates).  Both scan in a fixed order (rref: columns left
+basis-extension question.  `solver(A)` spans A's columns once and returns
+the map from a right-hand side to its coordinates; `solve` and
+`solve_matrix` go through it.  Both scan in a fixed order (rref: columns left
 to right; Span: insertion order), so every derived basis is deterministic,
 and Span keeps exactly rref's pivot columns.  Shape mismatches raise
 `ShapeError`, also under `python -O`.
@@ -259,8 +260,9 @@ class Span:
         return out
 
 
-def _column_solver(A: FpMatrix):
-    """b -> the solution of A*x = b supported on A's pivot columns, or None."""
+def solver(A: FpMatrix):
+    """b -> the solution of A*x = b supported on A's pivot columns, or
+    None; one span of A's columns serves every right-hand side."""
     span = Span(A.p, A.rows)
     pivots = [j for j in range(A.cols) if span.insert(A.col(j))]
 
@@ -278,14 +280,14 @@ def _column_solver(A: FpMatrix):
 
 def solve(A: FpMatrix, b: list[int]):
     """One solution of A*x = b (free variables zero), or None."""
-    return _column_solver(A)(b)
+    return solver(A)(b)
 
 
 def solve_matrix(A: FpMatrix, B: FpMatrix):
     """X with A*X = B (columnwise), or None if some column is unsolvable."""
     if A.rows != B.rows or A.p != B.p:
         raise ShapeError("solve_matrix: rows or primes do not match")
-    solve_one = _column_solver(A)
+    solve_one = solver(A)
     cols = [solve_one(B.col(j)) for j in range(B.cols)]
     return None if None in cols else fp_from_columns(A.p, cols, A.cols)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ExactnessError, ShapeError, check_shape
+from .errors import ShapeError, check_shape
 
 
 class IntMatrix:
@@ -142,8 +142,7 @@ class SnfResult:
     """U*A*V = D with U, V unimodular and D in Smith normal form.
 
     Nonzero diagonal entries of D are positive, come first, and divide
-    each other in order.  det(U) and det(V) are +-1 (also recorded as
-    det_u/det_v, tracked during the reduction).  U is the product of the
+    each other in order.  det(U) and det(V) are +-1.  U is the product of the
     elementary row operations in `row_ops`, in order: ("swap", i, j),
     ("add", src, dst, q) for row[dst] += q * row[src], and ("neg", i);
     `u_inverse` undoes them to give U^-1 without a second reduction.
@@ -152,8 +151,6 @@ class SnfResult:
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-    det_u: int
-    det_v: int
     row_ops: list
 
     def u_inverse(self) -> IntMatrix:
@@ -195,26 +192,20 @@ def snf(A: IntMatrix) -> SnfResult:
     D = [list(r) for r in A.data]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    det_u = 1
-    det_v = 1
     row_ops = []
 
     def swap_rows(i, j):
-        nonlocal det_u
         if i != j:
             D[i], D[j] = D[j], D[i]
             U[i], U[j] = U[j], U[i]
-            det_u = -det_u
             row_ops.append(("swap", i, j))
 
     def swap_cols(i, j):
-        nonlocal det_v
         if i != j:
             for r in D:
                 r[i], r[j] = r[j], r[i]
             for r in V:
                 r[i], r[j] = r[j], r[i]
-            det_v = -det_v
 
     def add_row(src, dst, q):
         # row[dst] += q * row[src]
@@ -233,10 +224,8 @@ def snf(A: IntMatrix) -> SnfResult:
             r[dst] += q * r[src]
 
     def negate_row(i):
-        nonlocal det_u
         D[i] = [-x for x in D[i]]
         U[i] = [-x for x in U[i]]
-        det_u = -det_u
         row_ops.append(("neg", i))
 
     k = 0
@@ -299,7 +288,7 @@ def snf(A: IntMatrix) -> SnfResult:
         k += 1
 
     return SnfResult(IntMatrix._owned(m, m, U), IntMatrix._owned(m, n, D),
-                     IntMatrix._owned(n, n, V), det_u, det_v, row_ops)
+                     IntMatrix._owned(n, n, V), row_ops)
 
 
 def kernel_basis(A: IntMatrix) -> list[list[int]]:
@@ -336,35 +325,3 @@ def solve(A: IntMatrix, b: list[int]):
     if len(b) != A.rows:
         raise ValueError("dimension mismatch: len(b) != rows(A)")
     return solve_snf(snf(A), b)
-
-
-def det_sign_of_unimodular(M: IntMatrix) -> int:
-    """Determinant of a matrix known to be unimodular (+1 or -1).
-
-    Fraction-free Gaussian elimination; used by tests to cross-check the
-    incrementally tracked signs.
-    """
-    n = M.rows
-    if n != M.cols:
-        raise ShapeError("only a square matrix can be unimodular")
-    a = [list(r) for r in M.data]
-    sign = 1
-    prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    d = sign * prev
-    if d not in (1, -1):
-        raise ExactnessError("matrix was not unimodular")
-    return d

@@ -18,7 +18,8 @@ reduced and F_p modules have no relations, so there the matrices decide.
 
 Every operation has one body.  What differs between the rings sits behind
 one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
-constructors, solving `f.matrix x = b` modulo the relations of `f.target`,
+constructors, `solver(f)` for `f.matrix x = b` modulo the relations of
+`f.target` (one factorisation of the map serves every right-hand side),
 the kernel of a linear system, the images of a free generator, membership
 in the relations, and two presentation steps.  `quotient(M, cols)` is M
 modulo extra relation columns, returned as its epi M -> Q alone (Q is
@@ -61,7 +62,7 @@ class _RingOps:
     """The base-ring seam: everything that differs between Z and an
     F_p-algebra.  A subclass supplies `matrix_type`, `matrix` (the checked
     constructor), `from_columns`, `identity` and `zeros` (the trusted
-    producers of its matrix module), `kernel_basis`, `solver`/`solve`,
+    producers of its matrix module), `kernel_basis`, `solver`,
     `free_images` and `unit` (coordinates of a free generator on its free
     basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue`/`reduce` (coordinates that vanish exactly
@@ -122,11 +123,6 @@ class _IntegerOps(_RingOps):
             x = intlinalg.solve_snf(res, b)
             return None if x is None else x[:n]
         return solve
-
-    def solve(self, f, b):
-        """The solver's answer for a single right-hand side."""
-        x = intlinalg.solve(hstack([f.matrix, f.target._rel_cols()]), b)
-        return None if x is None else x[: f.source.gens]
 
     def free_images(self, M, v):
         """Images of the free basis elements of one generator sent to v."""
@@ -221,10 +217,7 @@ class _AlgebraOps(_RingOps):
         return fplinalg.kernel_basis(A)
 
     def solver(self, f):
-        return lambda b: fplinalg.solve(f.matrix, b)
-
-    def solve(self, f, b):
-        return fplinalg.solve(f.matrix, b)
+        return fplinalg.solver(f.matrix)
 
     def free_images(self, M, v):
         # the free basis of one generator is (generator, algebra basis element)
@@ -644,7 +637,10 @@ def cokernel(f: ModMor):
 
 
 def _preimages(f: ModMor, vectors, error):
-    """One x with f.matrix x = b (modulo f.target's relations) per b."""
+    """One x with f.matrix x = b (modulo f.target's relations) per b; no
+    solver is built when there is no b."""
+    if not vectors:
+        return []
     solve = f.ops.solver(f)
     out = []
     for b in vectors:
@@ -822,7 +818,7 @@ def preimage(f: ModMor, y: Element):
     """Some x with f(x) = y, or None when y is not in the image."""
     if y.parent != f.target:
         raise ShapeError("element is not in the target of the morphism")
-    sol = f.ops.solve(f, list(y.coords))
+    sol = f.ops.solver(f)(list(y.coords))
     return None if sol is None else Element(f.source, sol)
 
 

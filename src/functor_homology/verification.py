@@ -1,11 +1,22 @@
 """Seeded randomized batteries verifying the implemented theorems.
 
-Each suite draws its fixtures from a random.Random(seed), so a (seed,
-cases) pair pins the exact battery; the suites double as the `verify`
-tasks of the workbench language and as the acceptance checks.  Every
-verdict goes through `require`, which raises `VerificationFailure` also
-under `python -O`; a suite records each failing case, with its index,
-when a verdict fails or the library reports an `ExactnessError`.
+Each suite is a pair `(draw, check)` in `SUITES`.  `draw(rng, case)` makes
+every call on the random.Random of the run and builds the fixture of case
+`case`; `check(fixture)` makes no random call, and returns a note (a
+tuple, recorded after the case index) or None.  `run_suite` holds the one
+case loop: it draws cases 0, 1, ... in order from one random.Random(seed)
+and checks each fixture after drawing it, so a (seed, cases) pair pins the
+exact battery and no verdict, passing or failing, changes the fixture of
+a later case.  (A draw that raises stops part-way through its case, and
+the later cases draw from where it stopped.)  The suites double as the
+`verify` tasks of the workbench language and as the acceptance checks.
+Every verdict goes through `require`, which raises `VerificationFailure`
+also under `python -O`; the loop records each case, with its index, whose
+draw or check raises `VerificationFailure` or `ExactnessError`.
+
+Functor specs are built inside the draws, never at import: a module kept
+at module level would pin every memo made on it (the memo rule in
+`derived`).
 """
 
 from __future__ import annotations
@@ -29,7 +40,8 @@ from .fplinalg import FpMatrix
 from .functors import base_change, exponent
 from .modules import (HomSystem, ModMor, ModuleObj, cyclic, free_module,
                       hom_basis, ring_ops)
-from .rings import RingMap, ZZ, fp_field
+from .rings import (RingMap, ZZ, cyclic_group_table, fp_field,
+                    group_algebra)
 from .spectral import DoubleComplex, ss_pages
 
 
@@ -67,32 +79,29 @@ def random_z_module(rng, max_gens=3, max_rels=3, bound=4) -> ModuleObj:
     return simple
 
 
-def random_combination_int(rng, basis, bound=2):
-    if not basis:
-        return None
+def _times(c, f):
+    """c·f, formed from + and unary - alone, so it serves every map type."""
+    out = f
+    for _ in range(abs(c) - 1):
+        out = out + f
+    return out if c > 0 else -out
+
+
+def _combination(rng, basis, bound=2):
+    """The sum over the tuples b of basis of c·b, entrywise, with one c
+    drawn from [-bound, bound] per tuple; None when every c is 0."""
     out = None
     for b in basis:
         c = rng.randint(-bound, bound)
-        if c == 0:
-            continue
-        scaled = b if c == 1 else _scale_mor(b, c)
-        out = scaled if out is None else out + scaled
+        if c:
+            cb = tuple(_times(c, f) for f in b)
+            out = cb if out is None else tuple(x + y for x, y in zip(out, cb))
     return out
 
 
-def _scale_mor(f, c):
-    return ModMor(f.source, f.target, f.matrix.scale(c), check=False)
-
-
-def _scale_diag_mor(f, c):
-    return DiagMor(f.source, f.target,
-                   {o: _scale_mor(f.comps[o], c) for o in f.index.objects}, check=False)
-
-
 def random_morphism(rng, A, B, bound=2):
-    basis = hom_basis(A, B)
-    out = random_combination_int(rng, basis, bound)
-    return out if out is not None else A.zero_to(B)
+    out = _combination(rng, [(b,) for b in hom_basis(A, B)], bound)
+    return out[0] if out else A.zero_to(B)
 
 
 def random_free_diagram(rng, index: FinCat, ring, max_summands=2, max_rank=1):
@@ -137,15 +146,8 @@ def _random_subquotient(rng, t):
 
 
 def random_diag_mor(rng, D: Diagram, E: Diagram, bound=2) -> DiagMor:
-    basis = d_hom_basis(D, E)
-    out = None
-    for b in basis:
-        c = rng.randint(-bound, bound)
-        if c == 0:
-            continue
-        scaled = _scale_diag_mor(b, c)
-        out = scaled if out is None else out + scaled
-    return out if out is not None else D.zero_to(E)
+    out = _combination(rng, [(b,) for b in d_hom_basis(D, E)], bound)
+    return out[0] if out else D.zero_to(E)
 
 
 def _random_image_ses(rng, make_obj, make_mor):
@@ -194,32 +196,15 @@ def _ses_morphism_space_modules(ses1: SES, ses2: SES):
     return out
 
 
-def _combine_pair(rng, pairs, diagram_level, bound=2):
-    scale = _scale_diag_mor if diagram_level else _scale_mor
-    uL = None
-    uM = None
-    for (l, m) in pairs:
-        c = rng.randint(-bound, bound)
-        if c == 0:
-            continue
-        ls, ms = scale(l, c), scale(m, c)
-        uL = ls if uL is None else uL + ls
-        uM = ms if uM is None else uM + ms
-    return uL, uM
-
-
 def random_ses_morphism(rng, ses1: SES, ses2: SES):
-    """Random morphism of short exact sequences (uN is induced)."""
-    diagram_level = isinstance(ses1.L, Diagram)
-    if diagram_level:
-        pairs = _ses_morphism_space_diagrams(ses1, ses2)
-    else:
-        pairs = _ses_morphism_space_modules(ses1, ses2)
+    """Random morphism of short exact sequences (uN is induced), or None
+    when only zero maps (uL, uM) commute."""
+    space = (_ses_morphism_space_diagrams if isinstance(ses1.L, Diagram)
+             else _ses_morphism_space_modules)
+    pairs = space(ses1, ses2)
     if not pairs:
         return None
-    uL, uM = _combine_pair(rng, pairs, diagram_level)
-    if uL is None:
-        uL, uM = pairs[0]
+    uL, uM = _combination(rng, pairs) or pairs[0]
     uN = ses1.g.cofactor(uM.then(ses2.g))
     return MorphismOfSES(ses1, ses2, uL, uM, uN)
 
@@ -245,7 +230,7 @@ def _ses_morphism_space_diagrams(ses1: SES, ses2: SES):
     return out
 
 
-# -- suites -------------------------------------------------------------------
+# -- suites: each one a draw and a check ------------------------------------
 
 
 _INDICES = ("arrow", "arrow", "arrow", "parallel_pair", "square")
@@ -255,114 +240,93 @@ def _pick_index(rng):
     return standard(rng.choice(_INDICES))
 
 
-def suite_les(seed, cases) -> SuiteReport:
-    """Componentwise exactness equivalence on random composable pairs."""
-    rng = random.Random(seed)
-    rep = SuiteReport("les", seed, cases)
-    for case in range(cases):
-        index = _pick_index(rng)
-        try:
-            D = random_diagram(rng, index, ZZ)
-            E = random_diagram(rng, index, ZZ)
-            f = random_diag_mor(rng, D, E)
-            Q, q = d_cokernel(f)
-            t = random_diag_mor(rng, Q, Q)
-            g = q.then(t)
-            verdict, failing = d_exactness_report(f, g)
-            rep.passed += 1
-            rep.notes.append((case, verdict, failing))
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+def _draw_les(rng, case):
+    """A composable pair f: D -> E, g = t . coker f of random Z-diagrams."""
+    index = _pick_index(rng)
+    D = random_diagram(rng, index, ZZ)
+    E = random_diagram(rng, index, ZZ)
+    f = random_diag_mor(rng, D, E)
+    Q, q = d_cokernel(f)
+    return f, q.then(random_diag_mor(rng, Q, Q))
 
 
-def suite_kernel(seed, cases) -> SuiteReport:
+def _check_les(fx):
+    """Componentwise exactness equivalence; notes (verdict, failing)."""
+    return d_exactness_report(*fx)
+
+
+def _draw_kernel(rng, case):
+    """f: D -> E, its kernel mono and a map from a free diagram into it."""
+    index = _pick_index(rng)
+    D = random_diagram(rng, index, ZZ)
+    E = random_diagram(rng, index, ZZ)
+    f = random_diag_mor(rng, D, E)
+    K, mono = d_kernel(f)
+    X = random_free_diagram(rng, index, ZZ)
+    return f, mono, random_free_diagram_mor(rng, X, K)
+
+
+def _check_kernel(fx):
     """Kernel universal property and induced structure maps."""
-    rng = random.Random(seed)
-    rep = SuiteReport("kernel", seed, cases)
-    for case in range(cases):
-        index = _pick_index(rng)
-        try:
-            D = random_diagram(rng, index, ZZ)
-            E = random_diagram(rng, index, ZZ)
-            f = random_diag_mor(rng, D, E)
-            K, mono = d_kernel(f)
-            require(mono.then(f).is_zero(), "f . mono != 0")
-            for m in index.nonidentity_morphisms():
-                i, j = index.src(m), index.tgt(m)
-                lhs = K.maps[m].then(mono.comps[j])
-                rhs = mono.comps[i].then(D.maps[m])
-                require(lhs == rhs, "induced kernel square fails")
-            X = random_free_diagram(rng, index, ZZ)
-            into_k = random_free_diagram_mor(rng, X, K)
-            h = into_k.then(mono)
-            require(h.then(f).is_zero(), "f . h != 0")
-            u = d_factor_through_mono(mono, h)
-            require(u.then(mono) == h, "factorization fails")
-            require(abelian.is_mono(mono), "kernel arrow must be monic")
-            require(u == into_k, "factorization is not unique")
-            rep.passed += 1
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+    f, mono, into_k = fx
+    K, D = mono.source, mono.target
+    require(mono.then(f).is_zero(), "f . mono != 0")
+    for m in f.index.nonidentity_morphisms():
+        i, j = f.index.src(m), f.index.tgt(m)
+        lhs = K.maps[m].then(mono.comps[j])
+        rhs = mono.comps[i].then(D.maps[m])
+        require(lhs == rhs, "induced kernel square fails")
+    h = into_k.then(mono)
+    require(h.then(f).is_zero(), "f . h != 0")
+    u = d_factor_through_mono(mono, h)
+    require(u.then(mono) == h, "factorization fails")
+    require(abelian.is_mono(mono), "kernel arrow must be monic")
+    require(u == into_k, "factorization is not unique")
 
 
-_rm_z_f2 = RingMap(ZZ, fp_field(2))
+def _draw_delta(rng, case):
+    """An exponent functor, two random diagram SESs and a random morphism
+    between them (none when only zero maps commute)."""
+    index = _pick_index(rng)
+    base = (tensor_by(cyclic(2), "right"), tensor_by(cyclic(4), "right"),
+            base_change(RingMap(ZZ, fp_field(2))))[case % 3]
+    ses1 = random_diagram_ses(rng, index, ZZ)
+    ses2 = random_diagram_ses(rng, index, ZZ)
+    mor = random_ses_morphism(rng, ses1, ses2)
+    mors = [mor] if mor is not None else []
+    return exponent(base, index), [ses1, ses2], mors
 
 
-def suite_delta(seed, cases, n_max=2) -> SuiteReport:
-    """Delta-functor axioms for exponent functors on random diagram SESs
-    with random morphisms of SESs."""
-    rng = random.Random(seed)
-    rep = SuiteReport("delta", seed, cases)
-    base_specs = [tensor_by(cyclic(2), "right"), tensor_by(cyclic(4), "right"),
-                  base_change(_rm_z_f2)]
-    for case in range(cases):
-        index = _pick_index(rng)
-        F = exponent(base_specs[case % len(base_specs)], index)
-        try:
-            ses1 = random_diagram_ses(rng, index, ZZ)
-            ses2 = random_diagram_ses(rng, index, ZZ)
-            mor = random_ses_morphism(rng, ses1, ses2)
-            mors = [mor] if mor is not None else []
-            report = delta_axiom_suite(F, [ses1, ses2], mors, n_max)
-            require(report.ok(), (report.exactness_failures,
-                                  report.square_failures))
-            rep.passed += 1
-            rep.notes.append((case, report.checked_squares))
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+def _check_delta(fx):
+    """Delta-functor axioms up to degree 2; notes the squares checked."""
+    F, sess, mors = fx
+    report = delta_axiom_suite(F, sess, mors, 2)
+    require(report.ok(), (report.exactness_failures, report.square_failures))
+    return (report.checked_squares,)
 
 
-def suite_iso(seed, cases, n_hi=3) -> SuiteReport:
-    """Comparison isomorphism and its naturality on random diagrams."""
-    rng = random.Random(seed)
-    rep = SuiteReport("iso", seed, cases)
-    base_specs = [tensor_by(cyclic(2), "right"),
-                  base_change(_rm_z_f2),
-                  tensor_by(cyclic(6), "right")]
-    for case in range(cases):
-        index = standard(rng.choice(("arrow", "arrow", "square")))
-        F = base_specs[case % len(base_specs)]
-        n = rng.randint(0, n_hi)
-        try:
-            A = random_diagram(rng, index, ZZ)
-            res = comparison_iso(F, A, n)
-            require(res.iso, "comparison map is not an isomorphism")
-            B = random_diagram(rng, index, ZZ)
-            t = random_diag_mor(rng, A, B)
-            res_b = comparison_iso(F, B, n)
-            expF = exponent(F, index)
-            lhs_comps = {i: derived_map(F, t.comps[i], n) for i in index.objects}
-            lnf_t = DiagMor(res.componentwise, res_b.componentwise, lhs_comps)
-            ln_fi_t = derived_map(expF, t, n)
-            require(lnf_t.then(res_b.map) == res.map.then(ln_fi_t),
-                    "comparison naturality square fails")
-            rep.passed += 1
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+def _draw_iso(rng, case):
+    """A base functor, a degree n <= 3 and a random map t: A -> B."""
+    index = standard(rng.choice(("arrow", "arrow", "square")))
+    F = (tensor_by(cyclic(2), "right"), base_change(RingMap(ZZ, fp_field(2))),
+         tensor_by(cyclic(6), "right"))[case % 3]
+    n = rng.randint(0, 3)
+    A = random_diagram(rng, index, ZZ)
+    B = random_diagram(rng, index, ZZ)
+    return F, n, random_diag_mor(rng, A, B)
+
+
+def _check_iso(fx):
+    """Comparison isomorphism and its naturality along t."""
+    F, n, t = fx
+    res = comparison_iso(F, t.source, n)
+    require(res.iso, "comparison map is not an isomorphism")
+    res_b = comparison_iso(F, t.target, n)
+    lhs_comps = {i: derived_map(F, t.comps[i], n) for i in t.index.objects}
+    lnf_t = DiagMor(res.componentwise, res_b.componentwise, lhs_comps)
+    ln_fi_t = derived_map(exponent(F, t.index), t, n)
+    require(lnf_t.then(res_b.map) == res.map.then(ln_fi_t),
+            "comparison naturality square fails")
 
 
 def _random_fp_module(rng, ring, max_rank=2):
@@ -371,88 +335,72 @@ def _random_fp_module(rng, ring, max_rank=2):
     return _random_subquotient(rng, random_morphism(rng, F1, F2))
 
 
-def suite_balance(seed, cases, n_hi=2) -> SuiteReport:
-    """tor_first vs tor_second comparison over Z and over F_2[C_2]."""
-    from .rings import cyclic_group_table, group_algebra
-
-    rng = random.Random(seed)
-    rep = SuiteReport("balance", seed, cases)
+def _draw_balance(rng, case):
+    """A degree n <= 2 and two random modules, over Z in even cases and
+    over F_2[C_2] in odd ones."""
+    n = rng.randint(0, 2)
+    if case % 2 == 0:
+        return random_z_module(rng), random_z_module(rng), n
     r2 = group_algebra(2, cyclic_group_table(2))
-    for case in range(cases):
-        n = rng.randint(0, n_hi)
-        try:
-            if case % 2 == 0:
-                A = random_z_module(rng)
-                B = random_z_module(rng)
-            else:
-                A = _random_fp_module(rng, r2)
-                B = _random_fp_module(rng, r2)
-            res = balance_comparison(A, B, n)
-            require(res.iso, "balance comparison is not an isomorphism")
-            rep.passed += 1
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+    return _random_fp_module(rng, r2), _random_fp_module(rng, r2), n
 
 
-def suite_ladder(seed, cases, n_max=2) -> SuiteReport:
-    """Two-variable ladders, both variable orders, base and diagram level."""
-    rng = random.Random(seed)
-    rep = SuiteReport("ladder", seed, cases)
-    point = standard("point")
-    arrow = standard("arrow")
-    for case in range(cases):
-        mode = case % 4
-        try:
-            if mode in (0, 1):
-                ses1 = random_module_ses(rng, ZZ, random_z_module)
-                ses2 = random_module_ses(rng, ZZ, random_z_module)
-                mor = random_ses_morphism(rng, ses1, ses2)
-                if mor is None:
-                    mor = MorphismOfSES(ses1, ses1,
-                                        ses1.L.identity(), ses1.M.identity(),
-                                        ses1.N.identity())
-                A = random_z_module(rng)
-                B = random_z_module(rng)
-                g = random_morphism(rng, A, B)
-                if mode == 0:
-                    result = ladder(mor, g, n_max)
-                else:
-                    result = ladder_switched(mor, g, n_max)
-                require(result.passed(), (result.squares,
-                                          result.row_src.failing_positions(),
-                                          result.row_dst.failing_positions()))
-            else:
-                index = arrow if case % 8 < 6 else standard("parallel_pair")
-                ses1 = random_diagram_ses(rng, index, ZZ)
-                mor = random_ses_morphism(rng, ses1, ses1)
-                if mor is None:
-                    mor = MorphismOfSES(ses1, ses1,
-                                        ses1.L.identity(), ses1.M.identity(),
-                                        ses1.N.identity())
-                J = point if case % 8 < 4 else arrow
-                A = random_diagram(rng, J, ZZ)
-                B = random_diagram(rng, J, ZZ)
-                g = random_diag_mor(rng, A, B)
-                if mode == 2:
-                    result = diagram_ladder(mor, g, 1)
-                else:
-                    # switched: the SES sits in the second variable
-                    result = diagram_ladder_switched(mor, g, 1)
-                require(result.passed(), (
-                    [k for k, v in result.squares.items() if not v],
-                    [k for k, v in result.exact.items() if not v]))
-            rep.passed += 1
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+def _check_balance(fx):
+    """tor_first vs tor_second comparison."""
+    require(balance_comparison(*fx).iso,
+            "balance comparison is not an isomorphism")
+
+
+def _ses_morphism_or_identity(rng, ses1, ses2):
+    mor = random_ses_morphism(rng, ses1, ses2)
+    if mor is None:
+        mor = MorphismOfSES(ses1, ses1, ses1.L.identity(), ses1.M.identity(),
+                            ses1.N.identity())
+    return mor
+
+
+def _draw_ladder(rng, case):
+    """Cycling through case % 4: ladder and ladder_switched of Z-modules
+    to degree 2, then diagram_ladder and diagram_ladder_switched of
+    Z-diagrams over I = arrow or parallel_pair, J = point or arrow, to
+    degree 1."""
+    mode = case % 4
+    if mode < 2:
+        ses1 = random_module_ses(rng, ZZ, random_z_module)
+        ses2 = random_module_ses(rng, ZZ, random_z_module)
+        mor = _ses_morphism_or_identity(rng, ses1, ses2)
+        A = random_z_module(rng)
+        B = random_z_module(rng)
+        return mode, mor, random_morphism(rng, A, B)
+    index = standard("arrow" if case % 8 < 6 else "parallel_pair")
+    ses1 = random_diagram_ses(rng, index, ZZ)
+    mor = _ses_morphism_or_identity(rng, ses1, ses1)
+    J = standard("point" if case % 8 < 4 else "arrow")
+    A = random_diagram(rng, J, ZZ)
+    B = random_diagram(rng, J, ZZ)
+    return mode, mor, random_diag_mor(rng, A, B)
+
+
+def _check_ladder(fx):
+    """Two-variable ladders, both variable orders (in the switched ones
+    the SES sits in the second variable)."""
+    mode, mor, g = fx
+    if mode < 2:
+        result = (ladder, ladder_switched)[mode](mor, g, 2)
+        require(result.passed(), (result.squares,
+                                  result.row_src.failing_positions(),
+                                  result.row_dst.failing_positions()))
+    else:
+        result = (diagram_ladder, diagram_ladder_switched)[mode - 2](mor, g, 1)
+        require(result.passed(), (
+            [k for k, v in result.squares.items() if not v],
+            [k for k, v in result.exact.items() if not v]))
 
 
 def _random_fp_complex(rng, p, length, max_dim=3):
     """Random chain complex of F_p spaces with d.d = 0."""
     dims = [rng.randint(0, max_dim) for _ in range(length + 1)]
     mats = {}
-    prev_kernel = None
     for k in range(1, length + 1):
         rows, cols = dims[k - 1], dims[k]
         raw = FpMatrix(p, rows, cols,
@@ -524,73 +472,80 @@ def _rank_list(p, vectors, dim):
     return fplinalg.rank(fplinalg.fp_from_columns(p, vectors, dim))
 
 
-def suite_ss(seed, cases, r_hi=4) -> SuiteReport:
-    """Page computation against closed-form filtration subquotients on
-    random tensor-product double complexes, plus Euler characteristics."""
-    rng = random.Random(seed)
-    rep = SuiteReport("ss", seed, cases)
-    for case in range(cases):
-        p = 2
-        try:
-            dims_c, mats_c = _random_fp_complex(rng, p, 3)
-            dims_d, mats_d = _random_fp_complex(rng, p, 3)
-            dims = {}
-            d_h = {}
-            d_v = {}
-            for s in range(4):
-                for t in range(4):
-                    dims[(s, t)] = dims_c[s] * dims_d[t]
-            ops = ring_ops(fp_field(p))
-            for s in range(4):
-                for t in range(4):
-                    if dims[(s, t)] == 0:
-                        continue
-                    if s >= 1 and dims[(s - 1, t)]:
-                        d_h[(s, t)] = ops.kron(mats_c[s], ops.identity(dims_d[t]))
-                    if t >= 1 and dims[(s, t - 1)]:
-                        m = ops.kron(ops.identity(dims_c[s]), mats_d[t])
-                        if s % 2 == 1:
-                            m = m.scale(p - 1)
-                        d_v[(s, t)] = m
-            dc = DoubleComplex(p, 3, 3, dims, d_h, d_v)
-            ss = ss_pages(dc, r_stop=r_hi)
-            # closed-form oracle for every page cell
-            for r in range(2, r_hi + 1):
-                for n in range(7):
-                    for (s, t) in ss.internal.tot.cells.get(n, []):
-                        want = _closed_form_cell(dc, ss.internal.tot, r, s, t)
-                        got = ss.pages[r].get((s, t), 0)
-                        require(got == want, (r, (s, t), got, want))
-            # Euler characteristic conservation (global alternating sum)
-            euler = None
-            for r in range(2, r_hi + 1):
-                val = sum((-1) ** (s + t) * d
-                          for (s, t), d in ss.pages[r].items())
-                if euler is None:
-                    euler = val
-                require(val == euler, "Euler characteristic drifts across pages")
-            abut_euler = sum((-1) ** n * d for n, d in ss.abutment.items())
-            require(abut_euler == euler, "Euler characteristic drifts to abutment")
-            # abutment vs E_inf
-            require(ss.converged(), "filtration does not converge")
-            rep.passed += 1
-        except (VerificationFailure, ExactnessError) as exc:
-            rep.failures.append((case, str(exc)))
-    return rep
+def _draw_ss(rng, case):
+    """The tensor product double complex of two random F_2 complexes of
+    length 3 (vertical differential signed by (-1)^s)."""
+    p = 2
+    dims_c, mats_c = _random_fp_complex(rng, p, 3)
+    dims_d, mats_d = _random_fp_complex(rng, p, 3)
+    dims = {(s, t): dims_c[s] * dims_d[t] for s in range(4) for t in range(4)}
+    d_h = {}
+    d_v = {}
+    ops = ring_ops(fp_field(p))
+    for s in range(4):
+        for t in range(4):
+            if dims[(s, t)] == 0:
+                continue
+            if s >= 1 and dims[(s - 1, t)]:
+                d_h[(s, t)] = ops.kron(mats_c[s], ops.identity(dims_d[t]))
+            if t >= 1 and dims[(s, t - 1)]:
+                m = ops.kron(ops.identity(dims_c[s]), mats_d[t])
+                if s % 2 == 1:
+                    m = m.scale(p - 1)
+                d_v[(s, t)] = m
+    return DoubleComplex(p, 3, 3, dims, d_h, d_v)
+
+
+def _check_ss(dc):
+    """Pages E_2..E_4 against closed-form filtration subquotients, and
+    Euler characteristics."""
+    r_hi = 4
+    ss = ss_pages(dc, r_stop=r_hi)
+    # closed-form oracle for every page cell
+    for r in range(2, r_hi + 1):
+        for n in range(7):
+            for (s, t) in ss.internal.tot.cells.get(n, []):
+                want = _closed_form_cell(dc, ss.internal.tot, r, s, t)
+                got = ss.pages[r].get((s, t), 0)
+                require(got == want, (r, (s, t), got, want))
+    # Euler characteristic conservation (global alternating sum)
+    euler = None
+    for r in range(2, r_hi + 1):
+        val = sum((-1) ** (s + t) * d for (s, t), d in ss.pages[r].items())
+        if euler is None:
+            euler = val
+        require(val == euler, "Euler characteristic drifts across pages")
+    abut_euler = sum((-1) ** n * d for n, d in ss.abutment.items())
+    require(abut_euler == euler, "Euler characteristic drifts to abutment")
+    # abutment vs E_inf
+    require(ss.converged(), "filtration does not converge")
 
 
 SUITES = {
-    "les": suite_les,
-    "kernel": suite_kernel,
-    "delta": suite_delta,
-    "iso": suite_iso,
-    "ladder": suite_ladder,
-    "balance": suite_balance,
-    "ss": suite_ss,
+    "les": (_draw_les, _check_les),
+    "kernel": (_draw_kernel, _check_kernel),
+    "delta": (_draw_delta, _check_delta),
+    "iso": (_draw_iso, _check_iso),
+    "ladder": (_draw_ladder, _check_ladder),
+    "balance": (_draw_balance, _check_balance),
+    "ss": (_draw_ss, _check_ss),
 }
 
 
 def run_suite(name, seed, cases) -> SuiteReport:
+    """Draw and check cases 0..cases-1 of suite `name`, in order, from one
+    random.Random(seed)."""
     if name not in SUITES:
         raise KeyError(f"unknown verification suite {name!r}")
-    return SUITES[name](seed, cases)
+    draw, check = SUITES[name]
+    rng = random.Random(seed)
+    rep = SuiteReport(name, seed, cases)
+    for case in range(cases):
+        try:
+            note = check(draw(rng, case))
+            rep.passed += 1
+            if note is not None:
+                rep.notes.append((case, *note))
+        except (VerificationFailure, ExactnessError) as exc:
+            rep.failures.append((case, str(exc)))
+    return rep

@@ -1,11 +1,11 @@
 """Independent oracles for the test suite.
 
 These deliberately avoid the library's computation paths: invariant
-factors from gcds of minors, kernels by exhaustive search, homology of
-hand-built periodic resolutions by rank counting, the connecting map
-by an element-by-element zig-zag, and the maps of spectral sequences of a
-diagram carried page by page in canonical coordinates, one module
-spectral sequence per index object.
+factors from gcds of minors, determinants by fraction-free elimination,
+kernels by exhaustive search, homology of hand-built periodic resolutions
+by rank counting, the connecting map by an element-by-element zig-zag,
+and the maps of spectral sequences of a diagram carried page by page in
+canonical coordinates, one module spectral sequence per index object.
 """
 
 from dataclasses import dataclass
@@ -15,9 +15,10 @@ from math import gcd
 from functor_homology import fplinalg, functors
 from functor_homology.complexes import homology_at, induced_on_homology
 from functor_homology.derived import lift_resolution_map
-from functor_homology.errors import ExactnessError
+from functor_homology.errors import ExactnessError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
+from functor_homology.intlinalg import IntMatrix
 from functor_homology.modules import Element, ModMor, preimage
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
                                        _class_map, _cycles_in_prefix,
@@ -63,6 +64,38 @@ def invariant_factors_by_minors(data):
         out.append(g // prev)
         prev = g
     return out
+
+
+def det_sign_of_unimodular(M: IntMatrix) -> int:
+    """Determinant of a matrix known to be unimodular (+1 or -1).
+
+    Fraction-free Gaussian elimination, independent of the Smith normal
+    form; the unimodularity oracle for its U and V.
+    """
+    n = M.rows
+    if n != M.cols:
+        raise ShapeError("only a square matrix can be unimodular")
+    a = [list(r) for r in M.data]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    d = sign * prev
+    if d not in (1, -1):
+        raise ExactnessError("matrix was not unimodular")
+    return d
 
 
 def brute_solve_int(data, b, box=6):

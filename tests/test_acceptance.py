@@ -12,7 +12,7 @@ from functor_homology.diagrams import Diagram
 from functor_homology.dsl import parse, print_doc
 from functor_homology.fplinalg import FpMatrix
 from functor_homology.functors import base_change
-from functor_homology.intlinalg import IntMatrix, det_sign_of_unimodular, snf
+from functor_homology.intlinalg import IntMatrix, snf
 from functor_homology.modules import (ModMor, ModuleObj, cyclic, identity_mor,
                                       trivial_module)
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
@@ -21,7 +21,8 @@ from functor_homology.rings import (augmentation_map, cyclic_group_table,
 from functor_homology.spectral import grothendieck_ss, ss_componentwise
 from functor_homology.verification import run_suite
 from functor_homology import runner
-from oracle import cyclic_group_homology_dims, product_c2_homology_dims
+from oracle import (cyclic_group_homology_dims, det_sign_of_unimodular,
+                    product_c2_homology_dims)
 
 DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
 

@@ -284,8 +284,7 @@ from functor_homology.complexes import ChainMap, Complex, SESOfComplexes
 from functor_homology.derived import (Resolution, connecting,
                                       lift_resolution_map, resolve)
 from functor_homology.fplinalg import fp_from_columns
-from functor_homology.intlinalg import (IntMatrix, det_sign_of_unimodular,
-                                        from_columns, hstack)
+from functor_homology.intlinalg import IntMatrix, from_columns, hstack
 from functor_homology.rings import FP_ALGEBRA, Ring
 
 M22 = IntMatrix(2, 2, [[1, 2], [3, 4]])
@@ -297,8 +296,6 @@ expect(ShapeError, lambda: fp_from_columns(2, [[1, 0, 1], [1, 1]], 2), "column 0
 expect(ShapeError, lambda: fp_from_columns(2, [[1, 1], [1]], 2), "column 1")
 expect(ShapeError, lambda: from_columns([[1, 0, 1], [1, 1]], 2), "column 0")
 expect(ShapeError, lambda: from_columns([[1, 1], [1]], 2), "column 1")
-expect(ShapeError, lambda: det_sign_of_unimodular(IntMatrix(1, 2, [[1, 0]])))
-expect(ExactnessError, lambda: det_sign_of_unimodular(IntMatrix(1, 1, [[2]])))
 expect(ShapeError, lambda: Complex(2, 1, {}, {}))
 expect(ShapeError, lambda: resolve(Z2, 1).mono(0))
 expect(ShapeError, lambda: resolve(Z2, 1).diff(0))

@@ -7,7 +7,7 @@ import pytest
 
 from functor_homology.abelian import image, is_iso
 from functor_homology.errors import ExactnessError, MorphismError, ShapeError
-from functor_homology import fplinalg, intlinalg
+from functor_homology import fplinalg, intlinalg, modules
 from functor_homology.intlinalg import from_columns, hstack
 from functor_homology.modules import (Element, ModMor, biproduct,
                                       cofactor_through_epi,
@@ -261,19 +261,24 @@ def test_preconditions_hold_under_optimize():
     assert out.returncode == 0, out.stderr
 
 
+def _solve_alone(f, b):
+    """Some x with f.matrix x = b modulo f.target's relations, or None,
+    from a factorisation built for this right-hand side alone."""
+    T = f.target
+    if T.ring.is_integers:
+        system = hstack([f.matrix, from_columns([list(r) for r in T.rels], T.gens)])
+        x = intlinalg.solve(system, b)
+        return None if x is None else x[: f.source.gens]
+    return fplinalg.solve(f.matrix, b)
+
+
+
 def _solving_oracle(epi, w):
     """The map v with v . epi = w, by solving epi.matrix x = e_k modulo
     the target's relations for every generator e_k of epi.target."""
     Q = epi.target
-    if Q.ring.is_integers:
-        system = hstack([epi.matrix, from_columns([list(r) for r in Q.rels], Q.gens)])
-        cols = [intlinalg.solve(system, e)[: epi.source.gens]
-                for e in fplinalg.unit_vectors(Q.gens)]
-        sec = from_columns(cols, epi.source.gens)
-    else:
-        cols = [fplinalg.solve(epi.matrix, e) for e in fplinalg.unit_vectors(Q.gens)]
-        sec = fplinalg.fp_from_columns(Q.ring.p, cols, epi.source.gens)
-    return ModMor(Q, w.target, w.matrix.mul(sec))
+    cols = [_solve_alone(epi, e) for e in fplinalg.unit_vectors(Q.gens)]
+    return ModMor(Q, w.target, w.matrix.mul(epi.ops.from_columns(cols, epi.source.gens)))
 
 
 def test_cofactor_through_cokernel_matches_solving_oracle():
@@ -337,3 +342,77 @@ def test_section_faults_raise(flags):
     out = subprocess.run([sys.executable, *flags, "-c", SECTION_FAULTS],
                          env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
+
+
+def _module_maker(which):
+    """A random module maker over `which` ("Z" or "F2[C2]"), and its ring."""
+    if which == "Z":
+        return random_z_module, ZZ
+    r2 = group_algebra(2, cyclic_group_table(2))
+    return (lambda r: _random_fp_module(r, r2)), r2
+
+
+def _random_coords(rng, M):
+    hi = 3 if M.ring.is_integers else M.ring.p - 1
+    return [rng.randint(-hi if M.ring.is_integers else 0, hi) for _ in range(M.gens)]
+
+
+@pytest.mark.parametrize("which", ["Z", "F2[C2]"])
+def test_preimages_build_one_solver_per_call(which, monkeypatch):
+    make, ring = _module_maker(which)
+    rng = random.Random(43)
+    ops = free_module(ring, 1).ops
+    calls = []
+    true_solver = type(ops).solver
+    monkeypatch.setattr(type(ops), "solver",
+                        lambda self, f: calls.append(f) or true_solver(self, f))
+    for _ in range(40):
+        f = random_morphism(rng, make(rng), make(rng))
+        bs = [f.matrix.mul_vec(_random_coords(rng, f.source))
+              for _ in range(rng.randint(1, 4))]
+        calls.clear()
+        assert modules._preimages(f, [], "unused") == []
+        assert calls == []
+        got = modules._preimages(f, bs, "must be solvable")
+        assert calls == [f]
+        assert got == [_solve_alone(f, b) for b in bs]
+
+
+@pytest.mark.parametrize("which", ["Z", "F2[C2]"])
+def test_shared_solver_matches_solving_each_alone(which):
+    # factor_through_mono, lift_through_epi, section and preimage solve
+    # every right-hand side with one factorisation of the map; each answer
+    # must be the one a factorisation for that right-hand side alone gives
+    make, ring = _module_maker(which)
+    rng = random.Random(47)
+    solved = 0
+    for _ in range(60):
+        A, B, X = make(rng), make(rng), make(rng)
+        f = random_morphism(rng, A, B)
+        # a mono and a map that factors through it
+        K, mono = kernel(f)
+        h = random_morphism(rng, X, K).then(mono)
+        u = factor_through_mono(mono, h)
+        cols = [_solve_alone(mono, h.matrix.col(j)) for j in range(h.source.gens)]
+        assert u.matrix == mono.ops.from_columns(cols, K.gens)
+        solved += len(cols)
+        # an epi built without its section, and a map out of a free module
+        Q, carrying = cokernel(f)
+        epi = ModMor(B, Q, carrying.matrix)
+        assert "section" not in epi._cache
+        cols = [_solve_alone(epi, e) for e in fplinalg.unit_vectors(Q.gens)]
+        assert modules.section(epi) == epi.ops.from_columns(cols, B.gens)
+        solved += len(cols)
+        P = free_module(ring, rng.randint(0, 2))
+        g = random_morphism(rng, P, Q)
+        cols = []
+        for gc in free_generator_columns(P):
+            x = _solve_alone(epi, g.matrix.mul_vec(gc))
+            cols.extend(epi.ops.free_images(B, x))
+            solved += 1
+        assert lift_through_epi(g, epi).matrix == epi.ops.from_columns(cols, B.gens)
+        # an element of the image of f
+        y = f.apply(Element(A, _random_coords(rng, A)))
+        assert list(preimage(f, y).coords) == _solve_alone(f, list(y.coords))
+        solved += 1
+    assert solved >= 200

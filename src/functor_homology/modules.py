@@ -7,7 +7,8 @@ the vector space F_p^gens (`dim` reads the same number) with its action
 matrices, and no relations.
 
 Morphisms are matrices on generators, validated at construction: they must
-map relations into relations and commute with every action matrix.  Two
+map relations into relations and commute with the action of every algebra
+generator.  Two
 morphisms with the same endpoints are equal when every column of their
 difference lies in the target's relations.  `same_map_into` decides this
 on the matrices, without building any morphism: identical matrices are
@@ -35,6 +36,18 @@ these two.
 built on it.  `HomSystem` builds the linear system for unknown module
 matrices behind every hom-space solver.  Values are immutable after
 construction and every operation is pure.
+
+Validation follows one rule.  Outside input is checked in full:
+`ModuleObj(..., check=True)` tests the unit and every structure constant
+on the action matrices, and that a module marked free (`free_rank`) has
+the layout of `free_module`, which free covers, lifting and base change
+rely on.  Modules the package builds (`check=False`)
+inherit their laws from the checked map that defines them: free modules
+and biproducts by their block layout, a kernel or submodule K from its
+inclusion w, and a quotient Q from its epi q (see `_AlgebraOps`).  Maps
+are checked on `Ring.algebra_generators`: when both endpoints' actions
+are representations, {x : f.a_x = b_x.f} is a subalgebra, so commuting
+with the generators is commuting with everything.
 
 `ModuleObj` and `ModMor` answer the method interface listed in `abelian`.
 Each method calls the function of this module by its global name (never a
@@ -232,7 +245,13 @@ class _AlgebraOps(_RingOps):
     def quotient(self, M, cols):
         """The epi from M onto M modulo the span of cols: extend a basis of
         the span by unit vectors; the quotient map takes the coordinates
-        along the added ones, which also give its section."""
+        along the added ones, which also give its section.
+
+        Q's actions are q.a.sec, built unchecked; the checked epi proves
+        them.  q.sec = 1, and q.a_g = b_g.q for each generator g puts
+        a_g(ker q) inside ker q.  So ker q is invariant under the whole
+        algebra, M's actions descend to Q, and the descended action of a
+        is q.a.sec: Q is a module and q commutes with every action."""
         p, n = self.p, M.gens
         span = fplinalg.Span(p, n, cols)
         r = len(span)
@@ -241,21 +260,33 @@ class _AlgebraOps(_RingOps):
             span.insert(e)
         q_mat = fp_from_columns(p, [span.coords(e)[r:] for e in units], n - r)
         sec = fp_from_columns(p, span.basis[r:], n)
-        Q = ModuleObj(M.ring, n - r, actions=[q_mat.mul(a).mul(sec) for a in M.actions])
+        Q = ModuleObj(M.ring, n - r, actions=[q_mat.mul(a).mul(sec) for a in M.actions],
+                      check=False)
         epi = ModMor(M, Q, q_mat)
         epi._cache["section"] = sec
         return epi
 
     def submodule(self, M, cols):
-        """The subspace spanned by cols, with the actions solved on it."""
-        w = fp_from_columns(self.p, cols, M.gens)
-        actions = []
+        """The subspace spanned by cols (independent columns, as
+        `kernel_basis` gives), with every action solved on it in one system
+        w X = [a_1 w | ... | a_d w] (one span of w's columns).
+
+        K is built unchecked: w is injective and w.x_a = a.w holds exactly
+        for every basis element a, so x_a.x_b and the structure-constant
+        sum agree after w, hence before it, and the unit acts as 1.  The
+        inclusion is still a checked map."""
+        p, k = self.p, len(cols)
+        w = fp_from_columns(p, cols, M.gens)
+        images = []
         for act in M.actions:
-            x = fplinalg.solve_matrix(w, act.mul(w))
-            if x is None:
-                raise ExactnessError("kernel subspace must be action-invariant")
-            actions.append(x)
-        K = ModuleObj(M.ring, len(cols), actions=actions)
+            aw = act.mul(w)
+            images.extend(aw.col(j) for j in range(k))
+        x = fplinalg.solve_matrix(w, fp_from_columns(p, images, M.gens))
+        if x is None:
+            raise ExactnessError("kernel subspace must be action-invariant")
+        actions = [self.matrix(k, k, [row[a * k:(a + 1) * k] for row in x.data])
+                   for a in range(self.n_actions)]
+        K = ModuleObj(M.ring, k, actions=actions, check=False)
         return K, ModMor(K, M, w)
 
     def generators(self, M):
@@ -306,6 +337,8 @@ class ModuleObj:
                 raise ShapeError("action matrix has wrong shape")
         if check and gens and self.actions:
             self._check_actions()
+        if check and free_rank is not None and self != free_module(ring, free_rank):
+            raise ShapeError("a module marked free must have the layout of free_module")
 
     @property
     def dim(self):
@@ -512,14 +545,21 @@ class ModMor:
             self._check()
 
     def _check(self):
+        """Relations go into relations, and the map commutes with the action
+        of every algebra generator (`Ring.algebra_generators`).  That is the
+        full check: both endpoints' actions are representations, so the x
+        with f.a_x = b_x.f form a subalgebra, which holds the generators
+        and therefore everything."""
         for rel in self.source.rels:
             img = self.matrix.mul_vec(list(rel))
             if not self.target.in_relations(img):
                 raise MorphismError(
                     f"relation {list(rel)} is not sent into target relations")
-        for a, (src_act, tgt_act) in enumerate(zip(self.source.actions,
-                                                   self.target.actions)):
-            if self.matrix.mul(src_act) != tgt_act.mul(self.matrix):
+        if not (self.source.gens and self.target.gens):
+            return
+        src, tgt = self.source.actions, self.target.actions
+        for a in self.ring.algebra_generators:
+            if self.matrix.mul(src[a]) != tgt[a].mul(self.matrix):
                 raise MorphismError(f"map does not commute with action {a}")
 
     def then(self, other: "ModMor") -> "ModMor":

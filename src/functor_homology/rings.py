@@ -8,7 +8,7 @@ construction so downstream code can rely on them.
 from __future__ import annotations
 
 from .errors import ShapeError
-from .fplinalg import fp_from_columns, is_prime
+from .fplinalg import Span, fp_from_columns, is_prime
 
 INT = "integers"
 FP_ALGEBRA = "fp_algebra"
@@ -25,12 +25,14 @@ class Ring:
     `unit` the coordinates of 1, and `regular` the regular representation:
     the matrix of left multiplication by each e_a, built once here (these
     are matrices, so the ring still holds no modules; over Z it is empty).
+    `algebra_generators` are basis indices whose products span the algebra
+    (see `_generators`; empty over Z and over F_p itself).
     `_ops` is the ring's one ops object, set by `modules.ring_ops` on first
     use; it too holds matrices and no modules.
     """
 
     __slots__ = ("kind", "p", "dim", "basis", "mult", "unit", "label", "regular",
-                 "_ops")
+                 "algebra_generators", "_ops")
 
     def __init__(self, kind, p=None, dim=None, basis=None, mult=None, unit=None,
                  label=None):
@@ -44,6 +46,7 @@ class Ring:
             self.unit = None
             self.label = label or "Z"
             self.regular = ()
+            self.algebra_generators = ()
             return
         if kind != FP_ALGEBRA:
             raise ShapeError(f"unknown ring kind {kind!r}")
@@ -60,6 +63,7 @@ class Ring:
         self.label = label or f"F{p}-algebra(dim {dim})"
         self._validate()
         self.regular = tuple(self.left_mult_matrix(self._e(a)) for a in range(dim))
+        self.algebra_generators = self._generators()
 
     def _validate(self):
         d, p = self.dim, self.p
@@ -82,6 +86,24 @@ class Ring:
                     right = self.multiply(self._e(a), self.mult[b][c])
                     if left != right:
                         raise RingError(f"associativity fails on triple {(a, b, c)}")
+
+    def _generators(self):
+        """Basis indices whose products span the algebra, chosen greedily in
+        basis order: e_a joins when it lies outside the subalgebra the
+        earlier choices generate, i.e. the span of the unit closed under
+        right multiplication by every choice."""
+        chosen = []
+        span = Span(self.p, self.dim, [self.unit])
+        for a in range(self.dim):
+            if span.contains(self._e(a)):
+                continue
+            chosen.append(a)
+            k = 0
+            while k < len(span.basis):
+                for g in chosen:
+                    span.insert(self.multiply(span.basis[k], self._e(g)))
+                k += 1
+        return tuple(chosen)
 
     def _e(self, a):
         v = [0] * self.dim

@@ -4,8 +4,10 @@ These deliberately avoid the library's computation paths: invariant
 factors from gcds of minors, determinants by fraction-free elimination,
 kernels by exhaustive search, homology of hand-built periodic resolutions
 by rank counting, the connecting map by an element-by-element zig-zag,
-and the maps of spectral sequences of a diagram carried page by page in
-canonical coordinates, one module spectral sequence per index object.
+the maps of spectral sequences of a diagram carried page by page in
+canonical coordinates, one module spectral sequence per index object,
+morphisms checked against every algebra basis element, and base change
+of every module by the quotient of its cover.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from functor_homology.errors import ExactnessError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
 from functor_homology.intlinalg import IntMatrix
-from functor_homology.modules import Element, ModMor, preimage
+from functor_homology.modules import Element, ModMor, ModuleObj, preimage
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
                                        _class_map, _cycles_in_prefix,
                                        grothendieck_ss)
@@ -192,6 +194,27 @@ def connecting_by_elements(sub, mid, quo, incl, proj, n):
         cols.append(list(sub_l.epi.apply(kl).coords))
     return ModMor(sub_n.obj, sub_l.obj,
                   sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))
+
+
+def commutes_with_every_action(A, B, matrix):
+    """Does `matrix` (B.gens x A.gens) commute with the action of every
+    algebra basis element, generator or not?"""
+    return all(matrix.mul(a) == b.mul(matrix) for a, b in zip(A.actions, B.actions))
+
+
+def base_change_by_quotient(rm, M):
+    """The epi onto S (x)_R M for R an F_p-algebra, free M or not: the cover
+    S (x)_{F_p} M modulo s.rm(a) (x) x - s (x) a.x for every basis element
+    a, by the algebra's `quotient`."""
+    S = rm.target
+    ops, ident = M.ops, M.ops.identity(M.gens)
+    cover = ModuleObj(S, S.dim * M.gens, actions=[ops.kron(lam, ident) for lam in S.regular])
+    cols = []
+    for image, act in zip(rm.images, M.actions):
+        m = ops.kron(S.right_mult_matrix(image), ident).add(
+            ops.kron(ops.identity(S.dim), act).scale(-1))
+        cols.extend(m.col(j) for j in range(m.cols))
+    return cover.ops.quotient(cover, cols)
 
 
 # -- maps of spectral sequences in canonical coordinates ---------------------

@@ -15,12 +15,13 @@ from functor_homology.functors import (NatSpec, apply, apply_to_complex,
                                        tensor_with)
 from functor_homology.fplinalg import fp_from_columns, solve, unit_vectors
 from functor_homology.modules import (ModMor, cokernel, cyclic, free_module,
-                                      identity_mor, ring_as_module, section,
-                                      simplify, trivial_module, zero_mor,
-                                      zero_module)
+                                      identity_mor, nary_biproduct,
+                                      ring_as_module, section, simplify,
+                                      trivial_module, zero_mor, zero_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
-                                    group_algebra, group_ring_map)
+                                    group_algebra, group_ring_map,
+                                    product_group_table)
 from functor_homology.tensorops import (base_change_data, base_change_mor,
                                         tensor_data, tensor_obj,
                                         tensor_unit_map)
@@ -28,6 +29,8 @@ from functor_homology.verification import (_random_fp_module, random_diag_mor,
                                            random_diagram, random_morphism,
                                            random_z_module)
 from functor_homology.abelian import is_iso
+
+from oracle import base_change_by_quotient
 
 ARROW = standard("arrow")
 
@@ -123,6 +126,82 @@ def test_base_change_mor_matches_solving_oracle():
             assert image.matrix == oracle
             nonzero += not image.is_zero()
     assert nonzero >= 30
+
+
+def _free_base_change_fixtures(rng):
+    """(ring map, free modules, other modules) over F_p-algebra sources:
+    augmentations, quotients, an inclusion F_2[C2] -> F_2[C4], the unit map
+    of F_2[C2], and an isomorphism onto F_2[C2] from a copy whose unit is
+    its second basis element.  Free modules are `free_module`s (rank 0 too)
+    and biproducts of them; the others are trivial and random modules."""
+    c2 = cyclic_group_table(2)
+    r2, r4 = group_algebra(2, c2), group_algebra(2, cyclic_group_table(4))
+    r22 = group_algebra(2, product_group_table(c2, c2))
+    r3 = group_algebra(3, cyclic_group_table(3))
+    unit_second = group_algebra(2, [[1, 0], [0, 1]])
+    maps = [augmentation_map(r2), augmentation_map(r3),
+            group_ring_map(r4, r2, [0, 1, 0, 1]), group_ring_map(r22, r2, [0, 1, 0, 1]),
+            group_ring_map(r2, r4, [0, 2]), RingMap(fp_field(2), r2, [(1, 0)]),
+            group_ring_map(unit_second, r2, [1, 0])]
+    out = []
+    for rm in maps:
+        R = rm.source
+        free = [free_module(R, k) for k in (0, 1, 2)]
+        free.append(nary_biproduct([free_module(R, 1), free_module(R, rng.randint(1, 2))]).obj)
+        other = [trivial_module(R), _random_fp_module(rng, R, max_rank=1)]
+        out.append((rm, free, other))
+    return out
+
+
+def _comparison(rm, M):
+    """The map from the quotient route's S (x)_R M to base_change_data's,
+    through the oracle epi's section, with the oracle epi."""
+    old, new = base_change_by_quotient(rm, M), base_change_data(rm, M)
+    assert old.source == new.source and old.target.gens == new.target.gens
+    comp = ModMor(old.target, new.target, new.matrix.mul(section(old)))
+    assert old.then(comp) == new
+    return old, comp
+
+
+def test_free_base_change_matches_quotient_route():
+    rng = random.Random(59)
+    built = 0
+    for rm, free, other in _free_base_change_fixtures(rng):
+        for M in free:
+            epi = base_change_data(rm, M)
+            assert epi.target.free_rank == M.free_rank
+            assert epi.target.gens == M.free_rank * rm.target.dim
+            assert epi.matrix.mul(section(epi)) == epi.ops.identity(epi.target.gens)
+            _, comp = _comparison(rm, M)
+            assert is_iso(comp)
+            built += 1
+        for M in other:
+            assert base_change_data(rm, M).target.free_rank is None
+    assert built == 28
+
+
+def test_free_base_change_is_natural():
+    # the comparison isomorphisms commute with base_change_mor on maps
+    # free -> free, free -> other and other -> free
+    rng = random.Random(61)
+    checked = nonzero = 0
+    for rm, free, other in _free_base_change_fixtures(rng):
+        free = free[1:]  # nonzero maps; rank 0 is covered above
+        pairs = [(rng.choice(free), rng.choice(free)) for _ in range(3)]
+        pairs += [(rng.choice(free), M) for M in other]
+        pairs += [(M, rng.choice(free)) for M in other]
+        for A, B in pairs:
+            f = random_morphism(rng, A, B)
+            old_a, comp_a = _comparison(rm, A)
+            old_b, comp_b = _comparison(rm, B)
+            lifted = f.ops.kron(f.ops.identity(rm.target.dim), f.matrix)
+            f_old = ModMor(old_a.target, old_b.target,
+                           old_b.matrix.mul(lifted).mul(section(old_a)))
+            f_new = base_change_mor(rm, f)
+            assert comp_a.then(f_new) == f_old.then(comp_b)
+            checked += 1
+            nonzero += not f_new.is_zero()
+    assert checked == 49 and nonzero >= 20
 
 
 def test_tensor_functoriality_and_additivity():

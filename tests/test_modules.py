@@ -9,7 +9,7 @@ from functor_homology.abelian import image, is_iso
 from functor_homology.errors import ExactnessError, MorphismError, ShapeError
 from functor_homology import fplinalg, intlinalg, modules
 from functor_homology.intlinalg import from_columns, hstack
-from functor_homology.modules import (Element, ModMor, biproduct,
+from functor_homology.modules import (Element, ModMor, ModuleObj, biproduct,
                                       cofactor_through_epi,
                                       cokernel, cyclic, enumerate_elements,
                                       factor_through_mono, free_cover,
@@ -18,9 +18,13 @@ from functor_homology.modules import (Element, ModMor, biproduct,
                                       kernel,
                                       lift_through_epi, nary_biproduct,
                                       preimage, trivial_module, zero_mor)
-from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
+from functor_homology.fplinalg import fp_from_columns
+from functor_homology.rings import (ZZ, cyclic_group_table, fp_field,
+                                    group_algebra, product_group_table)
 from functor_homology.verification import (_random_fp_module, random_morphism,
                                            random_z_module)
+
+from oracle import commutes_with_every_action
 
 
 def borel_sets(f):
@@ -227,7 +231,10 @@ from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 Z2 = cyclic(2)
 R2 = group_algebra(2, cyclic_group_table(2))
 ONE = FpMatrix(2, 1, 1, [[1]])
+I2 = FpMatrix.identity(2, 2)
 for call in (lambda: nary_biproduct([]),
+             lambda: ModuleObj(R2, 2, actions=[I2, I2], free_rank=1),
+             lambda: ModuleObj(ZZ, 1, rels=[[2]], free_rank=1),
              lambda: free_generator_columns(Z2),
              lambda: lift_through_epi(identity_mor(Z2), identity_mor(Z2)),
              lambda: ModuleObj(R2, 1, rels=[[1]], actions=[ONE, ONE]),
@@ -250,6 +257,15 @@ def test_preconditions_raise_shape_error():
         free_generator_columns(Z2)
     with pytest.raises(ShapeError):
         lift_through_epi(identity_mor(Z2), identity_mor(Z2))
+    # base change and lifting trust free_rank, so a caller's claim is checked:
+    # the trivial action on F_2^2 is not F_2[C2]
+    r2 = group_algebra(2, cyclic_group_table(2))
+    ident = fplinalg.FpMatrix.identity(2, 2)
+    with pytest.raises(ShapeError):
+        ModuleObj(r2, 2, actions=[ident, ident], free_rank=1)
+    P = free_module(r2, 2)
+    assert ModuleObj(r2, P.gens, actions=P.actions, free_rank=2) == P
+    assert ModuleObj(ZZ, 2, free_rank=2) == free_module(ZZ, 2)
 
 
 def test_preconditions_hold_under_optimize():
@@ -416,3 +432,175 @@ def test_shared_solver_matches_solving_each_alone(which):
         assert list(preimage(f, y).coords) == _solve_alone(f, list(y.coords))
         solved += 1
     assert solved >= 200
+
+
+def _algebras():
+    c2 = cyclic_group_table(2)
+    return [group_algebra(2, c2), group_algebra(3, cyclic_group_table(3)),
+            group_algebra(2, cyclic_group_table(4)),
+            group_algebra(2, product_group_table(c2, c2))]
+
+
+def _accepts(A, B, m):
+    try:
+        ModMor(A, B, m)
+    except MorphismError:
+        return False
+    return True
+
+
+def _commutant_not_of_generators(ring):
+    """Matrices on the regular module commuting with a basis element c that
+    is neither a generator nor in the unit's support, but not with every
+    generator: the kernel of X -> X.a_c - a_c.X, minus the maps that commute
+    with every generator."""
+    n, p = ring.dim, ring.p
+    R = free_module(ring, 1)
+    out = []
+    for c in range(n):
+        if c in ring.algebra_generators or ring.unit[c]:
+            continue
+        lam = R.actions[c]
+        rows = [[0] * (n * n) for _ in range(n * n)]
+        for i in range(n):
+            for j in range(n):
+                row = rows[i * n + j]  # entry (i, j) of X.lam - lam.X
+                for k in range(n):
+                    row[i * n + k] += lam.data[k][j]
+                    row[k * n + j] -= lam.data[i][k]
+        for v in fplinalg.kernel_basis(fplinalg.FpMatrix(p, n * n, n * n, rows)):
+            m = fplinalg.FpMatrix(p, n, n, [v[i * n:(i + 1) * n] for i in range(n)])
+            if not commutes_with_every_action(R, R, m):
+                out.append(m)
+    return R, out
+
+
+def test_algebra_generators_span_the_algebra():
+    expected = {"F2[C2]": (1,), "F3[C3]": (1,), "F2[C4]": (1,), "F2[C2xC2]": (1, 2)}
+    for ring, name in zip(_algebras(), expected):
+        assert ring.algebra_generators == expected[name], name
+        # words in the generators, closed under multiplication from the unit
+        words, frontier = [list(ring.unit)], [list(ring.unit)]
+        while frontier:
+            new = []
+            for w in frontier:
+                for g in ring.algebra_generators:
+                    x = ring.multiply(w, [int(i == g) for i in range(ring.dim)])
+                    if x not in words:
+                        words.append(x)
+                        new.append(x)
+            frontier = new
+        assert fplinalg.rank(fp_from_columns(ring.p, words, ring.dim)) == ring.dim, name
+    assert fp_field(3).algebra_generators == () and ZZ.algebra_generators == ()
+    assert group_algebra(2, [[0]]).algebra_generators == ()
+
+
+def test_generator_check_agrees_with_every_basis_element():
+    # ModMor checks commutation on `algebra_generators` only; over random
+    # module pairs and random matrices, commuting and not, it must accept
+    # exactly the matrices that commute with every basis element
+    rng = random.Random(53)
+    verdicts = {True: 0, False: 0}
+    for ring in _algebras():
+        p = ring.p
+        mods = [trivial_module(ring), free_module(ring, 1), free_module(ring, 2)]
+        mods += [_random_fp_module(rng, ring, max_rank=1) for _ in range(3)]
+        for _ in range(12):
+            A, B = rng.choice(mods), rng.choice(mods)
+            cands = [random_morphism(rng, A, B).matrix]
+            cands.append(fplinalg.FpMatrix(p, B.gens, A.gens, [
+                [rng.randrange(p) for _ in range(A.gens)] for _ in range(B.gens)]))
+            for m in cands:
+                want = commutes_with_every_action(A, B, m)
+                assert _accepts(A, B, m) == want
+                verdicts[want] += 1
+        R, planted = _commutant_not_of_generators(ring)
+        # g^2 generates F_3[C3] too; in F_2[C4] and F_2[C2xC2] it does not
+        assert bool(planted) == (ring.dim == 4)
+        for m in planted:
+            assert not _accepts(R, R, m)
+            verdicts[False] += 1
+    assert verdicts[True] >= 40 and verdicts[False] >= 40
+
+
+def test_module_construction_checks_every_basis_element():
+    # outside input is checked in full: an action that is wrong only at a
+    # non-generator basis element is still rejected by ModuleObj
+    r4 = group_algebra(2, cyclic_group_table(4))
+    R = free_module(r4, 1)
+    actions = list(R.actions)
+    assert 3 not in r4.algebra_generators
+    actions[3] = actions[1]
+    with pytest.raises(MorphismError):
+        ModuleObj(r4, R.gens, actions=actions)
+
+
+PLANTED_FAULTS = """
+from functor_homology import fplinalg, modules
+from functor_homology.errors import MorphismError
+from functor_homology.modules import (cokernel, kernel, ring_as_module,
+                                      trivial_module, zero_mor)
+from functor_homology.rings import cyclic_group_table, group_algebra
+
+R2 = group_algebra(2, cyclic_group_table(2))
+R, T = ring_as_module(R2), trivial_module(R2)
+G = R2.algebra_generators[0]
+
+
+def flip(m, i, j):
+    data = [list(r) for r in m.data]
+    data[i][j] += 1
+    return fplinalg.FpMatrix(m.p, m.rows, m.cols, data)
+
+
+def expect(call, text):
+    try:
+        call()
+    except MorphismError as e:
+        if text not in str(e):
+            raise SystemExit(f"wrong message: {e}")
+        return
+    raise SystemExit(f"MorphismError not raised ({text})")
+
+
+# a quotient whose Q gets one corrupted action matrix (the next module built)
+real_module = modules.ModuleObj
+
+
+def corrupt_module(ring, gens, rels=(), actions=(), free_rank=None, check=True):
+    modules.ModuleObj = real_module
+    actions = list(actions)
+    actions[G] = flip(actions[G], 0, 0)
+    return real_module(ring, gens, rels, actions, free_rank, check)
+
+
+modules.ModuleObj = corrupt_module
+expect(lambda: cokernel(zero_mor(T, R)), f"does not commute with action {G}")
+assert modules.ModuleObj is real_module
+
+# a kernel whose solved action is corrupted (the next solve_matrix)
+real_solve = fplinalg.solve_matrix
+
+
+def corrupt_solve(A, B):
+    fplinalg.solve_matrix = real_solve
+    x = real_solve(A, B)
+    return flip(x, 0, G * A.cols)
+
+
+fplinalg.solve_matrix = corrupt_solve
+expect(lambda: kernel(zero_mor(R, T)), f"does not commute with action {G}")
+assert fplinalg.solve_matrix is real_solve
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_planted_kernel_and_quotient_faults_raise(flags):
+    # K and Q are built unchecked and inherit their laws from the checked
+    # inclusion and epi, so a corrupted action must fail those checks
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, *flags, "-c", PLANTED_FAULTS],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr

@@ -8,21 +8,35 @@ unchanged in C and in C^I:
   `zero_object()`, `biproduct(B)`, `free_cover()`;
 - morphisms (`ModMor`, `DiagMor`): `kernel()`, `cokernel()`, `factor(h)`
   (through self as a mono), `cofactor(w)` (through self as an epi),
-  `inverse()`, `lift(e)` (self through the epi e) and `is_exact_at(g)`.
+  `inverse()`, `lift(e)` (self through the epi e), `is_mono()`,
+  `is_epi()`, `is_exact_at(g)` and `is_split_exact(p, r, s)` (do r and s
+  split the sequence self, p: the splitting lemma's four identities).
 
 Each method is one call to the module-level function of `modules` or
 `diagrams`, looked up by its global name at call time, so patching that
 module attribute (as a tracer or a planted-fault test does) reaches every
 caller.  The constructions below need nothing else and are written once:
-the image as the kernel of the cokernel (Freyd), mono, epi and iso tests,
-and the intrinsic exactness test.
+the image as the kernel of the cokernel (Freyd), the iso test, and the
+intrinsic exactness test.
 
-Exactness of f: A -> M, g: M -> B with g . f = 0 is decided by one
-kernel, one cokernel and one composite: the sequence is exact at M iff
-ker g -> M -> coker f is zero.  Proof: that composite is zero iff ker g
-factors through ker(coker f) = im f, i.e. ker g <= im f; and im f <= ker g
-holds because g . f = 0.  The choice between the base rings (Z or an
-F_p-algebra) is made further down, in `modules.ring_ops`.
+The three verdicts `is_mono`, `is_epi` and `is_exact_at` are methods
+because the base ring decides how to answer them (`modules.ring_ops`).
+Over Z a module is a presentation, zero only when its relations span, so
+they build the kernel, cokernel or homology and test it zero.  Over an
+F_p-algebra a module has no relations, so a module map is an F_p-linear
+map of its generator coordinates and each verdict is a rank count
+(rank-nullity), a complete decision and not a shortcut: f is mono iff
+rank f = dim source, epi iff rank f = dim target, and, given g . f = 0,
+exact at M iff rank f + rank g = dim M.  A diagram map answers
+intrinsically in C^I: its kernel or cokernel diagram is zero, and
+exactness is decided twice (`diagrams.d_exactness_report`), by the
+intrinsic test below and by the module verdict at every object.
+
+Exactness of f: A -> M, g: M -> B with g . f = 0 is decided intrinsically
+by one kernel, one cokernel and one composite: the sequence is exact at M
+iff ker g -> M -> coker f is zero.  Proof: that composite is zero iff
+ker g factors through ker(coker f) = im f, i.e. ker g <= im f; and
+im f <= ker g holds because g . f = 0.
 """
 
 from __future__ import annotations
@@ -58,13 +72,11 @@ def image(f) -> ImageData:
 
 
 def is_mono(f) -> bool:
-    k, _ = f.kernel()
-    return k.is_zero()
+    return f.is_mono()
 
 
 def is_epi(f) -> bool:
-    c, _ = f.cokernel()
-    return c.is_zero()
+    return f.is_epi()
 
 
 def is_iso(f) -> bool:

@@ -129,7 +129,11 @@ def induced_on_homology(phi_n, sub_src: Subquotient, sub_tgt: Subquotient):
 
 class SES:
     """Short exact sequence 0 -> L -> M -> N -> 0, validated on
-    construction."""
+    construction: g . f = 0, f mono, g epi and exactness at M, each asked
+    through the abelian interface (kernels and cokernels over Z, ranks over
+    an F_p-algebra, both criteria of `d_exactness_report` over diagrams).
+    A sequence that comes with its splitting is checked by that instead
+    (`SESOfComplexes`)."""
 
     def __init__(self, f, g, check=True):
         if f.target != g.source:
@@ -175,17 +179,29 @@ class MorphismOfSES:
 
 class SESOfComplexes:
     """Degreewise short exact sequence of complexes over a common range,
-    validated degree by degree on construction."""
+    validated degree by degree on construction.
+
+    A degreewise split sequence hands in its splitting, `splitting =
+    (retr, sec)` with retr[n]: mid_n -> sub_n and sec[n]: quo_n -> mid_n,
+    and each degree is checked by that certificate, the four identities of
+    the splitting lemma (`is_split_exact` of the abelian interface), at
+    the cost of a few matrix products.  With no splitting each degree is
+    checked as an `SES`.  Either way every degree is decided, and a
+    failure raises `ExactnessError`."""
 
     def __init__(self, sub: Complex, mid: Complex, quo: Complex,
-                 incl: ChainMap, proj: ChainMap):
+                 incl: ChainMap, proj: ChainMap, splitting=None):
         self.sub = sub
         self.mid = mid
         self.quo = quo
         self.incl = incl
         self.proj = proj
         for n in sub.degrees():
-            SES(incl.at(n), proj.at(n))
+            if splitting is None:
+                SES(incl.at(n), proj.at(n))
+            elif not incl.at(n).is_split_exact(proj.at(n), splitting[0][n],
+                                               splitting[1][n]):
+                raise ExactnessError(f"the splitting fails in degree {n}")
 
     def degrees(self):
         return self.sub.degrees()

@@ -295,13 +295,16 @@ def horseshoe_data_for(ses: SES, n_max) -> HorseshoeData:
 
 def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
     """Degreewise split SES of resolutions of a SES, optionally pushed
-    through an additive functor F."""
+    through an additive functor F.  It is checked by its splitting (the
+    horseshoe's `retr`/`sec`, through F when F is given: an additive
+    functor keeps the identities of a splitting)."""
     hs = horseshoe_data_for(ses, n_max)
     cl = resolve(ses.L, n_max).complex(n_max)
     cm = hs.res_mid.complex(n_max)
     cn = resolve(ses.N, n_max).complex(n_max)
     incl = ChainMap(cl, cm, hs.incl)
     proj = ChainMap(cm, cn, hs.proj)
+    retr, sec = hs.retr, hs.sec
     if F is not None:
         cl = functors.apply_to_complex(F, cl)
         cm = functors.apply_to_complex(F, cm)
@@ -310,7 +313,9 @@ def horseshoe_ses_of_complexes(ses: SES, n_max, F=None):
                                  for n in hs.incl})
         proj = ChainMap(cm, cn, {n: functors.apply(F, hs.proj[n])
                                  for n in hs.proj})
-    return SESOfComplexes(cl, cm, cn, incl, proj), hs
+        retr = {n: functors.apply(F, m) for n, m in hs.retr.items()}
+        sec = {n: functors.apply(F, m) for n, m in hs.sec.items()}
+    return SESOfComplexes(cl, cm, cn, incl, proj, splitting=(retr, sec)), hs
 
 
 # -- connecting homomorphism -------------------------------------------------

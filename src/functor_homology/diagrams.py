@@ -207,6 +207,15 @@ class DiagMor:
     def is_exact_at(self, g: "DiagMor") -> bool:
         return d_is_exact_at(self, g)
 
+    def is_mono(self) -> bool:
+        return d_is_mono(self)
+
+    def is_epi(self) -> bool:
+        return d_is_epi(self)
+
+    def is_split_exact(self, p: "DiagMor", r: "DiagMor", s: "DiagMor") -> bool:
+        return d_is_split_exact(self, p, r, s)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -364,6 +373,28 @@ def d_exactness_report(f: DiagMor, g: DiagMor):
 
 def d_is_exact_at(f: DiagMor, g: DiagMor) -> bool:
     return d_exactness_report(f, g)[0]
+
+
+def d_is_mono(f: DiagMor) -> bool:
+    """Intrinsically in C^I: the kernel diagram is zero."""
+    return d_kernel(f)[0].is_zero()
+
+
+def d_is_epi(f: DiagMor) -> bool:
+    """Intrinsically in C^I: the cokernel diagram is zero."""
+    return d_cokernel(f)[0].is_zero()
+
+
+def d_is_split_exact(i: DiagMor, p: DiagMor, r: DiagMor, s: DiagMor) -> bool:
+    """The splitting certificate of `modules.is_split_exact` for natural
+    maps: composites, sums and equality in C^I are taken objectwise, so
+    the four identities hold in C^I iff they hold at every object."""
+    L, M, N = i.source, i.target, p.target
+    if not (p.source == M and r.source == M and r.target == L
+            and s.source == N and s.target == M):
+        raise ShapeError("splitting maps have the wrong endpoints")
+    return all(modules.is_split_exact(i.comps[o], p.comps[o], r.comps[o], s.comps[o])
+               for o in i.index.objects)
 
 
 # -- biproducts --------------------------------------------------------------

@@ -22,7 +22,8 @@ one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
 constructors, `solver(f)` for `f.matrix x = b` modulo the relations of
 `f.target` (one factorisation of the map serves every right-hand side),
 the kernel of a linear system, the images of a free generator, membership
-in the relations, and two presentation steps.  `quotient(M, cols)` is M
+in the relations, two presentation steps, and the mono, epi and exactness
+verdicts (constructions over Z, ranks over F_p; see `abelian`).  `quotient(M, cols)` is M
 modulo extra relation columns, returned as its epi M -> Q alone (Q is
 `epi.target`).  The epi carries a section of its matrix, built with it:
 the invariant-factor form from one Smith normal form (Z), or the
@@ -80,8 +81,10 @@ class _RingOps:
     basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue`/`reduce` (coordinates that vanish exactly
     on the relations, and normal forms), `quotient`, `submodule`,
-    `generators` (of a free cover), `element_grid` and `describe`; the
-    constructors below are shared and checked.
+    `generators` (of a free cover), `element_grid`, `describe`, and the
+    exactness verdicts `is_mono`, `is_epi` and `exact_at` (exactness at
+    the middle of f, g, given g . f = 0); the constructors below are
+    shared and checked.
     """
 
     __slots__ = ()
@@ -198,6 +201,22 @@ class _IntegerOps(_RingOps):
             parts.append(f"Z^{free}")
         return " ⊕ ".join(parts) if parts else "0"
 
+    # Over Z the verdicts build the module they ask about: a presentation
+    # is zero only when its relations span, which no count of generators
+    # decides.
+
+    def is_mono(self, f):
+        return kernel(f)[0].is_zero()
+
+    def is_epi(self, f):
+        return cokernel(f)[0].is_zero()
+
+    def exact_at(self, f, g):
+        """The homology ker g / im f, presented as the cokernel of f
+        factored through ker g, is zero."""
+        _, kappa = kernel(g)
+        return cokernel(factor_through_mono(kappa, f))[0].is_zero()
+
 
 class _AlgebraOps(_RingOps):
     """An F_p-algebra: matrices are FpMatrix, equations are strict, and a
@@ -297,6 +316,28 @@ class _AlgebraOps(_RingOps):
 
     def describe(self, M):
         return f"dim {M.gens} over {M.ring.label}" if M.gens else "0"
+
+    # Over an F_p-algebra a module has no relations, so a map is an
+    # F_p-linear map of its generator coordinates and every verdict is a
+    # rank count (rank-nullity), complete and exact: f is mono iff
+    # rank f = dim source, epi iff rank f = dim target, and, given
+    # g . f = 0 (so im f <= ker g), exact at M iff
+    # rank f = dim ker g = dim M - rank g.
+
+    def rank(self, f):
+        """The rank of f's matrix, kept in f's own cache."""
+        if "rank" not in f._cache:
+            f._cache["rank"] = fplinalg.rank(f.matrix)
+        return f._cache["rank"]
+
+    def is_mono(self, f):
+        return self.rank(f) == f.source.gens
+
+    def is_epi(self, f):
+        return self.rank(f) == f.target.gens
+
+    def exact_at(self, f, g):
+        return self.rank(f) + self.rank(g) == f.target.gens
 
 
 _INTEGER_OPS = _IntegerOps()
@@ -609,6 +650,15 @@ class ModMor:
     def is_exact_at(self, g: "ModMor") -> bool:
         return is_exact_at(self, g)
 
+    def is_mono(self) -> bool:
+        return is_mono(self)
+
+    def is_epi(self) -> bool:
+        return is_epi(self)
+
+    def is_split_exact(self, p: "ModMor", r: "ModMor", s: "ModMor") -> bool:
+        return is_split_exact(self, p, r, s)
+
     def is_zero(self) -> bool:
         cols = self.matrix.cols
         return all(self.target.in_relations(self.matrix.col(j)) for j in range(cols))
@@ -734,15 +784,45 @@ def iso_inverse(f: ModMor) -> ModMor:
 
 
 def is_exact_at(f: ModMor, g: ModMor) -> bool:
-    """Exactness at the middle of f, g by the homology definition: with
-    kappa = ker g, the homology H = coker(kappa.factor(f)) = ker g / im f
-    is zero.  This is a different construction from `abelian.exact_at`
-    (ker g -> coker f is zero), so `diagrams.d_exactness_report`, which
-    takes its componentwise verdict through this name, compares two
-    criteria."""
+    """Exactness at the middle of f, g by the homology ker g / im f: after
+    the g . f = 0 test (`NonzeroCompositeError` otherwise), the ring's ops
+    decide it, by building the homology and testing it zero (Z) or by
+    rank f + rank g = dim M (F_p-algebra).  Neither is the construction of
+    `abelian.exact_at` (ker g -> coker f is zero), so
+    `diagrams.d_exactness_report`, which takes its componentwise verdict
+    through this name, compares two criteria."""
     abelian.require_complex(f, g)
-    _, kappa = g.kernel()
-    return kappa.factor(f).cokernel()[0].is_zero()
+    return f.ops.exact_at(f, g)
+
+
+def is_mono(f: ModMor) -> bool:
+    """ker f = 0, decided by the ring's ops (a kernel over Z, a rank over
+    an F_p-algebra)."""
+    return f.ops.is_mono(f)
+
+
+def is_epi(f: ModMor) -> bool:
+    """coker f = 0, decided by the ring's ops."""
+    return f.ops.is_epi(f)
+
+
+def is_split_exact(i: ModMor, p: ModMor, r: ModMor, s: ModMor) -> bool:
+    """Do r: M -> L and s: N -> M split 0 -> L -> M -> N -> 0 (i: L -> M,
+    p: M -> N)?  The certificate of the splitting lemma (Weibel, An
+    Introduction to Homological Algebra, ch. 1), tested on the matrices:
+    r.i = 1_L, p.s = 1_N, p.i = 0 and i.r + s.p = 1_M.  These four prove
+    the sequence exact: i is mono and p is epi (each has a one-sided
+    inverse), im i <= ker p, and p(m) = 0 gives m = i(r(m)) + s(p(m)) =
+    i(r(m)).  Wrong endpoints raise `ShapeError`."""
+    L, M, N = i.source, i.target, p.target
+    if not (p.source == M and r.source == M and r.target == L
+            and s.source == N and s.target == M):
+        raise ShapeError("splitting maps have the wrong endpoints")
+    ops, im, pm, rm, sm = i.ops, i.matrix, p.matrix, r.matrix, s.matrix
+    return (same_map_into(L, rm.mul(im), ops.identity(L.gens))
+            and same_map_into(N, pm.mul(sm), ops.identity(N.gens))
+            and same_map_into(N, pm.mul(im), ops.zeros(N.gens, L.gens))
+            and same_map_into(M, im.mul(rm).add(sm.mul(pm)), ops.identity(M.gens)))
 
 
 # -- biproducts ------------------------------------------------------------
@@ -870,7 +950,9 @@ class HomSystem:
 
     `unknown(S, T)` adds the entries of a matrix S -> T, row by row, as
     unknowns.  `well_defined(k)` asks unknown k to be a morphism: each
-    relation of S goes into T's relations and each action commutes.
+    relation of S goes into T's relations and the action of each algebra
+    generator (`Ring.algebra_generators`) commutes, which is the same
+    solution space as commuting with every basis element (see `ModMor`).
     `commute(x, A, B, y)` asks x.A = B.y as maps into x's target.  Every
     equation holds modulo its target's relations, through one auxiliary
     column per relation (integers); over an F_p-algebra it is strict.
@@ -909,8 +991,8 @@ class HomSystem:
                 for j, c in enumerate(rel):
                     if c:
                         row[self._var(k, i, j)] = c
-        for src_act, tgt_act in zip(S.actions, T.actions):
-            self.commute(k, src_act, tgt_act, k)
+        for a in S.ring.algebra_generators:
+            self.commute(k, S.actions[a], T.actions[a], k)
 
     def commute(self, x, A, B, y):
         """x.A - B.y = 0 for unknowns x, y and known matrices A, B."""

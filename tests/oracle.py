@@ -6,8 +6,10 @@ kernels by exhaustive search, homology of hand-built periodic resolutions
 by rank counting, the connecting map by an element-by-element zig-zag,
 the maps of spectral sequences of a diagram carried page by page in
 canonical coordinates, one module spectral sequence per index object,
-morphisms checked against every algebra basis element, and base change
-of every module by the quotient of its cover.
+morphisms checked against every algebra basis element, hom spaces solved
+with a commutation row block per basis element, base change of every
+module by the quotient of its cover, and the mono, epi and exactness
+verdicts by building the kernel, cokernel and homology they ask about.
 """
 
 from dataclasses import dataclass
@@ -17,11 +19,12 @@ from math import gcd
 from functor_homology import fplinalg, functors
 from functor_homology.complexes import homology_at, induced_on_homology
 from functor_homology.derived import lift_resolution_map
-from functor_homology.errors import ExactnessError, ShapeError
+from functor_homology.diagrams import d_hom_unknowns, d_naturality
+from functor_homology.errors import ExactnessError, NonzeroCompositeError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
 from functor_homology.intlinalg import IntMatrix
-from functor_homology.modules import Element, ModMor, ModuleObj, preimage
+from functor_homology.modules import Element, HomSystem, ModMor, ModuleObj, preimage
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
                                        _class_map, _cycles_in_prefix,
                                        grothendieck_ss)
@@ -200,6 +203,62 @@ def commutes_with_every_action(A, B, matrix):
     """Does `matrix` (B.gens x A.gens) commute with the action of every
     algebra basis element, generator or not?"""
     return all(matrix.mul(a) == b.mul(matrix) for a, b in zip(A.actions, B.actions))
+
+
+def _commute_with_every_basis_element(system, k):
+    """Commutation rows of unknown k for every algebra basis element,
+    generator or not (F_p-algebra modules, which have no relations)."""
+    S, T, _ = system.blocks[k]
+    if S.rels or T.rels:
+        raise ShapeError("the all-basis hom oracle takes F_p-algebra modules")
+    for a, b in zip(S.actions, T.actions):
+        system.commute(k, a, b, k)
+
+
+def hom_matrices_all_basis(A, B):
+    """The nonzero kernel-basis matrices of Hom(A, B), from a system that
+    commutes with every basis element."""
+    system = HomSystem(A.ring)
+    _commute_with_every_basis_element(system, system.unknown(A, B))
+    return [m for m, in system.solve() if not m.is_zero()]
+
+
+def d_hom_matrices_all_basis(A, B):
+    """Component matrices (in object order) of the diagram hom basis, from
+    a system that commutes with every basis element at every object."""
+    system = HomSystem(A.ring)
+    var = d_hom_unknowns(system, A, B)
+    for k in var.values():
+        _commute_with_every_basis_element(system, k)
+    d_naturality(system, var, A, B)
+    return [mats for mats in system.solve() if not all(m.is_zero() for m in mats)]
+
+
+def mono_by_kernel(f) -> bool:
+    """f is mono: its kernel, built as a module, is zero."""
+    return f.kernel()[0].is_zero()
+
+
+def epi_by_cokernel(f) -> bool:
+    """f is epi: its cokernel, built as a module, is zero."""
+    return f.cokernel()[0].is_zero()
+
+
+def exact_by_homology(f, g) -> bool:
+    """Exactness at the middle of f, g: NonzeroCompositeError unless
+    g.f = 0, then the homology ker g / im f, built as the cokernel of f
+    factored through ker g, is zero."""
+    if not f.then(g).is_zero():
+        raise NonzeroCompositeError("composite is nonzero")
+    _, kappa = g.kernel()
+    return kappa.factor(f).cokernel()[0].is_zero()
+
+
+def ses_by_construction(f, g) -> bool:
+    """0 -> L -> M -> N -> 0 is short exact, every verdict by construction."""
+    if not f.then(g).is_zero():
+        return False
+    return mono_by_kernel(f) and epi_by_cokernel(g) and exact_by_homology(f, g)
 
 
 def base_change_by_quotient(rm, M):

@@ -24,7 +24,7 @@ from functor_homology.verification import (_random_fp_module, random_diag_mor,
 
 OBJECT_METHODS = ("identity", "zero_to", "zero_object", "biproduct", "free_cover")
 MORPHISM_METHODS = ("kernel", "cokernel", "factor", "cofactor", "inverse", "lift",
-                    "is_exact_at")
+                    "is_mono", "is_epi", "is_exact_at", "is_split_exact")
 POINT = standard("point")
 
 

@@ -189,6 +189,30 @@ def test_criterion_09_grothendieck_desk_check():
             ok and elapsed < 60.0, f"{elapsed:.1f}s")
 
 
+def test_criterion_09_desk_check_at_degree_8():
+    # the same two desk checks as criterion 9, at total degree 8
+    t0 = time.time()
+    r4, r2, rv, F4, FV, G = _group_functors()
+    n_max = 8
+    cells = [(p, q) for p in range(n_max + 1) for q in range(n_max + 1 - p)]
+    inner = cyclic_group_homology_dims(2, 2, n_max)
+    outer = cyclic_group_homology_dims(2, 4, n_max)
+    wantv = product_c2_homology_dims(2, n_max)
+    ss = grothendieck_ss(F4, G, trivial_module(r4), n_max)
+    ssv = grothendieck_ss(FV, G, trivial_module(rv), n_max)
+    ok = (all(ss.pages[2].get(c, 0) == inner[c[1]] * inner[c[0]] for c in cells)
+          and all(ss.abutment.get(n, 0) == outer[n] for n in range(n_max + 1))
+          and any(not m.is_zero() for m in ss.diffs[2].values())
+          and all(ssv.pages[2].get(c, 0) == 1 for c in cells)
+          and all(ssv.abutment.get(n, 0) == wantv[n] for n in range(n_max + 1))
+          and ssv.degenerates_at_2)
+    for s in (ss, ssv):
+        ok = ok and s.hypothesis_ok and s.e2_matches and s.abutment_matches and s.converged()
+    elapsed = time.time() - t0
+    _report("9 at degree 8. composite-functor SS desk check (C2 in C4; C2 x C2)",
+            ok and elapsed < 60.0, f"{elapsed:.1f}s")
+
+
 def test_criterion_10_componentwise_naturality():
     t0 = time.time()
     r4, r2, rv, F4, FV, G = _group_functors()

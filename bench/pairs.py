@@ -3,30 +3,29 @@
 
 Run from any directory:
 
-    python3 bench/pairs.py --parent DIR --run fp_group_ss:10 --run z_delta:3 \\
-        [--seconds 10] [--seed 0] [--trace-seed 1] [--ss-scaling]
+    python3 bench/pairs.py --parent DIR --run fp_group_ss:10 --run z_delta:3
 
 DIR is a checkout of the parent commit, for example made with
 `git worktree add DIR <parent>` or `git archive <parent> | tar -x -C DIR`.
 Each `--run W:N` runs N pairs of
 
-    python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0
+    python3 perfbench/run.py --workload W --seed 0 --seconds S --trace 0
 
-once in DIR and once in this checkout, one right after the other.  The
-side that runs first alternates from pair to pair, so a drift of the
-machine's speed during the runs falls on both sides alike.
+once in DIR and once in this checkout, one right after the other, with S
+the `run_seconds` of BENCHMARK.json.  The side that runs first alternates
+from pair to pair, so a drift of the machine's speed during the runs falls
+on both sides alike.
 
-`--trace-seed T` adds one traced pass (`--trace 1 --seed T`) of every
-workload on each side, and lists every count (.calls, .builds, .cells,
-.max_bits, .hit_ratio) as [parent, change].  `--ss-scaling` adds the
-output of `bench/ss_scaling.py` run in each checkout.
-
-The result is one JSON object on stdout.  For each workload, `runs` lists
+The result is one JSON object on stdout.  For each workload, `timed` lists
 every run's end-to-end metrics with its `failed`, `attempted`, `correct`
-and `first` fields, and `summary` gives, per metric of BENCHMARK.json, the
-median of each side, the parent's interquartile range and the number of
-pairs in which this checkout was ahead (by the metric's `better`).  Only
-the standard library is used.
+and `first` fields, and its `summary` gives, per metric of BENCHMARK.json,
+the median of each side, the parent's interquartile range and the number
+of pairs in which this checkout was ahead (by the metric's `better`).
+`trace` holds one traced pass (`--trace 1 --seed 1`) of every workload on
+each side, with every count (.calls, .builds, .cells, .max_bits,
+.hit_ratio) as [parent, change].  `ss_scaling` holds the output of
+`bench/ss_scaling.py` run in each checkout.  Only the standard library is
+used.
 """
 
 import argparse
@@ -40,6 +39,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 COUNT_SUFFIXES = (".calls", ".builds", ".cells", ".max_bits", ".hit_ratio")
+SEED = 0  # timed runs
+TRACE_SEED = 1  # traced passes
 
 
 def last_json(text):
@@ -120,24 +121,17 @@ def main():
     ap.add_argument("--parent", required=True, type=Path)
     ap.add_argument("--run", action="append", required=True, metavar="W:N",
                     help="workload and number of pairs; may be repeated")
-    ap.add_argument("--seconds", type=float, default=10)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--trace-seed", type=int, default=None)
-    ap.add_argument("--ss-scaling", action="store_true")
     args = ap.parse_args()
-    metrics = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    config = json.loads((HERE / "BENCHMARK.json").read_text())
+    seconds = config["run_seconds"]
     runs = [(w, int(n)) for w, n in (r.split(":") for r in args.run)]
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
-                      "nproc": os.cpu_count(), "seconds": args.seconds,
-                      "seed": args.seed},
-              "timed": {w: pairs(args.parent, w, n, args.seed, args.seconds, metrics)
-                        for w, n in runs}}
-    if args.trace_seed is not None:
-        result["trace"] = {w: trace_counts(args.parent, w, args.trace_seed)
-                           for w, _ in runs}
-    if args.ss_scaling:
-        result["ss_scaling"] = {"parent": ss_scaling(args.parent),
-                                "change": ss_scaling(HERE)}
+                      "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
+                      "trace_seed": TRACE_SEED},
+              "timed": {w: pairs(args.parent, w, n, SEED, seconds, config["end_to_end"])
+                        for w, n in runs},
+              "trace": {w: trace_counts(args.parent, w, TRACE_SEED) for w, _ in runs},
+              "ss_scaling": {"parent": ss_scaling(args.parent), "change": ss_scaling(HERE)}}
     json.dump(result, sys.stdout, indent=1)
     print()
 

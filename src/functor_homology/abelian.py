@@ -71,16 +71,8 @@ def image(f) -> ImageData:
     return ImageData(img, mono, mono.factor(f))
 
 
-def is_mono(f) -> bool:
-    return f.is_mono()
-
-
-def is_epi(f) -> bool:
-    return f.is_epi()
-
-
 def is_iso(f) -> bool:
-    return is_mono(f) and is_epi(f)
+    return f.is_mono() and f.is_epi()
 
 
 def require_complex(f, g):

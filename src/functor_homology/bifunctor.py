@@ -343,7 +343,7 @@ def _row_exactness(exact, tag, lm, mn, delta, n_max):
             exact[(tag, "N", n)] = d_exactness_report(mn[n], delta[n])[0]
             exact[(tag, "L", n - 1)] = d_exactness_report(delta[n], lm[n - 1])[0]
         else:
-            exact[(tag, "N", 0)] = abelian.is_epi(mn[0])
+            exact[(tag, "N", 0)] = mn[0].is_epi()
 
 
 def _route_identities(K, I, J, rows, route_checks, tag):

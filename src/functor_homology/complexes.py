@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import abelian
 from .errors import ExactnessError, NonzeroCompositeError, ShapeError
 
 
@@ -149,9 +148,9 @@ class SES:
                 exact = f.is_exact_at(g)
             except NonzeroCompositeError:
                 raise ExactnessError("composite L -> N is nonzero") from None
-            if not abelian.is_mono(f):
+            if not f.is_mono():
                 raise ExactnessError("first map is not mono")
-            if not abelian.is_epi(g):
+            if not g.is_epi():
                 raise ExactnessError("second map is not epi")
             if not exact:
                 raise ExactnessError("sequence is not exact in the middle")

@@ -421,7 +421,7 @@ def _les_from_sesc(sesc: SESOfComplexes, n_max) -> LES:
             les.exact[f"N{n}"] = _safe_exact(mn[n], delta[n])
             les.exact[f"L{n - 1}"] = _safe_exact(delta[n], lm[n - 1])
         else:
-            les.exact["N0"] = abelian.is_epi(mn[0])
+            les.exact["N0"] = mn[0].is_epi()
     return les
 
 

@@ -280,7 +280,7 @@ def _check_kernel(fx):
     require(h.then(f).is_zero(), "f . h != 0")
     u = d_factor_through_mono(mono, h)
     require(u.then(mono) == h, "factorization fails")
-    require(abelian.is_mono(mono), "kernel arrow must be monic")
+    require(mono.is_mono(), "kernel arrow must be monic")
     require(u == into_k, "factorization is not unique")
 
 

@@ -13,7 +13,7 @@ import random
 import pytest
 
 from functor_homology import abelian, diagrams, modules
-from functor_homology.abelian import exact_at, image, is_epi, is_iso, is_mono
+from functor_homology.abelian import exact_at, image, is_iso
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.fincat import standard
 from functor_homology.modules import ModMor, ModuleObj
@@ -73,8 +73,8 @@ def _agree(f: ModMor, g: ModMor):
     F, G = _at_point(f), _at_point(g)
     o = POINT.objects[0]
     assert image(F).obj.component(o).describe() == image(f).obj.describe()
-    assert is_mono(F) == is_mono(f)
-    assert is_epi(F) == is_epi(f)
+    assert F.is_mono() == f.is_mono()
+    assert F.is_epi() == f.is_epi()
     assert is_iso(F) == is_iso(f)
     verdict = f.is_exact_at(g)
     assert F.is_exact_at(G) == verdict == exact_at(f, g) == exact_at(F, G)

@@ -24,8 +24,9 @@ of pairs in which this checkout was ahead (by the metric's `better`).
 `trace` holds one traced pass (`--trace 1 --seed 1`) of every workload on
 each side, with every count (.calls, .builds, .cells, .max_bits,
 .hit_ratio) as [parent, change].  `ss_scaling` holds the output of
-`bench/ss_scaling.py` run in each checkout.  Only the standard library is
-used.
+`bench/ss_scaling.py` run in each checkout, and `code` repeats its counts
+of src/ lines and of the lines containing `is_integers` and `isinstance`
+for each side.  Only the standard library is used.
 """
 
 import argparse
@@ -41,6 +42,7 @@ HERE = Path(__file__).resolve().parent.parent
 COUNT_SUFFIXES = (".calls", ".builds", ".cells", ".max_bits", ".hit_ratio")
 SEED = 0  # timed runs
 TRACE_SEED = 1  # traced passes
+CODE_COUNTS = ("src_lines", "src_is_integers_lines", "src_isinstance_lines")
 
 
 def last_json(text):
@@ -125,13 +127,15 @@ def main():
     config = json.loads((HERE / "BENCHMARK.json").read_text())
     seconds = config["run_seconds"]
     runs = [(w, int(n)) for w, n in (r.split(":") for r in args.run)]
+    scaling = {"parent": ss_scaling(args.parent), "change": ss_scaling(HERE)}
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
                       "trace_seed": TRACE_SEED},
               "timed": {w: pairs(args.parent, w, n, SEED, seconds, config["end_to_end"])
                         for w, n in runs},
               "trace": {w: trace_counts(args.parent, w, TRACE_SEED) for w, _ in runs},
-              "ss_scaling": {"parent": ss_scaling(args.parent), "change": ss_scaling(HERE)}}
+              "ss_scaling": scaling,
+              "code": {side: {k: out[k] for k in CODE_COUNTS} for side, out in scaling.items()}}
     json.dump(result, sys.stdout, indent=1)
     print()
 

@@ -22,16 +22,18 @@ one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
 constructors, `solver(f)` for `f.matrix x = b` modulo the relations of
 `f.target` (one factorisation of the map serves every right-hand side),
 the kernel of a linear system, the images of a free generator, membership
-in the relations, two presentation steps, and the mono, epi and exactness
-verdicts (constructions over Z, ranks over F_p; see `abelian`).  `quotient(M, cols)` is M
-modulo extra relation columns, returned as its epi M -> Q alone (Q is
-`epi.target`).  The epi carries a section of its matrix, built with it:
-the invariant-factor form from one Smith normal form (Z), or the
-complement of an echelon basis of the span (F_p).  `section(epi)` reads it
-back, and solves one preimage per generator for an epi built any other
-way.  Cokernel, `simplify`, `cofactor_through_epi`, `iso_inverse` and the
-tensor and base-change objects and maps of `tensorops` are all built on
-these two.
+in the relations, two presentation steps, the mono, epi and exactness
+verdicts (constructions over Z, ranks over F_p; see `abelian`), the cover
+and lift of base change out of the ring (`base_change_epi`,
+`base_change_lift`) and a random map's `coefficient_range`.
+`quotient(M, cols)` is M modulo extra relation columns, returned as its
+epi M -> Q alone (Q is `epi.target`).  The epi carries a section of its
+matrix, built with it: the invariant-factor form from one Smith normal
+form (Z), or the complement of an echelon basis of the span (F_p).
+`section(epi)` reads it back, and solves one preimage per generator for an
+epi built any other way.  Cokernel, `simplify`, `cofactor_through_epi`,
+`iso_inverse` and the tensor and base-change objects and maps of
+`tensorops` are all built on these two.
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
 built on it.  `HomSystem` builds the linear system for unknown module
@@ -66,7 +68,7 @@ from . import abelian, fplinalg, intlinalg
 from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
 from .fplinalg import FpMatrix, fp_from_columns
 from .intlinalg import IntMatrix, from_columns, hstack
-from .rings import Ring, ZZ
+from .rings import Ring, ZZ, require_algebra
 
 
 # -- the base-ring seam -----------------------------------------------------
@@ -81,10 +83,13 @@ class _RingOps:
     basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue`/`reduce` (coordinates that vanish exactly
     on the relations, and normal forms), `quotient`, `submodule`,
-    `generators` (of a free cover), `element_grid`, `describe`, and the
+    `generators` (of a free cover), `element_grid`, `describe`, the
     exactness verdicts `is_mono`, `is_epi` and `exact_at` (exactness at
-    the middle of f, g, given g . f = 0); the constructors below are
-    shared and checked.
+    the middle of f, g, given g . f = 0), `base_change_epi` and
+    `base_change_lift` (the epi onto S (x)_R M from a cover, with its
+    section, for a ring map R -> S out of this ring, and a matrix lifted
+    to covers), and `coefficient_range` (the entries of a random map);
+    the constructors below are shared and checked.
     """
 
     __slots__ = ()
@@ -191,6 +196,26 @@ class _IntegerOps(_RingOps):
         if M.invariant_factors()[1]:
             raise ValueError("module is infinite")
         return [max(d, 1) for d in M._pres_snf().diagonal()], M._uinv()
+
+    def coefficient_range(self, bound):
+        return -bound, bound
+
+    def base_change_epi(self, rm, M):
+        """Z -> Z: the identity.  Z -> S: the free S-module on M's
+        generators modulo M's relations, lifted."""
+        if rm.target == M.ring:
+            epi = identity_mor(M)
+            epi._cache["section"] = epi.matrix
+            return epi
+        cover = free_module(rm.target, M.gens)
+        psi = self.base_change_lift(rm, M._rel_cols())
+        return cover.ops.quotient(cover, [psi.col(j) for j in range(psi.cols)])
+
+    def base_change_lift(self, rm, matrix):
+        """Each entry times the identity of S (the matrix itself if S = Z)."""
+        ops = ring_ops(rm.target)
+        scalars = ops.matrix(matrix.rows, matrix.cols, matrix.data)
+        return ops.kron(scalars, ops.identity(len(ops.unit)))
 
     def describe(self, M):
         torsion, free = M.invariant_factors()
@@ -317,6 +342,28 @@ class _AlgebraOps(_RingOps):
     def describe(self, M):
         return f"dim {M.gens} over {M.ring.label}" if M.gens else "0"
 
+    def coefficient_range(self, bound):
+        return 0, self.p - 1
+
+    def base_change_epi(self, rm, M):
+        """The cover S (x)_{F_p} M, onto free_module(S, k) when M is free of
+        rank k (`_free_base_change`), and otherwise by `quotient` modulo
+        s.rm(a) (x) x - s (x) a.x."""
+        S, ident = rm.target, self.identity(M.gens)
+        actions = [self.kron(lam, ident) for lam in S.regular]
+        cover = ModuleObj(S, S.dim * M.gens, actions=actions, check=False)
+        if M.free_rank is not None:
+            return _free_base_change(rm, M, cover)
+        cols = []
+        for image, act in zip(rm.images, M.actions):
+            m = self.kron(S.right_mult_matrix(image), ident).add(
+                self.base_change_lift(rm, act).scale(-1))
+            cols.extend(m.col(j) for j in range(m.cols))
+        return cover.ops.quotient(cover, cols)
+
+    def base_change_lift(self, rm, matrix):
+        return self.kron(self.identity(rm.target.dim), matrix)
+
     # Over an F_p-algebra a module has no relations, so a map is an
     # F_p-linear map of its generator coordinates and every verdict is a
     # rank count (rank-nullity), complete and exact: f is mono iff
@@ -338,6 +385,34 @@ class _AlgebraOps(_RingOps):
 
     def exact_at(self, f, g):
         return self.rank(f) + self.rank(g) == f.target.gens
+
+
+def _free_base_change(rm, M: ModuleObj, cover: ModuleObj) -> ModMor:
+    """S (x)_R R^k = S^k: the epi from the cover S (x)_{F_p} M onto
+    free_module(S, k), for M in the layout of `free_module` (copy j of R on
+    coordinates j.dim R onwards), sending s (x) r.e_j to s.rm(r) in copy j.
+    Its section sends e_t in copy j to e_t (x) 1.e_j, i.e. the sum over r
+    of unit_r . (e_t (x) r.e_j).  The epi is a checked map."""
+    S, R, k = rm.target, rm.source, M.free_rank
+    ds, n = S.dim, M.gens
+    rights = [S.right_mult_matrix(image) for image in rm.images]
+    cols = []
+    for s in range(ds):  # cover coordinate s.n + j.dim R + r is s (x) r.e_j
+        for j in range(k):
+            for right in rights:
+                col = [0] * (k * ds)
+                col[j * ds:(j + 1) * ds] = right.col(s)
+                cols.append(col)
+    sec = []
+    for j in range(k):
+        for t in range(ds):
+            col = [0] * (ds * n)
+            col[t * n + j * R.dim: t * n + (j + 1) * R.dim] = R.unit
+            sec.append(col)
+    ops = cover.ops
+    epi = ModMor(cover, free_module(S, k), ops.from_columns(cols, k * ds))
+    epi._cache["section"] = ops.from_columns(sec, ds * n)
+    return epi
 
 
 _INTEGER_OPS = _IntegerOps()
@@ -514,9 +589,10 @@ def trivial_module(ring: Ring) -> ModuleObj:
     """One-dimensional module where every basis element acts as 1.
 
     Valid for group algebras (and any algebra whose basis maps to 1 under
-    an augmentation); construction-time checks reject anything else.
+    an augmentation); construction-time checks reject anything else, and
+    the integers raise a RingError (`rings.require_algebra`).
     """
-    one = FpMatrix(ring.p, 1, 1, [[1]])
+    one = FpMatrix(require_algebra(ring, "the trivial module").p, 1, 1, [[1]])
     return ModuleObj(ring, 1, actions=[one] * ring.dim)
 
 

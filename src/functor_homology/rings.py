@@ -2,7 +2,9 @@
 
 An FpAlgebra is given by structure constants on a chosen basis; group
 algebras are the main source.  Associativity and unitality are checked at
-construction so downstream code can rely on them.
+construction so downstream code can rely on them.  Constructors that need
+an F_p-algebra (`RingMap` out of one, `group_ring_map`, `augmentation_map`,
+`modules.trivial_module`) reject the integers by `require_algebra`.
 """
 
 from __future__ import annotations
@@ -39,14 +41,9 @@ class Ring:
         self.kind = kind
         self._ops = None
         if kind == INT:
-            self.p = None
-            self.dim = None
-            self.basis = None
-            self.mult = None
-            self.unit = None
+            self.p = self.dim = self.basis = self.mult = self.unit = None
             self.label = label or "Z"
-            self.regular = ()
-            self.algebra_generators = ()
+            self.regular = self.algebra_generators = ()
             return
         if kind != FP_ALGEBRA:
             raise ShapeError(f"unknown ring kind {kind!r}")
@@ -165,6 +162,13 @@ class Ring:
 ZZ = Ring(INT)
 
 
+def require_algebra(ring, what):
+    """ring, or a RingError saying that `what` needs an F_p-algebra."""
+    if ring.is_integers:
+        raise RingError(f"{what} needs an F_p-algebra, not {ring.label}")
+    return ring
+
+
 def fp_field(p, label=None):
     """F_p itself, as a one-dimensional algebra."""
     return Ring(FP_ALGEBRA, p=p, dim=1, basis=("1",), mult=(((1,),),), unit=(1,),
@@ -236,7 +240,8 @@ class RingMap:
 
     Supported shapes: Z -> Z (identity), Z -> FpAlgebra (the unique map),
     FpAlgebra -> FpAlgebra over the same prime (basis-image matrix,
-    checked to be unital and multiplicative).
+    checked to be unital and multiplicative).  An algebra source with no
+    images, or with the integers as target, is a RingError.
     """
 
     __slots__ = ("source", "target", "images")
@@ -247,8 +252,9 @@ class RingMap:
         if source.is_integers:
             self.images = None
             return
-        if target.is_integers:
-            raise RingError("no maps from an F_p-algebra to the integers here")
+        require_algebra(target, "a ring map out of an F_p-algebra")
+        if images is None:
+            raise RingError("a ring map out of an F_p-algebra needs images")
         if source.p != target.p:
             raise RingError("ring map must preserve the prime")
         p = source.p
@@ -285,9 +291,13 @@ class RingMap:
 
 def group_ring_map(source: Ring, target: Ring, element_images, label=None):
     """Ring map induced by sending the i-th basis group element of `source`
-    to the `element_images[i]`-th basis element of `target`."""
+    to the `element_images[i]`-th basis element of `target`, an
+    F_p-algebra."""
+    require_algebra(target, "a group ring map's target")
     images = []
     for idx in element_images:
+        if not 0 <= idx < target.dim:
+            raise RingError(f"{idx} is not a basis index of {target.label}")
         v = [0] * target.dim
         v[idx] = 1
         images.append(tuple(v))
@@ -296,6 +306,6 @@ def group_ring_map(source: Ring, target: Ring, element_images, label=None):
 
 def augmentation_map(source: Ring):
     """F_p[G] -> F_p sending every group element to 1."""
-    target = fp_field(source.p)
+    target = fp_field(require_algebra(source, "the augmentation").p)
     images = [(1,)] * source.dim
     return RingMap(source, target, images)

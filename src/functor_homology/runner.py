@@ -66,56 +66,38 @@ class Environment:
 
     def _build_functor(self, expr: FunctorExpr):
         if expr.op == "name":
-            name = expr.args[0]
-            if name in self.functors:
-                return self.functors[name]
-            raise BuildError(f"{name!r} is not a functor")
+            return _lookup(expr.args[0], "functor", self.functors)
         if expr.op == "tensor":
-            m = self.modules.get(expr.args[0])
-            if m is None:
-                raise BuildError(f"{expr.args[0]!r} is not a module")
-            return functors.tensor_with(m)
+            return functors.tensor_with(_lookup(expr.args[0], "module", self.modules))
         if expr.op == "base_change":
-            src = self.rings.get(expr.args[0])
-            tgt = self.rings.get(expr.args[1])
-            if src is None or tgt is None:
-                raise BuildError("base_change needs two declared rings")
-            images = expr.args[2]
-            if src.is_integers:
-                rm = RingMap(src, tgt)
-            elif images is not None:
-                rm = group_ring_map(src, tgt, list(images))
-            else:
-                raise BuildError(
-                    "base_change between algebras needs images=[...]")
-            return functors.base_change(rm)
+            src = _lookup(expr.args[0], "ring", self.rings)
+            tgt, images = _lookup(expr.args[1], "ring", self.rings), expr.args[2]
+            return functors.base_change(RingMap(src, tgt) if images is None
+                                        else group_ring_map(src, tgt, list(images)))
         if expr.op == "coinvariants":
-            src = self.rings.get(expr.args[0])
-            if src is None or src.is_integers:
-                raise BuildError("coinvariants needs a group algebra")
-            return functors.base_change(augmentation_map(src))
+            return functors.base_change(augmentation_map(
+                _lookup(expr.args[0], "ring", self.rings)))
         if expr.op == "compose":
             return functors.compose(self.functor_from_expr(expr.args[0]),
                                     self.functor_from_expr(expr.args[1]))
         if expr.op == "exponent":
-            inner = self.functor_from_expr(expr.args[0])
-            cat = self.categories.get(expr.args[1])
-            if cat is None:
-                raise BuildError(f"{expr.args[1]!r} is not a category")
-            return functors.exponent(inner, cat)
+            return functors.exponent(self.functor_from_expr(expr.args[0]),
+                                     _lookup(expr.args[1], "category", self.categories))
         raise BuildError(f"unknown functor expression {expr.op!r}")
 
     def any_object(self, name):
-        for table in (self.modules, self.diagrams):
-            if name in table:
-                return table[name]
-        raise BuildError(f"{name!r} is not a module or diagram")
+        return _lookup(name, "module or diagram", self.modules, self.diagrams)
 
     def any_morphism(self, name):
-        for table in (self.morphisms, self.diagmors):
-            if name in table:
-                return table[name]
-        raise BuildError(f"{name!r} is not a morphism")
+        return _lookup(name, "morphism", self.morphisms, self.diagmors)
+
+
+def _lookup(name, what, *tables):
+    """The object declared as name in the first of tables holding it."""
+    for table in tables:
+        if name in table:
+            return table[name]
+    raise BuildError(f"{name!r} is not a {what}")
 
 
 def build_environment(doc: WorkbenchDoc):
@@ -126,7 +108,7 @@ def build_environment(doc: WorkbenchDoc):
     for d in doc.decls:
         try:
             _build_decl(env, d)
-        except (AlgebraError, ValueError, KeyError, AssertionError) as exc:
+        except (AlgebraError, ValueError, KeyError) as exc:
             diags.append(Diagnostic(d.line, d.col,
                                     f"{d.kind} {d.name!r}: {exc}"))
     return env, diags
@@ -152,17 +134,13 @@ def _build_decl(env: Environment, d: Decl):
         if p["form"] == "free":
             env.modules[d.name] = modules.free_module(ring, p["rank"])
         elif p["form"] == "coker":
-            if not ring.is_integers:
-                raise BuildError("coker presentations are for the integers")
             rels = p["relations"]
-            gens = len(rels[0]) if rels else 0
-            env.modules[d.name] = ModuleObj(ring, gens=gens, rels=rels)
+            env.modules[d.name] = ModuleObj(ring, len(rels[0]) if rels else 0, rels)
         elif p["form"] == "trivial":
             env.modules[d.name] = modules.trivial_module(ring)
         else:
-            from .fplinalg import FpMatrix
-            acts = [FpMatrix(ring.p, p["dim"], p["dim"], m)
-                    for m in p["actions"]]
+            ops = modules.ring_ops(ring)
+            acts = [ops.matrix(p["dim"], p["dim"], m) for m in p["actions"]]
             env.modules[d.name] = ModuleObj(ring, p["dim"], actions=acts)
     elif d.kind == "morphism":
         src = env.modules[p["source"]]
@@ -343,7 +321,7 @@ def _run_task(env: Environment, decl: Decl, max_degree, seed) -> TaskResult:
                               "pass" if rep.ok() else "fail", rows)
         return TaskResult(decl.name, kind, "error",
                           [("error", f"unknown task kind {kind!r}")])
-    except (AlgebraError, KeyError, ValueError, AssertionError) as exc:
+    except (AlgebraError, KeyError, ValueError) as exc:
         return TaskResult(decl.name, kind, "error", [("error", str(exc))])
 
 

@@ -4,16 +4,16 @@ Tensor is over the base ring itself and requires it to be commutative
 (integers, or a commutative F_p-algebra).  Base change goes along a ring
 map: the unique map out of Z, or an algebra map between F_p-algebras.
 
-Each object is the target of an epi from a raw module.  Mostly it is the
-base ring's `quotient` epi (see `modules`) by relation columns, so one body
+Each object is the target of an epi from a raw module, mostly the base
+ring's `quotient` epi (see `modules`) by relation columns, so one body
 serves both rings: a Z module contributes relations and an F_p-algebra
-module contributes actions.  Only base change picks its raw module by the
-kind of ring map, and it has one branch of its own: along a map of
-F_p-algebras, a free module M = R^k goes to free_module(S, k) directly
-(S (x)_R R^k = S^k), by an epi built with its section
-(`_free_base_change`).  A map is read off through the section the epi
-carries: the source's `section`, then the raw map, then the target's epi.
-Nothing is solved.
+module contributes actions.  Base change takes its cover from the source
+ring's ops (`base_change_epi`, and `base_change_lift` for a map's matrix):
+Z -> Z is the identity, Z -> S the free S-module on M's generators
+modulo M's relations, and along a map of F_p-algebras the cover
+S (x)_{F_p} M, sent onto free_module(S, k) directly when M = R^k is free.
+A map is read off through the section the epi carries: the source's
+`section`, then the raw map, then the target's epi.  Nothing is solved.
 
 Object constructions cache their epi on the module they start from (the
 first tensor factor, or the module being base-changed), keyed by the
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 from . import modules
 from .errors import RingMismatchError
-from .intlinalg import IntMatrix
-from .modules import ModMor, ModuleObj, free_module, section
+from .modules import ModMor, ModuleObj, section
 from .rings import RingMap
 
 
@@ -95,74 +94,16 @@ def tensor_unit_map(A: ModuleObj) -> ModMor:
 # -- base change -------------------------------------------------------------
 
 
-def _scalar_block_matrix(rm: RingMap, mat: IntMatrix):
-    """Integer matrix acting between free modules over the target algebra:
-    each entry, reduced mod p, times the identity of the algebra."""
-    ops = modules.ring_ops(rm.target)
-    scalars = ops.matrix(mat.rows, mat.cols, mat.data)
-    return ops.kron(scalars, ops.identity(rm.target.dim))
-
-
 def base_change_data(rm: RingMap, M: ModuleObj) -> ModMor:
-    """The epi onto S (x)_R M from a cover over S.  R = Z: the free
-    S-module on M's generators, by `quotient` modulo M's relations.  R an
-    F_p-algebra: the cover S (x)_{F_p} M, onto free_module(S, k) when M is
-    free of rank k (`_free_base_change`), and otherwise by `quotient` modulo
-    s.rm(a) (x) x - s (x) a.x."""
+    """The epi onto S (x)_R M from a cover over S, as the source ring's ops
+    builds it (`base_change_epi`), kept on M."""
     if M.ring != rm.source:
         raise RingMismatchError("module is not over the ring map's source")
     key = ("base_change", id(rm))
     if key in M._cache:
         return M._cache[key][1]
-    S = rm.target
-    if rm.source.is_integers and S.is_integers:
-        epi = modules.identity_mor(M)
-    elif rm.source.is_integers:
-        cover = free_module(S, M.gens)
-        psi = _scalar_block_matrix(rm, M._rel_cols())
-        epi = cover.ops.quotient(cover, [psi.col(j) for j in range(psi.cols)])
-    else:
-        ops, ident = M.ops, M.ops.identity(M.gens)
-        actions = [ops.kron(lam, ident) for lam in S.regular]
-        cover = ModuleObj(S, S.dim * M.gens, actions=actions, check=False)
-        if M.free_rank is not None:
-            epi = _free_base_change(rm, M, cover)
-        else:
-            cols = []
-            for image, act in zip(rm.images, M.actions):
-                m = ops.kron(S.right_mult_matrix(image), ident).add(
-                    ops.kron(ops.identity(S.dim), act).scale(-1))
-                cols.extend(m.col(j) for j in range(m.cols))
-            epi = cover.ops.quotient(cover, cols)
+    epi = M.ops.base_change_epi(rm, M)
     M._cache[key] = (rm, epi)
-    return epi
-
-
-def _free_base_change(rm: RingMap, M: ModuleObj, cover: ModuleObj) -> ModMor:
-    """S (x)_R R^k = S^k: the epi from the cover S (x)_{F_p} M onto
-    free_module(S, k), for M in the layout of `free_module` (copy j of R on
-    coordinates j.dim R onwards), sending s (x) r.e_j to s.rm(r) in copy j.
-    Its section sends e_t in copy j to e_t (x) 1.e_j, i.e. the sum over r
-    of unit_r . (e_t (x) r.e_j).  The epi is a checked map."""
-    S, R, k = rm.target, rm.source, M.free_rank
-    ds, n = S.dim, M.gens
-    rights = [S.right_mult_matrix(image) for image in rm.images]
-    cols = []
-    for s in range(ds):  # cover coordinate s.n + j.dim R + r is s (x) r.e_j
-        for j in range(k):
-            for right in rights:
-                col = [0] * (k * ds)
-                col[j * ds:(j + 1) * ds] = right.col(s)
-                cols.append(col)
-    sec = []
-    for j in range(k):
-        for t in range(ds):
-            col = [0] * (ds * n)
-            col[t * n + j * R.dim: t * n + (j + 1) * R.dim] = R.unit
-            sec.append(col)
-    ops = cover.ops
-    epi = ModMor(cover, free_module(S, k), ops.from_columns(cols, k * ds))
-    epi._cache["section"] = ops.from_columns(sec, ds * n)
     return epi
 
 
@@ -173,10 +114,5 @@ def base_change_obj(rm: RingMap, M: ModuleObj) -> ModuleObj:
 def base_change_mor(rm: RingMap, f: ModMor) -> ModMor:
     esrc = base_change_data(rm, f.source)
     etgt = base_change_data(rm, f.target)
-    if rm.source.is_integers and rm.target.is_integers:
-        return f
-    if rm.source.is_integers:
-        lifted = _scalar_block_matrix(rm, f.matrix)
-    else:
-        lifted = f.ops.kron(f.ops.identity(rm.target.dim), f.matrix)
+    lifted = f.ops.base_change_lift(rm, f.matrix)
     return ModMor(esrc.target, etgt.target, etgt.matrix.mul(lifted).mul(section(esrc)))

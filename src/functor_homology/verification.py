@@ -119,7 +119,7 @@ def random_free_diagram_mor(rng, F: Diagram, M: Diagram, bound=2) -> DiagMor:
     for s_idx, s in enumerate(F.free_data.summands):
         P = s.module
         tgt = M.components[s.at]
-        lo, hi = (-bound, bound) if P.ring.is_integers else (0, P.ring.p - 1)
+        lo, hi = P.ops.coefficient_range(bound)
         cols = []
         for _ in range(P.free_rank):
             v = [rng.randint(lo, hi) for _ in range(tgt.gens)]

@@ -3,6 +3,8 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from functor_homology import runner
 from functor_homology.dsl import parse, print_doc
 
@@ -256,3 +258,20 @@ def test_negative_degree_is_an_error_row():
         assert result.status == "error", (text, result.rows)
         assert "nonnegative" in dict(result.rows)["error"]
         assert not report.ok()
+
+
+def test_assertion_error_is_not_a_diagnostic(monkeypatch):
+    # an AssertionError is an internal bug, not bad input: it leaves the
+    # builder and a task instead of becoming a diagnostic or an error row
+    def broken(*args, **kwargs):
+        raise AssertionError("internal bug")
+
+    doc, diags = parse(FIXTURE_LES + "task h = homology f=x2 g=q\n")
+    assert not diags, diags
+    assert runner.run(doc).ok()
+    monkeypatch.setattr(runner, "homology_at", broken)
+    with pytest.raises(AssertionError, match="internal bug"):
+        runner.run(doc, task="h")
+    monkeypatch.setattr(runner, "SES", broken)
+    with pytest.raises(AssertionError, match="internal bug"):
+        runner.build_environment(doc)

@@ -7,7 +7,7 @@ The package is organised in layers:
 - ``rings`` / ``modules``: the two base module categories (finitely
   presented abelian groups; modules over a finite-dimensional
   F_p-algebra), with kernels, cokernels, images, biproducts, free covers
-  and element calculus.
+  and hom spaces.
 - ``fincat`` / ``diagrams``: finite index categories and the diagram
   category C^I, with componentwise kernels, exactness, free diagrams and
   exponent functors (``functors``).

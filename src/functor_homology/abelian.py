@@ -10,12 +10,21 @@ unchanged in C and in C^I:
   (through self as a mono), `cofactor(w)` (through self as an epi),
   `inverse()`, `lift(e)` (self through the epi e), `is_mono()`,
   `is_epi()`, `is_exact_at(g)` and `is_split_exact(p, r, s)` (do r and s
-  split the sequence self, p: the splitting lemma's four identities).
+  split the sequence self, p: the splitting lemma's four identities);
+- hom systems (`modules.hom_space`): an object lays out the unknowns of
+  a map to B, `hom_unknowns(system, B)` (one matrix per index object, in
+  object order; one for a module), adds their naturality rows,
+  `naturality(system, var, B)` (none for a module), and rebuilds the
+  checked map from solved matrices, `mor_from_matrices(B, mats)`; a map
+  gives its matrices in the same order, `matrices()`.  Hom in C^I is the
+  end of the componentwise homs, and a module is a diagram over the
+  one-object category, so one solver serves C and C^I.
 
-Each method is one call to the module-level function of `modules` or
-`diagrams`, looked up by its global name at call time, so patching that
-module attribute (as a tracer or a planted-fault test does) reaches every
-caller.  The constructions below need nothing else and are written once:
+Each construction method is one call to the module-level function of
+`modules` or `diagrams`, looked up by its global name at call time, so
+patching that module attribute (as a tracer or a planted-fault test
+does) reaches every caller; the hom-system methods hold their own short
+bodies.  The constructions below need nothing else and are written once:
 the image as the kernel of the cokernel (Freyd), the iso test, and the
 intrinsic exactness test.
 

@@ -11,9 +11,11 @@ tested both intrinsically and per component, and the two verdicts are
 required to agree.
 
 `Diagram` and `DiagMor` answer the method interface listed in `abelian`.
-Each method calls the `d_*` function of this module by its global name
-(never a class attribute bound to it), so patching the module attribute
-reaches method callers too.
+Each construction method calls the `d_*` function of this module by its
+global name (never a class attribute bound to it), so patching the module
+attribute reaches method callers too.  The hom-system methods lay out one
+unknown per index object and the naturality squares, so
+`modules.hom_space` solves Hom in C^I with the body it uses for modules.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import abelian, modules
-from .errors import ExactnessError, MorphismError, RingMismatchError, ShapeError
+from .errors import ExactnessError, MorphismError, ShapeError
 from .fincat import FinCat
 from .modules import (HomSystem, ModMor, ModuleObj, nary_biproduct, same_map_into,
                       zero_module)
@@ -72,6 +74,25 @@ class Diagram:
 
     def free_cover(self):
         return d_free_cover(self)
+
+    # Hom in C^I is the end of the componentwise homs: one unknown per
+    # index object, tied by the naturality squares (see
+    # `modules.hom_space`).
+
+    def hom_unknowns(self, system: HomSystem, B: "Diagram") -> list:
+        return [system.unknown(self.components[o], B.components[o])
+                for o in self.index.objects]
+
+    def naturality(self, system: HomSystem, var, B: "Diagram"):
+        idx = self.index
+        at = dict(zip(idx.objects, var))
+        for m in idx.nonidentity_morphisms():
+            system.commute(at[idx.tgt(m)], self.maps[m].matrix, B.maps[m].matrix,
+                           at[idx.src(m)])
+
+    def mor_from_matrices(self, B: "Diagram", mats) -> "DiagMor":
+        return DiagMor(self, B, {o: ModMor(self.components[o], B.components[o], m)
+                                 for o, m in zip(self.index.objects, mats)})
 
     def describe(self):
         parts = [f"{o}: {self.components[o].describe()}" for o in self.index.objects]
@@ -184,6 +205,9 @@ class DiagMor:
     def is_zero(self):
         return all(self.comps[o].is_zero() for o in self.index.objects)
 
+    def matrices(self) -> list:
+        return [self.comps[o].matrix for o in self.index.objects]
+
     # -- the abelian interface (see `abelian`) -----------------------------
 
     def kernel(self):
@@ -262,17 +286,6 @@ def projection(x, i):
     if not isinstance(x, (Diagram, DiagMor)):
         raise ShapeError("projection applies to diagrams and diagram morphisms")
     return x.component(i)
-
-
-def gamma(d: Diagram, m) -> ModMor:
-    """Structure map of d at the index morphism m (the natural
-    transformation between projections, evaluated at d)."""
-    return d.map(m)
-
-
-def add_morphisms(f: DiagMor, g: DiagMor) -> DiagMor:
-    """Componentwise sum of parallel diagram morphisms."""
-    return f + g
 
 
 # -- kernels, cokernels, factorisations -------------------------------------
@@ -559,44 +572,3 @@ def free_diagram_map(F: Diagram, M: Diagram, adjuncts) -> DiagMor:
             acc = acc + proj.then(adjuncts[s_idx]).then(M.maps[f])
         comps[j] = acc
     return DiagMor(F, M, comps)
-
-
-def d_hom_unknowns(system: HomSystem, A: Diagram, B: Diagram) -> dict:
-    """Unknown components A^o -> B^o, one per index object."""
-    return {o: system.unknown(A.components[o], B.components[o])
-            for o in A.index.objects}
-
-
-def d_mor_from_matrices(A: Diagram, B: Diagram, mats) -> DiagMor:
-    """The diagram morphism with these component matrices, in object order."""
-    return DiagMor(A, B, {o: ModMor(A.components[o], B.components[o], m)
-                          for o, m in zip(A.index.objects, mats)})
-
-
-def d_naturality(system: HomSystem, var: dict, A: Diagram, B: Diagram):
-    """Naturality squares of the unknown components `var`: A -> B."""
-    idx = A.index
-    for m in idx.nonidentity_morphisms():
-        i, j = idx.src(m), idx.tgt(m)
-        system.commute(var[j], A.maps[m].matrix, B.maps[m].matrix, var[i])
-
-
-def d_hom_basis(A: Diagram, B: Diagram):
-    """Generators of the group of diagram morphisms A -> B.
-
-    Joint solve of per-component well-definedness and all naturality
-    squares; returns a list of DiagMor.
-    """
-    if A.ring != B.ring:
-        raise RingMismatchError("hom needs a common ring")
-    system = HomSystem(A.ring)
-    var = d_hom_unknowns(system, A, B)
-    for k in var.values():
-        system.well_defined(k)
-    d_naturality(system, var, A, B)
-    out = []
-    for mats in system.solve():
-        mor = d_mor_from_matrices(A, B, mats)
-        if not mor.is_zero():
-            out.append(mor)
-    return out

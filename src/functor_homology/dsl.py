@@ -85,9 +85,6 @@ class Token:
     col: int
 
 
-_PUNCT = ("->", "=", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}")
-
-
 def _tokenize(text):
     toks = []
     diags = []

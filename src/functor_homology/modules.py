@@ -37,7 +37,10 @@ epi built any other way.  Cokernel, `simplify`, `cofactor_through_epi`,
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
 built on it.  `HomSystem` builds the linear system for unknown module
-matrices behind every hom-space solver.  Values are immutable after
+matrices, and `hom_space` is the one solver on it, for C and C^I alike:
+each object lays out its own unknowns and naturality rows (see
+`abelian`), so `hom_basis` and the morphisms of short exact sequences
+have one body for modules and diagrams.  Values are immutable after
 construction and every operation is pure.
 
 Validation follows one rule.  Outside input is checked in full:
@@ -60,8 +63,6 @@ method callers too.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 from . import abelian, fplinalg, intlinalg
@@ -81,15 +82,17 @@ class _RingOps:
     producers of its matrix module), `kernel_basis`, `solver`,
     `free_images` and `unit` (coordinates of a free generator on its free
     basis), `n_actions` and `has_relations` (the shape of a
-    presentation), `residue`/`reduce` (coordinates that vanish exactly
-    on the relations, and normal forms), `quotient`, `submodule`,
-    `generators` (of a free cover), `element_grid`, `describe`, the
-    exactness verdicts `is_mono`, `is_epi` and `exact_at` (exactness at
-    the middle of f, g, given g . f = 0), `base_change_epi` and
-    `base_change_lift` (the epi onto S (x)_R M from a cover, with its
+    presentation), `residue` (coordinates that vanish exactly on the
+    relations), `quotient`, `submodule`, `generators` (of a free cover),
+    `describe`, the exactness verdicts `is_mono`, `is_epi` and `exact_at`
+    (exactness at the middle of f, g, given g . f = 0), `base_change_epi`
+    and `base_change_lift` (the epi onto S (x)_R M from a cover, with its
     section, for a ring map R -> S out of this ring, and a matrix lifted
-    to covers), and `coefficient_range` (the entries of a random map);
-    the constructors below are shared and checked.
+    to covers), and `coefficient_range` (the entries of a random map).
+    `invariant_factors` and `simplify` answer over Z only, and
+    `fp_dimension` and `minimal_generators` over an F_p-algebra; on the
+    other ring each raises a ShapeError.  The constructors below are
+    shared and checked.
     """
 
     __slots__ = ()
@@ -159,9 +162,6 @@ class _IntegerOps(_RingOps):
             u[i] %= diag[i]
         return u
 
-    def reduce(self, M, vec):
-        return tuple(M._uinv().mul_vec(self.residue(M, vec)))
-
     def quotient(self, M, cols):
         """The epi from M onto M modulo the extra relation columns, in
         invariant-factor form (Smith normal form of all relations, dropping
@@ -192,10 +192,20 @@ class _IntegerOps(_RingOps):
     def generators(self, M):
         return fplinalg.unit_vectors(M.gens)
 
-    def element_grid(self, M):
-        if M.invariant_factors()[1]:
-            raise ValueError("module is infinite")
-        return [max(d, 1) for d in M._pres_snf().diagonal()], M._uinv()
+    def invariant_factors(self, M):
+        res = M._pres_snf()
+        return [d for d in res.diagonal() if d > 1], M.gens - res.rank
+
+    def simplify(self, M):
+        to_simple = self.quotient(M, [])
+        simple = to_simple.target
+        return simple, to_simple, ModMor(simple, M, section(to_simple), check=False)
+
+    def fp_dimension(self, M):
+        raise ShapeError("an F_p dimension needs a module over an F_p-algebra")
+
+    def minimal_generators(self, M):
+        raise ShapeError("minimal generators need a module over an F_p-algebra")
 
     def coefficient_range(self, bound):
         return -bound, bound
@@ -283,9 +293,6 @@ class _AlgebraOps(_RingOps):
     def residue(self, M, vec):
         return [x % self.p for x in vec]
 
-    def reduce(self, M, vec):
-        return tuple(self.residue(M, vec))
-
     def quotient(self, M, cols):
         """The epi from M onto M modulo the span of cols: extend a basis of
         the span by unit vectors; the quotient map takes the coordinates
@@ -334,10 +341,29 @@ class _AlgebraOps(_RingOps):
         return K, ModMor(K, M, w)
 
     def generators(self, M):
-        return minimal_generators(M)
+        return self.minimal_generators(M)
 
-    def element_grid(self, M):
-        return [self.p] * M.gens, self.identity(M.gens)
+    def invariant_factors(self, M):
+        raise ShapeError("invariant factors need an integer module")
+
+    def simplify(self, M):
+        raise ShapeError("simplify needs an integer module")
+
+    def fp_dimension(self, M):
+        return M.gens
+
+    def minimal_generators(self, M):
+        """A greedy module generating set, scanning the basis in order.
+        Deterministic; not guaranteed minimal, but small."""
+        chosen = []
+        span = fplinalg.Span(self.p, M.gens)
+        for v in fplinalg.unit_vectors(M.gens):
+            if span.contains(v):
+                continue
+            chosen.append(v)
+            for act in M.actions:
+                span.insert(act.mul_vec(v))
+        return chosen
 
     def describe(self, M):
         return f"dim {M.gens} over {M.ring.label}" if M.gens else "0"
@@ -501,19 +527,9 @@ class ModuleObj:
         """Is this generator-coordinate vector zero in the module?"""
         return not any(self.ops.residue(self, vec))
 
-    def reduce(self, vec):
-        """Canonical representative of a coordinate vector."""
-        return self.ops.reduce(self, vec)
-
     def invariant_factors(self):
         """(torsion factors > 1, free rank) for integer modules."""
-        if not self.ring.is_integers:
-            raise ShapeError("invariant factors need an integer module")
-        res = self._pres_snf()
-        diag = res.diagonal()
-        torsion = [d for d in diag if d > 1]
-        free = self.gens - res.rank
-        return torsion, free
+        return self.ops.invariant_factors(self)
 
     def is_zero(self) -> bool:
         """Does every generator lie in the relations?"""
@@ -539,11 +555,22 @@ class ModuleObj:
     def free_cover(self):
         return free_cover(self)
 
+    # A module is a diagram over the one-object category: one unknown
+    # matrix and no naturality squares (see `hom_space`).
+
+    def hom_unknowns(self, system: "HomSystem", B: "ModuleObj") -> list:
+        return [system.unknown(self, B)]
+
+    def naturality(self, system: "HomSystem", var, B: "ModuleObj"):
+        """No rows: the one object has only its identity."""
+
+    def mor_from_matrices(self, B: "ModuleObj", mats) -> "ModMor":
+        (m,) = mats
+        return ModMor(self, B, m)
+
     def fp_dimension(self) -> int:
         """Underlying F_p dimension (algebra case only)."""
-        if self.ring.is_integers:
-            raise ShapeError("an F_p dimension needs a module over an F_p-algebra")
-        return self.gens
+        return self.ops.fp_dimension(self)
 
     def __eq__(self, other):
         if self is other:
@@ -598,46 +625,6 @@ def trivial_module(ring: Ring) -> ModuleObj:
 
 def ring_as_module(ring: Ring) -> ModuleObj:
     return free_module(ring, 1)
-
-
-class Element:
-    """An element of a module, stored as generator coordinates."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent: ModuleObj, coords):
-        if len(coords) != parent.gens:
-            raise ShapeError("coordinate length must equal generator count")
-        self.parent = parent
-        self.coords = tuple(coords)
-
-    def normal_form(self):
-        return self.parent.reduce(self.coords)
-
-    def is_zero(self):
-        return self.parent.in_relations(self.coords)
-
-    def __eq__(self, other):
-        return (isinstance(other, Element) and self.parent == other.parent
-                and self.normal_form() == other.normal_form())
-
-    def _check_parent(self, other):
-        if self.parent != other.parent:
-            raise ShapeError("elements of different modules do not combine")
-
-    def __add__(self, other):
-        self._check_parent(other)
-        return Element(self.parent, [a + b for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        self._check_parent(other)
-        return Element(self.parent, [a - b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, c):
-        return Element(self.parent, [c * a for a in self.coords])
-
-    def __repr__(self):
-        return f"Element({list(self.coords)} in {self.parent.describe()})"
 
 
 class ModMor:
@@ -698,11 +685,6 @@ class ModMor:
     def __sub__(self, other):
         return self + (-other)
 
-    def apply(self, elt: Element) -> Element:
-        if elt.parent != self.source:
-            raise ShapeError("element is not in the source of the morphism")
-        return Element(self.target, self.matrix.mul_vec(list(elt.coords)))
-
     # -- the abelian interface (see `abelian`) -----------------------------
 
     def kernel(self):
@@ -734,6 +716,9 @@ class ModMor:
 
     def is_split_exact(self, p: "ModMor", r: "ModMor", s: "ModMor") -> bool:
         return is_split_exact(self, p, r, s)
+
+    def matrices(self) -> list:
+        return [self.matrix]
 
     def is_zero(self) -> bool:
         cols = self.matrix.cols
@@ -781,11 +766,7 @@ def simplify(M: ModuleObj):
     Returns (M', to_simple: M -> M', from_simple: M' -> M) with
     to_simple . from_simple the identity matrix on M'.
     """
-    if not M.ring.is_integers:
-        raise ShapeError("simplify needs an integer module")
-    to_simple = M.ops.quotient(M, [])
-    simple = to_simple.target
-    return simple, to_simple, ModMor(simple, M, section(to_simple), check=False)
+    return M.ops.simplify(M)
 
 
 def kernel(f: ModMor):
@@ -966,23 +947,6 @@ def nary_biproduct(mods, ring=None) -> NaryBiproduct:
 # -- free covers and lifting ----------------------------------------------
 
 
-def minimal_generators(M: ModuleObj):
-    """Greedy module generating set (algebra case), scanning the basis in
-    order.  Deterministic; not guaranteed minimal, but small."""
-    if M.ring.is_integers:
-        raise ShapeError("minimal generators need a module over an F_p-algebra")
-    ring = M.ring
-    chosen = []
-    span = fplinalg.Span(ring.p, M.gens)
-    for v in fplinalg.unit_vectors(M.gens):
-        if span.contains(v):
-            continue
-        chosen.append(v)
-        for a in range(ring.dim):
-            span.insert(M.actions[a].mul_vec(v))
-    return chosen
-
-
 def free_cover(M: ModuleObj):
     """(P, epi) with P free on `ops.generators(M)`: the presentation's
     generators (integers) or a greedy generating set (algebras)."""
@@ -1010,15 +974,7 @@ def lift_through_epi(g: ModMor, e: ModMor) -> ModMor:
     return h
 
 
-def preimage(f: ModMor, y: Element):
-    """Some x with f(x) = y, or None when y is not in the image."""
-    if y.parent != f.target:
-        raise ShapeError("element is not in the target of the morphism")
-    sol = f.ops.solver(f)(list(y.coords))
-    return None if sol is None else Element(f.source, sol)
-
-
-# -- hom spaces and element enumeration (test/fixture support) ------------
+# -- hom spaces, in C and C^I ---------------------------------------------
 
 
 class HomSystem:
@@ -1106,20 +1062,43 @@ class HomSystem:
         return out
 
 
-def hom_basis(A: ModuleObj, B: ModuleObj):
-    """Matrices generating all well-defined morphisms A -> B."""
-    if A.ring != B.ring:
+def hom_space(pairs, squares=()):
+    """Generators of the tuples of maps (u_0: A_0 -> B_0, u_1: ...), one
+    per pair (A_k, B_k) of `pairs`, with u_y . f = g . u_x for every
+    (x, f, g, y) in `squares`; the all-zero tuple is dropped.
+
+    The pairs are modules or diagrams alike: each object lays out its own
+    unknowns (`hom_unknowns`, one per index object of a diagram, in object
+    order) and naturality rows (`naturality`, none for a module), and
+    rebuilds a checked map from solved matrices (`mor_from_matrices`); a
+    map gives its matrices in the same order (`matrices`).  The system is
+    asked for in one order: every unknown, then every well-definedness
+    block, then every naturality square, then the squares, object by
+    object."""
+    ring = pairs[0][0].ring
+    if any(X.ring != ring for pair in pairs for X in pair):
         raise RingMismatchError("hom needs a common ring")
-    system = HomSystem(A.ring)
-    system.well_defined(system.unknown(A, B))
-    return [ModMor(A, B, m) for m, in system.solve() if not m.is_zero()]
+    system = HomSystem(ring)
+    var = [A.hom_unknowns(system, B) for A, B in pairs]
+    for ks in var:
+        for k in ks:
+            system.well_defined(k)
+    for (A, B), ks in zip(pairs, var):
+        A.naturality(system, ks, B)
+    for x, f, g, y in squares:
+        for kx, ky, fm, gm in zip(var[x], var[y], f.matrices(), g.matrices()):
+            system.commute(ky, fm, gm, kx)
+    out = []
+    for mats in system.solve():
+        mors, start = [], 0
+        for (A, B), ks in zip(pairs, var):
+            mors.append(A.mor_from_matrices(B, mats[start:start + len(ks)]))
+            start += len(ks)
+        if not all(m.is_zero() for m in mors):
+            out.append(tuple(mors))
+    return out
 
 
-def enumerate_elements(A: ModuleObj, limit=4096):
-    """All elements of a finite module (oracle-sized only): the grid of
-    `ops.element_grid` mapped to generator coordinates."""
-    sizes, basis = A.ops.element_grid(A)
-    if math.prod(sizes) > limit:
-        raise ValueError("module too large to enumerate")
-    return [Element(A, basis.mul_vec(list(idx)))
-            for idx in itertools.product(*map(range, sizes))]
+def hom_basis(A, B):
+    """Generators of the nonzero maps A -> B, of modules or of diagrams."""
+    return [u for u, in hom_space([(A, B)])]

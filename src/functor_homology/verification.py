@@ -31,15 +31,14 @@ from .bifunctor import (balance_comparison, diagram_ladder,
 from .complexes import MorphismOfSES, SES
 from .derived import comparison_iso, delta_axiom_suite, derived_map
 from .diagrams import (DiagMor, Diagram, d_cokernel, d_exactness_report,
-                       d_factor_through_mono, d_hom_basis, d_hom_unknowns,
-                       d_kernel, d_mor_from_matrices, d_naturality,
-                       free_diagram_map, free_diagram_multi)
+                       d_factor_through_mono, d_kernel, free_diagram_map,
+                       free_diagram_multi)
 from .errors import ExactnessError, VerificationFailure
 from .fincat import FinCat, standard
 from .fplinalg import FpMatrix
 from .functors import base_change, exponent
-from .modules import (HomSystem, ModMor, ModuleObj, cyclic, free_module,
-                      hom_basis, ring_ops)
+from .modules import (ModMor, ModuleObj, cyclic, free_module, hom_basis,
+                      hom_space, ring_ops)
 from .rings import (RingMap, ZZ, cyclic_group_table, fp_field,
                     group_algebra)
 from .spectral import DoubleComplex, ss_pages
@@ -100,8 +99,13 @@ def _combination(rng, basis, bound=2):
 
 
 def random_morphism(rng, A, B, bound=2):
+    """A random combination of `hom_basis(A, B)`: modules or diagrams."""
     out = _combination(rng, [(b,) for b in hom_basis(A, B)], bound)
     return out[0] if out else A.zero_to(B)
+
+
+# the name under which the perfbench workloads draw diagram maps
+random_diag_mor = random_morphism
 
 
 def random_free_diagram(rng, index: FinCat, ring, max_summands=2, max_rank=1):
@@ -145,17 +149,12 @@ def _random_subquotient(rng, t):
     return abelian.image(t).obj
 
 
-def random_diag_mor(rng, D: Diagram, E: Diagram, bound=2) -> DiagMor:
-    out = _combination(rng, [(b,) for b in d_hom_basis(D, E)], bound)
-    return out[0] if out else D.zero_to(E)
-
-
-def _random_image_ses(rng, make_obj, make_mor):
+def _random_image_ses(rng, make_obj):
     """SES from the image factorisation of a random morphism."""
     for _ in range(8):
         A = make_obj(rng)
         B = make_obj(rng)
-        t = make_mor(rng, A, B)
+        t = random_morphism(rng, A, B)
         img = abelian.image(t)
         if img.obj.is_zero() and B.is_zero():
             continue
@@ -167,67 +166,31 @@ def _random_image_ses(rng, make_obj, make_mor):
 
 
 def random_diagram_ses(rng, index, ring):
-    return _random_image_ses(rng, lambda r: random_diagram(r, index, ring),
-                             random_diag_mor)
+    return _random_image_ses(rng, lambda r: random_diagram(r, index, ring))
 
 
 def random_module_ses(rng, ring, maker):
-    return _random_image_ses(rng, maker, random_morphism)
+    return _random_image_ses(rng, maker)
 
 
-# -- joint solver for morphisms of short exact sequences ---------------------
+# -- morphisms of short exact sequences ---------------------------------------
 
 
-def _ses_morphism_space_modules(ses1: SES, ses2: SES):
-    """Basis of pairs (uL, uM) with uM . f1 = f2 . uL (integer or F_p)."""
-    X1, Y1 = ses1.L, ses1.M
-    X2, Y2 = ses2.L, ses2.M
-    system = HomSystem(X1.ring)
-    u, w = system.unknown(X1, X2), system.unknown(Y1, Y2)
-    system.well_defined(u)
-    system.well_defined(w)
-    system.commute(w, ses1.f.matrix, ses2.f.matrix, u)
-    out = []
-    for um, wm in system.solve():
-        uL = ModMor(X1, X2, um)
-        uM = ModMor(Y1, Y2, wm)
-        if not (uL.is_zero() and uM.is_zero()):
-            out.append((uL, uM))
-    return out
+def ses_morphism_space(ses1: SES, ses2: SES):
+    """Generators of the nonzero pairs (uL, uM) with uM . f1 = f2 . uL,
+    solved jointly for modules and diagrams alike (`modules.hom_space`)."""
+    return hom_space([(ses1.L, ses2.L), (ses1.M, ses2.M)], [(0, ses1.f, ses2.f, 1)])
 
 
 def random_ses_morphism(rng, ses1: SES, ses2: SES):
     """Random morphism of short exact sequences (uN is induced), or None
     when only zero maps (uL, uM) commute."""
-    space = (_ses_morphism_space_diagrams if isinstance(ses1.L, Diagram)
-             else _ses_morphism_space_modules)
-    pairs = space(ses1, ses2)
+    pairs = ses_morphism_space(ses1, ses2)
     if not pairs:
         return None
     uL, uM = _combination(rng, pairs) or pairs[0]
     uN = ses1.g.cofactor(uM.then(ses2.g))
     return MorphismOfSES(ses1, ses2, uL, uM, uN)
-
-
-def _ses_morphism_space_diagrams(ses1: SES, ses2: SES):
-    """Diagram-level analogue: solve all components of (uL, uM) jointly
-    with naturality and the commuting square."""
-    system = HomSystem(ses1.L.ring)
-    u = d_hom_unknowns(system, ses1.L, ses2.L)
-    w = d_hom_unknowns(system, ses1.M, ses2.M)
-    for k in [*u.values(), *w.values()]:
-        system.well_defined(k)
-    d_naturality(system, u, ses1.L, ses2.L)
-    d_naturality(system, w, ses1.M, ses2.M)
-    for o in u:
-        system.commute(w[o], ses1.f.comps[o].matrix, ses2.f.comps[o].matrix, u[o])
-    out = []
-    for mats in system.solve():
-        uL = d_mor_from_matrices(ses1.L, ses2.L, mats[:len(u)])
-        uM = d_mor_from_matrices(ses1.M, ses2.M, mats[len(u):])
-        if not (uL.is_zero() and uM.is_zero()):
-            out.append((uL, uM))
-    return out
 
 
 # -- suites: each one a draw and a check ------------------------------------
@@ -245,9 +208,9 @@ def _draw_les(rng, case):
     index = _pick_index(rng)
     D = random_diagram(rng, index, ZZ)
     E = random_diagram(rng, index, ZZ)
-    f = random_diag_mor(rng, D, E)
+    f = random_morphism(rng, D, E)
     Q, q = d_cokernel(f)
-    return f, q.then(random_diag_mor(rng, Q, Q))
+    return f, q.then(random_morphism(rng, Q, Q))
 
 
 def _check_les(fx):
@@ -260,7 +223,7 @@ def _draw_kernel(rng, case):
     index = _pick_index(rng)
     D = random_diagram(rng, index, ZZ)
     E = random_diagram(rng, index, ZZ)
-    f = random_diag_mor(rng, D, E)
+    f = random_morphism(rng, D, E)
     K, mono = d_kernel(f)
     X = random_free_diagram(rng, index, ZZ)
     return f, mono, random_free_diagram_mor(rng, X, K)
@@ -313,7 +276,7 @@ def _draw_iso(rng, case):
     n = rng.randint(0, 3)
     A = random_diagram(rng, index, ZZ)
     B = random_diagram(rng, index, ZZ)
-    return F, n, random_diag_mor(rng, A, B)
+    return F, n, random_morphism(rng, A, B)
 
 
 def _check_iso(fx):
@@ -378,7 +341,7 @@ def _draw_ladder(rng, case):
     J = standard("point" if case % 8 < 4 else "arrow")
     A = random_diagram(rng, J, ZZ)
     B = random_diagram(rng, J, ZZ)
-    return mode, mor, random_diag_mor(rng, A, B)
+    return mode, mor, random_morphism(rng, A, B)
 
 
 def _check_ladder(fx):

@@ -3,7 +3,9 @@
 These deliberately avoid the library's computation paths: invariant
 factors from gcds of minors, determinants by fraction-free elimination,
 kernels by exhaustive search, homology of hand-built periodic resolutions
-by rank counting, the connecting map by an element-by-element zig-zag,
+by rank counting, the connecting map by an element-by-element zig-zag
+(with the element calculus it needs: `Element`, `apply`, `preimage` and
+`enumerate_elements`),
 the maps of spectral sequences of a diagram carried page by page in
 canonical coordinates, one module spectral sequence per index object,
 morphisms checked against every algebra basis element, hom spaces solved
@@ -14,17 +16,16 @@ verdicts by building the kernel, cokernel and homology they ask about.
 
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import gcd
+from math import gcd, prod
 
 from functor_homology import fplinalg, functors
 from functor_homology.complexes import homology_at, induced_on_homology
 from functor_homology.derived import lift_resolution_map
-from functor_homology.diagrams import d_hom_unknowns, d_naturality
 from functor_homology.errors import ExactnessError, NonzeroCompositeError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
 from functor_homology.intlinalg import IntMatrix
-from functor_homology.modules import Element, HomSystem, ModMor, ModuleObj, preimage
+from functor_homology.modules import HomSystem, ModMor, ModuleObj
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
                                        _class_map, _cycles_in_prefix,
                                        grothendieck_ss)
@@ -173,6 +174,77 @@ def product_c2_homology_dims(p, n_max):
     return {n: n + 1 for n in range(n_max + 1)}
 
 
+class Element:
+    """An element of a module, stored as generator coordinates."""
+
+    __slots__ = ("parent", "coords")
+
+    def __init__(self, parent: ModuleObj, coords):
+        if len(coords) != parent.gens:
+            raise ShapeError("coordinate length must equal generator count")
+        self.parent = parent
+        self.coords = tuple(coords)
+
+    def normal_form(self):
+        """Canonical coordinates: the residue modulo the relations, read
+        back in the generator basis (over Z), or reduced mod p."""
+        M = self.parent
+        res = M.ops.residue(M, self.coords)
+        return tuple(M._uinv().mul_vec(res) if M.ring.is_integers else res)
+
+    def is_zero(self):
+        return self.parent.in_relations(self.coords)
+
+    def __eq__(self, other):
+        return (isinstance(other, Element) and self.parent == other.parent
+                and self.normal_form() == other.normal_form())
+
+    def _check_parent(self, other):
+        if self.parent != other.parent:
+            raise ShapeError("elements of different modules do not combine")
+
+    def __add__(self, other):
+        self._check_parent(other)
+        return Element(self.parent, [a + b for a, b in zip(self.coords, other.coords)])
+
+    def __sub__(self, other):
+        self._check_parent(other)
+        return Element(self.parent, [a - b for a, b in zip(self.coords, other.coords)])
+
+    def __repr__(self):
+        return f"Element({list(self.coords)} in {self.parent.describe()})"
+
+
+def apply(f: ModMor, elt: Element) -> Element:
+    """f(elt)."""
+    if elt.parent != f.source:
+        raise ShapeError("element is not in the source of the morphism")
+    return Element(f.target, f.matrix.mul_vec(list(elt.coords)))
+
+
+def preimage(f: ModMor, y: Element):
+    """Some x with f(x) = y, or None when y is not in the image."""
+    if y.parent != f.target:
+        raise ShapeError("element is not in the target of the morphism")
+    sol = f.ops.solver(f)(list(y.coords))
+    return None if sol is None else Element(f.source, sol)
+
+
+def enumerate_elements(A: ModuleObj, limit=4096):
+    """All elements of a finite module (oracle-sized only): every residue
+    tuple of the Smith basis, read back in generators (Z), or every
+    coordinate vector (F_p)."""
+    if A.ring.is_integers:
+        if A.invariant_factors()[1]:
+            raise ValueError("module is infinite")
+        sizes, basis = [max(d, 1) for d in A._pres_snf().diagonal()], A._uinv()
+    else:
+        sizes, basis = [A.ring.p] * A.gens, A.ops.identity(A.gens)
+    if prod(sizes) > limit:
+        raise ValueError("module too large to enumerate")
+    return [Element(A, basis.mul_vec(list(idx))) for idx in product(*map(range, sizes))]
+
+
 def connecting_by_elements(sub, mid, quo, incl, proj, n):
     """delta_n: H_n(quo) -> H_{n-1}(sub) of a degreewise short exact
     sequence of module complexes (incl, proj: degree -> map), by the
@@ -184,17 +256,17 @@ def connecting_by_elements(sub, mid, quo, incl, proj, n):
     cols = []
     for t in range(sub_n.obj.gens):
         e = Element(sub_n.obj, [1 if k == t else 0 for k in range(sub_n.obj.gens)])
-        z = sub_n.mono.apply(preimage(sub_n.epi, e))
+        z = apply(sub_n.mono, preimage(sub_n.epi, e))
         m = preimage(proj[n], z)
         if m is None:
             raise ExactnessError("projection of complexes must be degreewise epi")
-        l = preimage(incl[n - 1], mid.diffs[n].apply(m))
+        l = preimage(incl[n - 1], apply(mid.diffs[n], m))
         if l is None:
             raise ExactnessError("boundary must come from the subcomplex")
         kl = preimage(sub_l.mono, l)
         if kl is None:
             raise ExactnessError("representative must be a cycle")
-        cols.append(list(sub_l.epi.apply(kl).coords))
+        cols.append(list(apply(sub_l.epi, kl).coords))
     return ModMor(sub_n.obj, sub_l.obj,
                   sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))
 
@@ -227,10 +299,10 @@ def d_hom_matrices_all_basis(A, B):
     """Component matrices (in object order) of the diagram hom basis, from
     a system that commutes with every basis element at every object."""
     system = HomSystem(A.ring)
-    var = d_hom_unknowns(system, A, B)
-    for k in var.values():
+    var = A.hom_unknowns(system, B)
+    for k in var:
         _commute_with_every_basis_element(system, k)
-    d_naturality(system, var, A, B)
+    A.naturality(system, var, B)
     return [mats for mats in system.solve() if not all(m.is_zero() for m in mats)]
 
 

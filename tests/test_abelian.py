@@ -18,13 +18,14 @@ from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.fincat import standard
 from functor_homology.modules import ModMor, ModuleObj
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
-from functor_homology.verification import (_random_fp_module, random_diag_mor,
-                                           random_diagram, random_morphism,
-                                           random_z_module)
+from functor_homology.verification import (_random_fp_module, random_diagram,
+                                           random_morphism, random_z_module)
 
 OBJECT_METHODS = ("identity", "zero_to", "zero_object", "biproduct", "free_cover")
 MORPHISM_METHODS = ("kernel", "cokernel", "factor", "cofactor", "inverse", "lift",
                     "is_mono", "is_epi", "is_exact_at", "is_split_exact")
+# the layout of a hom system (`modules.hom_space`), with a map's `matrices`
+HOM_METHODS = ("hom_unknowns", "naturality", "mor_from_matrices")
 POINT = standard("point")
 
 
@@ -37,6 +38,10 @@ def test_both_categories_expose_the_same_methods():
     assert _interface(Diagram, OBJECT_METHODS) == set(OBJECT_METHODS)
     assert _interface(ModMor, MORPHISM_METHODS) == set(MORPHISM_METHODS)
     assert _interface(DiagMor, MORPHISM_METHODS) == set(MORPHISM_METHODS)
+    for cls in (ModuleObj, Diagram):
+        assert _interface(cls, HOM_METHODS) == set(HOM_METHODS)
+    for cls in (ModMor, DiagMor):
+        assert _interface(cls, ["matrices"]) == {"matrices"}
 
 
 def test_methods_call_module_functions_by_global_name():
@@ -145,7 +150,7 @@ def _fp_family(p):
 
 def _diagram_family(name):
     index = standard(name)
-    return lambda rng: random_diagram(rng, index, ZZ), random_diag_mor
+    return lambda rng: random_diagram(rng, index, ZZ), random_morphism
 
 
 EXACTNESS_FAMILIES = {

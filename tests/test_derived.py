@@ -15,9 +15,9 @@ from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, exponent, tensor_with
-from functor_homology.modules import (Element, ModMor, ModuleObj, biproduct,
-                                      cyclic, free_module, identity_mor,
-                                      preimage, trivial_module, zero_mor)
+from functor_homology.modules import (ModMor, ModuleObj, biproduct, cyclic,
+                                      free_module, identity_mor,
+                                      trivial_module, zero_mor)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra)
@@ -25,7 +25,7 @@ from functor_homology.verification import (_random_fp_module,
                                            random_diagram_ses,
                                            random_module_ses, random_morphism,
                                            random_z_module)
-from oracle import connecting_by_elements
+from oracle import Element, apply, connecting_by_elements, preimage
 ARROW = standard("arrow")
 
 
@@ -146,16 +146,16 @@ def test_connecting_representative_independence():
         e = Element(sub_n.obj, [1 if k == t else 0
                                 for k in range(sub_n.obj.gens)])
         k = preimage(sub_n.epi, e)
-        z = sub_n.mono.apply(k)
+        z = apply(sub_n.mono, k)
         m = preimage(sesc.proj.at(1), z)
         # perturb the lift by an element coming from the subcomplex
         l_shift = Element(sesc.sub.objects[1],
                           [1] * sesc.sub.objects[1].gens)
-        m = m + sesc.incl.at(1).apply(l_shift)
-        dm = sesc.mid.diffs[1].apply(m)
+        m = m + apply(sesc.incl.at(1), l_shift)
+        dm = apply(sesc.mid.diffs[1], m)
         l = preimage(sesc.incl.at(0), dm)
         kl = preimage(sub_l.mono, l)
-        cols.append(list(sub_l.epi.apply(kl).coords))
+        cols.append(list(apply(sub_l.epi, kl).coords))
     delta2 = ModMor(sub_n.obj, sub_l.obj,
                     sub_n.obj.ops.from_columns(cols, sub_l.obj.gens))
     assert delta == delta2

@@ -22,7 +22,6 @@ from functor_homology import modules
 from functor_homology.complexes import SES, SESOfComplexes
 from functor_homology.derived import (_safe_exact, horseshoe_data_for,
                                       horseshoe_ses_of_complexes)
-from functor_homology.diagrams import d_hom_basis
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply, base_change, exponent, tensor_with
@@ -297,5 +296,5 @@ def test_d_hom_basis_matches_the_all_basis_system(name):
     rng = random.Random(6)
     for _ in range(4):
         A, B = random_diagram(rng, ARROW, ring), random_diagram(rng, ARROW, ring)
-        got = [[mor.comps[o].matrix for o in ARROW.objects] for mor in d_hom_basis(A, B)]
+        got = [mor.matrices() for mor in hom_basis(A, B)]
         assert got == d_hom_matrices_all_basis(A, B), name

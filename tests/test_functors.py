@@ -25,9 +25,8 @@ from functor_homology.rings import (RingMap, ZZ, augmentation_map,
 from functor_homology.tensorops import (base_change_data, base_change_mor,
                                         tensor_data, tensor_obj,
                                         tensor_unit_map)
-from functor_homology.verification import (_random_fp_module, random_diag_mor,
-                                           random_diagram, random_morphism,
-                                           random_z_module)
+from functor_homology.verification import (_random_fp_module, random_diagram,
+                                           random_morphism, random_z_module)
 from functor_homology.abelian import is_iso
 
 from oracle import base_change_by_quotient
@@ -252,11 +251,11 @@ def test_exponent_functor_laws():
     D = random_diagram(rng, ARROW, ZZ)
     E = random_diagram(rng, ARROW, ZZ)
     G = random_diagram(rng, ARROW, ZZ)
-    f = random_diag_mor(rng, D, E)
-    g = random_diag_mor(rng, E, G)
+    f = random_morphism(rng, D, E)
+    g = random_morphism(rng, E, G)
     assert exponent_apply(F, f.then(g)) == \
         exponent_apply(F, f).then(exponent_apply(F, g))
-    f2 = random_diag_mor(rng, D, E)
+    f2 = random_morphism(rng, D, E)
     assert exponent_apply(F, f + f2) == \
         exponent_apply(F, f) + exponent_apply(F, f2)
     from functor_homology.diagrams import d_identity
@@ -291,7 +290,7 @@ def test_exponent_nat():
     assert exponent_nat(eta_zero, D).is_zero()
     # naturality against exponent images of random morphisms
     E = random_diagram(rng, ARROW, ZZ)
-    f = random_diag_mor(rng, D, E)
+    f = random_morphism(rng, D, E)
     Fsrc = eta.source_spec
     Ftgt = eta.target_spec
     t_e = exponent_nat(eta, E)
@@ -350,7 +349,7 @@ def test_composite_of_exponents(shape):
     lifted = exponent(compose(G, F), index)
     D = random_diagram(rng, index, ZZ)
     E = random_diagram(rng, index, ZZ)
-    f = random_diag_mor(rng, D, E)
+    f = random_morphism(rng, D, E)
     for x in (D, f):
         image = apply(composite, x)
         assert image == apply(exponent(G, index), apply(exponent(F, index), x))
@@ -365,7 +364,7 @@ def test_exponent_images_share_endpoints():
     for _ in range(6):
         D = random_diagram(rng, ARROW, ZZ)
         E = random_diagram(rng, ARROW, ZZ)
-        f = random_diag_mor(rng, D, E)
+        f = random_morphism(rng, D, E)
         image = exponent_apply(F, f)
         assert image.source is exponent_apply(F, f.source)
         assert image.target is exponent_apply(F, f.target)

@@ -11,10 +11,11 @@ F = base change along C4 -> C2 (or C2xC2 -> C2), G = C2-coinvariants, on
 the trivial module, for n_max = 3..8.  The componentwise section times
 `ss_componentwise` with the same functors on diagrams: acceptance
 criterion 10's arrow diagram over F2[C4] at n_max = 3, and two square
-diagrams over F2[C2xC2] at n_max = 2, each the first draw of
+diagrams over F2[C2xC2] at n_max = 2 and 3, each the first draw of
 `verification.random_diagram` with a nonzero structure map at a fixed
-seed.  Every figure is the median of 3 runs, each on freshly built rings
-and modules so that no memo is shared between runs.  `ss_pages` is timed
+seed (the n_max = 2 rows are those of earlier versions of this script).
+Every figure is the median of 3 runs, each on freshly built rings and
+modules so that no memo is shared between runs.  `ss_pages` is timed
 on the double complex of a first, untimed `grothendieck_ss` call.  It
 also counts the lines of src/ and of src/functor_homology/spectral.py,
 and the lines of src/ that contain `is_integers` or `isinstance` (the
@@ -52,6 +53,7 @@ from functor_homology.verification import random_diagram  # noqa: E402
 RUNS = 3
 DEGREES = (3, 4, 5, 6, 7, 8)
 SQUARE_SEEDS = (1, 20261019)
+SQUARE_DEGREES = (2, 3)
 
 
 def fixture(name):
@@ -97,8 +99,8 @@ def measure(name, n_max):
 
 
 def diagram_fixture(name):
-    """(F, G, A, n_max) built from scratch: criterion 10's arrow diagram
-    (F2[C4] modulo C2 onto the trivial module), or a random square."""
+    """(F, G, A) built from scratch: criterion 10's arrow diagram (F2[C4]
+    modulo C2 onto the trivial module), or a random square."""
     F, G, A = fixture("C4" if name == "criterion10" else "C2xC2")
     ring = A.ring
     if name == "criterion10":
@@ -107,18 +109,18 @@ def diagram_fixture(name):
         quot = ModuleObj(ring, gens=2, actions=[ident, swap, ident, swap])
         return F, G, Diagram(standard("arrow"), {"0": quot, "1": A},
                              {"id_0": identity_mor(quot), "id_1": identity_mor(A),
-                              "a": ModMor(quot, A, FpMatrix(2, 1, 2, [[1, 1]]))}), 3
+                              "a": ModMor(quot, A, FpMatrix(2, 1, 2, [[1, 1]]))})
     rng = random.Random(int(name.split("_seed")[1]))
     while True:
         D = random_diagram(rng, standard("square"), ring)
         if any(not D.maps[m].is_zero() for m in D.index.nonidentity_morphisms()):
-            return F, G, D, 2
+            return F, G, D
 
 
-def measure_componentwise(name):
+def measure_componentwise(name, n_max):
     runs = []
     for _ in range(RUNS):
-        F, G, A, n_max = diagram_fixture(name)
+        F, G, A = diagram_fixture(name)
         dt, res = timed(lambda: ss_componentwise(F, G, A, n_max))
         runs.append(dt)
     return {
@@ -140,8 +142,9 @@ def src_lines(token=""):
 
 def main():
     results = [measure(name, n) for name in ("C4", "C2xC2") for n in DEGREES]
-    componentwise = [measure_componentwise(name) for name in
-                     ["criterion10"] + [f"C2xC2_square_seed{s}" for s in SQUARE_SEEDS]]
+    componentwise = [measure_componentwise("criterion10", 3)]
+    componentwise += [measure_componentwise(f"C2xC2_square_seed{s}", n)
+                      for s in SQUARE_SEEDS for n in SQUARE_DEGREES]
     print(json.dumps({
         "benchmark": "bench/ss_scaling.py",
         "python": platform.python_version(),

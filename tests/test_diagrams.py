@@ -12,10 +12,11 @@ from functor_homology.diagrams import (DiagMor, Diagram, check_diagram,
                                        d_lift_through_epi, d_free_cover,
                                        free_diagram, projection,
                                        zero_diagram)
-from functor_homology.fincat import standard
-from functor_homology.modules import (ModMor, cokernel, cyclic, free_module,
+from functor_homology.fincat import monoid_category, standard
+from functor_homology.modules import (ModMor, cokernel, cyclic, free_cover,
+                                      free_generator_columns, free_module,
                                       identity_mor, kernel, zero_mor)
-from functor_homology.rings import ZZ
+from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.verification import (random_diagram, random_free_diagram,
                                            random_free_diagram_mor,
                                            random_morphism)
@@ -168,13 +169,73 @@ def test_free_diagram_projectivity_lifting():
         assert h.then(epi) == g
 
 
+COVER_INDICES = {name: standard(name) for name in ("point", "arrow", "parallel_pair",
+                                                   "square")}
+# {1, e} with e idempotent: one object and a nonidentity endomorphism
+COVER_INDICES["monoid"] = monoid_category([[0, 1], [1, 1]], ["1", "e"])
+ACYCLIC = ("point", "arrow", "parallel_pair", "square")
+COVER_RINGS = {"Z": ZZ, "F2[C2]": group_algebra(2, cyclic_group_table(2))}
+
+
+def _identity_slot(F, s_idx):
+    """The injection of summand s_idx's copy along the identity."""
+    at = F.free_data.summands[s_idx].at
+    return next(inj for t, f, inj, _ in F.free_data.layout[at]
+                if t == s_idx and f == F.index.identity[at])
+
+
+def _others_reach(F, eps, s_idx):
+    """eps at summand s_idx's object, with s_idx's own slots zeroed: what
+    every other summand reaches there."""
+    at = F.free_data.summands[s_idx].at
+    comp = F.components[at]
+    keep = comp.zero_to(comp)
+    for t, _, inj, proj in F.free_data.layout[at]:
+        if t != s_idx:
+            keep = keep + proj.then(inj)
+    return keep.then(eps.comps[at])
+
+
 def test_d_free_cover_is_epi_and_resolves():
-    rng = random.Random(27)
-    D = random_diagram(rng, SQUARE, ZZ)
-    F, eps = d_free_cover(D)
-    assert eps.is_epi()
-    for o in SQUARE.objects:
-        assert F.components[o].free_rank is not None
+    for index in COVER_INDICES:
+        for ring in COVER_RINGS:
+            _check_free_cover(index, ring)
+
+
+def _check_free_cover(index, ring):
+    idx, R = COVER_INDICES[index], COVER_RINGS[ring]
+    rng = random.Random(f"{index}:{ring}")
+    summands = 0
+    # identity structure maps reach everything past the first objects
+    draws = [random_diagram(rng, idx, R) for _ in range(3)]
+    for D in draws + [constant_diagram(idx, free_module(R, 1))]:
+        F, eps = d_free_cover(D)
+        case = (index, ring, D)
+        assert eps.is_epi(), case
+        for o in idx.objects:
+            assert F.components[o].free_rank is not None
+        # projectivity through the cover
+        for _ in range(2):
+            G = random_free_diagram(rng, idx, R)
+            g = random_free_diagram_mor(rng, G, D)
+            assert d_lift_through_epi(g, eps).then(eps) == g, case
+        if len(idx.objects) == 1:
+            P, c = free_cover(D.components[idx.objects[0]])
+            if D.is_zero():
+                assert F.free_data.summands == [], case
+            else:
+                [s] = F.free_data.summands
+                assert s.module == P, case
+                assert _identity_slot(F, 0).then(eps.comps[s.at]) == c, case
+        if index in ACYCLIC:
+            # no generator of a summand is reached by the other summands
+            for s_idx, s in enumerate(F.free_data.summands):
+                Q, q = cokernel(_others_reach(F, eps, s_idx))
+                gens = _identity_slot(F, s_idx).then(eps.comps[s.at]).then(q)
+                for col in free_generator_columns(s.module):
+                    assert not Q.in_relations(gens.matrix.mul_vec(col)), (case, s_idx)
+        summands += len(F.free_data.summands)
+    assert summands > 0, (index, ring)
 
 
 def test_zero_diagram_is_free():
@@ -335,12 +396,58 @@ expect(ExactnessError, lambda: bifunctor._route_identities(
 """
 
 
-def test_checks_hold_under_optimize():
+# the free cover's epi postcondition, with a planted fault: the cover
+# loses its last summand on the way into `free_diagram_multi`
+COVER_DROPS_A_SUMMAND = """
+from functor_homology import diagrams
+from functor_homology.diagrams import Diagram, d_free_cover
+from functor_homology.errors import ExactnessError
+from functor_homology.fincat import standard
+from functor_homology.modules import cyclic, identity_mor, trivial_module, zero_mor
+from functor_homology.rings import cyclic_group_table, group_algebra
+
+ARROW = standard("arrow")
+true_multi = diagrams.free_diagram_multi
+
+
+def zero_arrow(A, B):
+    return Diagram(ARROW, {"0": A, "1": B},
+                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": zero_mor(A, B)})
+
+
+for D in (zero_arrow(cyclic(4), cyclic(2)),
+          zero_arrow(*[trivial_module(group_algebra(2, cyclic_group_table(2)))] * 2)):
+    F, _ = d_free_cover(D)
+    if [s.at for s in F.free_data.summands] != ["0", "1"]:
+        raise SystemExit(f"unexpected summands {F.free_data.summands}")
+    diagrams.free_diagram_multi = lambda index, summands, ring: true_multi(
+        index, summands[:-1], ring)
+    try:
+        d_free_cover(D)
+    except ExactnessError as e:
+        if str(e) != "free cover of the diagram is not epi at 1":
+            raise SystemExit(f"wrong message: {e}")
+    else:
+        raise SystemExit("a cover missing a summand was accepted")
+    finally:
+        diagrams.free_diagram_multi = true_multi
+"""
+
+
+def _passes_under_optimize(script):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for flags in ([], ["-O"]):
-        out = subprocess.run([sys.executable, *flags, "-c", CHECKS_UNDER_OPTIMIZE],
+        out = subprocess.run([sys.executable, *flags, "-c", script],
                              env=env, capture_output=True, text=True,
                              timeout=120)
         assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_checks_hold_under_optimize():
+    _passes_under_optimize(CHECKS_UNDER_OPTIMIZE)
+
+
+def test_cover_postcondition_holds_under_optimize():
+    _passes_under_optimize(COVER_DROPS_A_SUMMAND)

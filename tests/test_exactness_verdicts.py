@@ -34,6 +34,7 @@ from functor_homology.verification import (_random_fp_module, random_diagram,
                                            random_morphism, random_z_module)
 from oracle import (d_hom_matrices_all_basis, epi_by_cokernel, exact_by_homology,
                     hom_matrices_all_basis, mono_by_kernel, ses_by_construction)
+from test_hom_spaces import must
 
 RINGS = {
     "F2[C2]": group_algebra(2, cyclic_group_table(2)),
@@ -142,17 +143,17 @@ def _check_one_way_failures(seed=20261019):
     for name, ring in RINGS.items():
         for label, f, g, message in _one_way_failures(rng, ring):
             mono, epi = mono_by_kernel(f), epi_by_cokernel(g)
-            assert (modules.is_mono(f), modules.is_epi(g)) == (mono, epi), (name, label)
-            assert mono == (label != "not mono"), (name, label)
-            assert epi == (label != "not epi"), (name, label)
+            must((modules.is_mono(f), modules.is_epi(g)) == (mono, epi), (name, label))
+            must(mono == (label != "not mono"), (name, label))
+            must(epi == (label != "not epi"), (name, label))
             if label == "nonzero composite":
                 for exact_at in (f.is_exact_at, functools.partial(exact_by_homology, f)):
                     with pytest.raises(NonzeroCompositeError):
                         exact_at(g)
-                assert _safe_exact(f, g) is False, (name, label)
+                must(_safe_exact(f, g) is False, (name, label))
             else:
                 want = label != "not exact"
-                assert f.is_exact_at(g) == exact_by_homology(f, g) == want, (name, label)
+                must(f.is_exact_at(g) == exact_by_homology(f, g) == want, (name, label))
             with pytest.raises(ExactnessError, match=f"^{re.escape(message)}$"):
                 SES(f, g)
 

@@ -310,6 +310,8 @@ def test_componentwise_matches_canonical_oracle():
     for F, ring in ((base_change(QUOT4), R4), (base_change(QUOTV), RV)):
         for shape in ("arrow", "square"):
             cases += [(F, _first_nonzero_draw(seed, shape, ring), 2) for seed in (2, 3)]
+    # the largest square of bench/ss_scaling.py, at about 1.5 s for both routes
+    cases.append((base_change(QUOTV), _first_nonzero_draw(20261019, "square", RV), 2))
     G = base_change(AUG2)
     total_rank = 0
     for k, (F, A, n_max) in enumerate(cases):

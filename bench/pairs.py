@@ -26,7 +26,10 @@ each side, with every count (.calls, .builds, .cells, .max_bits,
 .hit_ratio) as [parent, change].  `ss_scaling` holds the output of
 `bench/ss_scaling.py` run in each checkout, and `code` repeats its counts
 of src/ lines and of the lines containing `is_integers` and `isinstance`
-for each side.  Only the standard library is used.
+for each side.  `suites` holds the output of this checkout's
+`bench/suites.py` run on each side's src/ (`--root`), so a parent
+without that script is timed too: every verification suite at its
+acceptance size.  Only the standard library is used.
 """
 
 import argparse
@@ -118,6 +121,13 @@ def ss_scaling(root):
     return json.loads(out.stdout)
 
 
+def suite_times(root):
+    out = subprocess.run([sys.executable, str(HERE / "bench" / "suites.py"),
+                          "--root", str(root)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path)
@@ -128,6 +138,7 @@ def main():
     seconds = config["run_seconds"]
     runs = [(w, int(n)) for w, n in (r.split(":") for r in args.run)]
     scaling = {"parent": ss_scaling(args.parent), "change": ss_scaling(HERE)}
+    suites = {"parent": suite_times(args.parent), "change": suite_times(HERE)}
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
                       "trace_seed": TRACE_SEED},
@@ -135,6 +146,7 @@ def main():
                         for w, n in runs},
               "trace": {w: trace_counts(args.parent, w, TRACE_SEED) for w, _ in runs},
               "ss_scaling": scaling,
+              "suites": suites,
               "code": {side: {k: out[k] for k in CODE_COUNTS} for side, out in scaling.items()}}
     json.dump(result, sys.stdout, indent=1)
     print()

@@ -31,7 +31,11 @@ intrinsic exactness test.
 The three verdicts `is_mono`, `is_epi` and `is_exact_at` are methods
 because the base ring decides how to answer them (`modules.ring_ops`).
 Over Z a module is a presentation, zero only when its relations span, so
-they build the kernel, cokernel or homology and test it zero.  Over an
+each verdict is a lattice test read off Smith normal forms, with no
+module built: f is epi iff its columns and the target's relations span
+Z^gens, mono iff every x that f sends into the target's relations lies in
+the source's, and, given g . f = 0, exact at M iff every x that g sends
+into B's relations lies in im f + M's relations.  Over an
 F_p-algebra a module has no relations, so a module map is an F_p-linear
 map of its generator coordinates and each verdict is a rank count
 (rank-nullity), a complete decision and not a shortcut: f is mono iff

@@ -129,8 +129,9 @@ def induced_on_homology(phi_n, sub_src: Subquotient, sub_tgt: Subquotient):
 class SES:
     """Short exact sequence 0 -> L -> M -> N -> 0, validated on
     construction: g . f = 0, f mono, g epi and exactness at M, each asked
-    through the abelian interface (kernels and cokernels over Z, ranks over
-    an F_p-algebra, both criteria of `d_exactness_report` over diagrams).
+    through the abelian interface (lattice tests on Smith normal forms
+    over Z, ranks over an F_p-algebra, both criteria of
+    `d_exactness_report` over diagrams).
     A sequence that comes with its splitting is checked by that instead
     (`SESOfComplexes`)."""
 

@@ -368,9 +368,11 @@ def d_exactness_report(f: DiagMor, g: DiagMor):
     The verdict is computed twice, by two criteria.  Intrinsically in C^I
     (`abelian.exact_at`): the composite ker g -> M -> coker f of diagrams
     is zero, since given g . f = 0 that says ker g <= im f.  Componentwise
-    (`modules.is_exact_at` at every object): the homology ker g_i / im f_i
-    is zero, since kernels and cokernels in C^I are taken objectwise.  The
-    two must agree, which is checked; `ExactnessError` if they do not.
+    (`modules.is_exact_at` at every object): ker g_i <= im f_i, since
+    kernels and cokernels in C^I are taken objectwise, decided by the
+    ring's verdict (a lattice test over Z, ranks over F_p) with no kernel
+    or cokernel module built.  The two must agree, which is checked;
+    `ExactnessError` if they do not.
     """
     intrinsic = abelian.exact_at(f, g)
     failing = None

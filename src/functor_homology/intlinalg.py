@@ -321,7 +321,8 @@ def solve_snf(res: SnfResult, b: list[int]):
 
 
 def solve(A: IntMatrix, b: list[int]):
-    """One integer solution of A*x = b, or None when none exists."""
+    """One integer solution of A*x = b, or None when none exists; a b of
+    the wrong length raises ShapeError."""
     if len(b) != A.rows:
-        raise ValueError("dimension mismatch: len(b) != rows(A)")
+        raise ShapeError(f"{len(b)}-vector for a {A.rows}-row matrix")
     return solve_snf(snf(A), b)

@@ -22,10 +22,11 @@ one seam, the ops object `ring_ops(ring)` (also `M.ops`, `f.ops`): matrix
 constructors, `solver(f)` for `f.matrix x = b` modulo the relations of
 `f.target` (one factorisation of the map serves every right-hand side),
 the kernel of a linear system, the images of a free generator, membership
-in the relations, two presentation steps, the mono, epi and exactness
-verdicts (constructions over Z, ranks over F_p; see `abelian`), the cover
-and lift of base change out of the ring (`base_change_epi`,
-`base_change_lift`) and a random map's `coefficient_range`.
+in the relations, the preimage lattice of a map, two presentation steps,
+the mono, epi and exactness verdicts (lattice tests over Z, ranks over
+F_p; see `abelian`), the cover and lift of base change out of the ring
+(`base_change_epi`, `base_change_lift`) and a random map's
+`coefficient_range`.
 `quotient(M, cols)` is M modulo extra relation columns, returned as its
 epi M -> Q alone (Q is `epi.target`).  The epi carries a section of its
 matrix, built with it: the invariant-factor form from one Smith normal
@@ -36,7 +37,8 @@ epi built any other way.  Cokernel, `simplify`, `cofactor_through_epi`,
 `tensorops` are all built on these two.
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
-built on it.  `HomSystem` builds the linear system for unknown module
+`submodule` of the map's `preimage_lattice`, the lattice the Z verdicts
+test.  `HomSystem` builds the linear system for unknown module
 matrices, and `hom_space` is the one solver on it, for C and C^I alike:
 each object lays out its own unknowns and naturality rows (see
 `abelian`), so `hom_basis` and the morphisms of short exact sequences
@@ -83,7 +85,9 @@ class _RingOps:
     `free_images` and `unit` (coordinates of a free generator on its free
     basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue` (coordinates that vanish exactly on the
-    relations), `quotient`, `submodule`, `generators` (of a free cover),
+    relations), `preimage_lattice` (generators of the x that f sends into
+    its target's relations: the kernel's columns before `submodule`),
+    `quotient`, `submodule`, `generators` (of a free cover),
     `describe`, the exactness verdicts `is_mono`, `is_epi` and `exact_at`
     (exactness at the middle of f, g, given g . f = 0), `base_change_epi`
     and `base_change_lift` (the epi onto S (x)_R M from a cover, with its
@@ -162,6 +166,14 @@ class _IntegerOps(_RingOps):
             u[i] %= diag[i]
         return u
 
+    def preimage_lattice(self, f):
+        """Generators of the lattice {x : f.matrix x in f.target's
+        relations}: the source coordinates of the integer kernel of
+        [f | R_B], R_B the target's relation columns."""
+        n = f.source.gens
+        comb = hstack([f.matrix, f.target._rel_cols()])
+        return [v[:n] for v in intlinalg.kernel_basis(comb)]
+
     def quotient(self, M, cols):
         """The epi from M onto M modulo the extra relation columns, in
         invariant-factor form (Smith normal form of all relations, dropping
@@ -236,21 +248,31 @@ class _IntegerOps(_RingOps):
             parts.append(f"Z^{free}")
         return " ⊕ ".join(parts) if parts else "0"
 
-    # Over Z the verdicts build the module they ask about: a presentation
-    # is zero only when its relations span, which no count of generators
-    # decides.
+    # Over Z a presentation is zero only when its relations span, which no
+    # count of generators decides, so each verdict is a lattice question
+    # answered by Smith normal forms, with no module built (Newman,
+    # Integral Matrices, ch. II; Cohen, A Course in Computational
+    # Algebraic Number Theory, 2.4).  For f: A -> B: f is epi iff the
+    # columns of [R_B | f] span Z^gens(B), i.e. their Smith form has
+    # gens(B) diagonal entries, all 1 (the unit factors `quotient` drops);
+    # mono iff every generator of f's preimage lattice lies in R_A; and,
+    # given g . f = 0 (so im f + R_M lies inside g's preimage lattice),
+    # exact at M iff every generator of g's preimage lattice lies in
+    # im f + R_M.
 
     def is_mono(self, f):
-        return kernel(f)[0].is_zero()
+        return all(f.source.in_relations(v) for v in self.preimage_lattice(f))
 
     def is_epi(self, f):
-        return cokernel(f)[0].is_zero()
+        res = intlinalg.snf(hstack([f.target._rel_cols(), f.matrix]))
+        return res.diagonal()[:f.target.gens] == [1] * f.target.gens
 
     def exact_at(self, f, g):
-        """The homology ker g / im f, presented as the cokernel of f
-        factored through ker g, is zero."""
-        _, kappa = kernel(g)
-        return cokernel(factor_through_mono(kappa, f))[0].is_zero()
+        vectors = self.preimage_lattice(g)
+        if not vectors:
+            return True
+        solve = self.solver(f)
+        return all(solve(v) is not None for v in vectors)
 
 
 class _AlgebraOps(_RingOps):
@@ -292,6 +314,10 @@ class _AlgebraOps(_RingOps):
 
     def residue(self, M, vec):
         return [x % self.p for x in vec]
+
+    def preimage_lattice(self, f):
+        """A basis of ker f (no relations to map into)."""
+        return fplinalg.kernel_basis(f.matrix)
 
     def quotient(self, M, cols):
         """The epi from M onto M modulo the span of cols: extend a basis of
@@ -770,11 +796,10 @@ def simplify(M: ModuleObj):
 
 
 def kernel(f: ModMor):
-    """(K, mono) with f . mono = 0, universal among such: the columns x
-    with f.matrix x in f.target's relations, presented as a submodule."""
-    n = f.source.gens
-    comb = f.matrix if not f.target.rels else hstack([f.matrix, f.target._rel_cols()])
-    return f.ops.submodule(f.source, [v[:n] for v in f.ops.kernel_basis(comb)])
+    """(K, mono) with f . mono = 0, universal among such: f's preimage
+    lattice (the x with f.matrix x in f.target's relations), presented as
+    a submodule."""
+    return f.ops.submodule(f.source, f.ops.preimage_lattice(f))
 
 
 def cokernel(f: ModMor):
@@ -841,10 +866,11 @@ def iso_inverse(f: ModMor) -> ModMor:
 
 
 def is_exact_at(f: ModMor, g: ModMor) -> bool:
-    """Exactness at the middle of f, g by the homology ker g / im f: after
-    the g . f = 0 test (`NonzeroCompositeError` otherwise), the ring's ops
-    decide it, by building the homology and testing it zero (Z) or by
-    rank f + rank g = dim M (F_p-algebra).  Neither is the construction of
+    """Exactness at the middle of f, g, i.e. ker g <= im f: after the
+    g . f = 0 test (`NonzeroCompositeError` otherwise), the ring's ops
+    decide it, by solving each generator of g's preimage lattice against
+    f modulo M's relations (Z) or by rank f + rank g = dim M
+    (F_p-algebra); no homology is built.  Neither is the construction of
     `abelian.exact_at` (ker g -> coker f is zero), so
     `diagrams.d_exactness_report`, which takes its componentwise verdict
     through this name, compares two criteria."""
@@ -853,13 +879,14 @@ def is_exact_at(f: ModMor, g: ModMor) -> bool:
 
 
 def is_mono(f: ModMor) -> bool:
-    """ker f = 0, decided by the ring's ops (a kernel over Z, a rank over
-    an F_p-algebra)."""
+    """ker f = 0, decided by the ring's ops (f's preimage lattice inside
+    the source's relations over Z, a rank over an F_p-algebra)."""
     return f.ops.is_mono(f)
 
 
 def is_epi(f: ModMor) -> bool:
-    """coker f = 0, decided by the ring's ops."""
+    """coker f = 0, decided by the ring's ops (f's columns and the
+    target's relations span, over Z; a rank over an F_p-algebra)."""
     return f.ops.is_epi(f)
 
 

@@ -1,9 +1,12 @@
 """Exactness verdicts decided cheaply, against the constructions they replace.
 
 Over an F_p-algebra the mono, epi and exactness verdicts on module maps are
-rank counts; the oracle builds the kernel, cokernel and homology module
-they ask about (`oracle.mono_by_kernel`, `epi_by_cokernel`,
-`exact_by_homology`).  A horseshoe's short exact sequence of complexes is
+rank counts, and over Z they are lattice tests read off Smith normal
+forms; the oracle builds the kernel, cokernel and homology module they
+ask about (`oracle.mono_by_kernel`, `epi_by_cokernel`,
+`exact_by_homology`).  Over Z the verdicts are also checked on hand cases
+where torsion decides and, by a hypothesis property, on small random
+presentations.  A horseshoe's short exact sequence of complexes is
 checked by its splitting; the oracle is the full `SES` check in every
 degree.  Hom systems commute with the algebra generators only; the oracle
 commutes with every basis element and must give the same matrices.
@@ -17,6 +20,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from functor_homology import modules
 from functor_homology.complexes import SES, SESOfComplexes
@@ -25,8 +29,9 @@ from functor_homology.derived import (_safe_exact, horseshoe_data_for,
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply, base_change, exponent, tensor_with
-from functor_homology.modules import (biproduct, cyclic, free_module, hom_basis,
-                                      nary_biproduct, zero_module)
+from functor_homology.modules import (ModMor, ModuleObj, biproduct, cyclic,
+                                      free_module, hom_basis, nary_biproduct,
+                                      zero_module)
 from functor_homology.rings import (ZZ, augmentation_map, cyclic_group_table,
                                     group_algebra, product_group_table)
 from functor_homology.verification import (_random_fp_module, random_diagram,
@@ -44,11 +49,38 @@ RINGS = {
                                                        cyclic_group_table(2))),
 }
 ARROW = standard("arrow")
+# the verdict oracle tests run over Z too, after the F_p-algebras
+VERDICT_RINGS = {**RINGS, "Z": ZZ}
+
+
+def _maker(ring):
+    """make(rng, small=False): one random module over ring, by
+    `random_z_module` over Z and `_random_fp_module` (rank at most 1 when
+    small) over an F_p-algebra."""
+    if ring == ZZ:
+        return lambda rng, small=False: random_z_module(rng, max_gens=2 if small else 3)
+    return lambda rng, small=False: _random_fp_module(rng, ring, 1 if small else 2)
+
+
+def _random_z_verdict_module(rng):
+    """Over Z: the zero module, Z/n, a free module, or a mixed one (Z or
+    Z/n beside a random simplified presentation)."""
+    kind = rng.randint(0, 3)
+    if kind == 0:
+        return zero_module(ZZ)
+    if kind == 1:
+        return cyclic(rng.randint(2, 6))
+    if kind == 2:
+        return free_module(ZZ, rng.randint(1, 2))
+    return biproduct(cyclic(rng.choice([0, 2, 3, 4])), random_z_module(rng, max_gens=2)).obj
 
 
 def _random_module(rng, ring):
     """A zero module, a random submodule or quotient (kernel, cokernel or
-    image of a map of free modules), or a biproduct of two of those."""
+    image of a map of free modules), or a biproduct of two of those; over
+    Z, `_random_z_verdict_module`."""
+    if ring == ZZ:
+        return _random_z_verdict_module(rng)
     kind = rng.randint(0, 5)
     if kind == 0:
         return zero_module(ring)
@@ -91,9 +123,9 @@ def _ses_verdict(f, g) -> bool:
     return True
 
 
-@pytest.mark.parametrize("name", list(RINGS))
+@pytest.mark.parametrize("name", list(VERDICT_RINGS))
 def test_rank_verdicts_match_the_constructions(name):
-    ring = RINGS[name]
+    ring = VERDICT_RINGS[name]
     rng = random.Random(20261019)
     seen = {"mono": set(), "epi": set(), "exact": set(), "ses": set()}
     for case in range(60):
@@ -117,14 +149,90 @@ def test_rank_verdicts_match_the_constructions(name):
                     "exact": {True, False, None}, "ses": {True, False}}
 
 
+def _check_z_verdicts(f, g):
+    """The lattice verdicts on f and g, and exactness at the middle of
+    f, g, equal the constructions; a nonzero g . f raises both ways."""
+    for h in (f, g):
+        assert modules.is_mono(h) == h.is_mono() == mono_by_kernel(h)
+        assert modules.is_epi(h) == h.is_epi() == epi_by_cokernel(h)
+    try:
+        want = exact_by_homology(f, g)
+    except NonzeroCompositeError:
+        with pytest.raises(NonzeroCompositeError):
+            f.is_exact_at(g)
+        return None
+    assert f.is_exact_at(g) == want
+    return want
+
+
+Z, Z2, Z4 = cyclic(0), cyclic(2), cyclic(4)
+# (label, f, mono, epi): torsion decides, so no count of generators can
+Z_TORSION_MAPS = [
+    ("Z -2-> Z", ModMor(Z, Z, [[2]]), True, False),
+    ("Z/4 -2-> Z/4", ModMor(Z4, Z4, [[2]]), False, False),
+    ("Z/2 -2-> Z/4", ModMor(Z2, Z4, [[2]]), True, False),
+    ("Z -> Z/2", ModMor(Z, Z2, [[1]]), False, True),
+]
+# (label, f, g, exact at the middle)
+Z_TORSION_COMPLEXES = [
+    ("Z -4-> Z -> Z/2", ModMor(Z, Z, [[4]]), ModMor(Z, Z2, [[1]]), False),
+    ("Z -2-> Z -> Z/2", ModMor(Z, Z, [[2]]), ModMor(Z, Z2, [[1]]), True),
+    ("Z/4 -2-> Z/4 -2-> Z/4", ModMor(Z4, Z4, [[2]]), ModMor(Z4, Z4, [[2]]), True),
+    ("Z/2 -2-> Z/4 -2-> Z/4", ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z4, [[2]]), True),
+    ("Z/2 -0-> Z/4 -2-> Z/4", ModMor(Z2, Z4, [[0]]), ModMor(Z4, Z4, [[2]]), False),
+]
+
+
+@pytest.mark.parametrize("label, f, mono, epi", Z_TORSION_MAPS,
+                         ids=[c[0] for c in Z_TORSION_MAPS])
+def test_z_mono_and_epi_where_torsion_decides(label, f, mono, epi):
+    assert (f.is_mono(), f.is_epi()) == (mono_by_kernel(f), epi_by_cokernel(f))
+    assert (f.is_mono(), f.is_epi()) == (mono, epi)
+
+
+@pytest.mark.parametrize("label, f, g, exact", Z_TORSION_COMPLEXES,
+                         ids=[c[0] for c in Z_TORSION_COMPLEXES])
+def test_z_exactness_where_torsion_decides(label, f, g, exact):
+    assert _check_z_verdicts(f, g) is exact
+
+
+def _presentation(gens):
+    return st.lists(st.lists(st.integers(-6, 6), min_size=gens, max_size=gens),
+                    max_size=3).map(lambda rels: ModuleObj(ZZ, gens, rels))
+
+
+PRESENTATIONS = st.integers(0, 3).flatmap(_presentation)
+
+
+@given(A=PRESENTATIONS, M=PRESENTATIONS, B=PRESENTATIONS,
+       seed=st.integers(0, 2**32 - 1), kind=st.integers(0, 2))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_z_verdicts_match_the_constructions_on_presentations(A, M, B, seed, kind):
+    # well-defined maps f: A -> M, g: M -> B: g after coker f, f into
+    # ker g (both complexes), or both at random
+    rng = random.Random(seed)
+    if kind == 0:
+        f = random_morphism(rng, A, M)
+        Q, q = f.cokernel()
+        g = q.then(random_morphism(rng, Q, B))
+    elif kind == 1:
+        g = random_morphism(rng, M, B)
+        K, k = g.kernel()
+        f = random_morphism(rng, A, K).then(k)
+    else:
+        f, g = random_morphism(rng, A, M), random_morphism(rng, M, B)
+    _check_z_verdicts(f, g)
+
+
 def _one_way_failures(rng, ring):
     """(label, f, g, message) for sequences that fail in exactly one way,
     built around a random short exact sequence 0 -> L -> M -> N -> 0."""
-    ses = random_module_ses(rng, ring, lambda r: _random_fp_module(r, ring))
+    make = _maker(ring)
+    ses = random_module_ses(rng, ring, make)
     i, p = ses.f, ses.g
-    X = _random_fp_module(rng, ring, 1)
+    X = make(rng, True)
     while X.is_zero():
-        X = _random_fp_module(rng, ring, 1)
+        X = make(rng, True)
     LX, NX = biproduct(ses.L, X), biproduct(ses.N, X)
     LYN = nary_biproduct([ses.L, X, ses.N])
     M = ses.M if not ses.M.is_zero() else X
@@ -137,10 +245,11 @@ def _one_way_failures(rng, ring):
 
 
 def _check_one_way_failures(seed=20261019):
-    """Every one-way failure: the rank route and the constructions agree on
-    which verdict fails, and `SES` raises `ExactnessError` naming it."""
+    """Every one-way failure: the verdicts (ranks over F_p, lattice tests
+    over Z) and the constructions agree on which verdict fails, and `SES`
+    raises `ExactnessError` naming it."""
     rng = random.Random(seed)
-    for name, ring in RINGS.items():
+    for name, ring in VERDICT_RINGS.items():
         for label, f, g, message in _one_way_failures(rng, ring):
             mono, epi = mono_by_kernel(f), epi_by_cokernel(g)
             must((modules.is_mono(f), modules.is_epi(g)) == (mono, epi), (name, label))

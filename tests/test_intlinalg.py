@@ -1,7 +1,9 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from functor_homology.errors import ShapeError
 from functor_homology.intlinalg import IntMatrix, kernel_basis, snf, solve
 from oracle import (brute_solve_int, det_sign_of_unimodular,
                     invariant_factors_by_minors)
@@ -64,6 +66,14 @@ def test_solve_examples():
     x = solve(IntMatrix.from_rows(A), [1, 1])
     assert x == brute_solve_int(A, [1, 1]) or (
         x is not None and [sum(r[j] * x[j] for j in range(2)) for r in A] == [1, 1])
+
+
+def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
+    # the shape error of every other check in intlinalg and fplinalg
+    A = IntMatrix.from_rows([[1, 2], [3, 4]])
+    for b in ([1], [1, 2, 3], []):
+        with pytest.raises(ShapeError, match=f"^{len(b)}-vector for a 2-row matrix$"):
+            solve(A, b)
 
 
 def test_solve_consistency_random():

@@ -20,10 +20,11 @@ from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 
 SEAM = ("matrix_type", "matrix", "from_columns", "identity", "zeros",
         "kernel_basis", "solver", "free_images", "unit", "n_actions",
-        "has_relations", "residue", "quotient", "submodule", "generators",
-        "describe", "is_mono", "is_epi", "exact_at", "base_change_epi",
-        "base_change_lift", "coefficient_range", "invariant_factors",
-        "simplify", "fp_dimension", "minimal_generators")
+        "has_relations", "residue", "preimage_lattice", "quotient",
+        "submodule", "generators", "describe", "is_mono", "is_epi",
+        "exact_at", "base_change_epi", "base_change_lift",
+        "coefficient_range", "invariant_factors", "simplify", "fp_dimension",
+        "minimal_generators")
 R2 = group_algebra(2, cyclic_group_table(2))
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 

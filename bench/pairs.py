@@ -29,7 +29,10 @@ of src/ lines and of the lines containing `is_integers` and `isinstance`
 for each side.  `suites` holds the output of this checkout's
 `bench/suites.py` run on each side's src/ (`--root`), so a parent
 without that script is timed too: every verification suite at its
-acceptance size.  Only the standard library is used.
+acceptance size.  `layers` holds the output of this checkout's
+`bench/layers.py` run the same way: the per-call time of the F_p leaf
+operations at the shapes of fp_group_ss.  Only the standard library is
+used.
 """
 
 import argparse
@@ -121,9 +124,9 @@ def ss_scaling(root):
     return json.loads(out.stdout)
 
 
-def suite_times(root):
-    out = subprocess.run([sys.executable, str(HERE / "bench" / "suites.py"),
-                          "--root", str(root)],
+def this_script(name, root):
+    """The JSON output of this checkout's bench/<name> timing root's src/."""
+    out = subprocess.run([sys.executable, str(HERE / "bench" / name), "--root", str(root)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
 
@@ -137,8 +140,10 @@ def main():
     config = json.loads((HERE / "BENCHMARK.json").read_text())
     seconds = config["run_seconds"]
     runs = [(w, int(n)) for w, n in (r.split(":") for r in args.run)]
-    scaling = {"parent": ss_scaling(args.parent), "change": ss_scaling(HERE)}
-    suites = {"parent": suite_times(args.parent), "change": suite_times(HERE)}
+    sides = (("parent", args.parent), ("change", HERE))
+    scaling = {side: ss_scaling(root) for side, root in sides}
+    suites = {side: this_script("suites.py", root) for side, root in sides}
+    layers = {side: this_script("layers.py", root) for side, root in sides}
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
                       "trace_seed": TRACE_SEED},
@@ -147,6 +152,7 @@ def main():
               "trace": {w: trace_counts(args.parent, w, TRACE_SEED) for w, _ in runs},
               "ss_scaling": scaling,
               "suites": suites,
+              "layers": layers,
               "code": {side: {k: out[k] for k in CODE_COUNTS} for side, out in scaling.items()}}
     json.dump(result, sys.stdout, indent=1)
     print()

@@ -11,9 +11,10 @@ trusted one, for producers in this package whose output holds its
 invariant by construction: `data` is a fresh list of fresh rows that no
 one else holds (the matrix takes ownership and never copies it), with
 exactly `rows` rows of `cols` entries each.  Here its producers are
-`mul`, `add`, `scale`, `identity`, `zeros`, `transpose`, `hstack`,
-`from_columns` (after its column-length check) and the Smith normal form
-(U, D, V, and U^-1 from `SnfResult.u_inverse`).
+`mul`, `add`, `scale`, `kron`, `identity`, `zeros`, `from_blocks`,
+`transpose`, `hstack`, `from_columns` (after its column-length check)
+and the Smith normal form (U, D, V, and U^-1 from
+`SnfResult.u_inverse`).
 """
 
 from __future__ import annotations
@@ -58,6 +59,22 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows, cols):
         return cls._owned(rows, cols, [[0] * cols for _ in range(rows)])
+
+    @classmethod
+    def from_blocks(cls, rows, cols, placed):
+        """The rows x cols sum of the blocks in placed, each (roff, coff,
+        block) putting block's entry (i, j) at (roff + i, coff + j).  A
+        block that does not fit raises ShapeError."""
+        out = [[0] * cols for _ in range(rows)]
+        for roff, coff, b in placed:
+            if min(roff, coff) < 0 or roff + b.rows > rows or coff + b.cols > cols:
+                raise ShapeError(f"a {b.rows}x{b.cols} block at {(roff, coff)} "
+                                 f"does not fit a {rows}x{cols} matrix")
+            for i, r in enumerate(b.data, roff):
+                oi = out[i]
+                for j, x in enumerate(r, coff):
+                    oi[j] += x
+        return cls._owned(rows, cols, out)
 
     def __eq__(self, other):
         return (
@@ -107,6 +124,13 @@ class IntMatrix:
         if len(v) != self.cols:
             raise ShapeError(f"vector of length {len(v)} for {self.cols} columns")
         return [sum(r[j] * v[j] for j in range(self.cols)) for r in self.data]
+
+    def kron(self, other):
+        """The Kronecker product: entry (i.other.rows + j, k.other.cols + l)
+        is self[i][k] * other[j][l]."""
+        return IntMatrix._owned(self.rows * other.rows, self.cols * other.cols,
+                                [[x * y for x in r for y in s]
+                                 for r in self.data for s in other.data])
 
     def col(self, j):
         return [r[j] for r in self.data]

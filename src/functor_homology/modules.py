@@ -80,8 +80,8 @@ from .rings import Ring, ZZ, require_algebra
 class _RingOps:
     """The base-ring seam: everything that differs between Z and an
     F_p-algebra.  A subclass supplies `matrix_type`, `matrix` (the checked
-    constructor), `from_columns`, `identity` and `zeros` (the trusted
-    producers of its matrix module), `kernel_basis`, `solver`,
+    constructor), `from_columns`, `identity`, `zeros` and `from_blocks`
+    (the trusted producers of its matrix module), `kernel_basis`, `solver`,
     `free_images` and `unit` (coordinates of a free generator on its free
     basis), `n_actions` and `has_relations` (the shape of a
     presentation), `residue` (coordinates that vanish exactly on the
@@ -103,17 +103,6 @@ class _RingOps:
 
     def from_rows(self, data):
         return self.matrix(len(data), len(data[0]) if data else 0, data)
-
-    def kron(self, f, g):
-        data = [[0] * (f.cols * g.cols) for _ in range(f.rows * g.rows)]
-        for i in range(f.rows):
-            for k in range(f.cols):
-                a = f.data[i][k]
-                if a:
-                    for j in range(g.rows):
-                        for l in range(g.cols):
-                            data[i * g.rows + j][k * g.cols + l] = a * g.data[j][l]
-        return self.matrix(f.rows * g.rows, f.cols * g.cols, data)
 
 
 class _IntegerOps(_RingOps):
@@ -137,6 +126,9 @@ class _IntegerOps(_RingOps):
 
     def zeros(self, rows, cols):
         return IntMatrix.zeros(rows, cols)
+
+    def from_blocks(self, rows, cols, placed):
+        return IntMatrix.from_blocks(rows, cols, placed)
 
     def kernel_basis(self, A):
         return intlinalg.kernel_basis(A)
@@ -237,7 +229,7 @@ class _IntegerOps(_RingOps):
         """Each entry times the identity of S (the matrix itself if S = Z)."""
         ops = ring_ops(rm.target)
         scalars = ops.matrix(matrix.rows, matrix.cols, matrix.data)
-        return ops.kron(scalars, ops.identity(len(ops.unit)))
+        return scalars.kron(ops.identity(len(ops.unit)))
 
     def describe(self, M):
         torsion, free = M.invariant_factors()
@@ -302,6 +294,9 @@ class _AlgebraOps(_RingOps):
     def zeros(self, rows, cols):
         return FpMatrix.zeros(self.p, rows, cols)
 
+    def from_blocks(self, rows, cols, placed):
+        return FpMatrix.from_blocks(self.p, rows, cols, placed)
+
     def kernel_basis(self, A):
         return fplinalg.kernel_basis(A)
 
@@ -354,14 +349,12 @@ class _AlgebraOps(_RingOps):
         inclusion is still a checked map."""
         p, k = self.p, len(cols)
         w = fp_from_columns(p, cols, M.gens)
-        images = []
-        for act in M.actions:
-            aw = act.mul(w)
-            images.extend(aw.col(j) for j in range(k))
-        x = fplinalg.solve_matrix(w, fp_from_columns(p, images, M.gens))
+        images = self.from_blocks(M.gens, k * len(M.actions),
+                                  [(0, a * k, act.mul(w)) for a, act in enumerate(M.actions)])
+        x = fplinalg.solve_matrix(w, images)
         if x is None:
             raise ExactnessError("kernel subspace must be action-invariant")
-        actions = [self.matrix(k, k, [row[a * k:(a + 1) * k] for row in x.data])
+        actions = [x.submatrix(range(k), range(a * k, (a + 1) * k))
                    for a in range(self.n_actions)]
         K = ModuleObj(M.ring, k, actions=actions, check=False)
         return K, ModMor(K, M, w)
@@ -402,19 +395,19 @@ class _AlgebraOps(_RingOps):
         rank k (`_free_base_change`), and otherwise by `quotient` modulo
         s.rm(a) (x) x - s (x) a.x."""
         S, ident = rm.target, self.identity(M.gens)
-        actions = [self.kron(lam, ident) for lam in S.regular]
+        actions = [lam.kron(ident) for lam in S.regular]
         cover = ModuleObj(S, S.dim * M.gens, actions=actions, check=False)
         if M.free_rank is not None:
             return _free_base_change(rm, M, cover)
         cols = []
         for image, act in zip(rm.images, M.actions):
-            m = self.kron(S.right_mult_matrix(image), ident).add(
+            m = S.right_mult_matrix(image).kron(ident).add(
                 self.base_change_lift(rm, act).scale(-1))
             cols.extend(m.col(j) for j in range(m.cols))
         return cover.ops.quotient(cover, cols)
 
     def base_change_lift(self, rm, matrix):
-        return self.kron(self.identity(rm.target.dim), matrix)
+        return self.identity(rm.target.dim).kron(matrix)
 
     # Over an F_p-algebra a module has no relations, so a map is an
     # F_p-linear map of its generator coordinates and every verdict is a
@@ -620,7 +613,7 @@ def free_module(ring: Ring, rank: int) -> ModuleObj:
     multiplication (block-diagonal copies of `ring.regular`; none over
     Z)."""
     ops = ring_ops(ring)
-    actions = [ops.kron(ops.identity(rank), lam) for lam in ring.regular]
+    actions = [ops.identity(rank).kron(lam) for lam in ring.regular]
     return ModuleObj(ring, rank * len(ops.unit), actions=actions, free_rank=rank,
                      check=False)
 
@@ -768,9 +761,11 @@ def same_map_into(T: ModuleObj, a, b) -> bool:
     equality rule for morphisms, written once: identical matrices agree,
     and otherwise every column of a - b must lie in T's relations.  Builds
     no morphism."""
-    a, b = a.data, b.data
     if a == b:
         return True
+    if not T.ops.has_relations:
+        return False  # entries stored reduced, and no relations to absorb a - b
+    a, b = a.data, b.data
     return all(T.in_relations([x[j] - y[j] for x, y in zip(a, b)])
                for j in range(len(a[0])))
 
@@ -952,22 +947,18 @@ def nary_biproduct(mods, ring=None) -> NaryBiproduct:
             row = [0] * total
             row[off: off + m.gens] = r
             rels.append(row)
-    actions = []
-    for blocks in zip(*(m.actions for m in mods)):
-        data = [[0] * total for _ in range(total)]
-        for off, block in zip(offsets, blocks):
-            for i, row in enumerate(block.data):
-                data[off + i][off: off + len(row)] = row
-        actions.append(ops.matrix(total, total, data))
+    actions = [ops.from_blocks(total, total, [(off, off, b) for off, b in zip(offsets, blocks)])
+               for blocks in zip(*(m.actions for m in mods))]
     free_ranks = [m.free_rank for m in mods]
     fr = None if None in free_ranks else sum(free_ranks)
     obj = ModuleObj(ring, total, rels, actions, free_rank=fr, check=False)
     injs, projs = [], []
     for off, m in zip(offsets, mods):
-        mi = [[1 if i == off + j else 0 for j in range(m.gens)] for i in range(total)]
-        mp = [[1 if j == off + i else 0 for j in range(total)] for i in range(m.gens)]
-        injs.append(ModMor(m, obj, ops.matrix(total, m.gens, mi), check=False))
-        projs.append(ModMor(obj, m, ops.matrix(m.gens, total, mp), check=False))
+        ident = ops.identity(m.gens)
+        injs.append(ModMor(m, obj, ops.from_blocks(total, m.gens, [(off, 0, ident)]),
+                           check=False))
+        projs.append(ModMor(obj, m, ops.from_blocks(m.gens, total, [(0, off, ident)]),
+                            check=False))
     return NaryBiproduct(obj, injs, projs)
 
 
@@ -1057,16 +1048,18 @@ class HomSystem:
         """x.A - B.y = 0 for unknowns x, y and known matrices A, B."""
         Sx, Tx, _ = self.blocks[x]
         Sy, Ty, _ = self.blocks[y]
+        b_cols = [B.col(k) for k in range(Ty.gens)]
         for g in range(Sy.gens):
+            a_col = A.col(g)
             for r, row in enumerate(self._new_rows(Tx)):
                 for k in range(Sx.gens):
-                    if A.data[k][g]:
+                    if a_col[k]:
                         key = self._var(x, r, k)
-                        row[key] = row.get(key, 0) + A.data[k][g]
+                        row[key] = row.get(key, 0) + a_col[k]
                 for k in range(Ty.gens):
-                    if B.data[r][k]:
+                    if b_cols[k][r]:
                         key = self._var(y, k, g)
-                        row[key] = row.get(key, 0) - B.data[r][k]
+                        row[key] = row.get(key, 0) - b_cols[k][r]
 
     def solve(self):
         """One list of unknown matrices per kernel basis vector."""

@@ -114,26 +114,15 @@ def _totalize(dc: DoubleComplex) -> TotalData:
         dims[n] = off
     D = {}
     for n in range(0, n_max + 2):
-        rows = dims.get(n - 1, 0)
-        colsn = dims.get(n, 0)
-        data = [[0] * colsn for _ in range(rows)]
+        placed = []
         for (s, t) in cells.get(n, []):
             coff = offsets[(n, s, t)]
             if (n - 1, s - 1, t) in offsets:
-                _put(data, dc.dh(s, t), offsets[(n - 1, s - 1, t)], coff)
+                placed.append((offsets[(n - 1, s - 1, t)], coff, dc.dh(s, t)))
             if (n - 1, s, t - 1) in offsets:
-                _put(data, dc.dv(s, t), offsets[(n - 1, s, t - 1)], coff)
-        D[n] = FpMatrix(p, rows, colsn, data)
+                placed.append((offsets[(n - 1, s, t - 1)], coff, dc.dv(s, t)))
+        D[n] = FpMatrix.from_blocks(p, dims.get(n - 1, 0), dims.get(n, 0), placed)
     return TotalData(cells, offsets, dims, D)
-
-
-def _put(data, block: FpMatrix, roff, coff):
-    """Write the nonzero entries of block into the rows data at (roff, coff)."""
-    for i in range(block.rows):
-        ri = data[roff + i]
-        for j in range(block.cols):
-            if block.data[i][j]:
-                ri[coff + j] = block.data[i][j]
 
 
 @dataclass
@@ -306,11 +295,11 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                 if not idx or not tgt:
                     continue
                 # d_r sends a death of gap r to its birth partner, the rest to 0
-                d = FpMatrix.zeros(p, len(tgt), len(idx))
+                rows = [[0] * len(idx) for _ in tgt]
                 for a, k in enumerate(idx):
                     if low[k] is not None and gap[n][k] == r:
-                        d.data[tgt.index(low[k])][a] = 1
-                diffs[r][(s, t)] = d
+                        rows[tgt.index(low[k])][a] = 1
+                diffs[r][(s, t)] = FpMatrix(p, len(tgt), len(idx), rows)
 
     # page recursion invariant: dim E^{r+1} = dim H(E^r, d^r)
     for r in range(2, r_stop):
@@ -345,7 +334,7 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
         grs = []
         prev = 0
         for s in range(0, n + 1):
-            for v in _cycles_in_prefix(p, dn, sum(f <= s for f in filt[n]), dim):
+            for v in _cycles_in_prefix(dn, sum(f <= s for f in filt[n]), dim):
                 filtered.insert(v)
             d_s = len(filtered) - rk_bnd
             grs.append(d_s - prev)
@@ -356,12 +345,11 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                     abutment, filtration, degen, internal, n_valid)
 
 
-def _cycles_in_prefix(p, dn, prefix, dim):
+def _cycles_in_prefix(dn, prefix, dim):
     """Basis of ker(dn) intersected with the coordinate prefix."""
     if prefix == 0:
         return []
-    restricted = FpMatrix(p, dn.rows, prefix,
-                          [row[:prefix] for row in dn.data])
+    restricted = dn.submatrix(range(dn.rows), range(prefix))
     return [v + [0] * (dim - prefix) for v in fplinalg.kernel_basis(restricted)]
 
 
@@ -670,11 +658,10 @@ def _filtered_coords(u, ss_i: SSResult, ss_j: SSResult, blocks, n_max):
     ti, tj = ss_i.internal.tot, ss_j.internal.tot
     phi = {}
     for n in range(n_max + 2):
-        data = [[0] * ti.dims[n] for _ in range(tj.dims[n])]
-        for (s, t) in ti.cells[n]:
-            if (n, s, t) in tj.offsets:
-                _put(data, blocks[(s, t)], tj.offsets[(n, s, t)], ti.offsets[(n, s, t)])
-        phi[n] = FpMatrix(ss_i.p, tj.dims[n], ti.dims[n], data)
+        phi[n] = FpMatrix.from_blocks(
+            ss_i.p, tj.dims[n], ti.dims[n],
+            [(tj.offsets[(n, s, t)], ti.offsets[(n, s, t)], blocks[(s, t)])
+             for (s, t) in ti.cells[n] if (n, s, t) in tj.offsets])
         if n and phi[n - 1].mul(ti.D[n]) != tj.D[n].mul(phi[n]):
             raise ExactnessError(f"the cell maps of {u} are not a chain map "
                                  f"of totals in degree {n}")
@@ -684,10 +671,6 @@ def _filtered_coords(u, ss_i: SSResult, ss_j: SSResult, blocks, n_max):
 
     return {n: fplinalg.inverse(basis(ss_j, n)).mul(phi[n]).mul(basis(ss_i, n))
             for n in range(n_max + 1)}
-
-
-def _submatrix(m: FpMatrix, rows, cols):
-    return FpMatrix(m.p, len(rows), len(cols), [[m.data[a][b] for b in cols] for a in rows])
 
 
 def _page_d(ss: SSResult, r, s, t):
@@ -707,10 +690,9 @@ def _edge_isos(ss: SSResult, g_aug, gfc: Complex, n_max):
     tot = ss.internal.tot
     theta = {}
     for n in range(n_max + 1):
-        data = [[0] * tot.dims[n] for _ in range(gfc.objects[n].fp_dimension())]
-        if (n, 0, n) in tot.offsets:
-            _put(data, g_aug[n].matrix, 0, tot.offsets[(n, 0, n)])
-        theta[n] = FpMatrix(ss.p, len(data), tot.dims[n], data)
+        theta[n] = FpMatrix.from_blocks(
+            ss.p, gfc.objects[n].fp_dimension(), tot.dims[n],
+            [(0, tot.offsets[(n, 0, n)], g_aug[n].matrix)] if (n, 0, n) in tot.offsets else [])
     for n in range(1, n_max + 1):
         if theta[n - 1].mul(tot.D[n]) != gfc.diffs[n].matrix.mul(theta[n]):
             raise ExactnessError("edge map to GF(P_*) is not a chain map")
@@ -781,9 +763,8 @@ def ss_componentwise(F, G, A: Diagram, n_max) -> ComponentwiseResult:
                                   {c: d.maps[u].matrix for c, d in grid[0].items()}, n_max)
         for r in range(2, ss_i.r_stop + 1):
             for (s, t) in window:
-                page_maps[(u, r, (s, t))] = _submatrix(
-                    coords[s + t], ss_j.internal.page_indices(r, s, t),
-                    ss_i.internal.page_indices(r, s, t))
+                page_maps[(u, r, (s, t))] = coords[s + t].submatrix(
+                    ss_j.internal.page_indices(r, s, t), ss_i.internal.page_indices(r, s, t))
             for (s, t) in window:
                 if s < r:
                     continue
@@ -811,12 +792,12 @@ def ss_componentwise(F, G, A: Diagram, n_max) -> ComponentwiseResult:
             a = fplinalg.inverse(ej).mul(amap).mul(ei)
             fi = [ss_i.internal.filt[n][k] for k in ki]
             fj = [ss_j.internal.filt[n][k] for k in kj]
-            abutment_filtration_ok[(u, n)] = not any(
-                a.data[x][y] for x in range(len(fj)) for y in range(len(fi))
-                if fj[x] > fi[y])
+            abutment_filtration_ok[(u, n)] = all(
+                a.submatrix([x], [y for y, f in enumerate(fi) if fj[x] > f]).is_zero()
+                for x in range(len(fj)))
             for s in range(n + 1):
-                gr = _submatrix(a, [x for x, f in enumerate(fj) if f == s],
-                                [y for y, f in enumerate(fi) if f == s])
+                gr = a.submatrix([x for x, f in enumerate(fj) if f == s],
+                                 [y for y, f in enumerate(fi) if f == s])
                 gr_matches[(u, n, s)] = gr == page_maps[(u, ss_i.r_stop, (s, n - s))]
     return ComponentwiseResult(per_object, e2_cell_maps, page_maps, abutment_maps,
                                ident_ok, e2_ident, e2_squares, page_squares,

@@ -58,9 +58,9 @@ def tensor_data(A: ModuleObj, B: ModuleObj) -> ModMor:
             col = [0] * n
             col[i * gb: (i + 1) * gb] = s
             cols.append(col)
-    actions = [ops.kron(act, ib) for act in A.actions]
+    actions = [act.kron(ib) for act in A.actions]
     for act, b_act in zip(actions, B.actions):
-        m = act.add(ops.kron(ia, b_act).scale(-1))
+        m = act.add(ia.kron(b_act).scale(-1))
         cols.extend(m.col(j) for j in range(n))
     raw = ModuleObj(A.ring, n, actions=actions, check=False)
     epi = ops.quotient(raw, cols)
@@ -75,7 +75,7 @@ def tensor_obj(A: ModuleObj, B: ModuleObj) -> ModuleObj:
 def tensor_mor(f: ModMor, g: ModMor) -> ModMor:
     esrc = tensor_data(f.source, g.source)
     etgt = tensor_data(f.target, g.target)
-    raw = f.ops.kron(f.matrix, g.matrix)
+    raw = f.matrix.kron(g.matrix)
     return ModMor(esrc.target, etgt.target, etgt.matrix.mul(raw).mul(section(esrc)))
 
 

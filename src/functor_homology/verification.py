@@ -410,10 +410,9 @@ def _closed_form_cell(dc, tot, r, s, t):
         dn = tot.D[nn]
         cutoff = fdim(nn - 1, ss - rr)
         width = tot.dims.get(nn - 1, 0)
-        rows = [dn.data[coord][:pre] for coord in range(cutoff, width)]
-        if not rows:
+        if cutoff >= width:
             return fplinalg.unit_vectors(tot.dims[nn])[:pre]
-        cond = FpMatrix(p, len(rows), pre, rows)
+        cond = dn.submatrix(range(cutoff, width), range(pre))
         return [c + [0] * (tot.dims[nn] - pre)
                 for c in fplinalg.kernel_basis(cond)]
 
@@ -450,9 +449,9 @@ def _draw_ss(rng, case):
             if dims[(s, t)] == 0:
                 continue
             if s >= 1 and dims[(s - 1, t)]:
-                d_h[(s, t)] = ops.kron(mats_c[s], ops.identity(dims_d[t]))
+                d_h[(s, t)] = mats_c[s].kron(ops.identity(dims_d[t]))
             if t >= 1 and dims[(s, t - 1)]:
-                m = ops.kron(ops.identity(dims_c[s]), mats_d[t])
+                m = ops.identity(dims_c[s]).kron(mats_d[t])
                 if s % 2 == 1:
                     m = m.scale(p - 1)
                 d_v[(s, t)] = m

@@ -11,7 +11,9 @@ canonical coordinates, one module spectral sequence per index object,
 morphisms checked against every algebra basis element, hom spaces solved
 with a commutation row block per basis element, base change of every
 module by the quotient of its cover, and the mono, epi and exactness
-verdicts by building the kernel, cokernel and homology they ask about.
+verdicts by building the kernel, cokernel and homology they ask about,
+and the dense F_p linear algebra (list rows reduced mod p at every step)
+that the packed F_2 rows of `fplinalg` are tested against.
 """
 
 from dataclasses import dataclass
@@ -125,6 +127,185 @@ def enumerate_fp_kernel(p, data):
                for i in range(rows)):
             out.append(list(x))
     return out
+
+
+# -- the dense F_p reference ---------------------------------------------------
+#
+# The bodies `fplinalg` had before F_2 rows were packed into ints: every
+# matrix a list of row lists with entries in [0, p), every operation
+# reducing mod p as it goes.  Shapes travel with the data (rows x cols).
+
+
+def dense_mul(p, a, b, cols):
+    """a times b, for b with `cols` columns."""
+    out = [[0] * cols for _ in range(len(a))]
+    for ai, oi in zip(a, out):
+        for k, x in enumerate(ai):
+            if x:
+                for j in range(cols):
+                    oi[j] = (oi[j] + x * b[k][j]) % p
+    return out
+
+
+def dense_mul_vec(p, a, v):
+    return [sum(r[j] * v[j] for j in range(len(v))) % p for r in a]
+
+
+def dense_add(p, a, b):
+    return [[(x + y) % p for x, y in zip(r, s)] for r, s in zip(a, b)]
+
+
+def dense_scale(p, a, c):
+    return [[(c * x) % p for x in r] for r in a]
+
+
+def dense_col(a, j):
+    return [r[j] for r in a]
+
+
+def dense_kron(p, a, b, a_cols, b_cols):
+    out = [[0] * (a_cols * b_cols) for _ in range(len(a) * len(b))]
+    for i, ra in enumerate(a):
+        for k in range(a_cols):
+            if ra[k]:
+                for j, rb in enumerate(b):
+                    for l in range(b_cols):
+                        out[i * len(b) + j][k * b_cols + l] = ra[k] * rb[l] % p
+    return out
+
+
+def dense_block_diagonal(blocks, sizes):
+    """Blocks (row lists) of the given square sizes down the diagonal."""
+    total = sum(sizes)
+    out = [[0] * total for _ in range(total)]
+    off = 0
+    for block, n in zip(blocks, sizes):
+        for i, row in enumerate(block):
+            out[off + i][off: off + n] = row
+        off += n
+    return out
+
+
+def dense_from_columns(p, cols, rows):
+    return [[c[i] % p for c in cols] for i in range(rows)]
+
+
+def dense_rref(p, a, cols):
+    """(R, pivot columns) of the rows a with `cols` columns."""
+    R = [list(r) for r in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= len(R):
+            break
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [(x * inv) % p for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [(x - f * y) % p for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def dense_kernel_basis(p, a, cols):
+    R, pivots = dense_rref(p, a, cols)
+    basis = []
+    for f in (j for j in range(cols) if j not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = (-R[r][f]) % p
+        basis.append(v)
+    return basis
+
+
+class DenseSpan:
+    """`fplinalg.Span` with list rows: echelon row k is basis[k] reduced by
+    rows 0..k-1 and scaled to a leading 1, keeping its reduction factors
+    and scale, which unfold into coordinates."""
+
+    def __init__(self, p, dim, vectors=()):
+        self.p, self.dim, self.basis = p, dim, []
+        self._rows, self._factors, self._scales = [], [], []
+        for v in vectors:
+            self.insert(v)
+
+    def _reduce(self, v):
+        if len(v) != self.dim:
+            raise ShapeError(f"{len(v)}-vector in a span inside F_p^{self.dim}")
+        p = self.p
+        w = [x % p for x in v]
+        factors = []
+        for c, row in self._rows:
+            f = w[c]
+            factors.append(f)
+            if f:
+                w[c:] = [(x - f * y) % p for x, y in zip(w[c:], row)]
+        return w, factors
+
+    def insert(self, v):
+        w, factors = self._reduce(v)
+        c = next((j for j, x in enumerate(w) if x), None)
+        if c is None:
+            return False
+        p = self.p
+        scale = pow(w[c], p - 2, p)
+        self._rows.append((c, [(x * scale) % p for x in w[c:]]))
+        self._factors.append(factors)
+        self._scales.append(scale)
+        self.basis.append(v)
+        return True
+
+    def contains(self, v):
+        return not any(self._reduce(v)[0])
+
+    def coords(self, v):
+        w, factors = self._reduce(v)
+        if any(w):
+            return None
+        p = self.p
+        out = [0] * len(factors)
+        for k in range(len(factors) - 1, -1, -1):
+            a = factors[k] * self._scales[k] % p
+            if a:
+                out[k] = a
+                for j, f in enumerate(self._factors[k]):
+                    if f:
+                        factors[j] = (factors[j] - a * f) % p
+        return out
+
+
+def dense_solver(p, a, cols):
+    span = DenseSpan(p, len(a))
+    pivots = [j for j in range(cols) if span.insert(dense_col(a, j))]
+
+    def solve_one(b):
+        c = span.coords(b)
+        if c is None:
+            return None
+        x = [0] * cols
+        for j, cj in zip(pivots, c):
+            x[j] = cj
+        return x
+
+    return solve_one
+
+
+def dense_solve_matrix(p, a, a_cols, b, b_cols):
+    solve_one = dense_solver(p, a, a_cols)
+    cols = [solve_one(dense_col(b, j)) for j in range(b_cols)]
+    return None if None in cols else dense_from_columns(p, cols, a_cols)
+
+
+def dense_inverse(p, a):
+    n = len(a)
+    return dense_solve_matrix(p, a, n, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
 
 def fp_complex_homology_dims(p, mats, dims):
@@ -339,11 +520,11 @@ def base_change_by_quotient(rm, M):
     a, by the algebra's `quotient`."""
     S = rm.target
     ops, ident = M.ops, M.ops.identity(M.gens)
-    cover = ModuleObj(S, S.dim * M.gens, actions=[ops.kron(lam, ident) for lam in S.regular])
+    cover = ModuleObj(S, S.dim * M.gens, actions=[lam.kron(ident) for lam in S.regular])
     cols = []
     for image, act in zip(rm.images, M.actions):
-        m = ops.kron(S.right_mult_matrix(image), ident).add(
-            ops.kron(ops.identity(S.dim), act).scale(-1))
+        m = S.right_mult_matrix(image).kron(ident).add(
+            ops.identity(S.dim).kron(act).scale(-1))
         cols.extend(m.col(j) for j in range(m.cols))
     return cover.ops.quotient(cover, cols)
 
@@ -558,7 +739,7 @@ def _filt_cycles(ss: SSResult, n, s):
     """A basis of the cycles of Tot_n in filtration s (the coordinate prefix
     of filtration <= s)."""
     tot = ss.internal.tot
-    return _cycles_in_prefix(ss.p, tot.D[n], sum(f <= s for f in ss.internal.filt[n]),
+    return _cycles_in_prefix(tot.D[n], sum(f <= s for f in ss.internal.filt[n]),
                              tot.dims[n])
 
 

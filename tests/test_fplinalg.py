@@ -7,9 +7,10 @@ from itertools import product
 import pytest
 
 from functor_homology.errors import ShapeError
+import oracle
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns,
                                        inverse, kernel_basis, rank, rref,
-                                       solve, solve_matrix)
+                                       solve, solve_matrix, solver)
 from oracle import enumerate_fp_kernel
 
 
@@ -197,3 +198,128 @@ def test_shape_checks_hold_under_optimize():
                              env=env, capture_output=True, text=True,
                              timeout=120)
         assert out.returncode == 0, out.stderr
+
+
+# -- packed F_2 rows against the dense reference -------------------------------
+
+SHAPES = (0, 1, 2, 3, 5, 8, 13, 70)  # 70 columns overflow one machine word
+
+
+def _rand_rows(rng, p, rows, cols, zero_bias):
+    # entries outside [0, p) too, so that every entry point has to reduce
+    return [[0 if rng.random() < zero_bias else rng.randint(-3 * p, 3 * p)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _reduced(p, rows):
+    return [[x % p for x in r] for r in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_matrix_operations_match_dense_reference(p):
+    rng = random.Random(20261019 + p)
+    for case in range(120):
+        m, k, n = (rng.choice(SHAPES) for _ in range(3))
+        bias = rng.choice((0.0, 0.5, 0.8, 1.0))
+        ra, rb, rc = (_rand_rows(rng, p, r, c, bias) for r, c in ((m, k), (k, n), (m, k)))
+        a, b, c = _reduced(p, ra), _reduced(p, rb), _reduced(p, rc)
+        A, B, C = FpMatrix(p, m, k, ra), FpMatrix(p, k, n, rb), FpMatrix(p, m, k, rc)
+        ctx = f"p={p} case={case} shapes {m}x{k}x{n}"
+        assert (A.rows, A.cols, A.data) == (m, k, a), ctx
+        assert A.mul(B).data == oracle.dense_mul(p, a, b, n), ctx
+        v = [rng.randint(-3 * p, 3 * p) for _ in range(k)]
+        assert A.mul_vec(v) == oracle.dense_mul_vec(p, a, v), ctx
+        assert A.add(C).data == oracle.dense_add(p, a, c), ctx
+        s = rng.randint(-2 * p, 2 * p)
+        assert A.scale(s).data == oracle.dense_scale(p, a, s), ctx
+        assert [A.col(j) for j in range(k)] == [oracle.dense_col(a, j) for j in range(k)]
+        assert (A == C) == (a == c) and A == FpMatrix(p, m, k, a), ctx
+        assert A.is_zero() == (not any(map(any, a))), ctx
+        # kron on corners of A and B, so that its size stays small
+        kr, kc, lr, lc = range(min(m, 3)), range(min(k, 4)), range(min(k, 3)), range(min(n, 4))
+        K = A.submatrix(kr, kc).kron(B.submatrix(lr, lc))
+        assert K.data == oracle.dense_kron(p, [[a[i][j] for j in kc] for i in kr],
+                                           [[b[i][j] for j in lc] for i in lr],
+                                           len(kc), len(lc)), ctx
+        rows = [rng.randrange(m) for _ in range(rng.randint(0, 4))] if m else []
+        for cols in (list(range(k)), list(range(k // 3, k - k // 3)),
+                     [rng.randrange(k) for _ in range(rng.randint(0, 5))] if k else []):
+            sub = A.submatrix(rows, cols)
+            assert (sub.rows, sub.cols) == (len(rows), len(cols)), ctx
+            assert sub.data == [[a[i][j] for j in cols] for i in rows], ctx
+        assert FpMatrix.identity(p, n).data == [[int(i == j) for j in range(n)]
+                                                for i in range(n)]
+        assert FpMatrix.zeros(p, m, n).data == [[0] * n for _ in range(m)]
+        raw_cols = [[rng.randint(-3 * p, 3 * p) for _ in range(m)] for _ in range(n)]
+        assert (fp_from_columns(p, raw_cols, m).data
+                == oracle.dense_from_columns(p, raw_cols, m)), ctx
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_diagonal_matches_dense_reference(p):
+    rng = random.Random(20261020 + p)
+    for case in range(60):
+        sizes = [rng.choice(SHAPES) for _ in range(rng.randint(0, 4))]
+        blocks = [_reduced(p, _rand_rows(rng, p, n, n, 0.5)) for n in sizes]
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        total = sum(sizes)
+        D = FpMatrix.from_blocks(p, total, total,
+                                 [(off, off, FpMatrix(p, n, n, blk))
+                                  for off, n, blk in zip(offsets, sizes, blocks)])
+        assert D.data == oracle.dense_block_diagonal(blocks, sizes), f"p={p} case={case}"
+    with pytest.raises(ShapeError):
+        FpMatrix.from_blocks(p, 2, 2, [(1, 0, FpMatrix.identity(p, 2))])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_eliminators_match_dense_reference(p):
+    rng = random.Random(20261021 + p)
+    for case in range(120):
+        m, k, n = (rng.choice(SHAPES[:-1]) for _ in range(3))
+        bias = rng.choice((0.0, 0.5, 0.8))
+        a = _reduced(p, _rand_rows(rng, p, m, k, bias))
+        A = FpMatrix(p, m, k, a)
+        ctx = f"p={p} case={case} shapes {m}x{k}x{n}"
+        R, pivots = rref(A)
+        R_want, pivots_want = oracle.dense_rref(p, a, k)
+        assert (R.data, pivots) == (R_want, pivots_want), ctx
+        assert rank(A) == len(pivots_want), ctx
+        assert kernel_basis(A) == oracle.dense_kernel_basis(p, a, k), ctx
+        # right-hand sides inside and (mostly) outside the column span
+        rhs = [A.mul_vec([rng.randrange(p) for _ in range(k)]) for _ in range(3)]
+        rhs += [[rng.randrange(p) for _ in range(m)] for _ in range(3)]
+        got, want = solver(A), oracle.dense_solver(p, a, k)
+        assert [got(y) for y in rhs] == [want(y) for y in rhs], ctx
+        assert [solve(A, y) for y in rhs] == [want(y) for y in rhs], ctx
+        for b in (A.mul(FpMatrix(p, k, n, _reduced(p, _rand_rows(rng, p, k, n, bias)))),
+                  FpMatrix(p, m, n, _reduced(p, _rand_rows(rng, p, m, n, bias)))):
+            X = solve_matrix(A, b)
+            X_want = oracle.dense_solve_matrix(p, a, k, b.data, n)
+            assert (None if X is None else X.data) == X_want, ctx
+        if m == k:
+            inv = oracle.dense_inverse(p, a)
+            if inv is None:
+                with pytest.raises(ShapeError):
+                    inverse(A)
+            else:
+                assert inverse(A).data == inv, ctx
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_span_matches_dense_reference(p):
+    rng = random.Random(20261022 + p)
+    for case in range(150):
+        dim = rng.choice(SHAPES)
+        bias = rng.choice((0.0, 0.5, 0.9))
+        vectors = _rand_rows(rng, p, rng.randint(0, 8), dim, bias)
+        span, ref = Span(p, dim), oracle.DenseSpan(p, dim)
+        assert [span.insert(v) for v in vectors] == [ref.insert(v) for v in vectors]
+        assert span.basis == ref.basis and len(span) == len(ref.basis)
+        probes = _rand_rows(rng, p, 4, dim, bias)
+        probes += [[sum(rng.randrange(p) * v[i] for v in vectors) for i in range(dim)]
+                   for _ in range(4)]
+        ctx = f"p={p} case={case} dim {dim}"
+        assert [span.contains(w) for w in probes] == [ref.contains(w) for w in probes], ctx
+        assert [span.coords(w) for w in probes] == [ref.coords(w) for w in probes], ctx
+        with pytest.raises(ShapeError):
+            span.coords([0] * (dim + 1))

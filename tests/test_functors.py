@@ -114,9 +114,9 @@ def test_base_change_mor_matches_solving_oracle():
             ops = etgt.target.ops
             if rm.source.is_integers:
                 scalars = ops.matrix(f.matrix.rows, f.matrix.cols, f.matrix.data)
-                raw = ops.kron(scalars, ops.identity(S.dim))
+                raw = scalars.kron(ops.identity(S.dim))
             else:
-                raw = ops.kron(ops.identity(S.dim), f.matrix)
+                raw = ops.identity(S.dim).kron(f.matrix)
             preimages = [solve(esrc.matrix, e)
                          for e in unit_vectors(esrc.target.gens)]
             oracle = etgt.matrix.mul(raw).mul(
@@ -193,7 +193,7 @@ def test_free_base_change_is_natural():
             f = random_morphism(rng, A, B)
             old_a, comp_a = _comparison(rm, A)
             old_b, comp_b = _comparison(rm, B)
-            lifted = f.ops.kron(f.ops.identity(rm.target.dim), f.matrix)
+            lifted = f.ops.identity(rm.target.dim).kron(f.matrix)
             f_old = ModMor(old_a.target, old_b.target,
                            old_b.matrix.mul(lifted).mul(section(old_a)))
             f_new = base_change_mor(rm, f)

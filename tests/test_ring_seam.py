@@ -18,7 +18,7 @@ from functor_homology.dsl import parse
 from functor_homology.modules import _AlgebraOps, _IntegerOps, _RingOps, ring_ops
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 
-SEAM = ("matrix_type", "matrix", "from_columns", "identity", "zeros",
+SEAM = ("matrix_type", "matrix", "from_columns", "identity", "zeros", "from_blocks",
         "kernel_basis", "solver", "free_images", "unit", "n_actions",
         "has_relations", "residue", "preimage_lattice", "quotient",
         "submodule", "generators", "describe", "is_mono", "is_epi",

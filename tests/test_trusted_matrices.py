@@ -2,10 +2,14 @@
 
 Every producer that builds its result through `IntMatrix._owned` or
 `FpMatrix._owned` must return exactly what the checked constructor returns
-on the same rows: the same `rows`, `cols` and `data`, entries reduced mod p
-over F_p, in fresh row lists that share nothing with the operands.
-`kron` is built from unreduced F_p products and stays on the checked
-constructor; its case checks that the reduction still happens.
+on the same entries: the same `rows`, `cols`, entries (`data`) and stored
+rows, entries reduced mod p over F_p.  Integer and odd-p rows are lists,
+which must be fresh and share nothing with the operands.  F_2 rows are
+ints, one bit per column, which must lie below 2**cols; an int cannot be
+written into, so over F_2 only the list of rows has to be fresh.
+`kron` multiplies entries without reducing them over Z; over F_p its
+entries are reduced as they are formed, and its case checks them against
+the checked constructor on the unreduced products.
 """
 
 import random
@@ -14,8 +18,6 @@ import pytest
 
 from functor_homology.fplinalg import FpMatrix, fp_from_columns, rref
 from functor_homology.intlinalg import IntMatrix, from_columns, hstack, snf
-from functor_homology.modules import ring_ops
-from functor_homology.rings import fp_field
 
 SEEDS = range(8)
 
@@ -32,19 +34,31 @@ def fp_matrix(rng, p, rows, cols):
 
 
 def assert_as_checked(m, *operands):
-    """m equals the checked constructor on its own rows, and owns them."""
+    """m equals the checked constructor on its own entries, and owns its
+    rows."""
     if isinstance(m, FpMatrix):
         checked = FpMatrix(m.p, m.rows, m.cols, m.data)
-        assert all(0 <= x < m.p for r in m.data for x in r)
         assert (m.p, m.rows, m.cols) == (checked.p, checked.rows, checked.cols)
+        assert m._rows == checked._rows
+        assert len(m._rows) == m.rows
+        if m.p == 2:
+            assert all(type(r) is int and 0 <= r < 1 << m.cols for r in m._rows)
+        else:
+            assert all(0 <= x < m.p for r in m.data for x in r)
+        rows = m._rows
+        shared_rows = [op._rows for op in operands]
     else:
         checked = IntMatrix(m.rows, m.cols, m.data)
         assert (m.rows, m.cols) == (checked.rows, checked.cols)
+        rows = m.data
+        shared_rows = [op.data for op in operands]
     assert m.data == checked.data
     assert type(m.data) is list and all(type(r) is list for r in m.data)
-    shared = {id(r) for op in operands for r in op.data}
-    assert len({id(r) for r in m.data}) == len(m.data)
-    assert not any(id(r) in shared for r in m.data)
+    assert type(rows) is list and not any(rows is op for op in shared_rows)
+    if not (isinstance(m, FpMatrix) and m.p == 2):
+        shared = {id(r) for op in shared_rows for r in op}
+        assert len({id(r) for r in rows}) == len(rows)
+        assert not any(id(r) in shared for r in rows)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -59,6 +73,8 @@ def test_integer_producers_match_checked(seed):
     assert_as_checked(IntMatrix.identity(n))
     assert_as_checked(IntMatrix.zeros(m, n))
     assert_as_checked(hstack([A, C]), A, C)
+    assert_as_checked(A.kron(B), A, B)
+    assert_as_checked(IntMatrix.from_blocks(m + k, k + n, [(0, 0, A), (m, k, B)]), A, B)
     cols = [A.col(j) for j in range(A.cols)]
     assert_as_checked(from_columns(cols, m))
     assert from_columns(cols, m) == A
@@ -84,20 +100,22 @@ def test_fp_producers_match_checked(seed, p):
     assert X == FpMatrix(p, m, n, [[c[i] for c in raw_cols] for i in range(m)])
     R, _ = rref(A)
     assert_as_checked(R, A)
+    assert_as_checked(A.kron(B), A, B)
+    assert_as_checked(A.submatrix(range(m - 1, -1, -1), range(k)), A)
+    assert_as_checked(A.submatrix(range(m), [j for j in range(k) if j % 2]), A)
+    assert_as_checked(FpMatrix.from_blocks(p, m + k, k + n, [(0, 0, A), (m, k, B)]), A, B)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fp_kron_reduces_its_products(seed):
-    # kron multiplies entries in [0, p) without reducing; its checked
-    # constructor must reduce them, unlike a trusted producer's input
+    # the products of entries in [0, p) reach p^2 - 2p + 1; kron must give
+    # what the checked constructor makes of them unreduced
     rng = random.Random(seed)
-    p = 5
-    ops = ring_ops(fp_field(p))
-    A = fp_matrix(rng, p, rng.randint(1, 3), rng.randint(1, 3))
-    B = fp_matrix(rng, p, rng.randint(1, 3), rng.randint(1, 3))
-    K = ops.kron(A, B)
-    raw = [[A.data[i][k] * B.data[j][l] for k in range(A.cols) for l in range(B.cols)]
-           for i in range(A.rows) for j in range(B.rows)]
-    assert_as_checked(K, A, B)
-    assert K == FpMatrix(p, len(raw), A.cols * B.cols, raw)
-
+    for p in (2, 5):
+        A = fp_matrix(rng, p, rng.randint(1, 3), rng.randint(1, 3))
+        B = fp_matrix(rng, p, rng.randint(1, 3), rng.randint(1, 3))
+        K = A.kron(B)
+        raw = [[A.data[i][k] * B.data[j][l] for k in range(A.cols) for l in range(B.cols)]
+               for i in range(A.rows) for j in range(B.rows)]
+        assert_as_checked(K, A, B)
+        assert K == FpMatrix(p, len(raw), A.cols * B.cols, raw)

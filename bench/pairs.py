@@ -31,11 +31,16 @@ for each side.  `suites` holds the output of this checkout's
 without that script is timed too: every verification suite at its
 acceptance size.  `layers` holds the output of this checkout's
 `bench/layers.py` run the same way: the per-call time of the F_p leaf
-operations at the shapes of fp_group_ss.  Only the standard library is
-used.
+operations at the shapes of fp_group_ss.  `end_to_end` holds, per side,
+the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
+with its exit code and summary line) and of `functor-homology run` on
+each of its demos/*.wb: the median of 5 runs, with every run, the exit
+code and the SHA-256 of stdout, so equal digests show byte-identical
+reports.  Only the standard library is used.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -43,12 +48,15 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 HERE = Path(__file__).resolve().parent.parent
 COUNT_SUFFIXES = (".calls", ".builds", ".cells", ".max_bits", ".hit_ratio")
 SEED = 0  # timed runs
 TRACE_SEED = 1  # traced passes
 CODE_COUNTS = ("src_lines", "src_is_integers_lines", "src_isinstance_lines")
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+DEMO_RUNS = 5
 
 
 def last_json(text):
@@ -131,6 +139,45 @@ def this_script(name, root):
     return json.loads(out.stdout)
 
 
+def timed_command(root, args):
+    """(seconds, completed process) of `python args` run in root with
+    root/src first on PYTHONPATH."""
+    path = [str(Path(root).resolve() / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    t0 = perf_counter()
+    out = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True)
+    return perf_counter() - t0, out
+
+
+def end_to_end(sides):
+    """Tier-1 wall time and the `run` wall time of every demo .wb, per
+    side; the side that runs first alternates from round to round."""
+    result = {}
+    for side, root in sides:
+        seconds, out = timed_command(root, TIER1)
+        lines = out.stdout.decode(errors="replace").strip().splitlines()
+        result[side] = {"tier1": {"seconds": seconds, "returncode": out.returncode,
+                                  "summary": lines[-1] if lines else ""},
+                        "demos": {}}
+    demos = sorted(path.name for path in (HERE / "demos").glob("*.wb"))
+    runs = {side: {d: [] for d in demos} for side, _ in sides}
+    for k in range(DEMO_RUNS):
+        for side, root in (sides if k % 2 == 0 else sides[::-1]):
+            for d in demos:
+                seconds, out = timed_command(
+                    root, ["-m", "functor_homology.cli", "run", f"demos/{d}"])
+                runs[side][d].append((seconds, out.returncode,
+                                      hashlib.sha256(out.stdout).hexdigest()))
+    for side, _ in sides:
+        for d, rs in runs[side].items():
+            result[side]["demos"][d] = {
+                "median_s": statistics.median(r[0] for r in rs),
+                "runs_s": [r[0] for r in rs],
+                "returncodes": sorted({r[1] for r in rs}),
+                "stdout_sha256": sorted({r[2] for r in rs})}
+    return result
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, type=Path)
@@ -144,6 +191,7 @@ def main():
     scaling = {side: ss_scaling(root) for side, root in sides}
     suites = {side: this_script("suites.py", root) for side, root in sides}
     layers = {side: this_script("layers.py", root) for side, root in sides}
+    e2e = end_to_end(sides)
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
                       "trace_seed": TRACE_SEED},
@@ -153,6 +201,7 @@ def main():
               "ss_scaling": scaling,
               "suites": suites,
               "layers": layers,
+              "end_to_end": e2e,
               "code": {side: {k: out[k] for k in CODE_COUNTS} for side, out in scaling.items()}}
     json.dump(result, sys.stdout, indent=1)
     print()

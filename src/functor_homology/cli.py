@@ -13,31 +13,37 @@ import sys
 from . import dsl, runner, verification
 
 
-def _read(path):
-    with open(path, "rb") as fh:
-        return fh.read()
+def _load(path, out, build):
+    """The parsed (and if build, built) document, or None once diagnostics
+    are printed to out (to stderr for a file that cannot be read)."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        print(f"{path}: cannot read: {exc.strerror or exc}", file=sys.stderr)
+        return None
+    doc, diags = dsl.parse(data)
+    if build and not diags:
+        diags = runner.build_environment(doc)[1]
+    for d in diags:
+        print(f"{path}:{d}", file=out)
+    return None if diags else doc
 
 
 def cmd_check(ns) -> int:
-    doc, diags = dsl.parse(_read(ns.file))
-    if diags:
-        for d in diags:
-            print(f"{ns.file}:{d}")
-        return 1
-    env, build_diags = runner.build_environment(doc)
-    if build_diags:
-        for d in build_diags:
-            print(f"{ns.file}:{d}")
+    doc = _load(ns.file, sys.stdout, build=True)
+    if doc is None:
         return 1
     print(f"{ns.file}: {len(doc.decls)} declarations ok")
     return 0
 
 
 def cmd_run(ns) -> int:
-    doc, diags = dsl.parse(_read(ns.file))
-    if diags:
-        for d in diags:
-            print(f"{ns.file}:{d}", file=sys.stderr)
+    doc = _load(ns.file, sys.stderr, build=False)
+    if doc is None:
+        return 1
+    if ns.task is not None and ns.task not in {d.name for d in doc.tasks()}:
+        print(f"{ns.file}: no task named {ns.task!r}", file=sys.stderr)
         return 1
     report = runner.run(doc, task=ns.task, max_degree=ns.max_degree,
                         seed=ns.seed)
@@ -47,21 +53,20 @@ def cmd_run(ns) -> int:
 
 
 def cmd_verify_paper(ns) -> int:
-    doc, diags = dsl.parse(_read(ns.file))
-    if diags:
-        for d in diags:
-            print(f"{ns.file}:{d}", file=sys.stderr)
-        return 1
-    env, build_diags = runner.build_environment(doc)
-    if build_diags:
-        for d in build_diags:
-            print(f"{ns.file}:{d}", file=sys.stderr)
+    doc = _load(ns.file, sys.stderr, build=True)
+    if doc is None:
         return 1
     rep = verification.run_suite(ns.suite, ns.seed, ns.cases)
     print(f"suite {ns.suite} seed {ns.seed}: {rep.summary()}")
     for fail in rep.failures[:10]:
         print(f"  failure: {fail}")
     return 0 if rep.ok() else 1
+
+
+def _case_count(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {text}")
+    return int(text)
 
 
 def main(argv=None) -> int:
@@ -91,7 +96,7 @@ def main(argv=None) -> int:
     p_vp.add_argument("--suite", required=True,
                       choices=sorted(verification.SUITES))
     p_vp.add_argument("--seed", type=int, required=True)
-    p_vp.add_argument("--cases", type=int, default=50)
+    p_vp.add_argument("--cases", type=_case_count, default=50)
     p_vp.set_defaults(fn=cmd_verify_paper)
 
     ns = ap.parse_args(argv)

@@ -6,9 +6,11 @@ for functoriality.  Natural transformations are per-object morphisms whose
 naturality squares are all verified.
 
 Kernels, cokernels and biproducts are componentwise, with the induced
-structure maps obtained from the universal properties; exactness can be
-tested both intrinsically and per component, and the two verdicts are
-required to agree.
+structure maps obtained from the universal properties, or forced by
+shape (0x0 maps, equal to that answer, still checked) out of or into a
+diagram with no generators at any object.  Exactness can be tested both
+intrinsically and per component, and the two verdicts are required to
+agree.
 
 `Diagram` and `DiagMor` answer the method interface listed in `abelian`.
 Each construction method calls the `d_*` function of this module by its
@@ -291,15 +293,27 @@ def projection(x, i):
 # -- kernels, cokernels, factorisations -------------------------------------
 
 
+def _forced(d: Diagram):
+    """None if some object of d has generators (or d has none), else the
+    ker out of d and coker into d: `modules.no_generators` at every object."""
+    idx = d.index
+    if not idx.objects or any(A.gens for A in d.components.values()):
+        return None
+    Z = modules.no_generators(d.ring)
+    return Diagram(idx, dict.fromkeys(idx.objects, Z),
+                   dict.fromkeys(idx.mor_names, modules.identity_mor(Z)))
+
+
 def d_kernel(f: DiagMor):
-    """(K, mono) with components ker(f^i) and the induced structure maps."""
+    """(K, mono): ker(f^i) and the induced structure maps, or `_forced`."""
     idx = f.index
-    comps = {}
-    monos = {}
-    for o in idx.objects:
-        k, m = modules.kernel(f.comps[o])
-        comps[o] = k
-        monos[o] = m
+    K = _forced(f.source)
+    if K is not None:
+        return K, DiagMor(K, f.source, {o: modules.zero_mor(K.components[o], A)
+                                        for o, A in f.source.components.items()})
+    per = {o: modules.kernel(f.comps[o]) for o in idx.objects}
+    comps = {o: z for o, (z, _) in per.items()}
+    monos = {o: g for o, (_, g) in per.items()}
     maps = {}
     for m in idx.mor_names:
         i, j = idx.src(m), idx.tgt(m)
@@ -309,19 +323,19 @@ def d_kernel(f: DiagMor):
             maps[m] = modules.factor_through_mono(
                 monos[j], monos[i].then(f.source.maps[m]))
     K = Diagram(idx, comps, maps)
-    mono = DiagMor(K, f.source, monos)
-    return K, mono
+    return K, DiagMor(K, f.source, monos)
 
 
 def d_cokernel(f: DiagMor):
-    """(Q, epi), dual to d_kernel."""
+    """(Q, epi), dual to d_kernel, with `modules.forced_epi` if forced."""
     idx = f.index
-    comps = {}
-    epis = {}
-    for o in idx.objects:
-        q, e = modules.cokernel(f.comps[o])
-        comps[o] = q
-        epis[o] = e
+    Q = _forced(f.target)
+    if Q is not None:
+        return Q, DiagMor(f.target, Q, {o: modules.forced_epi(B, Q.components[o])
+                                        for o, B in f.target.components.items()})
+    per = {o: modules.cokernel(f.comps[o]) for o in idx.objects}
+    comps = {o: z for o, (z, _) in per.items()}
+    epis = {o: g for o, (_, g) in per.items()}
     maps = {}
     for m in idx.mor_names:
         i, j = idx.src(m), idx.tgt(m)
@@ -331,8 +345,7 @@ def d_cokernel(f: DiagMor):
             maps[m] = modules.cofactor_through_epi(
                 epis[i], f.target.maps[m].then(epis[j]))
     Q = Diagram(idx, comps, maps)
-    epi = DiagMor(f.target, Q, epis)
-    return Q, epi
+    return Q, DiagMor(f.target, Q, epis)
 
 
 def d_factor_through_mono(mono: DiagMor, h: DiagMor) -> DiagMor:

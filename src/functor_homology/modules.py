@@ -38,12 +38,14 @@ epi built any other way.  Cokernel, `simplify`, `cofactor_through_epi`,
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
 `submodule` of the map's `preimage_lattice`, the lattice the Z verdicts
-test.  `HomSystem` builds the linear system for unknown module
-matrices, and `hom_space` is the one solver on it, for C and C^I alike:
-each object lays out its own unknowns and naturality rows (see
-`abelian`), so `hom_basis` and the morphisms of short exact sequences
-have one body for modules and diagrams.  Values are immutable after
-construction and every operation is pure.
+test.  A kernel out of, or cokernel into, a module with no generators is
+forced by shape (`no_generators`, `forced_epi`), equal to the general
+answer with no elimination run.  `HomSystem` builds the linear system for
+unknown module matrices, and `hom_space` is the one solver on it, for C
+and C^I alike: each object lays out its own unknowns and naturality rows
+(see `abelian`), so `hom_basis` and the morphisms of short exact
+sequences have one body for modules and diagrams.  Values are immutable
+after construction and every operation is pure.
 
 Validation follows one rule.  Outside input is checked in full:
 `ModuleObj(..., check=True)` tests the unit and every structure constant
@@ -790,15 +792,35 @@ def simplify(M: ModuleObj):
     return M.ops.simplify(M)
 
 
+def no_generators(ring: Ring) -> ModuleObj:
+    """The module with no generators, as `submodule` and `quotient` present
+    it: no relations, and 0x0 actions over an F_p-algebra."""
+    ops = ring_ops(ring)
+    return ModuleObj(ring, 0, actions=[ops.zeros(0, 0)] * ops.n_actions, check=False)
+
+
+def forced_epi(B: ModuleObj, Q: ModuleObj) -> ModMor:
+    """The 0x0 epi of B onto Q, both with no generators, with its section."""
+    epi = zero_mor(B, Q)
+    epi._cache["section"] = epi.matrix
+    return epi
+
+
 def kernel(f: ModMor):
     """(K, mono) with f . mono = 0, universal among such: f's preimage
     lattice (the x with f.matrix x in f.target's relations), presented as
-    a submodule."""
+    a submodule, or forced by shape (`no_generators`) if f.source has none."""
+    if not f.source.gens:
+        K = no_generators(f.ring)
+        return K, zero_mor(K, f.source)
     return f.ops.submodule(f.source, f.ops.preimage_lattice(f))
 
 
 def cokernel(f: ModMor):
-    """(Q, epi) with epi . f = 0, couniversal among such."""
+    """(Q, epi) with epi . f = 0, couniversal; forced if f.target has no generators."""
+    if not f.target.gens:
+        Q = no_generators(f.ring)
+        return Q, forced_epi(f.target, Q)
     epi = f.ops.quotient(f.target, [f.matrix.col(j) for j in range(f.matrix.cols)])
     return epi.target, epi
 

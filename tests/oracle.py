@@ -12,17 +12,21 @@ morphisms checked against every algebra basis element, hom spaces solved
 with a commutation row block per basis element, base change of every
 module by the quotient of its cover, and the mono, epi and exactness
 verdicts by building the kernel, cokernel and homology they ask about,
-and the dense F_p linear algebra (list rows reduced mod p at every step)
-that the packed F_2 rows of `fplinalg` are tested against.
+the dense F_p linear algebra (list rows reduced mod p at every step)
+that the packed F_2 rows of `fplinalg` are tested against, and the
+general kernel and cokernel bodies (elimination for modules, one
+factorisation per index morphism for diagrams) that the answers forced by
+shape are tested against.
 """
 
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
 
-from functor_homology import fplinalg, functors
+from functor_homology import fplinalg, functors, modules
 from functor_homology.complexes import homology_at, induced_on_homology
 from functor_homology.derived import lift_resolution_map
+from functor_homology.diagrams import DiagMor, Diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
@@ -527,6 +531,52 @@ def base_change_by_quotient(rm, M):
             ops.identity(S.dim).kron(act).scale(-1))
         cols.extend(m.col(j) for j in range(m.cols))
     return cover.ops.quotient(cover, cols)
+
+
+# -- kernels and cokernels by the general route -------------------------------
+
+
+def kernel_by_submodule(f: ModMor):
+    """(K, mono): f's preimage lattice presented as a submodule, whatever
+    the shape of f."""
+    return f.ops.submodule(f.source, f.ops.preimage_lattice(f))
+
+
+def cokernel_by_quotient(f: ModMor):
+    """(Q, epi): f.target modulo the columns of f, whatever the shape of f;
+    the epi carries the section `quotient` built."""
+    epi = f.ops.quotient(f.target, [f.matrix.col(j) for j in range(f.matrix.cols)])
+    return epi.target, epi
+
+
+def d_kernel_by_factoring(f: DiagMor):
+    """(K, mono): `kernel_by_submodule` at every object, and each
+    structure map factored through the kernel at its target."""
+    idx = f.index
+    per = {o: kernel_by_submodule(f.comps[o]) for o in idx.objects}
+    monos = {o: m for o, (_, m) in per.items()}
+    maps = {}
+    for m in idx.mor_names:
+        i, j = idx.src(m), idx.tgt(m)
+        maps[m] = (modules.identity_mor(per[i][0]) if idx.is_identity(m) else
+                   modules.factor_through_mono(monos[j], monos[i].then(f.source.maps[m])))
+    K = Diagram(idx, {o: k for o, (k, _) in per.items()}, maps)
+    return K, DiagMor(K, f.source, monos)
+
+
+def d_cokernel_by_cofactoring(f: DiagMor):
+    """(Q, epi): `cokernel_by_quotient` at every object, and each
+    structure map descended along the cokernel at its source."""
+    idx = f.index
+    per = {o: cokernel_by_quotient(f.comps[o]) for o in idx.objects}
+    epis = {o: e for o, (_, e) in per.items()}
+    maps = {}
+    for m in idx.mor_names:
+        i, j = idx.src(m), idx.tgt(m)
+        maps[m] = (modules.identity_mor(per[i][0]) if idx.is_identity(m) else
+                   modules.cofactor_through_epi(epis[i], f.target.maps[m].then(epis[j])))
+    Q = Diagram(idx, {o: q for o, (q, _) in per.items()}, maps)
+    return Q, DiagMor(f.target, Q, epis)
 
 
 # -- maps of spectral sequences in canonical coordinates ---------------------

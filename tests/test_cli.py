@@ -1,0 +1,56 @@
+"""Command-line diagnostics: unreadable paths, case counts below 1 and
+unknown task names give a one-line message and a nonzero exit, never a
+traceback."""
+
+import pytest
+
+from functor_homology import cli
+
+DOC = """\
+ring Z
+module M over Z = coker [[2]]
+task t1 = derive F=tensor(M) A=M n=1
+"""
+
+VERBS = (["check"], ["run"], ["verify-paper", "--suite", "kernel", "--seed", "1"])
+
+
+@pytest.mark.parametrize("verb", VERBS, ids=lambda v: v[0])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_path_is_a_diagnostic(tmp_path, capsys, verb, kind):
+    path = tmp_path / "absent.wb" if kind == "missing" else tmp_path
+    reason = {"missing": "No such file or directory", "directory": "Is a directory"}[kind]
+    assert cli.main([verb[0], str(path), *verb[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{path}: cannot read: {reason}\n"
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_verify_paper_rejects_cases_below_one(tmp_path, capsys, cases):
+    f = tmp_path / "doc.wb"
+    f.write_text(DOC)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-paper", str(f), "--suite", "kernel", "--seed", "1",
+                  "--cases", cases])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --cases: must be at least 1, not {cases}" in err
+
+
+def test_run_names_an_unknown_task(tmp_path, capsys):
+    f = tmp_path / "doc.wb"
+    f.write_text(DOC)
+    assert cli.main(["run", str(f), "--task", "t2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{f}: no task named 't2'\n"
+
+
+def test_run_of_a_known_task_prints_its_report(tmp_path, capsysbinary):
+    f = tmp_path / "doc.wb"
+    f.write_text(DOC)
+    assert cli.main(["run", str(f), "--task", "t1"]) == 0
+    out, err = capsysbinary.readouterr()
+    assert out == b"task t1 (derive): pass\n  n=0  Z/2\n  n=1  Z/2\n" and err == b""

@@ -8,10 +8,10 @@ Run from any directory, with no arguments:
 It imports the package from this checkout's src/ and times `ss_pages` and
 `grothendieck_ss` on the F_2 group-homology fixtures of the test suite:
 F = base change along C4 -> C2 (or C2xC2 -> C2), G = C2-coinvariants, on
-the trivial module, for n_max = 3..8.  The componentwise section times
-`ss_componentwise` with the same functors on diagrams: acceptance
-criterion 10's arrow diagram over F2[C4] at n_max = 3, and two square
-diagrams over F2[C2xC2] at n_max = 2 and 3, each the first draw of
+the trivial module, for n_max = 3..8, 12 and 16.  The componentwise
+section times `ss_componentwise` with the same functors on diagrams:
+acceptance criterion 10's arrow diagram over F2[C4] at n_max = 3, and two
+square diagrams over F2[C2xC2] at n_max = 2 and 3, each the first draw of
 `verification.random_diagram` with a nonzero structure map at a fixed
 seed (the n_max = 2 rows are those of earlier versions of this script).
 Every figure is the median of 3 runs, each on freshly built rings and
@@ -51,7 +51,7 @@ from functor_homology.spectral import (grothendieck_ss, ss_componentwise,  # noq
 from functor_homology.verification import random_diagram  # noqa: E402
 
 RUNS = 3
-DEGREES = (3, 4, 5, 6, 7, 8)
+DEGREES = (3, 4, 5, 6, 7, 8, 12, 16)
 SQUARE_SEEDS = (1, 20261019)
 SQUARE_DEGREES = (2, 3)
 

@@ -36,10 +36,12 @@ class Diagram:
     morphism."""
 
     def __init__(self, index: FinCat, components, maps, check=True, free_data=None):
+        if not index.objects:
+            raise ShapeError("a diagram needs an index category with an object")
         self.index = index
         self.components = dict(components)
         self.maps = dict(maps)
-        self.ring = self.components[index.objects[0]].ring if index.objects else None
+        self.ring = self.components[index.objects[0]].ring
         self.free_data = free_data
         self._cache = {}
         if check:
@@ -128,7 +130,7 @@ def check_diagram(d: Diagram):
         f = d.maps[m]
         if f.source != d.components[idx.src(m)] or f.target != d.components[idx.tgt(m)]:
             return f"structure map {m} has wrong endpoints"
-        if d.ring is not None and f.ring != d.ring:
+        if f.ring != d.ring:
             return f"structure map {m} lives over the wrong ring"
     for o in idx.objects:
         A = d.components[o]

@@ -31,6 +31,8 @@ class FinCat:
         self.mor_names = tuple(sorted(self.morphisms))
         if len(set(objects)) != len(tuple(objects)):
             raise ShapeError("duplicate object labels")
+        self._identities = frozenset(e for o, e in self.identity.items()
+                                     if self.morphisms.get(e) == (o, o))
 
     def src(self, m):
         return self.morphisms[m][0]
@@ -39,7 +41,7 @@ class FinCat:
         return self.morphisms[m][1]
 
     def is_identity(self, m):
-        return self.identity.get(self.src(m)) == m and self.src(m) == self.tgt(m)
+        return m in self._identities
 
     def compose(self, g, f):
         """g after f."""
@@ -56,11 +58,11 @@ class FinCat:
         return [m for m in self.mor_names if not self.is_identity(m)]
 
     def __eq__(self, other):
-        return (isinstance(other, FinCat)
-                and self.objects == other.objects
-                and self.morphisms == other.morphisms
-                and self.identity == other.identity
-                and self.comp == other.comp)
+        return self is other or (isinstance(other, FinCat)
+                                 and self.objects == other.objects
+                                 and self.morphisms == other.morphisms
+                                 and self.identity == other.identity
+                                 and self.comp == other.comp)
 
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.mor_names)} morphisms)"

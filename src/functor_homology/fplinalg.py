@@ -318,7 +318,10 @@ def rank(A: FpMatrix) -> int:
 
 
 def kernel_basis(A: FpMatrix) -> list[list[int]]:
-    """Basis vectors (columns) of the right kernel { x : A*x = 0 }."""
+    """Basis vectors (columns) of the right kernel { x : A*x = 0 }: one per
+    free column of the rref, ascending, with a 1 there and zeros after it.
+    So those ending before column c span the kernel of A's first c columns
+    (padded with zeros), which `spectral.ss_pages` relies on."""
     p = A.p
     R, pivots = rref(A)
     free = [j for j in range(A.cols) if j not in pivots]

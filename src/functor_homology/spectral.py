@@ -9,10 +9,11 @@ filtration order, and each total differential gets one persistence column
 reduction.  Its pivot pairs split the filtered complex into intervals, so
 every page dimension, representative and page differential is read off
 them; the page recursion dim E_{r+1} = dim H(E_r, d_r) is still checked
-with independent ranks, and the abutment and its filtration are computed
-separately from kernels.  Sign convention: the filtration-lowering
-differential carries a (-1)^t twist when the grid is assembled from a
-commuting double complex, making the total differential square to zero.
+with independent ranks, and the abutment and its filtration are read off
+one kernel basis per total degree, apart from the reductions.  Sign
+convention: the filtration-lowering differential carries a (-1)^t twist
+when the grid is assembled from a commuting double complex, making the
+total differential square to zero.
 
 The composite-functor spectral sequence is one body for a module and for
 a diagram: resolve, apply F, build one Cartan-Eilenberg grid and apply G
@@ -142,13 +143,13 @@ class PagesInternal:
     red: dict  # n -> (V, R, low) of D[n] for n <= n_max + 1, from _reduce
     gap: dict  # n -> filtration gap of each Tot_n coordinate's pair
     basis: dict  # n -> [basis vector of each Tot_n coordinate]
+    coords: dict  # (n, s) -> range of the Tot_n coordinates of cell (s, n - s)
 
     def page_indices(self, r, s, t):
-        """The Tot_n coordinates whose basis vectors represent E_r^{s,t}."""
+        """The Tot_n coordinates, ascending, whose basis vectors represent
+        E_r^{s,t}."""
         n = s + t
-        return [k for k, (f, g) in enumerate(zip(self.filt.get(n, []),
-                                                 self.gap.get(n, [])))
-                if f == s and g >= r]
+        return [k for k in self.coords.get((n, s), ()) if self.gap[n][k] >= r]
 
     def reps(self, r, s, t):
         """Representatives of a basis of E_r^{s,t}; those of E_{r+1} are
@@ -249,7 +250,9 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     if n_valid is None:
         n_valid = n_hi
 
-    filt = {n: [s for (s, t) in tot.cells[n] for _ in range(dc.dim(s, t))]
+    coords = {(n, s): range(off, off + dc.dim(s, t))
+              for (n, s, t), off in tot.offsets.items()}
+    filt = {n: [s for (s, t) in tot.cells[n] for _ in coords[(n, s)]]
             for n in range(n_hi + 1)}
     red = {}
     for n in range(n_hi + 2):
@@ -278,28 +281,26 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
                     f"total differential does not square to zero at {n + 1}")
             gap[n][k] = filt[n + 1][j] - f[k]
             basis[n][k] = R1[j]
-    internal = PagesInternal(tot, filt, red, gap, basis)
+    internal = PagesInternal(tot, filt, red, gap, basis, coords)
 
     pages = {}
     diffs = {}
     for r in range(2, r_stop + 1):
-        pages[r] = {}
+        idx = {(s, n - s): internal.page_indices(r, s, n - s) for (n, s) in coords}
+        pages[r] = {c: len(ks) for c, ks in idx.items() if ks}
         diffs[r] = {}
-        for n in range(n_hi + 1):
-            low = red[n][2]
-            for (s, t) in tot.cells[n]:
-                idx = internal.page_indices(r, s, t)
-                if idx:
-                    pages[r][(s, t)] = len(idx)
-                tgt = internal.page_indices(r, s - r, t + r - 1)
-                if not idx or not tgt:
-                    continue
-                # d_r sends a death of gap r to its birth partner, the rest to 0
-                rows = [[0] * len(idx) for _ in tgt]
-                for a, k in enumerate(idx):
-                    if low[k] is not None and gap[n][k] == r:
-                        rows[tgt.index(low[k])][a] = 1
-                diffs[r][(s, t)] = FpMatrix(p, len(tgt), len(idx), rows)
+        for (s, t), ks in idx.items():
+            tgt = idx.get((s - r, t + r - 1))
+            if not ks or not tgt:
+                continue
+            # d_r sends a death of gap r to its birth partner, the rest to 0
+            row_of = {k: i for i, k in enumerate(tgt)}
+            low, g = red[s + t][2], gap[s + t]
+            rows = [[0] * len(ks) for _ in tgt]
+            for a, k in enumerate(ks):
+                if low[k] is not None and g[k] == r:
+                    rows[row_of[low[k]]][a] = 1
+            diffs[r][(s, t)] = FpMatrix(p, len(tgt), len(ks), rows)
 
     # page recursion invariant: dim E^{r+1} = dim H(E^r, d^r)
     for r in range(2, r_stop):
@@ -323,34 +324,24 @@ def ss_pages(dc: DoubleComplex, r_stop=None, n_valid=None) -> SSResult:
     filtration = {}
     for n in range(n_hi + 1):
         dim = tot.dims[n]
-        dn = tot.D[n]
         dn1 = tot.D[n + 1]
-        cyc = fplinalg.kernel_basis(dn) if dim else []
-        # F_s cycles grow with s, so one span collects boundaries + F_s cycles
+        cyc = fplinalg.kernel_basis(tot.D[n]) if dim else []
+        # the cycles of F_s are the vectors of cyc that end in its prefix
+        ends = [_low(v) for v in cyc]
+        if None in ends or ends != sorted(set(ends)):
+            raise ExactnessError(f"kernel basis of D[{n}] does not end at "
+                                 f"distinct ascending coordinates")
+        # kernel_basis is independent, so len(cyc) is its rank; one span
+        # collects the boundaries and then the cycles by filtration
         filtered = Span(p, dim, [dn1.col(j) for j in range(dn1.cols)])
-        rk_bnd = len(filtered)
-        # kernel_basis is independent, so len(cyc) is its rank
-        abutment[n] = len(cyc) - rk_bnd
-        grs = []
-        prev = 0
-        for s in range(0, n + 1):
-            for v in _cycles_in_prefix(dn, sum(f <= s for f in filt[n]), dim):
-                filtered.insert(v)
-            d_s = len(filtered) - rk_bnd
-            grs.append(d_s - prev)
-            prev = d_s
+        abutment[n] = len(cyc) - len(filtered)
+        grs = [0] * (n + 1)
+        for v, k in zip(cyc, ends):
+            grs[filt[n][k]] += filtered.insert(v)
         filtration[n] = grs
 
     return SSResult(p, dc.max_s, dc.max_t, r_stop, pages, diffs, einf,
                     abutment, filtration, degen, internal, n_valid)
-
-
-def _cycles_in_prefix(dn, prefix, dim):
-    """Basis of ker(dn) intersected with the coordinate prefix."""
-    if prefix == 0:
-        return []
-    restricted = dn.submatrix(range(dn.rows), range(prefix))
-    return [v + [0] * (dim - prefix) for v in fplinalg.kernel_basis(restricted)]
 
 
 # -- Cartan-Eilenberg grids ----------------------------------------------------

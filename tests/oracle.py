@@ -16,7 +16,8 @@ the dense F_p linear algebra (list rows reduced mod p at every step)
 that the packed F_2 rows of `fplinalg` are tested against, and the
 general kernel and cokernel bodies (elimination for modules, one
 factorisation per index morphism for diagrams) that the answers forced by
-shape are tested against.
+shape are tested against, and the abutment filtration of a spectral
+sequence with the cycles of each filtration solved from its own prefix.
 """
 
 from dataclasses import dataclass
@@ -33,8 +34,7 @@ from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
 from functor_homology.intlinalg import IntMatrix
 from functor_homology.modules import HomSystem, ModMor, ModuleObj
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
-                                       _class_map, _cycles_in_prefix,
-                                       grothendieck_ss)
+                                       _class_map, grothendieck_ss)
 
 
 def minors_gcd(data, k):
@@ -785,12 +785,36 @@ def _abutment_class(theta_n, to_class, v):
     return c
 
 
+def _cycles_in_prefix(dn, prefix, dim):
+    """Basis of ker(dn) intersected with the coordinate prefix, from a
+    kernel of the prefix columns."""
+    if prefix == 0:
+        return []
+    restricted = dn.submatrix(range(dn.rows), range(prefix))
+    return [v + [0] * (dim - prefix) for v in fplinalg.kernel_basis(restricted)]
+
+
 def _filt_cycles(ss: SSResult, n, s):
     """A basis of the cycles of Tot_n in filtration s (the coordinate prefix
     of filtration <= s)."""
     tot = ss.internal.tot
     return _cycles_in_prefix(tot.D[n], sum(f <= s for f in ss.internal.filt[n]),
                              tot.dims[n])
+
+
+def filtration_by_prefix_kernels(ss: SSResult):
+    """{n: [dim F_s H_n / F_{s-1} H_n for s = 0..n]} of the total complex,
+    where F_s H_n is spanned by the boundaries and a kernel basis of the
+    columns of D[n] in filtration <= s."""
+    tot = ss.internal.tot
+    out = {}
+    for n, dim in tot.dims.items():
+        dn1 = tot.D[n + 1]
+        bnd = [dn1.col(j) for j in range(dn1.cols)]
+        ranks = [rank(fp_from_columns(ss.p, bnd + _filt_cycles(ss, n, s), dim))
+                 for s in range(-1, n + 1)]
+        out[n] = [b - a for a, b in zip(ranks, ranks[1:])]
+    return out
 
 
 def componentwise_by_canonical_coords(F, G, A, n_max) -> CanonComponentwise:

@@ -54,3 +54,24 @@ def test_run_of_a_known_task_prints_its_report(tmp_path, capsysbinary):
     assert cli.main(["run", str(f), "--task", "t1"]) == 0
     out, err = capsysbinary.readouterr()
     assert out == b"task t1 (derive): pass\n  n=0  Z/2\n  n=1  Z/2\n" and err == b""
+
+
+EMPTY_INDEX = """\
+ring Z
+module Z2 over Z = coker [[2]]
+category E = objects [] arrows []
+diagram D over E = { }
+task d = derive F=exponent(tensor(Z2), E) A=D n=2
+"""
+
+
+@pytest.mark.parametrize("verb", ["check", "run"])
+def test_diagram_over_an_empty_index_is_a_diagnostic(tmp_path, capsys, verb):
+    # C^I for an index with no object has no ring to build a zero diagram
+    # over; the diagram declaration is rejected by name
+    f = tmp_path / "empty.wb"
+    f.write_text(EMPTY_INDEX)
+    assert cli.main([verb, str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert "4:1: diagram 'D': a diagram needs an index category with an object" in out + err
+    assert "Traceback" not in out + err

@@ -71,3 +71,22 @@ def test_validate_reports_missing_composite():
 def test_build_fincat_rejects_garbage():
     with pytest.raises(ShapeError):
         build_fincat(["0"], [("f", "0", "1")], {})  # unknown endpoint
+
+
+def test_is_identity_names_the_identity_endomorphisms():
+    # the identity set built once agrees with reading each morphism's
+    # endpoints, also where a named identity is no endomorphism
+    cats = [standard(n) for n in ("point", "arrow", "square", "parallel_pair")]
+    cats += [product(standard("arrow"), standard("square")),
+             opposite(standard("square")),
+             monoid_category([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+             FinCat(["0", "1"], {"e": ("0", "1"), "id_1": ("1", "1")},
+                    {"0": "e", "1": "id_1"}, {})]
+    for cat in cats:
+        for m in cat.mor_names:
+            s, t = cat.morphisms[m]
+            assert cat.is_identity(m) == (cat.identity.get(s) == m and s == t), (cat, m)
+        assert cat == cat
+    assert validate(cats[-1]).kind == "identity-shape"
+    assert cats[-1].nonidentity_morphisms() == ["e"]
+    assert standard("square") == standard("square") != standard("arrow")

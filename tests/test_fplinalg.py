@@ -306,6 +306,28 @@ def test_eliminators_match_dense_reference(p):
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_basis_ends_at_its_free_columns(p):
+    # one vector per free column, ascending, each with a 1 there and zeros
+    # after it; so the vectors ending before column c are a basis of the
+    # kernel of the first c columns
+    rng = random.Random(20261023 + p)
+    for case in range(120):
+        m, k = rng.choice(SHAPES), rng.choice(SHAPES + (90,))
+        a = _reduced(p, _rand_rows(rng, p, m, k, rng.choice((0.0, 0.5, 0.8, 1.0))))
+        A = FpMatrix(p, m, k, a)
+        ctx = f"p={p} case={case} shape {m}x{k}"
+        pivots = rref(A)[1]
+        basis = kernel_basis(A)
+        free = [j for j in range(k) if j not in pivots]
+        ends = [max(i for i, x in enumerate(v) if x) for v in basis]
+        assert ends == free, ctx
+        assert all(v[f] == 1 for v, f in zip(basis, free)), ctx
+        c = rng.randint(0, k)
+        prefix = FpMatrix(p, m, c, [r[:c] for r in a])
+        assert [v[:c] for v, f in zip(basis, free) if f < c] == kernel_basis(prefix), ctx
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_span_matches_dense_reference(p):
     rng = random.Random(20261022 + p)
     for case in range(150):

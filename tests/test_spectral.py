@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from functor_homology import fplinalg
 from functor_homology.errors import ExactnessError, RingMismatchError
 from functor_homology.fincat import standard
 from functor_homology.fplinalg import FpMatrix, inverse, rank
@@ -20,7 +21,8 @@ from functor_homology.spectral import (DoubleComplex, check_acyclic_hypothesis,
 from functor_homology.diagrams import Diagram, constant_diagram
 from functor_homology.verification import _closed_form_cell, random_diagram
 from oracle import (componentwise_by_canonical_coords,
-                    cyclic_group_homology_dims, product_c2_homology_dims)
+                    cyclic_group_homology_dims, filtration_by_prefix_kernels,
+                    product_c2_homology_dims)
 
 R2 = group_algebra(2, cyclic_group_table(2), label="F2[C2]")
 R4 = group_algebra(2, cyclic_group_table(4), label="F2[C4]")
@@ -223,6 +225,15 @@ def _twisted_double_complex(rng, side=3):
     return DoubleComplex(2, side, side, dims, d["h"], d["v"])
 
 
+def _assert_filtration(ss, ctx):
+    # gr_s H_n is E_inf^{s, n-s} inside the window, and the filtration read
+    # off one kernel basis is the one solved prefix by prefix
+    for n in range(ss.n_valid + 1):
+        want = [ss.einf.get((s, n - s), 0) for s in range(n + 1)]
+        assert ss.filtration[n] == want, (ctx, n)
+    assert ss.filtration == filtration_by_prefix_kernels(ss), ctx
+
+
 def test_twisted_pages_match_closed_form_oracle():
     # every (r, s, t) cell of non-product double complexes, where pages
     # past E_2 differ, against Z^r / B^r solved from scratch
@@ -238,9 +249,34 @@ def test_twisted_pages_match_closed_form_oracle():
                     want = _closed_form_cell(dc, tot, r, s, t)
                     assert ss.pages[r].get((s, t), 0) == want, (case, r, s, t)
         assert ss.converged(), case
+        _assert_filtration(ss, case)
         higher += any(not m.is_zero() for r in range(2, ss.r_stop + 1)
                       for m in ss.diffs[r].values())
     assert higher >= 5
+
+
+@pytest.mark.parametrize("quot, ring", [(QUOT4, R4), (QUOTV, RV)],
+                         ids=["C4", "C2xC2"])
+def test_abutment_filtration_matches_einf_and_prefix_kernels(quot, ring):
+    for n_max in range(3, 9):
+        ss = grothendieck_ss(base_change(quot), base_change(AUG2),
+                             trivial_module(ring), n_max)
+        _assert_filtration(ss, n_max)
+
+
+def test_ss_pages_solves_one_kernel_per_total_degree(monkeypatch):
+    gd = grothendieck_ss(base_change(QUOTV), base_change(AUG2), trivial_module(RV), 4,
+                         with_data=True)
+    dcs = [gd.dc, _twisted_double_complex(random.Random(7))]
+    true_kernel = fplinalg.kernel_basis
+    widths = []
+    monkeypatch.setattr(fplinalg, "kernel_basis",
+                        lambda A: widths.append(A.cols) or true_kernel(A))
+    for dc in dcs:
+        widths.clear()
+        ss = ss_pages(dc)
+        dims = ss.internal.tot.dims
+        assert widths == [dims[n] for n in sorted(dims) if dims[n]]
 
 
 def test_componentwise_constant_diagram():
@@ -434,12 +470,32 @@ else:
 """
 
 
+PLANTED_KERNEL_SHAPE_FAULT = """
+from functor_homology import spectral
+from functor_homology.errors import ExactnessError
+from functor_homology.spectral import DoubleComplex, ss_pages
+
+true_kernel = spectral.fplinalg.kernel_basis
+spectral.fplinalg.kernel_basis = lambda A: true_kernel(A)[::-1]
+# Tot_1 is two cells with zero differentials: its kernel basis has two
+# vectors, now ending at descending coordinates
+dc = DoubleComplex(2, 1, 1, {(1, 0): 1, (0, 1): 1}, {}, {})
+try:
+    ss_pages(dc)
+except ExactnessError as e:
+    if "distinct ascending" not in str(e):
+        raise SystemExit(f"unexpected ExactnessError: {e}")
+else:
+    raise SystemExit("planted kernel basis order not detected")
+"""
+
+
 def test_page_invariants_hold_under_optimize():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     for script in (PLANTED_RANK_FAULT, PLANTED_REDUCTION_FAULT,
-                   PLANTED_STRUCTURE_FAULT):
+                   PLANTED_STRUCTURE_FAULT, PLANTED_KERNEL_SHAPE_FAULT):
         for flags in ([], ["-O"]):
             out = subprocess.run([sys.executable, *flags, "-c", script],
                                  env=env, capture_output=True, text=True,

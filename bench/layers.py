@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Per-call time of the F_p leaf operations at the shapes of fp_group_ss.
+"""Per-call time of the F_p leaf operations at the shapes of fp_group_ss,
+and of the checked diagram constructions at the shapes of z_delta.
 
 Run from any directory:
 
@@ -12,14 +13,19 @@ at dim 16 and dim 26, on a span of 3/4 dim random vectors, for vectors
 inside it.  Matrices and vectors are 20% dense, as in the workload, and
 are drawn from `random.Random(SEED)` for p = 2 and p = 3 alike (nonzero
 entries are 1 over F_2 and 1 or 2 over F_3), so both sides of a
-comparison get the same inputs.  Operands are built before the clock
+comparison get the same inputs.  The diagram rows time a checked
+`Diagram` (identities and composites) and a checked `DiagMor` (naturality
+squares, here 3 times the identity) over the square index over Z, with
+Z/4 + Z/2 at every object ("full"), or at 00 and 11 with no generators
+at 01 and 10 ("half zero").  Operands are built before the clock
 starts.  Each operation runs in a loop of CALLS calls, and rounds go over
 every operation in turn, so a drift of the machine's speed falls on all
 of them alike.  The figure is the median of 3 rounds, in microseconds
 per call.
 
-The result is one JSON object on stdout: per prime, per operation, the
-median and every round.  Only the standard library is used.
+The result is one JSON object on stdout: per prime (and for the
+diagram rows), per operation, the median and every round.  Only the
+standard library is used.
 """
 
 import argparse
@@ -76,6 +82,40 @@ def operations(fpl, p):
     return ops
 
 
+def diagram_operations():
+    """[(name, zero-argument call, 1)]: checked square diagrams over Z and
+    checked maps of them."""
+    from functor_homology.diagrams import DiagMor, Diagram
+    from functor_homology.fincat import standard
+    from functor_homology.modules import ModMor, ModuleObj
+    from functor_homology.rings import ZZ
+
+    square = standard("square")
+    M = ModuleObj(ZZ, 2, rels=[[4, 0], [0, 2]])
+    O = ModuleObj(ZZ, 0)
+    a, c = [[1, 2], [0, 1]], [[1, 0], [1, 1]]
+    e = [[sum(c[i][k] * a[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+    ops = []
+    for label, zero_at in (("full", ()), ("half zero", ("01", "10"))):
+        comps = {o: O if o in zero_at else M for o in square.objects}
+
+        def mor(s, t, data, comps=comps):
+            S, T = comps[s], comps[t]
+            return ModMor(S, T, data if S.gens and T.gens else S.ops.zeros(T.gens, S.gens))
+
+        # through a corner with no generators the composite e is zero
+        mats = {"a": a, "b": a, "c": c, "d": c, "e": [[0, 0], [0, 0]] if zero_at else e}
+        maps = {m: mor(square.src(m), square.tgt(m),
+                       mats.get(m, [[1, 0], [0, 1]])) for m in square.mor_names}
+        D = Diagram(square, comps, maps)
+        three = {o: mor(o, o, [[3, 0], [0, 3]]) for o in square.objects}
+        ops.append((f"Diagram square {label}",
+                    lambda comps=comps, maps=maps: Diagram(square, comps, maps), 1))
+        ops.append((f"DiagMor square {label}",
+                    lambda D=D, three=three: DiagMor(D, D, three), 1))
+    return ops
+
+
 def time_once(fn, per_call):
     t0 = perf_counter()
     for _ in range(CALLS):
@@ -91,16 +131,17 @@ def main():
     sys.path.insert(0, str(args.root.resolve() / "src"))
     from functor_homology import fplinalg
 
-    ops = {p: operations(fplinalg, p) for p in PRIMES}
-    runs = {p: {name: [] for name, _, _ in ops[p]} for p in PRIMES}
+    ops = {f"p{p}": operations(fplinalg, p) for p in PRIMES}
+    ops["diagrams Z"] = diagram_operations()
+    runs = {k: {name: [] for name, _, _ in group} for k, group in ops.items()}
     for _ in range(ROUNDS):
-        for p in PRIMES:
-            for name, fn, per_call in ops[p]:
-                runs[p][name].append(time_once(fn, per_call))
-    layers = {f"p{p}": {name: {"median_us": round(statistics.median(rs), 3),
-                                "rounds_us": [round(x, 3) for x in rs]}
-                         for name, rs in runs[p].items()}
-              for p in PRIMES}
+        for k, group in ops.items():
+            for name, fn, per_call in group:
+                runs[k][name].append(time_once(fn, per_call))
+    layers = {k: {name: {"median_us": round(statistics.median(rs), 3),
+                         "rounds_us": [round(x, 3) for x in rs]}
+                  for name, rs in group.items()}
+              for k, group in runs.items()}
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seed": SEED, "rounds": ROUNDS,
                       "calls": CALLS, "density": DENSITY},

@@ -31,7 +31,8 @@ for each side.  `suites` holds the output of this checkout's
 without that script is timed too: every verification suite at its
 acceptance size.  `layers` holds the output of this checkout's
 `bench/layers.py` run the same way: the per-call time of the F_p leaf
-operations at the shapes of fp_group_ss.  `end_to_end` holds, per side,
+operations at the shapes of fp_group_ss and of the checked diagram
+constructions at the shapes of z_delta.  `end_to_end` holds, per side,
 the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
 with its exit code and summary line) and of `functor-homology run` on
 each of its demos/*.wb: the median of 5 runs, with every run, the exit

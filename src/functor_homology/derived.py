@@ -246,7 +246,10 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
               n_max) -> HorseshoeData:
     """Resolution of the middle of a short exact sequence whose n-th term
     is the biproduct of the outer terms, with the degreewise split chain
-    inclusions/projections."""
+    inclusions/projections.  It stops at the first degree past the end of
+    both outer resolutions (each extended to n_max first): there it checks
+    that the middle kernel is zero, marks the middle exhausted (its later
+    terms are its one zero object) and makes the later split maps zero."""
     res_sub.extend_to(n_max)
     res_quo.extend_to(n_max)
     ci, cp = ses.f, ses.g
@@ -256,6 +259,15 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     retr = {}
     sec = {}
     for n in range(0, n_max + 1):
+        if n > res_sub.built and n > res_quo.built:
+            if not out.kernels[n].is_zero():
+                raise ExactnessError("horseshoe: nonzero middle kernel past both outer ends")
+            out.exhausted = True
+            for k in range(n, n_max + 1):
+                PL, PM, PN = res_sub.term(k), out.term(k), res_quo.term(k)
+                incl[k], proj[k] = PL.zero_to(PM), PM.zero_to(PN)
+                retr[k], sec[k] = PM.zero_to(PL), PN.zero_to(PM)
+            break
         PL = res_sub.term(n)
         PN = res_quo.term(n)
         bp = PL.biproduct(PN)

@@ -216,12 +216,17 @@ def run(doc: WorkbenchDoc, task=None, max_degree=None, seed=None) -> Report:
     return report
 
 
+MAX_DEGREE = 16  # the top degree of bench/ss_scaling.py; derive's work grows as n^2
+
+
 def _degree(args, max_degree, default=1):
     n = args.get("n", default)
     if max_degree is not None:
         n = min(n, max_degree) if isinstance(n, int) else max_degree
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"degree n must be a nonnegative integer, not {n!r}")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree n must be at most {MAX_DEGREE}, not {n}")
     return n
 
 

@@ -16,8 +16,11 @@ the dense F_p linear algebra (list rows reduced mod p at every step)
 that the packed F_2 rows of `fplinalg` are tested against, and the
 general kernel and cokernel bodies (elimination for modules, one
 factorisation per index morphism for diagrams) that the answers forced by
-shape are tested against, and the abutment filtration of a spectral
-sequence with the cycles of each filtration solved from its own prefix.
+shape are tested against, the abutment filtration of a spectral
+sequence with the cycles of each filtration solved from its own prefix,
+the diagram checks that compare every identity, composite and naturality
+square whatever its shape, and the horseshoe that builds every degree up
+to n_max, past the end of both outer resolutions too.
 """
 
 from dataclasses import dataclass
@@ -25,14 +28,14 @@ from itertools import combinations, product
 from math import gcd, prod
 
 from functor_homology import fplinalg, functors, modules
-from functor_homology.complexes import homology_at, induced_on_homology
-from functor_homology.derived import lift_resolution_map
+from functor_homology.complexes import SES, homology_at, induced_on_homology
+from functor_homology.derived import HorseshoeData, Resolution, lift_resolution_map
 from functor_homology.diagrams import DiagMor, Diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError, ShapeError
 from functor_homology.fplinalg import (FpMatrix, Span, fp_from_columns, rank,
                                        unit_vectors)
 from functor_homology.intlinalg import IntMatrix
-from functor_homology.modules import HomSystem, ModMor, ModuleObj
+from functor_homology.modules import HomSystem, ModMor, ModuleObj, same_map_into
 from functor_homology.spectral import (DoubleComplex, GrothendieckData, SSResult,
                                        _class_map, grothendieck_ss)
 
@@ -577,6 +580,95 @@ def d_cokernel_by_cofactoring(f: DiagMor):
                    modules.cofactor_through_epi(epis[i], f.target.maps[m].then(epis[j])))
     Q = Diagram(idx, {o: q for o, (q, _) in per.items()}, maps)
     return Q, DiagMor(f.target, Q, epis)
+
+
+# -- diagram checks and the horseshoe, every comparison and every degree -----
+
+
+def check_diagram_every_square(d: Diagram):
+    """`diagrams.check_diagram` comparing the identity at every object and
+    every composite, also where an end has no generators."""
+    idx = d.index
+    for o in idx.objects:
+        if o not in d.components:
+            return f"missing component at {o}"
+    for m in idx.mor_names:
+        if m not in d.maps:
+            return f"missing structure map at {m}"
+        f = d.maps[m]
+        if f.source != d.components[idx.src(m)] or f.target != d.components[idx.tgt(m)]:
+            return f"structure map {m} has wrong endpoints"
+        if f.ring != d.ring:
+            return f"structure map {m} lives over the wrong ring"
+    for o in idx.objects:
+        A = d.components[o]
+        if not same_map_into(A, d.maps[idx.identity[o]].matrix, A.ops.identity(A.gens)):
+            return f"identity of {o} does not act as the identity"
+    for (g, f), h in idx.comp.items():
+        gf = d.maps[g].matrix.mul(d.maps[f].matrix)
+        if not same_map_into(d.maps[h].target, gf, d.maps[h].matrix):
+            return f"functoriality fails on composite {g} after {f}"
+    return None
+
+
+def diag_mor_every_square(f: DiagMor):
+    """`DiagMor._check` comparing every naturality square, also where a
+    corner has no generators."""
+    idx = f.index
+    for o in idx.objects:
+        if o not in f.comps:
+            return f"missing component at {o}"
+        c = f.comps[o]
+        if c.source != f.source.components[o]:
+            return f"component at {o} has wrong source"
+        if c.target != f.target.components[o]:
+            return f"component at {o} has wrong target"
+    for m in idx.mor_names:
+        if idx.is_identity(m):
+            continue
+        i, j = idx.src(m), idx.tgt(m)
+        left = f.target.maps[m].matrix.mul(f.comps[i].matrix)
+        right = f.comps[j].matrix.mul(f.source.maps[m].matrix)
+        if not same_map_into(f.target.components[j], left, right):
+            return f"naturality square fails at index morphism {m}"
+    return None
+
+
+def horseshoe_every_degree(ses: SES, res_sub: Resolution, res_quo: Resolution,
+                           n_max) -> HorseshoeData:
+    """`derived.horseshoe` building the biproduct, its cover and the kernel
+    sequence in every degree up to n_max, also past the end of both outer
+    resolutions."""
+    res_sub.extend_to(n_max)
+    res_quo.extend_to(n_max)
+    ci, cp = ses.f, ses.g
+    out = Resolution(ses.M, ([], [], [ses.M], [None], False))
+    incl, proj, retr, sec = {}, {}, {}, {}
+    for n in range(0, n_max + 1):
+        PL = res_sub.term(n)
+        PN = res_quo.term(n)
+        bp = PL.biproduct(PN)
+        lam = res_quo.cover(n).lift(cp)
+        eps = (bp.proj1.then(res_sub.cover(n)).then(ci)
+               + bp.proj2.then(lam))
+        out.terms.append(bp.obj)
+        out.covers.append(eps)
+        incl[n] = bp.inj1
+        proj[n] = bp.proj2
+        retr[n] = bp.proj1
+        sec[n] = bp.inj2
+        if n == n_max:
+            break
+        monoL = res_sub.mono(n + 1)
+        monoN = res_quo.mono(n + 1)
+        KM, monoM = eps.kernel()
+        out.kernels.append(KM)
+        out.monos.append(monoM)
+        ii = monoM.factor(monoL.then(bp.inj1))
+        pp = monoN.factor(monoM.then(bp.proj2))
+        SES(ii, pp)  # the kernels form a short exact sequence again
+        ci, cp = ii, pp
+    return HorseshoeData(out, incl, proj, retr, sec)
 
 
 # -- maps of spectral sequences in canonical coordinates ---------------------

@@ -2,10 +2,11 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
-from functor_homology import runner
+from functor_homology import cli, runner
 from functor_homology.dsl import parse, print_doc
 
 FIXTURE_TOR = """\
@@ -258,6 +259,41 @@ def test_negative_degree_is_an_error_row():
         assert result.status == "error", (text, result.rows)
         assert "nonnegative" in dict(result.rows)["error"]
         assert not report.ok()
+
+
+FIXTURE_LADDER = FIXTURE_LES + """\
+morphism one : Zfree -> Zfree = [[1]]
+morphism id2 : Z2 -> Z2 = [[1]]
+task lad = ladder S1=S S2=S uL=one uM=one uN=id2 g=id2 n=2
+"""
+
+
+@pytest.mark.parametrize("text", [FIXTURE_TOR, FIXTURE_LES, FIXTURE_LADDER, FIXTURE_GROUP],
+                         ids=["derive", "les", "ladder", "ss"])
+def test_degree_above_the_ceiling_is_an_error_row(text):
+    # one past the ceiling fails before any work; --max-degree still lowers it
+    assert runner.MAX_DEGREE == 16
+    over = text.replace("n=1", "n=17").replace("n=2", "n=17")
+    doc, diags = parse(over)
+    assert not diags, diags
+    t0 = time.perf_counter()
+    report = runner.run(doc)
+    assert time.perf_counter() - t0 < 2.0
+    result = report.results[-1]
+    assert result.status == "error", result.rows
+    assert dict(result.rows)["error"] == "degree n must be at most 16, not 17"
+    assert not report.ok()
+    lowered = runner.run(doc, task=result.name, max_degree=1).results[-1]
+    assert lowered.status == "pass", lowered.rows
+
+
+def test_degree_over_the_ceiling_names_the_task_on_the_cli(tmp_path, capsys):
+    f = tmp_path / "big.wb"
+    f.write_text(FIXTURE_TOR.replace("task derive", "task t1 = derive").replace("n=1", "n=17"))
+    assert cli.main(["run", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "task t1 (derive): error\n  error  degree n must be at most 16, not 17\n"
+    assert err == ""
 
 
 def test_assertion_error_is_not_a_diagnostic(monkeypatch):

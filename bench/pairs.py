@@ -20,7 +20,12 @@ The result is one JSON object on stdout.  For each workload, `timed` lists
 every run's end-to-end metrics with its `failed`, `attempted`, `correct`
 and `first` fields, and its `summary` gives, per metric of BENCHMARK.json,
 the median of each side, the parent's interquartile range and the number
-of pairs in which this checkout was ahead (by the metric's `better`).
+of pairs in which this checkout was ahead (by the metric's `better`), and
+the median and interquartile range of the per-pair ratios change/parent
+(`ratio_median`, `ratio_iqr`; both null when a parent run reads 0).  A
+drift of the machine's speed during the runs moves both runs of a pair
+alike, so it widens the parent's interquartile range but hardly the spread
+of the ratios.
 `trace` holds one traced pass (`--trace 1 --seed 1`) of every workload on
 each side, with every count (.calls, .builds, .cells, .max_bits,
 .hit_ratio) as [parent, change].  `ss_scaling` holds the output of
@@ -95,9 +100,12 @@ def summarise(runs, metrics):
         p = [r[name] for r in parent]
         c = [r[name] for r in change]
         ahead = sum((b > a) if higher else (b < a) for a, b in zip(p, c))
+        ratios = [b / a for a, b in zip(p, c)] if all(p) else None
         out[name] = {"parent_median": statistics.median(p),
                      "change_median": statistics.median(c),
-                     "parent_iqr": iqr(p), "change_ahead": ahead}
+                     "parent_iqr": iqr(p), "change_ahead": ahead,
+                     "ratio_median": statistics.median(ratios) if ratios else None,
+                     "ratio_iqr": iqr(ratios) if ratios else None}
     out["failed"] = {"parent": sum(r["failed"] for r in parent),
                      "change": sum(r["failed"] for r in change)}
     return out

@@ -1,6 +1,7 @@
 """Command-line driver for workbench files.
 
-Verbs: `check` (parse and build, reporting diagnostics), `run` (execute
+Verbs: `check` (parse and build, reporting diagnostics, also for a task
+degree that `run` would reject), `run` (execute
 tasks), `verify-paper` (run one of the randomized theorem-verification
 suites).  Exit code 0 means everything requested passed.
 """
@@ -33,6 +34,11 @@ def _load(path, out, build):
 def cmd_check(ns) -> int:
     doc = _load(ns.file, sys.stdout, build=True)
     if doc is None:
+        return 1
+    diags = runner.degree_diagnostics(doc)
+    for d in diags:
+        print(f"{ns.file}:{d}")
+    if diags:
         return 1
     print(f"{ns.file}: {len(doc.decls)} declarations ok")
     return 0

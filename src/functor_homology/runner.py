@@ -230,6 +230,19 @@ def _degree(args, max_degree, default=1):
     return n
 
 
+def degree_diagnostics(doc: WorkbenchDoc):
+    """A Diagnostic for each derive, les, ladder or ss task whose degree n
+    `run` would reject (not a nonnegative integer, or above MAX_DEGREE)."""
+    diags = []
+    for d in doc.tasks():
+        try:
+            if d.payload["task_kind"] in ("derive", "les", "ladder", "ss"):
+                _degree(d.payload["args"], None)
+        except ValueError as exc:
+            diags.append(Diagnostic(d.line, d.col, f"task {d.name!r}: {exc}"))
+    return diags
+
+
 def _run_task(env: Environment, decl: Decl, max_degree, seed) -> TaskResult:
     kind = decl.payload["task_kind"]
     args = decl.payload["args"]

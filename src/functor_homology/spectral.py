@@ -17,7 +17,9 @@ total differential square to zero.
 
 The composite-functor spectral sequence is one body for a module and for
 a diagram: resolve, apply F, build one Cartan-Eilenberg grid and apply G
-to it (`_resolved_grid`, `_g_grid`).  Over C^I the grid is a grid of
+to it (`_resolved_grid`, `_g_grid`).  Equal pieces are built once, compared
+by `==`: CE columns with equal differentials, E2 rows with equal modules
+and acyclicity witnesses (`_shared`).  Over C^I the grid is a grid of
 diagrams.  Its component at an index object is that component's double
 complex, and its structure maps along an index morphism form a filtered
 chain map of totals.  The page bases are triangular, so that map written
@@ -378,58 +380,55 @@ class CEData:
         return self.hsC[pdeg].retr[q].then(self.hsZ[pdeg].proj[q])
 
 
+def _shared(seen, key, make):
+    """make(), run once per distinct key: seen holds the (key, value) pairs
+    made so far, and a key == an earlier one gets that one's value."""
+    for k, v in seen:
+        if k == key:
+            return v
+    seen.append((key, make()))
+    return seen[-1][1]
+
+
 def ce_grid(C: Complex, depth) -> CEData:
     """Cartan-Eilenberg style double resolution of a bounded complex.
 
     Column p resolves C_p as an iterated horseshoe over the
     boundary/cycle/homology filtration, so horizontal homology splits off
-    the homology resolutions on the nose.
+    the homology resolutions on the nose.  Column p is a function of
+    (d_p, d_{p+1}): each distinct differential gets one image, and an
+    interior column whose pair is == an earlier one's (endpoints by
+    presentation, then matrices) shares that column's kernel, homology and
+    horseshoes.  Columns 0 and width keep their boundary conventions and
+    are always built, and the structural checks run at every (p, q).
     """
     width = C.hi
-    Z = {}
-    B = {}
-    H = {}
-    monoZ = {}
-    u_bz = {}
-    epiH = {}
-    epiB = {}
-    monoB = {}
+    B, monoB, epiB = {width: C.objects[0].zero_object()}, {}, {}
+    images = []
     for pdeg in range(width, 0, -1):
-        img = abelian.image(C.diffs[pdeg])
-        B[pdeg - 1] = img.obj
-        monoB[pdeg - 1] = img.mono
-        epiB[pdeg - 1] = img.epi
-    B[width] = C.objects[0].zero_object()
-    for pdeg in range(0, width + 1):
-        K, mono = C.diff(pdeg).kernel()
-        Z[pdeg] = K
-        monoZ[pdeg] = mono
-        if pdeg == width:
-            u = B[pdeg].zero_to(Z[pdeg])
-        else:
-            u = mono.factor(monoB[pdeg])
-        u_bz[pdeg] = u
-        Hp, eh = u.cokernel()
-        H[pdeg] = Hp
-        epiH[pdeg] = eh
-    res_B = {}
-    res_H = {}
-    hsZ = {}
-    hsC = {}
-    for pdeg in range(0, width + 1):
-        res_B[pdeg] = resolve(B[pdeg], depth)
-        res_H[pdeg] = resolve(H[pdeg], depth)
-    for pdeg in range(0, width + 1):
-        ses_z = SES(u_bz[pdeg], epiH[pdeg])
-        hsZ[pdeg] = horseshoe(ses_z, res_B[pdeg], res_H[pdeg], depth)
+        d = C.diffs[pdeg]
+        img = _shared(images, d, lambda: abelian.image(d))
+        B[pdeg - 1], monoB[pdeg - 1], epiB[pdeg - 1] = img.obj, img.mono, img.epi
+
+    def column(pdeg):
+        Z, mono = C.diff(pdeg).kernel()
+        u = B[pdeg].zero_to(Z) if pdeg == width else mono.factor(monoB[pdeg])
+        H, eh = u.cokernel()
+        res_H = resolve(H, depth)
+        hsZ = horseshoe(SES(u, eh), resolve(B[pdeg], depth), res_H, depth)
         if pdeg == 0:
             quo = C.objects[0].zero_object()
-            ses_c = SES(monoZ[0], C.objects[0].zero_to(quo))
-            res_quo = resolve(quo, depth)
+            ses_c, res_quo = SES(mono, C.objects[0].zero_to(quo)), resolve(quo, depth)
         else:
-            ses_c = SES(monoZ[pdeg], epiB[pdeg - 1])
-            res_quo = res_B[pdeg - 1]
-        hsC[pdeg] = horseshoe(ses_c, hsZ[pdeg].res_mid, res_quo, depth)
+            ses_c, res_quo = SES(mono, epiB[pdeg - 1]), resolve(B[pdeg - 1], depth)
+        return mono, eh, res_H, hsZ, horseshoe(ses_c, hsZ.res_mid, res_quo, depth)
+
+    pairs = []
+    cols = {pdeg: _shared(pairs, (C.diffs[pdeg], C.diffs[pdeg + 1]),
+                          lambda: column(pdeg)) if 0 < pdeg < width else column(pdeg)
+            for pdeg in range(width + 1)}
+    monoZ, epiH, res_H, hsZ, hsC = ({pdeg: c[k] for pdeg, c in cols.items()}
+                                    for k in range(5))
     ce = CEData(depth, width, monoZ, epiH, res_H, hsZ, hsC)
     # structural checks: horizontal differential is a chain map squaring
     # to zero and compatible with the augmentations
@@ -463,12 +462,14 @@ class AcyclicityReport:
 
 def check_acyclic_hypothesis(F, G, witnesses, n_max) -> AcyclicityReport:
     """L_k G (F(P)) must vanish for 0 < k <= n_max on every witness P
-    (the free covers actually used downstream)."""
-    entries = []
+    (the free covers actually used downstream).  The verdicts are decided
+    once per distinct witness and listed for each (witness index, k): a
+    witness == an earlier one has the same L_k G (F(P)); none is skipped."""
+    entries, seen = [], []
     for w_idx, P in enumerate(witnesses):
-        FP = functors.apply(F, P)
-        for k in range(1, n_max + 1):
-            entries.append((w_idx, k, derived_data(G, FP, k).obj.is_zero()))
+        zero = _shared(seen, P, lambda: [derived_data(G, functors.apply(F, P), k)
+                                         .obj.is_zero() for k in range(1, n_max + 1)])
+        entries += [(w_idx, k, z) for k, z in enumerate(zero, 1)]
     return AcyclicityReport(entries)
 
 
@@ -532,14 +533,19 @@ def _double_complex(p, ce: CEData, cells, h, v) -> DoubleComplex:
 def _checked_ss(F, G, dc, n_max, witnesses, lq, gf) -> SSResult:
     """The pages of dc with independent checks: the acyclicity hypothesis on
     the witnesses, dim E2_{pq} = dim (L_p G)(lq[q]) and dim of the
-    abutment in degree n = dim gf[n]."""
+    abutment in degree n = dim gf[n].  The E2 dimensions of a row are
+    computed once per distinct module: a row whose lq[q] is == an earlier
+    one's gets that row's dimensions, and every cell is still compared."""
     report = check_acyclic_hypothesis(F, G, witnesses, n_max)
     ss = ss_pages(dc, n_valid=n_max)
     ss.hypothesis_ok = report.ok()
     ss.hypothesis_report = report.entries
+    rows = []
     for q in range(0, n_max + 1):
+        dims = _shared(rows, lq[q], lambda: [derived_data(G, lq[q], pp).obj.fp_dimension()
+                                             for pp in range(0, n_max + 1)])
         for pp in range(0, n_max + 1):
-            ss.e2_expected[(pp, q)] = derived_data(G, lq[q], pp).obj.fp_dimension()
+            ss.e2_expected[(pp, q)] = dims[pp]
     ss.e2_matches = all(
         ss.pages[2].get((pp, q), 0) == ss.e2_expected[(pp, q)]
         for pp in range(0, n_max + 1) for q in range(0, n_max + 1))

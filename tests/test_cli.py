@@ -56,6 +56,22 @@ def test_run_of_a_known_task_prints_its_report(tmp_path, capsysbinary):
     assert out == b"task t1 (derive): pass\n  n=0  Z/2\n  n=1  Z/2\n" and err == b""
 
 
+def test_check_reports_a_task_degree_that_run_rejects(tmp_path, capsys):
+    # each derive, les, ladder or ss task with n above runner.MAX_DEGREE or
+    # negative is a diagnostic at its line; the ceiling itself passes
+    f = tmp_path / "big.wb"
+    f.write_text(DOC.replace("n=1", "n=17") + "  task t2 = derive F=tensor(M) A=M n=-1\n"
+                 + "task t3 = derive F=tensor(M) A=M n=16\n")
+    assert cli.main(["check", str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == (f"{f}:3:1: task 't1': degree n must be at most 16, not 17\n"
+                   f"{f}:4:3: task 't2': degree n must be a nonnegative integer, not -1\n")
+    assert err == ""
+    f.write_text(DOC.replace("n=1", "n=16"))
+    assert cli.main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == f"{f}: 3 declarations ok\n"
+
+
 EMPTY_INDEX = """\
 ring Z
 module Z2 over Z = coker [[2]]

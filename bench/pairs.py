@@ -28,16 +28,21 @@ alike, so it widens the parent's interquartile range but hardly the spread
 of the ratios.
 `trace` holds one traced pass (`--trace 1 --seed 1`) of every workload on
 each side, with every count (.calls, .builds, .cells, .max_bits,
-.hit_ratio) as [parent, change].  `ss_scaling` holds the output of
-`bench/ss_scaling.py` run in each checkout, and `code` repeats its counts
-of src/ lines and of the lines containing `is_integers` and `isinstance`
-for each side.  `suites` holds the output of this checkout's
-`bench/suites.py` run on each side's src/ (`--root`), so a parent
-without that script is timed too: every verification suite at its
-acceptance size.  `layers` holds the output of this checkout's
-`bench/layers.py` run the same way: the per-call time of the F_p leaf
-operations at the shapes of fp_group_ss and of the checked diagram
-constructions at the shapes of z_delta.  `end_to_end` holds, per side,
+.hit_ratio) as [parent, change].  `ss_scaling`, `suites` and `layers`
+hold, per side, the output of this checkout's `bench/ss_scaling.py`,
+`bench/suites.py` and `bench/layers.py` run on that side's src/
+(`--root`), so a parent without a script, or with an older one, is timed
+by the same code: the spectral sequence as total degree grows, every
+verification suite at its acceptance size, and the per-call time of the
+F_p leaf operations at the shapes of fp_group_ss and of the checked
+diagram constructions at the shapes of z_delta.  Each script runs in
+ROUNDS rounds, one run per side in each, and the side that runs first
+alternates from round to round, so a drift of the machine's speed falls
+on both sides alike.  The rounds of a side are merged into one output
+with the script's own field names (`median_rows`): each timing is the
+median over the rounds, and each list of run timings holds the runs of
+every round.  `code` repeats the counts of src/ lines and of the lines
+containing `is_integers` and `isinstance` for each side.  `end_to_end` holds, per side,
 the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
 with its exit code and summary line) and of `functor-homology run` on
 each of its demos/*.wb: the median of 5 runs, with every run, the exit
@@ -63,6 +68,7 @@ TRACE_SEED = 1  # traced passes
 CODE_COUNTS = ("src_lines", "src_is_integers_lines", "src_isinstance_lines")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 DEMO_RUNS = 5
+ROUNDS = 3  # runs per side of each bench/ script
 
 
 def last_json(text):
@@ -135,17 +141,41 @@ def trace_counts(parent_root, workload, seed):
             "counts_differing": {k: v for k, v in counts.items() if v[0] != v[1]}}
 
 
-def ss_scaling(root):
-    out = subprocess.run([sys.executable, "bench/ss_scaling.py"], cwd=root,
-                         capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
-
-
 def this_script(name, root):
     """The JSON output of this checkout's bench/<name> timing root's src/."""
     out = subprocess.run([sys.executable, str(HERE / "bench" / name), "--root", str(root)],
                          capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def median_rows(outs):
+    """The outputs of one script from several rounds, of one shape, merged
+    into one: each float is the median over the rounds, a list of rows is
+    merged row by row, and each list of floats (the runs of a row) holds
+    the values of every round in turn.  Anything else (counts, verdicts,
+    labels) is the same in every round and kept once; where the rounds
+    differ, it is a list or the concatenated lists of every round."""
+    first = outs[0]
+    if isinstance(first, dict):
+        return {k: median_rows([o[k] for o in outs]) for k in first}
+    if isinstance(first, float):
+        return statistics.median(outs)
+    if isinstance(first, list) and first and all(isinstance(x, dict) for x in first):
+        return [median_rows(list(rows)) for rows in zip(*outs)]
+    floats = isinstance(first, list) and first and all(isinstance(x, float) for x in first)
+    if not floats and all(o == first for o in outs):
+        return first
+    return [x for o in outs for x in o] if isinstance(first, list) else list(outs)
+
+
+def rounds(name, sides, n=ROUNDS):
+    """Per side, `median_rows` of n runs of this checkout's bench/<name> on
+    that side's src/; the side that runs first alternates by round."""
+    outs = {side: [] for side, _ in sides}
+    for k in range(n):
+        for side, root in (sides if k % 2 == 0 else sides[::-1]):
+            outs[side].append(this_script(name, root))
+    return {side: median_rows(o) for side, o in outs.items()}
 
 
 def timed_command(root, args):
@@ -197,13 +227,13 @@ def main():
     seconds = config["run_seconds"]
     runs = [(w, int(n)) for w, n in (r.split(":") for r in args.run)]
     sides = (("parent", args.parent), ("change", HERE))
-    scaling = {side: ss_scaling(root) for side, root in sides}
-    suites = {side: this_script("suites.py", root) for side, root in sides}
-    layers = {side: this_script("layers.py", root) for side, root in sides}
+    scaling = rounds("ss_scaling.py", sides)
+    suites = rounds("suites.py", sides)
+    layers = rounds("layers.py", sides)
     e2e = end_to_end(sides)
     result = {"env": {"python": platform.python_version(), "machine": platform.machine(),
                       "nproc": os.cpu_count(), "seconds": seconds, "seed": SEED,
-                      "trace_seed": TRACE_SEED},
+                      "trace_seed": TRACE_SEED, "rounds": ROUNDS},
               "timed": {w: pairs(args.parent, w, n, SEED, seconds, config["end_to_end"])
                         for w, n in runs},
               "trace": {w: trace_counts(args.parent, w, TRACE_SEED) for w, _ in runs},

@@ -7,7 +7,7 @@ from functor_homology.bifunctor import (balance_comparison, ladder,
                                         ladder_switched, tensor, tor_first,
                                         tor_second)
 from functor_homology.complexes import MorphismOfSES, SES
-from functor_homology.modules import ModMor, cyclic, identity_mor
+from functor_homology.modules import ModMor, cyclic
 
 print("== tensor and Tor ==")
 print("Z/4 (x) Z/6 =", tensor(cyclic(4), cyclic(6)).describe())
@@ -22,9 +22,9 @@ print("== a two-variable ladder ==")
 Zm, Z2, Z4 = cyclic(0), cyclic(2), cyclic(4)
 ses1 = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
 ses2 = SES(ModMor(Zm, Zm, [[4]]), ModMor(Zm, Z4, [[1]]))
-mor = MorphismOfSES(ses1, ses2, identity_mor(Zm), ModMor(Zm, Zm, [[2]]),
+mor = MorphismOfSES(ses1, ses2, Zm.identity(), ModMor(Zm, Zm, [[2]]),
                     ModMor(Z2, Z4, [[2]]))
-result = ladder(mor, identity_mor(Z2), 2)
+result = ladder(mor, Z2.identity(), 2)
 print("rows exact:", result.rows_exact())
 print("all squares (including the connecting squares) commute:",
       result.all_squares())
@@ -32,9 +32,9 @@ print("all squares (including the connecting squares) commute:",
 print()
 print("== variables switched: rows in the second slot ==")
 ses_b = SES(ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]]))
-mor_b = MorphismOfSES(ses_b, ses_b, identity_mor(Z2), identity_mor(Z4),
-                      identity_mor(Z2))
-result_b = ladder_switched(mor_b, identity_mor(Z2), 2)
+mor_b = MorphismOfSES(ses_b, ses_b, Z2.identity(), Z4.identity(),
+                      Z2.identity())
+result_b = ladder_switched(mor_b, Z2.identity(), 2)
 print("rows exact:", result_b.rows_exact())
 print("squares commute:", result_b.all_squares())
 print("nonzero connecting map in the rows:",

@@ -7,7 +7,7 @@ from functor_homology.derived import comparison_iso, derived, les_of_ses
 from functor_homology.diagrams import Diagram
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, tensor_with
-from functor_homology.modules import ModMor, cyclic, identity_mor, trivial_module
+from functor_homology.modules import ModMor, cyclic, trivial_module
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
                                     group_algebra)
 
@@ -41,7 +41,7 @@ print("== derived functors commute with diagram components ==")
 arrow = standard("arrow")
 Z4 = cyclic(4)
 A = Diagram(arrow, {"0": Z4, "1": Z2},
-            {"id_0": identity_mor(Z4), "id_1": identity_mor(Z2),
+            {"id_0": Z4.identity(), "id_1": Z2.identity(),
              "a": ModMor(Z4, Z2, [[1]])})
 res = comparison_iso(F, A, 1)
 print("componentwise side:",

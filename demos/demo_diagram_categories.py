@@ -9,8 +9,7 @@ from functor_homology.diagrams import (DiagMor, Diagram, d_cokernel,
                                        free_diagram)
 from functor_homology.fincat import product, standard
 from functor_homology.functors import exponent_apply, tensor_with
-from functor_homology.modules import (ModMor, cyclic, free_module,
-                                      identity_mor)
+from functor_homology.modules import ModMor, cyclic, free_module
 
 arrow = standard("arrow")
 print("the arrow category:", arrow.objects, arrow.mor_names)
@@ -23,12 +22,12 @@ print()
 print("== componentwise kernels with induced maps ==")
 Z4, Z2 = cyclic(4), cyclic(2)
 D = Diagram(arrow, {"0": Z4, "1": Z2},
-            {"id_0": identity_mor(Z4), "id_1": identity_mor(Z2),
+            {"id_0": Z4.identity(), "id_1": Z2.identity(),
              "a": ModMor(Z4, Z2, [[1]])})
 E = Diagram(arrow, {"0": Z2, "1": Z2},
-            {"id_0": identity_mor(Z2), "id_1": identity_mor(Z2),
-             "a": identity_mor(Z2)})
-t = DiagMor(D, E, {"0": ModMor(Z4, Z2, [[1]]), "1": identity_mor(Z2)})
+            {"id_0": Z2.identity(), "id_1": Z2.identity(),
+             "a": Z2.identity()})
+t = DiagMor(D, E, {"0": ModMor(Z4, Z2, [[1]]), "1": Z2.identity()})
 K, mono = d_kernel(t)
 print("kernel components:",
       {o: K.components[o].describe() for o in arrow.objects})

@@ -8,8 +8,7 @@ the image really is computed as the kernel of the cokernel.
 
 from functor_homology.abelian import image
 from functor_homology.derived import resolve
-from functor_homology.modules import (ModMor, biproduct, cokernel, cyclic,
-                                      is_exact_at, kernel, trivial_module)
+from functor_homology.modules import ModMor, cokernel, cyclic, kernel, trivial_module
 from functor_homology.rings import cyclic_group_table, group_algebra
 
 print("== kernels and cokernels over Z ==")
@@ -27,14 +26,14 @@ print("image of x2 (as ker of coker):", img.obj.describe())
 print()
 print("== exactness ==")
 print("Z --x2--> Z -> Z/2 exact in the middle:",
-      is_exact_at(x2, ModMor(Zm, Z2, [[1]])))
+      x2.is_exact_at(ModMor(Zm, Z2, [[1]])))
 x4 = ModMor(Zm, Zm, [[4]])
 print("Z --x4--> Z -> Z/2 exact in the middle:",
-      is_exact_at(x4, ModMor(Zm, Z2, [[1]])))
+      x4.is_exact_at(ModMor(Zm, Z2, [[1]])))
 
 print()
 print("== biproducts ==")
-bp = biproduct(Z2, cyclic(3))
+bp = Z2.biproduct(cyclic(3))
 print("Z/2 (+) Z/3 =", bp.obj.describe())
 
 print()

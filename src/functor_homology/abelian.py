@@ -20,13 +20,15 @@ unchanged in C and in C^I:
   end of the componentwise homs, and a module is a diagram over the
   one-object category, so one solver serves C and C^I.
 
-Each construction method is one call to the module-level function of
-`modules` or `diagrams`, looked up by its global name at call time, so
-patching that module attribute (as a tracer or a planted-fault test
-does) reaches every caller; the hom-system methods hold their own short
-bodies.  The constructions below need nothing else and are written once:
-the image as the kernel of the cokernel (Freyd), the iso test, and the
-intrinsic exactness test.
+Each operation has one name, the method, and each method holds its own
+body.  A method forwards only to a function that perfbench's tracer
+wraps as a module attribute (`modules.kernel`, `cokernel` and
+`free_cover`; `diagrams.d_kernel`, `d_cokernel` and
+`d_exactness_report`), looked up by its global name at call time, so the
+tracer reaches every caller.  Every caller goes through the method, so a
+planted-fault test patches the class attribute.  The constructions below
+need nothing else and are written once: the image as the kernel of the
+cokernel (Freyd), the iso test, and the intrinsic exactness test.
 
 The three verdicts `is_mono`, `is_epi` and `is_exact_at` are methods
 because the base ring decides how to answer them (`modules.ring_ops`).

@@ -29,7 +29,7 @@ from .diagrams import DiagMor, Diagram, d_exactness_report
 from .errors import ExactnessError
 from .fincat import product as cat_product
 from .functors import apply_to_complex, tensor_with
-from .modules import ModMor, ModuleObj, identity_mor, nary_biproduct
+from .modules import ModMor, ModuleObj, nary_biproduct
 
 
 def tensor_by(M: ModuleObj, side="right"):
@@ -71,8 +71,8 @@ def balance_comparison(A: ModuleObj, B: ModuleObj, n) -> BalanceResult:
     for k, cs in cells.items():
         mods = [tensorops.tensor_obj(res_a.term(p), res_b.term(q)) for p, q in cs]
         grids[k] = nary_biproduct(mods, ring=A.ring)
-    ident_a = {p: identity_mor(res_a.term(p)) for p in range(hi + 1)}
-    ident_b = {q: identity_mor(res_b.term(q)) for q in range(hi + 1)}
+    ident_a = {p: res_a.term(p).identity() for p in range(hi + 1)}
+    ident_b = {q: res_b.term(q).identity() for q in range(hi + 1)}
     objects = {k: grids[k].obj for k in range(hi + 1)}
     diffs = {}
     for k in range(1, hi + 1):
@@ -237,10 +237,10 @@ def switched_row(A: ModuleObj, ses: SES, n_max) -> SwitchedRowData:
         midc = apply_to_complex(tensor_by(ses.M, "right"), base)
         quoc = apply_to_complex(tensor_by(ses.N, "right"), base)
         incl = ChainMap(subc, midc,
-                        {k: tensorops.tensor_mor(identity_mor(res.term(k)), ses.f)
+                        {k: tensorops.tensor_mor(res.term(k).identity(), ses.f)
                          for k in range(n_max + 2)})
         proj = ChainMap(midc, quoc,
-                        {k: tensorops.tensor_mor(identity_mor(res.term(k)), ses.g)
+                        {k: tensorops.tensor_mor(res.term(k).identity(), ses.g)
                          for k in range(n_max + 2)})
         sesc = SESOfComplexes(subc, midc, quoc, incl, proj)
         les = _les_from_sesc(sesc, n_max)

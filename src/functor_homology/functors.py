@@ -18,7 +18,7 @@ from .complexes import Complex
 from .diagrams import DiagMor, Diagram
 from .errors import RingMismatchError, ShapeError
 from .fincat import FinCat
-from .modules import ModMor, ModuleObj, identity_mor
+from .modules import ModMor, ModuleObj
 from .rings import RingMap
 
 TENSOR = "tensor"
@@ -40,7 +40,7 @@ class FunctorSpec:
     """
 
     def __init__(self, kind, module=None, ring_map=None, outer=None, inner=None,
-                 index=None, label=None, side="right"):
+                 index=None, side="right"):
         self.kind = kind
         self.module = module
         self.ring_map = ring_map
@@ -53,27 +53,25 @@ class FunctorSpec:
                 raise RingMismatchError("tensor functor needs a commutative base")
             self.source_ring = module.ring
             self.target_ring = module.ring
-            if label:
-                self.label = label
-            elif side == "right":
+            if side == "right":
                 self.label = f"(-) (x) {module.describe()}"
             else:
                 self.label = f"{module.describe()} (x) (-)"
         elif kind == BASE_CHANGE:
             self.source_ring = ring_map.source
             self.target_ring = ring_map.target
-            self.label = label or (f"base change {ring_map.source.label} -> "
-                                   f"{ring_map.target.label}")
+            self.label = (f"base change {ring_map.source.label} -> "
+                          f"{ring_map.target.label}")
         elif kind == COMPOSE:
             if inner.target_ring != outer.source_ring:
                 raise RingMismatchError("composite functors do not match up")
             self.source_ring = inner.source_ring
             self.target_ring = outer.target_ring
-            self.label = label or f"({outer.label}) . ({inner.label})"
+            self.label = f"({outer.label}) . ({inner.label})"
         elif kind == EXPONENT:
             self.source_ring = inner.source_ring
             self.target_ring = inner.target_ring
-            self.label = label or f"({inner.label})^I"
+            self.label = f"({inner.label})^I"
         else:
             raise ShapeError(f"unknown functor kind {kind!r}")
 
@@ -93,21 +91,21 @@ class FunctorSpec:
         return f"FunctorSpec({self.label})"
 
 
-def tensor_with(M: ModuleObj, label=None, side="right") -> FunctorSpec:
+def tensor_with(M: ModuleObj, side="right") -> FunctorSpec:
     """side='right': X -> X (x) M;  side='left': X -> M (x) X."""
-    return FunctorSpec(TENSOR, module=M, label=label, side=side)
+    return FunctorSpec(TENSOR, module=M, side=side)
 
 
-def base_change(rm: RingMap, label=None) -> FunctorSpec:
-    return FunctorSpec(BASE_CHANGE, ring_map=rm, label=label)
+def base_change(rm: RingMap) -> FunctorSpec:
+    return FunctorSpec(BASE_CHANGE, ring_map=rm)
 
 
-def compose(outer: FunctorSpec, inner: FunctorSpec, label=None) -> FunctorSpec:
-    return FunctorSpec(COMPOSE, outer=outer, inner=inner, label=label)
+def compose(outer: FunctorSpec, inner: FunctorSpec) -> FunctorSpec:
+    return FunctorSpec(COMPOSE, outer=outer, inner=inner)
 
 
-def exponent(inner: FunctorSpec, index: FinCat, label=None) -> FunctorSpec:
-    return FunctorSpec(EXPONENT, inner=inner, index=index, label=label)
+def exponent(inner: FunctorSpec, index: FinCat) -> FunctorSpec:
+    return FunctorSpec(EXPONENT, inner=inner, index=index)
 
 
 def apply(F: FunctorSpec, x):
@@ -130,7 +128,7 @@ def apply(F: FunctorSpec, x):
     if is_object:
         make, fixed = tensorops.tensor_obj, F.module
     else:
-        make, fixed = tensorops.tensor_mor, identity_mor(F.module)
+        make, fixed = tensorops.tensor_mor, F.module.identity()
     return make(x, fixed) if F.side == "right" else make(fixed, x)
 
 
@@ -167,15 +165,15 @@ class NatSpec:
     (-) (x) M -> (-) (x) M'.
     """
 
-    def __init__(self, g: ModMor, label=None):
+    def __init__(self, g: ModMor):
         self.g = g
         self.source_spec = tensor_with(g.source)
         self.target_spec = tensor_with(g.target)
-        self.label = label or f"(-) (x) [{g.source.describe()} -> {g.target.describe()}]"
+        self.label = f"(-) (x) [{g.source.describe()} -> {g.target.describe()}]"
 
     def at(self, A: ModuleObj) -> ModMor:
         """Component of the transformation at the object A."""
-        ident = identity_mor(A)
+        ident = A.identity()
         return tensorops.tensor_mor(ident, self.g)
 
     def __repr__(self):

@@ -32,8 +32,8 @@ epi M -> Q alone (Q is `epi.target`).  The epi carries a section of its
 matrix, built with it: the invariant-factor form from one Smith normal
 form (Z), or the complement of an echelon basis of the span (F_p).
 `section(epi)` reads it back, and solves one preimage per generator for an
-epi built any other way.  Cokernel, `simplify`, `cofactor_through_epi`,
-`iso_inverse` and the tensor and base-change objects and maps of
+epi built any other way.  Cokernel, `simplify`, `ModMor.cofactor`,
+`ModMor.inverse` and the tensor and base-change objects and maps of
 `tensorops` are all built on these two.
 `submodule(M, cols)` presents the span of cols: lattice syzygies then
 `simplify` (Z), or the actions solved on the subspace (F_p); `kernel` is
@@ -59,10 +59,12 @@ are checked on `Ring.algebra_generators`: when both endpoints' actions
 are representations, {x : f.a_x = b_x.f} is a subalgebra, so commuting
 with the generators is commuting with everything.
 
-`ModuleObj` and `ModMor` answer the method interface listed in `abelian`.
-Each method calls the function of this module by its global name (never a
-class attribute bound to it), so patching the module attribute reaches
-method callers too.
+`ModuleObj` and `ModMor` answer the method interface listed in `abelian`,
+and each method holds its own body.  The exceptions are `kernel`,
+`cokernel` and `free_cover`, which the benchmark's tracer wraps as
+functions of this module: their methods call the function by its global
+name (never a class attribute bound to it), so the tracer, or a patched
+module attribute, reaches method callers too.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ class _IntegerOps(_RingOps):
         """Z -> Z: the identity.  Z -> S: the free S-module on M's
         generators modulo M's relations, lifted."""
         if rm.target == M.ring:
-            epi = identity_mor(M)
+            epi = M.identity()
             epi._cache["section"] = epi.matrix
             return epi
         cover = free_module(rm.target, M.gens)
@@ -562,16 +564,17 @@ class ModuleObj:
     # -- the abelian interface (see `abelian`) -----------------------------
 
     def identity(self) -> "ModMor":
-        return identity_mor(self)
+        return ModMor(self, self, self.ops.identity(self.gens), check=False)
 
     def zero_to(self, B: "ModuleObj") -> "ModMor":
-        return zero_mor(self, B)
+        return ModMor(self, B, self.ops.zeros(B.gens, self.gens), check=False)
 
     def zero_object(self) -> "ModuleObj":
         return zero_module(self.ring)
 
     def biproduct(self, B: "ModuleObj") -> abelian.BiproductData:
-        return biproduct(self, B)
+        nb = nary_biproduct([self, B])
+        return abelian.BiproductData(nb.obj, *nb.injs, *nb.projs)
 
     def free_cover(self):
         return free_cover(self)
@@ -715,28 +718,92 @@ class ModMor:
         return cokernel(self)
 
     def factor(self, h: "ModMor") -> "ModMor":
-        return factor_through_mono(self, h)
+        """The unique u with self . u = h, for self a mono; error if h
+        misses the subobject."""
+        if h.target != self.target:
+            raise ShapeError("factoring endpoints do not match")
+        cols = _preimages(self, [h.matrix.col(j) for j in range(h.source.gens)],
+                          "map does not factor through the mono")
+        u = ModMor(h.source, self.source, self.ops.from_columns(cols, self.source.gens))
+        if not u.then(self) == h:
+            raise ExactnessError("factorisation through the mono does not recover the map")
+        return u
 
     def cofactor(self, w: "ModMor") -> "ModMor":
-        return cofactor_through_epi(self, w)
+        """The unique v with v . self = w, for self an epi; requires w to
+        kill ker(self)."""
+        if w.source != self.source:
+            raise ShapeError("cofactoring endpoints do not match")
+        v = ModMor(self.target, w.target, w.matrix.mul(section(self)))
+        if not self.then(v) == w:
+            raise MorphismError("map does not descend along the epi")
+        return v
 
     def inverse(self) -> "ModMor":
-        return iso_inverse(self)
+        """Inverse of an isomorphism: its section, checked to be two-sided."""
+        inv = ModMor(self.target, self.source, section(self))
+        if not (self.then(inv) == self.source.identity()
+                and inv.then(self) == self.target.identity()):
+            raise MorphismError("morphism is not an isomorphism")
+        return inv
 
     def lift(self, e: "ModMor") -> "ModMor":
-        return lift_through_epi(self, e)
+        """h with e . h = self, for self out of a free module and e an epi."""
+        P = self.source
+        if P.free_rank is None:
+            raise ShapeError("lifting needs a free source")
+        if self.target != e.target:
+            raise ShapeError("lift endpoints do not match")
+        targets = [self.matrix.mul_vec(gc) for gc in free_generator_columns(P)]
+        cols = []
+        for x in _preimages(e, targets, "cannot lift through the (non-)epi"):
+            # column order must follow the free basis (generator, algebra element)
+            cols.extend(e.ops.free_images(e.source, x))
+        h = ModMor(P, e.source, e.ops.from_columns(cols, e.source.gens))
+        if not h.then(e) == self:
+            raise ExactnessError("lift through the epi does not recover the map")
+        return h
 
     def is_exact_at(self, g: "ModMor") -> bool:
-        return is_exact_at(self, g)
+        """Exactness at the middle of self, g, i.e. ker g <= im self: after
+        the g . self = 0 test (`NonzeroCompositeError` otherwise), the
+        ring's ops decide it, by solving each generator of g's preimage
+        lattice against self modulo M's relations (Z) or by rank self +
+        rank g = dim M (F_p-algebra); no homology is built.  Neither is the
+        construction of `abelian.exact_at` (ker g -> coker self is zero), so
+        `diagrams.d_exactness_report`, which takes its componentwise
+        verdict through this method, compares two criteria."""
+        abelian.require_complex(self, g)
+        return self.ops.exact_at(self, g)
 
     def is_mono(self) -> bool:
-        return is_mono(self)
+        """ker self = 0, decided by the ring's ops (the preimage lattice
+        inside the source's relations over Z, a rank over an F_p-algebra)."""
+        return self.ops.is_mono(self)
 
     def is_epi(self) -> bool:
-        return is_epi(self)
+        """coker self = 0, decided by the ring's ops (the columns and the
+        target's relations span, over Z; a rank over an F_p-algebra)."""
+        return self.ops.is_epi(self)
 
     def is_split_exact(self, p: "ModMor", r: "ModMor", s: "ModMor") -> bool:
-        return is_split_exact(self, p, r, s)
+        """Do r: M -> L and s: N -> M split 0 -> L -> M -> N -> 0 (self:
+        L -> M, p: M -> N)?  The certificate of the splitting lemma
+        (Weibel, An Introduction to Homological Algebra, ch. 1), tested on
+        the matrices: r.i = 1_L, p.s = 1_N, p.i = 0 and i.r + s.p = 1_M,
+        with i = self.  These four prove the sequence exact: i is mono and
+        p is epi (each has a one-sided inverse), im i <= ker p, and
+        p(m) = 0 gives m = i(r(m)) + s(p(m)) = i(r(m)).  Wrong endpoints
+        raise `ShapeError`."""
+        L, M, N = self.source, self.target, p.target
+        if not (p.source == M and r.source == M and r.target == L
+                and s.source == N and s.target == M):
+            raise ShapeError("splitting maps have the wrong endpoints")
+        ops, im, pm, rm, sm = self.ops, self.matrix, p.matrix, r.matrix, s.matrix
+        return (same_map_into(L, rm.mul(im), ops.identity(L.gens))
+                and same_map_into(N, pm.mul(sm), ops.identity(N.gens))
+                and same_map_into(N, pm.mul(im), ops.zeros(N.gens, L.gens))
+                and same_map_into(M, im.mul(rm).add(sm.mul(pm)), ops.identity(M.gens)))
 
     def matrices(self) -> list:
         return [self.matrix]
@@ -772,14 +839,6 @@ def same_map_into(T: ModuleObj, a, b) -> bool:
                for j in range(len(a[0])))
 
 
-def identity_mor(A: ModuleObj) -> ModMor:
-    return ModMor(A, A, A.ops.identity(A.gens), check=False)
-
-
-def zero_mor(A: ModuleObj, B: ModuleObj) -> ModMor:
-    return ModMor(A, B, A.ops.zeros(B.gens, A.gens), check=False)
-
-
 # -- simplification, kernels, cokernels, factorisations ---------------------
 
 
@@ -801,7 +860,7 @@ def no_generators(ring: Ring) -> ModuleObj:
 
 def forced_epi(B: ModuleObj, Q: ModuleObj) -> ModMor:
     """The 0x0 epi of B onto Q, both with no generators, with its section."""
-    epi = zero_mor(B, Q)
+    epi = B.zero_to(Q)
     epi._cache["section"] = epi.matrix
     return epi
 
@@ -812,7 +871,7 @@ def kernel(f: ModMor):
     a submodule, or forced by shape (`no_generators`) if f.source has none."""
     if not f.source.gens:
         K = no_generators(f.ring)
-        return K, zero_mor(K, f.source)
+        return K, K.zero_to(f.source)
     return f.ops.submodule(f.source, f.ops.preimage_lattice(f))
 
 
@@ -851,87 +910,7 @@ def section(epi: ModMor):
     return epi.ops.from_columns(cols, epi.source.gens)
 
 
-def factor_through_mono(mono: ModMor, h: ModMor) -> ModMor:
-    """The unique u with mono . u = h; error if h misses the subobject."""
-    if h.target != mono.target:
-        raise ShapeError("factor_through_mono endpoints do not match")
-    cols = _preimages(mono, [h.matrix.col(j) for j in range(h.source.gens)],
-                      "map does not factor through the mono")
-    u = ModMor(h.source, mono.source, mono.ops.from_columns(cols, mono.source.gens))
-    if not u.then(mono) == h:
-        raise ExactnessError("factorisation through the mono does not recover the map")
-    return u
-
-
-def cofactor_through_epi(epi: ModMor, w: ModMor) -> ModMor:
-    """The unique v with v . epi = w; requires w to kill ker(epi)."""
-    if w.source != epi.source:
-        raise ShapeError("cofactor_through_epi endpoints do not match")
-    v = ModMor(epi.target, w.target, w.matrix.mul(section(epi)))
-    if not epi.then(v) == w:
-        raise MorphismError("map does not descend along the epi")
-    return v
-
-
-def iso_inverse(f: ModMor) -> ModMor:
-    """Inverse of an isomorphism: its section, checked to be two-sided."""
-    inv = ModMor(f.target, f.source, section(f))
-    if not (f.then(inv) == identity_mor(f.source)
-            and inv.then(f) == identity_mor(f.target)):
-        raise MorphismError("morphism is not an isomorphism")
-    return inv
-
-
-def is_exact_at(f: ModMor, g: ModMor) -> bool:
-    """Exactness at the middle of f, g, i.e. ker g <= im f: after the
-    g . f = 0 test (`NonzeroCompositeError` otherwise), the ring's ops
-    decide it, by solving each generator of g's preimage lattice against
-    f modulo M's relations (Z) or by rank f + rank g = dim M
-    (F_p-algebra); no homology is built.  Neither is the construction of
-    `abelian.exact_at` (ker g -> coker f is zero), so
-    `diagrams.d_exactness_report`, which takes its componentwise verdict
-    through this name, compares two criteria."""
-    abelian.require_complex(f, g)
-    return f.ops.exact_at(f, g)
-
-
-def is_mono(f: ModMor) -> bool:
-    """ker f = 0, decided by the ring's ops (f's preimage lattice inside
-    the source's relations over Z, a rank over an F_p-algebra)."""
-    return f.ops.is_mono(f)
-
-
-def is_epi(f: ModMor) -> bool:
-    """coker f = 0, decided by the ring's ops (f's columns and the
-    target's relations span, over Z; a rank over an F_p-algebra)."""
-    return f.ops.is_epi(f)
-
-
-def is_split_exact(i: ModMor, p: ModMor, r: ModMor, s: ModMor) -> bool:
-    """Do r: M -> L and s: N -> M split 0 -> L -> M -> N -> 0 (i: L -> M,
-    p: M -> N)?  The certificate of the splitting lemma (Weibel, An
-    Introduction to Homological Algebra, ch. 1), tested on the matrices:
-    r.i = 1_L, p.s = 1_N, p.i = 0 and i.r + s.p = 1_M.  These four prove
-    the sequence exact: i is mono and p is epi (each has a one-sided
-    inverse), im i <= ker p, and p(m) = 0 gives m = i(r(m)) + s(p(m)) =
-    i(r(m)).  Wrong endpoints raise `ShapeError`."""
-    L, M, N = i.source, i.target, p.target
-    if not (p.source == M and r.source == M and r.target == L
-            and s.source == N and s.target == M):
-        raise ShapeError("splitting maps have the wrong endpoints")
-    ops, im, pm, rm, sm = i.ops, i.matrix, p.matrix, r.matrix, s.matrix
-    return (same_map_into(L, rm.mul(im), ops.identity(L.gens))
-            and same_map_into(N, pm.mul(sm), ops.identity(N.gens))
-            and same_map_into(N, pm.mul(im), ops.zeros(N.gens, L.gens))
-            and same_map_into(M, im.mul(rm).add(sm.mul(pm)), ops.identity(M.gens)))
-
-
 # -- biproducts ------------------------------------------------------------
-
-
-def biproduct(A: ModuleObj, B: ModuleObj) -> abelian.BiproductData:
-    nb = nary_biproduct([A, B])
-    return abelian.BiproductData(nb.obj, *nb.injs, *nb.projs)
 
 
 @dataclass
@@ -994,24 +973,6 @@ def free_cover(M: ModuleObj):
     P = free_module(M.ring, len(gens_cols))
     cols = [c for v in gens_cols for c in M.ops.free_images(M, v)]
     return P, ModMor(P, M, M.ops.from_columns(cols, M.gens))
-
-
-def lift_through_epi(g: ModMor, e: ModMor) -> ModMor:
-    """h with e . h = g, for g out of a free module and e an epi."""
-    P = g.source
-    if P.free_rank is None:
-        raise ShapeError("lifting needs a free source")
-    if g.target != e.target:
-        raise ShapeError("lift endpoints do not match")
-    targets = [g.matrix.mul_vec(gc) for gc in free_generator_columns(P)]
-    cols = []
-    for x in _preimages(e, targets, "cannot lift through the (non-)epi"):
-        # column order must follow the free basis (generator, algebra element)
-        cols.extend(e.ops.free_images(e.source, x))
-    h = ModMor(P, e.source, e.ops.from_columns(cols, e.source.gens))
-    if not h.then(e) == g:
-        raise ExactnessError("lift through the epi does not recover the map")
-    return h
 
 
 # -- hom spaces, in C and C^I ---------------------------------------------

@@ -171,7 +171,7 @@ def _build_decl(env: Environment, d: Decl):
         for o in cat.objects:
             if o not in comps:
                 raise BuildError(f"missing component at index object {o!r}")
-            maps.setdefault(cat.identity[o], modules.identity_mor(comps[o]))
+            maps.setdefault(cat.identity[o], comps[o].identity())
         env.diagrams[d.name] = Diagram(cat, comps, maps)
     elif d.kind == "diagmor":
         src = env.diagrams[p["source"]]
@@ -221,8 +221,8 @@ MAX_DEGREE = 16  # the top degree of bench/ss_scaling.py; derive's work grows as
 
 def _degree(args, max_degree, default=1):
     n = args.get("n", default)
-    if max_degree is not None:
-        n = min(n, max_degree) if isinstance(n, int) else max_degree
+    if isinstance(n, int) and max_degree is not None:
+        n = min(n, max_degree)
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"degree n must be a nonnegative integer, not {n!r}")
     if n > MAX_DEGREE:

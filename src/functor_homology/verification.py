@@ -30,9 +30,8 @@ from .bifunctor import (balance_comparison, diagram_ladder,
                         tensor_by)
 from .complexes import MorphismOfSES, SES
 from .derived import comparison_iso, delta_axiom_suite, derived_map
-from .diagrams import (DiagMor, Diagram, d_cokernel, d_exactness_report,
-                       d_factor_through_mono, d_kernel, free_diagram_map,
-                       free_diagram_multi)
+from .diagrams import (DiagMor, Diagram, d_cokernel, d_exactness_report, d_kernel,
+                       free_diagram_map, free_diagram_multi)
 from .errors import ExactnessError, VerificationFailure
 from .fincat import FinCat, standard
 from .fplinalg import FpMatrix
@@ -241,7 +240,7 @@ def _check_kernel(fx):
         require(lhs == rhs, "induced kernel square fails")
     h = into_k.then(mono)
     require(h.then(f).is_zero(), "f . h != 0")
-    u = d_factor_through_mono(mono, h)
+    u = mono.factor(h)
     require(u.then(mono) == h, "factorization fails")
     require(mono.is_mono(), "kernel arrow must be monic")
     require(u == into_k, "factorization is not unique")

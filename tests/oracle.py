@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
 
-from functor_homology import abelian, fplinalg, functors, modules
+from functor_homology import abelian, fplinalg, functors
 from functor_homology.complexes import SES, homology_at, induced_on_homology
 from functor_homology.derived import (HorseshoeData, Resolution, derived_data, horseshoe,
                                       lift_resolution_map, resolve)
@@ -565,8 +565,8 @@ def d_kernel_by_factoring(f: DiagMor):
     maps = {}
     for m in idx.mor_names:
         i, j = idx.src(m), idx.tgt(m)
-        maps[m] = (modules.identity_mor(per[i][0]) if idx.is_identity(m) else
-                   modules.factor_through_mono(monos[j], monos[i].then(f.source.maps[m])))
+        maps[m] = (per[i][0].identity() if idx.is_identity(m) else
+                   monos[j].factor(monos[i].then(f.source.maps[m])))
     K = Diagram(idx, {o: k for o, (k, _) in per.items()}, maps)
     return K, DiagMor(K, f.source, monos)
 
@@ -580,8 +580,8 @@ def d_cokernel_by_cofactoring(f: DiagMor):
     maps = {}
     for m in idx.mor_names:
         i, j = idx.src(m), idx.tgt(m)
-        maps[m] = (modules.identity_mor(per[i][0]) if idx.is_identity(m) else
-                   modules.cofactor_through_epi(epis[i], f.target.maps[m].then(epis[j])))
+        maps[m] = (per[i][0].identity() if idx.is_identity(m) else
+                   epis[i].cofactor(f.target.maps[m].then(epis[j])))
     Q = Diagram(idx, {o: q for o, (q, _) in per.items()}, maps)
     return Q, DiagMor(f.target, Q, epis)
 

@@ -3,10 +3,13 @@
 Modules and diagrams answer the same methods, `abelian` builds image,
 mono, epi, iso and exactness from them without asking which category it
 is in, and a module morphism seen as a morphism of diagrams over the
-one-object index gets the same answers.
+one-object index gets the same answers: every construction of the
+interface, compared by `==` on the point component, and every verdict.
+Each operation has one name, the method, which holds its body.
 """
 
 import ast
+import importlib.util
 import os
 import random
 
@@ -27,6 +30,30 @@ MORPHISM_METHODS = ("kernel", "cokernel", "factor", "cofactor", "inverse", "lift
 # the layout of a hom system (`modules.hom_space`), with a map's `matrices`
 HOM_METHODS = ("hom_unknowns", "naturality", "mor_from_matrices")
 POINT = standard("point")
+# The methods that forward, each to the function of its module that the
+# benchmark's tracer wraps (`perfbench/tracer.py`).
+TRACED_FORWARDS = {
+    (ModuleObj, "free_cover"): "free_cover",
+    (ModMor, "kernel"): "kernel",
+    (ModMor, "cokernel"): "cokernel",
+    (DiagMor, "kernel"): "d_kernel",
+    (DiagMor, "cokernel"): "d_cokernel",
+    (DiagMor, "is_mono"): "d_kernel",
+    (DiagMor, "is_epi"): "d_cokernel",
+    (DiagMor, "is_exact_at"): "d_exactness_report",
+}
+# Module-level twins of interface methods, folded into the methods: an
+# operation has one name.
+FOLDED_TWINS = {
+    modules: ("identity_mor", "zero_mor", "biproduct", "factor_through_mono",
+              "cofactor_through_epi", "iso_inverse", "lift_through_epi",
+              "is_exact_at", "is_mono", "is_epi", "is_split_exact"),
+    diagrams: ("d_identity", "d_zero_mor", "d_biproduct", "d_free_cover",
+               "d_factor_through_mono", "d_cofactor_through_epi", "d_iso_inverse",
+               "d_lift_through_epi", "d_is_exact_at", "d_is_mono", "d_is_epi",
+               "d_is_split_exact"),
+}
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
 
 def _interface(cls, names):
@@ -44,20 +71,28 @@ def test_both_categories_expose_the_same_methods():
         assert _interface(cls, ["matrices"]) == {"matrices"}
 
 
+def _tracer_targets():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {(mod, attr) for mod, attr, _ in tracer.TARGETS}
+
+
 def test_methods_call_module_functions_by_global_name():
-    # a method bound to the module function itself would escape a patched
-    # module attribute; each one must look its function up at call time
-    for cls, mod, names in ((ModuleObj, modules, OBJECT_METHODS),
-                            (ModMor, modules, MORPHISM_METHODS),
-                            (Diagram, diagrams, OBJECT_METHODS),
-                            (DiagMor, diagrams, MORPHISM_METHODS)):
-        for name in names:
-            method = vars(cls)[name]
-            assert method.__module__ == mod.__name__, (cls, name)
-            called = [n for n in method.__code__.co_names
-                      if callable(getattr(mod, n, None))]
-            assert len(called) == 1, (cls, name, called)
-            assert method is not getattr(mod, called[0])
+    # the tracer replaces module attributes: a method bound to the function
+    # itself would escape it, so each forwarding method must look its
+    # function up by its global name at call time
+    targets = _tracer_targets()
+    for (cls, name), fn in TRACED_FORWARDS.items():
+        mod = modules if cls in (ModuleObj, ModMor) else diagrams
+        method = vars(cls)[name]
+        assert method.__module__ == mod.__name__, (cls, name)
+        assert (mod.__name__.rpartition(".")[2], fn) in targets, fn
+        assert fn in method.__code__.co_names, (cls, name, fn)
+        assert callable(getattr(mod, fn)) and method is not getattr(mod, fn)
+    # and an operation has one name: no module function repeats a method
+    for mod, names in FOLDED_TWINS.items():
+        assert [n for n in names if hasattr(mod, n)] == [], mod.__name__
 
 
 def test_abelian_module_has_no_isinstance():
@@ -75,14 +110,47 @@ def _at_point(f: ModMor) -> DiagMor:
 
 
 def _agree(f: ModMor, g: ModMor):
+    """f: A -> B and g, with g . f = 0, give the same answers as modules
+    and as diagrams over the point, for every operation of the interface."""
     F, G = _at_point(f), _at_point(g)
     o = POINT.objects[0]
+    A, B = f.source, f.target
+    DA, DB = F.source, F.target
     assert image(F).obj.component(o).describe() == image(f).obj.describe()
     assert F.is_mono() == f.is_mono()
     assert F.is_epi() == f.is_epi()
     assert is_iso(F) == is_iso(f)
     verdict = f.is_exact_at(g)
     assert F.is_exact_at(G) == verdict == exact_at(f, g) == exact_at(F, G)
+    # objects: identity, zero maps, biproduct and its splitting, free cover
+    assert DA.identity().component(o) == A.identity()
+    assert DA.zero_to(DB).component(o) == A.zero_to(B)
+    bp, dbp = A.biproduct(B), DA.biproduct(DB)
+    assert dbp.obj.component(o) == bp.obj
+    for part in ("inj1", "inj2", "proj1", "proj2"):
+        assert getattr(dbp, part).component(o) == getattr(bp, part)
+    assert dbp.inj1.is_split_exact(dbp.proj2, dbp.proj1, dbp.inj2)
+    assert bp.inj1.is_split_exact(bp.proj2, bp.proj1, bp.inj2)
+    # a zero retraction splits only when A is zero
+    zero_r = (bp.obj.zero_to(A), dbp.obj.zero_to(DA))
+    assert (dbp.inj1.is_split_exact(dbp.proj2, zero_r[1], dbp.inj2)
+            == bp.inj1.is_split_exact(bp.proj2, zero_r[0], bp.inj2) == A.is_zero())
+    P, cover = A.free_cover()
+    DP, dcover = DA.free_cover()
+    assert DP.component(o) == P and dcover.component(o) == cover
+    # morphisms: factor f through its image, cofactor g through coker f,
+    # lift the cover through the image epi, invert coker of the zero map
+    im, dim = image(f), image(F)
+    assert dim.mono.component(o) == im.mono
+    assert dim.mono.factor(F).component(o) == im.mono.factor(f)
+    q, dq = f.cokernel()[1], F.cokernel()[1]
+    assert dq.component(o) == q
+    assert dq.cofactor(G).component(o) == q.cofactor(g)
+    lifted = dcover.then(dim.epi).lift(dim.epi)
+    assert lifted.component(o) == cover.then(im.epi).lift(im.epi)
+    iso, diso = A.zero_to(B).cokernel()[1], DA.zero_to(DB).cokernel()[1]
+    assert diso.component(o) == iso
+    assert diso.inverse().component(o) == iso.inverse()
     return verdict
 
 
@@ -125,8 +193,8 @@ def _componentwise_exact(f, g) -> bool:
     """modules.is_exact_at (ker g / im f = 0) on a module pair, or at every
     object of a diagram pair."""
     if isinstance(f, ModMor):
-        return modules.is_exact_at(f, g)
-    return all(modules.is_exact_at(f.comps[o], g.comps[o])
+        return f.is_exact_at(g)
+    return all(f.comps[o].is_exact_at(g.comps[o])
                for o in f.index.objects)
 
 

@@ -13,8 +13,7 @@ from functor_homology.dsl import parse, print_doc
 from functor_homology.fplinalg import FpMatrix
 from functor_homology.functors import base_change
 from functor_homology.intlinalg import IntMatrix, snf
-from functor_homology.modules import (ModMor, ModuleObj, cyclic, identity_mor,
-                                      trivial_module)
+from functor_homology.modules import ModMor, ModuleObj, cyclic, trivial_module
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
                                     group_algebra, group_ring_map,
                                     product_group_table)
@@ -195,7 +194,7 @@ def test_criterion_10_componentwise_naturality():
     T = trivial_module(r4)
     aug01 = ModMor(quot_mod, T, FpMatrix(2, 1, 2, [[1, 1]]))
     A = Diagram(arrow, {"0": quot_mod, "1": T},
-                {"id_0": identity_mor(quot_mod), "id_1": identity_mor(T),
+                {"id_0": quot_mod.identity(), "id_1": T.identity(),
                  "a": aug01})
     res = ss_componentwise(F4, G, A, 3)
     ok = (res.acceptance_ok()

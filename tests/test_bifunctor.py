@@ -9,13 +9,11 @@ from functor_homology.bifunctor import (balance_comparison, diagram_ladder,
                                         ladder_switched, tensor, tor_first,
                                         tor_second)
 from functor_homology.complexes import MorphismOfSES, SES
-from functor_homology.diagrams import (DiagMor, Diagram, constant_diagram,
-                                       d_identity, d_zero_mor)
+from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.errors import RingMismatchError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply, tensor_with
-from functor_homology.modules import (ModMor, cyclic, identity_mor,
-                                      ring_as_module, trivial_module, zero_mor)
+from functor_homology.modules import ModMor, cyclic, ring_as_module, trivial_module
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.tensorops import tensor_unit_map
 from functor_homology.verification import (random_module_ses, random_morphism,
@@ -43,8 +41,7 @@ def test_right_exactness_in_each_slot():
                 g2 = apply(tensor_with(W, side="left"), ses.g)
             # right-exact: exact at middle and right end after tensoring
             assert g2.is_epi()
-            from functor_homology.modules import is_exact_at
-            assert is_exact_at(f2, g2)
+            assert f2.is_exact_at(g2)
 
 
 def test_tor_table_against_gcd_oracle():
@@ -89,18 +86,18 @@ def _identity_ses_mor(index=None):
     f, g = ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]])
     if index is None:
         ses = SES(f, g)
-        return MorphismOfSES(ses, ses, identity_mor(Zm), identity_mor(Zm),
-                             identity_mor(Z2))
+        return MorphismOfSES(ses, ses, Zm.identity(), Zm.identity(),
+                             Z2.identity())
     L, M, N = (constant_diagram(index, X) for X in (Zm, Zm, Z2))
     dses = SES(DiagMor(L, M, {o: f for o in index.objects}),
                DiagMor(M, N, {o: g for o in index.objects}))
-    return MorphismOfSES(dses, dses, d_identity(L), d_identity(M), d_identity(N))
+    return MorphismOfSES(dses, dses, L.identity(), M.identity(), N.identity())
 
 
 def test_ladder_identity_case():
     arrow, n_max = standard("arrow"), 2
-    other = d_identity(constant_diagram(arrow, cyclic(2)))
-    for res in (ladder(_identity_ses_mor(), identity_mor(cyclic(2)), n_max),
+    other = constant_diagram(arrow, cyclic(2)).identity()
+    for res in (ladder(_identity_ses_mor(), cyclic(2).identity(), n_max),
                 diagram_ladder(_identity_ses_mor(arrow), other, n_max),
                 diagram_ladder_switched(_identity_ses_mor(arrow), other, n_max)):
         assert res.passed()
@@ -115,9 +112,9 @@ def test_ladder_base_case_mod8():
     Zm, Z2, Z4 = cyclic(0), cyclic(2), cyclic(4)
     ses1 = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
     ses2 = SES(ModMor(Zm, Zm, [[4]]), ModMor(Zm, Z4, [[1]]))
-    mor = MorphismOfSES(ses1, ses2, identity_mor(Zm), ModMor(Zm, Zm, [[2]]),
+    mor = MorphismOfSES(ses1, ses2, Zm.identity(), ModMor(Zm, Zm, [[2]]),
                         ModMor(Z2, Z4, [[2]]))
-    res = ladder(mor, identity_mor(Z2), 2)
+    res = ladder(mor, Z2.identity(), 2)
     assert res.passed()
     # elementwise oracle mod 8 for the degree-0 corner:
     # Z/2 (x) Z/2 -> Z/4 (x) Z/2 is multiplication by 2 = 0
@@ -128,18 +125,17 @@ def test_ladder_base_case_mod8():
 def test_ladder_switched_bockstein():
     Z2, Z4 = cyclic(2), cyclic(4)
     ses = SES(ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]]))
-    mor = MorphismOfSES(ses, ses, identity_mor(Z2), identity_mor(Z4),
-                        identity_mor(Z2))
-    res = ladder_switched(mor, identity_mor(Z2), 2)
+    mor = MorphismOfSES(ses, ses, Z2.identity(), Z4.identity(),
+                        Z2.identity())
+    res = ladder_switched(mor, Z2.identity(), 2)
     assert res.passed()
     assert not res.row_src.delta[1].is_zero()
     # split SES in the second variable: delta rows vanish
-    from functor_homology.modules import biproduct
-    bp = biproduct(Z2, Z4)
+    bp = Z2.biproduct(Z4)
     ses_split = SES(bp.inj1, bp.proj2)
-    mor2 = MorphismOfSES(ses_split, ses_split, identity_mor(Z2),
-                         identity_mor(bp.obj), identity_mor(Z4))
-    res2 = ladder_switched(mor2, identity_mor(Z2), 2)
+    mor2 = MorphismOfSES(ses_split, ses_split, Z2.identity(),
+                         bp.obj.identity(), Z4.identity())
+    res2 = ladder_switched(mor2, Z2.identity(), 2)
     assert res2.passed()
     assert all(d.is_zero() for d in res2.row_src.delta.values())
 
@@ -147,9 +143,9 @@ def test_ladder_switched_bockstein():
 def test_ladder_zero_first_map():
     Z2, Z4 = cyclic(2), cyclic(4)
     ses = SES(ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]]))
-    mor = MorphismOfSES(ses, ses, identity_mor(Z2), identity_mor(Z4),
-                        identity_mor(Z2))
-    res = ladder_switched(mor, zero_mor(Z2, Z2), 1)
+    mor = MorphismOfSES(ses, ses, Z2.identity(), Z4.identity(),
+                        Z2.identity())
+    res = ladder_switched(mor, Z2.zero_to(Z2), 1)
     assert res.all_squares()
     for v in res.vmaps.values():
         assert v.is_zero()
@@ -177,10 +173,10 @@ def _arrow_or_point_mor(J):
     if not J.nonidentity_morphisms():
         return DiagMor(constant_diagram(J, Z4), constant_diagram(J, Z2),
                        {"0": proj})
-    A = Diagram(J, {"0": Z4, "1": Z2}, {"id_0": identity_mor(Z4),
-                                        "id_1": identity_mor(Z2), "a": proj})
+    A = Diagram(J, {"0": Z4, "1": Z2}, {"id_0": Z4.identity(),
+                                        "id_1": Z2.identity(), "a": proj})
     B = constant_diagram(J, Z2)
-    return DiagMor(A, B, {"0": proj, "1": identity_mor(Z2)})
+    return DiagMor(A, B, {"0": proj, "1": Z2.identity()})
 
 
 def _constant_ses_mor(index):
@@ -197,7 +193,7 @@ def _constant_ses_mor(index):
     src = const_ses(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
     dst = const_ses(ModMor(Zm, Zm, [[4]]), ModMor(Zm, Z4, [[1]]))
     u = [DiagMor(a, b, {o: h for o in index.objects})
-         for a, b, h in ((src.L, dst.L, identity_mor(Zm)),
+         for a, b, h in ((src.L, dst.L, Zm.identity()),
                          (src.M, dst.M, ModMor(Zm, Zm, [[2]])),
                          (src.N, dst.N, ModMor(Z2, Z4, [[2]])))]
     return MorphismOfSES(src, dst, *u)
@@ -258,26 +254,26 @@ def _bockstein_with_zero_middle(index=None):
     f, g = ModMor(Z2, Z4, [[2]]), ModMor(Z4, Z2, [[1]])
     if index is None:
         ses = SES(f, g)
-        return MorphismOfSES(ses, ses, identity_mor(Z2), zero_mor(Z4, Z4),
-                             identity_mor(Z2), check=False)
+        return MorphismOfSES(ses, ses, Z2.identity(), Z4.zero_to(Z4),
+                             Z2.identity(), check=False)
     L, M, N = (constant_diagram(index, X) for X in (Z2, Z4, Z2))
     dses = SES(DiagMor(L, M, {o: f for o in index.objects}),
                DiagMor(M, N, {o: g for o in index.objects}))
-    return MorphismOfSES(dses, dses, d_identity(L), d_zero_mor(M, M),
-                         d_identity(N), check=False)
+    return MorphismOfSES(dses, dses, L.identity(), M.zero_to(M),
+                         N.identity(), check=False)
 
 
 def test_ladders_report_failing_squares():
     failing = [("lm", 1), ("mn", 0)]
     mors = _bockstein_with_zero_middle()
     for run in (ladder, ladder_switched):
-        res = run(mors, identity_mor(cyclic(2)), 1)
+        res = run(mors, cyclic(2).identity(), 1)
         assert res.rows_exact()
         assert not res.passed()
         assert sorted(k for k, ok in res.squares.items() if not ok) == failing
     arrow, point = standard("arrow"), standard("point")
     dmors = _bockstein_with_zero_middle(arrow)
-    other = d_identity(constant_diagram(point, cyclic(2)))
+    other = constant_diagram(point, cyclic(2)).identity()
     for run in (diagram_ladder, diagram_ladder_switched):
         res = run(dmors, other, 1)
         assert res.rows_exact() and res.routes_agree()
@@ -296,9 +292,9 @@ def test_diagram_ladder_switched():
     q2 = ModMor(Z4, Z2, [[1]])
     dses = SES(DiagMor(Lb, Mb, {"0": i2, "1": i2}),
                DiagMor(Mb, Nb, {"0": q2, "1": q2}))
-    mor = MorphismOfSES(dses, dses, d_identity(Lb), d_identity(Mb),
-                        d_identity(Nb))
+    mor = MorphismOfSES(dses, dses, Lb.identity(), Mb.identity(),
+                        Nb.identity())
     first = constant_diagram(point, Z2)
-    res = diagram_ladder_switched(mor, d_identity(first), 1)
+    res = diagram_ladder_switched(mor, first.identity(), 1)
     assert res.passed()
     assert not res.delta_src[1].is_zero()

@@ -72,6 +72,30 @@ def test_check_reports_a_task_degree_that_run_rejects(tmp_path, capsys):
     assert capsys.readouterr().out == f"{f}: 3 declarations ok\n"
 
 
+NON_INTEGER_DEGREE = """\
+ring Z = integers
+module Z2 over Z = coker [[2]]
+task d = derive F=tensor(Z2) A=Z2 n=Z2
+"""
+
+
+@pytest.mark.parametrize("args", [["check"], ["run"], ["run", "--max-degree", "2"]],
+                         ids=["check", "run", "run-max-degree"])
+def test_a_degree_that_is_not_an_integer_is_rejected(tmp_path, capsys, args):
+    # the degree is validated before --max-degree caps it, so the cap
+    # never stands in for a degree that is not an integer
+    f = tmp_path / "name.wb"
+    f.write_text(NON_INTEGER_DEGREE)
+    assert cli.main([args[0], str(f), *args[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert "degree n must be a nonnegative integer" in out
+    assert "n=0" not in out and err == ""
+    if args[0] == "check":
+        assert out.startswith(f"{f}:3:1: task 'd': ")
+    else:
+        assert out.startswith("task d (derive): error\n")
+
+
 EMPTY_INDEX = """\
 ring Z
 module Z2 over Z = coker [[2]]

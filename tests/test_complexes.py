@@ -5,7 +5,7 @@ from functor_homology.derived import resolve
 from functor_homology.diagrams import constant_diagram, projection
 from functor_homology.errors import ExactnessError, ShapeError
 from functor_homology.fincat import standard
-from functor_homology.modules import ModMor, cyclic, identity_mor, zero_mor
+from functor_homology.modules import ModMor, cyclic
 from functor_homology.rings import ZZ
 
 
@@ -13,7 +13,7 @@ def test_complex_rejects_nonzero_dd():
     Zm = cyclic(0)
     with pytest.raises(ExactnessError):
         Complex(0, 2, {0: Zm, 1: Zm, 2: Zm},
-                {1: identity_mor(Zm), 2: identity_mor(Zm)})
+                {1: Zm.identity(), 2: Zm.identity()})
 
 
 def test_ses_validation():
@@ -22,7 +22,7 @@ def test_ses_validation():
     with pytest.raises(ExactnessError):
         SES(ModMor(Zm, Zm, [[4]]), ModMor(Zm, Z2, [[1]]))  # not exact
     with pytest.raises(ExactnessError):
-        SES(zero_mor(Z2, Zm), ModMor(Zm, Z2, [[1]]))  # first map not mono
+        SES(Z2.zero_to(Zm), ModMor(Zm, Z2, [[1]]))  # first map not mono
 
 
 def test_chain_map_square_validation():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from functor_homology import derived as derived_mod, modules
+from functor_homology import derived as derived_mod
 from functor_homology.abelian import is_iso
 from functor_homology.complexes import (Complex, MorphismOfSES, SES,
                                         homology_at, project_complex)
@@ -15,9 +15,8 @@ from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change, exponent, tensor_with
-from functor_homology.modules import (ModMor, ModuleObj, biproduct, cyclic,
-                                      free_module, identity_mor,
-                                      trivial_module, zero_mor)
+from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
+                                      trivial_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra)
@@ -38,8 +37,8 @@ def test_homology_examples():
     assert homology_at(c, 1).obj.is_zero()
     # zero differentials: H_n = C_n
     c2 = Complex(0, 2, {0: cyclic(2), 1: cyclic(3), 2: cyclic(4)},
-                 {1: zero_mor(cyclic(3), cyclic(2)),
-                  2: zero_mor(cyclic(4), cyclic(3))})
+                 {1: cyclic(3).zero_to(cyclic(2)),
+                  2: cyclic(4).zero_to(cyclic(3))})
     assert homology_at(c2, 1).obj.invariant_factors() == ([3], 0)
 
 
@@ -55,9 +54,8 @@ def test_resolve_examples():
     cx = res.complex(3)
     assert cx.is_exact_everywhere_interior()
     # H_0 of the resolution is the resolved module, via the augmentation
-    from functor_homology.modules import cofactor_through_epi
     sub0 = homology_at(cx, 0)
-    aug_bar = cofactor_through_epi(sub0.epi, sub0.mono.then(res.aug()))
+    aug_bar = sub0.epi.cofactor(sub0.mono.then(res.aug()))
     assert is_iso(aug_bar)
     # group algebra: periodic rank-1 resolution with differential x(g+1)
     R = group_algebra(2, cyclic_group_table(2))
@@ -97,7 +95,7 @@ def test_l0_comparison_right_exactness():
 def test_horseshoe_examples():
     Zm, Z2 = cyclic(0), cyclic(2)
     # split case: block-diagonal differentials
-    bp = biproduct(Z2, cyclic(4))
+    bp = Z2.biproduct(cyclic(4))
     ses = SES(bp.inj1, bp.proj2)
     sesc, hs = horseshoe_ses_of_complexes(ses, 2)
     assert sesc.mid.is_exact_everywhere_interior()
@@ -112,7 +110,7 @@ def test_horseshoe_examples():
     # L = 0: the middle resolution is the N-side resolution up to iso
     from functor_homology.modules import zero_module
     zmod = zero_module(ZZ)
-    ses3 = SES(zero_mor(zmod, Z2), identity_mor(Z2))
+    ses3 = SES(zmod.zero_to(Z2), Z2.identity())
     sesc3, hs3 = horseshoe_ses_of_complexes(ses3, 2)
     assert hs3.res_mid.term(0).gens == resolve(Z2, 2).term(0).gens
 
@@ -120,7 +118,7 @@ def test_horseshoe_examples():
 def test_connecting_split_is_zero_and_bockstein_nonzero():
     Zm, Z2 = cyclic(0), cyclic(2)
     F = tensor_with(Z2)
-    bp = biproduct(Z2, cyclic(4))
+    bp = Z2.biproduct(cyclic(4))
     les = les_of_ses(F, SES(bp.inj1, bp.proj2), 2)
     assert all(les.delta[n].is_zero() for n in les.delta)
     # Bockstein: 0 -> Z/2 -> Z/4 -> Z/2 -> 0 pushed through (x) Z/2
@@ -273,7 +271,7 @@ def test_resolution_independence_via_lifting():
     A = cyclic(4)
     res1 = resolve(A, 2)
     res2 = Resolution(A).extend_to(2)  # a second, fresh resolution
-    lift = lift_resolution_map(identity_mor(A), res1, res2, 2)
+    lift = lift_resolution_map(A.identity(), res1, res2, 2)
     F = tensor_with(cyclic(2))
     from functor_homology.functors import apply, apply_to_complex
     c1 = apply_to_complex(F, res1.complex(2))
@@ -289,8 +287,8 @@ def test_delta_axiom_suite_identity_morphism():
     Zm, Z2 = cyclic(0), cyclic(2)
     F = tensor_with(Z2)
     ses = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
-    mor = MorphismOfSES(ses, ses, identity_mor(Zm), identity_mor(Zm),
-                        identity_mor(Z2))
+    mor = MorphismOfSES(ses, ses, Zm.identity(), Zm.identity(),
+                        Z2.identity())
     rep = delta_axiom_suite(F, [ses], [mor], 2)
     assert rep.ok() and rep.checked_squares == 2
 
@@ -300,8 +298,8 @@ def test_invalid_ses_morphism_rejected():
     ses = SES(ModMor(Zm, Zm, [[2]]), ModMor(Zm, Z2, [[1]]))
     from functor_homology.errors import ShapeError
     with pytest.raises(ShapeError):
-        MorphismOfSES(ses, ses, identity_mor(Zm), ModMor(Zm, Zm, [[3]]),
-                      identity_mor(Z2))
+        MorphismOfSES(ses, ses, Zm.identity(), ModMor(Zm, Zm, [[3]]),
+                      Z2.identity())
 
 
 def test_comparison_iso_examples():
@@ -314,7 +312,7 @@ def test_comparison_iso_examples():
     assert res.iso
     # arrow index, (Z/4 -> Z/2), n = 1: both sides have components Z/2, Z/2
     D = Diagram(ARROW, {"0": Z4, "1": Z2},
-                {"id_0": identity_mor(Z4), "id_1": identity_mor(Z2),
+                {"id_0": Z4.identity(), "id_1": Z2.identity(),
                  "a": ModMor(Z4, Z2, [[1]])})
     res = comparison_iso(F, D, 1)
     assert res.iso
@@ -367,7 +365,7 @@ def test_les_exactness_errors_propagate(monkeypatch, make_ses, F):
     true_les = derived_mod._les_from_sesc
 
     def les_under_planted_verdict(sesc, n_max):
-        monkeypatch.setattr(modules, "is_exact_at", planted)
+        monkeypatch.setattr(ModMor, "is_exact_at", planted)
         return true_les(sesc, n_max)
 
     monkeypatch.setattr(derived_mod, "_les_from_sesc", les_under_planted_verdict)
@@ -377,7 +375,7 @@ def test_les_exactness_errors_propagate(monkeypatch, make_ses, F):
 
 def test_les_reads_a_nonzero_composite_as_not_exact():
     Zm = cyclic(0)
-    one = identity_mor(Zm)
+    one = Zm.identity()
     assert derived_mod._safe_exact(one, one) is False
     with pytest.raises(NonzeroCompositeError, match="composite is nonzero"):
         one.is_exact_at(one)

@@ -4,18 +4,11 @@ import subprocess
 import sys
 
 from functor_homology.diagrams import (DiagMor, Diagram, check_diagram,
-                                       constant_diagram,
-                                       d_biproduct, d_cokernel,
-                                       d_exactness_report,
-                                       d_factor_through_mono, d_is_exact_at,
-                                       d_kernel,
-                                       d_lift_through_epi, d_free_cover,
-                                       free_diagram, projection,
-                                       zero_diagram)
+                                       constant_diagram, d_cokernel, d_exactness_report,
+                                       d_kernel, free_diagram, projection, zero_diagram)
 from functor_homology.fincat import monoid_category, standard
 from functor_homology.modules import (ModMor, cokernel, cyclic, free_cover,
-                                      free_generator_columns, free_module,
-                                      identity_mor, kernel, zero_mor)
+                                      free_generator_columns, free_module, kernel)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 from functor_homology.verification import (random_diagram, random_free_diagram,
                                            random_free_diagram_mor,
@@ -27,7 +20,7 @@ SQUARE = standard("square")
 
 def arrow_diagram(A, B, f):
     return Diagram(ARROW, {"0": A, "1": B},
-                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": f})
+                   {"id_0": A.identity(), "id_1": B.identity(), "a": f})
 
 
 def test_check_diagram():
@@ -37,8 +30,8 @@ def test_check_diagram():
     c = constant_diagram(SQUARE, Z4)
     assert check_diagram(c) is None
     # planted non-composing square
-    bad_maps = {m: identity_mor(Z2) for m in SQUARE.mor_names}
-    bad_maps["e"] = zero_mor(Z2, Z2)
+    bad_maps = {m: Z2.identity() for m in SQUARE.mor_names}
+    bad_maps["e"] = Z2.zero_to(Z2)
     bad = Diagram(SQUARE, {o: Z2 for o in SQUARE.objects}, bad_maps, check=False)
     msg = check_diagram(bad)
     assert msg is not None and "composite" in msg
@@ -50,7 +43,7 @@ def test_projection_and_gamma():
     d = arrow_diagram(Z4, Z2, f)
     assert projection(d, "0") == Z4
     assert d.map("a") == f
-    assert d.map("id_0") == identity_mor(Z4)
+    assert d.map("id_0") == Z4.identity()
     c = constant_diagram(SQUARE, Z4)
     for o in SQUARE.objects:
         assert projection(c, o) == Z4
@@ -75,8 +68,8 @@ def test_additive_structure():
 def test_d_kernel_arrow_example():
     Z4, Z2 = cyclic(4), cyclic(2)
     D = arrow_diagram(Z4, Z2, ModMor(Z4, Z2, [[1]]))
-    E = arrow_diagram(Z2, Z2, identity_mor(Z2))
-    t = DiagMor(D, E, {"0": ModMor(Z4, Z2, [[1]]), "1": identity_mor(Z2)})
+    E = arrow_diagram(Z2, Z2, Z2.identity())
+    t = DiagMor(D, E, {"0": ModMor(Z4, Z2, [[1]]), "1": Z2.identity()})
     K, mono = d_kernel(t)
     assert K.components["0"].invariant_factors() == ([2], 0)
     assert K.components["1"].is_zero()
@@ -91,8 +84,8 @@ def test_d_kernel_arrow_example():
 
 def test_d_kernel_identity_and_scaling():
     Zm = cyclic(0)
-    D = arrow_diagram(Zm, Zm, identity_mor(Zm))
-    ident = DiagMor(D, D, {"0": identity_mor(Zm), "1": identity_mor(Zm)})
+    D = arrow_diagram(Zm, Zm, Zm.identity())
+    ident = DiagMor(D, D, {"0": Zm.identity(), "1": Zm.identity()})
     K, _ = d_kernel(ident)
     assert K.is_zero()
     x2 = DiagMor(D, D, {"0": ModMor(Zm, Zm, [[2]]), "1": ModMor(Zm, Zm, [[2]])})
@@ -119,12 +112,12 @@ def test_exactness_report_names_component():
     Zm, Z2 = cyclic(0), cyclic(2)
     # component 0 exact, component 1 not
     L = Diagram(ARROW, {"0": Zm, "1": Zm},
-                {"id_0": identity_mor(Zm), "id_1": identity_mor(Zm),
-                 "a": zero_mor(Zm, Zm)})
+                {"id_0": Zm.identity(), "id_1": Zm.identity(),
+                 "a": Zm.zero_to(Zm)})
     f = DiagMor(L, L, {"0": ModMor(Zm, Zm, [[2]]), "1": ModMor(Zm, Zm, [[4]])})
     N = Diagram(ARROW, {"0": Z2, "1": Z2},
-                {"id_0": identity_mor(Z2), "id_1": identity_mor(Z2),
-                 "a": zero_mor(Z2, Z2)})
+                {"id_0": Z2.identity(), "id_1": Z2.identity(),
+                 "a": Z2.zero_to(Z2)})
     g = DiagMor(L, N, {"0": ModMor(Zm, Z2, [[1]]), "1": ModMor(Zm, Z2, [[1]])})
     verdict, failing = d_exactness_report(f, g)
     assert not verdict and failing == "1"
@@ -134,8 +127,8 @@ def test_split_ses_exact():
     rng = random.Random(13)
     D = random_diagram(rng, ARROW, ZZ)
     E = random_diagram(rng, ARROW, ZZ)
-    bp = d_biproduct(D, E)
-    assert d_is_exact_at(bp.inj1, bp.proj2)
+    bp = D.biproduct(E)
+    assert bp.inj1.is_exact_at(bp.proj2)
     assert bp.inj1.is_mono() and bp.proj2.is_epi()
 
 
@@ -165,7 +158,7 @@ def test_free_diagram_projectivity_lifting():
         # epi: M -> N; map a free diagram into N and lift through epi
         F = random_free_diagram(rng, index, ZZ)
         g = random_free_diagram_mor(rng, F, N)
-        h = d_lift_through_epi(g, epi)
+        h = g.lift(epi)
         assert h.then(epi) == g
 
 
@@ -209,7 +202,7 @@ def _check_free_cover(index, ring):
     # identity structure maps reach everything past the first objects
     draws = [random_diagram(rng, idx, R) for _ in range(3)]
     for D in draws + [constant_diagram(idx, free_module(R, 1))]:
-        F, eps = d_free_cover(D)
+        F, eps = D.free_cover()
         case = (index, ring, D)
         assert eps.is_epi(), case
         for o in idx.objects:
@@ -218,7 +211,7 @@ def _check_free_cover(index, ring):
         for _ in range(2):
             G = random_free_diagram(rng, idx, R)
             g = random_free_diagram_mor(rng, G, D)
-            assert d_lift_through_epi(g, eps).then(eps) == g, case
+            assert g.lift(eps).then(eps) == g, case
         if len(idx.objects) == 1:
             P, c = free_cover(D.components[idx.objects[0]])
             if D.is_zero():
@@ -245,16 +238,12 @@ def test_zero_diagram_is_free():
 
 CHECKS_UNDER_OPTIMIZE = """
 from functor_homology import modules
-from functor_homology.diagrams import (DiagMor, Diagram, d_cofactor_through_epi,
-                                       d_exactness_report, d_factor_through_mono,
-                                       d_identity, d_lift_through_epi,
+from functor_homology.diagrams import (DiagMor, Diagram, d_exactness_report,
                                        free_diagram, free_diagram_map)
 from functor_homology.errors import ExactnessError, ShapeError
 from functor_homology.fincat import standard
-from functor_homology.modules import (ModMor, cyclic, factor_through_mono,
-                                      free_module, identity_mor,
-                                      lift_through_epi, simplify,
-                                      trivial_module, zero_mor)
+from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
+                                      simplify, trivial_module)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 
 ARROW = standard("arrow")
@@ -271,18 +260,18 @@ def expect(error, call, text=""):
     raise SystemExit(f"{error.__name__} not raised ({text})")
 
 
-def planted(name, fake, error, call, text):
-    true = getattr(modules, name)
-    setattr(modules, name, fake)
+def planted(owner, name, fake, error, call, text):
+    true = getattr(owner, name)
+    setattr(owner, name, fake)
     try:
         expect(error, call, text)
     finally:
-        setattr(modules, name, true)
+        setattr(owner, name, true)
 
 
 def arrow(A, B, f):
     return Diagram(ARROW, {"0": A, "1": B},
-                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": f})
+                   {"id_0": A.identity(), "id_1": B.identity(), "a": f})
 
 
 Zf, Zm, Z2, Z4 = free_module(ZZ, 1), cyclic(0), cyclic(2), cyclic(4)
@@ -297,39 +286,40 @@ expect(ShapeError, lambda: Z2.ops.minimal_generators(Z2),
 expect(ShapeError, lambda: free_diagram(ARROW, "0", Z2),
        "free diagrams need a free module")
 D = arrow(Z4, Z2, ModMor(Z4, Z2, [[1]]))
-expect(ShapeError, lambda: d_lift_through_epi(d_identity(D), d_identity(D)),
+expect(ShapeError, lambda: D.identity().lift(D.identity()),
        "lifting needs a free diagram source")
 expect(ShapeError, lambda: free_diagram_map(D, D, []))
 
 # postconditions, each with a planted fault
-planted("_preimages", lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
-        ExactnessError, lambda: factor_through_mono(identity_mor(Z4), identity_mor(Z4)),
+planted(modules, "_preimages",
+        lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
+        ExactnessError, lambda: Z4.identity().factor(Z4.identity()),
         "factorisation through the mono")
-planted("_preimages", lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
-        ExactnessError,
-        lambda: lift_through_epi(ModMor(Zf, Z2, [[1]]), identity_mor(Z2)),
+planted(modules, "_preimages",
+        lambda f, vectors, error: [[0] * f.source.gens for _ in vectors],
+        ExactnessError, lambda: ModMor(Zf, Z2, [[1]]).lift(Z2.identity()),
         "lift through the epi")
-planted("factor_through_mono", lambda mono, h: zero_mor(h.source, mono.source),
-        ExactnessError, lambda: d_factor_through_mono(d_identity(D), d_identity(D)),
+planted(ModMor, "factor", lambda mono, h: h.source.zero_to(mono.source),
+        ExactnessError, lambda: D.identity().factor(D.identity()),
         "factorisation through the mono")
-planted("cofactor_through_epi", lambda epi, w: zero_mor(epi.target, w.target),
-        ExactnessError, lambda: d_cofactor_through_epi(d_identity(D), d_identity(D)),
+planted(ModMor, "cofactor", lambda epi, w: epi.target.zero_to(w.target),
+        ExactnessError, lambda: D.identity().cofactor(D.identity()),
         "cofactorisation through the epi")
 F = free_diagram(ARROW, "0", Zf)
 g = free_diagram_map(F, D, [ModMor(Zf, Z4, [[1]])])
-planted("lift_through_epi", lambda g, e: zero_mor(g.source, e.source),
-        ExactnessError, lambda: d_lift_through_epi(g, d_identity(D)),
+planted(ModMor, "lift", lambda g, e: g.source.zero_to(e.source),
+        ExactnessError, lambda: g.lift(D.identity()),
         "lift through the epi")
 
 # an exact pair: Z -2-> Z -> Z/2 at both objects; the inverted
 # componentwise verdict contradicts the intrinsic one
-L = arrow(Zm, Zm, zero_mor(Zm, Zm))
-N = arrow(Z2, Z2, zero_mor(Z2, Z2))
+L = arrow(Zm, Zm, Zm.zero_to(Zm))
+N = arrow(Z2, Z2, Z2.zero_to(Z2))
 f = DiagMor(L, L, {"0": ModMor(Zm, Zm, [[2]]), "1": ModMor(Zm, Zm, [[2]])})
 g = DiagMor(L, N, {"0": ModMor(Zm, Z2, [[1]]), "1": ModMor(Zm, Z2, [[1]])})
 assert d_exactness_report(f, g) == (True, None)
-true_exact = modules.is_exact_at
-planted("is_exact_at", lambda f, g: not true_exact(f, g), ExactnessError,
+true_exact = ModMor.is_exact_at
+planted(ModMor, "is_exact_at", lambda f, g: not true_exact(f, g), ExactnessError,
         lambda: d_exactness_report(f, g),
         "intrinsic and componentwise exactness verdicts disagree")
 
@@ -365,20 +355,20 @@ expect(ShapeError, lambda: Ring(FP_ALGEBRA, p=2, dim=2, basis=["e"],
 # a resolution of Z/2 cut off at degree 0 cannot receive the lift of id
 full = resolve(Z2, 1)
 cut = Resolution(Z2, (full.terms[:1], full.covers[:1], [Z2], [None], True))
-expect(ExactnessError, lambda: lift_resolution_map(identity_mor(Z2), full, cut, 1),
+expect(ExactnessError, lambda: lift_resolution_map(Z2.identity(), full, cut, 1),
        "truncated exact resolution")
 
 # a zero "projection" of complexes is refused when the sequence is built;
 # a valid one has no connecting map at its bottom degree
 Z0 = Zm.zero_object()
-quo = Complex(0, 1, {0: Z0, 1: Zm}, {1: zero_mor(Zm, Z0)})
-sub = Complex(0, 1, {0: Z0, 1: Z0}, {1: zero_mor(Z0, Z0)})
+quo = Complex(0, 1, {0: Z0, 1: Zm}, {1: Zm.zero_to(Z0)})
+sub = Complex(0, 1, {0: Z0, 1: Z0}, {1: Z0.zero_to(Z0)})
 maps = lambda a, b, mor: ChainMap(a, b, {n: mor(a.obj(n), b.obj(n)) for n in (0, 1)})
 expect(ExactnessError, lambda: SESOfComplexes(
-    sub, quo, quo, maps(sub, quo, zero_mor), maps(quo, quo, zero_mor)),
+    sub, quo, quo, maps(sub, quo, ModuleObj.zero_to), maps(quo, quo, ModuleObj.zero_to)),
     "second map is not epi")
-sesc = SESOfComplexes(sub, quo, quo, maps(sub, quo, zero_mor),
-                      maps(quo, quo, lambda a, b: identity_mor(a)))
+sesc = SESOfComplexes(sub, quo, quo, maps(sub, quo, ModuleObj.zero_to),
+                      maps(quo, quo, lambda a, b: a.identity()))
 expect(ExactnessError, lambda: connecting(sesc, sesc.mid.lo), "needs the differential")
 
 # balance legs that are not isomorphisms, and a corrupted product index
@@ -400,10 +390,10 @@ expect(ExactnessError, lambda: bifunctor._route_identities(
 # loses its last summand on the way into `free_diagram_multi`
 COVER_DROPS_A_SUMMAND = """
 from functor_homology import diagrams
-from functor_homology.diagrams import Diagram, d_free_cover
+from functor_homology.diagrams import Diagram
 from functor_homology.errors import ExactnessError
 from functor_homology.fincat import standard
-from functor_homology.modules import cyclic, identity_mor, trivial_module, zero_mor
+from functor_homology.modules import cyclic, trivial_module
 from functor_homology.rings import cyclic_group_table, group_algebra
 
 ARROW = standard("arrow")
@@ -412,18 +402,18 @@ true_multi = diagrams.free_diagram_multi
 
 def zero_arrow(A, B):
     return Diagram(ARROW, {"0": A, "1": B},
-                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": zero_mor(A, B)})
+                   {"id_0": A.identity(), "id_1": B.identity(), "a": A.zero_to(B)})
 
 
 for D in (zero_arrow(cyclic(4), cyclic(2)),
           zero_arrow(*[trivial_module(group_algebra(2, cyclic_group_table(2)))] * 2)):
-    F, _ = d_free_cover(D)
+    F, _ = D.free_cover()
     if [s.at for s in F.free_data.summands] != ["0", "1"]:
         raise SystemExit(f"unexpected summands {F.free_data.summands}")
     diagrams.free_diagram_multi = lambda index, summands, ring: true_multi(
         index, summands[:-1], ring)
     try:
-        d_free_cover(D)
+        D.free_cover()
     except ExactnessError as e:
         if str(e) != "free cover of the diagram is not epi at 1":
             raise SystemExit(f"wrong message: {e}")

@@ -10,9 +10,8 @@ and over F_2[C2].
 from functor_homology.diagrams import DiagMor, Diagram
 from functor_homology.fincat import standard
 from functor_homology.fplinalg import FpMatrix
-from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
-                                      hom_basis, identity_mor, trivial_module,
-                                      zero_mor)
+from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module, hom_basis,
+                                      trivial_module)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 
 ARROW = standard("arrow")
@@ -84,7 +83,7 @@ def test_z_equality_matches_reference():
         (f, h, False),
         (f, shifted(h, 1, B.rels[0]), False),
         (f, f_other_target, False),
-        (zero_mor(A, B), zero_mor(A, B2), False),
+        (A.zero_to(B), A.zero_to(B2), False),
         (f, f.matrix, False),
         (f, None, False),
     ])
@@ -99,8 +98,8 @@ def test_z_cyclic_equality_matches_reference():
     check_pairs([
         (three, ModMor(Z4, Z6, [[9]]), True),
         (three, ModMor(Z4, Z6, [[-3]]), True),
-        (three, zero_mor(Z4, Z6), False),
-        (zero_mor(Z4, Z6), ModMor(Z4, Z6, [[0]]), True),
+        (three, Z4.zero_to(Z6), False),
+        (Z4.zero_to(Z6), ModMor(Z4, Z6, [[0]]), True),
         (three, ModMor(cyclic(4), cyclic(6), [[3]]), True),
         (three, ModMor(Z4, cyclic(12), [[6]]), False),
     ])
@@ -120,20 +119,20 @@ def test_fp_equality_matches_reference():
         (aug, aug, True),
         (aug, rebuilt(aug), True),
         (aug, aug3, True),
-        (aug, zero_mor(P, T), False),
-        (identity_mor(P), aug.then(norm), False),
+        (aug, P.zero_to(T), False),
+        (P.identity(), aug.then(norm), False),
         (aug, ModMor(P, T2, aug.matrix), True),
-        (norm, zero_mor(T, P), False),
+        (norm, T.zero_to(P), False),
         (aug, aug.matrix, False),
         (aug, "aug", False),
     ])
     two_dim = free_module(R2, 2)
-    assert not (zero_mor(P, T) == zero_mor(two_dim, T))
+    assert not (P.zero_to(T) == two_dim.zero_to(T))
 
 
 def arrow_diagram(A, B, f):
     return Diagram(ARROW, {"0": A, "1": B},
-                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": f})
+                   {"id_0": A.identity(), "id_1": B.identity(), "a": f})
 
 
 def test_diagram_equality_matches_reference():
@@ -142,7 +141,7 @@ def test_diagram_equality_matches_reference():
     d = arrow_diagram(A, B, f)
     same = arrow_diagram(A, B, rebuilt(f))
     by_relation = arrow_diagram(A, B, shifted(f, 1, B.rels[1]))
-    other = arrow_diagram(A, B, zero_mor(A, B))
+    other = arrow_diagram(A, B, A.zero_to(B))
     for e, expected in ((d, True), (same, True), (by_relation, True),
                         (other, False)):
         assert diagram_reference_eq(d, e) == expected
@@ -155,23 +154,23 @@ def test_diag_mor_equality_matches_reference():
     f = hom_basis(A, B)[0]
     d = arrow_diagram(A, B, f)
     d_again = arrow_diagram(A, B, rebuilt(f))
-    ends = {"0": identity_mor(A), "1": identity_mor(B)}
+    ends = {"0": A.identity(), "1": B.identity()}
     m = DiagMor(d, d, ends)
     m_again = DiagMor(d_again, d_again,
                       {o: rebuilt(c) for o, c in ends.items()})
-    m_rel = DiagMor(d, d, {"0": identity_mor(A),
-                           "1": shifted(identity_mor(B), 2, B.rels[1])})
-    m_zero = DiagMor(d, d, {"0": zero_mor(A, A), "1": zero_mor(B, B)})
+    m_rel = DiagMor(d, d, {"0": A.identity(),
+                           "1": shifted(B.identity(), 2, B.rels[1])})
+    m_zero = DiagMor(d, d, {"0": A.zero_to(A), "1": B.zero_to(B)})
     C = cyclic(3)
-    e = arrow_diagram(C, C, identity_mor(C))
-    m_other = DiagMor(e, e, {"0": identity_mor(C), "1": identity_mor(C)})
+    e = arrow_diagram(C, C, C.identity())
+    m_other = DiagMor(e, e, {"0": C.identity(), "1": C.identity()})
     for g, expected in ((m, True), (m_again, True), (m_rel, True),
                         (m_zero, False)):
         assert diag_mor_reference_eq(m, g) == expected
         assert (m == g) == expected
     assert not diag_mor_reference_eq(m, m_other)
     assert not (m == m_other)
-    assert not (m == identity_mor(A))
+    assert not (m == A.identity())
 
 
 def test_fp_diag_mor_equality_matches_reference():
@@ -179,10 +178,10 @@ def test_fp_diag_mor_equality_matches_reference():
     aug = hom_basis(P, T)[0]
     d = arrow_diagram(P, T, aug)
     d_again = arrow_diagram(P, T, rebuilt(aug))
-    m = DiagMor(d, d, {"0": identity_mor(P), "1": identity_mor(T)})
+    m = DiagMor(d, d, {"0": P.identity(), "1": T.identity()})
     m_again = DiagMor(d_again, d_again,
-                      {"0": rebuilt(identity_mor(P)), "1": rebuilt(identity_mor(T))})
-    m_zero = DiagMor(d, d, {"0": zero_mor(P, P), "1": zero_mor(T, T)})
+                      {"0": rebuilt(P.identity()), "1": rebuilt(T.identity())})
+    m_zero = DiagMor(d, d, {"0": P.zero_to(P), "1": T.zero_to(T)})
     assert d == d_again and diagram_reference_eq(d, d_again)
     for g, expected in ((m, True), (m_again, True), (m_zero, False)):
         assert diag_mor_reference_eq(m, g) == expected

@@ -29,9 +29,8 @@ from functor_homology.derived import (_safe_exact, horseshoe_data_for,
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
 from functor_homology.functors import apply, base_change, exponent, tensor_with
-from functor_homology.modules import (ModMor, ModuleObj, biproduct, cyclic,
-                                      free_module, hom_basis, nary_biproduct,
-                                      zero_module)
+from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module, hom_basis,
+                                      nary_biproduct, zero_module)
 from functor_homology.rings import (ZZ, augmentation_map, cyclic_group_table,
                                     group_algebra, product_group_table)
 from functor_homology.verification import (_random_fp_module, random_diagram,
@@ -72,7 +71,8 @@ def _random_z_verdict_module(rng):
         return cyclic(rng.randint(2, 6))
     if kind == 2:
         return free_module(ZZ, rng.randint(1, 2))
-    return biproduct(cyclic(rng.choice([0, 2, 3, 4])), random_z_module(rng, max_gens=2)).obj
+    A = cyclic(rng.choice([0, 2, 3, 4]))
+    return A.biproduct(random_z_module(rng, max_gens=2)).obj
 
 
 def _random_module(rng, ring):
@@ -85,8 +85,8 @@ def _random_module(rng, ring):
     if kind == 0:
         return zero_module(ring)
     if kind == 1:
-        return biproduct(_random_fp_module(rng, ring, 1),
-                         _random_fp_module(rng, ring, 1)).obj
+        A = _random_fp_module(rng, ring, 1)
+        return A.biproduct(_random_fp_module(rng, ring, 1)).obj
     return _random_fp_module(rng, ring)
 
 
@@ -106,11 +106,11 @@ def _random_pair(rng, ring):
         K, k = g.kernel()
         return random_morphism(rng, A, K).then(k), g
     if kind == 2:
-        bp = biproduct(A, B)
+        bp = A.biproduct(B)
         f = random_morphism(rng, A, A).then(bp.inj1) if rng.random() < 0.5 else bp.inj1
         g = bp.proj2.then(random_morphism(rng, B, B)) if rng.random() < 0.5 else bp.proj2
         return f, g
-    bp = biproduct(A, M)
+    bp = A.biproduct(M)
     f = bp.inj2 if rng.random() < 0.5 else random_morphism(rng, A, bp.obj)
     return f, bp.obj.identity() if rng.random() < 0.5 else random_morphism(rng, bp.obj, B)
 
@@ -130,8 +130,8 @@ def test_rank_verdicts_match_the_constructions(name):
     seen = {"mono": set(), "epi": set(), "exact": set(), "ses": set()}
     for case in range(60):
         f, g = _random_pair(rng, ring)
-        assert modules.is_mono(f) == f.is_mono() == mono_by_kernel(f), case
-        assert modules.is_epi(g) == g.is_epi() == epi_by_cokernel(g), case
+        assert f.is_mono() == mono_by_kernel(f), case
+        assert g.is_epi() == epi_by_cokernel(g), case
         seen["mono"].add(mono_by_kernel(f))
         seen["epi"].add(epi_by_cokernel(g))
         try:
@@ -153,8 +153,8 @@ def _check_z_verdicts(f, g):
     """The lattice verdicts on f and g, and exactness at the middle of
     f, g, equal the constructions; a nonzero g . f raises both ways."""
     for h in (f, g):
-        assert modules.is_mono(h) == h.is_mono() == mono_by_kernel(h)
-        assert modules.is_epi(h) == h.is_epi() == epi_by_cokernel(h)
+        assert h.is_mono() == mono_by_kernel(h)
+        assert h.is_epi() == epi_by_cokernel(h)
     try:
         want = exact_by_homology(f, g)
     except NonzeroCompositeError:
@@ -233,7 +233,7 @@ def _one_way_failures(rng, ring):
     X = make(rng, True)
     while X.is_zero():
         X = make(rng, True)
-    LX, NX = biproduct(ses.L, X), biproduct(ses.N, X)
+    LX, NX = ses.L.biproduct(X), ses.N.biproduct(X)
     LYN = nary_biproduct([ses.L, X, ses.N])
     M = ses.M if not ses.M.is_zero() else X
     return [("not mono", LX.proj1.then(i), p, "first map is not mono"),
@@ -252,7 +252,7 @@ def _check_one_way_failures(seed=20261019):
     for name, ring in VERDICT_RINGS.items():
         for label, f, g, message in _one_way_failures(rng, ring):
             mono, epi = mono_by_kernel(f), epi_by_cokernel(g)
-            must((modules.is_mono(f), modules.is_epi(g)) == (mono, epi), (name, label))
+            must((f.is_mono(), g.is_epi()) == (mono, epi), (name, label))
             must(mono == (label != "not mono"), (name, label))
             must(epi == (label != "not epi"), (name, label))
             if label == "nonzero composite":

@@ -20,7 +20,7 @@ from functor_homology import fplinalg, intlinalg, modules
 from functor_homology.diagrams import (DiagMor, Diagram, check_diagram, d_cokernel,
                                        d_kernel, zero_diagram)
 from functor_homology.fincat import standard
-from functor_homology.modules import ModuleObj, zero_mor, zero_module
+from functor_homology.modules import ModMor, ModuleObj, zero_module
 from functor_homology.rings import (ZZ, cyclic_group_table, fp_field, group_algebra,
                                     product_group_table)
 from functor_homology.verification import _random_fp_module, random_diagram, random_z_module
@@ -72,7 +72,7 @@ def test_module_answers_equal_the_general_route(name, shape):
     for _ in range(6):
         A, B = endpoints(rng, shape, lambda: zero_presentation(rng, ring),
                          lambda: some_module(rng, ring))
-        f = zero_mor(A, B)
+        f = A.zero_to(B)
         if not A.gens:
             K, mono = modules.kernel(f)
             K_ref, mono_ref = oracle.kernel_by_submodule(f)
@@ -94,12 +94,12 @@ def zero_diagram_presentation(rng, index, ring):
     if rng.random() < 0.5:
         return zero_diagram(index, ring)
     comps = {o: zero_presentation(rng, ring) for o in index.objects}
-    maps = {m: zero_mor(comps[index.src(m)], comps[index.tgt(m)]) for m in index.mor_names}
+    maps = {m: comps[index.src(m)].zero_to(comps[index.tgt(m)]) for m in index.mor_names}
     return Diagram(index, comps, maps)
 
 
 def d_zero(A, B):
-    return DiagMor(A, B, {o: zero_mor(A.components[o], B.components[o])
+    return DiagMor(A, B, {o: A.components[o].zero_to(B.components[o])
                           for o in A.index.objects})
 
 
@@ -136,10 +136,9 @@ def test_forced_answers_run_no_elimination(monkeypatch):
         Z, M = zero_module(ring), modules.free_module(ring, 1)
         index = standard("square")
         DZ, DM = zero_diagram(index, ring), zero_diagram(index, ring)
-        cases.append((zero_mor(Z, M), zero_mor(M, Z), d_zero(DZ, DM)))
+        cases.append((Z.zero_to(M), M.zero_to(Z), d_zero(DZ, DM)))
     for target, name in ((intlinalg, "snf"), (fplinalg, "rref"), (fplinalg, "Span"),
-                         (modules, "factor_through_mono"),
-                         (modules, "cofactor_through_epi")):
+                         (ModMor, "factor"), (ModMor, "cofactor")):
         monkeypatch.setattr(target, name, refuse)
     for into, out_of, d in cases:
         modules.kernel(into)

@@ -15,9 +15,8 @@ from functor_homology.functors import (NatSpec, apply, apply_to_complex,
                                        tensor_with)
 from functor_homology.fplinalg import fp_from_columns, solve, unit_vectors
 from functor_homology.modules import (ModMor, cokernel, cyclic, free_module,
-                                      identity_mor, nary_biproduct,
-                                      ring_as_module, section, simplify,
-                                      trivial_module, zero_mor, zero_module)
+                                      nary_biproduct, ring_as_module, section, simplify,
+                                      trivial_module, zero_module)
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field,
                                     group_algebra, group_ring_map,
@@ -66,15 +65,15 @@ def _quotient_epis(rng, r2):
         D = _random_fp_module(rng, r2)
         epis.append(cokernel(random_morphism(rng, C, D))[1])
         for M in (A, C):
-            epis += [cokernel(identity_mor(M))[1], cokernel(zero_mor(M, M))[1]]
+            epis += [cokernel(M.identity())[1], cokernel(M.zero_to(M))[1]]
         epis.append(simplify(B)[1])
     epis += [simplify(cyclic(1))[1], simplify(free_module(ZZ, 0))[1],
-             cokernel(identity_mor(zero_module(r2)))[1]]
+             cokernel(zero_module(r2).identity())[1]]
     return epis
 
 
 def test_tensor_section_is_a_right_inverse():
-    # tensor_mor, tensor_unit_map, base_change_mor and cofactor_through_epi
+    # tensor_mor, tensor_unit_map, base_change_mor and ModMor.cofactor
     # read maps off a quotient through the section its epi carries, so it
     # must split the epi's matrix
     r2 = group_algebra(2, cyclic_group_table(2))
@@ -215,8 +214,8 @@ def test_tensor_functoriality_and_additivity():
         f2 = random_morphism(rng, A, B)
         assert apply(F, f + f2) == \
             apply(F, f) + apply(F, f2)
-    assert apply(F, identity_mor(A)) == \
-        identity_mor(apply(F, A))
+    assert apply(F, A.identity()) == \
+        apply(F, A).identity()
 
 
 def test_tensor_needs_commutative_base():
@@ -237,7 +236,7 @@ def test_exponent_on_arrow():
     Zm = cyclic(0)
     x2 = ModMor(Zm, Zm, [[2]])
     D = Diagram(ARROW, {"0": Zm, "1": Zm},
-                {"id_0": identity_mor(Zm), "id_1": identity_mor(Zm), "a": x2})
+                {"id_0": Zm.identity(), "id_1": Zm.identity(), "a": x2})
     F = tensor_with(cyclic(2))
     FD = exponent_apply(F, D)
     assert FD.components["0"].invariant_factors() == ([2], 0)
@@ -258,19 +257,17 @@ def test_exponent_functor_laws():
     f2 = random_morphism(rng, D, E)
     assert exponent_apply(F, f + f2) == \
         exponent_apply(F, f) + exponent_apply(F, f2)
-    from functor_homology.diagrams import d_identity
-    assert exponent_apply(F, d_identity(D)) == d_identity(exponent_apply(F, D))
+    assert exponent_apply(F, D.identity()) == exponent_apply(F, D).identity()
 
 
 def test_exponent_nat_multiplication_oracle():
     # eta induced by x2 on Z acts as multiplication by 2 at every object,
     # after conjugating by the unit isomorphism A (x) Z = A
-    from functor_homology.modules import iso_inverse
     Zm = cyclic(0)
     eta = NatSpec(ModMor(Zm, Zm, [[2]]))
     for A in (cyclic(4), cyclic(6), cyclic(0)):
         u = tensor_unit_map(A)
-        conj = iso_inverse(u).then(eta.at(A)).then(u)
+        conj = u.inverse().then(eta.at(A)).then(u)
         assert conj == ModMor(A, A, [[2]])
 
 
@@ -282,7 +279,7 @@ def test_exponent_nat():
     eta = NatSpec(g)
     t = exponent_nat(eta, D)  # valid DiagMor; naturality checked inside
     # identity map induces the identity transformation
-    eta_id = NatSpec(identity_mor(Zm))
+    eta_id = NatSpec(Zm.identity())
     t_id = exponent_nat(eta_id, D)
     for o in ARROW.objects:
         assert is_iso(t_id.comps[o])
@@ -381,7 +378,7 @@ from functor_homology.fincat import standard
 from functor_homology.functors import (apply, base_change, compose, exponent,
                                        exponent_apply, tensor_with)
 from functor_homology.diagrams import constant_diagram
-from functor_homology.modules import cyclic, identity_mor, trivial_module
+from functor_homology.modules import cyclic, trivial_module
 from functor_homology.rings import (RingMap, ZZ, augmentation_map,
                                     cyclic_group_table, fp_field, group_algebra)
 arrow = standard("arrow")
@@ -393,7 +390,7 @@ R2 = group_algebra(2, cyclic_group_table(2))
 for call in (lambda: apply(T, D),
              lambda: apply(B, D.identity()),
              lambda: apply(exponent(T, arrow), cyclic(4)),
-             lambda: apply(exponent(T, arrow), identity_mor(cyclic(4))),
+             lambda: apply(exponent(T, arrow), cyclic(4).identity()),
              lambda: exponent_apply(T, cyclic(4)),
              lambda: apply(T, trivial_module(R2)),
              lambda: apply(base_change(augmentation_map(R2)), cyclic(4)),

@@ -19,13 +19,12 @@ import pytest
 
 from functor_homology import verification
 from functor_homology.complexes import SES, MorphismOfSES
-from functor_homology.diagrams import DiagMor, Diagram, d_biproduct
+from functor_homology.diagrams import DiagMor, Diagram
 from functor_homology.errors import MorphismError
 from functor_homology.fincat import standard
 from functor_homology.fplinalg import FpMatrix, rank
-from functor_homology.modules import (HomSystem, ModMor, biproduct, cyclic,
-                                      free_module, hom_basis, identity_mor,
-                                      trivial_module, zero_module, zero_mor)
+from functor_homology.modules import (HomSystem, ModMor, cyclic, free_module, hom_basis,
+                                      trivial_module, zero_module)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 
 P = 2
@@ -33,11 +32,11 @@ R = group_algebra(P, cyclic_group_table(2))
 ARROW = standard("arrow")
 POINT = standard("point")
 T = trivial_module(R)
-SMALL = [zero_module(R), T, free_module(R, 1), biproduct(T, T).obj]
+SMALL = [zero_module(R), T, free_module(R, 1), T.biproduct(T).obj]
 
 
 def random_hom(rng, A, B):
-    out = zero_mor(A, B)
+    out = A.zero_to(B)
     for b in hom_basis(A, B):
         if rng.randint(0, 1):
             out = out + b
@@ -46,7 +45,7 @@ def random_hom(rng, A, B):
 
 def arrow_diagram(A, B, f):
     return Diagram(ARROW, {"0": A, "1": B},
-                   {"id_0": identity_mor(A), "id_1": identity_mor(B), "a": f})
+                   {"id_0": A.identity(), "id_1": B.identity(), "a": f})
 
 
 def random_arrow_diagram(rng, mods=SMALL):
@@ -112,7 +111,7 @@ def test_d_hom_basis_fp_matches_bruteforce():
 
 
 def point(A):
-    return Diagram(POINT, {"0": A}, {"id_0": identity_mor(A)})
+    return Diagram(POINT, {"0": A}, {"id_0": A.identity()})
 
 
 def point_mor(f):
@@ -150,21 +149,21 @@ def random_module_ses(rng):
     if rng.randint(0, 2) == 0:
         return nonsplit_ses()
     A, B = rng.choice(SMALL[:2]), rng.choice(SMALL[:2])
-    bp = biproduct(A, B)
+    bp = A.biproduct(B)
     return SES(bp.inj1, bp.proj2)
 
 
 def random_diagram_ses(rng):
     if rng.randint(0, 2) == 0:
         ses = nonsplit_ses()
-        objs = {n: arrow_diagram(X, X, identity_mor(X))
+        objs = {n: arrow_diagram(X, X, X.identity())
                 for n, X in (("L", ses.L), ("M", ses.M), ("N", ses.N))}
         f = DiagMor(objs["L"], objs["M"], {"0": ses.f, "1": ses.f})
         g = DiagMor(objs["M"], objs["N"], {"0": ses.g, "1": ses.g})
         return SES(f, g)
     D = random_arrow_diagram(rng, SMALL[:2])
     E = random_arrow_diagram(rng, SMALL[:2])
-    bp = d_biproduct(D, E)
+    bp = D.biproduct(E)
     return SES(bp.inj1, bp.proj2)
 
 
@@ -264,10 +263,10 @@ def _check_arrow_rows_in_order():
     torsion diagrams) has the rows, relation columns and unknowns of the
     documented order."""
     Z, Z2, Z4, Z6 = cyclic(0), cyclic(2), cyclic(4), cyclic(6)
-    bp = d_biproduct(arrow_diagram(Z4, Z2, ModMor(Z4, Z2, [[1]])),
-                     arrow_diagram(Z, Z6, ModMor(Z, Z6, [[1]])))
+    D = arrow_diagram(Z4, Z2, ModMor(Z4, Z2, [[1]]))
+    bp = D.biproduct(arrow_diagram(Z, Z6, ModMor(Z, Z6, [[1]])))
     ses2 = SES(bp.inj1, bp.proj2)
-    D2, D4 = (arrow_diagram(X, X, identity_mor(X)) for X in (Z2, Z4))
+    D2, D4 = (arrow_diagram(X, X, X.identity()) for X in (Z2, Z4))
     ses1 = SES(DiagMor(D2, D4, {o: ModMor(Z2, Z4, [[2]]) for o in ARROW.objects}),
                DiagMor(D4, D2, {o: ModMor(Z4, Z2, [[1]]) for o in ARROW.objects}))
     seen = []

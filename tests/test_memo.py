@@ -94,7 +94,6 @@ def test_specs_differ_when_an_argument_differs():
     pairs = [
         (tensor_with(M), tensor_with(M2)),  # module object
         (tensor_with(M), tensor_with(M, side="left")),  # side
-        (tensor_with(M), tensor_with(M, label="T")),  # label
         (base_change(rm), base_change(rm2)),  # ring map
         (exponent(tensor_with(M), arrow), exponent(tensor_with(M), arrow2)),
         (compose(base_change(rm), tensor_with(M)),

@@ -9,13 +9,9 @@ from functor_homology.abelian import image, is_iso
 from functor_homology.errors import ExactnessError, MorphismError, ShapeError
 from functor_homology import fplinalg, intlinalg, modules
 from functor_homology.intlinalg import from_columns, hstack
-from functor_homology.modules import (ModMor, ModuleObj, biproduct,
-                                      cofactor_through_epi, cokernel, cyclic,
-                                      factor_through_mono, free_cover,
-                                      free_generator_columns, free_module,
-                                      hom_basis, identity_mor, is_exact_at,
-                                      kernel, lift_through_epi, nary_biproduct,
-                                      trivial_module, zero_mor)
+from functor_homology.modules import (ModMor, ModuleObj, cokernel, cyclic, free_cover,
+                                      free_generator_columns, free_module, hom_basis,
+                                      kernel, nary_biproduct, trivial_module)
 from functor_homology.fplinalg import fp_from_columns
 from functor_homology.rings import (ZZ, cyclic_group_table, fp_field,
                                     group_algebra, product_group_table)
@@ -33,7 +29,7 @@ def borel_sets(f):
 
 def test_kernel_examples():
     Z4, Z2 = cyclic(4), cyclic(2)
-    K, mono = kernel(identity_mor(Z4))
+    K, mono = kernel(Z4.identity())
     assert K.is_zero()
     Zm = cyclic(0)
     K, mono = kernel(ModMor(Zm, Zm, [[2]]))
@@ -57,7 +53,7 @@ def test_kernel_universal_property_random():
         into_k = random_morphism(rng, X, K)
         h = into_k.then(mono)
         assert h.then(f).is_zero()
-        u = factor_through_mono(mono, h)
+        u = mono.factor(h)
         assert u.then(mono) == h
         # uniqueness: the difference of two factorizations has zero image
         assert u == into_k
@@ -65,12 +61,12 @@ def test_kernel_universal_property_random():
 
 def test_cokernel_examples():
     Zm = cyclic(0)
-    C, epi = cokernel(identity_mor(Zm))
+    C, epi = cokernel(Zm.identity())
     assert C.is_zero()
     C, epi = cokernel(ModMor(Zm, Zm, [[2]]))
     assert C.invariant_factors() == ([2], 0)
     B = cyclic(6)
-    C, epi = cokernel(zero_mor(Zm, B))
+    C, epi = cokernel(Zm.zero_to(B))
     assert is_iso(epi)
 
 
@@ -83,8 +79,8 @@ def test_image_is_kernel_of_cokernel_elementwise():
     expected = borel_sets(f8)
     got = borel_sets(img.mono)
     assert expected == got
-    assert image(identity_mor(Z8)).obj.invariant_factors() == ([8], 0)
-    assert image(zero_mor(Z8, Z8)).obj.is_zero()
+    assert image(Z8.identity()).obj.invariant_factors() == ([8], 0)
+    assert image(Z8.zero_to(Z8)).obj.is_zero()
 
 
 def test_image_matches_enumeration_random():
@@ -105,8 +101,8 @@ def test_exactness_examples():
     x2 = ModMor(Zm, Zm, [[2]])
     x4 = ModMor(Zm, Zm, [[4]])
     q = ModMor(Zm, Z2, [[1]])
-    assert is_exact_at(x2, q)
-    assert not is_exact_at(x4, q)
+    assert x2.is_exact_at(q)
+    assert not x4.is_exact_at(q)
     # elementwise oracle inside Z/4: im(x2) = {0, 2} = ker(q)
     Z4 = cyclic(4)
     f4 = ModMor(Z4, Z4, [[2]])
@@ -116,7 +112,7 @@ def test_exactness_examples():
            if apply(q4, e).is_zero()}
     assert im == ker
     with pytest.raises(ExactnessError):
-        is_exact_at(ModMor(Zm, Zm, [[1]]), ModMor(Zm, Zm, [[1]]))
+        ModMor(Zm, Zm, [[1]]).is_exact_at(ModMor(Zm, Zm, [[1]]))
 
 
 def test_exactness_agrees_with_elements_random():
@@ -132,19 +128,19 @@ def test_exactness_agrees_with_elements_random():
         im = borel_sets(f)
         ker = {e.normal_form() for e in enumerate_elements(B)
                if apply(g, e).is_zero()}
-        assert is_exact_at(f, g) == (im == ker)
+        assert f.is_exact_at(g) == (im == ker)
         checked += 1
 
 
 def test_biproduct_properties():
     Z2, Z3 = cyclic(2), cyclic(3)
-    bp = biproduct(Z2, Z3)
+    bp = Z2.biproduct(Z3)
     assert bp.obj.invariant_factors() == ([6], 0)
-    assert bp.inj1.then(bp.proj1) == identity_mor(Z2)
-    assert bp.inj2.then(bp.proj2) == identity_mor(Z3)
+    assert bp.inj1.then(bp.proj1) == Z2.identity()
+    assert bp.inj2.then(bp.proj2) == Z3.identity()
     assert bp.inj1.then(bp.proj2).is_zero()
     assert (bp.proj1.then(bp.inj1) + bp.proj2.then(bp.inj2)
-            == identity_mor(bp.obj))
+            == bp.obj.identity())
     # product/coproduct universal properties on random cones
     rng = random.Random(31)
     for _ in range(10):
@@ -159,7 +155,7 @@ def test_biproduct_properties():
         assert bp.inj1.then(cocone) == c and bp.inj2.then(cocone) == d
     R = group_algebra(2, cyclic_group_table(2))
     F2sq = free_module(R, 2)
-    bp2 = biproduct(F2sq, free_module(R, 1))
+    bp2 = F2sq.biproduct(free_module(R, 1))
     assert bp2.obj.dim == F2sq.dim + 2
 
 
@@ -185,7 +181,7 @@ def test_modules_over_one_ring_share_its_ops():
     # alike is equal but gets its own
     R2 = group_algebra(2, cyclic_group_table(2))
     M, N = free_module(R2, 2), trivial_module(R2)
-    f = zero_mor(M, N)
+    f = M.zero_to(N)
     assert M.ops is N.ops is f.ops is R2._ops
     other = group_algebra(2, cyclic_group_table(2))
     assert other == R2 and free_module(other, 1).ops is not M.ops
@@ -208,9 +204,9 @@ def test_preimage():
     with pytest.raises(ShapeError):
         Element(Z2, [1]) - Element(Z3, [1])
     with pytest.raises(ShapeError):
-        apply(identity_mor(Z2), Element(Z3, [1]))
+        apply(Z2.identity(), Element(Z3, [1]))
     with pytest.raises(ShapeError):
-        preimage(identity_mor(Z2), Element(Z3, [1]))
+        preimage(Z2.identity(), Element(Z3, [1]))
 
 
 def test_morphism_validation():
@@ -233,7 +229,6 @@ from functor_homology.errors import ShapeError
 from functor_homology.fplinalg import FpMatrix
 from functor_homology.intlinalg import IntMatrix
 from functor_homology.modules import (ModuleObj, cyclic, free_generator_columns,
-                                      identity_mor, lift_through_epi,
                                       nary_biproduct)
 from functor_homology.rings import ZZ, cyclic_group_table, group_algebra
 Z2 = cyclic(2)
@@ -244,7 +239,7 @@ for call in (lambda: nary_biproduct([]),
              lambda: ModuleObj(R2, 2, actions=[I2, I2], free_rank=1),
              lambda: ModuleObj(ZZ, 1, rels=[[2]], free_rank=1),
              lambda: free_generator_columns(Z2),
-             lambda: lift_through_epi(identity_mor(Z2), identity_mor(Z2)),
+             lambda: Z2.identity().lift(Z2.identity()),
              lambda: ModuleObj(R2, 1, rels=[[1]], actions=[ONE, ONE]),
              lambda: ModuleObj(ZZ, 1, actions=[IntMatrix.identity(1)]),
              lambda: ModuleObj(R2, 1, actions=[ONE])):
@@ -264,7 +259,7 @@ def test_preconditions_raise_shape_error():
     with pytest.raises(ShapeError):
         free_generator_columns(Z2)
     with pytest.raises(ShapeError):
-        lift_through_epi(identity_mor(Z2), identity_mor(Z2))
+        Z2.identity().lift(Z2.identity())
     # base change and lifting trust free_rank, so a caller's claim is checked:
     # the trivial action on F_2^2 is not F_2[C2]
     r2 = group_algebra(2, cyclic_group_table(2))
@@ -306,7 +301,7 @@ def _solving_oracle(epi, w):
 
 
 def test_cofactor_through_cokernel_matches_solving_oracle():
-    # cofactor_through_epi reads the section the cokernel epi carries; the
+    # ModMor.cofactor reads the section the cokernel epi carries; the
     # map it gives must be the one solving through the epi gives
     rng = random.Random(31)
     r2 = group_algebra(2, cyclic_group_table(2))
@@ -317,7 +312,7 @@ def test_cofactor_through_cokernel_matches_solving_oracle():
             A, B, C = make(rng), make(rng), make(rng)
             Q, epi = cokernel(random_morphism(rng, A, B))
             g = random_morphism(rng, Q, C)
-            v = cofactor_through_epi(epi, epi.then(g))
+            v = epi.cofactor(epi.then(g))
             assert v == _solving_oracle(epi, epi.then(g))
             assert v == g
             nonzero += not v.is_zero()
@@ -326,9 +321,8 @@ def test_cofactor_through_cokernel_matches_solving_oracle():
 
 SECTION_FAULTS = """
 from functor_homology.errors import MorphismError
-from functor_homology.modules import (ModMor, cofactor_through_epi, cokernel,
-                                      cyclic, identity_mor, iso_inverse,
-                                      ring_as_module, trivial_module, zero_mor)
+from functor_homology.modules import (ModMor, cokernel, cyclic, ring_as_module,
+                                      trivial_module)
 from functor_homology.rings import cyclic_group_table, group_algebra
 
 
@@ -344,17 +338,17 @@ def expect(call, text):
 
 R2 = group_algebra(2, cyclic_group_table(2))
 Z4, R, T = cyclic(4), ring_as_module(R2), trivial_module(R2)
-for f in (ModMor(Z4, Z4, [[2]]), zero_mor(Z4, Z4), zero_mor(T, R)):
+for f in (ModMor(Z4, Z4, [[2]]), Z4.zero_to(Z4), T.zero_to(R)):
     Q, epi = cokernel(f)
     # a planted corrupted section: the zero matrix of its shape
     epi._cache["section"] = epi.ops.zeros(epi.source.gens, Q.gens)
-    expect(lambda: cofactor_through_epi(epi, epi), "does not descend along the epi")
+    expect(lambda: epi.cofactor(epi), "does not descend along the epi")
     if f.is_zero():
         # the cokernel of a zero map is an isomorphism
-        expect(lambda: iso_inverse(epi), "not an isomorphism")
-for non_epi, w in ((ModMor(cyclic(0), cyclic(0), [[2]]), identity_mor(cyclic(0))),
-                   (zero_mor(T, T), identity_mor(T))):
-    expect(lambda: cofactor_through_epi(non_epi, w), "not an epimorphism")
+        expect(lambda: epi.inverse(), "not an isomorphism")
+for non_epi, w in ((ModMor(cyclic(0), cyclic(0), [[2]]), cyclic(0).identity()),
+                   (T.zero_to(T), T.identity())):
+    expect(lambda: non_epi.cofactor(w), "not an epimorphism")
 """
 
 
@@ -404,7 +398,7 @@ def test_preimages_build_one_solver_per_call(which, monkeypatch):
 
 @pytest.mark.parametrize("which", ["Z", "F2[C2]"])
 def test_shared_solver_matches_solving_each_alone(which):
-    # factor_through_mono, lift_through_epi, section and preimage solve
+    # ModMor.factor, ModMor.lift, section and preimage solve
     # every right-hand side with one factorisation of the map; each answer
     # must be the one a factorisation for that right-hand side alone gives
     make, ring = _module_maker(which)
@@ -416,7 +410,7 @@ def test_shared_solver_matches_solving_each_alone(which):
         # a mono and a map that factors through it
         K, mono = kernel(f)
         h = random_morphism(rng, X, K).then(mono)
-        u = factor_through_mono(mono, h)
+        u = mono.factor(h)
         cols = [_solve_alone(mono, h.matrix.col(j)) for j in range(h.source.gens)]
         assert u.matrix == mono.ops.from_columns(cols, K.gens)
         solved += len(cols)
@@ -434,7 +428,7 @@ def test_shared_solver_matches_solving_each_alone(which):
             x = _solve_alone(epi, g.matrix.mul_vec(gc))
             cols.extend(epi.ops.free_images(B, x))
             solved += 1
-        assert lift_through_epi(g, epi).matrix == epi.ops.from_columns(cols, B.gens)
+        assert g.lift(epi).matrix == epi.ops.from_columns(cols, B.gens)
         # an element of the image of f
         y = apply(f, Element(A, _random_coords(rng, A)))
         assert list(preimage(f, y).coords) == _solve_alone(f, list(y.coords))
@@ -546,8 +540,7 @@ def test_module_construction_checks_every_basis_element():
 PLANTED_FAULTS = """
 from functor_homology import fplinalg, modules
 from functor_homology.errors import MorphismError
-from functor_homology.modules import (cokernel, kernel, ring_as_module,
-                                      trivial_module, zero_mor)
+from functor_homology.modules import cokernel, kernel, ring_as_module, trivial_module
 from functor_homology.rings import cyclic_group_table, group_algebra
 
 R2 = group_algebra(2, cyclic_group_table(2))
@@ -583,7 +576,7 @@ def corrupt_module(ring, gens, rels=(), actions=(), free_rank=None, check=True):
 
 
 modules.ModuleObj = corrupt_module
-expect(lambda: cokernel(zero_mor(T, R)), f"does not commute with action {G}")
+expect(lambda: cokernel(T.zero_to(R)), f"does not commute with action {G}")
 assert modules.ModuleObj is real_module
 
 # a kernel whose solved action is corrupted (the next solve_matrix)
@@ -597,7 +590,7 @@ def corrupt_solve(A, B):
 
 
 fplinalg.solve_matrix = corrupt_solve
-expect(lambda: kernel(zero_mor(R, T)), f"does not commute with action {G}")
+expect(lambda: kernel(R.zero_to(T)), f"does not commute with action {G}")
 assert fplinalg.solve_matrix is real_solve
 """
 

@@ -11,7 +11,7 @@ from functor_homology.fincat import standard
 from functor_homology.fplinalg import FpMatrix, inverse, rank
 from functor_homology.functors import base_change
 from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
-                                      identity_mor, trivial_module)
+                                      trivial_module)
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
                                     group_algebra, group_ring_map,
                                     product_group_table)
@@ -307,10 +307,9 @@ def test_componentwise_zero_structure_map():
     F = base_change(QUOT4)
     G = base_change(AUG2)
     T = trivial_module(R4)
-    from functor_homology.modules import zero_mor
     A = Diagram(arrow, {"0": T, "1": T},
-                {"id_0": identity_mor(T), "id_1": identity_mor(T),
-                 "a": zero_mor(T, T)})
+                {"id_0": T.identity(), "id_1": T.identity(),
+                 "a": T.zero_to(T)})
     res = ss_componentwise(F, G, A, 2)
     assert res.acceptance_ok()
     for (m, cell), mat in res.e2_cell_maps.items():
@@ -323,7 +322,7 @@ def _criterion_10_diagram():
     quot_mod = ModuleObj(R4, gens=2, actions=[ident, swap, ident, swap])
     T = trivial_module(R4)
     return Diagram(standard("arrow"), {"0": quot_mod, "1": T},
-                   {"id_0": identity_mor(quot_mod), "id_1": identity_mor(T),
+                   {"id_0": quot_mod.identity(), "id_1": T.identity(),
                     "a": ModMor(quot_mod, T, FpMatrix(2, 1, 2, [[1, 1]]))})
 
 
@@ -377,7 +376,7 @@ from functor_homology.diagrams import Diagram, constant_diagram
 from functor_homology.errors import ExactnessError
 from functor_homology.fincat import standard
 from functor_homology.functors import base_change
-from functor_homology.modules import trivial_module, zero_mor
+from functor_homology.modules import trivial_module
 from functor_homology.rings import (augmentation_map, cyclic_group_table,
                                     group_algebra, group_ring_map)
 
@@ -391,7 +390,7 @@ true_grid = spectral._g_grid
 
 def zero_at_a(d):
     return Diagram(d.index, d.components,
-                   {**d.maps, "a": zero_mor(d.components["0"], d.components["1"])})
+                   {**d.maps, "a": d.components["0"].zero_to(d.components["1"])})
 
 
 def planted(which):
@@ -515,7 +514,7 @@ def test_spectral_sequences_build_no_dense_view(monkeypatch):
     quot_mod = ModuleObj(R4, gens=2, actions=[ident, swap, ident, swap])
     T = trivial_module(R4)
     A = Diagram(arrow, {"0": quot_mod, "1": T},
-                {"id_0": identity_mor(quot_mod), "id_1": identity_mor(T),
+                {"id_0": quot_mod.identity(), "id_1": T.identity(),
                  "a": ModMor(quot_mod, T, FpMatrix(2, 1, 2, [[1, 1]]))})
     monkeypatch.setattr(FpMatrix, "data", property(no_view))
     ss = grothendieck_ss(base_change(QUOTV), base_change(AUG2), trivial_module(RV), 3)

@@ -173,13 +173,13 @@ from functor_homology import derived
 from functor_homology.complexes import SES
 from functor_homology.derived import Resolution, horseshoe, resolve
 from functor_homology.errors import ExactnessError
-from functor_homology.modules import cyclic, identity_mor, zero_module
+from functor_homology.modules import cyclic, zero_module
 
 Z2 = cyclic(2)
 P, cover = Z2.free_cover()
 O = zero_module(Z2.ring)
 short = Resolution(Z2, ([P], [cover], [Z2, O], [None, O.zero_to(P)], True))
-ses = SES(identity_mor(Z2), Z2.zero_to(O))
+ses = SES(Z2.identity(), Z2.zero_to(O))
 derived.SES = lambda f, g: None
 try:
     horseshoe(ses, short, resolve(O, 2), 2)

@@ -40,10 +40,12 @@ ROUNDS rounds, one run per side in each, and the side that runs first
 alternates from round to round, so a drift of the machine's speed falls
 on both sides alike.  The rounds of a side are merged into one output
 with the script's own field names (`median_rows`): each timing is the
-median over the rounds, and each list of run timings holds the runs of
-every round.  `code` repeats the counts of src/ lines and of the lines
-containing `is_integers` and `isinstance` for each side.  `end_to_end` holds, per side,
-the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
+median over the rounds, each list of run timings holds the runs of
+every round, and any other field keeps the first round's value, with
+`disagreements` naming each field on which the rounds differ.  `code`
+repeats the counts of src/ lines and of the lines containing
+`is_integers` and `isinstance` for each side.  `end_to_end` holds, per
+side, the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
 with its exit code and summary line) and of `functor-homology run` on
 each of its demos/*.wb: the median of 5 runs, with every run, the exit
 code and the SHA-256 of stdout, so equal digests show byte-identical
@@ -153,26 +155,35 @@ def median_rows(outs):
     into one: each float is the median over the rounds, a list of rows is
     merged row by row, and each list of floats (the runs of a row) holds
     the values of every round in turn.  Anything else (counts, verdicts,
-    labels) is the same in every round and kept once; where the rounds
-    differ, it is a list or the concatenated lists of every round."""
-    first = outs[0]
-    if isinstance(first, dict):
-        return {k: median_rows([o[k] for o in outs]) for k in first}
-    if isinstance(first, float):
-        return statistics.median(outs)
-    if isinstance(first, list) and first and all(isinstance(x, dict) for x in first):
-        return [median_rows(list(rows)) for rows in zip(*outs)]
-    floats = isinstance(first, list) and first and all(isinstance(x, float) for x in first)
-    if not floats and all(o == first for o in outs):
+    labels) keeps the first round's value, so every field keeps its type;
+    where the rounds differ on it, `disagreements` maps its path to the
+    value of every round."""
+    disagreements = {}
+
+    def merge(values, path):
+        first = values[0]
+        if isinstance(first, dict):
+            return {k: merge([v[k] for v in values], f"{path}.{k}".lstrip("."))
+                    for k in first}
+        if isinstance(first, float):
+            return statistics.median(values)
+        if isinstance(first, list) and first and all(isinstance(x, dict) for x in first):
+            return [merge(list(rows), f"{path}[{i}]") for i, rows in enumerate(zip(*values))]
+        if isinstance(first, list) and first and all(isinstance(x, float) for x in first):
+            return [x for v in values for x in v]
+        if any(v != first for v in values):
+            disagreements[path] = values
         return first
-    return [x for o in outs for x in o] if isinstance(first, list) else list(outs)
+
+    return {**merge(outs, ""), "disagreements": disagreements}
 
 
-def rounds(name, sides, n=ROUNDS):
-    """Per side, `median_rows` of n runs of this checkout's bench/<name> on
-    that side's src/; the side that runs first alternates by round."""
+def rounds(name, sides):
+    """Per side, `median_rows` of ROUNDS runs of this checkout's
+    bench/<name> on that side's src/; the side that runs first alternates
+    by round."""
     outs = {side: [] for side, _ in sides}
-    for k in range(n):
+    for k in range(ROUNDS):
         for side, root in (sides if k % 2 == 0 else sides[::-1]):
             outs[side].append(this_script(name, root))
     return {side: median_rows(o) for side, o in outs.items()}

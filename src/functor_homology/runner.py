@@ -224,7 +224,7 @@ def _degree(args, max_degree, default=1):
     if isinstance(n, int) and max_degree is not None:
         n = min(n, max_degree)
     if not isinstance(n, int) or n < 0:
-        raise ValueError(f"degree n must be a nonnegative integer, not {n!r}")
+        raise ValueError(f"degree n must be a nonnegative integer, not {n}")
     if n > MAX_DEGREE:
         raise ValueError(f"degree n must be at most {MAX_DEGREE}, not {n}")
     return n

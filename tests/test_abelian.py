@@ -190,7 +190,7 @@ def _freyd_exact(f, g) -> bool:
 
 
 def _componentwise_exact(f, g) -> bool:
-    """modules.is_exact_at (ker g / im f = 0) on a module pair, or at every
+    """ModMor.is_exact_at (ker g / im f = 0) on a module pair, or at every
     object of a diagram pair."""
     if isinstance(f, ModMor):
         return f.is_exact_at(g)

@@ -44,7 +44,7 @@ def test_ratios_do_not_count_drift_as_spread():
     assert tail["ratio_median"] is None and tail["ratio_iqr"] is None
 
 
-def _stub_output(k, failed):
+def _stub_output(k, failed, ok=True):
     """What a bench/ script might print on its k-th call."""
     return {"src_lines": 7000,
             "results": [{"fixture": "C4", "n_max": 3, "tot_dims": [1, 2],
@@ -52,33 +52,39 @@ def _stub_output(k, failed):
                         {"fixture": "C4", "n_max": 4, "tot_dims": [1, 2, 3],
                          "ss_pages_s": 10.0 * k, "ss_pages_runs_s": [10.0 * k]}],
             "suites": {"les": {"median_s": 100.0 * k, "passed": [200], "failed": [failed]}},
-            "acceptance_ok": True}
+            "acceptance_ok": ok}
 
 
 def test_rounds_alternate_the_first_side_and_take_row_medians(monkeypatch):
     pairs = load_pairs()
     assert pairs.ROUNDS >= 3
+    monkeypatch.setattr(pairs, "ROUNDS", 3)
     calls = []
 
     def stub(name, root):
         calls.append((name, root))
-        return _stub_output(len(calls), failed=int(len(calls) == 6))
+        k = len(calls)
+        return _stub_output(k, failed=int(k == 6), ok=k != 3)
 
     monkeypatch.setattr(pairs, "this_script", stub)
-    out = pairs.rounds("ss_scaling.py", (("parent", "P"), ("change", "C")), n=4)
-    assert calls == [("ss_scaling.py", root) for root in "PCCPPCCP"]
-    # the parent ran on calls 1, 4, 5 and 8, the change on 2, 3, 6 and 7
+    out = pairs.rounds("ss_scaling.py", (("parent", "P"), ("change", "C")))
+    assert calls == [("ss_scaling.py", root) for root in "PCCPPC"]
+    # the parent ran on calls 1, 4 and 5, the change on 2, 3 and 6
     parent, change = out["parent"], out["change"]
-    assert [r["ss_pages_s"] for r in parent["results"]] == [4.5, 45.0]
-    assert [r["ss_pages_s"] for r in change["results"]] == [4.5, 45.0]
-    assert parent["results"][0]["ss_pages_runs_s"] == [1.0, 1.5, 4.0, 4.5, 5.0, 5.5, 8.0, 8.5]
-    assert change["results"][1]["ss_pages_runs_s"] == [20.0, 30.0, 60.0, 70.0]
-    assert parent["suites"]["les"]["median_s"] == 450.0
+    assert [r["ss_pages_s"] for r in parent["results"]] == [4.0, 40.0]
+    assert [r["ss_pages_s"] for r in change["results"]] == [3.0, 30.0]
+    assert parent["results"][0]["ss_pages_runs_s"] == [1.0, 1.5, 4.0, 4.5, 5.0, 5.5]
+    assert change["results"][1]["ss_pages_runs_s"] == [20.0, 30.0, 60.0]
+    assert parent["suites"]["les"]["median_s"] == 400.0
     # what every round agrees on is kept once, under its own name
     assert parent["results"][1]["tot_dims"] == [1, 2, 3]
     assert parent["src_lines"] == 7000 and parent["acceptance_ok"] is True
     assert parent["suites"]["les"]["passed"] == [200]
-    # and what a round disagrees on is kept from every round
-    assert parent["suites"]["les"]["failed"] == [0]
-    assert change["suites"]["les"]["failed"] == [0, 0, 1, 0]
-    assert set(parent) == set(_stub_output(1, 0))
+    assert parent["disagreements"] == {}
+    # what the rounds disagree on keeps the first round's value and type,
+    # and every round's value is listed under its path
+    assert change["suites"]["les"]["failed"] == [0]
+    assert change["acceptance_ok"] is True
+    assert change["disagreements"] == {"suites.les.failed": [[0], [0], [1]],
+                                       "acceptance_ok": [True, False, True]}
+    assert set(parent) == set(_stub_output(1, 0)) | {"disagreements"}

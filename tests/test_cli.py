@@ -88,7 +88,7 @@ def test_a_degree_that_is_not_an_integer_is_rejected(tmp_path, capsys, args):
     f.write_text(NON_INTEGER_DEGREE)
     assert cli.main([args[0], str(f), *args[1:]]) == 1
     out, err = capsys.readouterr()
-    assert "degree n must be a nonnegative integer" in out
+    assert "degree n must be a nonnegative integer, not Z2\n" in out
     assert "n=0" not in out and err == ""
     if args[0] == "check":
         assert out.startswith(f"{f}:3:1: task 'd': ")

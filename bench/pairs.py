@@ -45,11 +45,13 @@ every round, and any other field keeps the first round's value, with
 `disagreements` naming each field on which the rounds differ.  `code`
 repeats the counts of src/ lines and of the lines containing
 `is_integers` and `isinstance` for each side.  `end_to_end` holds, per
-side, the wall time of one Tier-1 run (the ROADMAP's command, in that checkout,
-with its exit code and summary line) and of `functor-homology run` on
-each of its demos/*.wb: the median of 5 runs, with every run, the exit
-code and the SHA-256 of stdout, so equal digests show byte-identical
-reports.  Only the standard library is used.
+side, the wall time of the Tier-1 suite (the ROADMAP's command, in that
+checkout): the median of ROUNDS runs that alternate the side that runs
+first, as the scripts do, with every run's time, exit code and summary
+line.  It also holds the wall time of `functor-homology run` on each of
+its demos/*.wb: the median of 5 runs, with every run, the exit code and
+the SHA-256 of stdout, so equal digests show byte-identical reports.
+Only the standard library is used.
 """
 
 import argparse
@@ -199,16 +201,26 @@ def timed_command(root, args):
     return perf_counter() - t0, out
 
 
+def tier1(sides):
+    """Per side, ROUNDS Tier-1 runs, the side that runs first alternating
+    by round: the median wall time and every run with its exit code and
+    summary line."""
+    runs = {side: [] for side, _ in sides}
+    for k in range(ROUNDS):
+        for side, root in (sides if k % 2 == 0 else sides[::-1]):
+            seconds, out = timed_command(root, TIER1)
+            lines = out.stdout.decode(errors="replace").strip().splitlines()
+            runs[side].append({"seconds": seconds, "returncode": out.returncode,
+                               "summary": lines[-1] if lines else ""})
+    return {side: {"median_s": statistics.median(r["seconds"] for r in rs), "runs": rs}
+            for side, rs in runs.items()}
+
+
 def end_to_end(sides):
-    """Tier-1 wall time and the `run` wall time of every demo .wb, per
-    side; the side that runs first alternates from round to round."""
-    result = {}
-    for side, root in sides:
-        seconds, out = timed_command(root, TIER1)
-        lines = out.stdout.decode(errors="replace").strip().splitlines()
-        result[side] = {"tier1": {"seconds": seconds, "returncode": out.returncode,
-                                  "summary": lines[-1] if lines else ""},
-                        "demos": {}}
+    """Tier-1 wall time (`tier1`) and the `run` wall time of every demo
+    .wb, per side; the side that runs first alternates from round to
+    round."""
+    result = {side: {"tier1": t, "demos": {}} for side, t in tier1(sides).items()}
     demos = sorted(path.name for path in (HERE / "demos").glob("*.wb"))
     runs = {side: {d: [] for d in demos} for side, _ in sides}
     for k in range(DEMO_RUNS):

@@ -3,7 +3,12 @@
 Everything here runs uniformly over modules and over diagrams through the
 abelian interface (see `abelian`).  Resolutions are built by iterated free
 covers of kernels and cached on the resolved object, so repeated
-derived-functor computations share canonical presentations.
+derived-functor computations share canonical presentations.  The
+horseshoe's middle resolution is the other form of `Resolution`, given by
+its terms, augmentation and differentials: a biproduct of the outer terms
+with a twisted differential, certified by d d = 0 (see `horseshoe`), with
+no kernel of its own.  Chain maps between resolutions lift through the
+target's differentials (`lift_resolution_map`), so they serve both forms.
 
 Memo rule, for this module and the whole package: every memo lives in the
 `_cache` dict of the object it describes (a module, diagram, morphism,
@@ -37,13 +42,21 @@ from .errors import ExactnessError, NonzeroCompositeError, ShapeError
 
 
 class Resolution:
-    """Augmented free resolution with its step data.
+    """Augmented free resolution P_* -> A, in one of two forms.
 
-    kernels[0] is the resolved object; covers[n]: P_n -> kernels[n] are
-    epis from free objects; monos[n]: kernels[n] -> P_{n-1} (n >= 1).  The
-    differential d_n is covers[n] followed by monos[n].  Given `steps`, the
-    tuple (terms, covers, kernels, monos, exhausted), the resolution is
-    fixed and cannot be extended.
+    Built by iterated free covers (`resolve`, or a `steps` tuple), it keeps
+    its step data: kernels[0] is the resolved object; covers[n]: P_n ->
+    kernels[n] are epis from free objects; monos[n]: kernels[n] -> P_{n-1}
+    (n >= 1).  The differential d_n is covers[n] followed by monos[n].
+    Given `steps`, the tuple (terms, covers, kernels, monos, exhausted),
+    the resolution is fixed and cannot be extended.
+
+    Given by its differentials (`Resolution.given`: its terms, its
+    augmentation and {n: d_n}), it is fixed and has no step data: `diff`
+    returns the stored map and `aug` the given augmentation, while `cover`,
+    `mono` and `kernel_obj` raise `ShapeError`.  The horseshoe's middle
+    has this form, so no kernel of it is ever computed.  In both forms the
+    terms past `built` are one zero object and d_n there is the zero map.
     """
 
     def __init__(self, A, steps=None):
@@ -53,8 +66,22 @@ class Resolution:
             P, c = A.free_cover()
             steps = ([P], [c], [A], [None], False)
         self.terms, self.covers, self.kernels, self.monos, self.exhausted = steps
+        self.diffs = None
         self._zero = None
         self._lock = threading.RLock()
+
+    @classmethod
+    def given(cls, A, terms, aug, diffs, exhausted) -> "Resolution":
+        """The fixed resolution with terms P_0..P_built, augmentation
+        P_0 -> A and differentials diffs = {n: P_n -> P_{n-1}} for
+        1 <= n <= built; `exhausted` says that every later term is zero."""
+        res = cls(A, (terms, [aug], [A], [None], exhausted))
+        res.diffs = diffs
+        return res
+
+    def _steps(self, what):
+        if self.diffs is not None:
+            raise ShapeError(f"a resolution given by its differentials has no {what}")
 
     @property
     def built(self):
@@ -94,11 +121,13 @@ class Resolution:
         return self.zero()
 
     def kernel_obj(self, n):
+        self._steps("kernels")
         if n < len(self.kernels):
             return self.kernels[n]
         return self.zero()
 
     def mono(self, n):
+        self._steps("kernels")
         if n < 1:
             raise ShapeError(f"resolution kernels start in degree 1, not {n}")
         if n < len(self.monos):
@@ -106,6 +135,7 @@ class Resolution:
         return self.kernel_obj(n).zero_to(self.term(n - 1))
 
     def cover(self, n):
+        self._steps("covers")
         if n <= self.built:
             return self.covers[n]
         return self.term(n).zero_to(self.kernel_obj(n))
@@ -113,7 +143,11 @@ class Resolution:
     def diff(self, n):
         if n < 1:
             raise ShapeError(f"resolution differentials start in degree 1, not {n}")
-        return self.cover(n).then(self.mono(n))
+        if self.diffs is None:
+            return self.cover(n).then(self.mono(n))
+        if n <= self.built:
+            return self.diffs[n]
+        return self.term(n).zero_to(self.term(n - 1))
 
     def aug(self):
         return self.covers[0]
@@ -139,7 +173,13 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
     """Chain map between resolutions lifting f: src.A -> tgt.A.
 
     Returns {n: P_n(src) -> P_n(tgt)} for 0 <= n <= n_max; cached on f
-    and extended on demand.
+    and extended on demand.  Degree 0 lifts f . aug_src through aug_tgt.
+    Degree n lifts w = phi_{n-1} . d^src_n through d^tgt_n itself: w lies
+    in ker d^tgt_{n-1} (or ker aug_tgt), which is im d^tgt_n because the
+    target is exact there, and P_n(src) is free, so a lift exists (`lift`
+    checks it).  Only the target's differentials are read, never its
+    kernels, so one path serves both forms of `Resolution`.  Past the
+    target's end w must be zero.
     """
     key = ("lift", res_src, res_tgt)
     maps = f._cache.get(key)
@@ -156,8 +196,7 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
                 raise ExactnessError("lift hits a truncated exact resolution")
             maps[n] = res_src.term(n).zero_to(res_tgt.term(n))
             continue
-        w_k = res_tgt.mono(n).factor(w)
-        maps[n] = w_k.lift(res_tgt.cover(n))
+        maps[n] = w.lift(res_tgt.diff(n))
     return {n: maps[n] for n in range(0, n_max + 1)}
 
 
@@ -244,53 +283,83 @@ class HorseshoeData:
 
 def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
               n_max) -> HorseshoeData:
-    """Resolution of the middle of a short exact sequence whose n-th term
-    is the biproduct of the outer terms, with the degreewise split chain
-    inclusions/projections.  It stops at the first degree past the end of
-    both outer resolutions (each extended to n_max first): there it checks
-    that the middle kernel is zero, marks the middle exhausted (its later
-    terms are its one zero object) and makes the later split maps zero."""
+    """Resolution of the middle of 0 -> L -f-> M -g-> N -> 0 from
+    resolutions of L and N, with the degreewise split chain
+    inclusions/projections (the Horseshoe Lemma: Weibel, An Introduction
+    to Homological Algebra, Lemma 2.2.8).
+
+    The n-th term is P^M_n = P^L_n (+) P^N_n.  The augmentation is
+    eps_M = (f eps_L, lam), with lam a lift of eps_N through g, and the
+    differential is twisted,
+
+        d^M_n = [[d^L_n, theta_n], [0, d^N_n]],
+
+    with theta_1 a lift of -lam d^N_1 through f eps_L, and theta_n, for
+    n >= 2, a lift of -theta_{n-1} d^N_n through d^L_{n-1} (the zero map
+    where P^N_n is zero).  Each lift exists because its source is free and
+    its map lies in the image: g lam d^N_1 = eps_N d^N_1 = 0 puts -lam d^N_1
+    in ker g = im f eps_L; f eps_L theta_1 d^N_2 = -lam d^N_1 d^N_2 = 0 and
+    f mono put theta_1 d^N_2 in ker eps_L = im d^L_1; and for n >= 3,
+    d^L_{n-2} theta_{n-1} d^N_n = -theta_{n-2} d^N_{n-1} d^N_n = 0 puts
+    theta_{n-1} d^N_n in ker d^L_{n-2} = im d^L_{n-1}.  (Composites are
+    written right to left here, as in the matrix.)  Only the outer
+    differentials and augmentations are read, so an outer resolution may
+    itself be given by its differentials (`ce_grid` passes a horseshoe's
+    middle), and no kernel of the middle is computed.
+
+    The certificate is checked with plain `if`s: d^M_{n-1} d^M_n = 0 and
+    eps_M d^M_1 = 0 (the lifts check themselves).  That makes the middle
+    a resolution.  By the block form, the inclusions P^L -> P^M and the
+    projections P^M -> P^N are chain maps, and with f and g in degree -1
+    the augmented complexes form a short exact sequence of complexes:
+    split in degrees >= 0, and the given sequence in degree -1.  Both
+    outer augmented complexes are acyclic, so by the long exact sequence
+    of homology the augmented middle is too.
+
+    Each outer resolution is extended to n_max first.  The middle stops at
+    the first degree past the end of both: the long exact sequence makes
+    its last map (eps_M, or d^M at the top) mono when both outer
+    resolutions really end there, and a plain `if` checks it, so a
+    resolution that claims to end too early raises `ExactnessError`.  The
+    middle is then exhausted (its later terms are its one zero object)
+    and the later split maps are zero."""
     res_sub.extend_to(n_max)
     res_quo.extend_to(n_max)
-    ci, cp = ses.f, ses.g
-    out = Resolution(ses.M, ([], [], [ses.M], [None], False))
-    incl = {}
-    proj = {}
-    retr = {}
-    sec = {}
-    for n in range(0, n_max + 1):
-        if n > res_sub.built and n > res_quo.built:
-            if not out.kernels[n].is_zero():
-                raise ExactnessError("horseshoe: nonzero middle kernel past both outer ends")
-            out.exhausted = True
-            for k in range(n, n_max + 1):
-                PL, PM, PN = res_sub.term(k), out.term(k), res_quo.term(k)
-                incl[k], proj[k] = PL.zero_to(PM), PM.zero_to(PN)
-                retr[k], sec[k] = PM.zero_to(PL), PN.zero_to(PM)
-            break
-        PL = res_sub.term(n)
-        PN = res_quo.term(n)
-        bp = PL.biproduct(PN)
-        lam = res_quo.cover(n).lift(cp)
-        eps = (bp.proj1.then(res_sub.cover(n)).then(ci)
-               + bp.proj2.then(lam))
-        out.terms.append(bp.obj)
-        out.covers.append(eps)
-        incl[n] = bp.inj1
-        proj[n] = bp.proj2
-        retr[n] = bp.proj1
-        sec[n] = bp.inj2
-        if n == n_max:
-            break
-        monoL = res_sub.mono(n + 1)
-        monoN = res_quo.mono(n + 1)
-        KM, monoM = eps.kernel()
-        out.kernels.append(KM)
-        out.monos.append(monoM)
-        ii = monoM.factor(monoL.then(bp.inj1))
-        pp = monoN.factor(monoM.then(bp.proj2))
-        SES(ii, pp)  # the kernels form a short exact sequence again
-        ci, cp = ii, pp
+    f, g = ses.f, ses.g
+    top = min(n_max, max(res_sub.built, res_quo.built))
+    terms, diffs = [], {}
+    incl, proj, retr, sec = {}, {}, {}, {}
+    for n in range(0, top + 1):
+        bp = res_sub.term(n).biproduct(res_quo.term(n))
+        terms.append(bp.obj)
+        incl[n], proj[n], retr[n], sec[n] = bp.inj1, bp.proj2, bp.proj1, bp.inj2
+        if n == 0:
+            lam = res_quo.aug().lift(g)
+            eps = bp.proj1.then(res_sub.aug()).then(f) + bp.proj2.then(lam)
+            last, prev = eps, bp
+            continue
+        d_quo = res_quo.diff(n)
+        if n > res_quo.built:
+            theta = res_quo.term(n).zero_to(res_sub.term(n - 1))
+        elif n == 1:
+            theta = (-d_quo.then(lam)).lift(res_sub.aug().then(f))
+        else:
+            theta = (-d_quo.then(theta)).lift(res_sub.diff(n - 1))
+        d = (bp.proj1.then(res_sub.diff(n)).then(prev.inj1)
+             + bp.proj2.then(theta.then(prev.inj1) + d_quo.then(prev.inj2)))
+        if not d.then(last).is_zero():
+            raise ExactnessError(f"horseshoe: middle differentials do not compose "
+                                 f"to zero in degree {n}")
+        diffs[n] = d
+        last, prev = d, bp
+    exhausted = top < n_max
+    if exhausted and not last.is_mono():
+        raise ExactnessError("horseshoe: nonzero middle kernel past both outer ends")
+    out = Resolution.given(ses.M, terms, eps, diffs, exhausted)
+    for k in range(top + 1, n_max + 1):
+        PL, PM, PN = res_sub.term(k), out.term(k), res_quo.term(k)
+        incl[k], proj[k] = PL.zero_to(PM), PM.zero_to(PN)
+        retr[k], sec[k] = PM.zero_to(PL), PN.zero_to(PM)
     return HorseshoeData(out, incl, proj, retr, sec)
 
 

@@ -643,6 +643,15 @@ def _fmt_cube(c):
     return "[" + ", ".join(_fmt_matrix(m) for m in c) + "]"
 
 
+def format_value(v) -> str:
+    """A task argument's value as it is written in a document."""
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    return str(v)
+
+
 def _print_decl(d: Decl) -> str:
     p = d.payload
     if d.kind == "ring":
@@ -698,13 +707,7 @@ def _print_decl(d: Decl) -> str:
     if d.kind == "ses":
         return f"ses {d.name} = ({p['f']}, {p['g']})"
     if d.kind == "task":
-        def fmt_val(v):
-            if v is True:
-                return "true"
-            if v is False:
-                return "false"
-            return str(v)
-        args = " ".join(f"{k}={fmt_val(v)}" for k, v in p["args"].items())
+        args = " ".join(f"{k}={format_value(v)}" for k, v in p["args"].items())
         body = f"{p['task_kind']}" + (f" {args}" if args else "")
         return f"task {d.name} = {body}"
     raise ValueError(d.kind)

@@ -11,7 +11,7 @@ from .complexes import Complex, SES, MorphismOfSES, homology_at
 from .bifunctor import ladder, ladder_switched
 from .derived import derived_data, les_of_ses
 from .diagrams import DiagMor, Diagram, check_diagram
-from .dsl import Decl, Diagnostic, FunctorExpr, WorkbenchDoc
+from .dsl import Decl, Diagnostic, FunctorExpr, WorkbenchDoc, format_value
 from .errors import AlgebraError
 from .modules import ModMor, ModuleObj
 from .rings import (Ring, RingMap, augmentation_map, fp_field,
@@ -221,10 +221,11 @@ MAX_DEGREE = 16  # the top degree of bench/ss_scaling.py; derive's work grows as
 
 def _degree(args, max_degree, default=1):
     n = args.get("n", default)
-    if isinstance(n, int) and max_degree is not None:
+    # a boolean is an int to isinstance, but `true` is no degree
+    if type(n) is int and max_degree is not None:
         n = min(n, max_degree)
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"degree n must be a nonnegative integer, not {n}")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"degree n must be a nonnegative integer, not {format_value(n)}")
     if n > MAX_DEGREE:
         raise ValueError(f"degree n must be at most {MAX_DEGREE}, not {n}")
     return n

@@ -1,11 +1,13 @@
 """`bench/pairs.py`: per-metric medians, the parent's spread and the
 per-pair ratios (`summarise`), and the rounds of the bench/ scripts, the
 side that runs first alternating and each row merged by its median
-(`rounds`), so a drift of the machine during the runs does not count as a
+(`rounds`), and the Tier-1 rounds of `end_to_end`, which alternate the
+same way, so a drift of the machine during the runs does not count as a
 difference or spread of the change against its parent."""
 
 import importlib.util
 import os
+import types
 
 import pytest
 
@@ -88,3 +90,29 @@ def test_rounds_alternate_the_first_side_and_take_row_medians(monkeypatch):
     assert change["disagreements"] == {"suites.les.failed": [[0], [0], [1]],
                                        "acceptance_ok": [True, False, True]}
     assert set(parent) == set(_stub_output(1, 0)) | {"disagreements"}
+
+
+def test_tier1_rounds_alternate_the_first_side_and_take_the_median(monkeypatch, tmp_path):
+    pairs = load_pairs()
+    monkeypatch.setattr(pairs, "ROUNDS", 3)
+    monkeypatch.setattr(pairs, "HERE", tmp_path)  # a checkout with no demos
+    calls = []
+
+    def stub(root, args):
+        calls.append((root, args))
+        k = len(calls)
+        out = types.SimpleNamespace(stdout=f"...\n{500 + k} passed in {k}.0s\n".encode(),
+                                    returncode=int(k == 2))
+        return float(k), out
+
+    monkeypatch.setattr(pairs, "timed_command", stub)
+    out = pairs.end_to_end((("parent", "P"), ("change", "C")))
+    assert calls == [(root, pairs.TIER1) for root in "PCCPPC"]
+    # the parent ran on calls 1, 4 and 5, the change on 2, 3 and 6
+    parent, change = out["parent"]["tier1"], out["change"]["tier1"]
+    assert parent["median_s"] == 4.0 and change["median_s"] == 3.0
+    assert [r["seconds"] for r in parent["runs"]] == [1.0, 4.0, 5.0]
+    assert [r["returncode"] for r in change["runs"]] == [1, 0, 0]
+    assert [r["summary"] for r in change["runs"]] == [
+        "502 passed in 2.0s", "503 passed in 3.0s", "506 passed in 6.0s"]
+    assert out["parent"]["demos"] == {} and out["change"]["demos"] == {}

@@ -96,6 +96,23 @@ def test_a_degree_that_is_not_an_integer_is_rejected(tmp_path, capsys, args):
         assert out.startswith("task d (derive): error\n")
 
 
+@pytest.mark.parametrize("args", [["check"], ["run"], ["run", "--max-degree", "2"]],
+                         ids=["check", "run", "run-max-degree"])
+def test_a_boolean_degree_is_rejected(tmp_path, capsys, args):
+    # `true` parses to a Python bool, which isinstance counts as an int;
+    # it is no degree, and the message writes it as it was written
+    f = tmp_path / "bool.wb"
+    f.write_text(NON_INTEGER_DEGREE.replace("n=Z2", "n=true"))
+    assert cli.main([args[0], str(f), *args[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert "degree n must be a nonnegative integer, not true\n" in out
+    assert "n=0" not in out and "n=1" not in out and err == ""
+    if args[0] == "check":
+        assert out.startswith(f"{f}:3:1: task 'd': ")
+    else:
+        assert out.startswith("task d (derive): error\n")
+
+
 EMPTY_INDEX = """\
 ring Z
 module Z2 over Z = coker [[2]]

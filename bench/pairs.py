@@ -42,7 +42,10 @@ on both sides alike.  The rounds of a side are merged into one output
 with the script's own field names (`median_rows`): each timing is the
 median over the rounds, each list of run timings holds the runs of
 every round, and any other field keeps the first round's value, with
-`disagreements` naming each field on which the rounds differ.  `code`
+`disagreements` naming each field on which the rounds differ.  Beside
+the two sides, `ratios` pairs the runs of each round, as the timed pairs
+do: per timing, the ratio change/parent of every round and their median,
+which a drift of the machine's speed between rounds hardly moves.  `code`
 repeats the counts of src/ lines and of the lines containing
 `is_integers` and `isinstance` for each side.  `end_to_end` holds, per
 side, the wall time of the Tier-1 suite (the ROADMAP's command, in that
@@ -180,15 +183,43 @@ def median_rows(outs):
     return {**merge(outs, ""), "disagreements": disagreements}
 
 
+def round_ratios(parents, changes):
+    """The outputs of one script from the same rounds on each side, paired
+    round by round: for each timing (each float, under the path that
+    `median_rows` would name it by), the ratio change/parent of every
+    round (`ratios`) and their median (`median`); both null when a parent
+    round reads 0."""
+    out = {}
+
+    def walk(ps, cs, path):
+        first = ps[0]
+        if isinstance(first, dict):
+            for k in first:
+                walk([p[k] for p in ps], [c[k] for c in cs], f"{path}.{k}".lstrip("."))
+        elif isinstance(first, float):
+            ratios = [c / p for p, c in zip(ps, cs)] if all(ps) else None
+            out[path] = {"ratios": ratios,
+                         "median": statistics.median(ratios) if ratios else None}
+        elif isinstance(first, list) and first and all(isinstance(x, dict) for x in first):
+            for i in range(len(first)):
+                walk([p[i] for p in ps], [c[i] for c in cs], f"{path}[{i}]")
+
+    walk(parents, changes, "")
+    return out
+
+
 def rounds(name, sides):
     """Per side, `median_rows` of ROUNDS runs of this checkout's
-    bench/<name> on that side's src/; the side that runs first alternates
-    by round."""
+    bench/<name> on that side's src/, the side that runs first
+    alternating by round, and under `ratios` the `round_ratios` of the
+    second side (the change) to the first (the parent)."""
     outs = {side: [] for side, _ in sides}
     for k in range(ROUNDS):
         for side, root in (sides if k % 2 == 0 else sides[::-1]):
             outs[side].append(this_script(name, root))
-    return {side: median_rows(o) for side, o in outs.items()}
+    (parent, _), (change, _) = sides
+    return {**{side: median_rows(o) for side, o in outs.items()},
+            "ratios": round_ratios(outs[parent], outs[change])}
 
 
 def timed_command(root, args):
@@ -264,7 +295,7 @@ def main():
               "suites": suites,
               "layers": layers,
               "end_to_end": e2e,
-              "code": {side: {k: out[k] for k in CODE_COUNTS} for side, out in scaling.items()}}
+              "code": {side: {k: scaling[side][k] for k in CODE_COUNTS} for side, _ in sides}}
     json.dump(result, sys.stdout, indent=1)
     print()
 

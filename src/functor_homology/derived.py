@@ -1,14 +1,14 @@
 """Resolutions, derived functors, connecting maps and long exact sequences.
 
 Everything here runs uniformly over modules and over diagrams through the
-abelian interface (see `abelian`).  Resolutions are built by iterated free
-covers of kernels and cached on the resolved object, so repeated
+abelian interface (see `abelian`).  A `Resolution` holds its terms, its
+augmentation and its differentials.  `resolve` grows one by iterated free
+covers of kernels and caches it on the resolved object, so repeated
 derived-functor computations share canonical presentations.  The
-horseshoe's middle resolution is the other form of `Resolution`, given by
-its terms, augmentation and differentials: a biproduct of the outer terms
-with a twisted differential, certified by d d = 0 (see `horseshoe`), with
-no kernel of its own.  Chain maps between resolutions lift through the
-target's differentials (`lift_resolution_map`), so they serve both forms.
+horseshoe's middle is a biproduct of the outer terms with a twisted
+differential, certified by d d = 0 (see `horseshoe`), with no kernel of
+its own.  Chain maps between resolutions lift through the target's
+differentials (`lift_resolution_map`).
 
 Memo rule, for this module and the whole package: every memo lives in the
 `_cache` dict of the object it describes (a module, diagram, morphism,
@@ -19,10 +19,10 @@ keyed object, so the id cannot be reused while the entry lives.  The
 exponent image F^I(X) of a diagram is memoised on X under ("exponent", F);
 it does not hold X, and the images of maps share their endpoints with it.
 A resolution builds its zero object once, on first use, and returns that
-same object for every term and kernel past its end, so the memos on it
-(base change, tensor data, exponent images, its own resolution) hit; it
-dies with the resolution.  The ring holds no modules: a zero object interned there would
-pin every memo made on it for the life of the process.
+same object for every term past its end, so the memos on it (base
+change, tensor data, exponent images, its own resolution) hit; it dies
+with the resolution.  The ring holds no modules: a zero object interned
+there would pin every memo made on it for the life of the process.
 
 The connecting homomorphism is the snake lemma written against the same
 interface: a free cover of the cycles of N stands in for elements, so one
@@ -42,70 +42,58 @@ from .errors import ExactnessError, NonzeroCompositeError, ShapeError
 
 
 class Resolution:
-    """Augmented free resolution P_* -> A, in one of two forms.
+    """Augmented resolution P_* -> A: the resolved object A, its terms
+    P_0..P_built, the augmentation P_0 -> A, the differentials
+    diffs = {n: P_n -> P_{n-1}} for 1 <= n <= built, and `exhausted`,
+    which says that every later term is zero.  Past `built` the terms are
+    one zero object and d_n is the zero map.
 
-    Built by iterated free covers (`resolve`, or a `steps` tuple), it keeps
-    its step data: kernels[0] is the resolved object; covers[n]: P_n ->
-    kernels[n] are epis from free objects; monos[n]: kernels[n] -> P_{n-1}
-    (n >= 1).  The differential d_n is covers[n] followed by monos[n].
-    Given `steps`, the tuple (terms, covers, kernels, monos, exhausted),
-    the resolution is fixed and cannot be extended.
-
-    Given by its differentials (`Resolution.given`: its terms, its
-    augmentation and {n: d_n}), it is fixed and has no step data: `diff`
-    returns the stored map and `aug` the given augmentation, while `cover`,
-    `mono` and `kernel_obj` raise `ShapeError`.  The horseshoe's middle
-    has this form, so no kernel of it is ever computed.  In both forms the
-    terms past `built` are one zero object and d_n there is the zero map.
+    `Resolution.of(A)` (what `resolve` caches) grows by free covers: it
+    keeps the last cover P_built -> K, and `extend_to` covers that cover's
+    kernel and stores d = cover . mono.  Any other resolution (the
+    horseshoe's middle, a projection) is fixed, has no such cover and
+    cannot be extended.
     """
 
-    def __init__(self, A, steps=None):
+    def __init__(self, A, terms, aug, diffs, exhausted):
         self.A = A
-        self.extendable = steps is None
-        if steps is None:
-            P, c = A.free_cover()
-            steps = ([P], [c], [A], [None], False)
-        self.terms, self.covers, self.kernels, self.monos, self.exhausted = steps
-        self.diffs = None
+        self.terms = terms
+        self._aug = aug
+        self.diffs = diffs
+        self.exhausted = exhausted
+        self._cover = None
         self._zero = None
         self._lock = threading.RLock()
 
     @classmethod
-    def given(cls, A, terms, aug, diffs, exhausted) -> "Resolution":
-        """The fixed resolution with terms P_0..P_built, augmentation
-        P_0 -> A and differentials diffs = {n: P_n -> P_{n-1}} for
-        1 <= n <= built; `exhausted` says that every later term is zero."""
-        res = cls(A, (terms, [aug], [A], [None], exhausted))
-        res.diffs = diffs
+    def of(cls, A) -> "Resolution":
+        """The resolution of A by iterated free covers, built to degree 0."""
+        P, cover = A.free_cover()
+        res = cls(A, [P], cover, {}, False)
+        res._cover = cover
         return res
-
-    def _steps(self, what):
-        if self.diffs is not None:
-            raise ShapeError(f"a resolution given by its differentials has no {what}")
 
     @property
     def built(self):
         return len(self.terms) - 1
 
     def extend_to(self, n):
-        # grows this resolution's term lists in place; the lock keeps
-        # concurrent derived computations sharing it consistent (it guards
-        # only this resolution, not the package's other caches)
+        # grows this resolution in place, each d_n stored before P_n so
+        # that `built` never counts a degree without its differential; the
+        # lock keeps concurrent derived computations sharing it consistent
+        # (it guards only this resolution, not the package's other caches)
         with self._lock:
             while self.built < n and not self.exhausted:
-                if not self.extendable:
+                if self._cover is None:
                     raise ShapeError("this resolution cannot be extended")
-                K, mono = self.covers[-1].kernel()
+                K, mono = self._cover.kernel()
                 if K.is_zero():
-                    self.exhausted = True
-                    self.kernels.append(K)
-                    self.monos.append(mono)
+                    self.exhausted, self._cover = True, None
                     break
-                P, c = K.free_cover()
-                self.kernels.append(K)
-                self.monos.append(mono)
+                P, cover = K.free_cover()
+                self.diffs[self.built + 1] = cover.then(mono)
                 self.terms.append(P)
-                self.covers.append(c)
+                self._cover = cover
         return self
 
     def zero(self):
@@ -120,37 +108,15 @@ class Resolution:
             return self.terms[n]
         return self.zero()
 
-    def kernel_obj(self, n):
-        self._steps("kernels")
-        if n < len(self.kernels):
-            return self.kernels[n]
-        return self.zero()
-
-    def mono(self, n):
-        self._steps("kernels")
-        if n < 1:
-            raise ShapeError(f"resolution kernels start in degree 1, not {n}")
-        if n < len(self.monos):
-            return self.monos[n]
-        return self.kernel_obj(n).zero_to(self.term(n - 1))
-
-    def cover(self, n):
-        self._steps("covers")
-        if n <= self.built:
-            return self.covers[n]
-        return self.term(n).zero_to(self.kernel_obj(n))
-
     def diff(self, n):
         if n < 1:
             raise ShapeError(f"resolution differentials start in degree 1, not {n}")
-        if self.diffs is None:
-            return self.cover(n).then(self.mono(n))
         if n <= self.built:
             return self.diffs[n]
         return self.term(n).zero_to(self.term(n - 1))
 
     def aug(self):
-        return self.covers[0]
+        return self._aug
 
     def complex(self, hi) -> Complex:
         objects = {n: self.term(n) for n in range(0, hi + 1)}
@@ -163,7 +129,7 @@ def resolve(A, n_max) -> Resolution:
     so every component resolves the corresponding component)."""
     res = A._cache.get("res")
     if res is None:
-        res = Resolution(A)
+        res = Resolution.of(A)
         A._cache["res"] = res
     res.extend_to(n_max)
     return res
@@ -177,9 +143,9 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
     Degree n lifts w = phi_{n-1} . d^src_n through d^tgt_n itself: w lies
     in ker d^tgt_{n-1} (or ker aug_tgt), which is im d^tgt_n because the
     target is exact there, and P_n(src) is free, so a lift exists (`lift`
-    checks it).  Only the target's differentials are read, never its
-    kernels, so one path serves both forms of `Resolution`.  Past the
-    target's end w must be zero.
+    checks it).  Only the target's augmentation and differentials are
+    read, so any `Resolution` can be the target.  Past the target's end w
+    must be zero.
     """
     key = ("lift", res_src, res_tgt)
     maps = f._cache.get(key)
@@ -201,15 +167,20 @@ def lift_resolution_map(f, res_src: Resolution, res_tgt: Resolution, n_max):
 
 
 def project_resolution(res: Resolution, i) -> Resolution:
-    """Component at i of a diagram resolution, as a module resolution.
+    """Component at i of a diagram resolution, as a fixed module
+    resolution: the components of its terms, augmentation and
+    differentials.
 
     Rebuilt on every call (the parent may have grown since); projections
     are cheap and are only used transiently for chain lifting.
     """
-    return Resolution(res.A.component(i), (
-        [t.component(i) for t in res.terms], [c.component(i) for c in res.covers],
-        [k.component(i) for k in res.kernels],
-        [None] + [m.component(i) for m in res.monos[1:]], res.exhausted))
+    # `exhausted` is read before the terms, so a concurrent extension of
+    # res cannot make the projection claim to end before its last term
+    exhausted, terms = res.exhausted, list(res.terms)
+    return Resolution(res.A.component(i), [t.component(i) for t in terms],
+                      res.aug().component(i),
+                      {n: res.diffs[n].component(i) for n in range(1, len(terms))},
+                      exhausted)
 
 
 # -- derived functors --------------------------------------------------------
@@ -304,8 +275,8 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     theta_{n-1} d^N_n in ker d^L_{n-2} = im d^L_{n-1}.  (Composites are
     written right to left here, as in the matrix.)  Only the outer
     differentials and augmentations are read, so an outer resolution may
-    itself be given by its differentials (`ce_grid` passes a horseshoe's
-    middle), and no kernel of the middle is computed.
+    itself be a horseshoe's middle (`ce_grid` passes one), and no kernel
+    of the middle is computed.
 
     The certificate is checked with plain `if`s: d^M_{n-1} d^M_n = 0 and
     eps_M d^M_1 = 0 (the lifts check themselves).  That makes the middle
@@ -355,7 +326,7 @@ def horseshoe(ses: SES, res_sub: Resolution, res_quo: Resolution,
     exhausted = top < n_max
     if exhausted and not last.is_mono():
         raise ExactnessError("horseshoe: nonzero middle kernel past both outer ends")
-    out = Resolution.given(ses.M, terms, eps, diffs, exhausted)
+    out = Resolution(ses.M, terms, eps, diffs, exhausted)
     for k in range(top + 1, n_max + 1):
         PL, PM, PN = res_sub.term(k), out.term(k), res_quo.term(k)
         incl[k], proj[k] = PL.zero_to(PM), PM.zero_to(PN)

@@ -25,6 +25,7 @@ Cartan-Eilenberg grid and spectral-sequence checks that compute every
 column, E2 row and acyclicity witness from scratch, equal or not.
 """
 
+import weakref
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd, prod
@@ -638,40 +639,67 @@ def diag_mor_every_square(f: DiagMor):
     return None
 
 
+_OWN_STEPS = weakref.WeakKeyDictionary()  # middle -> (covers, monos), built below
+
+
+def _steps(res, n_max):
+    """(covers, monos) of res through degree n_max, as a resolution by
+    iterated free covers holds them: covers[n]: P_n -> K_n onto the n-th
+    kernel (K_0 = res.A) and, for n >= 1, monos[n]: K_n -> P_{n-1}, so
+    that d_n is covers[n] followed by monos[n].  A middle built by
+    `horseshoe_every_degree` keeps its own.  Any other resolution is
+    rebuilt by iterated free covers and kernels of res.A, as `resolve`
+    builds it, with zero maps through res's zero object past the first
+    zero kernel."""
+    if res in _OWN_STEPS:
+        return _OWN_STEPS[res]
+    zero, ended = res.zero(), False
+    covers, monos = [res.A.free_cover()[1]], [None]
+    for _ in range(n_max):
+        if ended:
+            K, mono = zero, zero.zero_to(covers[-1].source)
+        else:
+            K, mono = covers[-1].kernel()
+            ended = K.is_zero()
+        monos.append(mono)
+        covers.append(zero.zero_to(K) if ended else K.free_cover()[1])
+    return covers, monos
+
+
 def horseshoe_every_degree(ses: SES, res_sub: Resolution, res_quo: Resolution,
                            n_max) -> HorseshoeData:
     """`derived.horseshoe` building the biproduct, its cover and the kernel
     sequence in every degree up to n_max, also past the end of both outer
-    resolutions."""
+    resolutions, from the covers and monos of the outer resolutions
+    (`_steps`)."""
     res_sub.extend_to(n_max)
     res_quo.extend_to(n_max)
+    covers_l, monos_l = _steps(res_sub, n_max)
+    covers_n, monos_n = _steps(res_quo, n_max)
     ci, cp = ses.f, ses.g
-    out = Resolution(ses.M, ([], [], [ses.M], [None], False))
+    terms, covers, monos = [], [], [None]
     incl, proj, retr, sec = {}, {}, {}, {}
     for n in range(0, n_max + 1):
-        PL = res_sub.term(n)
-        PN = res_quo.term(n)
-        bp = PL.biproduct(PN)
-        lam = res_quo.cover(n).lift(cp)
-        eps = (bp.proj1.then(res_sub.cover(n)).then(ci)
-               + bp.proj2.then(lam))
-        out.terms.append(bp.obj)
-        out.covers.append(eps)
+        bp = covers_l[n].source.biproduct(covers_n[n].source)
+        lam = covers_n[n].lift(cp)
+        eps = bp.proj1.then(covers_l[n]).then(ci) + bp.proj2.then(lam)
+        terms.append(bp.obj)
+        covers.append(eps)
         incl[n] = bp.inj1
         proj[n] = bp.proj2
         retr[n] = bp.proj1
         sec[n] = bp.inj2
         if n == n_max:
             break
-        monoL = res_sub.mono(n + 1)
-        monoN = res_quo.mono(n + 1)
         KM, monoM = eps.kernel()
-        out.kernels.append(KM)
-        out.monos.append(monoM)
-        ii = monoM.factor(monoL.then(bp.inj1))
-        pp = monoN.factor(monoM.then(bp.proj2))
+        monos.append(monoM)
+        ii = monoM.factor(monos_l[n + 1].then(bp.inj1))
+        pp = monos_n[n + 1].factor(monoM.then(bp.proj2))
         SES(ii, pp)  # the kernels form a short exact sequence again
         ci, cp = ii, pp
+    out = Resolution(ses.M, terms, covers[0],
+                     {n: covers[n].then(monos[n]) for n in range(1, n_max + 1)}, False)
+    _OWN_STEPS[out] = covers, monos
     return HorseshoeData(out, incl, proj, retr, sec)
 
 

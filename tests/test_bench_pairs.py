@@ -1,9 +1,10 @@
 """`bench/pairs.py`: per-metric medians, the parent's spread and the
 per-pair ratios (`summarise`), and the rounds of the bench/ scripts, the
-side that runs first alternating and each row merged by its median
-(`rounds`), and the Tier-1 rounds of `end_to_end`, which alternate the
-same way, so a drift of the machine during the runs does not count as a
-difference or spread of the change against its parent."""
+side that runs first alternating, each row merged by its median and each
+timing paired round by round (`rounds`), and the Tier-1 rounds of
+`end_to_end`, which alternate the same way, so a drift of the machine
+during the runs does not count as a difference or spread of the change
+against its parent."""
 
 import importlib.util
 import os
@@ -90,6 +91,31 @@ def test_rounds_alternate_the_first_side_and_take_row_medians(monkeypatch):
     assert change["disagreements"] == {"suites.les.failed": [[0], [0], [1]],
                                        "acceptance_ok": [True, False, True]}
     assert set(parent) == set(_stub_output(1, 0)) | {"disagreements"}
+
+
+def test_rounds_pair_each_timing_by_round(monkeypatch):
+    pairs = load_pairs()
+    monkeypatch.setattr(pairs, "ROUNDS", 3)
+    calls = []
+
+    def stub(name, root):
+        calls.append(root)
+        out = _stub_output(len(calls), failed=0)
+        if len(calls) == 4:  # the parent's second round reads 0 on one row
+            out["results"][1]["ss_pages_s"] = 0.0
+        return out
+
+    monkeypatch.setattr(pairs, "this_script", stub)
+    ratios = pairs.rounds("ss_scaling.py", (("parent", "P"), ("change", "C")))["ratios"]
+    assert calls == list("PCCPPC")
+    # round by round the parent ran on calls 1, 4 and 5, the change on 2, 3
+    # and 6; only the timings (floats) are paired, not the runs or counts
+    assert set(ratios) == {"results[0].ss_pages_s", "results[1].ss_pages_s",
+                           "suites.les.median_s"}
+    for path in ("results[0].ss_pages_s", "suites.les.median_s"):
+        assert ratios[path]["ratios"] == pytest.approx([2.0, 0.75, 1.2])
+        assert ratios[path]["median"] == pytest.approx(1.2)
+    assert ratios["results[1].ss_pages_s"] == {"ratios": None, "median": None}
 
 
 def test_tier1_rounds_alternate_the_first_side_and_take_the_median(monkeypatch, tmp_path):

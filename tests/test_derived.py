@@ -14,6 +14,7 @@ from functor_homology.derived import (comparison_iso, connecting,
 from functor_homology.diagrams import DiagMor, Diagram, constant_diagram
 from functor_homology.errors import ExactnessError, NonzeroCompositeError
 from functor_homology.fincat import standard
+from functor_homology.fplinalg import FpMatrix
 from functor_homology.functors import base_change, exponent, tensor_with
 from functor_homology.modules import (ModMor, ModuleObj, cyclic, free_module,
                                       trivial_module)
@@ -25,6 +26,7 @@ from functor_homology.verification import (_random_fp_module,
                                            random_module_ses, random_morphism,
                                            random_z_module)
 from oracle import Element, apply, connecting_by_elements, preimage
+from test_twisted_horseshoe import _assert_resolves
 ARROW = standard("arrow")
 
 
@@ -270,7 +272,7 @@ def test_resolution_independence_via_lifting():
     from functor_homology.derived import Resolution
     A = cyclic(4)
     res1 = resolve(A, 2)
-    res2 = Resolution(A).extend_to(2)  # a second, fresh resolution
+    res2 = Resolution.of(A).extend_to(2)  # a second, fresh resolution
     lift = lift_resolution_map(A.identity(), res1, res2, 2)
     F = tensor_with(cyclic(2))
     from functor_homology.functors import apply, apply_to_complex
@@ -390,3 +392,18 @@ def test_group_homology_of_c2():
     want = cyclic_group_homology_dims(2, 2, 4)
     for n in range(4):
         assert derived(G, T, n).dim == want[n] == 1
+
+
+def test_resolutions_over_a_non_local_algebra():
+    # F_2[C3] = F_2 x F_4 is not local (every other F_p algebra in these
+    # tests is).  Its simples are the trivial module and a 2-dimensional W
+    # (the generator acting by the companion matrix of x^2 + x + 1); W is
+    # projective but not free, and its free resolution never ends
+    R = group_algebra(2, cyclic_group_table(3))
+    g = FpMatrix(2, 2, 2, [[0, 1], [1, 1]])
+    W = ModuleObj(R, 2, actions=[FpMatrix.identity(2, 2), g, g.mul(g)])
+    rng = random.Random(7)
+    for M in [_random_fp_module(rng, R, 3) for _ in range(30)] + [W]:
+        _, cover = M.free_cover()
+        assert cover.is_epi()
+        _assert_resolves(resolve(M, 3), 3)

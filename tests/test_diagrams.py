@@ -342,7 +342,6 @@ expect(ShapeError, lambda: fp_from_columns(2, [[1, 1], [1]], 2), "column 1")
 expect(ShapeError, lambda: from_columns([[1, 0, 1], [1, 1]], 2), "column 0")
 expect(ShapeError, lambda: from_columns([[1, 1], [1]], 2), "column 1")
 expect(ShapeError, lambda: Complex(2, 1, {}, {}))
-expect(ShapeError, lambda: resolve(Z2, 1).mono(0))
 expect(ShapeError, lambda: resolve(Z2, 1).diff(0))
 BAD = fincat.FinCat(["0"], {"id_0": ("0", "0")}, {"0": "id_0"}, {})
 expect(ShapeError, lambda: fincat.product(BAD, standard("point")), "invalid product")
@@ -354,7 +353,7 @@ expect(ShapeError, lambda: Ring(FP_ALGEBRA, p=2, dim=2, basis=["e"],
 
 # a resolution of Z/2 cut off at degree 0 cannot receive the lift of id
 full = resolve(Z2, 1)
-cut = Resolution(Z2, (full.terms[:1], full.covers[:1], [Z2], [None], True))
+cut = Resolution(Z2, full.terms[:1], full.aug(), {}, True)
 expect(ExactnessError, lambda: lift_resolution_map(Z2.identity(), full, cut, 1),
        "truncated exact resolution")
 

@@ -58,7 +58,6 @@ def test_resolution_has_one_zero_object():
     zero = res.term(3)
     assert zero.is_zero()
     assert all(res.term(n) is zero for n in range(res.built + 1, 6))
-    assert all(res.kernel_obj(n) is zero for n in range(len(res.kernels), 6))
     assert resolve(A, 5).term(5) is zero
     ref = weakref.ref(zero)
     del A, res, zero

@@ -8,7 +8,11 @@ z_delta workload draws and on the Cartan-Eilenberg columns of C4 and
 C2xC2: the middle complex has no homology in positive degrees, the
 augmentation induces H_0 = M, and `lift_resolution_map` into and out of a
 middle gives chain maps.  A wrong theta that no lift check sees raises
-`ExactnessError`, also under `python -O`.
+`ExactnessError`, also under `python -O`.  A middle, like a resolution
+by free covers, returns its stored differentials; it cannot be extended
+past the degree it was built to; and the projection of either at an
+index object has the components of its terms, augmentation and
+differentials, and resolves the component of the resolved diagram.
 """
 
 import random
@@ -17,8 +21,9 @@ import pytest
 
 from functor_homology import functors, spectral
 from functor_homology.abelian import is_iso
-from functor_homology.complexes import homology_at
-from functor_homology.derived import horseshoe, lift_resolution_map, resolve
+from functor_homology.complexes import SES, homology_at
+from functor_homology.derived import (horseshoe, lift_resolution_map, project_resolution,
+                                      resolve)
 from functor_homology.errors import ShapeError
 from functor_homology.fincat import standard
 from functor_homology.modules import trivial_module
@@ -107,14 +112,47 @@ def test_every_ce_column_resolves(big, n_max):
         _assert_lifts_through(ce.hsC[pdeg].res_mid, T)
 
 
-def test_a_middle_has_no_kernel_data():
-    F, A = _ce_fixture("C4")
-    ce = spectral.ce_grid(functors.apply_to_complex(F, resolve(A, 3).complex(3)), 3)
-    mid = ce.hsC[1].res_mid
-    for read in (mid.cover, mid.mono, mid.kernel_obj):
-        with pytest.raises(ShapeError, match="given by its differentials has no"):
-            read(1)
-    assert mid.diff(1) is mid.diffs[1]
+def _fixed_middle(n_max):
+    """The middle of 0 -> F_2 -> F_2[C2] -> F_2 -> 0 built to n_max: neither
+    outer resolution ends, so the middle is fixed and not exhausted."""
+    _, epi = trivial_module(F2C2).free_cover()
+    _, mono = epi.kernel()
+    ses = SES(mono, epi)
+    return horseshoe(ses, resolve(ses.L, n_max), resolve(ses.N, n_max), n_max).res_mid
+
+
+def test_a_fixed_middle_is_not_extended_past_its_end():
+    mid = _fixed_middle(3)
+    assert mid.built == 3 and not mid.exhausted
+    assert mid.extend_to(3) is mid
+    with pytest.raises(ShapeError, match="^this resolution cannot be extended$"):
+        mid.extend_to(4)
+    assert mid.built == 3
+
+
+def test_differentials_are_stored_not_rebuilt():
+    n_max = 3
+    own = resolve(trivial_module(F2C2), n_max)
+    for res in (own, _fixed_middle(n_max)):
+        for n in range(1, n_max + 1):
+            assert res.diff(n) is res.diff(n) is res.diffs[n], n
+
+
+@pytest.mark.parametrize("ses", [s for _, s in Z_DELTA], ids=[i for i, _ in Z_DELTA])
+def test_projections_are_the_components(ses):
+    n_max = 3
+    res_m = resolve(ses.M, n_max)
+    mid = horseshoe(ses, resolve(ses.L, n_max), resolve(ses.N, n_max), n_max).res_mid
+    for res in (res_m, mid):
+        for i in ses.M.index.objects:
+            proj = project_resolution(res, i)
+            assert proj.A == res.A.component(i)
+            assert (proj.built, proj.exhausted) == (res.built, res.exhausted)
+            assert proj.terms == [t.component(i) for t in res.terms]
+            assert proj.aug() == res.aug().component(i)
+            for n in range(1, n_max + 1):
+                assert proj.diff(n) == res.diff(n).component(i), (i, n)
+            _assert_resolves(proj, n_max)
 
 
 # a lift that is wrong and unchecked from the call-th one on (call 1 is

@@ -178,7 +178,7 @@ from functor_homology.modules import cyclic, zero_module
 Z2 = cyclic(2)
 P, cover = Z2.free_cover()
 O = zero_module(Z2.ring)
-short = Resolution(Z2, ([P], [cover], [Z2, O], [None, O.zero_to(P)], True))
+short = Resolution(Z2, [P], cover, {}, True)
 ses = SES(Z2.identity(), Z2.zero_to(O))
 derived.SES = lambda f, g: None
 try:

@@ -52,8 +52,9 @@ side, the wall time of the Tier-1 suite (the ROADMAP's command, in that
 checkout): the median of ROUNDS runs that alternate the side that runs
 first, as the scripts do, with every run's time, exit code and summary
 line.  It also holds the wall time of `functor-homology run` on each of
-its demos/*.wb: the median of 5 runs, with every run, the exit code and
-the SHA-256 of stdout, so equal digests show byte-identical reports.
+its demos/*.wb: the median of DEMO_RUNS runs, with every run, the exit
+code and the SHA-256 of stdout, so equal digests show byte-identical
+reports.
 Only the standard library is used.
 """
 
@@ -74,8 +75,9 @@ SEED = 0  # timed runs
 TRACE_SEED = 1  # traced passes
 CODE_COUNTS = ("src_lines", "src_is_integers_lines", "src_isinstance_lines")
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
-DEMO_RUNS = 5
-ROUNDS = 3  # runs per side of each bench/ script
+# even, so that each side runs first in as many rounds as the other
+DEMO_RUNS = 6
+ROUNDS = 4  # runs per side of each bench/ script
 
 
 def last_json(text):

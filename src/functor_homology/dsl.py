@@ -6,13 +6,63 @@ Line- or semicolon-delimited declarations; newlines inside brackets are
 ignored, so matrices can span lines.  Parsing never raises: every
 lexical, syntactic or name-resolution problem becomes a Diagnostic with a
 line/column position.  `parse(print_doc(doc))` reproduces the document.
+
+Each form is written once, as a row of `DECL_FORMS` or `FUNCTOR_FORMS`:
+the text `print_doc` writes, with a `<key:type>` slot per value.  The
+parser reads a row's tokens and slots in order, the printer fills the
+slots in, and name resolution walks the same slots; a slot's type in
+`SLOT_TYPES` says how its value is read, written and resolved.  Adding a
+form means one table row plus its builder in `runner._build_decl`.  Only
+the `task` reader, whose `key=value` arguments are free-form, is written
+by hand.
 """
 
 from __future__ import annotations
 
+import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 TASK_KINDS = ("validate", "homology", "derive", "les", "ladder", "ss", "verify")
+
+# (the payload's "form", or None for a kind of one form; the form's text).
+# The word after "=" picks among a kind's forms; `ring <name>` alone is the
+# integers, and the first row of a form is the one printed.
+DECL_FORMS = (
+    ("integers", "ring <name:new>"),
+    ("integers", "ring <name:new> = integers"),
+    ("fp", "ring <name:new> = fp p=<p:int>"),
+    ("group_algebra", "ring <name:new> = group_algebra p=<p:int> table <table:matrix>"),
+    ("fp_algebra",
+     "ring <name:new> = fp_algebra p=<p:int> unit <unit:vector> table <table:cube>"),
+    ("free", "module <name:new> over <ring:ring> = free <rank:int>"),
+    ("coker", "module <name:new> over <ring:ring> = coker <relations:matrix>"),
+    ("trivial", "module <name:new> over <ring:ring> = trivial"),
+    ("fp", "module <name:new> over <ring:ring> = fp dim <dim:int> actions <actions:cube>"),
+    (None, "morphism <name:new> : <source:name> -> <target:name> = <matrix:matrix>"),
+    ("standard", "category <name:new> = standard <which:standard>"),
+    ("product", "category <name:new> = product(<left:category>, <right:category>)"),
+    ("opposite", "category <name:new> = opposite(<of:category>)"),
+    ("monoid", "category <name:new> = monoid table <table:matrix>"),
+    ("explicit", "category <name:new> = objects [<objects:labels>] "
+                 "arrows [<arrows:arrows>]<compose:compositions>"),
+    (None, "diagram <name:new> over <category:category> = { <objects:modules><maps:maps> }"),
+    (None, "diagmor <name:new> : <source:diagram> -> <target:diagram> = "
+           "{ <components:components> }"),
+    (None, "functor <name:new> = <expr:functor>"),
+    (None, "ses <name:new> = (<f:name>, <g:name>)"),
+)
+
+# (FunctorExpr.op, its text); the op's args are the slots' values in order,
+# and a name with no "(" after it is the op "name".
+FUNCTOR_FORMS = (
+    ("name", "<name:name>"),
+    ("tensor", "tensor(<module:module name>)"),
+    ("base_change", "base_change(<source:ring name> -> <target:ring name><images:images>)"),
+    ("coinvariants", "coinvariants(<ring:ring name>)"),
+    ("compose", "compose(<outer:functor>, <inner:functor>)"),
+    ("exponent", "exponent(<inner:functor>, <category:category name>)"),
+)
 
 
 @dataclass
@@ -27,27 +77,11 @@ class Diagnostic:
 
 @dataclass
 class FunctorExpr:
-    op: str  # name | tensor | base_change | coinvariants | compose | exponent
+    op: str  # a FUNCTOR_FORMS op
     args: tuple
 
     def __str__(self):
-        if self.op == "name":
-            return self.args[0]
-        if self.op == "tensor":
-            return f"tensor({self.args[0]})"
-        if self.op == "base_change":
-            src, tgt, images = self.args
-            if images is None:
-                return f"base_change({src} -> {tgt})"
-            imgs = ", ".join(str(i) for i in images)
-            return f"base_change({src} -> {tgt}, images=[{imgs}])"
-        if self.op == "coinvariants":
-            return f"coinvariants({self.args[0]})"
-        if self.op == "compose":
-            return f"compose({self.args[0]}, {self.args[1]})"
-        if self.op == "exponent":
-            return f"exponent({self.args[0]}, {self.args[1]})"
-        raise ValueError(self.op)
+        return _FUNCTORS[self.op].write(self.args)
 
 
 @dataclass
@@ -55,20 +89,13 @@ class Decl:
     kind: str
     name: str
     payload: dict
-    line: int = 0
-    col: int = 0
-
-    def __eq__(self, other):
-        return (isinstance(other, Decl) and self.kind == other.kind
-                and self.name == other.name and self.payload == other.payload)
+    line: int = field(default=0, compare=False)
+    col: int = field(default=0, compare=False)
 
 
 @dataclass
 class WorkbenchDoc:
     decls: list = field(default_factory=list)
-
-    def __eq__(self, other):
-        return isinstance(other, WorkbenchDoc) and self.decls == other.decls
 
     def tasks(self):
         return [d for d in self.decls if d.kind == "task"]
@@ -124,17 +151,17 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if c == "-" and i + 1 < n and text[i + 1].isdigit():
+        if c == "-" and i + 1 < n and text[i + 1].isdecimal():
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -156,10 +183,7 @@ def _tokenize(text):
 
 
 class _ParseError(Exception):
-    def __init__(self, tok: Token, message: str):
-        super().__init__(message)
-        self.tok = tok
-        self.message = message
+    """args: the token where parsing failed, and the message."""
 
 
 class _Parser:
@@ -177,26 +201,20 @@ class _Parser:
         return t
 
     def skip_separators(self):
-        while self.peek().kind == "newline" or (
-                self.peek().kind == "punct" and self.peek().value == ";"):
+        while self.peek().kind == "newline" or self.at_punct(";"):
             self.next()
 
-    def expect_punct(self, value):
+    def expect(self, value):
+        """The next token, which must be the literal value (a literal's
+        text fixes its token kind)."""
         t = self.next()
-        if t.kind != "punct" or t.value != value:
+        if t.value != value:
             raise _ParseError(t, f"expected {value!r}, found {t.value!r}")
-        return t
 
     def expect_name(self, what="a name"):
         t = self.next()
         if t.kind != "name":
             raise _ParseError(t, f"expected {what}, found {t.value!r}")
-        return t
-
-    def expect_keyword(self, value):
-        t = self.next()
-        if t.kind != "name" or t.value != value:
-            raise _ParseError(t, f"expected {value!r}, found {t.value!r}")
         return t
 
     def expect_int(self):
@@ -205,9 +223,8 @@ class _Parser:
             raise _ParseError(t, f"expected an integer, found {t.value!r}")
         return int(t.value)
 
-    def at_name(self, value=None):
-        t = self.peek()
-        return t.kind == "name" and (value is None or t.value == value)
+    def at_name(self):
+        return self.peek().kind == "name"
 
     def at_punct(self, value):
         t = self.peek()
@@ -220,37 +237,39 @@ class _Parser:
             raise _ParseError(t, f"expected {what}, found {t.value!r}")
         return t.value
 
-    # vectors / matrices / cubes ------------------------------------------
+    def read(self, parts, values):
+        """Read a form's literal tokens and slots in order (see `_Form`),
+        each slot's value into the dict values, which is returned."""
+        for key, slot in parts:
+            if slot is None:
+                self.expect(key)
+            else:
+                values[key] = slot.read(self)
+        return values
 
-    def int_vector(self):
-        self.expect_punct("[")
+    # lists ----------------------------------------------------------------
+
+    def items(self, read_item, close="]"):
+        """read_item() up to a punctuation token in close, which is not
+        read; commas between items are optional."""
         out = []
-        while not self.at_punct("]"):
-            out.append(self.expect_int())
+        t = self.peek()
+        while t.kind != "punct" or t.value not in close:
+            out.append(read_item())
             if self.at_punct(","):
                 self.next()
-        self.expect_punct("]")
+            t = self.peek()
         return out
 
-    def int_matrix(self):
-        self.expect_punct("[")
-        out = []
-        while not self.at_punct("]"):
-            out.append(self.int_vector())
-            if self.at_punct(","):
-                self.next()
-        self.expect_punct("]")
+    def bracketed(self, read_item):
+        self.expect("[")
+        out = self.items(read_item)
+        self.expect("]")
         return out
 
-    def int_cube(self):
-        self.expect_punct("[")
-        out = []
-        while not self.at_punct("]"):
-            out.append(self.int_matrix())
-            if self.at_punct(","):
-                self.next()
-        self.expect_punct("]")
-        return out
+    def ints(self, depth):
+        """A vector (depth 1), matrix (2) or cube (3) of integers."""
+        return self.bracketed(self.expect_int if depth == 1 else lambda: self.ints(depth - 1))
 
     # functor expressions ---------------------------------------------------
 
@@ -258,285 +277,222 @@ class _Parser:
         t = self.expect_name("a functor expression")
         if not self.at_punct("("):
             return FunctorExpr("name", (t.value,))
-        if t.value == "tensor":
-            self.expect_punct("(")
-            m = self.expect_name("a module name").value
-            self.expect_punct(")")
-            return FunctorExpr("tensor", (m,))
-        if t.value == "base_change":
-            self.expect_punct("(")
-            src = self.expect_name("a ring name").value
-            self.expect_punct("->")
-            tgt = self.expect_name("a ring name").value
-            images = None
-            if self.at_punct(","):
-                self.next()
-                self.expect_keyword("images")
-                self.expect_punct("=")
-                images = tuple(self.int_vector())
-            self.expect_punct(")")
-            return FunctorExpr("base_change", (src, tgt, images))
-        if t.value == "coinvariants":
-            self.expect_punct("(")
-            r = self.expect_name("a ring name").value
-            self.expect_punct(")")
-            return FunctorExpr("coinvariants", (r,))
-        if t.value == "compose":
-            self.expect_punct("(")
-            outer = self.functor_expr()
-            self.expect_punct(",")
-            inner = self.functor_expr()
-            self.expect_punct(")")
-            return FunctorExpr("compose", (outer, inner))
-        if t.value == "exponent":
-            self.expect_punct("(")
-            inner = self.functor_expr()
-            self.expect_punct(",")
-            cat = self.expect_name("a category name").value
-            self.expect_punct(")")
-            return FunctorExpr("exponent", (inner, cat))
-        raise _ParseError(t, f"unknown functor constructor {t.value!r}")
+        parts = _CONSTRUCTORS.get(t.value)
+        if parts is None:
+            raise _ParseError(t, f"unknown functor constructor {t.value!r}")
+        return FunctorExpr(t.value, tuple(self.read(parts, {}).values()))
 
     # declarations -----------------------------------------------------------
 
-    def binding_list(self):
-        """{ name: name, ... } possibly split by ';' into two groups."""
-        self.expect_punct("{")
-        groups = [[]]
-        while not self.at_punct("}"):
-            if self.at_punct(";"):
-                self.next()
-                groups.append([])
-                continue
-            key = self.expect_label("a binding key")
-            self.expect_punct(":")
-            val = self.expect_name("a binding value").value
-            groups[-1].append((key, val))
-            if self.at_punct(","):
-                self.next()
-        self.expect_punct("}")
-        return groups
-
     def decl(self) -> Decl:
         t = self.expect_name("a declaration keyword")
-        line, col = t.line, t.col
         kind = t.value
-        if kind == "ring":
-            name = self.expect_name().value
-            payload = {"form": "integers"}
-            if self.at_punct("="):
-                self.next()
-                head = self.expect_name("a ring form").value
-                if head == "integers":
-                    payload = {"form": "integers"}
-                elif head == "fp":
-                    self.expect_keyword("p")
-                    self.expect_punct("=")
-                    payload = {"form": "fp", "p": self.expect_int()}
-                elif head == "group_algebra":
-                    self.expect_keyword("p")
-                    self.expect_punct("=")
-                    p = self.expect_int()
-                    self.expect_keyword("table")
-                    payload = {"form": "group_algebra", "p": p,
-                               "table": self.int_matrix()}
-                elif head == "fp_algebra":
-                    self.expect_keyword("p")
-                    self.expect_punct("=")
-                    p = self.expect_int()
-                    self.expect_keyword("unit")
-                    unit = self.int_vector()
-                    self.expect_keyword("table")
-                    payload = {"form": "fp_algebra", "p": p, "unit": unit,
-                               "table": self.int_cube()}
-                else:
-                    raise _ParseError(t, f"unknown ring form {head!r}")
-            return Decl("ring", name, payload, line, col)
-        if kind == "module":
-            name = self.expect_name().value
-            self.expect_keyword("over")
-            ring = self.expect_name("a ring name").value
-            self.expect_punct("=")
-            head = self.expect_name("a module form").value
-            if head == "free":
-                payload = {"ring": ring, "form": "free", "rank": self.expect_int()}
-            elif head == "coker":
-                payload = {"ring": ring, "form": "coker",
-                           "relations": self.int_matrix()}
-            elif head == "trivial":
-                payload = {"ring": ring, "form": "trivial"}
-            elif head == "fp":
-                self.expect_keyword("dim")
-                dim = self.expect_int()
-                self.expect_keyword("actions")
-                payload = {"ring": ring, "form": "fp", "dim": dim,
-                           "actions": self.int_cube()}
-            else:
-                raise _ParseError(t, f"unknown module form {head!r}")
-            return Decl("module", name, payload, line, col)
-        if kind == "morphism":
-            name = self.expect_name().value
-            self.expect_punct(":")
-            src = self.expect_name().value
-            self.expect_punct("->")
-            tgt = self.expect_name().value
-            self.expect_punct("=")
-            mat = self.int_matrix()
-            return Decl("morphism", name,
-                        {"source": src, "target": tgt, "matrix": mat}, line, col)
-        if kind == "category":
-            name = self.expect_name().value
-            self.expect_punct("=")
-            head = self.expect_name("a category form").value
-            if head == "standard":
-                payload = {"form": "standard",
-                           "which": self.expect_name("a category name").value}
-            elif head == "product":
-                self.expect_punct("(")
-                a = self.expect_name().value
-                self.expect_punct(",")
-                b = self.expect_name().value
-                self.expect_punct(")")
-                payload = {"form": "product", "left": a, "right": b}
-            elif head == "opposite":
-                self.expect_punct("(")
-                a = self.expect_name().value
-                self.expect_punct(")")
-                payload = {"form": "opposite", "of": a}
-            elif head == "monoid":
-                self.expect_keyword("table")
-                payload = {"form": "monoid", "table": self.int_matrix()}
-            elif head == "objects":
-                self.expect_punct("[")
-                objs = []
-                while not self.at_punct("]"):
-                    objs.append(self.expect_label())
-                    if self.at_punct(","):
-                        self.next()
-                self.expect_punct("]")
-                self.expect_keyword("arrows")
-                self.expect_punct("[")
-                arrows = []
-                while not self.at_punct("]"):
-                    a = self.expect_name().value
-                    self.expect_punct(":")
-                    s = self.expect_label()
-                    self.expect_punct("->")
-                    g = self.expect_label()
-                    arrows.append((a, s, g))
-                    if self.at_punct(","):
-                        self.next()
-                self.expect_punct("]")
-                comps = []
-                if self.at_name("compose"):
-                    self.next()
-                    self.expect_punct("[")
-                    while not self.at_punct("]"):
-                        g = self.expect_name().value
-                        self.expect_punct(".")
-                        f = self.expect_name().value
-                        self.expect_punct("=")
-                        h = self.expect_name().value
-                        comps.append((g, f, h))
-                        if self.at_punct(","):
-                            self.next()
-                    self.expect_punct("]")
-                payload = {"form": "explicit", "objects": objs,
-                           "arrows": arrows, "compose": comps}
-            else:
-                raise _ParseError(t, f"unknown category form {head!r}")
-            return Decl("category", name, payload, line, col)
-        if kind == "diagram":
-            name = self.expect_name().value
-            self.expect_keyword("over")
-            cat = self.expect_name().value
-            self.expect_punct("=")
-            groups = self.binding_list()
-            objs = groups[0]
-            maps = groups[1] if len(groups) > 1 else []
-            return Decl("diagram", name,
-                        {"category": cat, "objects": objs, "maps": maps},
-                        line, col)
-        if kind == "diagmor":
-            name = self.expect_name().value
-            self.expect_punct(":")
-            src = self.expect_name().value
-            self.expect_punct("->")
-            tgt = self.expect_name().value
-            self.expect_punct("=")
-            groups = self.binding_list()
-            return Decl("diagmor", name,
-                        {"source": src, "target": tgt, "components": groups[0]},
-                        line, col)
-        if kind == "functor":
-            name = self.expect_name().value
-            self.expect_punct("=")
-            return Decl("functor", name, {"expr": self.functor_expr()}, line, col)
-        if kind == "ses":
-            name = self.expect_name().value
-            self.expect_punct("=")
-            self.expect_punct("(")
-            f = self.expect_name().value
-            self.expect_punct(",")
-            g = self.expect_name().value
-            self.expect_punct(")")
-            return Decl("ses", name, {"f": f, "g": g}, line, col)
         if kind == "task":
-            first = self.expect_name("a task kind or name")
-            if self.at_punct("=") and first.value not in TASK_KINDS:
-                self.next()
-                name = first.value
-                tk = self.expect_name("a task kind").value
+            return self.task(t)
+        if kind not in _KINDS:
+            raise _ParseError(t, f"unknown declaration {kind!r}")
+        prefix, short, forms = _KINDS[kind]
+        values = self.read(prefix, {})
+        if short is not None and not self.at_punct("="):
+            form, rest = short, ()
+        else:
+            self.expect("=")
+            if None in forms:
+                form, rest = forms[None]
             else:
-                name = None
-                tk = first.value
-            if tk not in TASK_KINDS:
-                raise _ParseError(first, f"unknown task kind {tk!r}")
-            args = {}
-            while self.at_name():
-                key = self.expect_name().value
-                self.expect_punct("=")
-                nxt = self.peek()
-                if nxt.kind == "int":
-                    args[key] = self.expect_int()
-                elif nxt.kind == "name" and nxt.value in ("true", "false") \
-                        and not (self.toks[self.pos + 1].kind == "punct"
-                                 and self.toks[self.pos + 1].value == "("):
-                    args[key] = self.next().value == "true"
-                elif nxt.kind == "name":
-                    args[key] = self.functor_expr()
-                else:
-                    raise _ParseError(nxt, "expected a task argument value")
-            return Decl("task", name, {"task_kind": tk, "args": args}, line, col)
-        raise _ParseError(t, f"unknown declaration {kind!r}")
+                head = self.expect_name(f"a {kind} form").value
+                if head not in forms:
+                    raise _ParseError(t, f"unknown {kind} form {head!r}")
+                form, rest = forms[head]
+        if form.name is not None:
+            values["form"] = form.name
+        self.read(rest, values)
+        return Decl(kind, values.pop("name"), values, t.line, t.col)
+
+    def task(self, t):
+        first = self.expect_name("a task kind or name")
+        if self.at_punct("=") and first.value not in TASK_KINDS:
+            self.next()
+            name = first.value
+            tk = self.expect_name("a task kind").value
+        else:
+            name = None
+            tk = first.value
+        if tk not in TASK_KINDS:
+            raise _ParseError(first, f"unknown task kind {tk!r}")
+        args = {}
+        while self.at_name():
+            key = self.expect_name().value
+            self.expect("=")
+            nxt = self.peek()
+            if nxt.kind == "int":
+                args[key] = self.expect_int()
+            elif nxt.kind == "name" and nxt.value in ("true", "false") \
+                    and not (self.toks[self.pos + 1].kind == "punct"
+                             and self.toks[self.pos + 1].value == "("):
+                args[key] = self.next().value == "true"
+            elif nxt.kind == "name":
+                args[key] = self.functor_expr()
+            else:
+                raise _ParseError(nxt, "expected a task argument value")
+        return Decl("task", name, {"task_kind": tk, "args": args}, t.line, t.col)
 
 
-_REFERENCE_KEYS = {
-    "module": [("ring", "ring")],
-    "morphism": [("source", None), ("target", None)],
-    "category": [("left", "category"), ("right", "category"), ("of", "category")],
-    "diagram": [("category", "category")],
-    "diagmor": [("source", "diagram"), ("target", "diagram")],
-    "ses": [("f", None), ("g", None)],
+# -- slots and forms ------------------------------------------------------------
+
+
+def _fmt_ints(v, depth):
+    """A vector (depth 1), matrix (2) or cube (3) of integers as written."""
+    return "[" + ", ".join(str(x) if depth == 1 else _fmt_ints(x, depth - 1) for x in v) + "]"
+
+
+class _Form:
+    """A table row, compiled at import: `parts` are its literal tokens and
+    slots in order, as (token text, None) and (key, slot type from
+    SLOT_TYPES); `texts` are the texts around the slots, which the printer
+    fills in."""
+
+    def __init__(self, name, text):
+        self.name = name
+        pieces = re.split(r"<(\w+):([\w ]+)>", text)
+        self.texts = pieces[::3]
+        self.slots = [(key, SLOT_TYPES[typ]) for key, typ in zip(pieces[1::3], pieces[2::3])]
+        self.parts = []
+        for k, literal in enumerate(self.texts):
+            self.parts += [(t.value, None) for t in _tokenize(literal)[0][:-1]]
+            self.parts += self.slots[k:k + 1]
+
+    def write(self, values):
+        """The form's text with the slots' values, in order, filled in."""
+        out = self.texts[0]
+        for (_, slot), value, text in zip(self.slots, values, self.texts[1:]):
+            out += slot.write(value) + text
+        return out
+
+    def names(self, values):
+        for (_, slot), value in zip(self.slots, values):
+            yield from slot.names(value)
+
+
+# read(parser) -> value; write(value) -> its text; names(value) -> the
+# (name, kind) pairs it refers to, kind None for a name of any kind
+_Slot = namedtuple("_Slot", "read write names", defaults=(str, lambda v: ()))
+
+
+def _name(what, kind=None, lookup=True):
+    """A name slot: `what` is the diagnostic's words for a token that is no
+    name, and the name must resolve to a declaration of kind (of any kind
+    if None), unless lookup is False."""
+    return _Slot(lambda p: p.expect_name(what).value,
+                 names=(lambda v: ((v, kind),)) if lookup else (lambda v: ()))
+
+
+def _ints(depth, convert=list):
+    return _Slot(lambda p: convert(p.ints(depth)), lambda v: _fmt_ints(v, depth))
+
+
+def _expr_names(expr):
+    return _FUNCTORS[expr.op].names(expr.args)
+
+
+def _list(text, close="]"):
+    """A slot of items up to close, each written as the form text, as a
+    tuple of its slots' values, and separated by commas."""
+    form = _Form(None, text)
+    return _Slot(lambda p: p.items(lambda: tuple(p.read(form.parts, {}).values()), close),
+                 lambda v: ", ".join(form.write(item) for item in v),
+                 lambda v: (ref for item in v for ref in form.names(item)))
+
+
+def _optional(text, absent):
+    """A slot written as the form text, which has one slot, or left out: it
+    is read when the form's first token is next, else its value is absent."""
+    form = _Form(None, text)
+    (key, slot), = form.slots
+    lead = form.parts[0][0]
+    return _Slot(lambda p: p.read(form.parts, {})[key] if p.peek().value == lead else absent,
+                 lambda v: "" if v == absent else form.write((v,)), slot.names)
+
+
+def _dropping_groups(slot):
+    """slot, then any ';'-led groups of bindings after it, read and dropped."""
+    def read(p):
+        value = slot.read(p)
+        while p.at_punct(";"):
+            p.next()
+            SLOT_TYPES["morphisms"].read(p)
+        return value
+    return slot._replace(read=read)
+
+
+SLOT_TYPES = {
+    "new": _name("a name", lookup=False),  # the name being declared
+    "name": _name("a name"),
+    "ring": _name("a ring name", "ring"),
+    "category": _name("a name", "category"),
+    "diagram": _name("a name", "diagram"),
+    "standard": _name("a category name", lookup=False),  # fincat.standard's names
+    # a functor's arguments resolve to any kind here; the runner checks it
+    "module name": _name("a module name"),
+    "ring name": _name("a ring name"),
+    "category name": _name("a category name"),
+    "functor": _Slot(_Parser.functor_expr, names=_expr_names),
+    "int": _Slot(_Parser.expect_int),
+    "vector": _ints(1),
+    "tuple": _ints(1, tuple),
+    "matrix": _ints(2),
+    "cube": _ints(3),
+    "label": _Slot(_Parser.expect_label),
+    "labels": _Slot(lambda p: p.items(p.expect_label), ", ".join),
+    "key": _Slot(lambda p: p.expect_label("a binding key")),
+    "module value": _name("a binding value", "module"),
+    "morphism value": _name("a binding value", "morphism"),
 }
+# lists and optional parts, written as forms of the slot types above
+SLOT_TYPES["composites"] = _list("<g:new>.<f:new> = <h:new>")
+SLOT_TYPES["modules"] = _list("<key:key>: <value:module value>", ";}")
+SLOT_TYPES["morphisms"] = _list("<key:key>: <value:morphism value>", ";}")
+SLOT_TYPES.update({
+    "arrows": _list("<arrow:new>: <source:label> -> <target:label>"),
+    "compositions": _optional(" compose [<compose:composites>]", []),
+    "images": _optional(", images=<images:tuple>", None),
+    # A diagram's maps are its second group of bindings; later groups, and
+    # a diagmor's groups after its first, are read and dropped.
+    "maps": _dropping_groups(_optional("; <maps:morphisms>", [])),
+    "components": _dropping_groups(SLOT_TYPES["morphisms"]),
+})
 
 
-def _functor_expr_names(expr: FunctorExpr):
-    if expr.op == "name":
-        yield expr.args[0]
-    elif expr.op == "tensor":
-        yield expr.args[0]
-    elif expr.op == "base_change":
-        yield expr.args[0]
-        yield expr.args[1]
-    elif expr.op == "coinvariants":
-        yield expr.args[0]
-    elif expr.op == "compose":
-        yield from _functor_expr_names(expr.args[0])
-        yield from _functor_expr_names(expr.args[1])
-    elif expr.op == "exponent":
-        yield from _functor_expr_names(expr.args[0])
-        yield expr.args[1]
+def _compile_kinds(forms):
+    """kind -> [the parts between its keyword and "=", the form written
+    without "=" or None, {the word after "=": (form, the parts after it)}],
+    keyed by None for a form with no word after "="."""
+    kinds = {}
+    for form in forms:
+        (kind, _), *parts = form.parts
+        if ("=", None) not in parts:
+            kinds.setdefault(kind, [parts, None, {}])[1] = form
+            continue
+        i = parts.index(("=", None))
+        word, slot = parts[i + 1]
+        head = word if slot is None and word.isidentifier() else None
+        kinds.setdefault(kind, [parts[:i], None, {}])[2][head] = (
+            form, parts[i + 2:] if head else parts[i + 1:])
+    return kinds
+
+
+_DECLS = [_Form(name, text) for name, text in DECL_FORMS]
+_KINDS = _compile_kinds(_DECLS)
+# (kind, payload's form) -> the row print_doc writes: the form's first
+_PRINTED = {(f.parts[0][0], f.name): f for f in reversed(_DECLS)}
+_FUNCTORS = {op: _Form(op, text) for op, text in FUNCTOR_FORMS}
+_CONSTRUCTORS = {op: f.parts[1:] for op, f in _FUNCTORS.items() if op != "name"}
+
+
+def _form_values(d: Decl):
+    """The row that prints d, and d's name and payload in its slot order."""
+    form = _PRINTED[d.kind, d.payload.get("form")]
+    return form, [d.name] + [d.payload[key] for key, _ in form.slots[1:]]
 
 
 def parse(text):
@@ -561,12 +517,10 @@ def parse(text):
         try:
             decls.append(parser.decl())
         except _ParseError as exc:
-            diags.append(Diagnostic(exc.tok.line, exc.tok.col, exc.message))
+            tok, message = exc.args
+            diags.append(Diagnostic(tok.line, tok.col, message))
             # resynchronise at the next separator
-            while parser.peek().kind not in ("eof",) and not (
-                    parser.peek().kind == "newline"
-                    or (parser.peek().kind == "punct"
-                        and parser.peek().value == ";")):
+            while parser.peek().kind not in ("eof", "newline") and not parser.at_punct(";"):
                 parser.next()
         except RecursionError:
             diags.append(Diagnostic(parser.peek().line, parser.peek().col,
@@ -575,52 +529,32 @@ def parse(text):
     if diags:
         return None, diags
     # name resolution: unique names, references resolve to earlier decls
-    seen = {}
+    seen = set()
     auto = 0
     for d in decls:
         if d.kind == "task" and d.name is None:
             auto += 1
             d.name = f"task{auto}"
-        key = (d.kind if d.kind != "task" else "task", d.name)
-        if key in seen:
+        if (d.kind, d.name) in seen:
             diags.append(Diagnostic(d.line, d.col,
                                     f"duplicate {d.kind} name {d.name!r}"))
-        seen[key] = d
+        seen.add((d.kind, d.name))
 
     names = {}
-
-    def resolve(name, want, d):
-        if name not in names:
-            diags.append(Diagnostic(d.line, d.col,
-                                    f"unresolved name {name!r}"))
-            return
-        if want is not None and names[name] != want:
-            diags.append(Diagnostic(
-                d.line, d.col,
-                f"{name!r} is a {names[name]}, expected a {want}"))
-
     for d in decls:
-        for key, want in _REFERENCE_KEYS.get(d.kind, []):
-            if key in d.payload and d.payload[key] is not None:
-                resolve(d.payload[key], want, d)
-        if d.kind == "diagram":
-            for _, v in d.payload["objects"]:
-                resolve(v, "module", d)
-            for _, v in d.payload["maps"]:
-                resolve(v, "morphism", d)
-        if d.kind == "diagmor":
-            for _, v in d.payload["components"]:
-                resolve(v, "morphism", d)
-        if d.kind == "functor":
-            for n in _functor_expr_names(d.payload["expr"]):
-                resolve(n, None, d)
         if d.kind == "task":
-            for key, v in d.payload["args"].items():
-                if key == "suite":
-                    continue
-                if isinstance(v, FunctorExpr):
-                    for n in _functor_expr_names(v):
-                        resolve(n, None, d)
+            refs = [ref for key, v in d.payload["args"].items()
+                    if key != "suite" and isinstance(v, FunctorExpr)
+                    for ref in _expr_names(v)]
+        else:
+            form, values = _form_values(d)
+            refs = form.names(values)
+        for name, want in refs:
+            if name not in names:
+                diags.append(Diagnostic(d.line, d.col, f"unresolved name {name!r}"))
+            elif want is not None and names[name] != want:
+                diags.append(Diagnostic(
+                    d.line, d.col, f"{name!r} is a {names[name]}, expected a {want}"))
         if d.kind != "task":
             names[d.name] = d.kind
     if diags:
@@ -629,18 +563,6 @@ def parse(text):
 
 
 # -- printer -------------------------------------------------------------------
-
-
-def _fmt_vector(v):
-    return "[" + ", ".join(str(x) for x in v) + "]"
-
-
-def _fmt_matrix(m):
-    return "[" + ", ".join(_fmt_vector(r) for r in m) + "]"
-
-
-def _fmt_cube(c):
-    return "[" + ", ".join(_fmt_matrix(m) for m in c) + "]"
 
 
 def format_value(v) -> str:
@@ -653,64 +575,13 @@ def format_value(v) -> str:
 
 
 def _print_decl(d: Decl) -> str:
+    if d.kind != "task":
+        form, values = _form_values(d)
+        return form.write(values)
     p = d.payload
-    if d.kind == "ring":
-        if p["form"] == "integers":
-            return f"ring {d.name}"
-        if p["form"] == "fp":
-            return f"ring {d.name} = fp p={p['p']}"
-        if p["form"] == "group_algebra":
-            return (f"ring {d.name} = group_algebra p={p['p']} "
-                    f"table {_fmt_matrix(p['table'])}")
-        return (f"ring {d.name} = fp_algebra p={p['p']} "
-                f"unit {_fmt_vector(p['unit'])} table {_fmt_cube(p['table'])}")
-    if d.kind == "module":
-        if p["form"] == "free":
-            body = f"free {p['rank']}"
-        elif p["form"] == "coker":
-            body = f"coker {_fmt_matrix(p['relations'])}"
-        elif p["form"] == "trivial":
-            body = "trivial"
-        else:
-            body = f"fp dim {p['dim']} actions {_fmt_cube(p['actions'])}"
-        return f"module {d.name} over {p['ring']} = {body}"
-    if d.kind == "morphism":
-        return (f"morphism {d.name} : {p['source']} -> {p['target']} = "
-                f"{_fmt_matrix(p['matrix'])}")
-    if d.kind == "category":
-        if p["form"] == "standard":
-            return f"category {d.name} = standard {p['which']}"
-        if p["form"] == "product":
-            return f"category {d.name} = product({p['left']}, {p['right']})"
-        if p["form"] == "opposite":
-            return f"category {d.name} = opposite({p['of']})"
-        if p["form"] == "monoid":
-            return f"category {d.name} = monoid table {_fmt_matrix(p['table'])}"
-        objs = ", ".join(p["objects"])
-        arrows = ", ".join(f"{a}: {s} -> {t}" for a, s, t in p["arrows"])
-        out = f"category {d.name} = objects [{objs}] arrows [{arrows}]"
-        if p["compose"]:
-            comps = ", ".join(f"{g}.{f} = {h}" for g, f, h in p["compose"])
-            out += f" compose [{comps}]"
-        return out
-    if d.kind == "diagram":
-        objs = ", ".join(f"{k}: {v}" for k, v in p["objects"])
-        maps = ", ".join(f"{k}: {v}" for k, v in p["maps"])
-        body = objs + ("; " + maps if maps else "")
-        return f"diagram {d.name} over {p['category']} = {{ {body} }}"
-    if d.kind == "diagmor":
-        comps = ", ".join(f"{k}: {v}" for k, v in p["components"])
-        return (f"diagmor {d.name} : {p['source']} -> {p['target']} = "
-                f"{{ {comps} }}")
-    if d.kind == "functor":
-        return f"functor {d.name} = {p['expr']}"
-    if d.kind == "ses":
-        return f"ses {d.name} = ({p['f']}, {p['g']})"
-    if d.kind == "task":
-        args = " ".join(f"{k}={format_value(v)}" for k, v in p["args"].items())
-        body = f"{p['task_kind']}" + (f" {args}" if args else "")
-        return f"task {d.name} = {body}"
-    raise ValueError(d.kind)
+    args = " ".join(f"{k}={format_value(v)}" for k, v in p["args"].items())
+    body = f"{p['task_kind']}" + (f" {args}" if args else "")
+    return f"task {d.name} = {body}"
 
 
 def print_doc(doc: WorkbenchDoc) -> str:

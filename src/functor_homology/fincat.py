@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeError
+from .errors import ShapeError, check_shape
 
 
 @dataclass
@@ -176,6 +176,9 @@ def monoid_category(table, labels=None) -> FinCat:
     ``table[i][j]`` is the index of m_i after m_j.
     """
     n = len(table)
+    check_shape(n, n, table)
+    if any(not 0 <= x < n for row in table for x in row):
+        raise ShapeError(f"monoid table entries must lie in 0..{n - 1}")
     labels = labels or [f"m{i}" for i in range(n)]
     ident = None
     for e in range(n):

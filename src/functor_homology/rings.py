@@ -14,6 +14,7 @@ from .fplinalg import Span, fp_from_columns, is_prime
 
 INT = "integers"
 FP_ALGEBRA = "fp_algebra"
+P_CEILING = 2 ** 31  # is_prime trial-divides up to sqrt(p): under 46,341 steps
 
 
 class RingError(ValueError):
@@ -47,6 +48,8 @@ class Ring:
             return
         if kind != FP_ALGEBRA:
             raise ShapeError(f"unknown ring kind {kind!r}")
+        if p >= P_CEILING:
+            raise RingError(f"p must be below 2^31 = {P_CEILING}, not {p}")
         if not is_prime(p):
             raise RingError(f"{p} is not prime")
         self.p = p

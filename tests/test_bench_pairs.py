@@ -58,9 +58,40 @@ def _stub_output(k, failed, ok=True):
             "acceptance_ok": ok}
 
 
+def test_each_side_runs_first_equally_often_by_default(monkeypatch, tmp_path):
+    # with the default ROUNDS and DEMO_RUNS, the parent runs first in half
+    # the rounds of the scripts, of Tier-1 and of the demos
+    pairs = load_pairs()
+    sides = (("parent", "P"), ("change", "C"))
+    calls = []
+
+    def script(name, root):
+        calls.append(root)
+        return _stub_output(len(calls), failed=0)
+
+    monkeypatch.setattr(pairs, "this_script", script)
+    pairs.rounds("ss_scaling.py", sides)
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "one.wb").write_text("")
+    monkeypatch.setattr(pairs, "HERE", tmp_path)
+    runs = {"pytest": [], "functor_homology.cli": []}
+
+    def command(root, args):
+        runs[args[1]].append(root)
+        return 1.0, types.SimpleNamespace(stdout=b"1 passed\n", returncode=0)
+
+    monkeypatch.setattr(pairs, "timed_command", command)
+    pairs.end_to_end(sides)
+    assert pairs.ROUNDS >= 3
+    for roots, count in ((calls, pairs.ROUNDS), (runs["pytest"], pairs.ROUNDS),
+                         (runs["functor_homology.cli"], pairs.DEMO_RUNS)):
+        firsts = roots[::2]  # two runs per round, one per side
+        assert len(roots) == 2 * count
+        assert firsts.count("P") == firsts.count("C") == count // 2
+
+
 def test_rounds_alternate_the_first_side_and_take_row_medians(monkeypatch):
     pairs = load_pairs()
-    assert pairs.ROUNDS >= 3
     monkeypatch.setattr(pairs, "ROUNDS", 3)
     calls = []
 

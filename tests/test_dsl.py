@@ -1,13 +1,18 @@
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import oracle
 from functor_homology import cli, runner
-from functor_homology.dsl import parse, print_doc
+from functor_homology.dsl import Diagnostic, parse, print_doc
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 FIXTURE_TOR = """\
 ring Z
@@ -59,6 +64,26 @@ category Mo = monoid table [[0, 1], [1, 0]]
 diagram D over W = { x: M, y: M; f: idm, g: idm }
 task v = validate X=P
 task w = validate X=D
+"""
+
+
+# the forms and slot types the fixtures above and the demos leave out, for
+# the comparison with the reference parser; `tensor(Z)` names a ring, which
+# only the runner rejects, and the diagmor's bindings after ';' are dropped
+FIXTURE_FORMS = """\
+ring Z = integers
+ring F3 = fp p=3
+ring A = fp_algebra p=2 unit [1, 0] table [[[1, 0], [0, 1]], [[0, 1], [0, 0]]]
+ring R2 = group_algebra p=2 table [[0, 1], [1, 0]]
+module M over R2 = fp dim 1 actions [[[1]], [[1]]]
+module N over Z = free 2
+morphism f : N -> N = [[1, 0], [0, 1]]
+category C = objects [0, 1] arrows [a: 0 -> 1, b: 1 -> 1] compose [b.b = b, b.a = a]
+diagram D over C = { 0: N, 1: N; a: f, b: f }
+diagmor u : D -> D = { 0: f; 1: f }
+functor E = exponent(compose(tensor(N), base_change(R2 -> F3)), C)
+functor W = tensor(Z)
+task t = ladder S1=E switched=true n=2
 """
 
 
@@ -119,6 +144,13 @@ def test_syntax_error_has_position():
     doc, diags = parse("ring Z\nmodule M over Z = coker [[2")
     assert doc is None
     assert diags[0].line == 2
+
+
+def test_a_digit_that_is_no_decimal_is_a_diagnostic():
+    # '²' is a digit to str.isdigit, but no integer literal
+    assert parse("ring R = fp p=²") == (None, [Diagnostic(1, 15, "unexpected character '²'")])
+    doc, diags = parse("ring R = fp p=٣")  # an Arabic-Indic 3
+    assert not diags and doc.decls[0].payload == {"form": "fp", "p": 3}
 
 
 def test_fuzz_never_crashes_smoke():
@@ -247,6 +279,53 @@ def test_ragged_matrix_diagnostic_survives_optimize(tmp_path):
         assert outs[0] == outs[1]
 
 
+# each document's one declaration, and the diagnostic `check` gives on it
+CHECK_REJECTS = {
+    "category Mo = monoid table [[0, 1], [1, 7]]": "monoid table entries must lie in 0..1",
+    "category Mo = monoid table [[0, 1], [1]]": "matrix row 1 must have 2 entries, got 1",
+    "category Mo = monoid table [[0, 1], [1, -1]]": "monoid table entries must lie in 0..1",
+    # just over the ceiling (the least prime above 2^31), and far over it
+    "ring R = fp p=2147483659": "p must be below 2^31 = 2147483648, not 2147483659",
+    "ring R = fp p=1000000000000000000000000000057":
+        "p must be below 2^31 = 2147483648, not 1000000000000000000000000000057",
+}
+
+
+@pytest.mark.parametrize("text", list(CHECK_REJECTS))
+def test_check_rejects_bad_monoid_tables_and_primes_over_the_ceiling(text, tmp_path, capsys):
+    f = tmp_path / "bad.wb"
+    f.write_text(text + "\n")
+    t0 = time.perf_counter()
+    assert cli.main(["check", str(f)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    kind, name = text.split()[:2]
+    assert capsys.readouterr() == (f"{f}:1:1: {kind} {name!r}: {CHECK_REJECTS[text]}\n", "")
+
+
+def test_check_rejections_survive_optimize(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    f = tmp_path / "bad.wb"
+    # one document: each declaration's name made unique
+    f.write_text("".join(text.replace(" = ", f"{k} = ", 1) + "\n"
+                         for k, text in enumerate(CHECK_REJECTS)))
+    for flags in ([], ["-O"]):
+        out = subprocess.run([sys.executable, *flags, "-m", "functor_homology.cli", "check",
+                              str(f)], env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 1
+        assert "Traceback" not in out.stdout + out.stderr
+        assert [line.split(": ", 2)[2] for line in out.stdout.splitlines()] == list(
+            CHECK_REJECTS.values())
+
+
+def test_largest_prime_below_the_ceiling_is_a_ring(tmp_path, capsys):
+    f = tmp_path / "big.wb"
+    f.write_text("ring R = fp p=2147483647\nmodule M over R = free 1\n")
+    assert cli.main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == f"{f}: 2 declarations ok\n"
+
+
 def test_negative_degree_is_an_error_row():
     cases = [(FIXTURE_GROUP.replace("n=2", "n=-1"), None),
              (FIXTURE_TOR.replace("n=1", "n=-1"), None),
@@ -311,3 +390,37 @@ def test_assertion_error_is_not_a_diagnostic(monkeypatch):
     monkeypatch.setattr(runner, "SES", broken)
     with pytest.raises(AssertionError, match="internal bug"):
         runner.build_environment(doc)
+
+
+def _mutants(text):
+    """Five mutants per token of text: the token deleted, doubled, replaced
+    by `bogus` and by `7`, and the text cut after it."""
+    for m in re.finditer(r"->|\w+|\S", text):
+        s, e = m.span()
+        yield text[:s] + text[e:]
+        yield text[:e] + " " + text[s:]
+        yield text[:s] + "bogus" + text[e:]
+        yield text[:s] + "7" + text[e:]
+        yield text[:e]
+
+
+def test_parser_and_printer_match_the_reference_on_mutants():
+    # the table-driven parser and printer against the hand-written ones in
+    # oracle.py, on every demo document, every fixture above and their
+    # mutants: the same diagnostics, the same declarations (repr tells a
+    # tuple from a list, and shows each position) and the same printed text
+    corpus = [path.read_text(encoding="utf-8") for path in sorted(DEMOS.glob("*.wb"))]
+    corpus += [FIXTURE_TOR, FIXTURE_GROUP, FIXTURE_DIAGRAM, FIXTURE_LES, FIXTURE_CATS,
+               FIXTURE_FORMS, FIXTURE_LADDER, *BAD_ROW_DOCS.values()]
+    mutants = sorted({m for text in corpus for m in (text, *_mutants(text))})
+    assert len(mutants) > 6000
+    parsed = 0
+    for text in mutants:
+        doc, diags = parse(text)
+        ref, ref_diags = oracle.reference_parse(text)
+        assert [str(d) for d in diags] == [str(d) for d in ref_diags], text
+        assert doc == ref and repr(doc) == repr(ref), text
+        if doc is not None:
+            parsed += 1
+            assert print_doc(doc) == oracle.reference_print_doc(ref), text
+    assert parsed > 500
